@@ -5,7 +5,7 @@ invariants, and certified plurisubharmonic potential constructions."""
 from .config import (IncidenceStructure, MSequence, PointSet,
                      enumerate_4lines, m_sequence, realize_structure)
 from .construct import (ConstructionReport, PotentialCertificate,
-                        construct_certificate_m3_9,
+                        construct_certificate, construct_certificate_m3_9,
                         construct_certificate_m3_high, construct_sextic_pair,
                         make_certificate, verify_certificate)
 from .currents import (ArrangementCurrent, estimate_growth,
@@ -28,8 +28,9 @@ __all__ = [
     "PointSet", "PotentialCertificate", "PreconditionError", "ProjPoint",
     "UnsupportedInstanceError", "VanishingCondition", "VerificationError",
     "analyze_curve", "bezout_table", "build_system",
-    "cayley_bacharach_check", "conic_rank", "construct_certificate_m3_9",
-    "construct_certificate_m3_high", "construct_sextic_pair",
+    "cayley_bacharach_check", "conic_rank", "construct_certificate",
+    "construct_certificate_m3_9", "construct_certificate_m3_high",
+    "construct_sextic_pair",
     "cubic_is_irreducible", "enumerate_4lines", "estimate_growth",
     "estimate_pole_weight", "independent_pair", "intersection_multiplicity",
     "lelong_ball_mass", "lelong_exact", "m_sequence", "make_certificate",

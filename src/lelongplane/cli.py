@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from . import serialize
 from .config import m_sequence
-from .construct import (construct_certificate_m3_9,
-                        construct_certificate_m3_high, verify_certificate)
+from .construct import construct_certificate, verify_certificate
 from .currents import (estimate_growth, estimate_pole_weight,
                        sharpness_example)
 from .errors import (ParseError, PreconditionError, UnsupportedInstanceError,
@@ -94,12 +93,7 @@ def cmd_linsys(args) -> int:
 
 def cmd_construct(args) -> int:
     inst = serialize.load_instance(args.input)
-    ms = m_sequence(inst.point_set)
-    if ms.m3 == 9:
-        report = construct_certificate_m3_9(inst.point_set)
-    else:
-        report = construct_certificate_m3_high(inst.point_set,
-                                               extra=inst.extra)
+    report = construct_certificate(inst.point_set, extra=inst.extra)
     _write_report(args, report)
     if report.outcome == "certificate":
         cert = report.certificate

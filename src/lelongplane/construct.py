@@ -75,12 +75,10 @@ def _min_order_weight(p: HomPoly, q: HomPoly, x: ProjPoint, r: int):
 def make_certificate(p: HomPoly, q: HomPoly, points, case_tag: str,
                      r: int = 1) -> PotentialCertificate | None:
     """Assemble a certificate from a coprime pair; weights are the exact
-    minimum vanishing orders divided by r. Returns None when the pair
-    shares a component."""
+    minimum vanishing orders divided by r. Returns None when the verifier
+    rejects the result, as it does when the pair shares a component."""
     if p.degree != q.degree:
         raise PreconditionError("certificate forms must share a degree")
-    if gcd_homogeneous(p, q).degree >= 1:
-        return None
     listed = []
     for x in points:
         w = _min_order_weight(p, q, x, r)
@@ -100,26 +98,32 @@ def make_certificate(p: HomPoly, q: HomPoly, points, case_tag: str,
 def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     """Re-derive every certificate invariant from scratch.
 
-    Checks: the pair is coprime (discrete common zeros), every listed point
-    is a common zero whose claimed weight equals min(ord P, ord Q)/r, and
-    gamma equals degree/r.
+    Checks: the pair is coprime (discrete common zeros), r >= 1, the listed
+    points are pairwise distinct, every one is a common zero whose claimed
+    weight equals min(ord P, ord Q)/r, gamma equals degree/r, and the
+    intersection multiplicities at the listed points sum to at most
+    deg P * deg Q (Bezout).
     """
     discrete = (not cert.p.is_zero and not cert.q.is_zero
                 and gcd_homogeneous(cert.p, cert.q).degree == 0)
+    r_ok = cert.r >= 1
     checks = []
     for x, w in cert.points:
         op = vanishing_order(cert.p, x)
         oq = vanishing_order(cert.q, x)
         mu = intersection_multiplicity(cert.p, cert.q, x) if discrete else None
-        ok = (op >= 1 and oq >= 1
+        ok = (r_ok and op >= 1 and oq >= 1
               and Fraction(min(op, oq), cert.r) == w)
         checks.append(PointCheck(point=x, claimed=w, ord_p=op, ord_q=oq,
                                  multiplicity=mu, ok=ok))
-    gamma_ok = cert.gamma_u == Fraction(cert.p.degree, cert.r)
-    total_ok = gamma_ok and all(c.ok for c in checks)
+    distinct = len({c.point for c in checks}) == len(checks)
+    gamma_ok = r_ok and cert.gamma_u == Fraction(cert.p.degree, cert.r)
+    total_ok = gamma_ok and distinct and all(c.ok for c in checks)
+    bezout_ok = discrete and (sum(c.multiplicity for c in checks)
+                              <= cert.p.degree * cert.q.degree)
     return VerificationReport(discrete=discrete, per_point=tuple(checks),
                               total_weight_ok=total_ok,
-                              verified=discrete and total_ok)
+                              verified=bezout_ok and total_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +414,24 @@ def _quartic_route(s: PointSet, ms: MSequence, trace):
     return None
 
 
+def _twelve_point_m_sequence(s: PointSet) -> MSequence:
+    if len(s) != 12:
+        raise PreconditionError("needs exactly 12 points")
+    return m_sequence(s)
+
+
+def construct_certificate(s: PointSet,
+                          extra: ProjPoint | None = None
+                          ) -> ConstructionReport:
+    """Certificate for a 12-point set, routed on its m-sequence, which is
+    computed once: m3 = 9 as in construct_certificate_m3_9, higher m3 as in
+    construct_certificate_m3_high (`extra` serves m3 = 11 only)."""
+    ms = _twelve_point_m_sequence(s)
+    if ms.m3 == 9:
+        return _construct_m3_9(s, ms)
+    return _construct_m3_high(s, ms, extra)
+
+
 def construct_certificate_m3_9(s: PointSet) -> ConstructionReport:
     """Verified certificate for a 12-point set with m3 = 9.
 
@@ -418,11 +440,13 @@ def construct_certificate_m3_9(s: PointSet) -> ConstructionReport:
     available, the two-conic quartic product for m2 = 7, and the division
     cascade over products with reducible factors otherwise.
     """
-    if len(s) != 12:
-        raise PreconditionError("needs exactly 12 points")
-    ms = m_sequence(s)
+    ms = _twelve_point_m_sequence(s)
     if ms.m3 != 9:
         raise PreconditionError(f"m3 must be 9, got {ms.m3}")
+    return _construct_m3_9(s, ms)
+
+
+def _construct_m3_9(s: PointSet, ms: MSequence) -> ConstructionReport:
     trace = [f"m2_{ms.m2}"]
     if ms.m2 == 7:
         report = _quartic_route(s, ms, trace)
@@ -671,9 +695,11 @@ def construct_certificate_m3_high(s: PointSet,
     that point are taken in order and the certificate carries total weight
     13 with gamma 4 (or the excluded-point variant with ratio >= 3).
     """
-    if len(s) != 12:
-        raise PreconditionError("needs exactly 12 points")
-    ms = m_sequence(s)
+    return _construct_m3_high(s, _twelve_point_m_sequence(s), extra)
+
+
+def _construct_m3_high(s: PointSet, ms: MSequence,
+                       extra: ProjPoint | None) -> ConstructionReport:
     if ms.m1 > 4 or ms.m2 > 7:
         raise PreconditionError("m1 <= 4 and m2 <= 7 are required")
     if ms.m3 not in (10, 11):

@@ -5,8 +5,13 @@ procedure (substitute a parametrized line, then Groebner bases / univariate
 gcds on the coefficient system), so the answers are certified over the
 complex numbers even though all data is rational.
 
-Local intersection numbers use the classical recursive reduction in affine
-coordinates; a sheared-resultant computation provides an independent oracle.
+Local intersection numbers are decided in two stages. The first reads the
+tangent cones, the lowest-degree parts of the two local expansions: when
+they share no line, mu_x = ord_x P * ord_x Q (Fulton, Algebraic Curves,
+3.3, property 5), decided by Euclid over Q on binary forms. Only where the
+cones share a line does the classical recursive reduction in affine
+coordinates run, on the rational factors of the pair. A sheared-resultant
+computation provides an independent oracle.
 """
 
 from __future__ import annotations
@@ -310,12 +315,59 @@ def _local_mu_at(p: HomPoly, q: HomPoly, x: ProjPoint):
     return _local_mu(_to_int_local(fp), _to_int_local(fq))
 
 
+def _tangent_cone(local):
+    """Order m and the lowest-degree part of a nonzero local expansion, as
+    the coefficient list of the binary form in (s, t), indexed by the
+    power of s: entry i is the coefficient of s^i t^(m-i)."""
+    m = min(i + j for i, j in local)
+    cone = [Fraction(0)] * (m + 1)
+    for (i, j), c in local.items():
+        if i + j == m:
+            cone[i] = c
+    return m, cone
+
+
+def _trim(a):
+    a = list(a)
+    while a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _cones_coprime(a, b) -> bool:
+    """True iff two nonzero binary forms share no linear factor over C.
+
+    The factor t divides both iff both lack the s^m term; every other
+    shared line is a common root of the forms at t = 1, so Euclid over Q
+    on the dehomogenized forms decides the rest.
+    """
+    if a[-1] == 0 and b[-1] == 0:
+        return False
+    a, b = _trim(a), _trim(b)
+    while len(b) > 1:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def intersection_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint):
     """The local intersection number mu_x(p, q).
 
     0 iff x is not a common zero; math.inf iff a common component passes
-    through x. Additivity over rational factors keeps the reductions on
-    small factors instead of large products.
+    through x. When the tangent cones at x share no line the answer is
+    ord_x p * ord_x q (Fulton, Algebraic Curves, 3.3, property 5). A
+    shared component through x puts its cone into both cones, and one
+    missing x is a unit at x, so this holds without a gcd. Only otherwise
+    does the reduction run.
     """
     if p.is_zero or q.is_zero:
         other = q if p.is_zero else p
@@ -324,15 +376,24 @@ def intersection_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint):
         return 0
     if evaluate(p, x) != 0 or evaluate(q, x) != 0:
         return 0
-    if p.degree >= 1 and q.degree >= 1:
-        g = gcd_homogeneous(p, q)
-        if g.degree >= 1:
-            if evaluate(g, x) == 0:
-                return math.inf
-            p = exact_divide(p, g)
-            q = exact_divide(q, g)
-    if p.degree == 0 or q.degree == 0:
-        return 0
+    op, cone_p = _tangent_cone(p.local_expansion(x)[1])
+    oq, cone_q = _tangent_cone(q.local_expansion(x)[1])
+    if _cones_coprime(cone_p, cone_q):
+        return op * oq
+    return _reduction_mu(p, q, x)
+
+
+def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint):
+    """mu_x(p, q) by the recursive reduction, for nonzero p and q that
+    vanish at x. A common component through x gives math.inf; one that
+    misses x is divided out. Additivity over rational factors keeps the
+    reductions on small factors instead of large products."""
+    g = gcd_homogeneous(p, q)
+    if g.degree >= 1:
+        if evaluate(g, x) == 0:
+            return math.inf
+        p = exact_divide(p, g)
+        q = exact_divide(q, g)
     total = 0
     for pf, pe in _rational_factors(p):
         if evaluate(pf, x) != 0:

@@ -32,7 +32,7 @@ def fraction_to_str(q: Fraction) -> str:
 def fraction_from_str(s: str) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {s!r}") from exc
 
 

@@ -185,6 +185,12 @@ def _expect(doc, key, kinds=None):
     return val
 
 
+def _is_count(v) -> bool:
+    """A non-negative int; JSON true/false decode to bools, which are ints
+    to isinstance and must not pass."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def decode_poly(doc) -> HomPoly:
     degree = _expect(doc, "degree", int)
     terms = {}
@@ -193,6 +199,9 @@ def decode_poly(doc) -> HomPoly:
             i, j, k, coeff = entry
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed term entry: {entry!r}") from exc
+        if not all(_is_count(e) for e in (i, j, k)):
+            raise ParseError(f"term {entry!r} needs non-negative integer "
+                             "exponents")
         if i + j + k != degree:
             raise ParseError(f"term {entry!r} is not homogeneous of "
                              f"degree {degree}")
@@ -241,13 +250,16 @@ def load_certificate(path) -> PotentialCertificate:
         doc = loads(fh.read())
     if _expect(doc, "type", str) != "certificate":
         raise ParseError("not a certificate file")
+    r = _expect(doc, "r", int)
+    if not _is_count(r) or r < 1:
+        raise ParseError(f"the scale r must be a positive integer, got {r!r}")
     points = tuple(
         (decode_point(_expect(e, "point")),
          fraction_from_str(_expect(e, "weight", str)))
         for e in _expect(doc, "points", list))
     return PotentialCertificate(
         p=decode_poly(_expect(doc, "p")), q=decode_poly(_expect(doc, "q")),
-        r=_expect(doc, "r", int), points=points,
+        r=r, points=points,
         gamma_u=fraction_from_str(_expect(doc, "gamma_u", str)),
         case_tag=_expect(doc, "case_tag", str),
         verified=bool(_expect(doc, "verified", bool)))

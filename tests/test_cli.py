@@ -7,8 +7,11 @@ full generate -> construct -> certify round trip through the filesystem.
 
 import json
 
+from lelongplane import serialize
 from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                              EXIT_VERIFICATION, main)
+from lelongplane.construct import make_certificate
+from lelongplane.exactpoly import HomPoly, ProjPoint
 
 
 def run(*argv):
@@ -107,3 +110,60 @@ def test_lelong_estimates_within_tolerance(tmp_path, capsys):
     run("construct", "--input", str(inst), "--cert", str(cert))
     assert run("lelong", "--input", str(cert), "--seed", "0") == EXIT_OK
     assert "growth slope=" in capsys.readouterr().out
+
+
+def engineered_certificate(tmp_path):
+    """X^2 and YZ meet at (0:1:0) and (0:0:1), each of weight 1 and
+    multiplicity 2; returns the file and its JSON document."""
+    cert = make_certificate(HomPoly.monomial((2, 0, 0)),
+                            HomPoly.monomial((0, 1, 1)),
+                            [ProjPoint(0, 1, 0), ProjPoint(0, 0, 1)],
+                            "engineered")
+    path = tmp_path / "cert.json"
+    serialize.dump(cert, path)
+    return path, json.loads(path.read_text())
+
+
+def test_certify_rejects_repeated_points(tmp_path, capsys):
+    path, doc = engineered_certificate(tmp_path)
+    assert run("certify", "--input", str(path)) == EXIT_OK
+    # each point five times: weight 10 against gamma 2, and the listed
+    # multiplicities sum to 20 > 2 * 2
+    doc["points"] = doc["points"] * 5
+    path.write_text(json.dumps(doc))
+    assert run("certify", "--input", str(path)) == EXIT_VERIFICATION
+    capsys.readouterr()
+
+
+def test_certify_rejects_negative_scale(tmp_path, capsys):
+    path, doc = engineered_certificate(tmp_path)
+    doc["r"] = -1
+    doc["gamma_u"] = "-2"
+    for entry in doc["points"]:
+        entry["weight"] = "-1"
+    path.write_text(json.dumps(doc))
+    assert run("certify", "--input", str(path)) == EXIT_PARSE
+    capsys.readouterr()
+
+
+def test_certify_rejects_zero_or_boolean_scale(tmp_path, capsys):
+    path, doc = engineered_certificate(tmp_path)
+    for r in (0, True):
+        doc["r"] = r
+        path.write_text(json.dumps(doc))
+        assert run("certify", "--input", str(path)) == EXIT_PARSE
+    capsys.readouterr()
+
+
+def test_certify_rejects_non_integer_exponents(tmp_path, capsys):
+    path, doc = engineered_certificate(tmp_path)
+    for bad in ("2", True, 1.5, -1):
+        edited = json.loads(json.dumps(doc))
+        edited["p"]["terms"][0][0] = bad
+        path.write_text(json.dumps(edited))
+        assert run("certify", "--input", str(path)) == EXIT_PARSE
+    edited = json.loads(json.dumps(doc))
+    edited["q"]["terms"][0][3] = None
+    path.write_text(json.dumps(edited))
+    assert run("certify", "--input", str(path)) == EXIT_PARSE
+    capsys.readouterr()

@@ -2,16 +2,20 @@
 
 Oracles: hand-computed multiplicities on classical local models (transverse
 lines, tangent conic, cusp), the two independent multiplicity algorithms
-cross-checked against each other on seeded random coprime pairs, and the
-exact Bezout balance deg(p)*deg(q) = sum of multiplicities + residual.
+cross-checked against each other on seeded random coprime pairs and at the
+points of the suite certificates, and the exact Bezout balance
+deg(p)*deg(q) = sum of multiplicities + residual.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from lelongplane import curves
+from lelongplane.construct import construct_certificate
 from lelongplane.curves import (analyze_curve, bezout_table,
                                 common_zeros_discrete, conic_rank,
                                 cubic_is_irreducible, find_line_components,
@@ -22,6 +26,7 @@ from lelongplane.curves import (analyze_curve, bezout_table,
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, gcd_homogeneous,
                                    monomials, vanishing_order)
+from lelongplane.instances import generate
 
 ORIGIN = ProjPoint(Fraction(0), Fraction(0), Fraction(1))
 
@@ -127,6 +132,76 @@ def test_multiplicity_classical_models():
     # a missed point gives 0
     off = ProjPoint(Fraction(5), Fraction(5), Fraction(1))
     assert intersection_multiplicity(x_axis, parabola, off) == 0
+
+
+def test_transversal_points_skip_gcd_and_factoring(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the tangent cones decide this point")
+
+    monkeypatch.setattr(curves, "gcd_homogeneous", forbidden)
+    monkeypatch.setattr(curves, "_rational_factors", forbidden)
+    x_axis = HomPoly.line(0, 1, 0)
+    y_axis = HomPoly.line(1, 0, 0)
+    parabola = mono((0, 1, 1)) - mono((2, 0, 0))
+    cusp = mono((0, 2, 1)) - mono((3, 0, 0))
+    nodal = mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1))
+    assert intersection_multiplicity(x_axis, y_axis, ORIGIN) == 1
+    assert intersection_multiplicity(y_axis, parabola, ORIGIN) == 1
+    # ord 1 * ord 2: X is not a tangent of the cusp (cone Y^2)
+    assert intersection_multiplicity(y_axis, cusp, ORIGIN) == 2
+    # ord 1 * ord 2: Y is not a tangent of the node (cone Y^2 - X^2)
+    assert intersection_multiplicity(x_axis, nodal, ORIGIN) == 2
+    # a shared component that misses the point is a unit there
+    far = HomPoly.line(1, 1, -1)
+    assert intersection_multiplicity(x_axis * far, y_axis * far,
+                                     ORIGIN) == 1
+
+
+def test_shared_tangents_take_the_reduction(monkeypatch):
+    calls = []
+    reduction = curves._reduction_mu
+
+    def counted(p, q, x):
+        calls.append(x)
+        return reduction(p, q, x)
+
+    monkeypatch.setattr(curves, "_reduction_mu", counted)
+    x_axis = HomPoly.line(0, 1, 0)
+    parabola = mono((0, 1, 1)) - mono((2, 0, 0))
+    cusp = mono((0, 2, 1)) - mono((3, 0, 0))
+    conic3 = mono((0, 1, 1)) - mono((2, 0, 0)) - mono((0, 2, 0))
+    assert intersection_multiplicity(x_axis, parabola, ORIGIN) == 2
+    assert intersection_multiplicity(x_axis, cusp, ORIGIN) == 3
+    assert intersection_multiplicity(parabola, conic3, ORIGIN) == 4
+    # the shared tangent Y = X is found by Euclid, not by the t test
+    diagonal = HomPoly.line(-1, 1, 0)
+    assert intersection_multiplicity(
+        diagonal, diagonal * HomPoly.line(0, 0, 1) - mono((2, 0, 0)),
+        ORIGIN) == 2
+    assert len(calls) == 4
+    # a shared component through the point
+    assert intersection_multiplicity(x_axis * parabola, x_axis * cusp,
+                                     ORIGIN) == math.inf
+    assert len(calls) == 5
+
+
+# the certificates that tests/test_construct.py builds
+SUITE_CERTIFICATES = [("generic12", 7), ("generic12", 19), ("conic6", 3),
+                      ("conic7", 1), ("figure1", 2), ("case2", 5),
+                      ("case3", 4), ("case4", 6)]
+
+
+@pytest.mark.parametrize("kind,seed", SUITE_CERTIFICATES)
+def test_cone_path_agrees_at_certificate_points(kind, seed, monkeypatch):
+    inst = generate(kind, seed)
+    cert = construct_certificate(inst.point_set, extra=inst.extra).certificate
+    # every listed point reads the same sheared resultants of the pair
+    monkeypatch.setattr(curves, "_resultant_xz",
+                        functools.cache(curves._resultant_xz))
+    for x, _ in cert.points:
+        mu = intersection_multiplicity(cert.p, cert.q, x)
+        assert curves._reduction_mu(cert.p, cert.q, x) == mu
+        assert resultant_multiplicity(cert.p, cert.q, x) == mu
 
 
 def test_multiplicity_shared_component_is_infinite():
