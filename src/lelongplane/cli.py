@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 precondition failure, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -124,6 +125,10 @@ def cmd_certify(args) -> int:
 
 def cmd_lelong(args) -> int:
     cert = serialize.load_certificate(args.input)
+    # the file's verified flag is not evidence: check the certificate again
+    if not verify_certificate(cert).verified:
+        raise VerificationError("certificate failed independent verification")
+    cert = dataclasses.replace(cert, verified=True)
     pole_radii = [Fraction(1, 2 ** k) for k in range(8, 17)]
     growth_radii = [Fraction(2 ** k) for k in range(8, 17)]
     estimates = []

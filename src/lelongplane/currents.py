@@ -5,7 +5,14 @@ Euclidean ball masses have the closed form sum w * max(0, r^2 - d^2) / r^2
 over the lines at distance d. Pole weights and growth rates of certified
 potentials u = (1/2r) log(|P|^2 + |Q|^2) are estimated numerically from
 exact local expansions, so the samples stay cancellation-free down to very
-small radii.
+small radii. The expansions come from an integer Taylor shift
+(``HomPoly.local_expansion``), scaled once and converted to floats.
+
+Both estimators share one sampling loop. At each sample (du, dv) it builds
+the power tables du ** i and dv ** j once, and sums (c * du ** i) * dv ** j
+over the terms of a form in sorted exponent order, starting from the int 0.
+These are the float operations of a plain term-by-term evaluation in the
+same order, so the estimates are bit-for-bit those of that evaluation.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .config import PointSet, m_sequence
 from .construct import PotentialCertificate
@@ -119,22 +127,49 @@ def _directions(seed: int, count: int = 32, phases: int = 8):
     return out
 
 
-def _scaled_local_floats(cert: PotentialCertificate, x: ProjPoint):
-    """Local expansions of both forms at x with a shared normalization so
+def _scaled_floats(fp, fq):
+    """Both exact forms as float dicts under a shared normalization, so
     float evaluation cannot overflow; the dropped log-scale only shifts u
     by a constant and leaves every slope unchanged."""
-    chart = x.chart()
-    _, fp = cert.p.local_expansion(x, chart)
-    _, fq = cert.q.local_expansion(x, chart)
     scale = max(abs(c) for c in
                 itertools.chain(fp.values(), fq.values()))
-    fpf = {k: float(c / scale) for k, c in fp.items()}
-    fqf = {k: float(c / scale) for k, c in fq.items()}
-    return fpf, fqf
+    return ({k: float(c / scale) for k, c in fp.items()},
+            {k: float(c / scale) for k, c in fq.items()})
 
 
-def _eval_local(f, du: complex, dv: complex) -> complex:
-    return sum(c * du ** i * dv ** j for (i, j), c in sorted(f.items()))
+def _evaluator(f):
+    """Evaluation of the float form f from power tables pu, pv of the two
+    local variables: the terms are sorted once, and each call sums
+    (c * pu[i]) * pv[j] in that order through C-level maps."""
+    terms = sorted(f.items())
+    coeffs = [c for _, c in terms]
+    exps_u = [i for (i, _), _ in terms]
+    exps_v = [j for (_, j), _ in terms]
+
+    def value(pu, pv) -> complex:
+        return sum(map(mul, map(mul, coeffs, map(pu.__getitem__, exps_u)),
+                       map(pv.__getitem__, exps_v)))
+    return value
+
+
+def _max_potential(fp, fq, r: int, radii, dirs) -> list[float]:
+    """For each radius rho, the largest log(|P|^2 + |Q|^2) / (2r) over the
+    samples (rho * v0, rho * v1) of the directions."""
+    value_p, value_q = _evaluator(fp), _evaluator(fq)
+    top = max((max(k) for k in itertools.chain(fp, fq)), default=0)
+    exps = range(top + 1)
+    values = []
+    for rho in radii:
+        best = -math.inf
+        for v0, v1 in dirs:
+            du, dv = rho * v0, rho * v1
+            pu = [du ** i for i in exps]
+            pv = [dv ** j for j in exps]
+            m2 = abs(value_p(pu, pv)) ** 2 + abs(value_q(pu, pv)) ** 2
+            if m2 > 0:
+                best = max(best, math.log(m2) / (2 * r))
+        values.append(best)
+    return values
 
 
 def estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, radii,
@@ -153,18 +188,10 @@ def estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, radii,
     radii = sorted((float(r) for r in radii), reverse=True)
     if len(radii) < 3:
         raise PreconditionError("need at least 3 radii")
-    fp, fq = _scaled_local_floats(cert, x)
-    dirs = _directions(seed)
-    values = []
-    for r in radii:
-        best = -math.inf
-        for v0, v1 in dirs:
-            du, dv = r * v0, r * v1
-            m2 = abs(_eval_local(fp, du, dv)) ** 2 + \
-                abs(_eval_local(fq, du, dv)) ** 2
-            if m2 > 0:
-                best = max(best, math.log(m2) / (2 * cert.r))
-        values.append(best)
+    chart = x.chart()
+    fp, fq = _scaled_floats(cert.p.local_expansion(x, chart)[1],
+                            cert.q.local_expansion(x, chart)[1])
+    values = _max_potential(fp, fq, cert.r, radii, _directions(seed))
     slope = _fit_slope([math.log(r) for r in radii], values)
     return LelongEstimate(point=x, radii=tuple(radii), values=tuple(values),
                           extrapolated=slope, exact=claimed)
@@ -179,23 +206,8 @@ def estimate_growth(cert: PotentialCertificate, radii,
     radii = sorted(float(r) for r in radii)
     if len(radii) < 3:
         raise PreconditionError("need at least 3 radii")
-    p_aff = cert.p.dehomogenize(2)
-    q_aff = cert.q.dehomogenize(2)
-    scale = max(abs(c) for c in
-                itertools.chain(p_aff.values(), q_aff.values()))
-    fp = {k: float(c / scale) for k, c in p_aff.items()}
-    fq = {k: float(c / scale) for k, c in q_aff.items()}
-    dirs = _directions(seed)
-    values = []
-    for big_r in radii:
-        best = -math.inf
-        for v0, v1 in dirs:
-            z0, z1 = big_r * v0, big_r * v1
-            m2 = abs(_eval_local(fp, z0, z1)) ** 2 + \
-                abs(_eval_local(fq, z0, z1)) ** 2
-            if m2 > 0:
-                best = max(best, math.log(m2) / (2 * cert.r))
-        values.append(best)
+    fp, fq = _scaled_floats(cert.p.dehomogenize(2), cert.q.dehomogenize(2))
+    values = _max_potential(fp, fq, cert.r, radii, _directions(seed))
     slope = _fit_slope([math.log(r) for r in radii], values)
     return GrowthEstimate(radii=tuple(radii), max_values=tuple(values),
                           slope=slope, claimed=cert.gamma_u)

@@ -17,8 +17,6 @@ import sympy
 
 from .errors import ParseError, PreconditionError
 
-Rational = Fraction
-
 _SX, _SY, _SZ = sympy.symbols("X Y Z")
 
 
@@ -226,12 +224,10 @@ class HomPoly:
     def dehomogenize(self, chart: int) -> dict[tuple[int, int], Fraction]:
         """Set the chart variable to 1; keys are exponents of the remaining
         two variables in (X, Y, Z) order."""
-        others = [i for i in range(3) if i != chart]
-        out: dict[tuple[int, int], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            key = (exps[others[0]], exps[others[1]])
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return {k: v for k, v in out.items() if v != 0}
+        # the degree fixes the chart exponent, so no two terms share a key
+        o1, o2 = [i for i in range(3) if i != chart]
+        return {(exps[o1], exps[o2]): coeff
+                for exps, coeff in self.terms.items()}
 
     def local_expansion(self, x: ProjPoint, chart: int | None = None
                         ) -> tuple[int, dict[tuple[int, int], Fraction]]:
@@ -239,26 +235,50 @@ class HomPoly:
 
         Returns (chart, bivariate terms). The minimal total degree of the
         result is the vanishing order of the polynomial at x.
+
+        The Taylor shift (a+s)^e1 (b+t)^e2 runs on integers: with x = (a, b)
+        in the chart, a = an/ad and b = bn/bd, every term is brought to the
+        common denominator L * ad^E1 * bd^E2 (L the lcm of the coefficient
+        denominators, E1 and E2 the largest exponents of s and t), and one
+        Fraction is built per output key. Keys appear in order of first
+        contribution: terms in dehomogenized order, then i, then j.
         """
         if chart is None:
             chart = x.chart()
         a, b = x.affine(chart)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (e1, e2), coeff in self.dehomogenize(chart).items():
-            # (a+s)^e1 (b+t)^e2 expanded exactly
-            for i in range(e1 + 1):
-                ca = coeff * math.comb(e1, i) * a ** (e1 - i)
-                for j in range(e2 + 1):
+        local = self.dehomogenize(chart)
+        if not local:
+            return chart, {}
+        big_l = math.lcm(*(c.denominator for c in local.values()))
+        top1 = max(e1 for e1, _ in local)
+        top2 = max(e2 for _, e2 in local)
+        rows1 = _shift_rows(a.numerator, a.denominator, top1)
+        rows2 = _shift_rows(b.numerator, b.denominator, top2)
+        out: dict[tuple[int, int], int] = {}
+        for (e1, e2), coeff in local.items():
+            num = coeff.numerator * (big_l // coeff.denominator)
+            row2 = rows2[e2]
+            for i, c1 in enumerate(rows1[e1]):
+                ca = num * c1
+                for j, c2 in enumerate(row2):
                     key = (i, j)
-                    val = ca * math.comb(e2, j) * b ** (e2 - j)
-                    out[key] = out.get(key, Fraction(0)) + val
-        return chart, {k: v for k, v in out.items() if v != 0}
+                    out[key] = out.get(key, 0) + ca * c2
+        den = big_l * a.denominator ** top1 * b.denominator ** top2
+        return chart, {k: Fraction(v, den) for k, v in out.items() if v}
 
     def to_sympy(self):
         expr = sympy.Integer(0)
         for (i, j, k), c in self.terms.items():
             expr += sympy.Rational(c.numerator, c.denominator) * _SX**i * _SY**j * _SZ**k
         return expr
+
+
+def _shift_rows(n: int, d: int, top: int) -> list[list[int]]:
+    """Integer coefficients of (n/d + s)^e in s, times d^top, for e <= top."""
+    npow = [n ** k for k in range(top + 1)]
+    dpow = [d ** k for k in range(top + 1)]
+    return [[math.comb(e, i) * npow[e - i] * dpow[top - e + i]
+             for i in range(e + 1)] for e in range(top + 1)]
 
 
 def from_sympy(expr, degree: int | None = None) -> HomPoly:

@@ -167,3 +167,19 @@ def test_certify_rejects_non_integer_exponents(tmp_path, capsys):
     path.write_text(json.dumps(edited))
     assert run("certify", "--input", str(path)) == EXIT_PARSE
     capsys.readouterr()
+
+
+def test_lelong_rejects_certificate_that_fails_verification(tmp_path, capsys):
+    path, doc = engineered_certificate(tmp_path)
+    doc["points"] = doc["points"] * 5
+    path.write_text(json.dumps(doc))
+    assert run("lelong", "--input", str(path)) == EXIT_VERIFICATION
+    assert "failed independent verification" in capsys.readouterr().err
+
+
+def test_lelong_verifies_instead_of_reading_the_flag(tmp_path, capsys):
+    path, doc = engineered_certificate(tmp_path)
+    doc["verified"] = False
+    path.write_text(json.dumps(doc))
+    assert run("lelong", "--input", str(path)) == EXIT_OK
+    assert "growth slope=" in capsys.readouterr().out

@@ -2,16 +2,20 @@
 
 Oracles: exact incidence sums on hand-built arrangements, a closed-form
 ball-mass value for a single line through the center, numerical slopes
-cross-checked against the exact weights they must approximate, and the
-exact mass inequality with every term recomputed independently.
+cross-checked against the exact weights they must approximate, sample
+maxima bit-identical to a plain term-by-term evaluation, and the exact
+mass inequality with every term recomputed independently.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from lelongplane.construct import construct_certificate_m3_9
-from lelongplane.currents import (ArrangementCurrent, estimate_growth,
+from lelongplane.construct import construct_certificate_m3_9, make_certificate
+from lelongplane.currents import (ArrangementCurrent, _directions,
+                                  _evaluator, _scaled_floats, estimate_growth,
                                   estimate_pole_weight, lelong_ball_mass,
                                   lelong_exact, mass_inequality_check,
                                   sharpness_example)
@@ -85,6 +89,86 @@ def test_pole_weight_estimate_matches_exact():
         est = estimate_pole_weight(cert, x, radii)
         assert est.exact == w
         assert abs(est.extrapolated - float(w)) < 0.05
+
+
+def reference_maxima(cert, fp, fq, radii, seed):
+    """The estimators' sample maxima, evaluating every term as
+    c * du ** i * dv ** j in sorted order at every sample."""
+    scale = max(abs(c) for c in itertools.chain(fp.values(), fq.values()))
+    fp = {k: float(c / scale) for k, c in fp.items()}
+    fq = {k: float(c / scale) for k, c in fq.items()}
+
+    def value(f, du, dv):
+        return sum(c * du ** i * dv ** j for (i, j), c in sorted(f.items()))
+
+    values = []
+    for r in radii:
+        best = -math.inf
+        for v0, v1 in _directions(seed):
+            du, dv = r * v0, r * v1
+            m2 = abs(value(fp, du, dv)) ** 2 + abs(value(fq, du, dv)) ** 2
+            if m2 > 0:
+                best = max(best, math.log(m2) / (2 * cert.r))
+        values.append(best)
+    return tuple(values)
+
+
+def engineered_certificate():
+    """X^2 and YZ: each local form at the two listed points has one term."""
+    return make_certificate(HomPoly.monomial((2, 0, 0)),
+                            HomPoly.monomial((0, 1, 1)),
+                            [ProjPoint(0, 1, 0), ProjPoint(0, 0, 1)],
+                            "engineered")
+
+
+def sample_certificate(build):
+    if build == "conic7":
+        return construct_certificate_m3_9(conic7_instance(1).point_set)\
+            .certificate
+    return engineered_certificate()
+
+
+@pytest.mark.parametrize("build", ["conic7", "engineered"])
+def test_estimators_match_reference_evaluation(build):
+    cert = sample_certificate(build)
+    pole_radii = [2.0 ** -k for k in range(16, 7, -1)]
+    for x, _ in cert.points:
+        chart = x.chart()
+        if build == "engineered":
+            assert len(cert.p.local_expansion(x, chart)[1]) == 1
+            assert len(cert.q.local_expansion(x, chart)[1]) == 1
+        for seed in (0, 3):
+            est = estimate_pole_weight(cert, x, pole_radii, seed=seed)
+            assert est.values == reference_maxima(
+                cert, cert.p.local_expansion(x, chart)[1],
+                cert.q.local_expansion(x, chart)[1], est.radii, seed)
+    growth_radii = [2.0 ** k for k in range(8, 17)]
+    for seed in (0, 3):
+        est = estimate_growth(cert, growth_radii, seed=seed)
+        assert est.max_values == reference_maxima(
+            cert, cert.p.dehomogenize(2), cert.q.dehomogenize(2),
+            est.radii, seed)
+
+
+@pytest.mark.parametrize("build", ["conic7", "engineered"])
+def test_form_values_match_term_by_term_sum(build):
+    # the sample maxima pass through a log, which hides a last-bit change
+    # of a sum; compare the sums themselves
+    cert = sample_certificate(build)
+    for x, _ in cert.points:
+        chart = x.chart()
+        forms = _scaled_floats(cert.p.local_expansion(x, chart)[1],
+                               cert.q.local_expansion(x, chart)[1])
+        for f in forms:
+            value = _evaluator(f)
+            for r in (2.0 ** -8, 2.0 ** -13):
+                for v0, v1 in _directions(0):
+                    du, dv = r * v0, r * v1
+                    pu = [du ** i for i in range(7)]
+                    pv = [dv ** j for j in range(7)]
+                    assert value(pu, pv) == sum(
+                        c * du ** i * dv ** j
+                        for (i, j), c in sorted(f.items()))
 
 
 def test_pole_weight_input_validation():

@@ -133,6 +133,53 @@ def test_local_expansion_matches_translated_values():
         assert got == f.evaluate_coords(*coords)
 
 
+def naive_local_expansion(f, x, chart):
+    """Reference: the Fraction-by-Fraction Taylor shift, one multiply per
+    binomial term, keys in order of first contribution."""
+    a, b = x.affine(chart)
+    others = [i for i in range(3) if i != chart]
+    out = {}
+    for exps, coeff in f.terms.items():
+        e1, e2 = exps[others[0]], exps[others[1]]
+        for i in range(e1 + 1):
+            ca = coeff * math.comb(e1, i) * a ** (e1 - i)
+            for j in range(e2 + 1):
+                val = ca * math.comb(e2, j) * b ** (e2 - j)
+                out[(i, j)] = out.get((i, j), Fraction(0)) + val
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def test_local_expansion_matches_naive_shift():
+    rng = random.Random(2718)
+    big = 10 ** 12 + 39
+    points = [
+        ProjPoint(Fraction(big, 7), Fraction(-3, 11), Fraction(5, 13)),
+        ProjPoint(Fraction(2, 9), Fraction(-big, 17), Fraction(1, 3)),
+        ProjPoint(Fraction(1, 5), Fraction(7, 3), Fraction(-big, 19)),
+        ProjPoint(Fraction(0), Fraction(0), Fraction(1)),
+        ProjPoint(Fraction(-4, 3), Fraction(0), Fraction(0)),
+    ]
+    assert {x.chart() for x in points} == {0, 1, 2}
+    forms = [HomPoly.zero(3), HomPoly.monomial((0, 1, 1), Fraction(-5, 3)),
+             HomPoly.monomial((4, 0, 0), big), HomPoly(0, {(0, 0, 0): 7})]
+    for d in range(7):
+        forms.append(random_poly(rng, d))
+        terms = {m: Fraction(rng.randint(-big, big), rng.randint(1, 10 ** 6))
+                 for m in rng.sample(monomials(d), rng.randint(1, d + 1))}
+        forms.append(HomPoly(d, terms))
+    for f in forms:
+        for x in points:
+            for chart in range(3):
+                if x.coords[chart] == 0:
+                    continue
+                got_chart, got = f.local_expansion(x, chart)
+                want = naive_local_expansion(f, x, chart)
+                assert got_chart == chart
+                assert got == want
+                assert list(got) == list(want)
+            assert f.local_expansion(x)[0] == x.chart()
+
+
 def test_vanishing_order_oracles():
     origin = ProjPoint(Fraction(0), Fraction(0), Fraction(1))
     # Y^2*Z - X^3 has an order-2 cusp at the origin of the Z chart
