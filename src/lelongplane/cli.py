@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("generate", help="emit a named instance")
     sp.add_argument("--kind", required=True,
-                    choices=list(INSTANCE_KINDS) + ["conic6", "conic7"])
+                    choices=INSTANCE_KINDS)
     _add_common(sp)
     sp.set_defaults(func=cmd_generate)
 

@@ -2,10 +2,14 @@
 
 m_j of a point set is the maximum number of its points lying on a single
 curve of degree j; a k-subset lies on such a curve iff its monomial
-evaluation matrix has a nonzero kernel. Incidence structures are abstract
-families of 4-element label sets in which any two lines share exactly one
-label; they are enumerated up to relabeling and realized by seeded random
-placement with exact certification.
+evaluation matrix has a nonzero kernel. The subset search runs depth-first
+in lexicographic order with an incremental integer echelon basis, and drops
+every prefix that already has full rank: rank never drops when rows are
+added, so the first subset it returns is the first one in `combinations`
+order. Incidence structures are abstract families of 4-element label sets
+in which any two lines share exactly one label; they are enumerated up to
+relabeling and realized by seeded random placement with exact
+certification.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .exactpoly import HomPoly, ProjPoint, evaluate, monomial_count, monomials
-from .linalg import int_rank, nullspace
+from .linalg import int_rank, nullspace, reduce_row
 
 
 @dataclass(frozen=True)
@@ -75,11 +79,8 @@ def _evaluation_rows(points, degree):
     mons = monomials(degree)
     rows = []
     for p in points:
-        row = [Fraction(1)]
-        vals = []
-        for i, j, k in mons:
-            a, b, c = p.coords
-            vals.append(a ** i * b ** j * c ** k)
+        a, b, c = p.coords
+        vals = [a ** i * b ** j * c ** k for i, j, k in mons]
         lcm = math.lcm(*(v.denominator for v in vals))
         rows.append([int(v * lcm) for v in vals])
     return rows
@@ -100,37 +101,66 @@ def subset_on_curve(points, degree: int):
     return HomPoly.from_coeff_vector(degree, kernel[0])
 
 
+def _first_deficient_subset(rows, k, ncols):
+    """The lexicographically first k-subset of row indices whose rows span
+    fewer than `ncols` dimensions, or None.
+
+    Depth-first in index order, carrying the echelon basis of the prefix.
+    Adding rows never lowers the rank, so once a prefix reaches rank
+    `ncols` no extension of it is deficient and its subtree is dropped.
+    """
+    n = len(rows)
+    combo = []
+    basis = []
+
+    def search(start):
+        if len(combo) == k:
+            return True
+        for i in range(start, n - (k - len(combo)) + 1):
+            red = reduce_row(basis, rows[i])
+            if red is not None:
+                if len(basis) + 1 == ncols:
+                    continue
+                basis.append(red)
+            combo.append(i)
+            if search(i + 1):
+                return True
+            combo.pop()
+            if red is not None:
+                basis.pop()
+        return False
+
+    return tuple(combo) if search(0) else None
+
+
 def m_sequence(s: PointSet) -> MSequence:
-    """Exact invariants (m1, m2, m3) with witness subsets and curves."""
+    """Exact invariants (m1, m2, m3) with witness subsets and curves.
+
+    For each degree and each k from n down to the interpolation floor, the
+    witness is the lexicographically first k-subset on a curve of that
+    degree, found by a rank-pruned depth-first search. Rank never drops
+    when rows are added, so a pruned subtree holds no k-subset on a curve
+    and the search returns the first such subset in `combinations` order.
+    At k = floor every k-subset lies on a curve, so a witness always exists.
+    """
     n = len(s)
     if n > 16:
         raise PreconditionError("point sets capped at 16 points")
     floors = {1: 2, 2: 5, 3: 9}
-    rows_by_degree = {d: _evaluation_rows(s.points, d) for d in (1, 2, 3)}
     values = {}
     witnesses = []
     for degree in (1, 2, 3):
+        rows = _evaluation_rows(s.points, degree)
         ncols = monomial_count(degree)
-        floor = min(floors[degree], n)
-        found = None
-        for k in range(n, floor - 1, -1):
-            for combo in itertools.combinations(range(n), k):
-                rows = [rows_by_degree[degree][i] for i in combo]
-                if int_rank(rows) < ncols:
-                    frac_rows = [[Fraction(x) for x in r] for r in rows]
-                    kern = nullspace(frac_rows, ncols)
-                    curve = HomPoly.from_coeff_vector(degree, kern[0])
-                    found = (k, tuple(i + 1 for i in combo), curve)
-                    break
-            if found:
+        for k in range(n, min(floors[degree], n) - 1, -1):
+            combo = _first_deficient_subset(rows, k, ncols)
+            if combo is not None:
                 break
-        if found is None:
-            # fewer points than the interpolation floor: everything fits
-            combo = tuple(range(n))
-            curve = subset_on_curve(s.points, degree)
-            found = (n, tuple(i + 1 for i in combo), curve)
-        values[degree] = found[0]
-        witnesses.append((found[1], found[2]))
+        frac_rows = [[Fraction(x) for x in rows[i]] for i in combo]
+        curve = HomPoly.from_coeff_vector(degree,
+                                          nullspace(frac_rows, ncols)[0])
+        values[degree] = k
+        witnesses.append((tuple(i + 1 for i in combo), curve))
     return MSequence(m1=values[1], m2=values[2], m3=values[3],
                      witnesses=tuple(witnesses))
 

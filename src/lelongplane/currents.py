@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .config import PointSet, m_sequence
+from .config import PointSet, _evaluation_rows, m_sequence
 from .construct import PotentialCertificate
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, monomial_count,
-                        monomials)
+from .exactpoly import HomPoly, ProjPoint, evaluate, monomial_count
 from .linalg import int_rank
 
 
@@ -290,13 +289,7 @@ def sharpness_example(seed: int, budget: int = 100) -> SharpnessReport:
         ncols = monomial_count(3)
         checks = 0
         full = True
-        rows = []
-        for p in pts:
-            a, b, c = p.coords
-            vals = [Fraction(a) ** i * Fraction(b) ** j * Fraction(c) ** k
-                    for i, j, k in monomials(3)]
-            lcm = math.lcm(*(v.denominator for v in vals))
-            rows.append([int(v * lcm) for v in vals])
+        rows = _evaluation_rows(pts, 3)
         for combo in itertools.combinations(range(15), 13):
             checks += 1
             if int_rank([rows[i] for i in combo]) != ncols:

@@ -34,7 +34,8 @@ class Instance:
 
 
 INSTANCE_KINDS = ("generic12", "figure1", "figure2", "figure3", "figure4",
-                  "figure5", "case2", "case3", "case4", "example6lines")
+                  "figure5", "case2", "case3", "case4", "example6lines",
+                  "conic6", "conic7")
 
 _BUDGET = 200
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals used by every module.
 
-Rank queries run fraction-free (Bareiss) over scaled integer rows; kernel
-computations run over Fractions and are canonicalized by reduced row echelon
-form so outputs are deterministic.
+Rank queries run fraction-free (Bareiss) over scaled integer rows, and
+`reduce_row` is the one incremental integer elimination, for searches that
+add rows one at a time; kernel computations run over Fractions and are
+canonicalized by reduced row echelon form so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -50,6 +51,29 @@ def int_rank(rows) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def reduce_row(basis, row):
+    """One step of incremental fraction-free elimination on integer rows.
+
+    `basis` lists (pivot, row) pairs in the order they were added; each row
+    is primitive and zero at the pivots of the rows before it. The new row
+    is reduced against them in that order. Returns the (pivot, row) pair to
+    append, with the row divided by its content, or None when the row lies
+    in the span of the basis. So rank(rows) is the number of non-None
+    results when the rows are reduced one after another.
+    """
+    for piv, b in basis:
+        f = row[piv]
+        if f:
+            p = b[piv]
+            row = [p * x - f * y for x, y in zip(row, b)]
+    g = math.gcd(*row)
+    if not g:
+        return None
+    if g > 1:
+        row = [x // g for x in row]
+    return next(c for c, x in enumerate(row) if x), row
 
 
 def frac_rref(rows):

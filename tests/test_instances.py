@@ -41,8 +41,7 @@ def test_generator_m_sequences(kind):
 
 
 def test_kind_enum_and_dispatch():
-    assert set(EXPECTED_MSEQ) - {"conic6", "conic7"} <= \
-        set(INSTANCE_KINDS)
+    assert set(EXPECTED_MSEQ) <= set(INSTANCE_KINDS)
     with pytest.raises((PreconditionError, KeyError, ValueError)):
         generate("nonsense", 0)
 

@@ -1,14 +1,20 @@
 """Exact linear algebra: fraction-free ranks, canonical kernels, solving.
 
-Oracles: hand-sized matrices with known ranks, and the defining identities
+Oracles: hand-sized matrices with known ranks, the Bareiss rank as the
+reference for the incremental reduction, and the defining identities
 A v = 0 / A x = b verified exactly on seeded random systems.
 """
 
+import math
 import random
 from fractions import Fraction
 
+from lelongplane.exactpoly import monomial_count
+from lelongplane.instances import generic12
 from lelongplane.linalg import (frac_rref, int_rank, nullspace, rank,
-                                solve_exact)
+                                reduce_row, solve_exact)
+from lelongplane.linsys import (VanishingCondition, build_system,
+                                condition_rows)
 
 
 def _mat(rng, nrows, ncols, span=9):
@@ -94,3 +100,44 @@ def test_solve_exact():
         assert solve_exact(m, rhs) == sol
     # inconsistent system
     assert solve_exact([[1, 0], [1, 0]], [Fraction(1), Fraction(2)]) is None
+
+
+def _reduced_basis(rows):
+    """The basis built by reducing integer-scaled rows one at a time."""
+    basis = []
+    for row in rows:
+        lcm = math.lcm(*(Fraction(x).denominator for x in row))
+        red = reduce_row(basis, [int(x * lcm) for x in row])
+        if red is not None:
+            basis.append(red)
+    return basis
+
+
+def test_reduce_row_rank_matches_int_rank():
+    hand = [[[0, 0], [0, 0]], [[1, 2], [2, 4]], [[1, 2], [3, 4]],
+            [[1, 0, 2], [0, 1, 1], [1, 1, 3]]]
+    for m in hand:
+        assert len(_reduced_basis(m)) == int_rank(m)
+    rng = random.Random(11)
+    for _ in range(20):
+        m = _mat(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert len(_reduced_basis(m)) == int_rank(m)
+    # repeated and combined rows
+    m = _mat(rng, 3, 6)
+    m += [m[0], [a - 2 * b for a, b in zip(m[1], m[2])]]
+    assert len(_reduced_basis(m)) == int_rank(m) == 3
+
+
+def test_reduce_row_on_sextic_system():
+    # the 24 x 28 matrix of sextics double at six points through six more
+    pts = generic12(0).point_set.points
+    conds = [VanishingCondition(p, 2) for p in pts[:6]] \
+        + [VanishingCondition(p, 1) for p in pts[6:]]
+    rows = [r for c in conds for r in condition_rows(6, c)]
+    assert len(rows) == 24 and len(rows[0]) == monomial_count(6)
+    basis = _reduced_basis(rows)
+    assert len(basis) == int_rank(rows) == build_system(6, conds).matrix_rank
+    # primitive rows, each zero at the pivots of the rows before it
+    for idx, (piv, row) in enumerate(basis):
+        assert math.gcd(*row) == 1 and row[piv] != 0
+        assert all(row[p] == 0 for p, _ in basis[:idx])

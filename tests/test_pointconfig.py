@@ -1,28 +1,89 @@
 """Point-configuration invariants, incidence enumeration, realization.
 
-Oracles: hand-checkable point sets (collinear triples, grids), closed-form
-counts for small enumerations, and exact certification of every realized
-structure through the m-sequence witnesses.
+Oracles: hand-checkable point sets (collinear triples, grids), the plain
+`combinations` x rank scan as the reference for the pruned subset search,
+closed-form counts for small enumerations, and exact certification of every
+realized structure through the m-sequence witnesses.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from lelongplane import config
 from lelongplane.config import (SHAPE_3CONCURRENT_PLUS2, SHAPE_5LINES_CAP2,
                                 SHAPE_DOUBLE_STAR, IncidenceStructure,
-                                NonRealizationReport, PointSet, Realization,
-                                canonical_form, enumerate_4lines,
+                                MSequence, NonRealizationReport, PointSet,
+                                Realization, canonical_form, enumerate_4lines,
                                 four_point_lines, m_sequence,
                                 realize_structure, subset_on_curve)
+from lelongplane.currents import sharpness_example
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import ProjPoint, evaluate
-from lelongplane.instances import generic12
+from lelongplane.exactpoly import HomPoly, ProjPoint, evaluate, monomial_count
+from lelongplane.instances import INSTANCE_KINDS, generate, generic12
+from lelongplane.linalg import int_rank, nullspace
 
 
 def pt(a, b, c=1):
     return ProjPoint(Fraction(a), Fraction(b), Fraction(c))
+
+
+def reference_m_sequence(s):
+    """Every k-subset in `combinations` order, one rank each."""
+    n = len(s)
+    values, witnesses = [], []
+    for degree, floor in ((1, 2), (2, 5), (3, 9)):
+        rows = config._evaluation_rows(s.points, degree)
+        ncols = monomial_count(degree)
+        for k in range(n, min(floor, n) - 1, -1):
+            combo = next((c for c in itertools.combinations(range(n), k)
+                          if int_rank([rows[i] for i in c]) < ncols), None)
+            if combo is not None:
+                break
+        kern = nullspace([[Fraction(x) for x in rows[i]] for i in combo],
+                         ncols)
+        values.append(k)
+        witnesses.append((tuple(i + 1 for i in combo),
+                          HomPoly.from_coeff_vector(degree, kern[0])))
+    return MSequence(*values, witnesses=tuple(witnesses))
+
+
+def random_set(n, seed):
+    rng = random.Random(seed)
+    pts = {}
+    while len(pts) < n:
+        p = pt(rng.randint(-3, 3), rng.randint(-3, 3))
+        pts.setdefault(p.coords, p)
+    return PointSet(tuple(pts.values()))
+
+
+# example6lines at seed 0 is the sharpness arrangement of seed 0
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_m_sequence_matches_reference_on_instances(kind):
+    s = generate(kind, 0).point_set
+    assert m_sequence(s) == reference_m_sequence(s)
+
+
+def test_m_sequence_matches_reference_on_small_sets():
+    sets = [PointSet(tuple(pt(i, j) for i in range(a) for j in range(3)))
+            for a in (3, 4)]
+    sets.append(PointSet(tuple(pt(i, 2 * i + 1) for i in range(7))))
+    sets += [random_set(n, 100 + n) for n in range(12)]
+    for s in sets:
+        assert m_sequence(s) == reference_m_sequence(s)
+
+
+def test_m_sequence_search_needs_no_rank_calls(monkeypatch):
+    s = PointSet(sharpness_example(0).points)
+    expected = m_sequence(s)
+
+    def forbidden(rows):
+        raise AssertionError("int_rank called by the subset search")
+    monkeypatch.setattr(config, "int_rank", forbidden)
+    assert m_sequence(s) == expected
+    assert expected.as_tuple() == (5, 9, 12)
 
 
 def test_point_set_rejects_duplicates():
