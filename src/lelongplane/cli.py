@@ -179,10 +179,6 @@ def _add_common(sp, seed=True, out=True):
                         default=_env_default("seed", int, 0))
     if out:
         sp.add_argument("--out", default=os.environ.get(ENV_PREFIX + "OUT"))
-    sp.add_argument("--jobs", type=int,
-                    default=_env_default("jobs", int, 1),
-                    help="parallelism cap (evaluation is sequential; "
-                         "accepted for interface stability)")
 
 
 def build_parser() -> argparse.ArgumentParser:

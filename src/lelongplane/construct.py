@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import MSequence, PointSet, four_point_lines, m_sequence
-from .curves import (bezout_table, conic_rank, cubic_is_irreducible,
-                     find_line_components, intersection_multiplicity)
+from .curves import (_orders_and_mu, bezout_table, conic_rank,
+                     cubic_is_irreducible, find_line_components,
+                     intersection_multiplicity)
 from .errors import PreconditionError, UnsupportedInstanceError
-from .exactpoly import (HomPoly, ProjPoint, divides, evaluate, exact_divide,
-                        gcd_homogeneous, vanishing_order)
+from .exactpoly import (HomPoly, ProjPoint, coprime, divides, evaluate,
+                        exact_divide, gcd_homogeneous, vanishing_order)
 from .linalg import rank
 from .linsys import (LinearSystem, VanishingCondition, build_system,
                      linearly_independent, pencil_member)
@@ -98,22 +99,25 @@ def make_certificate(p: HomPoly, q: HomPoly, points, case_tag: str,
 def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     """Re-derive every certificate invariant from scratch.
 
-    Checks: the pair is coprime (discrete common zeros), r >= 1, the listed
-    points are pairwise distinct, every one is a common zero whose claimed
-    weight equals min(ord P, ord Q)/r, gamma equals degree/r, and the
-    intersection multiplicities at the listed points sum to at most
-    deg P * deg Q (Bezout).
+    Checks: the pair is coprime (discrete common zeros, decided by
+    exactpoly.coprime: a modular resultant on a line, or sympy's gcd when
+    that proof fails), r >= 1, the listed points are pairwise distinct,
+    every one is a common zero whose claimed weight equals
+    min(ord P, ord Q)/r and whose intersection multiplicity is at least
+    ord P * ord Q, gamma equals degree/r, and the multiplicities at the
+    listed points sum to at most deg P * deg Q (Bezout). Both forms are
+    expanded once per listed point; the orders and the tangent-cone stage
+    of the multiplicity read the same expansions.
     """
     discrete = (not cert.p.is_zero and not cert.q.is_zero
-                and gcd_homogeneous(cert.p, cert.q).degree == 0)
+                and coprime(cert.p, cert.q))
     r_ok = cert.r >= 1
     checks = []
     for x, w in cert.points:
-        op = vanishing_order(cert.p, x)
-        oq = vanishing_order(cert.q, x)
-        mu = intersection_multiplicity(cert.p, cert.q, x) if discrete else None
+        op, oq, mu = _orders_and_mu(cert.p, cert.q, x, discrete)
         ok = (r_ok and op >= 1 and oq >= 1
-              and Fraction(min(op, oq), cert.r) == w)
+              and Fraction(min(op, oq), cert.r) == w
+              and (mu is None or mu >= op * oq))
         checks.append(PointCheck(point=x, claimed=w, ord_p=op, ord_q=oq,
                                  multiplicity=mu, ok=ok))
     distinct = len({c.point for c in checks}) == len(checks)
@@ -240,7 +244,7 @@ def _division_contradiction(c2: HomPoly, residues) -> str:
     names the dependence found (ninth intersection point and pencil
     membership, or the rank drop in the local ring at a double point)."""
     d2, d3, d4 = residues
-    if gcd_homogeneous(c2, d2).degree >= 1:
+    if not coprime(c2, d2):
         return "residual cubic shares a component with the second cubic"
     records, residual = bezout_table(c2, d2)
     simple = [rec for rec in records if rec.multiplicity == 1]
@@ -476,8 +480,7 @@ def _independent_quartic(p1: HomPoly, conditions):
     cands = list(sys4.kernel_basis) + [
         a + b for a, b in itertools.combinations(sys4.kernel_basis, 2)]
     for p2 in cands:
-        if linearly_independent(p1, p2) and \
-                gcd_homogeneous(p1, p2).degree == 0:
+        if linearly_independent(p1, p2) and coprime(p1, p2):
             return p2
     return None
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 import sympy
 
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, exact_divide, from_sympy,
-                        gcd_homogeneous, partial_derivatives)
+from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate, exact_divide,
+                        from_sympy, gcd_homogeneous, partial_derivatives)
 from .linalg import frac_rref
 
 _A, _B = sympy.symbols("a b")
@@ -194,7 +194,7 @@ def rational_singular_points(p: HomPoly) -> list[ProjPoint]:
     for f, g, h in pairs:
         if f.is_zero or g.is_zero:
             continue
-        if gcd_homogeneous(f, g).degree == 0:
+        if coprime(f, g):
             records, _ = bezout_table(f, g)
             return sorted((r.point for r in records
                            if evaluate(h, r.point) == 0),
@@ -376,11 +376,30 @@ def intersection_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint):
         return 0
     if evaluate(p, x) != 0 or evaluate(q, x) != 0:
         return 0
-    op, cone_p = _tangent_cone(p.local_expansion(x)[1])
-    oq, cone_q = _tangent_cone(q.local_expansion(x)[1])
+    return _orders_and_mu(p, q, x)[2]
+
+
+def _orders_and_mu(p: HomPoly, q: HomPoly, x: ProjPoint, with_mu=True):
+    """(ord_x p, ord_x q, mu_x(p, q)) from one local expansion of each
+    form; the order of a zero form is math.inf. With with_mu=False the
+    third entry is None; otherwise p and q must be nonzero. mu is 0 where
+    either order is 0, ord_x p * ord_x q where the tangent cones share no
+    line, and the reduction's value elsewhere."""
+    op, cone_p = _order_and_cone(p, x)
+    oq, cone_q = _order_and_cone(q, x)
+    if not with_mu:
+        return op, oq, None
+    if op == 0 or oq == 0:
+        return op, oq, 0
     if _cones_coprime(cone_p, cone_q):
-        return op * oq
-    return _reduction_mu(p, q, x)
+        return op, oq, op * oq
+    return op, oq, _reduction_mu(p, q, x)
+
+
+def _order_and_cone(p: HomPoly, x: ProjPoint):
+    if p.is_zero:
+        return math.inf, None
+    return _tangent_cone(p.local_expansion(x)[1])
 
 
 def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint):
@@ -388,8 +407,8 @@ def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint):
     vanish at x. A common component through x gives math.inf; one that
     misses x is divided out. Additivity over rational factors keeps the
     reductions on small factors instead of large products."""
-    g = gcd_homogeneous(p, q)
-    if g.degree >= 1:
+    if not coprime(p, q):
+        g = gcd_homogeneous(p, q)
         if evaluate(g, x) == 0:
             return math.inf
         p = exact_divide(p, g)
@@ -537,7 +556,7 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
     """
     if evaluate(p, x) != 0 or evaluate(q, x) != 0:
         return 0
-    if gcd_homogeneous(p, q).degree >= 1:
+    if not coprime(p, q):
         raise PreconditionError("common component: oracle needs coprime forms")
     frame = _choose_frame(p, q)
     p, q = _frame_sub(p, frame), _frame_sub(q, frame)
@@ -570,7 +589,7 @@ def common_zeros_discrete(p: HomPoly, q: HomPoly) -> bool:
     """True iff p and q share no component (finitely many common zeros)."""
     if p.is_zero or q.is_zero:
         raise PreconditionError("needs nonzero forms")
-    return gcd_homogeneous(p, q).degree == 0
+    return coprime(p, q)
 
 
 def _univariate_rational_roots(expr, var) -> list[Fraction]:
@@ -585,7 +604,7 @@ def bezout_table(p: HomPoly, q: HomPoly):
     deg(p)*deg(q) - sum(multiplicities) accounting for non-rational zeros."""
     if p.is_zero or q.is_zero:
         raise PreconditionError("needs nonzero forms")
-    if gcd_homogeneous(p, q).degree >= 1:
+    if not coprime(p, q):
         raise PreconditionError("infinite intersection")
     m, n = p.degree, q.degree
     if m == 0 or n == 0:

@@ -329,17 +329,40 @@ def vanishing_order(p: HomPoly, x: ProjPoint):
 
 
 def exact_divide(p: HomPoly, q: HomPoly) -> HomPoly | None:
-    """p / q when the division is exact, else None."""
+    """p / q when the division is exact, else None.
+
+    Long division by the single divisor q in descending lex order on the
+    exponent triples, in Fraction arithmetic: each step cancels the
+    remainder's leading term with a multiple of q's leading term. {q} is a
+    Groebner basis of the ideal (q), so q divides p iff every leading term
+    met on the way is divisible by q's; the first one that is not ends the
+    division with None. Quotient terms come out in descending lex order.
+    """
     if q.is_zero:
         raise PreconditionError("division by the zero polynomial")
     if p.is_zero:
         return HomPoly.zero(max(p.degree - q.degree, 0))
     if p.degree < q.degree:
         return None
-    quo, rem = sympy.div(p.to_sympy(), q.to_sympy(), _SX, _SY, _SZ)
-    if sympy.expand(rem) != 0:
-        return None
-    return from_sympy(quo, p.degree - q.degree)
+    lead = max(q.terms)
+    lc = q.terms[lead]
+    rem = dict(p.terms)
+    quo = {}
+    while rem:
+        top = max(rem)
+        e = (top[0] - lead[0], top[1] - lead[1], top[2] - lead[2])
+        if min(e) < 0:
+            return None
+        c = rem[top] / lc
+        quo[e] = c
+        for (i, j, k), cq in q.terms.items():
+            key = (e[0] + i, e[1] + j, e[2] + k)
+            val = rem.get(key, 0) - c * cq
+            if val:
+                rem[key] = val
+            else:
+                del rem[key]
+    return HomPoly(p.degree - q.degree, quo)
 
 
 def divides(q: HomPoly, p: HomPoly) -> bool:
@@ -359,3 +382,81 @@ def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
         return p.monic()
     g = sympy.gcd(p.to_sympy(), q.to_sympy())
     return from_sympy(g).monic()
+
+
+# (u, v, prime): the line t -> u + t*v and a prime below 2^31
+_COPRIME_PROOFS = (
+    ((1, -2, 3), (5, 7, -4), 2147483647),
+    ((-3, 4, 2), (2, -5, 9), 2147483629),
+    ((6, 1, -5), (-7, 3, 8), 2147483587),
+)
+
+
+def coprime(p: HomPoly, q: HomPoly) -> bool:
+    """True iff p and q share no component; equals
+    gcd_homogeneous(p, q).degree == 0.
+
+    The proof is a resultant modulo a prime (Cox, Little, O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 3, sec. 6). Scaled to integer forms, p
+    and q are restricted to a line t -> u + t*v and reduced modulo the
+    prime; when both leading coefficients p(v) and q(v) are nonzero there,
+    both degrees survive, and a constant gcd from Euclid over F_p means
+    the resultant is nonzero mod p, so nonzero over Z. The restrictions
+    then share no root in P^1. A shared component would meet the line in
+    a common root, or contain it, making p(v) = 0; so none exists. Only
+    when no entry of the fixed list _COPRIME_PROOFS gives a proof does
+    sympy's gcd decide, so every pair that shares a component is answered
+    by the gcd.
+    """
+    if not p.is_zero and not q.is_zero:
+        for u, v, prime in _COPRIME_PROOFS:
+            a = _restrict_mod(p, u, v, prime)
+            b = _restrict_mod(q, u, v, prime)
+            if a[-1] and b[-1] and _gcd_degree_mod(a, b, prime) == 0:
+                return True
+    return gcd_homogeneous(p, q).degree == 0
+
+
+def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
+    """Coefficients mod prime of L * p(u + t*v) in t, indexed by the power
+    of t (L the lcm of the coefficient denominators); the last entry is
+    L * p(v)."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    powers = []
+    for a, b in zip(u, v):
+        rows = [[1]]
+        for _ in range(p.degree):
+            prev = rows[-1]
+            row = [a * x for x in prev] + [0]
+            for i, x in enumerate(prev):
+                row[i + 1] += b * x
+            rows.append([x % prime for x in row])
+        powers.append(rows)
+    out = [0] * (p.degree + 1)
+    for (i, j, k), c in p.terms.items():
+        scaled = c.numerator * (den // c.denominator) % prime
+        pi, pj, pk = powers[0][i], powers[1][j], powers[2][k]
+        for e1, x1 in enumerate(pi):
+            for e2, x2 in enumerate(pj):
+                x12 = scaled * x1 * x2
+                for e3, x3 in enumerate(pk):
+                    out[e1 + e2 + e3] += x12 * x3
+    return [x % prime for x in out]
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], prime: int) -> int:
+    """Degree of gcd(a, b) over F_p for polynomials given by coefficient
+    lists indexed by power, both with nonzero last entry."""
+    while b:
+        inv = pow(b[-1], -1, prime)
+        a = list(a)
+        while len(a) >= len(b):
+            c = a[-1] * inv % prime
+            shift = len(a) - len(b)
+            for i, x in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * x) % prime
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, UnsupportedInstanceError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, gcd_homogeneous,
+from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
                         monomial_count, monomials, vanishing_order)
 from .linalg import frac_rref, nullspace, rank, solve_exact
 
@@ -202,7 +202,7 @@ def cayley_bacharach_check(c1: HomPoly, c2: HomPoly) -> CayleyBacharachReport:
     through 8 of them contains the 9th."""
     if c1.degree != 3 or c2.degree != 3:
         raise PreconditionError("both inputs must be cubics")
-    if gcd_homogeneous(c1, c2).degree >= 1:
+    if not coprime(c1, c2):
         raise PreconditionError("cubics share a component")
     from .curves import bezout_table
     records, residual = bezout_table(c1, c2)

@@ -7,7 +7,9 @@ full generate -> construct -> certify round trip through the filesystem.
 
 import json
 
-from lelongplane import serialize
+import pytest
+
+from lelongplane import construct, serialize
 from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                              EXIT_VERIFICATION, main)
 from lelongplane.construct import make_certificate
@@ -183,3 +185,27 @@ def test_lelong_verifies_instead_of_reading_the_flag(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run("lelong", "--input", str(path)) == EXIT_OK
     assert "growth slope=" in capsys.readouterr().out
+
+
+def test_certify_rejects_multiplicity_below_order_product(tmp_path, capsys,
+                                                          monkeypatch):
+    path, _ = engineered_certificate(tmp_path)
+    assert run("certify", "--input", str(path)) == EXIT_OK
+    real = construct._orders_and_mu
+
+    def short(p, q, x, with_mu=True):
+        op, oq, mu = real(p, q, x, with_mu)
+        return op, oq, op * oq - 1
+
+    # every claimed weight still matches and the sum stays within Bezout;
+    # only mu >= ord P * ord Q fails
+    monkeypatch.setattr(construct, "_orders_and_mu", short)
+    assert run("certify", "--input", str(path)) == EXIT_VERIFICATION
+    assert "points_ok=0/2" in capsys.readouterr().out
+
+
+def test_jobs_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("enumerate", "--n", "12", "--cap", "2", "--jobs", "2")
+    assert exc.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

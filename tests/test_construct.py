@@ -8,8 +8,11 @@ and tampered certificates must be rejected.
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from lelongplane import construct, curves, exactpoly
 from lelongplane.construct import (CERT_SHAPES, PotentialCertificate,
+                                   construct_certificate,
                                    construct_certificate_m3_9,
                                    construct_certificate_m3_high,
                                    make_certificate, verify_certificate)
@@ -19,7 +22,7 @@ from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate,
 from lelongplane.instances import (case2_instance, case3_instance,
                                    case4_instance, conic6_instance,
                                    conic7_instance, figure_instance,
-                                   generic12)
+                                   generate, generic12)
 
 
 def check_shape(cert, expect_ratio=Fraction(3)):
@@ -178,3 +181,23 @@ def test_determinism():
     assert a.certificate.p == b.certificate.p
     assert a.certificate.q == b.certificate.q
     assert a.branch_trace == b.branch_trace
+
+
+def test_verifier_runs_without_sympy_gcd_or_div(monkeypatch):
+    certs = []
+    for kind in ("generic12", "figure3", "conic7", "case3", "case4"):
+        inst = generate(kind, 0)
+        report = construct_certificate(inst.point_set, extra=inst.extra)
+        assert report.outcome == "certificate", kind
+        certs.append(report.certificate)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sympy gcd or division on the verifier path")
+
+    for module in (exactpoly, curves, construct):
+        monkeypatch.setattr(module, "gcd_homogeneous", forbidden)
+    monkeypatch.setattr(sympy, "gcd", forbidden)
+    monkeypatch.setattr(sympy, "div", forbidden)
+    for cert in certs:
+        report = verify_certificate(cert)
+        assert report.discrete and report.verified

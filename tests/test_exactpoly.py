@@ -2,7 +2,7 @@
 
 Oracles: hand-computed values on tiny polynomials, algebraic identities
 (Euler, distributivity, translation) on seeded random inputs, and sympy as
-an independent cross-check for division and gcd.
+an independent cross-check for division, gcd and coprimality.
 """
 
 import math
@@ -10,12 +10,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from lelongplane import exactpoly
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import (HomPoly, ProjPoint, divides, evaluate,
-                                   exact_divide, fraction_from_str,
-                                   fraction_to_str, gcd_homogeneous,
-                                   monomial_count, monomials,
+from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, divides,
+                                   evaluate, exact_divide, fraction_from_str,
+                                   fraction_to_str, from_sympy,
+                                   gcd_homogeneous, monomial_count, monomials,
                                    partial_derivatives, vanishing_order)
 
 
@@ -227,3 +229,133 @@ def test_primitive_int():
     f = HomPoly(1, {(1, 0, 0): Fraction(2, 3), (0, 1, 0): Fraction(-4, 9)})
     prim = f.primitive_int()
     assert prim.terms == {(1, 0, 0): Fraction(3), (0, 1, 0): Fraction(-2)}
+
+
+def random_big_poly(rng, degree, bits):
+    """A nonzero form with random support and rationals of up to `bits`
+    bits in numerator and denominator."""
+    terms = {m: Fraction(rng.randint(-2 ** bits, 2 ** bits),
+                         rng.randint(1, 2 ** bits))
+             for m in monomials(degree) if rng.random() < 0.7}
+    p = HomPoly(degree, terms)
+    return p if not p.is_zero else HomPoly.monomial((0, 0, degree), 3)
+
+
+def line_through(a, b):
+    """The line through two points given as integer triples."""
+    return HomPoly.line(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                        a[0] * b[1] - a[1] * b[0])
+
+
+def test_coprime_matches_gcd_on_random_pairs():
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(40):
+        dp, dq = rng.randint(0, 6), rng.randint(0, 6)
+        p = random_big_poly(rng, dp, rng.randint(1, 400))
+        q = random_big_poly(rng, dq, rng.randint(1, 400))
+        if rng.random() < 0.4 and max(dp, dq) < 6:
+            shared = random_big_poly(rng, rng.randint(1, 6 - max(dp, dq)), 8)
+            p, q = p * shared, q * shared
+        want = gcd_homogeneous(p, q).degree == 0
+        assert coprime(p, q) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_coprime_rejects_shared_components():
+    l1, l2, l3 = (HomPoly.line(1, 2, 3), HomPoly.line(2, -1, 1),
+                  HomPoly.line(0, 1, -1))
+    conic = (HomPoly.monomial((0, 1, 1)) - HomPoly.monomial((2, 0, 0))
+             + HomPoly.monomial((0, 0, 2), Fraction(-7, 3)))
+    shared_line = (l1 * l2, l1 * l3)
+    shared_conic = (conic * l2, conic * l3 * l3)
+    repeated = (l2 * l2 * l3, l2 * l1)
+    pairs = [shared_line, shared_conic, repeated, (l1, l1), (conic, conic)]
+    for u, v, _ in exactpoly._COPRIME_PROOFS:
+        through = line_through(u, v)
+        assert evaluate(through, ProjPoint(*u)) == 0
+        assert evaluate(through, ProjPoint(*v)) == 0
+        pairs.append((through * l1, through * l2 * l3))
+    for p, q in pairs:
+        assert gcd_homogeneous(p, q).degree >= 1
+        assert not coprime(p, q)
+        assert not coprime(q, p)
+
+
+def test_coprime_falls_back_when_every_direction_vanishes(monkeypatch):
+    v1, v2, v3 = (v for _, v, _ in exactpoly._COPRIME_PROOFS)
+    p = line_through(v1, v2) * line_through(v3, (1, 1, 1))
+    q = line_through(v2, v3) * line_through(v1, (1, 0, 0))
+    for v in (v1, v2, v3):
+        assert evaluate(p, ProjPoint(*v)) == 0
+        assert evaluate(q, ProjPoint(*v)) == 0
+    calls = []
+    real = exactpoly.gcd_homogeneous
+
+    def spy(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(exactpoly, "gcd_homogeneous", spy)
+    assert coprime(p, q)
+    assert calls == [(p, q)]
+
+
+def test_coprime_proof_needs_no_gcd(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the modular proof decides this pair")
+
+    monkeypatch.setattr(exactpoly, "gcd_homogeneous", forbidden)
+    rng = random.Random(17)
+    for d in range(7):
+        assert coprime(random_big_poly(rng, d, 64),
+                       random_big_poly(rng, 6 - d, 64))
+    assert coprime(HomPoly.monomial((2, 0, 0)), HomPoly.monomial((0, 1, 1)))
+
+
+def test_coprime_with_zero_forms():
+    line = HomPoly.line(1, 2, 3)
+    assert not coprime(HomPoly.zero(2), line)
+    assert coprime(HomPoly(0, {(0, 0, 0): 5}), HomPoly.zero(3))
+    with pytest.raises(PreconditionError):
+        coprime(HomPoly.zero(1), HomPoly.zero(2))
+
+
+def sympy_exact_divide(p, q):
+    """Reference: sympy's multivariate division, quotient read back through
+    from_sympy."""
+    if p.is_zero:
+        return HomPoly.zero(max(p.degree - q.degree, 0))
+    if p.degree < q.degree:
+        return None
+    x, y, z = sympy.symbols("X Y Z")
+    quo, rem = sympy.div(p.to_sympy(), q.to_sympy(), x, y, z)
+    if sympy.expand(rem) != 0:
+        return None
+    return from_sympy(quo, p.degree - q.degree)
+
+
+def test_exact_divide_matches_sympy_div():
+    rng = random.Random(9001)
+    cases = []
+    for _ in range(12):
+        a = random_big_poly(rng, rng.randint(0, 3), rng.randint(1, 400))
+        b = random_big_poly(rng, rng.randint(0, 3), rng.randint(1, 200))
+        noise = random_big_poly(rng, a.degree + b.degree, 4)
+        cases += [(a * b, b), (a * b, a), (a * b + noise, b), (a, b)]
+    const = HomPoly(0, {(0, 0, 0): Fraction(-7, 3)})
+    line = HomPoly.line(1, -2, 5)
+    cases += [(line * line, const), (const, const), (line, line * line),
+              (HomPoly.zero(4), line), (HomPoly.zero(1), line * line),
+              (HomPoly.monomial((1, 2, 0)), HomPoly.monomial((0, 1, 0))),
+              (HomPoly.monomial((1, 2, 0)), HomPoly.monomial((0, 0, 1)))]
+    exact = 0
+    for p, q in cases:
+        got, want = exact_divide(p, q), sympy_exact_divide(p, q)
+        assert got == want
+        if want is not None:
+            exact += 1
+            assert list(got.terms) == list(want.terms)
+            assert p.is_zero or got * q == p
+    assert 0 < exact < len(cases)
