@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import serialize
 from .config import m_sequence
 from .construct import construct_certificate, verify_certificate
-from .currents import (estimate_growth, estimate_pole_weight,
+from .currents import (estimate_growth, estimate_pole_weight, pole_scale,
                        sharpness_example)
 from .errors import (ParseError, PreconditionError, UnsupportedInstanceError,
                      VerificationError)
@@ -129,11 +129,12 @@ def cmd_lelong(args) -> int:
     if not verify_certificate(cert).verified:
         raise VerificationError("certificate failed independent verification")
     cert = dataclasses.replace(cert, verified=True)
-    pole_radii = [Fraction(1, 2 ** k) for k in range(8, 17)]
     growth_radii = [Fraction(2 ** k) for k in range(8, 17)]
     estimates = []
     worst = 0.0
     for x, w in cert.points:
+        rho = pole_scale(cert.p, cert.q, x)
+        pole_radii = [rho * 2.0 ** -k for k in range(4, 13)]
         est = estimate_pole_weight(cert, x, pole_radii, seed=args.seed)
         estimates.append(est)
         worst = max(worst, abs(est.extrapolated - float(w)))

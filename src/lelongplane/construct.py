@@ -21,7 +21,7 @@ from .curves import (_orders_and_mu, bezout_table, conic_rank,
 from .errors import PreconditionError, UnsupportedInstanceError
 from .exactpoly import (HomPoly, ProjPoint, coprime, divides, evaluate,
                         exact_divide, gcd_homogeneous, vanishing_order)
-from .linalg import rank
+from .linalg import int_rank
 from .linsys import (LinearSystem, VanishingCondition, build_system,
                      linearly_independent, pencil_member)
 
@@ -104,10 +104,11 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     that proof fails), r >= 1, the listed points are pairwise distinct,
     every one is a common zero whose claimed weight equals
     min(ord P, ord Q)/r and whose intersection multiplicity is at least
-    ord P * ord Q, gamma equals degree/r, and the multiplicities at the
-    listed points sum to at most deg P * deg Q (Bezout). Both forms are
-    expanded once per listed point; the orders and the tangent-cone stage
-    of the multiplicity read the same expansions.
+    ord P * ord Q, P and Q have one degree and gamma equals it over r,
+    and the multiplicities at the listed points sum to at most
+    deg P * deg Q (Bezout). Both forms are expanded once per listed point;
+    the orders and the tangent-cone stage of the multiplicity read the
+    same expansions.
     """
     discrete = (not cert.p.is_zero and not cert.q.is_zero
                 and coprime(cert.p, cert.q))
@@ -121,7 +122,9 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
         checks.append(PointCheck(point=x, claimed=w, ord_p=op, ord_q=oq,
                                  multiplicity=mu, ok=ok))
     distinct = len({c.point for c in checks}) == len(checks)
-    gamma_ok = r_ok and cert.gamma_u == Fraction(cert.p.degree, cert.r)
+    # with unequal degrees u grows like max(deg P, deg Q) / r
+    gamma_ok = (r_ok and cert.p.degree == cert.q.degree
+                and cert.gamma_u == Fraction(cert.p.degree, cert.r))
     total_ok = gamma_ok and distinct and all(c.ok for c in checks)
     bezout_ok = discrete and (sum(c.multiplicity for c in checks)
                               <= cert.p.degree * cert.q.degree)
@@ -147,7 +150,7 @@ def _extend_to_four(p1: HomPoly, system: LinearSystem):
     chosen = [p1]
     for b in system.kernel_basis:
         cand = chosen + [b]
-        if rank([c.coeff_vector() for c in cand]) == len(cand):
+        if int_rank([c.coeff_vector() for c in cand]) == len(cand):
             chosen.append(b)
         if len(chosen) == 4:
             return chosen[1:]
@@ -569,7 +572,7 @@ def _case3_conics(s: PointSet, ms: MSequence, trace):
     # doubled vanishing order at that conic point
     for drop in reversed(others):
         four = [l for l in others if l != drop]
-        if any(rank([list(s.point(l).coords) for l in triple]) < 3
+        if any(int_rank([list(s.point(l).coords) for l in triple]) < 3
                for triple in itertools.combinations(four, 3)):
             continue
         for i in labels7:

@@ -8,6 +8,17 @@ exact local expansions, so the samples stay cancellation-free down to very
 small radii. The expansions come from an integer Taylor shift
 (``HomPoly.local_expansion``), scaled once and converted to floats.
 
+The estimators take absolute radii. Which radii are small enough depends
+on the point: where the higher-order coefficients of the expansion dwarf
+those of the tangent cone, the slope is still biased at radius 2^-16.
+``pole_scale`` computes the radius rho* below which the tangent cone
+dominates, exactly and in logs, and the ``lelong`` command samples each
+listed point at rho* 2^-4 .. 2^-12. Each circle is sampled in four seeded
+directions (``_directions``): along any direction where the tangent cone
+does not vanish, u(x + rho v) already grows like min(ord P, ord Q) / r
+times log rho, and a sweep over every instance kind at seeds 0-3 kept the
+worst pole error near 0.01 from 4 up to 256 samples per circle.
+
 Both estimators share one sampling loop. At each sample (du, dv) it builds
 the power tables du ** i and dv ** j once, and sums (c * du ** i) * dv ** j
 over the terms of a form in sorted exponent order, starting from the int 0.
@@ -110,7 +121,7 @@ def _fit_slope(xs, ys) -> float:
     return num / den
 
 
-def _directions(seed: int, count: int = 32, phases: int = 8):
+def _directions(seed: int, count: int = 4, phases: int = 1):
     """Deterministic unit directions in C^2, each with a ring of phases."""
     rng = random.Random(seed)
     dirs = []
@@ -124,6 +135,27 @@ def _directions(seed: int, count: int = 32, phases: int = 8):
             ph = cmath.exp(2j * math.pi * k / phases)
             out.append((ph * v0, ph * v1))
     return out
+
+
+def pole_scale(p: HomPoly, q: HomPoly, x: ProjPoint) -> float:
+    """Radius rho* below which the tangent cone at x dominates the local
+    expansions of p and q.
+
+    With m = min(ord p, ord q) and A the largest |coefficient| of degree m
+    in either expansion, rho* = min over the terms c of degree d > m of
+    (A / |c|) ** (1 / (d - m)), a Fujiwara-type root bound (1916); on
+    |z - x| < rho* every higher term is smaller than A rho^m. It is
+    computed in logs of the exact coefficients, so it does not overflow
+    however many bits they have. 1.0 when no term has degree above m.
+    """
+    chart = x.chart()
+    terms = [(i + j, math.log(abs(c.numerator)) - math.log(c.denominator))
+             for f in (p, q)
+             for (i, j), c in f.local_expansion(x, chart)[1].items()]
+    m = min(d for d, _ in terms)
+    cone = max(lc for d, lc in terms if d == m)
+    return math.exp(min(((cone - lc) / (d - m) for d, lc in terms if d > m),
+                        default=0.0))
 
 
 def _scaled_floats(fp, fq):

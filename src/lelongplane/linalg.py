@@ -153,10 +153,6 @@ def nullspace(rows, ncols):
     return _lll_reduce(canon)
 
 
-def rank(rows) -> int:
-    return int_rank(rows)
-
-
 def solve_exact(rows, rhs):
     """Solve A x = b exactly; returns the solution vector or None if
     inconsistent; requires unique solution (full column rank)."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import PreconditionError, UnsupportedInstanceError
 from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
                         monomial_count, monomials, vanishing_order)
-from .linalg import frac_rref, nullspace, rank, solve_exact
+from .linalg import frac_rref, int_rank, nullspace, solve_exact
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def build_system(degree: int, conditions) -> LinearSystem:
         rows.extend(condition_rows(degree, cond))
     ncols = monomial_count(degree)
     if rows:
-        matrix_rank = rank(rows)
+        matrix_rank = int_rank(rows)
         kernel = nullspace(rows, ncols)
     else:
         matrix_rank = 0
@@ -125,7 +125,7 @@ def satisfies(poly: HomPoly, cond: VanishingCondition) -> bool:
 def linearly_independent(f: HomPoly, g: HomPoly) -> bool:
     if f.degree != g.degree:
         raise PreconditionError("degree mismatch")
-    return rank([f.coeff_vector(), g.coeff_vector()]) == 2
+    return int_rank([f.coeff_vector(), g.coeff_vector()]) == 2
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,9 @@ def _is_count(v) -> bool:
 
 def decode_poly(doc) -> HomPoly:
     degree = _expect(doc, "degree", int)
+    if not _is_count(degree):
+        raise ParseError(f"the degree must be a non-negative integer, got "
+                         f"{degree!r}")
     terms = {}
     for entry in _expect(doc, "terms", list):
         try:
@@ -205,6 +208,8 @@ def decode_poly(doc) -> HomPoly:
         if i + j + k != degree:
             raise ParseError(f"term {entry!r} is not homogeneous of "
                              f"degree {degree}")
+        if (i, j, k) in terms:
+            raise ParseError(f"exponents {[i, j, k]!r} appear twice")
         terms[(i, j, k)] = fraction_from_str(coeff)
     return HomPoly(degree, terms)
 
@@ -253,13 +258,16 @@ def load_certificate(path) -> PotentialCertificate:
     r = _expect(doc, "r", int)
     if not _is_count(r) or r < 1:
         raise ParseError(f"the scale r must be a positive integer, got {r!r}")
+    p, q = decode_poly(_expect(doc, "p")), decode_poly(_expect(doc, "q"))
+    if p.degree != q.degree:
+        raise ParseError(f"p and q must have one degree, got {p.degree} and "
+                         f"{q.degree}")
     points = tuple(
         (decode_point(_expect(e, "point")),
          fraction_from_str(_expect(e, "weight", str)))
         for e in _expect(doc, "points", list))
     return PotentialCertificate(
-        p=decode_poly(_expect(doc, "p")), q=decode_poly(_expect(doc, "q")),
-        r=r, points=points,
+        p=p, q=q, r=r, points=points,
         gamma_u=fraction_from_str(_expect(doc, "gamma_u", str)),
         case_tag=_expect(doc, "case_tag", str),
         verified=bool(_expect(doc, "verified", bool)))

@@ -6,13 +6,15 @@ full generate -> construct -> certify round trip through the filesystem.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from lelongplane import construct, serialize
 from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                              EXIT_VERIFICATION, main)
-from lelongplane.construct import make_certificate
+from lelongplane.construct import (PotentialCertificate, make_certificate,
+                                   verify_certificate)
 from lelongplane.exactpoly import HomPoly, ProjPoint
 
 
@@ -114,6 +116,27 @@ def test_lelong_estimates_within_tolerance(tmp_path, capsys):
     assert "growth slope=" in capsys.readouterr().out
 
 
+# certificates whose points have large coordinates: radii 2^-8 .. 2^-16 are
+# not yet where the tangent cone dominates, and give pole errors 0.054-0.381
+LARGE_COORDINATE_CERTIFICATES = [
+    ("conic6", 0), ("conic7", 5), ("figure1", 1), ("case2", 0),
+    ("figure2", 1), ("figure2", 3), ("figure3", 6)]
+
+
+@pytest.mark.parametrize("kind,seed", LARGE_COORDINATE_CERTIFICATES)
+def test_lelong_accepts_certificates_with_large_coordinates(tmp_path, capsys,
+                                                             kind, seed):
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    assert run("generate", "--kind", kind, "--seed", str(seed),
+               "--out", str(inst)) == EXIT_OK
+    assert run("construct", "--input", str(inst),
+               "--cert", str(cert)) == EXIT_OK
+    assert run("certify", "--input", str(cert)) == EXIT_OK
+    assert run("lelong", "--input", str(cert)) == EXIT_OK
+    capsys.readouterr()
+
+
 def engineered_certificate(tmp_path):
     """X^2 and YZ meet at (0:1:0) and (0:0:1), each of weight 1 and
     multiplicity 2; returns the file and its JSON document."""
@@ -209,3 +232,44 @@ def test_jobs_flag_is_gone(capsys):
         run("enumerate", "--n", "12", "--cap", "2", "--jobs", "2")
     assert exc.value.code == 2  # argparse's usage error
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_certify_rejects_unequal_degrees(tmp_path, capsys):
+    # Y^2 and X^3 meet only at (0:0:1), with weight min(2, 3) = 2 there and
+    # mu = 6 <= 2 * 3; gamma = deg P = 2, but u grows like 3 log|z|
+    cert = PotentialCertificate(
+        p=HomPoly.monomial((0, 2, 0)), q=HomPoly.monomial((3, 0, 0)), r=1,
+        points=((ProjPoint(0, 0, 1), Fraction(2)),), gamma_u=Fraction(2),
+        case_tag="unequal", verified=True)
+    assert not verify_certificate(cert).verified
+    path = tmp_path / "cert.json"
+    serialize.dump(cert, path)
+    assert run("certify", "--input", str(path)) in (EXIT_VERIFICATION,
+                                                    EXIT_PARSE)
+    assert run("lelong", "--input", str(path)) in (EXIT_VERIFICATION,
+                                                   EXIT_PARSE)
+    capsys.readouterr()
+
+
+def test_certify_rejects_boolean_degree(tmp_path, capsys):
+    # JSON true is an int to isinstance, and would load as degree 1
+    cert = make_certificate(HomPoly.monomial((1, 0, 0)),
+                            HomPoly.monomial((0, 1, 0)),
+                            [ProjPoint(0, 0, 1)], "lines")
+    path = tmp_path / "cert.json"
+    serialize.dump(cert, path)
+    assert run("certify", "--input", str(path)) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["p"]["degree"] = True
+    path.write_text(json.dumps(doc))
+    assert run("certify", "--input", str(path)) == EXIT_PARSE
+    capsys.readouterr()
+
+
+def test_certify_rejects_duplicate_exponents(tmp_path, capsys):
+    path, doc = engineered_certificate(tmp_path)
+    # a second X^2 term would otherwise replace the first without a word
+    doc["p"]["terms"].append([2, 0, 0, "5"])
+    path.write_text(json.dumps(doc))
+    assert run("certify", "--input", str(path)) == EXIT_PARSE
+    capsys.readouterr()

@@ -2,26 +2,31 @@
 
 Oracles: exact incidence sums on hand-built arrangements, a closed-form
 ball-mass value for a single line through the center, numerical slopes
-cross-checked against the exact weights they must approximate, sample
-maxima bit-identical to a plain term-by-term evaluation, and the exact
-mass inequality with every term recomputed independently.
+cross-checked against the exact weights they must approximate (and against
+weights off by 1/r, which they must miss), the radius scale against a
+Fraction evaluation of its bound, sample maxima bit-identical to a plain
+term-by-term evaluation, and the exact mass inequality with every term
+recomputed independently.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from lelongplane.construct import construct_certificate_m3_9, make_certificate
+from lelongplane.construct import (construct_certificate,
+                                   construct_certificate_m3_9,
+                                   make_certificate)
 from lelongplane.currents import (ArrangementCurrent, _directions,
                                   _evaluator, _scaled_floats, estimate_growth,
                                   estimate_pole_weight, lelong_ball_mass,
                                   lelong_exact, mass_inequality_check,
-                                  sharpness_example)
+                                  pole_scale, sharpness_example)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import HomPoly, ProjPoint, evaluate
-from lelongplane.instances import conic7_instance, generic12
+from lelongplane.instances import case2_instance, conic7_instance, generic12
 
 ORIGIN = ProjPoint(Fraction(0), Fraction(0), Fraction(1))
 
@@ -91,6 +96,74 @@ def test_pole_weight_estimate_matches_exact():
         assert abs(est.extrapolated - float(w)) < 0.05
 
 
+def scaled_radii(cert, x):
+    """The radii `lelong` samples around x."""
+    rho = pole_scale(cert.p, cert.q, x)
+    return [rho * 2.0 ** -k for k in range(4, 13)]
+
+
+def reference_pole_scale(p, q, x):
+    """rho* in Fraction arithmetic: min over the terms c of degree d > m of
+    (A / |c|) ** (1 / (d - m)), A the largest |coefficient| of degree m."""
+    chart = x.chart()
+    terms = [(i + j, abs(c)) for f in (p, q)
+             for (i, j), c in f.local_expansion(x, chart)[1].items()]
+    m = min(d for d, _ in terms)
+    cone = max(c for d, c in terms if d == m)
+    return min((float(cone / c) ** (1 / (d - m)) for d, c in terms if d > m),
+               default=1.0)
+
+
+def test_pole_scale_matches_fraction_reference():
+    z = ProjPoint(0, 0, 1)
+    # x^2 + 4x^3 and y^2 + y^3/9 at the origin: m = 2, A = 1, and the
+    # cubic terms give 1/4 and 9
+    p = HomPoly(3, {(2, 0, 1): Fraction(1), (3, 0, 0): Fraction(4)})
+    q = HomPoly(3, {(0, 2, 1): Fraction(1), (0, 3, 0): Fraction(1, 9)})
+    assert math.isclose(pole_scale(p, q, z), 0.25, rel_tol=1e-12)
+    # only cone terms: no higher term bounds the scale
+    assert pole_scale(HomPoly.line(1, 0, 0), HomPoly.line(0, 1, 0), z) == 1.0
+    # a cubic and a conic with mixed-degree terms, at points in all three
+    # charts and with fractional coordinates
+    p = HomPoly(3, {(3, 0, 0): Fraction(5), (1, 2, 0): Fraction(-11, 3),
+                    (0, 1, 2): Fraction(2), (1, 1, 1): Fraction(7, 13)})
+    q = HomPoly(2, {(2, 0, 0): Fraction(1), (1, 1, 0): Fraction(-7, 2),
+                    (0, 0, 2): Fraction(3, 5)})
+    for x in (z, ProjPoint(3, -2, 7), ProjPoint(9, 1, -2),
+              ProjPoint(Fraction(1, 3), 5, Fraction(-2, 9))):
+        assert math.isclose(pole_scale(p, q, x),
+                            reference_pole_scale(p, q, x), rel_tol=1e-12)
+
+
+def test_pole_scale_takes_logs_of_coefficients_beyond_float_range():
+    inst = case2_instance(5)
+    cert = construct_certificate(inst.point_set, extra=inst.extra)\
+        .certificate
+    x = cert.points[0][0]
+    local = cert.q.local_expansion(x, x.chart())[1]
+    with pytest.raises(OverflowError):
+        [float(c) for c in local.values()]
+    for x, _ in cert.points:
+        rho = pole_scale(cert.p, cert.q, x)
+        assert 0 < rho < math.inf
+
+
+def test_pole_estimate_misses_a_weight_off_by_one_over_r():
+    cert = sample_certificate("conic7")
+    for n, (x, w) in enumerate(cert.points):
+        radii = scaled_radii(cert, x)
+        assert abs(estimate_pole_weight(cert, x, radii).extrapolated
+                   - float(w)) < 0.05
+        for shift in (Fraction(1, cert.r), -Fraction(1, cert.r)):
+            points = list(cert.points)
+            points[n] = (x, w + shift)
+            edited = dataclasses.replace(cert, points=tuple(points),
+                                         verified=True)
+            est = estimate_pole_weight(edited, x, radii)
+            assert est.exact == w + shift
+            assert abs(est.extrapolated - float(est.exact)) > 0.05
+
+
 def reference_maxima(cert, fp, fq, radii, seed):
     """The estimators' sample maxima, evaluating every term as
     c * du ** i * dv ** j in sorted order at every sample."""
@@ -138,10 +211,11 @@ def test_estimators_match_reference_evaluation(build):
             assert len(cert.p.local_expansion(x, chart)[1]) == 1
             assert len(cert.q.local_expansion(x, chart)[1]) == 1
         for seed in (0, 3):
-            est = estimate_pole_weight(cert, x, pole_radii, seed=seed)
-            assert est.values == reference_maxima(
-                cert, cert.p.local_expansion(x, chart)[1],
-                cert.q.local_expansion(x, chart)[1], est.radii, seed)
+            for radii in (pole_radii, scaled_radii(cert, x)):
+                est = estimate_pole_weight(cert, x, radii, seed=seed)
+                assert est.values == reference_maxima(
+                    cert, cert.p.local_expansion(x, chart)[1],
+                    cert.q.local_expansion(x, chart)[1], est.radii, seed)
     growth_radii = [2.0 ** k for k in range(8, 17)]
     for seed in (0, 3):
         est = estimate_growth(cert, growth_radii, seed=seed)

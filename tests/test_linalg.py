@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from lelongplane.exactpoly import monomial_count
 from lelongplane.instances import generic12
-from lelongplane.linalg import (frac_rref, int_rank, nullspace, rank,
-                                reduce_row, solve_exact)
+from lelongplane.linalg import (frac_rref, int_rank, nullspace, reduce_row,
+                                solve_exact)
 from lelongplane.linsys import (VanishingCondition, build_system,
                                 condition_rows)
 
@@ -38,8 +38,8 @@ def test_rank_fraction_scaling_invariance():
         scaled = [[x * Fraction(rng.randint(1, 5), rng.randint(1, 5))
                    for x in row] for row in m]
         # row scaling cannot change the rank
-        assert rank(m) == rank([r for r in m])
-        assert rank([[x * 7 for x in row] for row in m]) == rank(m)
+        assert int_rank(m) == int_rank([r for r in m])
+        assert int_rank([[x * 7 for x in row] for row in m]) == int_rank(m)
         del scaled
 
 
@@ -62,13 +62,13 @@ def test_nullspace_annihilates():
         nrows, ncols = rng.randint(1, 5), rng.randint(2, 7)
         m = _mat(rng, nrows, ncols)
         basis = nullspace(m, ncols)
-        assert len(basis) == ncols - rank(m)
+        assert len(basis) == ncols - int_rank(m)
         for v in basis:
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
         # the basis itself is independent
         if basis:
-            assert rank(basis) == len(basis)
+            assert int_rank(basis) == len(basis)
 
 
 def test_nullspace_entries_are_integers():
@@ -94,7 +94,7 @@ def test_solve_exact():
         sol = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                for _ in range(n)]
         m = _mat(rng, n + 1, n)
-        if rank(m) < n:
+        if int_rank(m) < n:
             continue
         rhs = [sum(a * x for a, x in zip(row, sol)) for row in m]
         assert solve_exact(m, rhs) == sol
