@@ -104,9 +104,6 @@ def cmd_construct(args) -> int:
               f"total_weight={cert.total_weight} "
               f"trace={'>'.join(report.branch_trace)}")
         return EXIT_OK
-    if report.outcome == "contradiction":
-        print(f"contradiction: {report.detail}")
-        return EXIT_OK
     print(f"unsupported: {report.detail}")
     return EXIT_UNSUPPORTED
 

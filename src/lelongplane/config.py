@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .exactpoly import HomPoly, ProjPoint, evaluate, monomial_count, monomials
+from .exactpoly import (HomPoly, ProjPoint, evaluate, join, line_coeffs, meet,
+                        monomial_count, monomials)
 from .linalg import int_rank, nullspace, reduce_row
 
 
@@ -168,15 +169,12 @@ def m_sequence(s: PointSet) -> MSequence:
 def four_point_lines(s: PointSet):
     """All maximal collinear label groups of size >= 3, largest first."""
     n = len(s)
+    coords = [x.coords for x in s.points]
     groups = set()
     for i, j in itertools.combinations(range(n), 2):
-        a, b = s.points[i].coords, s.points[j].coords
-        # line through the two points via the cross product
-        line = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0])
-        members = tuple(k + 1 for k in range(n)
-                        if sum(l * c for l, c in
-                               zip(line, s.points[k].coords)) == 0)
+        a, b, c = line_coeffs(join(s.points[i], s.points[j]))
+        members = tuple(k + 1 for k, (x, y, z) in enumerate(coords)
+                        if a * x + b * y + c * z == 0)
         if len(members) >= 3:
             groups.add(members)
     return sorted(groups, key=lambda g: (-len(g), g))
@@ -335,17 +333,8 @@ def _random_fraction(rng):
     return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
 
 
-def _line_through(a: ProjPoint, b: ProjPoint) -> HomPoly:
-    u, v = a.coords, b.coords
-    return HomPoly.line(u[1] * v[2] - u[2] * v[1],
-                        u[2] * v[0] - u[0] * v[2],
-                        u[0] * v[1] - u[1] * v[0])
-
-
 def _point_on_line(line: HomPoly, rng) -> ProjPoint:
-    a = line.terms.get((1, 0, 0), Fraction(0))
-    b = line.terms.get((0, 1, 0), Fraction(0))
-    c = line.terms.get((0, 0, 1), Fraction(0))
+    a, b, c = line_coeffs(line)
     while True:
         t = _random_fraction(rng)
         if b != 0:
@@ -356,19 +345,6 @@ def _point_on_line(line: HomPoly, rng) -> ProjPoint:
             cand = ProjPoint(t, 1, 0)
         if evaluate(line, cand) == 0:
             return cand
-
-
-def _intersect_lines(l1: HomPoly, l2: HomPoly):
-    def coeffs(l):
-        return (l.terms.get((1, 0, 0), Fraction(0)),
-                l.terms.get((0, 1, 0), Fraction(0)),
-                l.terms.get((0, 0, 1), Fraction(0)))
-    a, b = coeffs(l1), coeffs(l2)
-    x = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-         a[0] * b[1] - a[1] * b[0])
-    if all(c == 0 for c in x):
-        return None
-    return ProjPoint(*x)
 
 
 def realize_structure(structure: IncidenceStructure, seed: int,
@@ -403,18 +379,18 @@ def _try_realize(structure: IncidenceStructure, rng):
         if len(anchors) >= 3:
             return None  # ordering forces a non-generic collinearity
         if len(anchors) == 2:
-            eq = _line_through(anchors[0], anchors[1])
+            eq = join(anchors[0], anchors[1])
         elif len(anchors) == 1:
             other = ProjPoint(_random_fraction(rng), _random_fraction(rng), 1)
             if other.coords == anchors[0].coords:
                 return None
-            eq = _line_through(anchors[0], other)
+            eq = join(anchors[0], other)
         else:
             p1 = ProjPoint(_random_fraction(rng), _random_fraction(rng), 1)
             p2 = ProjPoint(_random_fraction(rng), _random_fraction(rng), 1)
             if p1.coords == p2.coords:
                 return None
-            eq = _line_through(p1, p2)
+            eq = join(p1, p2)
         if eq.is_zero:
             return None
         line_eqs.append(eq)
@@ -424,7 +400,7 @@ def _try_realize(structure: IncidenceStructure, rng):
                 continue
             placed = [i for i in lines_of(label) if i <= idx]
             if len(placed) >= 2:
-                x = _intersect_lines(line_eqs[placed[0]], line_eqs[placed[1]])
+                x = meet(line_eqs[placed[0]], line_eqs[placed[1]])
                 if x is None:
                     return None
                 pos[label] = x

@@ -2,30 +2,32 @@
 
 A certificate is a pair of coprime forms (P, Q) of equal degree d together
 with the list of points where both vanish and the claimed pole weights of
-u = (1/2r) log(|P|^2 + |Q|^2). The pipelines mirror a fixed move order:
-direct pick of a coprime pair from a linear system, sum moves, division by
-a shared factor, and product routes built from conics and lines; every
-emitted certificate is re-verified through an independent code path.
+u = (1/2r) log(|P|^2 + |Q|^2). One driver, construct_certificate, picks
+an ordered list of routes from the m-sequence: quartics on a product of
+two conics, degree-6 pairs on a product of two irreducible cubics (the
+direct pick of a quadruple member that neither cubic divides), and, for
+m3 = 11, quartics on a conic times two lines. Every candidate passes
+through one step that certifies it with make_certificate, whose verifier
+re-derives every invariant through an independent code path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import MSequence, PointSet, four_point_lines, m_sequence
-from .curves import (_orders_and_mu, bezout_table, conic_rank,
-                     cubic_is_irreducible, find_line_components,
-                     intersection_multiplicity)
-from .errors import PreconditionError, UnsupportedInstanceError
+from .curves import (_orders_and_mu, conic_rank, cubic_is_irreducible,
+                     find_line_components, irreducible_conic_through)
+from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, coprime, divides, evaluate,
-                        exact_divide, gcd_homogeneous, vanishing_order)
+                        exact_divide, join, vanishing_order)
 from .linalg import int_rank
 from .linsys import (LinearSystem, VanishingCondition, build_system,
-                     linearly_independent, pencil_member)
+                     linearly_independent)
 
-CERT_SHAPES = {(6, 18), (5, 15), (4, 12), (3, 9)}
+CERT_SHAPES = {(6, 18), (4, 12)}
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class PotentialCertificate:
 @dataclass(frozen=True)
 class ConstructionReport:
     branch_trace: tuple[str, ...]
-    outcome: str  # "certificate" | "contradiction" | "unsupported"
+    outcome: str  # "certificate" | "unsupported"
     certificate: PotentialCertificate | None = None
     detail: str = ""
 
@@ -135,7 +137,7 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # The degree-6 pair construction: two independent members of the sextic
-# system with order 2 at six common points, coprime by the move sequence.
+# system with order 2 at six common points, coprime by the direct pick.
 
 
 def _interpolated_cubic(points) -> HomPoly | None:
@@ -160,14 +162,13 @@ def _extend_to_four(p1: HomPoly, system: LinearSystem):
 def construct_sextic_pair(s: PointSet, c1: HomPoly, c2: HomPoly,
                           common, only1, only2) -> ConstructionReport:
     """Degree-6 coprime pair vanishing to order 2 on the six common labels
-    and order 1 on the rest, built from the product c1*c2 by the move
-    sequence: direct pick, sum move, then the division analysis whose
-    success is a contradiction witness against the hypotheses.
+    and order 1 on the rest: the product c1*c2 with the first member of an
+    independent quadruple of the system that neither cubic divides. With no
+    such member the report is unsupported.
 
     `common`, `only1`, `only2` are label groups: c1 must contain the common
     and only1 points and none of only2; symmetrically for c2.
     """
-    trace = []
     common_pts = [s.point(l) for l in common]
     pts1 = [s.point(l) for l in only1]
     pts2 = [s.point(l) for l in only2]
@@ -195,106 +196,134 @@ def construct_sextic_pair(s: PointSet, c1: HomPoly, c2: HomPoly,
     others = _extend_to_four(p1, system)
     if others is None:
         raise PreconditionError("could not complete an independent quadruple")
-
-    def blocked(p):
-        return (divides(c1, p), divides(c2, p))
-
-    flags = [blocked(p) for p in others]
-    # move 1: a member divisible by neither factor
-    for p, (b1, b2) in zip(others, flags):
-        if not b1 and not b2:
-            trace.append("direct_pick")
-            return ConstructionReport(tuple(trace), "certificate",
-                                      _pair_certificate(p1, p, s, trace))
-    # a member divisible by both would be a multiple of p1: impossible
-    for p, (b1, b2) in zip(others, flags):
-        if b1 and b2:
-            trace.append("double_divisibility")
-            return ConstructionReport(
-                tuple(trace), "contradiction",
-                detail="a quadruple member is a multiple of the product")
-    # move 2: one member divisible by c1, another by c2; their sum is clean
-    idx1 = [i for i, (b1, _) in enumerate(flags) if b1]
-    idx2 = [i for i, (_, b2) in enumerate(flags) if b2]
-    for i in idx1:
-        for j in idx2:
-            if i == j:
-                continue
-            q = others[i] + others[j]
-            if not divides(c1, q) and not divides(c2, q):
-                trace.append("sum_move")
-                return ConstructionReport(tuple(trace), "certificate",
-                                          _pair_certificate(p1, q, s, trace))
-    # move 3: one factor divides all three members; the division analysis
-    # always ends in a dependence, so reaching it witnesses a contradiction
-    trace.append("division_branch")
-    factor = c1 if len(idx1) == 3 else c2
-    other_cubic = c2 if factor is c1 else c1
-    residues = [exact_divide(p, factor) for p in others]
-    detail = _division_contradiction(other_cubic, residues)
-    return ConstructionReport(tuple(trace), "contradiction", detail=detail)
-
-
-def _pair_certificate(p: HomPoly, q: HomPoly, s: PointSet, trace):
-    cert = make_certificate(p, q, s.points, "sextic_pair")
-    if cert is None:
-        raise PreconditionError("constructed pair failed verification")
-    return cert
-
-
-def _division_contradiction(c2: HomPoly, residues) -> str:
-    """Analyze the residual cubics after factoring out the dividing cubic;
-    names the dependence found (ninth intersection point and pencil
-    membership, or the rank drop in the local ring at a double point)."""
-    d2, d3, d4 = residues
-    if not coprime(c2, d2):
-        return "residual cubic shares a component with the second cubic"
-    records, residual = bezout_table(c2, d2)
-    simple = [rec for rec in records if rec.multiplicity == 1]
-    if residual == 0 and len(records) == 9:
-        ninth = records[-1].point
-        coeffs = pencil_member(c2, d2, d3)
-        if coeffs is not None:
-            return "ninth_point_pencil: the third member lies on the pencil"
-        return ("ninth_point_pencil: ninth intersection rational at "
-                f"{ninth.coords} but pencil membership failed")
-    doubles = [rec for rec in records if rec.multiplicity >= 2]
-    if doubles:
-        x = doubles[0].point
-        mu3 = intersection_multiplicity(c2, d3, x)
-        mu4 = intersection_multiplicity(c2, d4, x)
-        return (f"local_ring_dependence: multiplicity 2 at {x.coords}, "
-                f"companions have multiplicities {mu3}, {mu4}")
-    return "division analysis found a non-rational dependence pattern"
+    for p in others:
+        if not divides(c1, p) and not divides(c2, p):
+            cert = make_certificate(p1, p, s.points, "sextic_pair")
+            if cert is None:
+                raise PreconditionError("constructed pair failed verification")
+            return ConstructionReport(("direct_pick",), "certificate", cert)
+    return ConstructionReport(
+        (), "unsupported",
+        detail="every quadruple member is divisible by one of the cubics")
 
 
 # ---------------------------------------------------------------------------
-# Certificates for 12-point sets with m3 = 9, dispatching on m2.
+# The construction driver. The m-sequence picks an ordered list of routes.
+# A route yields candidates; the first candidate that verifies and passes
+# the route's acceptance check is the certificate.
 
 
-def _hitting_drops(s: PointSet, lines4):
+class _Unsupported(Exception):
+    """A route's setup rules the instance out; the driver reports it."""
+
+    def __init__(self, detail: str, steps: tuple[str, ...] = ()):
+        super().__init__(detail)
+        self.detail = detail
+        self.steps = steps
+
+
+def _frozen_shape(cert: PotentialCertificate) -> bool:
+    return (int(cert.gamma_u), int(cert.total_weight)) in CERT_SHAPES
+
+
+def _ratio_three(cert: PotentialCertificate) -> bool:
+    return cert.total_weight >= 3 * cert.gamma_u
+
+
+def _weight_13(cert: PotentialCertificate) -> bool:
+    return cert.total_weight == 13
+
+
+def _certify(candidates, accept):
+    """The shared step: the first (steps, p, q, points, case tag) candidate
+    whose certificate verifies and passes `accept`, as (steps, cert)."""
+    for steps, p, q, points, tag in candidates:
+        cert = make_certificate(p, q, points, tag)
+        if cert is not None and accept(cert):
+            return steps, cert
+    return None
+
+
+def _certify_sextic(s: PointSet, step: str, label_pairs, accept):
+    """The shared step for cubic pairs: construct_sextic_pair on each
+    (c1, c2, common, only1, only2) until a certificate passes `accept`."""
+    for c1, c2, common, only1, only2 in label_pairs:
+        try:
+            report = construct_sextic_pair(s, c1, c2, common, only1, only2)
+        except PreconditionError:
+            continue
+        if report.outcome == "certificate" and accept(report.certificate):
+            return (step,) + report.branch_trace, report.certificate
+    return None
+
+
+def _independent_members(p1: HomPoly, degree: int, conditions):
+    """Members of the system independent of p1: its kernel basis, then the
+    pairwise sums of the basis."""
+    basis = build_system(degree, conditions).kernel_basis
+    for p2 in itertools.chain(basis, (a + b for a, b in
+                                      itertools.combinations(basis, 2))):
+        if linearly_independent(p1, p2):
+            yield p2
+
+
+def _two_conic_quartics(s: PointSet, ms: MSequence):
+    """The product of the 7-point conic and the conic through the other five
+    points, with quartics through all 12 points."""
+    labels7, conic7 = ms.witnesses[1]
+    conic5 = irreducible_conic_through(
+        [s.point(l) for l in range(1, 13) if l not in labels7])
+    if conic5 is None:
+        return
+    p1 = conic7 * conic5
+    for p2 in _independent_members(
+            p1, 4, [VanishingCondition(x, 1) for x in s.points]):
+        yield ("quartic_two_conics",), p1, p2, s.points, "quartic_two_conics"
+
+
+def _conic_double_point_quartics(s: PointSet, ms: MSequence):
+    """Drop one of the five labels off the 7-point conic so that no three of
+    the kept four are collinear; pair the 7-point conic with the conic
+    through those four and one conic point i, with quartics doubled at i."""
+    labels7, conic7 = ms.witnesses[1]
+    others = [l for l in range(1, 13) if l not in labels7]
+    for drop in reversed(others):
+        four = [l for l in others if l != drop]
+        if any(int_rank([list(s.point(l).coords) for l in triple]) < 3
+               for triple in itertools.combinations(four, 3)):
+            continue
+        kept = [s.point(l) for l in range(1, 13) if l != drop]
+        for i in labels7:
+            conic_i = irreducible_conic_through(
+                [s.point(l) for l in four] + [s.point(i)])
+            if conic_i is None:
+                continue
+            p1 = conic7 * conic_i
+            conds = ([VanishingCondition(s.point(l), 1)
+                      for l in range(1, 13) if l != drop and l != i]
+                     + [VanishingCondition(s.point(i), 2)])
+            for p2 in _independent_members(p1, 4, conds):
+                yield (("quartic_conic_double_point",), p1, p2, kept,
+                       "quartic_conic_double_point")
+
+
+def _hitting_drops(s: PointSet):
     """3-subsets of labels whose removal kills every 4-point line."""
-    n = len(s)
-    out = []
-    for combo in itertools.combinations(range(1, n + 1), 3):
-        if all(any(l in combo for l in line) for line in lines4):
-            out.append(combo)
-    return out
-
-
-def _pair_route(s: PointSet, trace) -> ConstructionReport | None:
-    """Find two 9-subsets sharing 6 labels whose interpolated cubics are
-    irreducible and avoid the dropped points, then run the sextic pair."""
     lines4 = [g for g in four_point_lines(s) if len(g) >= 4]
-    drops = _hitting_drops(s, lines4)
-    budget = 60
-    tried = 0
+    return [combo for combo in itertools.combinations(range(1, 13), 3)
+            if all(any(l in combo for l in line) for line in lines4)]
+
+
+def _hitting_drop_pairs(s: PointSet):
+    """Cubics through all but t1 and through all but t2, for the first 60
+    disjoint pairs of hitting drops; each cubic must be irreducible and
+    miss its dropped points."""
     cubic_cache: dict[tuple, HomPoly | None] = {}
 
     def cubic_for(drop):
         if drop not in cubic_cache:
-            pts = [s.point(l) for l in range(1, 13) if l not in drop]
-            c = _interpolated_cubic(pts)
+            c = _interpolated_cubic(
+                [s.point(l) for l in range(1, 13) if l not in drop])
             if c is not None:
                 ok = (all(evaluate(c, s.point(l)) != 0 for l in drop)
                       and cubic_is_irreducible(c))
@@ -302,12 +331,10 @@ def _pair_route(s: PointSet, trace) -> ConstructionReport | None:
             cubic_cache[drop] = c
         return cubic_cache[drop]
 
-    for t1, t2 in itertools.combinations(drops, 2):
-        if set(t1) & set(t2):
-            continue
-        tried += 1
-        if tried > budget:
-            break
+    disjoint = ((t1, t2) for t1, t2 in
+                itertools.combinations(_hitting_drops(s), 2)
+                if not set(t1) & set(t2))
+    for t1, t2 in itertools.islice(disjoint, 60):
         c1 = cubic_for(t1)
         if c1 is None:
             continue
@@ -315,320 +342,48 @@ def _pair_route(s: PointSet, trace) -> ConstructionReport | None:
         if c2 is None:
             continue
         common = tuple(l for l in range(1, 13) if l not in t1 + t2)
-        try:
-            report = construct_sextic_pair(s, c1, c2, common, t2, t1)
-        except PreconditionError:
-            continue
-        if report.outcome == "certificate":
-            cert = report.certificate
-            if (int(cert.gamma_u), int(cert.total_weight)) in CERT_SHAPES:
-                trace.extend(("pair_route",) + report.branch_trace)
-                return ConstructionReport(tuple(trace), "certificate", cert)
-    return None
+        yield c1, c2, common, t2, t1
 
 
-def _division_route(s: PointSet, trace) -> ConstructionReport | None:
-    """Product-of-cubics route allowing reducible factors: P1 = c1*c2 in
-    the sextic system, P2 an independent member; a shared factor is divided
-    out of both, shrinking the certificate shape along the advertised
-    ladder (6,18) -> (5,15) -> (4,12) -> (3,9)."""
-    lines4 = [g for g in four_point_lines(s) if len(g) >= 4]
-    drops = _hitting_drops(s, lines4)
-    for t1, t2 in itertools.islice(
-            ((a, b) for a, b in itertools.combinations(drops, 2)
-             if not set(a) & set(b)), 40):
-        ptsA = [s.point(l) for l in range(1, 13) if l not in t1]
-        ptsB = [s.point(l) for l in range(1, 13) if l not in t2]
-        c1 = _interpolated_cubic(ptsA)
-        c2 = _interpolated_cubic(ptsB)
-        if c1 is None or c2 is None:
-            continue
-        if any(evaluate(c1, s.point(l)) == 0 for l in t1):
-            continue
-        if any(evaluate(c2, s.point(l)) == 0 for l in t2):
-            continue
-        common = [s.point(l) for l in range(1, 13) if l not in t1 + t2]
-        rest = [s.point(l) for l in t1 + t2]
-        conds = ([VanishingCondition(x, 2) for x in common]
-                 + [VanishingCondition(x, 1) for x in rest])
-        system = build_system(6, conds)
-        if system.dim < 2:
-            continue
-        p1 = c1 * c2
-        candidates = list(system.kernel_basis)
-        candidates += [a + b for a, b in
-                       itertools.combinations(system.kernel_basis, 2)]
-        for p2 in candidates:
-            if not linearly_independent(p1, p2):
-                continue
-            result = _cascade(p1, p2, s)
-            if result is not None:
-                cert, steps = result
-                trace.extend(["division_route"] + steps)
-                return ConstructionReport(tuple(trace), "certificate", cert)
-    return None
-
-
-def _cascade(p1: HomPoly, p2: HomPoly, s: PointSet):
-    """Divide out the shared factor of an independent pair and certify the
-    quotient pair when it lands on an advertised shape."""
-    g = gcd_homogeneous(p1, p2)
-    steps = []
-    if g.degree >= 1:
-        steps.append(f"shared_factor_degree_{g.degree}")
-        p1 = exact_divide(p1, g)
-        p2 = exact_divide(p2, g)
-    if p1.degree < 3:
-        return None
-    cert = make_certificate(p1, p2, s.points, "division_cascade"
-                            if steps else "sextic_pair")
-    if cert is None:
-        return None
-    if (int(cert.gamma_u), int(cert.total_weight)) not in CERT_SHAPES:
-        return None
-    return cert, steps
-
-
-def _quartic_route(s: PointSet, ms: MSequence, trace):
-    """m2 = 7 with an irreducible conic through 7 points: pair the product
-    of the two conics with an independent quartic through all 12 points."""
-    labels7, conic7 = ms.witnesses[1]
-    if conic7 is None or conic_rank(conic7) != 3:
-        return None
-    others = [l for l in range(1, 13) if l not in labels7]
-    conic5 = None
-    sys2 = build_system(2, [VanishingCondition(s.point(l), 1)
-                            for l in others])
-    for b in sys2.kernel_basis:
-        if conic_rank(b) == 3:
-            conic5 = b
-            break
-    if conic5 is None:
-        return None
-    p1 = conic7 * conic5
-    sys4 = build_system(4, [VanishingCondition(x, 1) for x in s.points])
-    if sys4.dim < 2:
-        return None
-    for p2 in list(sys4.kernel_basis) + [
-            a + b for a, b in itertools.combinations(sys4.kernel_basis, 2)]:
-        if not linearly_independent(p1, p2):
-            continue
-        cert = make_certificate(p1, p2, s.points, "quartic_two_conics")
-        if cert is not None and (int(cert.gamma_u),
-                                 int(cert.total_weight)) in CERT_SHAPES:
-            trace.append("quartic_two_conics")
-            return ConstructionReport(tuple(trace), "certificate", cert)
-    return None
-
-
-def _twelve_point_m_sequence(s: PointSet) -> MSequence:
-    if len(s) != 12:
-        raise PreconditionError("needs exactly 12 points")
-    return m_sequence(s)
-
-
-def construct_certificate(s: PointSet,
-                          extra: ProjPoint | None = None
-                          ) -> ConstructionReport:
-    """Certificate for a 12-point set, routed on its m-sequence, which is
-    computed once: m3 = 9 as in construct_certificate_m3_9, higher m3 as in
-    construct_certificate_m3_high (`extra` serves m3 = 11 only)."""
-    ms = _twelve_point_m_sequence(s)
-    if ms.m3 == 9:
-        return _construct_m3_9(s, ms)
-    return _construct_m3_high(s, ms, extra)
-
-
-def construct_certificate_m3_9(s: PointSet) -> ConstructionReport:
-    """Verified certificate for a 12-point set with m3 = 9.
-
-    Emits one of the shapes (gamma, weight) in {(6,18), (5,15), (4,12),
-    (3,9)}; the route dispatches on m2: pairs of irreducible cubics when
-    available, the two-conic quartic product for m2 = 7, and the division
-    cascade over products with reducible factors otherwise.
-    """
-    ms = _twelve_point_m_sequence(s)
-    if ms.m3 != 9:
-        raise PreconditionError(f"m3 must be 9, got {ms.m3}")
-    return _construct_m3_9(s, ms)
-
-
-def _construct_m3_9(s: PointSet, ms: MSequence) -> ConstructionReport:
-    trace = [f"m2_{ms.m2}"]
-    if ms.m2 == 7:
-        report = _quartic_route(s, ms, trace)
-        if report is not None:
-            return report
-    report = _pair_route(s, trace)
-    if report is not None:
-        return report
-    report = _division_route(s, trace)
-    if report is not None:
-        return report
-    return ConstructionReport(
-        tuple(trace), "unsupported",
-        detail="no route produced a certificate within the search budget")
-
-
-# ---------------------------------------------------------------------------
-# Certificates for m3 in {10, 11}.
-
-
-def _line_points(s: PointSet, line: HomPoly):
-    return [l for l in range(1, 13) if evaluate(line, s.point(l)) == 0]
-
-
-def _independent_quartic(p1: HomPoly, conditions):
-    sys4 = build_system(4, conditions)
-    cands = list(sys4.kernel_basis) + [
-        a + b for a, b in itertools.combinations(sys4.kernel_basis, 2)]
-    for p2 in cands:
-        if linearly_independent(p1, p2) and coprime(p1, p2):
-            return p2
-    return None
-
-
-def _case_m3_10(s: PointSet, ms: MSequence, trace):
-    if ms.m2 == 6:
-        lines4 = [g for g in four_point_lines(s) if len(g) == 4]
-        if len(lines4) != 1:
-            return ConstructionReport(
-                tuple(trace), "unsupported",
-                detail="expected a unique 4-point line")
-        return _case2_pairs(s, lines4[0], trace)
-    if ms.m2 == 7:
-        report = _case3_conics(s, ms, list(trace))
-        if report.outcome == "certificate":
-            return report
-        # no irreducible 7-point conic: the 4-point-line configurations
-        # fall back to the cubic pair route over hitting-set drops
-        fallback = _pair_route(s, trace)
-        if fallback is not None:
-            return fallback
-        return report
-    return ConstructionReport(tuple(trace), "unsupported",
-                              detail="m3=10 requires m2 in {6, 7}")
-
-
-def _case2_pairs(s: PointSet, line_labels, trace):
-    """m3 = 10, m2 = 6: pair cubics that split the 4-point line two labels
-    each and share the remaining points."""
-    a, b, c, d = line_labels
-    rest = [l for l in range(1, 13) if l not in line_labels]
+def _line_split_pairs(s: PointSet):
+    """m3 = 10, m2 = 6: cubics that split the unique 4-point line two labels
+    each and share six of the remaining eight points."""
+    lines4 = [g for g in four_point_lines(s) if len(g) == 4]
+    if len(lines4) != 1:
+        raise _Unsupported("expected a unique 4-point line")
+    a, b, c, d = lines4[0]
+    rest = [l for l in range(1, 13) if l not in lines4[0]]
     for drop1, drop2 in itertools.combinations(rest, 2):
-        shared_six = [l for l in rest if l not in (drop1, drop2)]
-        labelsA = (a, b, drop2) + tuple(shared_six)
-        labelsB = (c, d, drop1) + tuple(shared_six)
-        ptsA = [s.point(l) for l in labelsA]
-        ptsB = [s.point(l) for l in labelsB]
-        c1 = _interpolated_cubic(ptsA)
-        c2 = _interpolated_cubic(ptsB)
-        if c1 is None or c2 is None:
-            continue
-        common = tuple(l for l in labelsA if l in labelsB)
-        only1 = tuple(l for l in labelsA if l not in labelsB)
-        only2 = tuple(l for l in labelsB if l not in labelsA)
-        if len(common) != 6:
-            continue
-        try:
-            report = construct_sextic_pair(s, c1, c2, common, only1, only2)
-        except PreconditionError:
-            continue
-        if report.outcome == "certificate":
-            cert = report.certificate
-            if cert.total_weight / cert.gamma_u >= 3:
-                trace.extend(("line_split_pairs",) + report.branch_trace)
-                return ConstructionReport(tuple(trace), "certificate", cert)
-    return ConstructionReport(tuple(trace), "unsupported",
-                              detail="no cubic pair route at m3=10, m2=6")
+        shared_six = tuple(l for l in rest if l not in (drop1, drop2))
+        only1, only2 = (a, b, drop2), (c, d, drop1)
+        c1 = _interpolated_cubic([s.point(l) for l in only1 + shared_six])
+        c2 = _interpolated_cubic([s.point(l) for l in only2 + shared_six])
+        if c1 is not None and c2 is not None:
+            yield c1, c2, shared_six, only1, only2
 
 
-def _case3_conics(s: PointSet, ms: MSequence, trace):
-    """m3 = 10, m2 = 7: quartic routes through an irreducible 7-point
-    conic; property-test sub-branches are reported unsupported."""
-    labels7, conic7 = ms.witnesses[1]
-    if conic7 is None or conic_rank(conic7) != 3:
-        return ConstructionReport(
-            tuple(trace), "unsupported",
-            detail="no irreducible conic through 7 points")
-    others = [l for l in range(1, 13) if l not in labels7]
-    sys2 = build_system(2, [VanishingCondition(s.point(l), 1)
-                            for l in others])
-    for b in sys2.kernel_basis:
-        if conic_rank(b) == 3:
-            p1 = conic7 * b
-            p2 = _independent_quartic(
-                p1, [VanishingCondition(x, 1) for x in s.points])
-            if p2 is not None:
-                cert = make_certificate(p1, p2, s.points,
-                                        "quartic_two_conics")
-                if cert is not None and cert.total_weight == 12:
-                    trace.append("quartic_two_conics")
-                    return ConstructionReport(tuple(trace), "certificate",
-                                              cert)
-    # reducible second conic: drop one of the five remaining labels so that
-    # no three of the kept four are collinear, then pair the 7-point conic
-    # with per-point conics through those four and one conic point, with a
-    # doubled vanishing order at that conic point
-    for drop in reversed(others):
-        four = [l for l in others if l != drop]
-        if any(int_rank([list(s.point(l).coords) for l in triple]) < 3
-               for triple in itertools.combinations(four, 3)):
-            continue
-        for i in labels7:
-            five = [s.point(l) for l in four] + [s.point(i)]
-            sysi = build_system(2, [VanishingCondition(x, 1) for x in five])
-            conic_i = next((c for c in sysi.kernel_basis
-                            if conic_rank(c) == 3), None)
-            if conic_i is None:
-                continue
-            p1 = conic7 * conic_i
-            conds = ([VanishingCondition(s.point(l), 1)
-                      for l in range(1, 13) if l != drop and l != i]
-                     + [VanishingCondition(s.point(i), 2)])
-            p2 = _independent_quartic(p1, conds)
-            if p2 is None:
-                continue
-            pts = [s.point(l) for l in range(1, 13) if l != drop]
-            cert = make_certificate(p1, p2, pts, "quartic_conic_double_point")
-            if cert is not None and cert.total_weight == 12:
-                trace.append("quartic_conic_double_point")
-                return ConstructionReport(tuple(trace), "certificate", cert)
-    return ConstructionReport(
-        tuple(trace), "unsupported",
-        detail="line-pair property sub-branches are not decided here")
-
-
-def _case_m3_11(s: PointSet, ms: MSequence, extra, trace):
-    labels11, gamma = ms.witnesses[2]
-    if gamma is None:
-        return ConstructionReport(tuple(trace), "unsupported",
-                                  detail="missing degree-3 witness")
+def _line_product(s: PointSet, ms: MSequence, extra: ProjPoint | None):
+    """m3 = 11: the witness cubic splits as an irreducible conic and a line,
+    with one point x12 of S off both. P1 is conic * line * the join of x12
+    and the extra point; the branch follows where that join meets S."""
+    gamma = ms.witnesses[2][1]
     if cubic_is_irreducible(gamma):
-        trace.append("irreducible_cubic_overload")
-        return ConstructionReport(
-            tuple(trace), "unsupported",
-            detail="an irreducible cubic through more than 9 points is "
-                   "outside this toolkit's certified range")
+        raise _Unsupported("an irreducible cubic through more than 9 points "
+                           "is outside this toolkit's certified range",
+                           ("irreducible_cubic_overload",))
     lines, _ = find_line_components(gamma)
     if not lines:
-        return ConstructionReport(tuple(trace), "unsupported",
-                                  detail="reducible cubic with no rational "
-                                         "line factor")
+        raise _Unsupported("reducible cubic with no rational line factor")
     line = lines[0]
     conic = exact_divide(gamma, line)
     if conic.degree != 2 or conic_rank(conic) != 3:
-        return ConstructionReport(tuple(trace), "unsupported",
-                                  detail="cubic does not split as an "
-                                         "irreducible conic and a line")
-    on_line = _line_points(s, line)
-    on_conic = [l for l in range(1, 13)
-                if evaluate(conic, s.point(l)) == 0]
+        raise _Unsupported("cubic does not split as an irreducible conic "
+                           "and a line")
+    on_line = [l for l in range(1, 13) if evaluate(line, s.point(l)) == 0]
+    on_conic = [l for l in range(1, 13) if evaluate(conic, s.point(l)) == 0]
     off = [l for l in range(1, 13) if l not in set(on_line) | set(on_conic)]
     if len(off) != 1:
-        return ConstructionReport(tuple(trace), "unsupported",
-                                  detail="expected exactly one point off "
-                                         "the witness cubic")
+        raise _Unsupported("expected exactly one point off the witness cubic")
     x12 = s.point(off[0])
     if extra is None:
         raise PreconditionError("m3=11 requires an extra point off the "
@@ -637,80 +392,114 @@ def _case_m3_11(s: PointSet, ms: MSequence, extra, trace):
             or any(extra.coords == x.coords for x in s.points)):
         raise PreconditionError("extra point must avoid the witness cubic "
                                 "and the point set")
-    # line through the extra point and the off-cubic point
-    u, v = extra.coords, x12.coords
-    l_p12 = HomPoly.line(u[1] * v[2] - u[2] * v[1],
-                         u[2] * v[0] - u[0] * v[2],
-                         u[0] * v[1] - u[1] * v[0])
-    p1 = conic * line * l_p12
-    hits_line = [l for l in on_line
-                 if evaluate(l_p12, s.point(l)) == 0]
-    hits_conic = [l for l in on_conic
-                  if evaluate(l_p12, s.point(l)) == 0]
+    through = join(extra, x12)
+    p1 = conic * line * through
+    hits_line = [l for l in on_line if evaluate(through, s.point(l)) == 0]
+    hits_conic = [l for l in on_conic if evaluate(through, s.point(l)) == 0]
     if not hits_line or not hits_conic:
-        # the through-line misses S on the line or on the conic: all 13
-        # points of S plus the extra point carry weight 1
-        branch = ("line_product_disjoint" if not hits_line
-                  else "line_product_line_hit")
-        conds = [VanishingCondition(x, 1) for x in s.points]
-        conds.append(VanishingCondition(extra, 1))
-        p2 = _independent_quartic(p1, conds)
-        if p2 is None:
-            return ConstructionReport(tuple(trace), "unsupported",
-                                      detail="no independent quartic")
-        cert = make_certificate(p1, p2, list(s.points) + [extra],
-                                "line_product_weight13")
-        if cert is None or cert.total_weight != 13:
-            return ConstructionReport(tuple(trace), "unsupported",
-                                      detail="weight-13 verification failed")
-        trace.append(branch)
-        return ConstructionReport(tuple(trace), "certificate", cert)
-    # the through-line meets S both on the line and on the conic
-    xc = s.point(hits_conic[0])
-    xl = s.point(hits_line[0])
-    drop = {hits_line[0]}
-    others_on_line = [l for l in on_line if l not in drop
-                      and l != hits_line[0]]
-    if others_on_line:
-        drop.add(others_on_line[-1])
-    keep = [l for l in range(1, 13) if l not in drop]
-    conds = [VanishingCondition(s.point(l), 2 if s.point(l).coords ==
-             xc.coords else 1) for l in keep]
-    conds.append(VanishingCondition(extra, 1))
-    p2 = _independent_quartic(p1, conds)
-    if p2 is None:
-        return ConstructionReport(tuple(trace), "unsupported",
-                                  detail="no independent quartic for the "
-                                         "double-hit branch")
-    pts = [s.point(l) for l in keep] + [extra]
-    cert = make_certificate(p1, p2, pts, "line_product_excluded_points")
-    if cert is None or cert.total_weight / cert.gamma_u < 3:
-        return ConstructionReport(tuple(trace), "unsupported",
-                                  detail="double-hit verification failed")
-    trace.append("line_product_excluded_points")
-    return ConstructionReport(tuple(trace), "certificate", cert)
+        # the join misses S on the line or on the conic: all 12 points of S
+        # plus the extra point carry weight 1
+        branch = ("line_product_line_hit" if hits_line
+                  else "line_product_conic_hit" if hits_conic
+                  else "line_product_disjoint")
+        tag, accept = "line_product_weight13", _weight_13
+        pts = list(s.points) + [extra]
+        conds = [VanishingCondition(x, 1) for x in pts]
+    else:
+        # the join meets S both on the line and on the conic: drop its line
+        # point and one more line point, and double the conic point
+        branch = tag = "line_product_excluded_points"
+        accept = _ratio_three
+        drop = {hits_line[0]}
+        rest_of_line = [l for l in on_line if l != hits_line[0]]
+        if rest_of_line:
+            drop.add(rest_of_line[-1])
+        keep = [l for l in range(1, 13) if l not in drop]
+        pts = [s.point(l) for l in keep] + [extra]
+        conds = ([VanishingCondition(s.point(l), 2 if l == hits_conic[0]
+                                     else 1) for l in keep]
+                 + [VanishingCondition(extra, 1)])
+    return _certify((((branch,), p1, p2, pts, tag)
+                     for p2 in _independent_members(p1, 4, conds)), accept)
+
+
+def _routes(s: PointSet, ms: MSequence, extra: ProjPoint | None):
+    """Each route's result, (steps, certificate) or None, in the order the
+    routes are tried for (m3, m2); a route runs only when the walk reaches
+    it."""
+    if ms.m3 == 11:
+        yield _line_product(s, ms, extra)
+        return
+    if ms.m2 == 7 and conic_rank(ms.witnesses[1][1]) == 3:
+        yield _certify(_two_conic_quartics(s, ms), _frozen_shape)
+        yield _certify(_conic_double_point_quartics(s, ms), _frozen_shape)
+    if ms.m3 == 9 or ms.m2 == 7:
+        yield _certify_sextic(s, "pair_route", _hitting_drop_pairs(s),
+                              _frozen_shape)
+    elif ms.m2 == 6:
+        yield _certify_sextic(s, "line_split_pairs", _line_split_pairs(s),
+                              _ratio_three)
+
+
+def _twelve_point_m_sequence(s: PointSet) -> MSequence:
+    if len(s) != 12:
+        raise PreconditionError("needs exactly 12 points")
+    return m_sequence(s)
+
+
+def _construct(s: PointSet, ms: MSequence,
+               extra: ProjPoint | None) -> ConstructionReport:
+    # m3 = 9 forces m1 <= 4 and m2 <= 7, and m3 >= 9 holds for 12 points
+    if ms.m1 > 4 or ms.m2 > 7:
+        raise PreconditionError("m1 <= 4 and m2 <= 7 are required")
+    if ms.m3 > 11:
+        raise PreconditionError(f"m3 must be 10 or 11, got {ms.m3}")
+    trace = ((f"m2_{ms.m2}",) if ms.m3 == 9
+             else (f"m3_{ms.m3}", f"m2_{ms.m2}"))
+    try:
+        for found in _routes(s, ms, extra):
+            if found is not None:
+                steps, cert = found
+                return ConstructionReport(trace + steps, "certificate", cert)
+    except _Unsupported as exc:
+        return ConstructionReport(trace + exc.steps, "unsupported",
+                                  detail=exc.detail)
+    return ConstructionReport(
+        trace, "unsupported",
+        detail="no route produced a certificate within the search budget")
+
+
+def construct_certificate(s: PointSet,
+                          extra: ProjPoint | None = None
+                          ) -> ConstructionReport:
+    """Verified certificate for a 12-point set with m1 <= 4, m2 <= 7 and
+    m3 in {9, 10, 11}, routed on its m-sequence, which is computed once.
+
+    With m3 in {9, 10} the certificate has ratio weight/gamma 3: quartics
+    on a product of two conics when m2 = 7 and a 7-point conic is
+    irreducible, else degree-6 pairs on a product of two irreducible
+    cubics. m3 = 11 needs `extra`, a point off the witness cubic and off
+    the set, and gives weight 13 with gamma 4 (weight 12 when the join of
+    `extra` with the off-cubic point meets S on both the line and the
+    conic).
+    """
+    return _construct(s, _twelve_point_m_sequence(s), extra)
+
+
+def construct_certificate_m3_9(s: PointSet) -> ConstructionReport:
+    """construct_certificate for a 12-point set that must have m3 = 9."""
+    ms = _twelve_point_m_sequence(s)
+    if ms.m3 != 9:
+        raise PreconditionError(f"m3 must be 9, got {ms.m3}")
+    return _construct(s, ms, None)
 
 
 def construct_certificate_m3_high(s: PointSet,
                                   extra: ProjPoint | None = None
                                   ) -> ConstructionReport:
-    """Certificates for 12-point sets with m3 in {10, 11}.
-
-    For m3 = 11 the pipeline needs an extra point off the witness cubic and
-    distinct from the point set; the three sub-branches on the line through
-    that point are taken in order and the certificate carries total weight
-    13 with gamma 4 (or the excluded-point variant with ratio >= 3).
-    """
-    return _construct_m3_high(s, _twelve_point_m_sequence(s), extra)
-
-
-def _construct_m3_high(s: PointSet, ms: MSequence,
-                       extra: ProjPoint | None) -> ConstructionReport:
-    if ms.m1 > 4 or ms.m2 > 7:
-        raise PreconditionError("m1 <= 4 and m2 <= 7 are required")
-    if ms.m3 not in (10, 11):
-        raise PreconditionError(f"m3 must be 10 or 11, got {ms.m3}")
-    trace = [f"m3_{ms.m3}", f"m2_{ms.m2}"]
-    if ms.m3 == 10:
-        return _case_m3_10(s, ms, trace)
-    return _case_m3_11(s, ms, extra, trace)
+    """construct_certificate for a 12-point set that must have m3 in
+    {10, 11}; m3 = 11 needs `extra`."""
+    ms = _twelve_point_m_sequence(s)
+    if ms.m3 == 9:
+        raise PreconditionError("m3 must be 10 or 11, got 9")
+    return _construct(s, ms, extra)

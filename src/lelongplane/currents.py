@@ -39,7 +39,8 @@ from operator import mul
 from .config import PointSet, _evaluation_rows, m_sequence
 from .construct import PotentialCertificate
 from .errors import PreconditionError
-from .exactpoly import HomPoly, ProjPoint, evaluate, monomial_count
+from .exactpoly import (HomPoly, ProjPoint, evaluate, line_coeffs, meet,
+                        monomial_count)
 from .linalg import int_rank
 
 
@@ -65,12 +66,6 @@ def lelong_exact(t: ArrangementCurrent, x: ProjPoint) -> Fraction:
                Fraction(0))
 
 
-def _line_coeffs(line: HomPoly):
-    return (line.terms.get((1, 0, 0), Fraction(0)),
-            line.terms.get((0, 1, 0), Fraction(0)),
-            line.terms.get((0, 0, 1), Fraction(0)))
-
-
 def lelong_ball_mass(t: ArrangementCurrent, x, r):
     """Normalized mass of the arrangement in the Euclidean ball B(x, r) of
     the chart Z = 1: sum of w * max(0, r^2 - d^2) / r^2 with d the distance
@@ -84,7 +79,7 @@ def lelong_ball_mass(t: ArrangementCurrent, x, r):
     r2 = r * r
     total = 0
     for line, w in t.lines:
-        a, b, c = _line_coeffs(line)
+        a, b, c = line_coeffs(line)
         if a == 0 and b == 0:
             raise PreconditionError("arrangement contains the line at "
                                     "infinity of the chart Z=1")
@@ -306,14 +301,11 @@ def sharpness_example(seed: int, budget: int = 100) -> SharpnessReport:
         pts = []
         ok = True
         for l1, l2 in itertools.combinations(lines, 2):
-            a = _line_coeffs(l1)
-            b = _line_coeffs(l2)
-            cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0])
-            if all(c == 0 for c in cross):
+            x = meet(l1, l2)
+            if x is None:
                 ok = False
                 break
-            pts.append(ProjPoint(*cross))
+            pts.append(x)
         if not ok or len({p.coords for p in pts}) != 15:
             continue  # a concurrence or parallel pair: resample
         t = ArrangementCurrent(tuple((l, Fraction(1, 6)) for l in lines))

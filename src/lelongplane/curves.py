@@ -26,6 +26,7 @@ from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate, exact_divide,
                         from_sympy, gcd_homogeneous, partial_derivatives)
 from .linalg import frac_rref
+from .linsys import VanishingCondition, build_system
 
 _A, _B = sympy.symbols("a b")
 _S = sympy.Symbol("s")
@@ -69,6 +70,13 @@ def conic_rank(p: HomPoly) -> int:
     ]
     r, _, _ = frac_rref(m)
     return r
+
+
+def irreducible_conic_through(points) -> HomPoly | None:
+    """The first irreducible member of the kernel basis of the conics
+    through the points, or None."""
+    sys2 = build_system(2, [VanishingCondition(x, 1) for x in points])
+    return next((b for b in sys2.kernel_basis if conic_rank(b) == 3), None)
 
 
 def _line_substitution_coeffs(p: HomPoly):

@@ -298,6 +298,29 @@ def evaluate(p: HomPoly, x: ProjPoint) -> Fraction:
     return p.evaluate_coords(*x.coords)
 
 
+def line_coeffs(line: HomPoly) -> tuple[Fraction, Fraction, Fraction]:
+    """(a, b, c) of the line aX + bY + cZ."""
+    return tuple(line.terms.get(e, Fraction(0)) for e in monomials(1))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def join(a: ProjPoint, b: ProjPoint) -> HomPoly:
+    """The line through two points; the zero form when they coincide."""
+    return HomPoly.line(*_cross(a.coords, b.coords))
+
+
+def meet(l1: HomPoly, l2: HomPoly) -> ProjPoint | None:
+    """The common point of two lines, or None when they coincide."""
+    x = _cross(line_coeffs(l1), line_coeffs(l2))
+    if all(c == 0 for c in x):
+        return None
+    return ProjPoint(*x)
+
+
 def partial_derivatives(p: HomPoly) -> tuple[HomPoly, HomPoly, HomPoly]:
     """The three formal partials; Euler's identity holds exactly."""
     if p.degree == 0:

@@ -16,10 +16,10 @@ from fractions import Fraction
 from .config import (SHAPE_3CONCURRENT_PLUS2, SHAPE_3CONCURRENT_PLUS2_SPLIT,
                      SHAPE_5LINES_CAP2, SHAPE_DOUBLE_STAR, IncidenceStructure,
                      PointSet, Realization, m_sequence, realize_structure)
-from .curves import conic_rank
+from .curves import irreducible_conic_through
 from .errors import PreconditionError
-from .exactpoly import HomPoly, ProjPoint, evaluate, partial_derivatives
-from .linsys import VanishingCondition, build_system
+from .exactpoly import (HomPoly, ProjPoint, evaluate, join, line_coeffs,
+                        partial_derivatives)
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,11 @@ def _distinct_points(rng, count):
     return pts
 
 
-def _irreducible_conic_through(points) -> HomPoly | None:
-    sys2 = build_system(2, [VanishingCondition(x, 1) for x in points])
-    for b in sys2.kernel_basis:
-        if conic_rank(b) == 3:
-            return b
-    return None
-
-
 def random_conic(rng) -> tuple[HomPoly, ProjPoint]:
     """A random irreducible conic together with a rational point on it."""
     for _ in range(_BUDGET):
         base = _distinct_points(rng, 5)
-        conic = _irreducible_conic_through(base)
+        conic = irreducible_conic_through(base)
         if conic is not None:
             return conic, base[0]
     raise PreconditionError("could not sample an irreducible conic")
@@ -114,17 +106,8 @@ def points_on_conic(conic: HomPoly, p0: ProjPoint, rng, count: int):
     return out
 
 
-def _line_through(a: ProjPoint, b: ProjPoint) -> HomPoly:
-    u, v = a.coords, b.coords
-    return HomPoly.line(u[1] * v[2] - u[2] * v[1],
-                        u[2] * v[0] - u[0] * v[2],
-                        u[0] * v[1] - u[1] * v[0])
-
-
 def _points_on_line(line: HomPoly, rng, count: int, avoid=()):
-    a = line.terms.get((1, 0, 0), Fraction(0))
-    b = line.terms.get((0, 1, 0), Fraction(0))
-    c = line.terms.get((0, 0, 1), Fraction(0))
+    a, b, c = line_coeffs(line)
     out = []
     seen = {p.coords for p in avoid}
     tries = 0
@@ -197,8 +180,8 @@ def conic7_instance(seed: int) -> Instance:
 _FIGURE_SHAPES: dict[str, tuple[IncidenceStructure, tuple[int, int, int]]] = {
     # five 4-point lines, pairwise meeting in distinct points, cap 2
     "figure1": (SHAPE_5LINES_CAP2, (4, 7, 9)),
-    # same incidence class; the kind is kept separate because downstream
-    # constructions drop different label triples
+    # same incidence class and realization seeds as figure1, so figure2
+    # yields the same instances and certificates
     "figure2": (SHAPE_5LINES_CAP2, (4, 7, 9)),
     # three lines concurrent at label 1 plus two more through label 11
     "figure3": (SHAPE_3CONCURRENT_PLUS2, (4, 7, 10)),
@@ -233,7 +216,7 @@ def case2_instance(seed: int) -> Instance:
     for _ in range(_BUDGET):
         conic, p0 = random_conic(rng)
         a, b = _distinct_points(rng, 2)
-        line = _line_through(a, b)
+        line = join(a, b)
         if evaluate(line, p0) == 0:
             continue
         on_line = [a, b] + _points_on_line(line, rng, 2, avoid=(a, b))
@@ -258,7 +241,7 @@ def case3_instance(seed: int) -> Instance:
         conic, p0 = random_conic(rng)
         on_conic = [p0] + points_on_conic(conic, p0, rng, 6)
         x8, x9 = _distinct_points(rng, 2)
-        line = _line_through(x8, x9)
+        line = join(x8, x9)
         if any(evaluate(line, p) == 0 for p in on_conic):
             continue
         (x12,) = _points_on_line(line, rng, 1, avoid=(x8, x9))
@@ -281,7 +264,7 @@ def case4_instance(seed: int) -> Instance:
         conic, p0 = random_conic(rng)
         on_conic = [p0] + points_on_conic(conic, p0, rng, 6)
         a, b = _distinct_points(rng, 2)
-        line = _line_through(a, b)
+        line = join(a, b)
         if evaluate(line, p0) == 0:
             continue
         on_line = [a, b] + _points_on_line(line, rng, 2, avoid=(a, b))
@@ -302,8 +285,8 @@ def case4_instance(seed: int) -> Instance:
             if evaluate(line, cand) == 0 or \
                     conic.evaluate_coords(*cand.coords) == 0:
                 continue
-            join = _line_through(cand, x12)
-            if any(evaluate(join, p) == 0 for p in pts[:-1]):
+            through = join(cand, x12)
+            if any(evaluate(through, p) == 0 for p in pts[:-1]):
                 continue
             extra = cand
             break

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from lelongplane import construct, curves, exactpoly
+from lelongplane import curves, exactpoly
+from lelongplane.config import PointSet, m_sequence
 from lelongplane.construct import (CERT_SHAPES, PotentialCertificate,
                                    construct_certificate,
                                    construct_certificate_m3_9,
@@ -19,10 +20,10 @@ from lelongplane.construct import (CERT_SHAPES, PotentialCertificate,
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate,
                                    gcd_homogeneous, vanishing_order)
-from lelongplane.instances import (case2_instance, case3_instance,
-                                   case4_instance, conic6_instance,
-                                   conic7_instance, figure_instance,
-                                   generate, generic12)
+from lelongplane.instances import (INSTANCE_KINDS, case2_instance,
+                                   case3_instance, case4_instance,
+                                   conic6_instance, conic7_instance,
+                                   figure_instance, generate, generic12)
 
 
 def check_shape(cert, expect_ratio=Fraction(3)):
@@ -194,10 +195,79 @@ def test_verifier_runs_without_sympy_gcd_or_div(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("sympy gcd or division on the verifier path")
 
-    for module in (exactpoly, curves, construct):
+    for module in (exactpoly, curves):
         monkeypatch.setattr(module, "gcd_homogeneous", forbidden)
     monkeypatch.setattr(sympy, "gcd", forbidden)
     monkeypatch.setattr(sympy, "div", forbidden)
     for cert in certs:
         report = verify_certificate(cert)
         assert report.discrete and report.verified
+
+
+# The m3 = 11 branches split on where the join of the extra point and the
+# off-cubic point meets S. case4 instances label the conic points 1-7, the
+# line points 8-11 and the off-cubic point 12; their own extra point misses
+# S, so the other branches are reached by moving the extra point (and x12).
+
+
+def _vector_sum(u: ProjPoint, v: ProjPoint, t: Fraction) -> ProjPoint:
+    return ProjPoint(*(a + t * b for a, b in zip(u.coords, v.coords)))
+
+
+def _line_product_shape(report, branch):
+    assert report.outcome == "certificate"
+    assert report.branch_trace == ("m3_11", "m2_7", branch)
+    cert = report.certificate
+    assert cert.verified and verify_certificate(cert).verified
+    return int(cert.gamma_u), int(cert.total_weight)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("label, branch", [(8, "line_product_line_hit"),
+                                           (1, "line_product_conic_hit")])
+def test_m3_11_join_through_one_point_of_s(seed, label, branch):
+    s = case4_instance(seed).point_set
+    extra = _vector_sum(s.point(12), s.point(label), Fraction(1, 3))
+    report = construct_certificate(s, extra=extra)
+    assert _line_product_shape(report, branch) == (4, 13)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_m3_11_join_through_a_line_and_a_conic_point(seed):
+    s = case4_instance(seed).point_set
+    y = _vector_sum(s.point(8), s.point(1), Fraction(1, 3))
+    moved = PointSet(s.points[:11] + (y,))
+    assert m_sequence(moved).as_tuple() == (4, 7, 11)
+    extra = _vector_sum(y, s.point(8), Fraction(5, 3))
+    report = construct_certificate(moved, extra=extra)
+    shape = _line_product_shape(report, "line_product_excluded_points")
+    assert shape == (4, 12)
+
+
+SEED0_TRACES = {
+    "generic12": "m2_5>pair_route>direct_pick",
+    "figure1": "m2_7>pair_route>direct_pick",
+    "figure2": "m2_7>pair_route>direct_pick",
+    "figure3": "m3_10>m2_7>pair_route>direct_pick",
+    "figure4": "m3_10>m2_7>pair_route>direct_pick",
+    "figure5": "m3_10>m2_7>pair_route>direct_pick",
+    "case2": "m3_10>m2_6>line_split_pairs>direct_pick",
+    "case3": "m3_10>m2_7>quartic_conic_double_point",
+    "case4": "m3_11>m2_7>line_product_disjoint",
+    "example6lines": None,
+    "conic6": "m2_6>pair_route>direct_pick",
+    "conic7": "m2_7>quartic_two_conics",
+}
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_route_taken_by_each_kind(kind):
+    inst = generate(kind, 0)
+    expected = SEED0_TRACES[kind]
+    if expected is None:
+        with pytest.raises(PreconditionError):
+            construct_certificate(inst.point_set, extra=inst.extra)
+        return
+    report = construct_certificate(inst.point_set, extra=inst.extra)
+    assert report.outcome == "certificate"
+    assert ">".join(report.branch_trace) == expected
