@@ -3,7 +3,10 @@
 Line-component detection and (ir)reducibility are decided by an elimination
 procedure (substitute a parametrized line, then Groebner bases / univariate
 gcds on the coefficient system), so the answers are certified over the
-complex numbers even though all data is rational.
+complex numbers even though all data is rational. The systems are built and
+reduced in sympy's polynomial ring Q[a, b] (`sympy.polys.rings`), and the
+rational lines are split off by factoring in Q[X, Y, Z], not through sympy
+expressions.
 
 Local intersection numbers are decided in two stages. The first reads the
 tangent cones, the lowest-degree parts of the two local expansions: when
@@ -21,6 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.groebnertools import groebner
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate, exact_divide,
@@ -28,7 +35,8 @@ from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate, exact_divide,
 from .linalg import frac_rref
 from .linsys import VanishingCondition, build_system
 
-_A, _B = sympy.symbols("a b")
+_QAB, _RA, _RB = ring("a,b", QQ, lex)
+_QXYZ = ring("X,Y,Z", QQ, lex)[0]
 _S = sympy.Symbol("s")
 _SX, _SY, _SZ = sympy.symbols("X Y Z")
 
@@ -79,47 +87,37 @@ def irreducible_conic_through(points) -> HomPoly | None:
     return next((b for b in sys2.kernel_basis if conic_rank(b) == 3), None)
 
 
-def _line_substitution_coeffs(p: HomPoly):
-    """Coefficient polynomials in (a, b) of p(X, Y, -aX - bY).
-
-    The line aX + bY + Z divides p iff all of them vanish at (a, b).
-    """
-    d = p.degree
-    coeffs = [sympy.Integer(0)] * (d + 1)  # index m: coeff of X^m Y^(d-m)
-    for (i, j, k), c in p.terms.items():
-        cc = sympy.Rational(c.numerator, c.denominator) * (-1) ** k
-        for l in range(k + 1):
-            m = i + l
-            coeffs[m] += cc * math.comb(k, l) * _A ** l * _B ** (k - l)
-    return coeffs
-
-
 def has_complex_line_factor(p: HomPoly) -> bool:
-    """True iff some line over C divides p (p nonzero, degree >= 1)."""
+    """True iff some line over C divides p (p nonzero, degree >= 1).
+
+    Each chart of lines gives a coefficient system in Q[a, b]: the line
+    divides p iff every coefficient of p restricted to it vanishes. Lines
+    aX + bY + Z exist iff the reduced Groebner basis is not [1], lines
+    aX + Y iff the gcd in a has positive degree; X = 0 is read off.
+    """
     if p.is_zero or p.degree < 1:
         raise PreconditionError("needs a nonzero form of positive degree")
-    # lines aX + bY + Z
-    eqs = [sympy.expand(e) for e in _line_substitution_coeffs(p)]
-    eqs = [e for e in eqs if e != 0]
-    if not eqs:
-        return True
-    gb = sympy.groebner(eqs, _A, _B, order="lex")
-    if 1 not in gb.exprs and -1 not in gb.exprs:
-        return True
-    # lines aX + Y: substitute Y = -aX, collect coeff polys in a
     d = p.degree
-    coeffs = [sympy.Integer(0)] * (d + 1)  # index m: coeff of X^m Z^(d-m)
+    # lines aX + bY + Z: coefficient of X^m Y^(d-m) in p(X, Y, -aX - bY)
+    coeffs = [_QAB.zero] * (d + 1)
     for (i, j, k), c in p.terms.items():
-        cc = sympy.Rational(c.numerator, c.denominator) * (-1) ** j
-        coeffs[i + j] += cc * _A ** j
-    coeffs = [sympy.expand(e) for e in coeffs]
-    nonzero = [e for e in coeffs if e != 0]
+        cc = QQ(c.numerator, c.denominator) * (-1) ** k
+        for l in range(k + 1):
+            coeffs[i + l] += cc * math.comb(k, l) * _RA ** l * _RB ** (k - l)
+    eqs = [e for e in coeffs if e]
+    if not eqs or groebner(eqs, _QAB) != [_QAB.one]:
+        return True
+    # lines aX + Y: coefficient of X^m Z^(d-m) in p(X, -aX, Z)
+    coeffs = [_QAB.zero] * (d + 1)
+    for (i, j, k), c in p.terms.items():
+        coeffs[i + j] += QQ(c.numerator, c.denominator) * (-_RA) ** j
+    nonzero = [e for e in coeffs if e]
     if not nonzero:
         return True
     g = nonzero[0]
     for e in nonzero[1:]:
-        g = sympy.gcd(g, e)
-    if sympy.degree(g, _A) >= 1:
+        g = g.gcd(e)
+    if g.degree(_RA) >= 1:
         return True
     # the single remaining line X = 0
     return all(e[0] >= 1 for e in p.terms)
@@ -135,13 +133,14 @@ def find_line_components(p: HomPoly) -> tuple[list[HomPoly], bool]:
         raise PreconditionError("degree must be between 1 and 6")
     if p.is_zero:
         raise PreconditionError("zero polynomial")
-    _, factors = sympy.factor_list(p.to_sympy(), _SX, _SY, _SZ)
+    _, factors = _QXYZ({e: QQ(c.numerator, c.denominator)
+                        for e, c in p.terms.items()}).factor_list()
     lines: list[HomPoly] = []
     residual = p
     for fac, mult in factors:
-        hp = from_sympy(fac)
-        if hp.degree == 1:
-            hp = hp.monic()
+        if sum(fac.LM) == 1:  # factors of a form are forms
+            hp = HomPoly(1, {e: Fraction(int(c.numerator), int(c.denominator))
+                             for e, c in fac.terms()}).monic()
             for _ in range(mult):
                 lines.append(hp)
                 residual = exact_divide(residual, hp)

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals used by every module.
 
-Rank queries run fraction-free (Bareiss) over scaled integer rows, and
-`reduce_row` is the one incremental integer elimination, for searches that
-add rows one at a time; kernel computations run over Fractions and are
-canonicalized by reduced row echelon form so outputs are deterministic.
+Everything runs on integer-scaled rows, with no sympy. Rank queries run
+fraction-free (Bareiss). `reduce_row` is the one incremental integer
+elimination: searches add rows one at a time through it, and `frac_rref`
+reduces all rows through it, then back-substitutes in integers and builds
+Fractions only for the result. Kernels are canonicalized by that reduced
+row echelon form and shortened by an exact LLL over ints and Fractions, so
+outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -79,53 +82,95 @@ def reduce_row(basis, row):
 def frac_rref(rows):
     """Reduced row echelon form over Fractions.
 
-    Returns (rank, pivot_columns, reduced_rows); zero rows are dropped.
+    Returns (rank, pivot_columns, reduced_rows); zero rows are dropped. The
+    elimination runs fraction-free: the integer-scaled rows are reduced one
+    at a time through `reduce_row` and the primitive basis is sorted by
+    pivot. Then, from the last pivot upward, each row loses its entries at
+    the later pivots in one step over the lcm of those (already reduced)
+    rows' pivots and is divided by its content. Fractions are built only at
+    the end, as entry / pivot.
     """
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0, [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
+    basis = []
+    for row in _int_rows(rows):
+        red = reduce_row(basis, row)
+        if red is not None:
+            basis.append(red)
+    basis.sort()
+    for i in range(len(basis) - 2, -1, -1):
+        piv, row = basis[i]
+        hits = [(pj, b) for pj, b in basis[i + 1:] if row[pj]]
+        if not hits:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        m[rank] = [x / inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, pivots, m[:rank]
+        lcm = math.lcm(*(b[pj] for pj, b in hits))
+        acc = [lcm * x for x in row]
+        for pj, b in hits:
+            f = row[pj] * (lcm // b[pj])
+            acc = [a - f * y for a, y in zip(acc, b)]
+        g = math.gcd(*acc)
+        basis[i] = piv, [x // g for x in acc]
+    pivots = [piv for piv, _ in basis]
+    red = [[Fraction(x, row[piv]) for x in row] for piv, row in basis]
+    return len(basis), pivots, red
 
 
 def _lll_reduce(basis):
     """Short integer vectors spanning the same lattice as the scaled basis.
 
     RREF kernel entries are ratios of large minors; reducing the lattice
-    keeps every downstream polynomial small. Deterministic."""
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-
-    ints = _int_rows(basis)
-    for row in ints:
+    keeps every downstream polynomial small. Exact LLL with delta = 3/4
+    (Lenstra, Lenstra and Lovasz 1982), in the reduction and swap order of
+    sympy's `_ddm_lll`, over ints and Fractions; mu is rounded to the
+    nearest integer exactly, halves upward. Deterministic."""
+    y = _int_rows(basis)
+    for i, row in enumerate(y):
         g = math.gcd(*row)
         if g > 1:
-            row[:] = [x // g for x in row]
-    m = DomainMatrix([[ZZ(x) for x in row] for row in ints],
-                     (len(ints), len(ints[0])), ZZ)
-    reduced = m.lll().to_list()
-    return [[Fraction(int(x)) for x in row] for row in reduced]
+            y[i] = [x // g for x in row]
+    m = len(y)
+    delta, half = Fraction(3, 4), Fraction(1, 2)
+    mu = [[Fraction(0)] * m for _ in range(m)]
+    g_star = [Fraction(0)] * m
+    y_star = []
+    for i in range(m):
+        v = [Fraction(x) for x in y[i]]
+        for j in range(i):
+            mu[i][j] = sum(a * b for a, b in zip(y[i], y_star[j])) / g_star[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, y_star[j])]
+        y_star.append(v)
+        g_star[i] = sum(x * x for x in v)
+
+    def size_reduce(k, j):
+        q = mu[k][j]
+        r = (2 * q.numerator + q.denominator) // (2 * q.denominator)
+        y[k] = [a - r * b for a, b in zip(y[k], y[j])]
+        for z in range(j):
+            mu[k][z] -= r * mu[j][z]
+        mu[k][j] -= r
+
+    k = 1
+    while k < m:
+        if abs(mu[k][k - 1]) > half:
+            size_reduce(k, k - 1)
+        if g_star[k] >= (delta - mu[k][k - 1] ** 2) * g_star[k - 1]:
+            for j in range(k - 2, -1, -1):
+                if abs(mu[k][j]) > half:
+                    size_reduce(k, j)
+            k += 1
+            continue
+        nu = mu[k][k - 1]
+        alpha = g_star[k] + nu ** 2 * g_star[k - 1]
+        beta = g_star[k - 1] / alpha
+        mu[k][k - 1] = nu * beta
+        g_star[k] *= beta
+        g_star[k - 1] = alpha
+        y[k], y[k - 1] = y[k - 1], y[k]
+        mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+        for i in range(k + 1, m):
+            xi = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - nu * xi
+            mu[i][k - 1] = mu[k][k - 1] * mu[i][k] + xi
+        k = max(k - 1, 1)
+    return [[Fraction(x) for x in row] for row in y]
 
 
 def nullspace(rows, ncols):
@@ -133,12 +178,10 @@ def nullspace(rows, ncols):
 
     The raw kernel basis is canonicalized by RREF, then LLL-reduced to short
     primitive integer vectors, so the output depends only on the row space
-    of the input and all entries stay small.
+    of the input and all entries stay small. The rank of the matrix is
+    ncols minus the number of vectors returned.
     """
-    if not rows:
-        rank, pivots, red = 0, [], []
-    else:
-        rank, pivots, red = frac_rref(rows)
+    _, pivots, red = frac_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

@@ -8,7 +8,6 @@ bases are exact over the rationals and canonicalized for determinism.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +15,7 @@ from fractions import Fraction
 from .errors import PreconditionError, UnsupportedInstanceError
 from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
                         monomial_count, monomials, vanishing_order)
-from .linalg import frac_rref, int_rank, nullspace, solve_exact
+from .linalg import int_rank, nullspace, solve_exact
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,10 @@ def build_system(degree: int, conditions) -> LinearSystem:
     for cond in conds:
         rows.extend(condition_rows(degree, cond))
     ncols = monomial_count(degree)
-    if rows:
-        matrix_rank = int_rank(rows)
-        kernel = nullspace(rows, ncols)
-    else:
-        matrix_rank = 0
-        kernel = nullspace([], ncols)
+    kernel = nullspace(rows, ncols)
     basis = tuple(HomPoly.from_coeff_vector(degree, v) for v in kernel)
     return LinearSystem(degree=degree, conditions=tuple(conds),
-                        matrix_rank=matrix_rank, kernel_basis=basis)
+                        matrix_rank=ncols - len(kernel), kernel_basis=basis)
 
 
 def satisfies(poly: HomPoly, cond: VanishingCondition) -> bool:

@@ -15,7 +15,7 @@ from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                              EXIT_VERIFICATION, main)
 from lelongplane.construct import (PotentialCertificate, make_certificate,
                                    verify_certificate)
-from lelongplane.exactpoly import HomPoly, ProjPoint
+from lelongplane.exactpoly import HomPoly, ProjPoint, vanishing_order
 
 
 def run(*argv):
@@ -135,6 +135,44 @@ def test_lelong_accepts_certificates_with_large_coordinates(tmp_path, capsys,
     assert run("certify", "--input", str(cert)) == EXIT_OK
     assert run("lelong", "--input", str(cert)) == EXIT_OK
     capsys.readouterr()
+
+
+# instances on which sympy's LLL used to leave mu unreduced and fail its own
+# final check, so that `construct` ended in an uncaught AssertionError
+FORMER_LLL_FAILURES = [("figure3", 2), ("figure4", 2), ("figure4", 3),
+                       ("figure5", 2), ("figure5", 3)]
+
+
+@pytest.mark.parametrize("kind,seed", FORMER_LLL_FAILURES)
+def test_pipeline_on_former_lll_failures(tmp_path, capsys, kind, seed):
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    assert run("generate", "--kind", kind, "--seed", str(seed),
+               "--out", str(inst)) == EXIT_OK
+    assert run("construct", "--input", str(inst),
+               "--cert", str(cert)) == EXIT_OK
+    assert "certificate gamma=6" in capsys.readouterr().out
+    assert run("certify", "--input", str(cert)) == EXIT_OK
+    assert run("lelong", "--input", str(cert)) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["conic7", "case3", "case4"])
+def test_sextic_linsys_with_six_double_points(tmp_path, capsys, kind):
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "linsys.json"
+    assert run("generate", "--kind", kind, "--seed", "0",
+               "--out", str(inst)) == EXIT_OK
+    assert run("linsys", "--input", str(inst), "--degree", "6",
+               "--double", "1,2,3,4,5,6", "--out", str(out)) == EXIT_OK
+    assert "degree=6" in capsys.readouterr().out
+    points = serialize.load_instance(inst).point_set.points
+    doc = json.loads(out.read_text())
+    basis = [serialize.decode_poly(p) for p in doc["kernel_basis"]]
+    assert len(basis) == 28 - doc["matrix_rank"] >= 1
+    for member in basis:
+        assert all(vanishing_order(member, x) >= 2 for x in points[:6])
+        assert all(vanishing_order(member, x) >= 1 for x in points[6:])
 
 
 def engineered_certificate(tmp_path):

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.rings import PolyElement
 
 from lelongplane import curves
 from lelongplane.construct import construct_certificate
@@ -24,8 +26,9 @@ from lelongplane.curves import (analyze_curve, bezout_table,
                                 rational_singular_points,
                                 resultant_multiplicity)
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import (HomPoly, ProjPoint, gcd_homogeneous,
-                                   monomials, vanishing_order)
+from lelongplane.exactpoly import (HomPoly, ProjPoint, exact_divide,
+                                   from_sympy, gcd_homogeneous, monomials,
+                                   vanishing_order)
 from lelongplane.instances import generate
 
 ORIGIN = ProjPoint(Fraction(0), Fraction(0), Fraction(1))
@@ -78,6 +81,142 @@ def test_cubic_irreducibility():
     assert not cubic_is_irreducible(HomPoly.line(1, 0, 0)
                                     * HomPoly.line(0, 1, 0)
                                     * HomPoly.line(0, 0, 1))
+
+
+_A, _B = sympy.symbols("a b")
+
+
+def reference_has_complex_line_factor(p):
+    """The line test in sympy `Expr` arithmetic: the same elimination as
+    `has_complex_line_factor`, kept as its reference."""
+    d = p.degree
+    coeffs = [sympy.Integer(0)] * (d + 1)  # index m: coeff of X^m Y^(d-m)
+    for (i, j, k), c in p.terms.items():
+        cc = sympy.Rational(c.numerator, c.denominator) * (-1) ** k
+        for l in range(k + 1):
+            coeffs[i + l] += cc * math.comb(k, l) * _A ** l * _B ** (k - l)
+    eqs = [e for e in (sympy.expand(e) for e in coeffs) if e != 0]
+    if not eqs:
+        return True
+    gb = sympy.groebner(eqs, _A, _B, order="lex")
+    if 1 not in gb.exprs and -1 not in gb.exprs:
+        return True
+    coeffs = [sympy.Integer(0)] * (d + 1)  # index m: coeff of X^m Z^(d-m)
+    for (i, j, k), c in p.terms.items():
+        cc = sympy.Rational(c.numerator, c.denominator) * (-1) ** j
+        coeffs[i + j] += cc * _A ** j
+    nonzero = [e for e in (sympy.expand(e) for e in coeffs) if e != 0]
+    if not nonzero:
+        return True
+    g = nonzero[0]
+    for e in nonzero[1:]:
+        g = sympy.gcd(g, e)
+    if sympy.degree(g, _A) >= 1:
+        return True
+    return all(e[0] >= 1 for e in p.terms)
+
+
+def _line_test_cases():
+    rng = random.Random(29)
+    conic = mono((1, 0, 1)) - mono((0, 2, 0)) + mono((0, 0, 2))
+    cases = {
+        "line_times_conic": HomPoly.line(2, -3, 1) * conic,
+        "conjugate_pair_times_line":
+            (mono((2, 0, 0)) + mono((0, 2, 0))) * mono((0, 0, 1)),
+        "concurrent_lines": HomPoly.line(1, 0, -1) * HomPoly.line(0, 1, -1)
+            * HomPoly.line(1, 1, -2),
+        # no line aX + bY + Z; the only line is X/2 + Y, then only X = 0
+        "only_aX_plus_Y": HomPoly.line(1, 2, 0) * conic,
+        "only_X": HomPoly.line(1, 0, 0) * conic,
+        "irreducible_conic": conic,
+        "nodal_cubic": mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1)),
+    }
+    for n in range(12):
+        cases[f"random_cubic_{n}"] = random_poly(rng, 3)
+    for n in range(4):
+        cases[f"random_reducible_{n}"] = (random_poly(rng, 1)
+                                          * random_poly(rng, 2))
+    return cases
+
+
+def test_line_test_matches_expr_reference():
+    answers = {}
+    for name, p in _line_test_cases().items():
+        answers[name] = has_complex_line_factor(p)
+        assert answers[name] == reference_has_complex_line_factor(p), name
+    for name in ("line_times_conic", "conjugate_pair_times_line",
+                 "concurrent_lines", "only_aX_plus_Y", "only_X"):
+        assert answers[name] is True, name
+    assert not answers["irreducible_conic"]
+    assert not answers["nodal_cubic"]
+
+
+def test_line_test_reaches_every_chart(monkeypatch):
+    """The aX + Y and X = 0 forms pass the Groebner chart and are decided
+    by the later ones."""
+    cases = _line_test_cases()
+    gcds = []
+    real_gcd = PolyElement.gcd
+    monkeypatch.setattr(PolyElement, "gcd",
+                        lambda f, g: gcds.append(1) or real_gcd(f, g))
+    assert has_complex_line_factor(cases["only_aX_plus_Y"])
+    assert gcds
+    gcds.clear()
+    assert has_complex_line_factor(cases["only_X"])
+    assert gcds  # the univariate gcd ran and found nothing
+
+
+def reference_find_line_components(p):
+    """`find_line_components` over sympy `Expr` factoring, as reference."""
+    _, factors = sympy.factor_list(p.to_sympy(), *sympy.symbols("X Y Z"))
+    lines, residual = [], p
+    for fac, mult in factors:
+        hp = from_sympy(fac)
+        if hp.degree == 1:
+            hp = hp.monic()
+            for _ in range(mult):
+                lines.append(hp)
+                residual = exact_divide(residual, hp)
+    lines.sort(key=lambda l: tuple(l.coeff_vector()))
+    if residual.degree == 0:
+        return lines, True
+    return lines, not reference_has_complex_line_factor(residual)
+
+
+def test_find_line_components_matches_expr_reference():
+    rng = random.Random(31)
+    cases = list(_line_test_cases().values())
+    l1, l2 = HomPoly.line(1, -2, 1), HomPoly.line(Fraction(1, 3), 0, 2)
+    conic = mono((1, 0, 1)) - mono((0, 2, 0))
+    cases += [l1 * l1 * conic, l1 * l2 * l1 * conic * l2,
+              l1 * (mono((2, 0, 0)) + mono((0, 2, 0))) * conic]
+    for _ in range(6):
+        cases.append(random_poly(rng, 1) * random_poly(rng, 1)
+                     * random_poly(rng, 2) * random_poly(rng, 1))
+    for p in cases:
+        lines, complete = find_line_components(p)
+        ref_lines, ref_complete = reference_find_line_components(p)
+        assert complete == ref_complete
+        assert lines == ref_lines
+        assert [list(l.terms) for l in lines] == [list(l.terms)
+                                                  for l in ref_lines]
+
+
+def test_line_test_on_case4_residuals(monkeypatch):
+    residuals = []
+    real = curves.has_complex_line_factor
+
+    def spy(p):
+        residuals.append(p)
+        return real(p)
+
+    monkeypatch.setattr(curves, "has_complex_line_factor", spy)
+    for seed in range(4):
+        inst = generate("case4", seed)
+        construct_certificate(inst.point_set, extra=inst.extra)
+    assert residuals
+    for p in residuals:
+        assert real(p) == reference_has_complex_line_factor(p)
 
 
 def test_find_line_components_multiplicity():

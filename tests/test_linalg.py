@@ -1,18 +1,28 @@
 """Exact linear algebra: fraction-free ranks, canonical kernels, solving.
 
 Oracles: hand-sized matrices with known ranks, the Bareiss rank as the
-reference for the incremental reduction, and the defining identities
-A v = 0 / A x = b verified exactly on seeded random systems.
+reference for the incremental reduction, a Fraction Gauss-Jordan as the
+reference for the fraction-free RREF, sympy's `DomainMatrix.lll()` as the
+reference for the exact LLL where it runs, the two LLL invariants where it
+does not, and the defining identities A v = 0 / A x = b verified exactly on
+seeded random systems.
 """
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+
+from lelongplane import linalg, linsys
 from lelongplane.exactpoly import monomial_count
-from lelongplane.instances import generic12
-from lelongplane.linalg import (frac_rref, int_rank, nullspace, reduce_row,
-                                solve_exact)
+from lelongplane.instances import generate, generic12
+from lelongplane.linalg import (_lll_reduce, frac_rref, int_rank, nullspace,
+                                reduce_row, solve_exact)
 from lelongplane.linsys import (VanishingCondition, build_system,
                                 condition_rows)
 
@@ -141,3 +151,187 @@ def test_reduce_row_on_sextic_system():
     for idx, (piv, row) in enumerate(basis):
         assert math.gcd(*row) == 1 and row[piv] != 0
         assert all(row[p] == 0 for p, _ in basis[:idx])
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fractions: (rank, pivot_columns, reduced_rows)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return 0, [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][col]
+        m[rank] = [x / inv for x in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, pivots, m[:rank]
+
+
+def _sextic_conditions(kind, seed):
+    """Double at points 1-6, simple at 7-12: the `linsys --degree 6
+    --double 1,2,3,4,5,6` system of an instance."""
+    pts = generate(kind, seed).point_set.points
+    return [VanishingCondition(p, 2) for p in pts[:6]] \
+        + [VanishingCondition(p, 1) for p in pts[6:]]
+
+
+def test_frac_rref_matches_gauss_jordan():
+    rng = random.Random(61)
+    cases = [[], [[0, 0, 0]], [[0, 0], [0, 0]], [[Fraction(1, 3), 2]],
+             [[0, 5, 1], [0, 0, 0], [0, 10, 2]]]
+    for _ in range(30):  # full rank and rank deficient
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _mat(rng, nrows, ncols)
+        if rng.random() < 0.5 and nrows > 1:
+            i, j = rng.sample(range(nrows), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m[i] = [c * x for x in m[j]]  # a multiple of another row
+        if rng.random() < 0.3:
+            m.insert(rng.randint(0, len(m)), [0] * ncols)  # a zero row
+        if rng.random() < 0.3:
+            m.append(list(m[0]))  # a duplicate row
+        cases.append(m)
+    wide = _mat(rng, 3, 9)
+    cases.append(wide + [[a + b for a, b in zip(wide[0], wide[1])]])
+    for m in cases:
+        assert frac_rref(m) == reference_rref(m), m
+
+
+def test_frac_rref_on_sextic_systems():
+    for kind in ("generic12", "figure3"):
+        rows = [r for c in _sextic_conditions(kind, 0)
+                for r in condition_rows(6, c)]
+        assert len(rows) == 24 and len(rows[0]) == 28
+        got = frac_rref(rows)
+        assert got == reference_rref(rows)
+        assert got[0] == int_rank(rows)
+
+
+def test_build_system_rank_needs_no_second_elimination(monkeypatch):
+    conds = _sextic_conditions("generic12", 0)
+    expected = build_system(6, conds)
+
+    def refuse(rows):
+        raise AssertionError("build_system called int_rank")
+
+    monkeypatch.setattr(linalg, "int_rank", refuse)
+    monkeypatch.setattr(linsys, "int_rank", refuse)
+    assert build_system(6, conds) == expected
+
+
+def _gram_schmidt(basis):
+    """(mu, squared norms) of the Gram-Schmidt orthogonalization."""
+    m = len(basis)
+    mu = [[Fraction(0)] * m for _ in range(m)]
+    star, norms = [], []
+    for i, row in enumerate(basis):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(a * b for a, b in zip(row, star[j])) / norms[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def _assert_lll_reduced(basis):
+    mu, norms = _gram_schmidt(basis)
+    half = Fraction(1, 2)
+    assert all(abs(mu[i][j]) <= half
+               for i in range(len(basis)) for j in range(i))
+    assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2)
+               * norms[k - 1] for k in range(1, len(basis)))
+
+
+def _gram_det(basis):
+    """det(B B^T), the product of the Gram-Schmidt squared norms."""
+    return math.prod(_gram_schmidt(basis)[1])
+
+
+def _primitive_int_rows(basis):
+    """Each row scaled to coprime integers, as `_lll_reduce` scales it."""
+    out = []
+    for row in basis:
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        row = [int(x * scale) for x in row]
+        g = math.gcd(*row)
+        out.append([x // g for x in row])
+    return out
+
+
+def reference_lll(basis):
+    """sympy's LLL on the primitive integer rows, as `_lll_reduce` feeds it."""
+    ints = _primitive_int_rows(basis)
+    m = DomainMatrix([[ZZ(x) for x in row] for row in ints],
+                     (len(ints), len(ints[0])), ZZ)
+    return [[Fraction(int(x)) for x in row] for row in m.lll().to_list()]
+
+
+def _captured_lll_inputs(monkeypatch, run):
+    seen = []
+    real = linalg._lll_reduce
+
+    def spy(basis):
+        seen.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(linalg, "_lll_reduce", spy)
+    run()
+    return seen
+
+
+def test_lll_matches_sympy_where_sympy_runs(monkeypatch):
+    rng = random.Random(71)
+
+    def run():
+        for _ in range(12):
+            nrows = rng.randint(1, 4)
+            ncols = nrows + rng.randint(1, 4)
+            nullspace(_mat(rng, nrows, ncols), ncols)
+        for kind in ("generic12", "figure3"):
+            build_system(6, _sextic_conditions(kind, 0))
+            build_system(4, _sextic_conditions(kind, 0)[6:])
+
+    bases = _captured_lll_inputs(monkeypatch, run)
+    assert len(bases) >= 10
+    for basis in bases:
+        got = _lll_reduce(basis)
+        assert got == reference_lll(basis)
+        _assert_lll_reduced(got)
+
+
+def test_lll_on_the_basis_sympy_fails(monkeypatch):
+    """figure3 seed 2: sympy rounds mu through float and leaves it
+    unreduced, then fails its own final check."""
+    conds = _sextic_conditions("figure3", 2)
+    bases = _captured_lll_inputs(monkeypatch, lambda: build_system(6, conds))
+    (basis,) = bases
+    with pytest.raises(AssertionError):
+        reference_lll(basis)
+    got = _lll_reduce(basis)
+    _assert_lll_reduced(got)
+    assert _gram_det(got) == _gram_det(_primitive_int_rows(basis))
+    rows = [r for c in conds for r in condition_rows(6, c)]
+    assert all(sum(a * b for a, b in zip(row, v)) == 0
+               for v in got for row in rows)
+
+
+def test_linalg_imports_no_sympy():
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.split(".")[0] == "sympy"]
