@@ -102,8 +102,8 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     """Re-derive every certificate invariant from scratch.
 
     Checks: the pair is coprime (discrete common zeros, decided by
-    exactpoly.coprime: a modular resultant on a line, or sympy's gcd when
-    that proof fails), r >= 1, the listed points are pairwise distinct,
+    exactpoly.coprime: a modular resultant on a line, or the gcd in
+    sympy's polynomial ring when that proof fails), r >= 1, the listed points are pairwise distinct,
     every one is a common zero whose claimed weight equals
     min(ord P, ord Q)/r and whose intersection multiplicity is at least
     ord P * ord Q, P and Q have one degree and gamma equals it over r,

@@ -3,18 +3,22 @@
 Line-component detection and (ir)reducibility are decided by an elimination
 procedure (substitute a parametrized line, then Groebner bases / univariate
 gcds on the coefficient system), so the answers are certified over the
-complex numbers even though all data is rational. The systems are built and
-reduced in sympy's polynomial ring Q[a, b] (`sympy.polys.rings`), and the
-rational lines are split off by factoring in Q[X, Y, Z], not through sympy
-expressions.
+complex numbers even though all data is rational. Smoothness is decided the
+same way on the partial derivatives. Every such system, factorization and
+gcd is computed in sympy's polynomial rings (`sympy.polys.rings`) over Q:
+Q[a, b], Q[X, Y], Q[s] and Q[X, Y, Z]. No sympy expression is built.
 
 Local intersection numbers are decided in two stages. The first reads the
 tangent cones, the lowest-degree parts of the two local expansions: when
 they share no line, mu_x = ord_x P * ord_x Q (Fulton, Algebraic Curves,
 3.3, property 5), decided by Euclid over Q on binary forms. Only where the
 cones share a line does the classical recursive reduction in affine
-coordinates run, on the rational factors of the pair. A sheared-resultant
-computation provides an independent oracle.
+coordinates run, on the rational factors of the pair. An independent
+oracle reads mu from sheared resultants. Those resultants are computed
+here: Sylvester determinants at integer points, taken fraction-free by
+`linalg.int_det`, then interpolated. `bezout_table` reads the rational
+common zeros from the linear factors of the resultant and of the fiber
+gcds in Q[s].
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.groebnertools import groebner
 from sympy.polys.orderings import lex
@@ -31,14 +34,18 @@ from sympy.polys.rings import ring
 
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate, exact_divide,
-                        from_sympy, gcd_homogeneous, partial_derivatives)
-from .linalg import frac_rref
+                        from_ring, gcd_homogeneous, partial_derivatives,
+                        to_ring)
+from .linalg import frac_rref, int_det
 from .linsys import VanishingCondition, build_system
 
 _QAB, _RA, _RB = ring("a,b", QQ, lex)
-_QXYZ = ring("X,Y,Z", QQ, lex)[0]
-_S = sympy.Symbol("s")
-_SX, _SY, _SZ = sympy.symbols("X Y Z")
+_QXY = ring("X,Y", QQ, lex)[0]
+_QS = ring("s", QQ, lex)[0]
+
+
+def _qq(c: Fraction):
+    return QQ(c.numerator, c.denominator)
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,7 @@ def has_complex_line_factor(p: HomPoly) -> bool:
     # lines aX + bY + Z: coefficient of X^m Y^(d-m) in p(X, Y, -aX - bY)
     coeffs = [_QAB.zero] * (d + 1)
     for (i, j, k), c in p.terms.items():
-        cc = QQ(c.numerator, c.denominator) * (-1) ** k
+        cc = _qq(c) * (-1) ** k
         for l in range(k + 1):
             coeffs[i + l] += cc * math.comb(k, l) * _RA ** l * _RB ** (k - l)
     eqs = [e for e in coeffs if e]
@@ -110,7 +117,7 @@ def has_complex_line_factor(p: HomPoly) -> bool:
     # lines aX + Y: coefficient of X^m Z^(d-m) in p(X, -aX, Z)
     coeffs = [_QAB.zero] * (d + 1)
     for (i, j, k), c in p.terms.items():
-        coeffs[i + j] += QQ(c.numerator, c.denominator) * (-_RA) ** j
+        coeffs[i + j] += _qq(c) * (-_RA) ** j
     nonzero = [e for e in coeffs if e]
     if not nonzero:
         return True
@@ -133,14 +140,11 @@ def find_line_components(p: HomPoly) -> tuple[list[HomPoly], bool]:
         raise PreconditionError("degree must be between 1 and 6")
     if p.is_zero:
         raise PreconditionError("zero polynomial")
-    _, factors = _QXYZ({e: QQ(c.numerator, c.denominator)
-                        for e, c in p.terms.items()}).factor_list()
     lines: list[HomPoly] = []
     residual = p
-    for fac, mult in factors:
+    for fac, mult in to_ring(p).factor_list()[1]:
         if sum(fac.LM) == 1:  # factors of a form are forms
-            hp = HomPoly(1, {e: Fraction(int(c.numerator), int(c.denominator))
-                             for e, c in fac.terms()}).monic()
+            hp = from_ring(fac).monic()
             for _ in range(mult):
                 lines.append(hp)
                 residual = exact_divide(residual, hp)
@@ -163,30 +167,27 @@ def is_smooth(p: HomPoly) -> bool:
     """True iff the partials have no common projective zero over C."""
     if p.degree < 1:
         raise PreconditionError("needs positive degree")
-    parts = [q.to_sympy() for q in partial_derivatives(p)]
-    # chart Z = 1
-    eqs = [sympy.expand(q.subs(_SZ, 1)) for q in parts]
-    eqs = [e for e in eqs if e != 0]
-    if not eqs:
-        return False
-    gb = sympy.groebner(eqs, _SX, _SY, order="lex")
-    if 1 not in gb.exprs and -1 not in gb.exprs:
+    parts = partial_derivatives(p)
+    # chart Z = 1: the unit ideal iff the reduced basis is [1]
+    eqs = [_QXY({(i, j): _qq(c) for (i, j, _), c in q.terms.items()})
+           for q in parts]
+    eqs = [e for e in eqs if e]
+    if not eqs or groebner(eqs, _QXY) != [_QXY.one]:
         return False
     # chart Y = 1, Z = 0
-    eqs = [sympy.expand(q.subs({_SZ: 0, _SY: 1})) for q in parts]
-    nonzero = [e for e in eqs if e != 0]
+    eqs = [_QS({(i,): _qq(c) for (i, _, k), c in q.terms.items() if k == 0})
+           for q in parts]
+    nonzero = [e for e in eqs if e]
     if not nonzero:
         return False
     g = nonzero[0]
     for e in nonzero[1:]:
-        g = sympy.gcd(g, e)
-    if sympy.degree(g, _SX) >= 1:
+        g = g.gcd(e)
+    if g.degree() >= 1:
         return False
     # the point (1:0:0)
     one = ProjPoint(1, 0, 0)
-    if all(evaluate(q, one) == 0 for q in partial_derivatives(p)):
-        return False
-    return True
+    return not all(evaluate(q, one) == 0 for q in parts)
 
 
 def rational_singular_points(p: HomPoly) -> list[ProjPoint]:
@@ -306,9 +307,8 @@ def _rational_factors(p: HomPoly):
             # integer factorization stage; the direct recursion is cheaper
             out = [(prim, 1)]
         else:
-            _, factors = sympy.factor_list(prim.to_sympy(), _SX, _SY, _SZ)
-            out = [(from_sympy(fac).primitive_int(), mult)
-                   for fac, mult in factors]
+            out = [(from_ring(fac).primitive_int(), mult)
+                   for fac, mult in to_ring(prim).factor_list()[1]]
         if len(_factor_cache) > 256:
             _factor_cache.clear()
         _factor_cache[key] = out
@@ -463,13 +463,14 @@ def _frame_point_fwd(x: ProjPoint, s: int) -> ProjPoint:
     return ProjPoint(a, b, c - s * a - s * s * b)
 
 
-def _choose_frame(p: HomPoly, q: HomPoly) -> int:
+def _choose_frame(p: HomPoly, q: HomPoly, x: ProjPoint | None = None) -> int:
     """Smallest s >= 0 such that after the frame change neither curve
-    contains the reference line Z = 0. Each line of either curve rules out
-    at most two values of s, so the scan is short."""
+    contains the reference line Z = 0 and, when given, x lies off it. Each
+    line of either curve and the point x rule out at most two values of s,
+    so the scan is short."""
     d = p.degree + q.degree
-    for s in range(2 * d + 1):
-        ok = True
+    for s in range(2 * d + 3):
+        ok = x is None or _frame_point_fwd(x, s).coords[2] != 0
         for f in (p, q):
             vals = [evaluate(f, ProjPoint(t, 1, s * t + s * s))
                     for t in range(f.degree + 1)]
@@ -496,13 +497,62 @@ def _shear(p: HomPoly, t: int) -> HomPoly:
 
 
 def _resultant_xz(p: HomPoly, q: HomPoly):
-    """Resultant with respect to Y, as a binary form dict {(i, k): Fraction}."""
-    res = sympy.resultant(p.to_sympy(), q.to_sympy(), _SY)
-    res = sympy.expand(res)
-    if res == 0:
-        return {}
-    poly = sympy.Poly(res, _SX, _SZ, domain="QQ")
-    return {(int(i), int(k)): Fraction(c.p, c.q) for (i, k), c in poly.terms()}
+    """Res_Y(p, q) as a binary form dict {(i, k): Fraction} of degree mn in
+    X and Z; {} when p and q share a component.
+
+    The Y-leading coefficients p(0, 1, 0) and q(0, 1, 0) must be nonzero:
+    then the Y-degrees m and n survive every specialization, so the
+    resultant at (x, 1) is that of the univariate forms p(x, Y, 1) and
+    q(x, Y, 1) (Cox, Little and O'Shea, ch. 3, sec. 6). The integer-scaled
+    forms are evaluated at mn + 1 consecutive integers x, each Sylvester
+    determinant is taken fraction-free, and Newton's forward differences
+    interpolate the values; the scales are divided out at the end.
+    """
+    m, n = p.degree, q.degree
+    if (0, m, 0) not in p.terms or (0, n, 0) not in q.terms:
+        raise PreconditionError("the center [0:1:0] lies on a curve")
+    (lp, ip), (lq, iq) = _int_scaled(p), _int_scaled(q)
+    size, start = m * n + 1, -(m * n // 2)
+    values = []
+    for x in range(start, start + size):
+        a, b = _y_coeffs(ip, m, x), _y_coeffs(iq, n, x)
+        rows = [[0] * r + a + [0] * (n - 1 - r) for r in range(n)]
+        rows += [[0] * r + b + [0] * (m - 1 - r) for r in range(m)]
+        values.append(int_det(rows))
+    # N! * Res(X, 1) = sum over k of (N!/k!) * Delta^k * (X - start)_k
+    top = size - 1
+    acc = [0] * size
+    falling = [1]  # coefficients of (X - start)_k by power of X
+    weight = math.factorial(top)
+    for k in range(size):
+        diff = values[0]
+        for i, c in enumerate(falling):
+            acc[i] += weight * diff * c
+        values = [v - u for u, v in zip(values, values[1:])]
+        if k < top:
+            root = start + k
+            falling = [-root * falling[0]] + [
+                falling[i - 1] - root * falling[i]
+                for i in range(1, len(falling))] + [falling[-1]]
+            weight //= k + 1
+    den = math.factorial(top) * lp ** n * lq ** m
+    return {(i, top - i): Fraction(c, den) for i, c in enumerate(acc) if c}
+
+
+def _int_scaled(p: HomPoly):
+    """(L, integer terms of L * p), L the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator)
+                 for e, c in p.terms.items()}
+
+
+def _y_coeffs(terms, degree: int, x, z=1) -> list:
+    """Coefficients of a form, given by its terms, at (x, Y, z), from
+    Y^degree down."""
+    out = [0] * (degree + 1)
+    for (i, j, k), c in terms.items():
+        out[degree - j] += c * x ** i * z ** k
+    return out
 
 
 def _binary_root_multiplicity(binform, u: Fraction, v: Fraction) -> int:
@@ -565,7 +615,9 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
         return 0
     if not coprime(p, q):
         raise PreconditionError("common component: oracle needs coprime forms")
-    frame = _choose_frame(p, q)
+    # every projection center lies on the line Z = 0, so all common zeros
+    # on that line share each projection: x must lie off it
+    frame = _choose_frame(p, q, x)
     p, q = _frame_sub(p, frame), _frame_sub(q, frame)
     x = _frame_point_fwd(x, frame)
     m, n = p.degree, q.degree
@@ -599,11 +651,22 @@ def common_zeros_discrete(p: HomPoly, q: HomPoly) -> bool:
     return coprime(p, q)
 
 
-def _univariate_rational_roots(expr, var) -> list[Fraction]:
-    poly = sympy.Poly(expr, var, domain="QQ")
-    if poly.is_zero:
-        raise PreconditionError("identically zero restriction")
-    return [Fraction(r.p, r.q) for r in poly.ground_roots()]
+def _rational_roots(f) -> list[Fraction]:
+    """Rational roots of a nonzero element of Q[s], read from its linear
+    factors."""
+    roots = []
+    for fac, _ in f.factor_list()[1]:
+        if fac.degree() == 1:
+            c = dict(fac.terms())
+            r = -c.get((0,), QQ.zero) / c[(1,)]
+            roots.append(Fraction(int(r.numerator), int(r.denominator)))
+    return roots
+
+
+def _fiber(p: HomPoly, x: Fraction, z: Fraction):
+    """p(x, s, z) as an element of Q[s]."""
+    coeffs = _y_coeffs(p.terms, p.degree, x, z)
+    return _QS({(p.degree - e,): _qq(c) for e, c in enumerate(coeffs)})
 
 
 def bezout_table(p: HomPoly, q: HomPoly):
@@ -626,31 +689,23 @@ def bezout_table(p: HomPoly, q: HomPoly):
     # projection roots: finite X/Z values plus possibly the line Z = 0
     points: set[ProjPoint] = set()
     z_exp = min(k for (_, k) in res)
-    deg = max(i + k for (i, k) in res)
-    uni = sympy.Integer(0)
-    for (i, k), c in res.items():
-        uni += sympy.Rational(c.numerator, c.denominator) * _S ** i
-    finite_roots = _univariate_rational_roots(uni, _S)
+    finite_roots = _rational_roots(
+        _QS({(i,): _qq(c) for (i, _), c in res.items()}))
 
-    def fiber_points(restrict):
-        """Common rational zeros of p_t, q_t on a parametrized line."""
-        pu = sympy.expand(pt.to_sympy().subs(restrict))
-        qu = sympy.expand(qt.to_sympy().subs(restrict))
-        if pu == 0 or qu == 0:
+    def fiber_points(x, z):
+        """Common rational zeros of p_t, q_t on the line (x, s, z)."""
+        pu, qu = _fiber(pt, x, z), _fiber(qt, x, z)
+        if not pu or not qu:
             return []
-        g = sympy.gcd(pu, qu)
-        if sympy.degree(g, _SY) < 1:
-            return []
-        return _univariate_rational_roots(g, _SY)
+        return _rational_roots(pu.gcd(qu))
 
     for u in finite_roots:
-        ur = sympy.Rational(u.numerator, u.denominator)
-        for s in fiber_points({_SX: ur, _SZ: 1}):
+        for s in fiber_points(u, Fraction(1)):
             # the sheared point (u, s, 1) maps back through X -> X + tY,
             # then through the frame change
             points.add(_frame_point_back(ProjPoint(u + t * s, s, 1), frame))
     if z_exp >= 1:
-        for s in fiber_points({_SX: 1, _SZ: 0}):
+        for s in fiber_points(Fraction(1), Fraction(0)):
             points.add(_frame_point_back(ProjPoint(1 + t * s, s, 0), frame))
     records = []
     for x in sorted(points, key=lambda pp: pp.coords):

@@ -13,11 +13,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 from .errors import ParseError, PreconditionError
 
-_SX, _SY, _SZ = sympy.symbols("X Y Z")
+_QXYZ = ring("X,Y,Z", QQ, lex)[0]
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -266,12 +268,6 @@ class HomPoly:
         den = big_l * a.denominator ** top1 * b.denominator ** top2
         return chart, {k: Fraction(v, den) for k, v in out.items() if v}
 
-    def to_sympy(self):
-        expr = sympy.Integer(0)
-        for (i, j, k), c in self.terms.items():
-            expr += sympy.Rational(c.numerator, c.denominator) * _SX**i * _SY**j * _SZ**k
-        return expr
-
 
 def _shift_rows(n: int, d: int, top: int) -> list[list[int]]:
     """Integer coefficients of (n/d + s)^e in s, times d^top, for e <= top."""
@@ -281,16 +277,17 @@ def _shift_rows(n: int, d: int, top: int) -> list[list[int]]:
              for i in range(e + 1)] for e in range(top + 1)]
 
 
-def from_sympy(expr, degree: int | None = None) -> HomPoly:
-    poly = sympy.Poly(sympy.expand(expr), _SX, _SY, _SZ, domain="QQ")
-    terms = {}
-    deg = 0
-    for exps, coeff in poly.terms():
-        deg = max(deg, sum(exps))
-        terms[tuple(int(e) for e in exps)] = Fraction(coeff.p, coeff.q)
-    if degree is None:
-        degree = deg
-    return HomPoly(degree, terms)
+def to_ring(p: HomPoly):
+    """p as an element of sympy's polynomial ring Q[X, Y, Z] (lex)."""
+    return _QXYZ({e: QQ(c.numerator, c.denominator)
+                  for e, c in p.terms.items()})
+
+
+def from_ring(f) -> HomPoly:
+    """A nonzero homogeneous element of Q[X, Y, Z] as a HomPoly."""
+    return HomPoly(sum(f.LM), {e: Fraction(int(c.numerator),
+                                           int(c.denominator))
+                               for e, c in f.terms()})
 
 
 def evaluate(p: HomPoly, x: ProjPoint) -> Fraction:
@@ -403,8 +400,7 @@ def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    g = sympy.gcd(p.to_sympy(), q.to_sympy())
-    return from_sympy(g).monic()
+    return from_ring(to_ring(p).gcd(to_ring(q))).monic()
 
 
 # (u, v, prime): the line t -> u + t*v and a prime below 2^31
@@ -428,8 +424,8 @@ def coprime(p: HomPoly, q: HomPoly) -> bool:
     then share no root in P^1. A shared component would meet the line in
     a common root, or contain it, making p(v) = 0; so none exists. Only
     when no entry of the fixed list _COPRIME_PROOFS gives a proof does
-    sympy's gcd decide, so every pair that shares a component is answered
-    by the gcd.
+    gcd_homogeneous decide, so every pair that shares a component is
+    answered by the gcd.
     """
     if not p.is_zero and not q.is_zero:
         for u, v, prime in _COPRIME_PROOFS:

@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals used by every module.
 
-Everything runs on integer-scaled rows, with no sympy. Rank queries run
-fraction-free (Bareiss). `reduce_row` is the one incremental integer
-elimination: searches add rows one at a time through it, and `frac_rref`
-reduces all rows through it, then back-substitutes in integers and builds
-Fractions only for the result. Kernels are canonicalized by that reduced
-row echelon form and shortened by an exact LLL over ints and Fractions, so
-outputs are deterministic.
+Everything runs on integer-scaled rows, with no sympy. Rank and
+determinant queries share one fraction-free elimination (Bareiss).
+`reduce_row` is the one incremental integer elimination: searches add rows
+one at a time through it, and `frac_rref` reduces all rows through it, then
+back-substitutes in integers and builds Fractions only for the result.
+Kernels are canonicalized by that reduced row echelon form and shortened
+by an exact LLL over ints and Fractions, so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -27,14 +27,16 @@ def _int_rows(rows):
     return out
 
 
-def int_rank(rows) -> int:
-    """Rank via fraction-free Gaussian elimination on integer-scaled rows."""
-    m = [r[:] for r in _int_rows(rows)]
+def _bareiss(m):
+    """Fraction-free Gaussian elimination (Bareiss 1968), in place on
+    integer rows. Returns (rank, det), det being the last pivot signed by
+    the row swaps: the determinant when m is square of full rank."""
     if not m:
-        return 0
+        return 0, 1
     nrows, ncols = len(m), len(m[0])
     rank = 0
     prev = 1
+    sign = 1
     for col in range(ncols):
         piv = None
         for r in range(rank, nrows):
@@ -43,7 +45,9 @@ def int_rank(rows) -> int:
                 break
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
         p = m[rank][col]
         for r in range(rank + 1, nrows):
             f = m[r][col]
@@ -53,7 +57,18 @@ def int_rank(rows) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, sign * prev
+
+
+def int_rank(rows) -> int:
+    """Rank via fraction-free Gaussian elimination on integer-scaled rows."""
+    return _bareiss(_int_rows(rows))[0]
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix, by the same elimination."""
+    rank, det = _bareiss([list(r) for r in rows])
+    return det if rank == len(rows) else 0
 
 
 def reduce_row(basis, row):

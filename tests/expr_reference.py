@@ -1,0 +1,159 @@
+"""Reference implementations on sympy `Expr`, for tests only.
+
+The package computes resultants in its own code and everything else in
+sympy's polynomial rings; these are the expression-based versions it
+replaced, kept as independent references: the converters between
+`HomPoly` and `Expr`, `sympy.resultant` for `curves._resultant_xz`, the
+`Expr` versions of `gcd_homogeneous`, `_rational_factors`, `is_smooth` and
+`bezout_table`, and `use_expr_internals`, which puts the first three back
+into the package so that its multiplicity algorithms run as they did.
+"""
+
+from fractions import Fraction
+
+import sympy
+
+from lelongplane import curves, exactpoly
+from lelongplane.errors import PreconditionError
+from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
+                                   partial_derivatives)
+
+X, Y, Z = sympy.symbols("X Y Z")
+S = sympy.Symbol("s")
+
+
+def to_sympy(p: HomPoly):
+    expr = sympy.Integer(0)
+    for (i, j, k), c in p.terms.items():
+        expr += sympy.Rational(c.numerator, c.denominator) * X**i * Y**j * Z**k
+    return expr
+
+
+def from_sympy(expr, degree: int | None = None) -> HomPoly:
+    poly = sympy.Poly(sympy.expand(expr), X, Y, Z, domain="QQ")
+    terms = {}
+    deg = 0
+    for exps, coeff in poly.terms():
+        deg = max(deg, sum(exps))
+        terms[tuple(int(e) for e in exps)] = Fraction(coeff.p, coeff.q)
+    if degree is None:
+        degree = deg
+    return HomPoly(degree, terms)
+
+
+def reference_resultant_xz(p: HomPoly, q: HomPoly):
+    """Res_Y(p, q) by `sympy.resultant`, as a binary form dict."""
+    res = sympy.expand(sympy.resultant(to_sympy(p), to_sympy(q), Y))
+    if res == 0:
+        return {}
+    poly = sympy.Poly(res, X, Z, domain="QQ")
+    return {(int(i), int(k)): Fraction(c.p, c.q) for (i, k), c in poly.terms()}
+
+
+def reference_gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
+    if p.is_zero or q.is_zero:
+        return (q if p.is_zero else p).monic()
+    return from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).monic()
+
+
+def reference_rational_factors(p: HomPoly):
+    prim = p.primitive_int()
+    bits = max(abs(c.numerator).bit_length() for c in prim.terms.values())
+    if bits > 192:
+        return [(prim, 1)]
+    _, factors = sympy.factor_list(to_sympy(prim), X, Y, Z)
+    return [(from_sympy(fac).primitive_int(), mult) for fac, mult in factors]
+
+
+def use_expr_internals(monkeypatch):
+    """Run the package's resultants, gcds and factorizations on `Expr`."""
+    monkeypatch.setattr(curves, "_resultant_xz", reference_resultant_xz)
+    monkeypatch.setattr(curves, "_rational_factors",
+                        reference_rational_factors)
+    for module in (curves, exactpoly):
+        monkeypatch.setattr(module, "gcd_homogeneous",
+                            reference_gcd_homogeneous)
+
+
+def reference_is_smooth(p: HomPoly) -> bool:
+    parts = [to_sympy(q) for q in partial_derivatives(p)]
+    eqs = [e for e in (sympy.expand(q.subs(Z, 1)) for q in parts) if e != 0]
+    if not eqs:
+        return False
+    gb = sympy.groebner(eqs, X, Y, order="lex")
+    if 1 not in gb.exprs and -1 not in gb.exprs:
+        return False
+    eqs = [sympy.expand(q.subs({Z: 0, Y: 1})) for q in parts]
+    nonzero = [e for e in eqs if e != 0]
+    if not nonzero:
+        return False
+    g = nonzero[0]
+    for e in nonzero[1:]:
+        g = sympy.gcd(g, e)
+    if sympy.degree(g, X) >= 1:
+        return False
+    one = ProjPoint(1, 0, 0)
+    return not all(evaluate(q, one) == 0 for q in partial_derivatives(p))
+
+
+def _univariate_rational_roots(expr, var) -> list[Fraction]:
+    poly = sympy.Poly(expr, var, domain="QQ")
+    if poly.is_zero:
+        raise PreconditionError("identically zero restriction")
+    return [Fraction(r.p, r.q) for r in poly.ground_roots()]
+
+
+def reference_bezout_table(p: HomPoly, q: HomPoly):
+    """`curves.bezout_table` with its resultant, roots and fiber gcds on
+    `Expr`, as the package computed it before."""
+    if p.is_zero or q.is_zero:
+        raise PreconditionError("needs nonzero forms")
+    if not coprime(p, q):
+        raise PreconditionError("infinite intersection")
+    m, n = p.degree, q.degree
+    if m == 0 or n == 0:
+        return [], 0
+    frame = curves._choose_frame(p, q)
+    pf, qf = curves._frame_sub(p, frame), curves._frame_sub(q, frame)
+    t = curves._valid_shears(pf, qf, 1)[0]
+    pt, qt = curves._shear(pf, t), curves._shear(qf, t)
+    res = reference_resultant_xz(pt, qt)
+    if not res:
+        raise PreconditionError("vanishing resultant for coprime forms")
+    points: set[ProjPoint] = set()
+    z_exp = min(k for (_, k) in res)
+    uni = sympy.Integer(0)
+    for (i, k), c in res.items():
+        uni += sympy.Rational(c.numerator, c.denominator) * S ** i
+    finite_roots = _univariate_rational_roots(uni, S)
+
+    def fiber_points(restrict):
+        pu = sympy.expand(to_sympy(pt).subs(restrict))
+        qu = sympy.expand(to_sympy(qt).subs(restrict))
+        if pu == 0 or qu == 0:
+            return []
+        g = sympy.gcd(pu, qu)
+        if sympy.degree(g, Y) < 1:
+            return []
+        return _univariate_rational_roots(g, Y)
+
+    for u in finite_roots:
+        ur = sympy.Rational(u.numerator, u.denominator)
+        for s in fiber_points({X: ur, Z: 1}):
+            points.add(curves._frame_point_back(
+                ProjPoint(u + t * s, s, 1), frame))
+    if z_exp >= 1:
+        for s in fiber_points({X: 1, Z: 0}):
+            points.add(curves._frame_point_back(
+                ProjPoint(1 + t * s, s, 0), frame))
+    records = []
+    for x in sorted(points, key=lambda pp: pp.coords):
+        if evaluate(p, x) != 0 or evaluate(q, x) != 0:
+            continue
+        mu = curves.intersection_multiplicity(p, q, x)
+        records.append(curves.IntersectionRecord(point=x,
+                                                 multiplicity=int(mu)))
+    residual = m * n - sum(r.multiplicity for r in records)
+    if residual < 0:
+        raise PreconditionError("multiplicity bookkeeping error")
+    return records, residual

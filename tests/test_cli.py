@@ -12,10 +12,11 @@ import pytest
 
 from lelongplane import construct, serialize
 from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
-                             EXIT_VERIFICATION, main)
+                             EXIT_UNSUPPORTED, EXIT_VERIFICATION, main)
 from lelongplane.construct import (PotentialCertificate, make_certificate,
                                    verify_certificate)
 from lelongplane.exactpoly import HomPoly, ProjPoint, vanishing_order
+from lelongplane.instances import INSTANCE_KINDS
 
 
 def run(*argv):
@@ -134,6 +135,37 @@ def test_lelong_accepts_certificates_with_large_coordinates(tmp_path, capsys,
                "--cert", str(cert)) == EXIT_OK
     assert run("certify", "--input", str(cert)) == EXIT_OK
     assert run("lelong", "--input", str(cert)) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_sweep_ends_in_a_documented_outcome(tmp_path, capsys, kind):
+    """generate -> construct -> certify -> lelong at seeds 0-3: every step
+    exits 0, or the run stops at a documented 2 (precondition) or 4
+    (unsupported); never 1, never an uncaught exception. Today every kind
+    ends in a certificate except example6lines, whose 15 points make
+    `construct` exit 2."""
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    steps = [("generate", "--kind", kind, "--out", str(inst)),
+             ("construct", "--input", str(inst), "--cert", str(cert)),
+             ("certify", "--input", str(cert)),
+             ("lelong", "--input", str(cert))]
+    for seed in range(4):
+        ends = []
+        for step in steps:
+            argv = list(step)
+            if step[0] == "generate":
+                argv += ["--seed", str(seed)]
+            code = run(*argv)
+            assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_UNSUPPORTED), \
+                (step[0], seed, code)
+            if code != EXIT_OK:
+                ends.append((step[0], code))
+                break
+        if kind == "example6lines":
+            assert ends == [("construct", EXIT_PRECONDITION)], seed
+        else:
+            assert ends == [], seed
     capsys.readouterr()
 
 

@@ -9,8 +9,12 @@ deg(p)*deg(q) = sum of multiplicities + residual.
 
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -27,9 +31,13 @@ from lelongplane.curves import (analyze_curve, bezout_table,
                                 resultant_multiplicity)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, exact_divide,
-                                   from_sympy, gcd_homogeneous, monomials,
+                                   gcd_homogeneous, monomials,
                                    vanishing_order)
 from lelongplane.instances import generate
+
+from expr_reference import (from_sympy, reference_bezout_table,
+                            reference_is_smooth, reference_resultant_xz,
+                            to_sympy, use_expr_internals)
 
 ORIGIN = ProjPoint(Fraction(0), Fraction(0), Fraction(1))
 
@@ -168,7 +176,7 @@ def test_line_test_reaches_every_chart(monkeypatch):
 
 def reference_find_line_components(p):
     """`find_line_components` over sympy `Expr` factoring, as reference."""
-    _, factors = sympy.factor_list(p.to_sympy(), *sympy.symbols("X Y Z"))
+    _, factors = sympy.factor_list(to_sympy(p), *sympy.symbols("X Y Z"))
     lines, residual = [], p
     for fac, mult in factors:
         hp = from_sympy(fac)
@@ -395,6 +403,20 @@ def test_strict_resultant_mode_agrees():
     assert resultant_multiplicity(x_axis, cusp, ORIGIN, strict=True) == 3
 
 
+def test_oracle_separates_common_zeros_on_the_line_z0():
+    """Every projection center lies on the frame's line Z = 0, so common
+    zeros on it always share a projection. Here (0:1:0) and (1:1:0), each
+    of multiplicity 1, lie on Z = 0, which frame 0 keeps; the oracle must
+    pick a frame that moves the point off that line, or it reads 2."""
+    p = HomPoly.line(1, 0, 1) * HomPoly.line(1, -1, 1)
+    q = HomPoly.line(1, 0, 0) * HomPoly.line(1, -1, 2)
+    assert curves._choose_frame(p, q) == 0
+    for x in (ProjPoint(0, 1, 0), ProjPoint(1, 1, 0)):
+        assert intersection_multiplicity(p, q, x) == 1
+        assert resultant_multiplicity(p, q, x) == 1
+        assert resultant_multiplicity(p, q, x, strict=True) == 1
+
+
 def test_bezout_engineered_grid():
     # three horizontal and three vertical lines: 9 simple rational points
     horiz = HomPoly.line(0, 1, 0) * HomPoly.line(0, 1, -1) \
@@ -431,3 +453,183 @@ def test_bezout_rejects_shared_component():
     l = HomPoly.line(1, 2, 3)
     with pytest.raises(PreconditionError):
         bezout_table(l * HomPoly.line(1, 0, 0), l * HomPoly.line(0, 1, 0))
+
+
+def _projected(p, q):
+    """p and q in the frame and shear from which `bezout_table` projects."""
+    frame = curves._choose_frame(p, q)
+    p, q = curves._frame_sub(p, frame), curves._frame_sub(q, frame)
+    t = curves._valid_shears(p, q, 1)[0]
+    return curves._shear(p, t), curves._shear(q, t)
+
+
+def _proportional(a, b):
+    """True iff two binary form dicts differ by a nonzero rational."""
+    if not a or not b:
+        return a == b
+    if a.keys() != b.keys():
+        return False
+    k = next(iter(a))
+    scale = b[k] / a[k]
+    return all(b[e] == scale * c for e, c in a.items())
+
+
+def test_resultant_matches_sympy_up_to_a_scalar():
+    rng = random.Random(43)
+    pairs = [(random_poly(rng, rng.randint(1, 4)),
+              random_poly(rng, rng.randint(1, 4))) for _ in range(20)]
+    # a common zero (1:1:0) on the line Z = 0, which the frame keeps
+    diag, z = HomPoly.line(1, -1, 0), mono((0, 0, 1))
+    on_z = (diag * random_poly(rng, 1) + z * random_poly(rng, 1),
+            diag * random_poly(rng, 2) + z * random_poly(rng, 2))
+    pairs.append(on_z)
+    for p, q in pairs:
+        pt, qt = _projected(p, q)
+        got = curves._resultant_xz(pt, qt)
+        assert got, (p, q)
+        assert all(i + k == p.degree * q.degree for i, k in got)
+        assert _proportional(got, reference_resultant_xz(pt, qt)), (p, q)
+    assert min(k for _, k in curves._resultant_xz(*_projected(*on_z))) >= 1
+    # a common component: the resultant vanishes identically
+    line = HomPoly.line(1, 2, -3)
+    p, q = _projected(line * random_poly(rng, 2), line * random_poly(rng, 1))
+    assert curves._resultant_xz(p, q) == {} == reference_resultant_xz(p, q)
+
+
+def test_resultant_needs_the_center_off_both_curves():
+    # XY vanishes at [0:1:0]: its Y-leading coefficient is 0
+    with pytest.raises(PreconditionError):
+        curves._resultant_xz(mono((1, 1, 0)), HomPoly.line(1, 1, 1))
+    with pytest.raises(PreconditionError):
+        curves._resultant_xz(HomPoly.line(1, 1, 1), mono((1, 0, 2)))
+
+
+def _line_through(rng, x):
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    if a == b == 0:
+        a = 1
+    return HomPoly.line(a, b, -(a * x.coords[0] + b * x.coords[1]))
+
+
+def _tangent_pairs(rng):
+    """Coprime pairs through a rational point x with a shared tangent there:
+    both smooth, or singular (order 2) on one or both sides, as in the
+    benchmark's tangent pairs."""
+    out = []
+    for d1, d2 in ((2, 3), (3, 3), (3, 4), (4, 4)):
+        for s1, s2 in ((False, False), (True, False), (False, True),
+                       (True, True)):
+            while True:
+                x = ProjPoint(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                              Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                              1)
+                tangent, other = _line_through(rng, x), _line_through(rng, x)
+
+                def curve(d, singular):
+                    sq = other * other
+                    if singular:
+                        return (sq * random_poly(rng, d - 2, 3)
+                                + tangent * other * random_poly(rng, d - 2, 3)
+                                + tangent * tangent
+                                * random_poly(rng, d - 2, 3))
+                    return (tangent * random_poly(rng, d - 1, 3)
+                            + sq * random_poly(rng, d - 2, 3))
+
+                p, q = curve(d1, s1), curve(d2, s2)
+                if not p.is_zero and not q.is_zero and \
+                        gcd_homogeneous(p, q).degree == 0:
+                    out.append((p, q))
+                    break
+    return out
+
+
+def _line_products(rng):
+    """Coprime products of small rational lines: many rational common
+    zeros, some where several lines meet."""
+    out = []
+    while len(out) < 14:
+        p = functools.reduce(HomPoly.__mul__, [random_poly(rng, 1, 2)
+                                               for _ in range(2)])
+        q = functools.reduce(HomPoly.__mul__, [random_poly(rng, 1, 2)
+                                               for _ in range(3)])
+        if gcd_homogeneous(p, q).degree == 0:
+            out.append((p, q))
+    return out
+
+
+def test_bezout_table_matches_expr_reference(monkeypatch):
+    """Records, residuals, and both multiplicity algorithms at every
+    record agree with the package as it ran on `Expr`."""
+    rng = random.Random(67)
+    pairs = _tangent_pairs(rng) + _line_products(rng)
+    new = []
+    for p, q in pairs:
+        records, residual = bezout_table(p, q)
+        mus = [(intersection_multiplicity(p, q, r.point),
+                resultant_multiplicity(p, q, r.point, strict=True))
+               for r in records]
+        new.append((records, residual, mus))
+    assert sum(len(records) for records, _, _ in new) >= 80
+    with monkeypatch.context() as patched:
+        use_expr_internals(patched)
+        for (p, q), (records, residual, mus) in zip(pairs, new):
+            assert reference_bezout_table(p, q) == (records, residual)
+            assert mus == [
+                (intersection_multiplicity(p, q, r.point),
+                 resultant_multiplicity(p, q, r.point, strict=True))
+                for r in records]
+            assert all(a == b == r.multiplicity
+                       for (a, b), r in zip(mus, records))
+
+
+def test_is_smooth_matches_expr_reference():
+    rng = random.Random(71)
+    nodal = mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1))
+    cases = [
+        mono((3, 0, 0)) + mono((0, 3, 0)) + mono((0, 0, 3)),  # Fermat
+        nodal,
+        # the node moved to (1:0:0) and to (0:1:0): the last two checks
+        mono((1, 2, 0)) - mono((0, 0, 3)) - mono((1, 0, 2)),
+        mono((0, 1, 2)) - mono((3, 0, 0)) - mono((2, 1, 0)),
+        mono((2, 0, 0)),  # a double line
+        HomPoly.line(1, 2, 3),
+        HomPoly.line(1, 0, 0) * HomPoly.line(0, 1, 0),
+    ]
+    cases += [random_poly(rng, rng.randint(1, 4)) for _ in range(12)]
+    answers = [is_smooth(p) for p in cases]
+    assert answers == [reference_is_smooth(p) for p in cases]
+    assert answers[:7] == [True, False, False, False, False, True, False]
+
+
+def test_library_builds_no_sympy_expressions():
+    """In a fresh interpreter, the curve layer runs without loading the
+    modules that sympy imports lazily on the first `Expr` arithmetic."""
+    code = """
+import sys
+from fractions import Fraction
+from lelongplane import curves
+from lelongplane.curves import (analyze_curve, bezout_table,
+                                intersection_multiplicity,
+                                resultant_multiplicity)
+from lelongplane.exactpoly import HomPoly, ProjPoint
+mono = HomPoly.monomial
+# two conics tangent to Y = 0 at the origin, contact of order 4
+p = mono((0, 1, 1)) - mono((2, 0, 0))
+q = mono((0, 1, 1)) - mono((2, 0, 0)) - mono((0, 2, 0))
+x = ProjPoint(0, 0, 1)
+assert intersection_multiplicity(p, q, x) == 4
+assert curves._factor_cache  # the reduction ran on rational factors
+assert resultant_multiplicity(p, q, x) == 4
+records, residual = bezout_table(p, q)
+assert [(r.point, r.multiplicity) for r in records] == [(x, 4)]
+nodal = mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1))
+assert analyze_curve(nodal).singular_points_over_q == (x,)
+assert not analyze_curve(p * HomPoly.line(1, 1, 1)).smooth
+print(sorted(m for m in sys.modules
+             if m == "sympy.tensor.tensor" or m.startswith("sympy.combinatorics")))
+"""
+    src = str(Path(curves.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -16,9 +16,11 @@ from lelongplane import exactpoly
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, divides,
                                    evaluate, exact_divide, fraction_from_str,
-                                   fraction_to_str, from_sympy,
-                                   gcd_homogeneous, monomial_count, monomials,
+                                   fraction_to_str, gcd_homogeneous,
+                                   monomial_count, monomials,
                                    partial_derivatives, vanishing_order)
+
+from expr_reference import from_sympy, to_sympy
 
 
 def random_poly(rng, degree, span=9):
@@ -330,7 +332,7 @@ def sympy_exact_divide(p, q):
     if p.degree < q.degree:
         return None
     x, y, z = sympy.symbols("X Y Z")
-    quo, rem = sympy.div(p.to_sympy(), q.to_sympy(), x, y, z)
+    quo, rem = sympy.div(to_sympy(p), to_sympy(q), x, y, z)
     if sympy.expand(rem) != 0:
         return None
     return from_sympy(quo, p.degree - q.degree)

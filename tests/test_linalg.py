@@ -21,8 +21,8 @@ from sympy.polys.matrices import DomainMatrix
 from lelongplane import linalg, linsys
 from lelongplane.exactpoly import monomial_count
 from lelongplane.instances import generate, generic12
-from lelongplane.linalg import (_lll_reduce, frac_rref, int_rank, nullspace,
-                                reduce_row, solve_exact)
+from lelongplane.linalg import (_lll_reduce, frac_rref, int_det, int_rank,
+                                nullspace, reduce_row, solve_exact)
 from lelongplane.linsys import (VanishingCondition, build_system,
                                 condition_rows)
 
@@ -39,6 +39,28 @@ def test_rank_oracles():
     assert int_rank([[1, 2], [3, 4]]) == 2
     # 3x3 with an exact dependency: row3 = row1 + row2
     assert int_rank([[1, 0, 2], [0, 1, 1], [1, 1, 3]]) == 2
+
+
+def test_int_det_matches_domain_matrix():
+    """Hand cases (a zero leading entry forces a row swap and a sign), then
+    seeded random integer matrices, full rank and singular, against
+    sympy's DomainMatrix determinant."""
+    assert int_det([]) == 1
+    assert int_det([[0, 1], [1, 0]]) == -1
+    assert int_det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    assert int_det([[1, 2], [2, 4]]) == 0
+    assert int_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    rng = random.Random(17)
+    for n in range(1, 9):
+        for _ in range(6):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                m[-1] = [a - 3 * b for a, b in zip(m[0], m[1 % n])]
+            want = DomainMatrix([[ZZ(x) for x in row] for row in m],
+                                (n, n), ZZ).det()
+            assert int_det(m) == want
+    # the Bareiss loop is shared: rank is unchanged by it
+    assert int_rank([[0, 1], [1, 0], [1, 1]]) == 2
 
 
 def test_rank_fraction_scaling_invariance():
