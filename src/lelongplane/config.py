@@ -1,12 +1,14 @@
 """Point-configuration invariants and 4-point-line incidence structures.
 
 m_j of a point set is the maximum number of its points lying on a single
-curve of degree j; a k-subset lies on such a curve iff its monomial
-evaluation matrix has a nonzero kernel. The subset search runs depth-first
-in lexicographic order with an incremental integer echelon basis, and drops
-every prefix that already has full rank: rank never drops when rows are
-added, so the first subset it returns is the first one in `combinations`
-order. Incidence structures are abstract families of 4-element label sets
+curve of degree j; a k-subset lies on such a curve iff its integer monomial
+evaluation matrix has a nonzero kernel. k walks upward from the
+interpolation floor until no k-subset is found. The subset search runs
+depth-first in lexicographic order, each node carrying the remaining rows
+fraction-free reduced by the rows it chose, and drops every prefix that
+would reach full rank: rank never drops when rows are added, so the first
+subset it returns is the first one in `combinations` order. Incidence
+structures are abstract families of 4-element label sets
 in which any two lines share exactly one label; they are enumerated up to
 relabeling and realized by seeded random placement with exact
 certification.
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, evaluate, join, line_coeffs, meet,
                         monomial_count, monomials)
-from .linalg import int_rank, nullspace, reduce_row
+from .linalg import bareiss_step, int_rank, nullspace
 
 
 @dataclass(frozen=True)
@@ -76,14 +78,19 @@ class IncidenceStructure:
 
 
 def _evaluation_rows(points, degree):
-    """Integer-scaled monomial evaluation rows, one per point."""
+    """Integer monomial evaluation rows, one per point.
+
+    Each point is scaled to integer coordinates by the lcm D of its
+    denominators, so its row is D**degree times the rational one: the
+    same row as clearing the denominators of the rational values.
+    """
     mons = monomials(degree)
     rows = []
     for p in points:
-        a, b, c = p.coords
-        vals = [a ** i * b ** j * c ** k for i, j, k in mons]
-        lcm = math.lcm(*(v.denominator for v in vals))
-        rows.append([int(v * lcm) for v in vals])
+        scale = math.lcm(*(x.denominator for x in p.coords))
+        pa, pb, pc = ([int(x * scale) ** e for e in range(degree + 1)]
+                      for x in p.coords)
+        rows.append([pa[i] * pb[j] * pc[k] for i, j, k in mons])
     return rows
 
 
@@ -97,52 +104,55 @@ def subset_on_curve(points, degree: int):
     ncols = monomial_count(degree)
     if int_rank(rows) == ncols:
         return None
-    frac_rows = [[Fraction(x) for x in r] for r in rows]
-    kernel = nullspace(frac_rows, ncols)
-    return HomPoly.from_coeff_vector(degree, kernel[0])
+    return HomPoly.from_coeff_vector(degree, nullspace(rows, ncols)[0])
 
 
 def _first_deficient_subset(rows, k, ncols):
     """The lexicographically first k-subset of row indices whose rows span
     fewer than `ncols` dimensions, or None.
 
-    Depth-first in index order, carrying the echelon basis of the prefix.
-    Adding rows never lowers the rank, so once a prefix reaches rank
-    `ncols` no extension of it is deficient and its subtree is dropped.
+    Depth-first in index order. Each node holds the rows after its last
+    chosen index, reduced by the pivot rows it chose (`bareiss_step`, one
+    column fewer per pivot), so a row depends on the chosen rows exactly
+    when it is all zeros. A nonzero row at rank ncols - 1 would reach full
+    rank, and adding rows never lowers the rank, so there only zero rows
+    can join and the first `need` of them complete the subset.
     """
-    n = len(rows)
-    combo = []
-    basis = []
+    def search(idx, red, prev, rank, need):
+        if not need:
+            return []
+        if rank == ncols - 1:
+            zeros = [i for i, row in zip(idx, red) if not any(row)]
+            return zeros[:need] if len(zeros) >= need else None
+        for t in range(len(idx) - need + 1):
+            row = red[t]
+            col = next((c for c, x in enumerate(row) if x), None)
+            if col is None:
+                found = search(idx[t + 1:], red[t + 1:], prev, rank,
+                               need - 1)
+            else:
+                found = search(idx[t + 1:],
+                               bareiss_step(row, col, prev, red[t + 1:]),
+                               row[col], rank + 1, need - 1)
+            if found is not None:
+                return [idx[t]] + found
+        return None
 
-    def search(start):
-        if len(combo) == k:
-            return True
-        for i in range(start, n - (k - len(combo)) + 1):
-            red = reduce_row(basis, rows[i])
-            if red is not None:
-                if len(basis) + 1 == ncols:
-                    continue
-                basis.append(red)
-            combo.append(i)
-            if search(i + 1):
-                return True
-            combo.pop()
-            if red is not None:
-                basis.pop()
-        return False
-
-    return tuple(combo) if search(0) else None
+    combo = search(list(range(len(rows))), rows, 1, 0, k)
+    return None if combo is None else tuple(combo)
 
 
 def m_sequence(s: PointSet) -> MSequence:
     """Exact invariants (m1, m2, m3) with witness subsets and curves.
 
-    For each degree and each k from n down to the interpolation floor, the
-    witness is the lexicographically first k-subset on a curve of that
-    degree, found by a rank-pruned depth-first search. Rank never drops
-    when rows are added, so a pruned subtree holds no k-subset on a curve
-    and the search returns the first such subset in `combinations` order.
-    At k = floor every k-subset lies on a curve, so a witness always exists.
+    m_d is the largest k such that some k-subset lies on a curve of degree
+    d, and its witness is the lexicographically first such subset, found
+    by `_first_deficient_subset`. Rank never drops when rows are added, so
+    if some k-subset lies on a curve, so does some (k-1)-subset: m_d is the
+    last k of an upward walk from the interpolation floor at which a subset
+    is still found. At the floor every subset lies on a curve, so a witness
+    always exists. The search eliminates fraction-free, each step dividing
+    exactly by the previous pivot, and never builds a Fraction.
     """
     n = len(s)
     if n > 16:
@@ -153,13 +163,15 @@ def m_sequence(s: PointSet) -> MSequence:
     for degree in (1, 2, 3):
         rows = _evaluation_rows(s.points, degree)
         ncols = monomial_count(degree)
-        for k in range(n, min(floors[degree], n) - 1, -1):
-            combo = _first_deficient_subset(rows, k, ncols)
-            if combo is not None:
+        k = min(floors[degree], n)
+        combo = _first_deficient_subset(rows, k, ncols)
+        while k < n:
+            larger = _first_deficient_subset(rows, k + 1, ncols)
+            if larger is None:
                 break
-        frac_rows = [[Fraction(x) for x in rows[i]] for i in combo]
-        curve = HomPoly.from_coeff_vector(degree,
-                                          nullspace(frac_rows, ncols)[0])
+            k, combo = k + 1, larger
+        curve = HomPoly.from_coeff_vector(
+            degree, nullspace([rows[i] for i in combo], ncols)[0])
         values[degree] = k
         witnesses.append((tuple(i + 1 for i in combo), curve))
     return MSequence(m1=values[1], m2=values[2], m3=values[3],

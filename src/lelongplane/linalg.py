@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals used by every module.
 
-Everything runs on integer-scaled rows, with no sympy. Rank and
-determinant queries share one fraction-free elimination (Bareiss).
-`reduce_row` is the one incremental integer elimination: searches add rows
-one at a time through it, and `frac_rref` reduces all rows through it, then
-back-substitutes in integers and builds Fractions only for the result.
+Everything runs on integer-scaled rows, with no sympy. One fraction-free
+elimination step (Bareiss), `bareiss_step`, serves the rank and
+determinant queries and the m-sequence subset search, which carries the
+reduced rows down its search tree. `frac_rref` reduces the rows one at a
+time through `reduce_row`, then back-substitutes in integers and builds
+Fractions only for the result.
 Kernels are canonicalized by that reduced row echelon form and shortened
 by an exact LLL over ints and Fractions, so outputs are deterministic.
 """
@@ -27,36 +28,58 @@ def _int_rows(rows):
     return out
 
 
+def bareiss_step(pivot, col, prev, rows):
+    """One fraction-free elimination step (Bareiss 1968).
+
+    Each row loses its entry at `col` against the pivot row, and the column
+    is dropped: the new entries are (p * x - f * y) / prev, with p =
+    pivot[col] and f = row[col]. When `prev` is the pivot of the step
+    before (1 at the first step), every entry is a minor of the original
+    rows, so the division is exact and a row becomes all zeros exactly when
+    it lies in the span of the pivot rows so far.
+    """
+    p = pivot[col]
+    out = []
+    for row in rows:
+        f = row[col]
+        if f:
+            new = [(p * x - f * y) // prev for x, y in zip(row, pivot)]
+        else:  # common: the Sylvester rows of `int_det` are banded
+            new = [p * x // prev for x in row]
+        del new[col]
+        out.append(new)
+    return out
+
+
+def _first_nonzero(m):
+    """(column, row) of the first nonzero entry in column-major order."""
+    for col in range(len(m[0])):
+        for r, row in enumerate(m):
+            if row[col]:
+                return col, r
+    return None
+
+
 def _bareiss(m):
-    """Fraction-free Gaussian elimination (Bareiss 1968), in place on
-    integer rows. Returns (rank, det), det being the last pivot signed by
-    the row swaps: the determinant when m is square of full rank."""
-    if not m:
-        return 0, 1
-    nrows, ncols = len(m), len(m[0])
+    """Fraction-free Gaussian elimination on integer rows, by
+    `bareiss_step`: pivots in column order, the first nonzero row swapped
+    up. Returns (rank, det), det being the last pivot signed by the row
+    swaps: the determinant when m is square of full rank."""
     rank = 0
     prev = 1
     sign = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+    while m:
+        found = _first_nonzero(m)
+        if found is None:
+            break
+        col, piv = found
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
             sign = -sign
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            m[r] = [(p * m[r][c] - f * m[rank][c]) // prev
-                    for c in range(ncols)]
+        p = m[0][col]
+        m = bareiss_step(m[0], col, prev, m[1:])
         prev = p
         rank += 1
-        if rank == nrows:
-            break
     return rank, sign * prev
 
 
@@ -67,7 +90,7 @@ def int_rank(rows) -> int:
 
 def int_det(rows) -> int:
     """Determinant of a square integer matrix, by the same elimination."""
-    rank, det = _bareiss([list(r) for r in rows])
+    rank, det = _bareiss(list(rows))
     return det if rank == len(rows) else 0
 
 

@@ -5,6 +5,7 @@ failure class, byte-identical report files on repeated seeded runs, and a
 full generate -> construct -> certify round trip through the filesystem.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -166,6 +167,80 @@ def test_sweep_ends_in_a_documented_outcome(tmp_path, capsys, kind):
             assert ends == [("construct", EXIT_PRECONDITION)], seed
         else:
             assert ends == [], seed
+    capsys.readouterr()
+
+
+# SHA-256 of the `generate --out`, `msequence --out` and `construct --cert`
+# files at seed 0, recorded before the m-sequence search was rewritten;
+# example6lines has no certificate, since `construct` exits 2 on it
+GOLDEN_SHA256 = {
+    "generic12": (
+        "40c08c7ead51b7a7cbf314520a556a54ea76865b59a832964e46c499b8e63ca3",
+        "55209ecab043e7a9c7e70f81a58f64468f27d4820dbd5c7353c2b12f81b26ca7",
+        "5238e4d24d39e982d983c38f3a61a3656da20abcf2fecb8045613cc59b747133"),
+    "figure1": (
+        "be60da76aa06888b83f98a4641c681cbd0942f3c182f9f64b0117f73be181487",
+        "f79d83c258ee72de0d21e7d25ce3982d7fdf16d81c64dbd9befa0bd323c09d3d",
+        "041aac3ebf325fb7ec77d5ec87da3383e4d46820ffba434596bdd94df622d2cb"),
+    "figure2": (
+        "701f581501a783ff6410232d7f32e9f10ce5fe584a4b36cf21abf27da7b148c6",
+        "f79d83c258ee72de0d21e7d25ce3982d7fdf16d81c64dbd9befa0bd323c09d3d",
+        "041aac3ebf325fb7ec77d5ec87da3383e4d46820ffba434596bdd94df622d2cb"),
+    "figure3": (
+        "32164d718db65d09d1439cd42083aae5f71b36af023ed7770e7e003cc5957197",
+        "265c84ba7a4531d5b2cb0dcbe8ee19eb3ce698f676f5f3891a0e915419d09b7c",
+        "34815377595ae134ba10f153116af4aa9fbf7ec51e6c4ddc0fd60fb6dcf63d19"),
+    "figure4": (
+        "c85ce1254873426c91af0506b32013f7416d81711d4edef7dd6ba78563963b97",
+        "265c84ba7a4531d5b2cb0dcbe8ee19eb3ce698f676f5f3891a0e915419d09b7c",
+        "f68f85fc28b9aaed24c51f09e68a4508a68c65d6d0acf474836746a2dea0b017"),
+    "figure5": (
+        "34519774061d989681cdd78b2a94d96162250e4146b2d0bc7a7f002f27b200eb",
+        "265c84ba7a4531d5b2cb0dcbe8ee19eb3ce698f676f5f3891a0e915419d09b7c",
+        "2921c65f522b4349a163998a50efd5485f94a43b817e0b14a84dbe3827e0e0de"),
+    "case2": (
+        "a3d5731cee0b088ee868a66a0f8e2dc306955ee9351aeaf9cd49481028f34e3c",
+        "118280940e3f7e66ce4059690ac97993e3a143fb52d90edf4901a044502b780a",
+        "6a4d428ae4a74e0d96453d4823075ab6451dbc0eac70fc4cc16e24e8cd7de7cd"),
+    "case3": (
+        "f7e4b3dca0b586593825afeed4c660ed5d0b2c0f086b3f690efc1501d2bea568",
+        "34b0a064be09fa195c282c232d90e0edd039c9087f5d6a8957d13b135eaf65c2",
+        "6dee6c54f52392a3691f03142beb0d3db9ca10fc83149f33a4959bbb6f3935aa"),
+    "case4": (
+        "a75698e03462c2c0fa350aa88da3027a07df85f55bb8ca236b6d1dba76debe9d",
+        "7e66a93d25c88900ce56fa352a54d59a6cc24412e370bad49479e5981aa914bf",
+        "2d33dd527d69c752e74b24ff951e959dc1e76dd80256fa7fc88ae816aed9290f"),
+    "example6lines": (
+        "c1701d49fa9b143988ebd2cf7f9992e581969f449c2af24a9cf5b4208a31f3f7",
+        "d6099a5606d1842137615da3ef4938c6c4024b687aaefe2038190985eb77c4c3",
+        None),
+    "conic6": (
+        "619224d806a39144922d198d67a33f8c9820a9fda178702fb0d993b7f575f4d6",
+        "abba85feb6542890a48f2d16cca51dec72a0801b48217092b7394facec4d9fc0",
+        "7dfa33109c0b0d47b16f7d1d274653440c0a7339e9140f7b5f7270571b4d3343"),
+    "conic7": (
+        "5579deca72f69e53816415b05243b7a19e9d3c0b491dec2ed2fc8b241dc8effe",
+        "4ee092b8d94329f39df4fa53a475f364518b3946c38d778352f8811101f70974",
+        "73fd3ccdee700697904fdf594869e32fc6a51fcdd25d6a419aa1f21ce66608c9"),
+}
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_reports_match_golden_digests(tmp_path, capsys, kind):
+    inst, ms, cert = (tmp_path / f"{name}.json"
+                      for name in ("inst", "ms", "cert"))
+    assert run("generate", "--kind", kind, "--seed", "0",
+               "--out", str(inst)) == EXIT_OK
+    assert run("msequence", "--input", str(inst), "--out", str(ms)) == EXIT_OK
+    code = run("construct", "--input", str(inst), "--cert", str(cert))
+    want_inst, want_ms, want_cert = GOLDEN_SHA256[kind]
+    assert hashlib.sha256(inst.read_bytes()).hexdigest() == want_inst
+    assert hashlib.sha256(ms.read_bytes()).hexdigest() == want_ms
+    if want_cert is None:
+        assert code == EXIT_PRECONDITION and not cert.exists()
+    else:
+        assert code == EXIT_OK
+        assert hashlib.sha256(cert.read_bytes()).hexdigest() == want_cert
     capsys.readouterr()
 
 

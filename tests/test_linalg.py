@@ -1,11 +1,12 @@
 """Exact linear algebra: fraction-free ranks, canonical kernels, solving.
 
 Oracles: hand-sized matrices with known ranks, the Bareiss rank as the
-reference for the incremental reduction, a Fraction Gauss-Jordan as the
-reference for the fraction-free RREF, sympy's `DomainMatrix.lll()` as the
-reference for the exact LLL where it runs, the two LLL invariants where it
-does not, and the defining identities A v = 0 / A x = b verified exactly on
-seeded random systems.
+reference for the incremental reduction, minors (sympy's `DomainMatrix`
+determinant) as the reference for each Bareiss step, a Fraction
+Gauss-Jordan as the reference for the fraction-free RREF, sympy's
+`DomainMatrix.lll()` as the reference for the exact LLL where it runs, the
+two LLL invariants where it does not, and the defining identities A v = 0 /
+A x = b verified exactly on seeded random systems.
 """
 
 import ast
@@ -21,8 +22,8 @@ from sympy.polys.matrices import DomainMatrix
 from lelongplane import linalg, linsys
 from lelongplane.exactpoly import monomial_count
 from lelongplane.instances import generate, generic12
-from lelongplane.linalg import (_lll_reduce, frac_rref, int_det, int_rank,
-                                nullspace, reduce_row, solve_exact)
+from lelongplane.linalg import (_lll_reduce, bareiss_step, frac_rref, int_det,
+                                int_rank, nullspace, reduce_row, solve_exact)
 from lelongplane.linsys import (VanishingCondition, build_system,
                                 condition_rows)
 
@@ -61,6 +62,43 @@ def test_int_det_matches_domain_matrix():
             assert int_det(m) == want
     # the Bareiss loop is shared: rank is unchanged by it
     assert int_rank([[0, 1], [1, 0], [1, 1]]) == 2
+
+
+def test_bareiss_step_entries_are_minors():
+    """After steps on pivots (r1, c1) .. (rk, ck), the entry of row j at
+    column c is the minor on rows r1 .. rk, j and columns c1 .. ck, c:
+    so every division was exact. 200-bit entries make a wrong divisor
+    show; a zero pivot-column entry and a dependent row are included."""
+    rng = random.Random(23)
+    big = 2 ** 200
+    for _ in range(6):
+        nrows, ncols = 6, 5
+        m = [[rng.randint(-big, big) for _ in range(ncols)]
+             for _ in range(nrows)]
+        m[2][0] = 0
+        m[4] = [3 * a - b for a, b in zip(m[0], m[1])]
+        rows, idx, cols = m, list(range(nrows)), list(range(ncols))
+        pivots, prev = [], 1
+        while rows and cols:
+            row = rows[0]
+            col = next((c for c, x in enumerate(row) if x), None)
+            if col is None:
+                rows, idx = rows[1:], idx[1:]
+                continue
+            pivots.append((idx[0], cols[col]))
+            rows = bareiss_step(row, col, prev, rows[1:])
+            prev, idx = row[col], idx[1:]
+            cols = cols[:col] + cols[col + 1:]
+            for j, red in zip(idx, rows):
+                for c, x in zip(cols, red):
+                    rs = [r for r, _ in pivots] + [j]
+                    cs = [c0 for _, c0 in pivots] + [c]
+                    minor = DomainMatrix(
+                        [[ZZ(m[r][cc]) for cc in cs] for r in rs],
+                        (len(rs), len(rs)), ZZ).det()
+                    assert x == minor
+        # row 4 lies in the span of rows 0 and 1: it reduced to zeros
+        assert [r for r, _ in pivots] == [0, 1, 2, 3, 5]
 
 
 def test_rank_fraction_scaling_invariance():

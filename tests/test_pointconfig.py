@@ -75,6 +75,88 @@ def test_m_sequence_matches_reference_on_small_sets():
         assert m_sequence(s) == reference_m_sequence(s)
 
 
+def _named_sets():
+    """Edge shapes for the reference check: n below each interpolation
+    floor, all points on one line, 16 points, points on Z = 0 and 40-bit
+    denominators."""
+    rng = random.Random(41)
+    sets = {"n1": random_set(1, 7), "n4": random_set(4, 8),
+            "n8": random_set(8, 9)}
+    sets["collinear"] = PointSet(tuple(pt(i, 3 * i - 2) for i in range(7)))
+    sets["grid16"] = PointSet(tuple(pt(i, j) for i in range(4)
+                                    for j in range(4)))
+    sets["on_z0"] = PointSet(tuple(pt(a, b, 0)
+                                   for a, b in ((1, 0), (0, 1), (1, 1),
+                                                (2, -1)))
+                             + tuple(random_set(6, 10).points))
+    sets["den40"] = PointSet(tuple(
+        pt(Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40)),
+           Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40)))
+        for _ in range(10)))
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(_named_sets()))
+def test_m_sequence_matches_reference_on_edge_sets(name):
+    s = _named_sets()[name]
+    assert m_sequence(s) == reference_m_sequence(s)
+
+
+def test_first_deficient_subset_matches_scan():
+    """Every k from 1 to n against the `combinations` x `int_rank` scan, on
+    seeded integer matrices with zero, repeated and proportional rows and
+    rows in the span of the first ncols - 2, with small and with 200-bit
+    entries. Finding the dependent rows takes ncols - 2 exact divisions;
+    dividing by the new pivot instead of the previous one fails here."""
+    rng = random.Random(53)
+    cases = []
+    for ncols in (3, 6, 10):
+        for span in (3, 2 ** 200):
+            for _ in range(4):
+                n = rng.randint(ncols, ncols + 4)
+                m = [[rng.randint(-span, span) for _ in range(ncols)]
+                     for _ in range(n)]
+                m[rng.randrange(n)] = [0] * ncols
+                m[rng.randrange(n)] = list(m[rng.randrange(n)])
+                c = rng.choice((-3, 2, 5))
+                m[rng.randrange(n)] = [c * x for x in m[rng.randrange(n)]]
+                base = m[:ncols - 2]
+                for i in rng.sample(range(ncols - 2, n),
+                                    min(n - ncols + 2, 4)):
+                    cs = [rng.randint(-4, 4) for _ in base]
+                    m[i] = [sum(a * r[j] for a, r in zip(cs, base))
+                            for j in range(ncols)]
+                cases.append((m, ncols))
+    for m, ncols in cases:
+        n = len(m)
+        for k in range(1, n + 1):
+            want = next((c for c in itertools.combinations(range(n), k)
+                         if int_rank([m[i] for i in c]) < ncols), None)
+            assert config._first_deficient_subset(m, k, ncols) == want
+
+
+@pytest.mark.parametrize("kind", ["generic12", "conic7", "example6lines"])
+def test_m_sequence_walks_up_from_the_floor(kind, monkeypatch):
+    """Per degree the search runs at k = floor .. m, and once more at m + 1
+    unless m = n: m - floor + 2 calls, or m - floor + 1. The old loop ran
+    down from n."""
+    s = generate(kind, 0).point_set
+    calls = {}
+    real = config._first_deficient_subset
+
+    def spy(rows, k, ncols):
+        calls.setdefault(ncols, []).append(k)
+        return real(rows, k, ncols)
+    monkeypatch.setattr(config, "_first_deficient_subset", spy)
+    ms = m_sequence(s)
+    n = len(s)
+    for degree, floor, m in zip((1, 2, 3), (2, 5, 9), ms.as_tuple()):
+        floor = min(floor, n)
+        ks = calls[monomial_count(degree)]
+        assert len(ks) == m - floor + (1 if m == n else 2)
+        assert ks == list(range(floor, min(m + 1, n) + 1))
+
+
 def test_m_sequence_search_needs_no_rank_calls(monkeypatch):
     s = PointSet(sharpness_example(0).points)
     expected = m_sequence(s)
