@@ -103,14 +103,14 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
 
     Checks: the pair is coprime (discrete common zeros, decided by
     exactpoly.coprime: a modular resultant on a line, or the gcd in
-    sympy's polynomial ring when that proof fails), r >= 1, the listed points are pairwise distinct,
-    every one is a common zero whose claimed weight equals
-    min(ord P, ord Q)/r and whose intersection multiplicity is at least
-    ord P * ord Q, P and Q have one degree and gamma equals it over r,
-    and the multiplicities at the listed points sum to at most
-    deg P * deg Q (Bezout). Both forms are expanded once per listed point;
-    the orders and the tangent-cone stage of the multiplicity read the
-    same expansions.
+    sympy's polynomial ring when that proof fails), r >= 1, the listed
+    points are pairwise distinct, every one is a common zero whose
+    claimed weight equals min(ord P, ord Q)/r and whose intersection
+    multiplicity is at least ord P * ord Q, P and Q have one degree and
+    gamma equals it over r, and the multiplicities at the listed points
+    sum to at most deg P * deg Q (Bezout). Both forms are expanded once
+    per listed point; the orders and the tangent-cone stage of the
+    multiplicity read the same expansions.
     """
     discrete = (not cert.p.is_zero and not cert.q.is_zero
                 and coprime(cert.p, cert.q))

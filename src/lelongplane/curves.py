@@ -13,9 +13,10 @@ tangent cones, the lowest-degree parts of the two local expansions: when
 they share no line, mu_x = ord_x P * ord_x Q (Fulton, Algebraic Curves,
 3.3, property 5), decided by Euclid over Q on binary forms. Only where the
 cones share a line does the classical recursive reduction in affine
-coordinates run, on the rational factors of the pair. An independent
-oracle reads mu from sheared resultants. Those resultants are computed
-here: Sylvester determinants at integer points, taken fraction-free by
+coordinates run, on the two whole forms with no factorization; only a
+pair that shares a component takes a gcd first. An independent oracle
+reads mu from sheared resultants. Those resultants are computed here:
+Sylvester determinants at integer points, taken fraction-free by
 `linalg.int_det`, then interpolated. `bezout_table` reads the rational
 common zeros from the linear factors of the resultant and of the fiber
 gcds in Q[s].
@@ -292,36 +293,6 @@ def _local_mu(f, g):
     return _local_mu(f, g_new)
 
 
-_factor_cache: dict = {}
-
-
-def _rational_factors(p: HomPoly):
-    """Irreducible rational factors with multiplicities, primitive integer
-    coefficients; cached because verification asks repeatedly."""
-    key = (p.degree, tuple(sorted(p.terms.items())))
-    if key not in _factor_cache:
-        prim = p.primitive_int()
-        bits = max(abs(c.numerator).bit_length() for c in prim.terms.values())
-        if bits > 192:
-            # factoring with coefficients this large can stall in the
-            # integer factorization stage; the direct recursion is cheaper
-            out = [(prim, 1)]
-        else:
-            out = [(from_ring(fac).primitive_int(), mult)
-                   for fac, mult in to_ring(prim).factor_list()[1]]
-        if len(_factor_cache) > 256:
-            _factor_cache.clear()
-        _factor_cache[key] = out
-    return _factor_cache[key]
-
-
-def _local_mu_at(p: HomPoly, q: HomPoly, x: ProjPoint):
-    chart = x.chart()
-    _, fp = p.local_expansion(x, chart)
-    _, fq = q.local_expansion(x, chart)
-    return _local_mu(_to_int_local(fp), _to_int_local(fq))
-
-
 def _tangent_cone(local):
     """Order m and the lowest-degree part of a nonzero local expansion, as
     the coefficient list of the binary form in (s, t), indexed by the
@@ -410,25 +381,18 @@ def _order_and_cone(p: HomPoly, x: ProjPoint):
 
 
 def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint):
-    """mu_x(p, q) by the recursive reduction, for nonzero p and q that
-    vanish at x. A common component through x gives math.inf; one that
-    misses x is divided out. Additivity over rational factors keeps the
-    reductions on small factors instead of large products."""
+    """mu_x(p, q) by the recursive reduction on the two whole forms, for
+    nonzero p and q that vanish at x. A common component through x gives
+    math.inf; one that misses x is divided out first."""
     if not coprime(p, q):
         g = gcd_homogeneous(p, q)
         if evaluate(g, x) == 0:
             return math.inf
         p = exact_divide(p, g)
         q = exact_divide(q, g)
-    total = 0
-    for pf, pe in _rational_factors(p):
-        if evaluate(pf, x) != 0:
-            continue
-        for qf, qe in _rational_factors(q):
-            if evaluate(qf, x) != 0:
-                continue
-            total += pe * qe * _local_mu_at(pf, qf, x)
-    return total
+    _, fp = p.local_expansion(x)
+    _, fq = q.local_expansion(x)
+    return _local_mu(_to_int_local(fp), _to_int_local(fq))
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +606,6 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
             if checked >= total:
                 return best
         t += 1
-
-
-def common_zeros_discrete(p: HomPoly, q: HomPoly) -> bool:
-    """True iff p and q share no component (finitely many common zeros)."""
-    if p.is_zero or q.is_zero:
-        raise PreconditionError("needs nonzero forms")
-    return coprime(p, q)
 
 
 def _rational_roots(f) -> list[Fraction]:

@@ -160,18 +160,6 @@ class HomPoly:
         lc = self.leading_coeff()
         return HomPoly(self.degree, {m: c / lc for m, c in self.terms.items()})
 
-    def primitive_int(self) -> "HomPoly":
-        """Scale to coprime integer coefficients with positive leading one."""
-        if self.is_zero:
-            return self
-        denoms = math.lcm(*(c.denominator for c in self.terms.values()))
-        nums = [c.numerator * denoms // c.denominator for c in self.terms.values()]
-        g = math.gcd(*nums)
-        if self.leading_coeff() < 0:
-            g = -g
-        return HomPoly(self.degree,
-                       {m: c * denoms / g for m, c in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, HomPoly) and self.degree == other.degree
                 and self.terms == other.terms)

@@ -4,9 +4,9 @@ The package computes resultants in its own code and everything else in
 sympy's polynomial rings; these are the expression-based versions it
 replaced, kept as independent references: the converters between
 `HomPoly` and `Expr`, `sympy.resultant` for `curves._resultant_xz`, the
-`Expr` versions of `gcd_homogeneous`, `_rational_factors`, `is_smooth` and
-`bezout_table`, and `use_expr_internals`, which puts the first three back
-into the package so that its multiplicity algorithms run as they did.
+`Expr` versions of `gcd_homogeneous`, `is_smooth` and `bezout_table`, and
+`use_expr_internals`, which puts the resultant and the gcd back into the
+package so that its multiplicity algorithms run on `Expr` as they did.
 """
 
 from fractions import Fraction
@@ -56,20 +56,9 @@ def reference_gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
     return from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))).monic()
 
 
-def reference_rational_factors(p: HomPoly):
-    prim = p.primitive_int()
-    bits = max(abs(c.numerator).bit_length() for c in prim.terms.values())
-    if bits > 192:
-        return [(prim, 1)]
-    _, factors = sympy.factor_list(to_sympy(prim), X, Y, Z)
-    return [(from_sympy(fac).primitive_int(), mult) for fac, mult in factors]
-
-
 def use_expr_internals(monkeypatch):
-    """Run the package's resultants, gcds and factorizations on `Expr`."""
+    """Run the package's resultants and gcds on `Expr`."""
     monkeypatch.setattr(curves, "_resultant_xz", reference_resultant_xz)
-    monkeypatch.setattr(curves, "_rational_factors",
-                        reference_rational_factors)
     for module in (curves, exactpoly):
         monkeypatch.setattr(module, "gcd_homogeneous",
                             reference_gcd_homogeneous)

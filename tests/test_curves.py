@@ -22,16 +22,15 @@ from sympy.polys.rings import PolyElement
 
 from lelongplane import curves
 from lelongplane.construct import construct_certificate
-from lelongplane.curves import (analyze_curve, bezout_table,
-                                common_zeros_discrete, conic_rank,
+from lelongplane.curves import (analyze_curve, bezout_table, conic_rank,
                                 cubic_is_irreducible, find_line_components,
                                 has_complex_line_factor,
                                 intersection_multiplicity, is_smooth,
                                 rational_singular_points,
                                 resultant_multiplicity)
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import (HomPoly, ProjPoint, exact_divide,
-                                   gcd_homogeneous, monomials,
+from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime,
+                                   exact_divide, gcd_homogeneous, monomials,
                                    vanishing_order)
 from lelongplane.instances import generate
 
@@ -286,7 +285,7 @@ def test_transversal_points_skip_gcd_and_factoring(monkeypatch):
         raise AssertionError("the tangent cones decide this point")
 
     monkeypatch.setattr(curves, "gcd_homogeneous", forbidden)
-    monkeypatch.setattr(curves, "_rational_factors", forbidden)
+    monkeypatch.setattr(curves, "_reduction_mu", forbidden)
     x_axis = HomPoly.line(0, 1, 0)
     y_axis = HomPoly.line(1, 0, 0)
     parabola = mono((0, 1, 1)) - mono((2, 0, 0))
@@ -332,6 +331,73 @@ def test_shared_tangents_take_the_reduction(monkeypatch):
     assert len(calls) == 5
 
 
+def _through(x, a, b):
+    """The line a(X - x0 Z) + b(Y - y0 Z) through the affine point x."""
+    x0, y0 = x.affine(2)
+    return HomPoly.line(a, b, -(a * x0 + b * y0))
+
+
+def _shared_tangent_pair(rng, tangent, other, degrees, singular):
+    """A coprime pair of the given degrees whose tangent cones at the
+    meeting point x of the lines T and O share T: a smooth curve
+    T * F + O^2 * G with tangent T, or a node T * O * F + T^2 * G + O^3 * H
+    with T as a branch tangent; F, G, H are random integer forms."""
+
+    def curve(d, node):
+        if node:
+            return (tangent * other * random_poly(rng, d - 2, 3)
+                    + tangent * tangent * random_poly(rng, d - 2, 3)
+                    + other * other * other * random_poly(rng, d - 3, 3))
+        return (tangent * random_poly(rng, d - 1, 3)
+                + other * other * random_poly(rng, d - 2, 3))
+
+    while True:
+        p, q = (curve(d, node) for d, node in zip(degrees, singular))
+        if coprime(p, q):
+            return p, q
+
+
+def test_reduction_runs_on_whole_forms(monkeypatch):
+    """The reduction agrees with the strict resultant oracle on products
+    with repeated factors, on shared-tangent cubics and quartics, and with
+    a shared component that misses x, and factors nothing."""
+    factored = []
+    real_factor_list = PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        lambda f: factored.append(f) or real_factor_list(f))
+    x = ProjPoint(Fraction(1, 2), Fraction(-2, 3), Fraction(1))
+    l, m = _through(x, 2, -3), _through(x, 1, 4)
+    # smooth conics through x: c has tangent m, c2 has tangent l
+    c = m * HomPoly.line(0, 0, 1) + l * l
+    c2 = l * HomPoly.line(0, 0, 1) - m * m
+    y_axis = HomPoly.line(1, 0, 0)
+    parabola = mono((0, 1, 1)) - mono((2, 0, 0))
+    cusp = mono((0, 2, 1)) - mono((3, 0, 0))
+    # mu = sum over factor pairs: l^2 c . m c2 = 2 + 4 + 2 + 1,
+    # l^2 c . m^2 c2 = 4 + 4 + 4 + 1, X cusp . parabola = 1 + 3
+    split = [(l * l * c, m * c2, x, 9), (l * l * c, m * m * c2, x, 13),
+             (y_axis * cusp, parabola, ORIGIN, 4)]
+    rng = random.Random(73)
+    tangent = [(*_shared_tangent_pair(rng, l, m, degrees, singular), x,
+                None)
+               for degrees, singular in [((3, 4), (False, False)),
+                                         ((4, 4), (False, True)),
+                                         ((3, 3), (True, True))]]
+    for p, q, y, expected in split + tangent:
+        mu = curves._reduction_mu(p, q, y)
+        assert mu == resultant_multiplicity(p, q, y, strict=True)
+        assert mu > vanishing_order(p, y) * vanishing_order(q, y)
+        assert expected in (None, mu)
+    # a shared component that misses x is divided out
+    far = HomPoly.line(1, 1, 1)
+    p, q, _, _ = tangent[0]
+    assert curves._reduction_mu(far * p, far * q, x) == \
+        resultant_multiplicity(p, q, x, strict=True)
+    # one through x gives math.inf
+    assert curves._reduction_mu(l * p, l * q, x) == math.inf
+    assert factored == []
+
+
 # the certificates that tests/test_construct.py builds
 SUITE_CERTIFICATES = [("generic12", 7), ("generic12", 19), ("conic6", 3),
                       ("conic7", 1), ("figure1", 2), ("case2", 5),
@@ -357,7 +423,7 @@ def test_multiplicity_shared_component_is_infinite():
     q = l * HomPoly.line(0, 1, 0)
     x = ProjPoint(Fraction(1, 2), Fraction(1, 2), Fraction(1))
     assert intersection_multiplicity(p, q, x) == math.inf
-    assert not common_zeros_discrete(p, q)
+    assert not coprime(p, q)
 
 
 def test_lower_bound_by_vanishing_orders():
@@ -607,7 +673,6 @@ def test_library_builds_no_sympy_expressions():
     code = """
 import sys
 from fractions import Fraction
-from lelongplane import curves
 from lelongplane.curves import (analyze_curve, bezout_table,
                                 intersection_multiplicity,
                                 resultant_multiplicity)
@@ -618,7 +683,6 @@ p = mono((0, 1, 1)) - mono((2, 0, 0))
 q = mono((0, 1, 1)) - mono((2, 0, 0)) - mono((0, 2, 0))
 x = ProjPoint(0, 0, 1)
 assert intersection_multiplicity(p, q, x) == 4
-assert curves._factor_cache  # the reduction ran on rational factors
 assert resultant_multiplicity(p, q, x) == 4
 records, residual = bezout_table(p, q)
 assert [(r.point, r.multiplicity) for r in records] == [(x, 4)]

@@ -227,12 +227,6 @@ def test_gcd_of_engineered_product():
     assert gcd_homogeneous(l1, l3).degree == 0
 
 
-def test_primitive_int():
-    f = HomPoly(1, {(1, 0, 0): Fraction(2, 3), (0, 1, 0): Fraction(-4, 9)})
-    prim = f.primitive_int()
-    assert prim.terms == {(1, 0, 0): Fraction(3), (0, 1, 0): Fraction(-2)}
-
-
 def random_big_poly(rng, degree, bits):
     """A nonzero form with random support and rationals of up to `bits`
     bits in numerator and denominator."""
