@@ -14,12 +14,13 @@ re-derives every invariant through an independent code path.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import MSequence, PointSet, four_point_lines, m_sequence
 from .curves import (_orders_and_mu, conic_rank, cubic_is_irreducible,
-                     find_line_components, irreducible_conic_through)
+                     irreducible_conic_through)
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, coprime, divides, evaluate,
                         exact_divide, join, vanishing_order)
@@ -102,8 +103,8 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     """Re-derive every certificate invariant from scratch.
 
     Checks: the pair is coprime (discrete common zeros, decided by
-    exactpoly.coprime: a modular resultant on a line, or the gcd in
-    sympy's polynomial ring when that proof fails), r >= 1, the listed
+    exactpoly.coprime: a modular resultant on a line, or the sheared
+    resultant when that proof fails), r >= 1, the listed
     points are pairwise distinct, every one is a common zero whose
     claimed weight equals min(ord P, ord Q)/r and whose intersection
     multiplicity is at least ord P * ord Q, P and Q have one degree and
@@ -371,7 +372,15 @@ def _line_product(s: PointSet, ms: MSequence, extra: ProjPoint | None):
         raise _Unsupported("an irreducible cubic through more than 9 points "
                            "is outside this toolkit's certified range",
                            ("irreducible_cubic_overload",))
-    lines, _ = find_line_components(gamma)
+    # gamma holds 11 points of S, and the conic left by any of its lines
+    # holds at most 8 (m2 <= 7, m1 <= 4): each rational line of gamma holds
+    # at least 3 of them, so it is the join of at least 3 pairs
+    on_gamma = [x for x in s.points if evaluate(gamma, x) == 0]
+    joins = Counter(join(a, b).monic()
+                    for a, b in itertools.combinations(on_gamma, 2))
+    lines = sorted((l for l, pairs in joins.items()
+                    if pairs >= 3 and divides(l, gamma)),
+                   key=lambda l: tuple(l.coeff_vector()))
     if not lines:
         raise _Unsupported("reducible cubic with no rational line factor")
     line = lines[0]

@@ -1,12 +1,18 @@
 """Geometric properties of plane curves over Q.
 
-Line-component detection and (ir)reducibility are decided by an elimination
-procedure (substitute a parametrized line, then Groebner bases / univariate
-gcds on the coefficient system), so the answers are certified over the
-complex numbers even though all data is rational. Smoothness is decided the
-same way on the partial derivatives. Every such system, factorization and
-gcd is computed in sympy's polynomial rings (`sympy.polys.rings`) over Q:
-Q[a, b], Q[X, Y], Q[s] and Q[X, Y, Z]. No sympy expression is built.
+A cubic is irreducible over C iff its Hessian is not zero and shares no
+component with it; `exactpoly.coprime` decides that, with no sympy. Line
+components of other degrees and smoothness are decided by an elimination
+procedure (substitute a parametrized line, then Groebner bases and
+univariate gcds on the coefficient system), so the answers are certified
+over the complex numbers even though all data is rational. Those systems,
+the rational factorization in `find_line_components` and
+`exactpoly.gcd_homogeneous` run in sympy's polynomial rings
+(`sympy.polys.rings`) over Q[a, b], Q[X, Y] and Q[X, Y, Z], imported on
+first use through `exactpoly.sympy_rings`: only `analyze_curve`,
+`is_smooth`, `find_line_components`, `has_complex_line_factor` and
+`gcd_homogeneous` load sympy, and no CLI command calls them. No sympy
+expression is built.
 
 Local intersection numbers are decided in two stages. The first reads the
 tangent cones, the lowest-degree parts of the two local expansions: when
@@ -18,35 +24,28 @@ pair that shares a component takes a gcd first. An independent oracle
 reads mu from sheared resultants. Those resultants are computed here:
 Sylvester determinants at integer points, taken fraction-free by
 `linalg.int_det`, then interpolated. `bezout_table` reads the rational
-common zeros from the linear factors of the resultant and of the fiber
-gcds in Q[s].
+common zeros from the rational roots of the resultant and of the fiber
+gcds, both found in Z[s]: a primitive remainder sequence for gcds and
+square-free parts, and roots modulo a prime lifted by Newton's iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy.polys.domains import QQ
-from sympy.polys.groebnertools import groebner
-from sympy.polys.orderings import lex
-from sympy.polys.rings import ring
-
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate, exact_divide,
-                        from_ring, gcd_homogeneous, partial_derivatives,
-                        to_ring)
+from .exactpoly import (HomPoly, ProjPoint, _gcd_degree_mod, coprime,
+                        evaluate, exact_divide, from_ring, gcd_homogeneous,
+                        partial_derivatives, sympy_rings, to_ring)
 from .linalg import frac_rref, int_det
 from .linsys import VanishingCondition, build_system
 
-_QAB, _RA, _RB = ring("a,b", QQ, lex)
-_QXY = ring("X,Y", QQ, lex)[0]
-_QS = ring("s", QQ, lex)[0]
-
 
 def _qq(c: Fraction):
-    return QQ(c.numerator, c.denominator)
+    return sympy_rings().QQ(c.numerator, c.denominator)
 
 
 @dataclass(frozen=True)
@@ -106,26 +105,28 @@ def has_complex_line_factor(p: HomPoly) -> bool:
     if p.is_zero or p.degree < 1:
         raise PreconditionError("needs a nonzero form of positive degree")
     d = p.degree
+    rings = sympy_rings()
+    qab, ra, rb = rings.ab, rings.a, rings.b
     # lines aX + bY + Z: coefficient of X^m Y^(d-m) in p(X, Y, -aX - bY)
-    coeffs = [_QAB.zero] * (d + 1)
+    coeffs = [qab.zero] * (d + 1)
     for (i, j, k), c in p.terms.items():
         cc = _qq(c) * (-1) ** k
         for l in range(k + 1):
-            coeffs[i + l] += cc * math.comb(k, l) * _RA ** l * _RB ** (k - l)
+            coeffs[i + l] += cc * math.comb(k, l) * ra ** l * rb ** (k - l)
     eqs = [e for e in coeffs if e]
-    if not eqs or groebner(eqs, _QAB) != [_QAB.one]:
+    if not eqs or rings.groebner(eqs, qab) != [qab.one]:
         return True
     # lines aX + Y: coefficient of X^m Z^(d-m) in p(X, -aX, Z)
-    coeffs = [_QAB.zero] * (d + 1)
+    coeffs = [qab.zero] * (d + 1)
     for (i, j, k), c in p.terms.items():
-        coeffs[i + j] += _qq(c) * (-_RA) ** j
+        coeffs[i + j] += _qq(c) * (-ra) ** j
     nonzero = [e for e in coeffs if e]
     if not nonzero:
         return True
     g = nonzero[0]
     for e in nonzero[1:]:
         g = g.gcd(e)
-    if g.degree(_RA) >= 1:
+    if g.degree(ra) >= 1:
         return True
     # the single remaining line X = 0
     return all(e[0] >= 1 for e in p.terms)
@@ -156,12 +157,27 @@ def find_line_components(p: HomPoly) -> tuple[list[HomPoly], bool]:
 
 
 def cubic_is_irreducible(p: HomPoly) -> bool:
-    """A cubic is irreducible over C iff it has no line component over C."""
+    """True iff the cubic is irreducible over C: its Hessian H is not zero
+    and shares no component with it.
+
+    A reducible cubic has a line component, and every point of that line
+    is singular or a flex, so H vanishes on it; H is the zero form only
+    for cones, which are reducible, and coprime(p, 0) is False. An
+    irreducible cubic has finitely many singular points and flexes, so
+    it does not divide H (Fulton, Algebraic Curves, 5.3).
+    """
     if p.degree != 3:
         raise PreconditionError("cubic_is_irreducible requires degree 3")
     if p.is_zero:
         raise PreconditionError("zero polynomial")
-    return not has_complex_line_factor(p)
+    return coprime(p, _hessian(p))
+
+
+def _hessian(p: HomPoly) -> HomPoly:
+    """det of the matrix of second partials, a form of degree 3(d - 2)."""
+    (a, b, c), (_, d, e), (_, _, f) = [partial_derivatives(q)
+                                       for q in partial_derivatives(p)]
+    return a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
 
 
 def is_smooth(p: HomPoly) -> bool:
@@ -170,21 +186,24 @@ def is_smooth(p: HomPoly) -> bool:
         raise PreconditionError("needs positive degree")
     parts = partial_derivatives(p)
     # chart Z = 1: the unit ideal iff the reduced basis is [1]
-    eqs = [_QXY({(i, j): _qq(c) for (i, j, _), c in q.terms.items()})
+    rings = sympy_rings()
+    qxy = rings.xy
+    eqs = [qxy({(i, j): _qq(c) for (i, j, _), c in q.terms.items()})
            for q in parts]
     eqs = [e for e in eqs if e]
-    if not eqs or groebner(eqs, _QXY) != [_QXY.one]:
+    if not eqs or rings.groebner(eqs, qxy) != [qxy.one]:
         return False
     # chart Y = 1, Z = 0
-    eqs = [_QS({(i,): _qq(c) for (i, _, k), c in q.terms.items() if k == 0})
-           for q in parts]
-    nonzero = [e for e in eqs if e]
-    if not nonzero:
-        return False
-    g = nonzero[0]
-    for e in nonzero[1:]:
-        g = g.gcd(e)
-    if g.degree() >= 1:
+    nonzero = []
+    for q in parts:
+        coeffs = [Fraction(0)] * p.degree
+        for (i, _, k), c in q.terms.items():
+            if k == 0:
+                coeffs[i] = c
+        f = _int_poly(coeffs)
+        if f:
+            nonzero.append(f)
+    if not nonzero or len(functools.reduce(_int_gcd, nonzero)) > 1:
         return False
     # the point (1:0:0)
     one = ProjPoint(1, 0, 0)
@@ -548,6 +567,34 @@ def _binary_root_multiplicity(binform, u: Fraction, v: Fraction) -> int:
     return mult
 
 
+def _sheared_pair(p: HomPoly, q: HomPoly):
+    """(frame, t, p_t, q_t): the forms after the frame change of
+    _choose_frame and the first valid shear t, so that [0:1:0] lies on
+    neither and _resultant_xz applies."""
+    frame = _choose_frame(p, q)
+    pf, qf = _frame_sub(p, frame), _frame_sub(q, frame)
+    t = _valid_shears(pf, qf, 1)[0]
+    return frame, t, _shear(pf, t), _shear(qf, t)
+
+
+def _shares_component(p: HomPoly, q: HomPoly) -> bool:
+    """True iff two nonzero forms share a component.
+
+    After _sheared_pair the point [0:1:0] lies on neither curve, so every
+    component has positive degree in Y, and both Y-degrees m and n
+    survive each specialization X = x, Z = 1. The pair shares a component
+    iff its resultant in Y, a form of degree mn in X and Z, is zero: iff
+    it vanishes at mn + 1 integers x. It vanishes at x iff the fibers
+    p(x, Y, 1) and q(x, Y, 1) have a common root, that is, a nonconstant
+    gcd over Z; a constant one ends the test. The gcd decides each sample
+    several times faster than a Sylvester determinant on large
+    coefficients.
+    """
+    _, _, pt, qt = _sheared_pair(p, q)
+    return all(len(_int_gcd(_fiber(pt, x, 1), _fiber(qt, x, 1))) > 1
+               for x in range(pt.degree * qt.degree + 1))
+
+
 def _valid_shears(p: HomPoly, q: HomPoly, count: int):
     """First `count` shear parameters whose projection center lies on
     neither curve."""
@@ -608,22 +655,134 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
         t += 1
 
 
-def _rational_roots(f) -> list[Fraction]:
-    """Rational roots of a nonzero element of Q[s], read from its linear
-    factors."""
+# Univariate polynomials over Z: coefficient lists indexed by the power,
+# with a nonzero last entry; [] is the zero polynomial.
+
+
+def _int_poly(coeffs) -> list[int]:
+    """Rational coefficients, indexed by the power, as the primitive
+    integer polynomial with a positive leading coefficient."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return []
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b."""
+    a = list(a)
+    while len(a) >= len(b):
+        c, shift = a[-1], len(a) - len(b)
+        a = [b[-1] * x for x in a]
+        for i, x in enumerate(b):
+            a[shift + i] -= c * x
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd, with positive leading coefficient, of two nonzero
+    integer polynomials, by the primitive remainder sequence (Knuth, TAOCP
+    vol. 2, 4.6.1): Euclid over Q, kept in Z by pseudo-division and
+    content removal."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive divisor b of a; by Gauss's lemma every
+    quotient coefficient is an integer."""
+    a = list(a)
+    quo = [0] * (len(a) - len(b) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = a[k + len(b) - 1] // b[-1]
+        for i, x in enumerate(b):
+            a[k + i] -= c * x
+    return quo
+
+
+def _eval_mod(f: list[int], x: int, mod: int) -> int:
+    val = 0
+    for c in reversed(f):
+        val = (val * x + c) % mod
+    return val
+
+
+def _primes():
+    p = 2
+    while True:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _rational_roots(f: list[int]) -> list[Fraction]:
+    """The distinct rational roots of a nonzero integer polynomial.
+
+    The square-free part g = f / gcd(f, f') keeps every root once. Take the
+    first prime p that does not divide the leading coefficient l of g and
+    keeps g square-free mod p; every root of g mod p is then simple, and
+    Newton's iteration lifts it to a root mod p^k. A rational root a/b of
+    g has b | l (Gauss), and y = l * a/b is an integer with
+    |y| <= l + max |g_i| (Cauchy's bound), so once p^k exceeds twice that
+    the symmetric residue of l times the lifted root is y. Each candidate
+    y/l is accepted only when l^n g(y/l) is exactly 0.
+    """
+    if len(f) < 2:
+        return []
+    common = _int_gcd(f, [i * c for i, c in enumerate(f)][1:])
+    g = _exact_quotient(f, common) if len(common) > 1 else f
+    lead = g[-1]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    for p in _primes():
+        if lead % p == 0:
+            continue
+        dmod = [c % p for c in dg]
+        while dmod and dmod[-1] == 0:
+            dmod.pop()
+        if dmod and _gcd_degree_mod([c % p for c in g], dmod, p) == 0:
+            break
+    bound = 2 * (abs(lead) + max(abs(c) for c in g))
     roots = []
-    for fac, _ in f.factor_list()[1]:
-        if fac.degree() == 1:
-            c = dict(fac.terms())
-            r = -c.get((0,), QQ.zero) / c[(1,)]
-            roots.append(Fraction(int(r.numerator), int(r.denominator)))
+    for start in range(p):
+        if _eval_mod(g, start, p):
+            continue
+        r, mod = start, p
+        while mod <= bound:
+            mod *= mod
+            r = (r - _eval_mod(g, r, mod)
+                 * pow(_eval_mod(dg, r, mod), -1, mod)) % mod
+        y = lead * r % mod
+        if y > mod // 2:
+            y -= mod
+        val, power = 0, 1
+        for c in reversed(g):  # l^n g(y/l) by Horner
+            val = val * y + c * power
+            power *= lead
+        if val == 0:
+            roots.append(Fraction(y, lead))
     return roots
 
 
-def _fiber(p: HomPoly, x: Fraction, z: Fraction):
-    """p(x, s, z) as an element of Q[s]."""
-    coeffs = _y_coeffs(p.terms, p.degree, x, z)
-    return _QS({(p.degree - e,): _qq(c) for e, c in enumerate(coeffs)})
+def _fiber(p: HomPoly, x: Fraction, z: Fraction) -> list[int]:
+    """p(x, s, z) as a primitive integer polynomial in s."""
+    return _int_poly(reversed(_y_coeffs(p.terms, p.degree, x, z)))
 
 
 def bezout_table(p: HomPoly, q: HomPoly):
@@ -636,25 +795,24 @@ def bezout_table(p: HomPoly, q: HomPoly):
     m, n = p.degree, q.degree
     if m == 0 or n == 0:
         return [], 0
-    frame = _choose_frame(p, q)
-    pf, qf = _frame_sub(p, frame), _frame_sub(q, frame)
-    t = _valid_shears(pf, qf, 1)[0]
-    pt, qt = _shear(pf, t), _shear(qf, t)
+    frame, t, pt, qt = _sheared_pair(p, q)
     res = _resultant_xz(pt, qt)
     if not res:
         raise PreconditionError("vanishing resultant for coprime forms")
     # projection roots: finite X/Z values plus possibly the line Z = 0
     points: set[ProjPoint] = set()
     z_exp = min(k for (_, k) in res)
-    finite_roots = _rational_roots(
-        _QS({(i,): _qq(c) for (i, _), c in res.items()}))
+    coeffs = [Fraction(0)] * (m * n + 1)
+    for (i, _), c in res.items():
+        coeffs[i] = c
+    finite_roots = _rational_roots(_int_poly(coeffs))
 
     def fiber_points(x, z):
         """Common rational zeros of p_t, q_t on the line (x, s, z)."""
         pu, qu = _fiber(pt, x, z), _fiber(qt, x, z)
         if not pu or not qu:
             return []
-        return _rational_roots(pu.gcd(qu))
+        return _rational_roots(_int_gcd(pu, qu))
 
     for u in finite_roots:
         for s in fiber_points(u, Fraction(1)):

@@ -3,7 +3,10 @@
 All values are immutable after construction and all operations are pure.
 The ground field is the rationals (stdlib ``Fraction``); the fixed monomial
 order used everywhere for canonical forms is graded lexicographic with
-X > Y > Z.
+X > Y > Z. Evaluation, local expansion, division and the coprimality
+test run without sympy. Only `gcd_homogeneous` (for two nonzero forms)
+and the ring converters use sympy's polynomial rings, which
+`sympy_rings` imports on first use.
 """
 
 from __future__ import annotations
@@ -11,15 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
-from sympy.polys.domains import QQ
-from sympy.polys.orderings import lex
-from sympy.polys.rings import ring
-
 from .errors import ParseError, PreconditionError
-
-_QXYZ = ring("X,Y,Z", QQ, lex)[0]
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -204,12 +202,36 @@ class HomPoly:
                 parts.append(f"{fraction_to_str(self.terms[m])}*{mono or '1'}")
         return "HomPoly(" + " + ".join(parts) + ")"
 
-    def evaluate_coords(self, a, b, c):
-        """Value at arbitrary (not necessarily normalized) coordinates."""
-        total = Fraction(0) if isinstance(a, Fraction) else 0
+    def evaluate_coords(self, a, b, c) -> Fraction:
+        """Value at arbitrary (not necessarily normalized) rational
+        coordinates.
+
+        Runs on integers, as local_expansion does: with a = an/ad and so
+        on, a term c X^i Y^j Z^k of the degree-d form is brought to the
+        common denominator L * ad^d * bd^d * cd^d (L the lcm of the
+        coefficient denominators) through the power tables an^i ad^(d-i),
+        and one Fraction is built for the sum.
+        """
+        if not self.terms:
+            return Fraction(0)
+        d = self.degree
+        big_l = math.lcm(*(q.denominator for q in self.terms.values()))
+        den = big_l
+        tables = []
+        for x in (a, b, c):
+            x = Fraction(x)
+            npow, dpow = [1], [1]
+            for _ in range(d):
+                npow.append(npow[-1] * x.numerator)
+                dpow.append(dpow[-1] * x.denominator)
+            tables.append([npow[e] * dpow[d - e] for e in range(d + 1)])
+            den *= dpow[d]
+        ta, tb, tc = tables
+        total = 0
         for (i, j, k), coeff in self.terms.items():
-            total = total + coeff * a ** i * b ** j * c ** k
-        return total
+            total += (coeff.numerator * (big_l // coeff.denominator)
+                      * ta[i] * tb[j] * tc[k])
+        return Fraction(total, den)
 
     def dehomogenize(self, chart: int) -> dict[tuple[int, int], Fraction]:
         """Set the chart variable to 1; keys are exponents of the remaining
@@ -265,10 +287,29 @@ def _shift_rows(n: int, d: int, top: int) -> list[list[int]]:
              for i in range(e + 1)] for e in range(top + 1)]
 
 
+@lru_cache(maxsize=None)
+def sympy_rings() -> SimpleNamespace:
+    """sympy's field QQ, its Groebner bases and the lex rings Q[X, Y, Z],
+    Q[a, b] (with its generators a, b) and Q[X, Y].
+
+    Imported on first use: loading sympy takes longer than a whole
+    pipeline run, and no CLI command needs it.
+    """
+    from sympy.polys.domains import QQ
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import ring
+    ab, a, b = ring("a,b", QQ, lex)
+    return SimpleNamespace(QQ=QQ, groebner=groebner,
+                           xyz=ring("X,Y,Z", QQ, lex)[0], ab=ab, a=a, b=b,
+                           xy=ring("X,Y", QQ, lex)[0])
+
+
 def to_ring(p: HomPoly):
     """p as an element of sympy's polynomial ring Q[X, Y, Z] (lex)."""
-    return _QXYZ({e: QQ(c.numerator, c.denominator)
-                  for e, c in p.terms.items()})
+    rings = sympy_rings()
+    return rings.xyz({e: rings.QQ(c.numerator, c.denominator)
+                      for e, c in p.terms.items()})
 
 
 def from_ring(f) -> HomPoly:
@@ -401,7 +442,7 @@ _COPRIME_PROOFS = (
 
 def coprime(p: HomPoly, q: HomPoly) -> bool:
     """True iff p and q share no component; equals
-    gcd_homogeneous(p, q).degree == 0.
+    gcd_homogeneous(p, q).degree == 0, and loads no sympy.
 
     The proof is a resultant modulo a prime (Cox, Little, O'Shea, Ideals,
     Varieties, and Algorithms, ch. 3, sec. 6). Scaled to integer forms, p
@@ -412,16 +453,21 @@ def coprime(p: HomPoly, q: HomPoly) -> bool:
     then share no root in P^1. A shared component would meet the line in
     a common root, or contain it, making p(v) = 0; so none exists. Only
     when no entry of the fixed list _COPRIME_PROOFS gives a proof does
-    gcd_homogeneous decide, so every pair that shares a component is
-    answered by the gcd.
+    the exact test decide: after a frame change and a shear that put
+    [0:1:0] on neither curve, every component has positive degree in Y,
+    so the pair shares one iff its resultant in Y is the zero form
+    (curves._shares_component). Every pair that shares a component is
+    answered by that test.
     """
-    if not p.is_zero and not q.is_zero:
-        for u, v, prime in _COPRIME_PROOFS:
-            a = _restrict_mod(p, u, v, prime)
-            b = _restrict_mod(q, u, v, prime)
-            if a[-1] and b[-1] and _gcd_degree_mod(a, b, prime) == 0:
-                return True
-    return gcd_homogeneous(p, q).degree == 0
+    if p.is_zero or q.is_zero:  # the gcd is the other form, made monic
+        return gcd_homogeneous(p, q).degree == 0
+    for u, v, prime in _COPRIME_PROOFS:
+        a = _restrict_mod(p, u, v, prime)
+        b = _restrict_mod(q, u, v, prime)
+        if a[-1] and b[-1] and _gcd_degree_mod(a, b, prime) == 0:
+            return True
+    from .curves import _shares_component  # curves builds on this module
+    return not _shares_component(p, q)
 
 
 def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:

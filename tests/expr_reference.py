@@ -1,12 +1,14 @@
-"""Reference implementations on sympy `Expr`, for tests only.
+"""Reference implementations on sympy, for tests only.
 
-The package computes resultants in its own code and everything else in
-sympy's polynomial rings; these are the expression-based versions it
-replaced, kept as independent references: the converters between
-`HomPoly` and `Expr`, `sympy.resultant` for `curves._resultant_xz`, the
-`Expr` versions of `gcd_homogeneous`, `is_smooth` and `bezout_table`, and
-`use_expr_internals`, which puts the resultant and the gcd back into the
-package so that its multiplicity algorithms run on `Expr` as they did.
+The package computes resultants, rational roots and cubic irreducibility
+in its own code and the rest in sympy's polynomial rings; these are the
+sympy-based versions it replaced, kept as independent references: the
+converters between `HomPoly` and `Expr`, `sympy.resultant` for
+`curves._resultant_xz`, the `Expr` versions of `gcd_homogeneous`,
+`is_smooth` and `bezout_table`, the Groebner line test for
+`cubic_is_irreducible`, sympy's `factor_list` for `curves._rational_roots`,
+and `use_expr_internals`, which puts the resultant and the gcd back into
+the package so that its multiplicity algorithms run on `Expr` as they did.
 """
 
 from fractions import Fraction
@@ -62,6 +64,26 @@ def use_expr_internals(monkeypatch):
     for module in (curves, exactpoly):
         monkeypatch.setattr(module, "gcd_homogeneous",
                             reference_gcd_homogeneous)
+
+
+def reference_cubic_is_irreducible(p: HomPoly) -> bool:
+    """A cubic is irreducible over C iff it has no line component over C,
+    decided by the Groebner line test."""
+    return not curves.has_complex_line_factor(p)
+
+
+def reference_rational_roots(coeffs) -> list[Fraction]:
+    """The distinct rational roots of a nonzero polynomial in s, given by
+    its coefficients indexed by the power, read from the linear factors
+    of sympy's `factor_list`."""
+    expr = sum(sympy.Rational(c) * S ** i for i, c in enumerate(coeffs))
+    roots = set()
+    for fac, _ in sympy.factor_list(expr, S)[1]:
+        if sympy.degree(fac, S) == 1:
+            a, b = sympy.Poly(fac, S).all_coeffs()
+            r = -b / a
+            roots.add(Fraction(int(r.p), int(r.q)))
+    return sorted(roots)
 
 
 def reference_is_smooth(p: HomPoly) -> bool:

@@ -5,6 +5,7 @@ vanishing-order and coprimality path, the (gamma, weight) shapes are frozen,
 and tampered certificates must be rejected.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,9 @@ from lelongplane.construct import (CERT_SHAPES, PotentialCertificate,
                                    construct_certificate_m3_high,
                                    make_certificate, verify_certificate)
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate,
-                                   gcd_homogeneous, vanishing_order)
+from lelongplane.exactpoly import (HomPoly, ProjPoint, divides, evaluate,
+                                   gcd_homogeneous, join, meet,
+                                   vanishing_order)
 from lelongplane.instances import (INSTANCE_KINDS, case2_instance,
                                    case3_instance, case4_instance,
                                    conic6_instance, conic7_instance,
@@ -242,6 +244,30 @@ def test_m3_11_join_through_a_line_and_a_conic_point(seed):
     report = construct_certificate(moved, extra=extra)
     shape = _line_product_shape(report, "line_product_excluded_points")
     assert shape == (4, 12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_m3_11_line_found_past_a_collinear_triple(seed):
+    """Line point 8 moved to where a chord of two conic points meets the
+    line: the chord holds three points of S and sorts before the line,
+    but it is no component of the witness cubic, so the route must still
+    split off the line."""
+    inst = case4_instance(seed)
+    s = inst.point_set
+    line = join(s.point(8), s.point(9)).monic()
+    for i, j in itertools.combinations(range(1, 8), 2):
+        chord = join(s.point(i), s.point(j)).monic()
+        y = meet(chord, line)
+        moved = PointSet(s.points[:7] + (y,) + s.points[8:])
+        if chord.coeff_vector() < line.coeff_vector() and \
+                y not in s.points and \
+                m_sequence(moved).as_tuple() == (4, 7, 11):
+            break
+    else:
+        pytest.fail("no chord sorts before the line")
+    assert not divides(chord, m_sequence(moved).witnesses[2][1])
+    report = construct_certificate(moved, extra=inst.extra)
+    assert _line_product_shape(report, "line_product_disjoint") == (4, 13)
 
 
 SEED0_TRACES = {

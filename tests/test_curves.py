@@ -8,6 +8,7 @@ deg(p)*deg(q) = sum of multiplicities + residual.
 """
 
 import functools
+import importlib.util
 import math
 import os
 import random
@@ -21,6 +22,7 @@ import sympy
 from sympy.polys.rings import PolyElement
 
 from lelongplane import curves
+from lelongplane.config import m_sequence
 from lelongplane.construct import construct_certificate
 from lelongplane.curves import (analyze_curve, bezout_table, conic_rank,
                                 cubic_is_irreducible, find_line_components,
@@ -30,13 +32,15 @@ from lelongplane.curves import (analyze_curve, bezout_table, conic_rank,
                                 resultant_multiplicity)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime,
-                                   exact_divide, gcd_homogeneous, monomials,
-                                   vanishing_order)
+                                   exact_divide, gcd_homogeneous, join,
+                                   monomials, vanishing_order)
 from lelongplane.instances import generate
 
 from expr_reference import (from_sympy, reference_bezout_table,
-                            reference_is_smooth, reference_resultant_xz,
-                            to_sympy, use_expr_internals)
+                            reference_cubic_is_irreducible,
+                            reference_is_smooth, reference_rational_roots,
+                            reference_resultant_xz, to_sympy,
+                            use_expr_internals)
 
 ORIGIN = ProjPoint(Fraction(0), Fraction(0), Fraction(1))
 
@@ -88,6 +92,159 @@ def test_cubic_irreducibility():
     assert not cubic_is_irreducible(HomPoly.line(1, 0, 0)
                                     * HomPoly.line(0, 1, 0)
                                     * HomPoly.line(0, 0, 1))
+
+
+def _cubic_families():
+    """Named cubics over the families where a line test can go wrong."""
+    rng = random.Random(83)
+    conic = mono((1, 0, 1)) - mono((0, 2, 0))         # XZ = Y^2
+    circle = mono((2, 0, 0)) + mono((0, 2, 0)) - mono((0, 0, 2))
+    lines = [random_poly(rng, 1) for _ in range(30)]
+    out = {
+        "node": mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1)),
+        "cusp": mono((0, 2, 1)) - mono((3, 0, 0)),
+        "fermat": mono((3, 0, 0)) + mono((0, 3, 0)) + mono((0, 0, 3)),
+        # the conic with its tangent line X = 0 at (0:0:1)
+        "conic_tangent_line": conic * HomPoly.line(1, 0, 0),
+        # X = 2Z meets X^2 + Y^2 = Z^2 where Y^2 = -3 Z^2
+        "conic_conjugate_points": circle * HomPoly.line(1, 0, -2),
+        # three conjugate lines X + tY + t^2 Z, t^3 = 2, not concurrent
+        "conjugate_lines": mono((3, 0, 0)) + mono((0, 3, 0), 2)
+        + mono((0, 0, 3), 4) - mono((1, 1, 1), 6),
+        # cones: the Hessian is the zero form
+        "triple_line": lines[0] * lines[0] * lines[0],
+        "conjugate_cone": mono((3, 0, 0)) - mono((0, 3, 0), 2),
+        "concurrent_xy": mono((3, 0, 0)) + mono((2, 1, 0), 3)
+        - mono((0, 3, 0), 5),
+    }
+    for n in range(40):
+        out[f"random_{n}"] = random_poly(rng, 3)
+    for n in range(15):
+        out[f"line_conic_{n}"] = random_poly(rng, 1) * random_poly(rng, 2)
+    for n in range(10):
+        out[f"three_lines_{n}"] = lines[n] * lines[n + 10] * lines[n + 20]
+    for n in range(5):
+        out[f"double_line_{n}"] = lines[n] * lines[n] * lines[n + 10]
+    for n in range(5):
+        # three lines aX + bY + cZ through (n : 2n - 1 : 1)
+        abc = [(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)]
+        out[f"concurrent_{n}"] = functools.reduce(HomPoly.__mul__, [
+            HomPoly.line(a, b, -(a * n + b * (2 * n - 1))) for a, b in abc])
+    return out
+
+
+def test_cubic_irreducibility_matches_groebner_reference():
+    answers = {}
+    for name, p in _cubic_families().items():
+        answers[name] = cubic_is_irreducible(p)
+        assert answers[name] == reference_cubic_is_irreducible(p), name
+    for name in ("node", "cusp", "fermat"):
+        assert answers[name], name
+    for prefix in ("conic_", "conjugate_", "triple_", "concurrent",
+                   "line_conic_", "three_lines_", "double_line_"):
+        assert not any(v for k, v in answers.items()
+                       if k.startswith(prefix)), prefix
+    assert sum(answers.values()) >= 30  # most random cubics
+
+
+def test_cones_have_zero_hessian():
+    families = _cubic_families()
+    # a double line and the other line meet in a point: a cone as well
+    cones = [k for k in families
+             if k.startswith(("concurrent", "triple_", "double_line_"))
+             or k == "conjugate_cone"]
+    assert len(cones) == 13
+    for name, p in families.items():
+        assert curves._hessian(p).is_zero == (name in cones), name
+
+
+def test_hessian_of_the_node():
+    """H of Y^2 Z - X^3 - X^2 Z against the determinant of its second
+    partials, taken by hand, at a few points."""
+    nodal = mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1))
+    h = curves._hessian(nodal)
+    assert h.degree == 3
+    for x, y, z in ((1, 2, 3), (-2, 5, 1), (0, 1, 0), (7, -3, 4)):
+        m = [[-6 * x - 2 * z, 0, -2 * x], [0, 2 * z, 2 * y],
+             [-2 * x, 2 * y, 0]]
+        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        assert h.evaluate_coords(x, y, z) == det
+
+
+def test_rational_roots_match_factor_list():
+    def expand(*factors):
+        out = [1]
+        for f in factors:
+            prod = [0] * (len(out) + len(f) - 1)
+            for i, a in enumerate(out):
+                for j, b in enumerate(f):
+                    prod[i + j] += a * b
+            out = prod
+        return out
+
+    big = 2 ** 101 + 7
+    cases = [
+        expand([-1, 1], [-1, 1], [3, 2], [3, 2], [3, 2]),   # repeated roots
+        expand([0, 1], [0, 1], [0, 1], [-5, 1]),             # 0, three times
+        [3, 7], [-12, 4],                                     # degree 1
+        [5], [-1],                                            # constants
+        expand([-3 ** 70, big], [1, 0, 1], [2 ** 120, -3]),  # > 100 bits
+        expand([-3 ** 70, big], [-3 ** 70, big]),
+        [-2, 0, 1], [1, 0, 0, 0, 1], [1, -3, 0, 1],           # no root
+        expand([1, 0, 1], [2, 0, 0, 1], [-7, 0, 3]),
+        expand([6, -5, 1], [6, -5, 1], [-1, 0, 0, 1]),        # 2, 3, 1
+    ]
+    rng = random.Random(89)
+    for _ in range(60):
+        factors = [[rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)]
+                   for _ in range(rng.randint(0, 4))]
+        factors += [[rng.randint(-50, 50) for _ in range(rng.randint(2, 4))]
+                    + [rng.randint(1, 9)] for _ in range(rng.randint(0, 2))]
+        f = expand(*factors)
+        if any(f):
+            cases.append(f)
+    for f in cases:
+        got = sorted(curves._rational_roots(curves._int_poly(f)))
+        assert got == reference_rational_roots(f), f
+    assert sorted(curves._rational_roots(curves._int_poly(cases[0]))) == [
+        Fraction(-3, 2), Fraction(1)]
+    assert sorted(curves._rational_roots(curves._int_poly(cases[1]))) == [
+        Fraction(0), Fraction(5)]
+
+
+def test_shares_component_reads_every_sample():
+    """Two line pairs through four points, one on each of the first four
+    lines X = xZ where the exact test samples the fibers: only the fifth
+    sample shows that the pair shares no component."""
+    pts = [ProjPoint(0, 1, 1), ProjPoint(1, 3, 1), ProjPoint(2, -1, 1),
+           ProjPoint(3, 2, 1)]
+    p = join(pts[0], pts[1]) * join(pts[2], pts[3])
+    q = join(pts[0], pts[2]) * join(pts[1], pts[3])
+    assert curves._sheared_pair(p, q)[:2] == (0, 0)  # no frame, no shear
+    assert not curves._shares_component(p, q)
+    line = HomPoly.line(1, 1, 1)
+    assert curves._shares_component(p * line, q * line)
+
+
+def _bench_tangent_pairs(seed):
+    """The benchmark's tangent pairs, from perfbench/workloads.py."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [tuple(HomPoly(d, {(i, j, k): Fraction(c) for i, j, k, c in terms})
+                  for d, terms in (pair["p"], pair["q"]))
+            for pair in module.tangent_pairs(seed)]
+
+
+def test_bezout_table_matches_reference_on_bench_tangent_pairs():
+    """bezout_table, with its in-repo roots and fiber gcds, agrees with the
+    `Expr` reference on the benchmark's tangent pairs, seeds 0..29."""
+    for seed in range(30):
+        for p, q in _bench_tangent_pairs(seed):
+            assert bezout_table(p, q) == reference_bezout_table(p, q), seed
 
 
 _A, _B = sympy.symbols("a b")
@@ -210,6 +367,8 @@ def test_find_line_components_matches_expr_reference():
 
 
 def test_line_test_on_case4_residuals(monkeypatch):
+    """The line test on case4's m3 = 11 witness cubics and on what
+    find_line_components leaves of them."""
     residuals = []
     real = curves.has_complex_line_factor
 
@@ -219,9 +378,10 @@ def test_line_test_on_case4_residuals(monkeypatch):
 
     monkeypatch.setattr(curves, "has_complex_line_factor", spy)
     for seed in range(4):
-        inst = generate("case4", seed)
-        construct_certificate(inst.point_set, extra=inst.extra)
-    assert residuals
+        gamma = m_sequence(generate("case4", seed).point_set).witnesses[2][1]
+        residuals.append(gamma)
+        find_line_components(gamma)
+    assert len(residuals) == 8
     for p in residuals:
         assert real(p) == reference_has_complex_line_factor(p)
 

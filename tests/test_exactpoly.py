@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from lelongplane import exactpoly
+from lelongplane import curves, exactpoly
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, divides,
                                    evaluate, exact_divide, fraction_from_str,
@@ -94,6 +94,31 @@ def test_evaluate_multiplicative():
         x = ProjPoint(Fraction(rng.randint(-9, 9)),
                       Fraction(rng.randint(-9, 9)), Fraction(1))
         assert evaluate(f * g, x) == evaluate(f, x) * evaluate(g, x)
+
+
+def test_evaluate_coords_matches_fraction_powers():
+    """The integer evaluation equals the term-by-term Fraction sum, at
+    rational, integer and unnormalized coordinates, with large
+    denominators, and returns a Fraction."""
+    rng = random.Random(8)
+    cases = [(HomPoly.zero(3), (1, 2, 3)), (HomPoly.zero(0), (Fraction(1, 2),
+                                                          0, 1))]
+    for _ in range(200):
+        d = rng.randint(0, 7)
+        f = random_big_poly(rng, d, rng.choice((1, 8, 120)))
+        coords = [Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                           rng.randint(1, 10 ** rng.randint(0, 12)))
+                  for _ in range(3)]
+        if rng.random() < 0.25:
+            coords = [rng.randint(-7, 7) for _ in range(3)]
+        cases.append((f, coords))
+    for f, coords in cases:
+        want = Fraction(0)
+        for (i, j, k), c in f.terms.items():
+            want += c * Fraction(coords[0]) ** i * Fraction(coords[1]) ** j \
+                * Fraction(coords[2]) ** k
+        got = f.evaluate_coords(*coords)
+        assert type(got) is Fraction and got == want
 
 
 def test_euler_identity_random():
@@ -287,15 +312,71 @@ def test_coprime_falls_back_when_every_direction_vanishes(monkeypatch):
         assert evaluate(p, ProjPoint(*v)) == 0
         assert evaluate(q, ProjPoint(*v)) == 0
     calls = []
-    real = exactpoly.gcd_homogeneous
+    real = curves._shares_component
 
     def spy(f, g):
         calls.append((f, g))
         return real(f, g)
 
-    monkeypatch.setattr(exactpoly, "gcd_homogeneous", spy)
+    def forbidden(*args):
+        raise AssertionError("the sheared resultant decides, not the gcd")
+
+    monkeypatch.setattr(curves, "_shares_component", spy)
+    monkeypatch.setattr(exactpoly, "gcd_homogeneous", forbidden)
     assert coprime(p, q)
     assert calls == [(p, q)]
+
+
+def test_coprime_fallback_matches_gcd():
+    """Pairs whose forms both vanish at the three proof directions, so no
+    modular proof applies: coprime pairs, pairs sharing a line and pairs
+    sharing a conic, some sharing one through a direction. The exact
+    fallback must agree with the gcd."""
+    dirs = [v for _, v, _ in exactpoly._COPRIME_PROOFS]
+    rng = random.Random(12)
+
+    def through_dirs(degree):
+        """A random form of the given degree (>= 2) through all three
+        directions: a combination of products of their joins."""
+        l12, l23, l13 = (line_through(dirs[0], dirs[1]),
+                         line_through(dirs[1], dirs[2]),
+                         line_through(dirs[0], dirs[2]))
+        basis = [l12 * l23, l12 * l13, l23 * l13]
+        return sum((b * random_poly(rng, degree - 2, 4) for b in basis[1:]),
+                   basis[0] * random_poly(rng, degree - 2, 4))
+
+    pairs, verdicts = [], []
+    for _ in range(6):
+        pairs.append((through_dirs(2), through_dirs(3)))
+        pairs.append((through_dirs(3), through_dirs(3)))
+    for _ in range(4):
+        line = HomPoly.line(rng.randint(1, 6), rng.randint(-6, 6),
+                            rng.randint(-6, 6))
+        pairs.append((through_dirs(2) * line, through_dirs(2) * line))
+        conic = random_poly(rng, 2, 5)
+        pairs.append((through_dirs(2) * conic, through_dirs(3) * conic))
+    # the shared component itself passes through the directions
+    pairs.append((through_dirs(2) * HomPoly.line(1, 0, 0), through_dirs(2)))
+    shared = through_dirs(2)
+    pairs.append((shared * HomPoly.line(1, 2, 3), shared * shared))
+    l12, l13 = (line_through(dirs[0], dirs[1]),
+                line_through(dirs[0], dirs[2]))
+    pairs.append((l12 * through_dirs(2), l12 * l13 * random_poly(rng, 1)))
+    # coprime, with one more common zero on a line X = xZ, x = 0 or 1,
+    # where the exact test samples the fibers: that sample alone would
+    # read as a shared component
+    for extra in ((0, 0, 1), (0, 3, 1), (1, 5, 1), (1, -2, 1)):
+        pairs.append((l12 * line_through(dirs[2], extra),
+                      line_through(dirs[1], dirs[2])
+                      * line_through(dirs[0], extra)))
+    for p, q in pairs:
+        for v in dirs:
+            assert evaluate(p, ProjPoint(*v)) == 0
+            assert evaluate(q, ProjPoint(*v)) == 0
+        want = gcd_homogeneous(p, q).degree == 0
+        assert coprime(p, q) == coprime(q, p) == want
+        verdicts.append(want)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_coprime_proof_needs_no_gcd(monkeypatch):

@@ -1,15 +1,23 @@
 """Every name a module of the package imports is used or re-exported,
-and sympy is imported only from its polynomial modules.
+and sympy is imported only from its polynomial modules, only inside
+functions, and by no CLI command.
 
 Parses each `src/lelongplane/*.py` with `ast`: a name bound by `import` or
 `from ... import` anywhere in a module must be read somewhere in it, or be
 listed in its `__all__`. sympy may be imported only as
 `from sympy.polys.<module> import ...`: a bare `import sympy` (or
 `import sympy.<module>`, which binds `sympy`) would put the expression API
-in reach.
+in reach. Every sympy import sits in a function body, since loading sympy
+takes longer than a whole pipeline run; a fresh interpreter runs every
+command of the pipeline, and the curve library on a tangent pair, with
+`sympy` absent from `sys.modules`.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +62,24 @@ def sympy_imports_outside_polys(source: str) -> list[str]:
     return out
 
 
+def sympy_imports_at_module_level(source: str) -> list[str]:
+    """sympy imports that do not sit inside a function body."""
+    def walk(node, in_function):
+        out = []
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and \
+                    not in_function:
+                names = ([a.name for a in child.names]
+                         if isinstance(child, ast.Import)
+                         else [child.module or ""])
+                out += [f"{name} (line {child.lineno})" for name in names
+                        if name.split(".")[0] == "sympy"]
+            out += walk(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+        return out
+    return walk(ast.parse(source), False)
+
+
 def test_the_check_sees_unused_names():
     src = "import math\nfrom os import path, sep\n__all__ = ['sep']\n"
     assert unused_imports(src) == ["math (line 1)", "path (line 2)"]
@@ -77,3 +103,87 @@ def test_the_check_sees_sympy_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_sympy_only_from_polys(path):
     assert sympy_imports_outside_polys(path.read_text()) == []
+
+
+def test_the_check_sees_module_level_sympy_imports():
+    src = ("from sympy.polys.rings import ring\n"
+           "import math\n"
+           "if True:\n"
+           "    import sympy.polys.domains\n"
+           "class C:\n"
+           "    from sympy.polys.orderings import lex\n"
+           "    def method(self):\n"
+           "        from sympy.polys.domains import QQ\n"
+           "def f():\n"
+           "    from sympy.polys.rings import ring\n"
+           "    def g():\n"
+           "        import sympy\n")
+    assert sympy_imports_at_module_level(src) == [
+        "sympy.polys.rings (line 1)", "sympy.polys.domains (line 4)",
+        "sympy.polys.orderings (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sympy_imported_only_inside_functions(path):
+    assert sympy_imports_at_module_level(path.read_text()) == []
+
+
+_NO_SYMPY_RUN = """
+import contextlib, io, json, os, sys
+from lelongplane.cli import main
+from lelongplane.curves import (bezout_table, intersection_multiplicity,
+                                resultant_multiplicity)
+from lelongplane.exactpoly import HomPoly, ProjPoint
+from lelongplane.instances import INSTANCE_KINDS
+
+codes = {}
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    if code:
+        codes[" ".join(argv)] = code
+
+for kind in INSTANCE_KINDS:
+    inst, cert = f"{kind}.json", f"{kind}-cert.json"
+    run("generate", "--kind", kind, "--seed", "0", "--out", inst)
+    run("msequence", "--input", inst)
+    run("linsys", "--input", inst, "--degree", "6", "--double", "1,2,3,4,5,6")
+    run("construct", "--input", inst, "--cert", cert)
+    if os.path.exists(cert):
+        run("certify", "--input", cert)
+        run("lelong", "--input", cert, "--seed", "0")
+run("sharpness", "--seed", "0")
+run("enumerate", "--cap", "2")
+# a cubic and a quartic, both smooth at the origin with tangent Y = 0, so
+# the multiplicity at the origin runs the reduction
+mono = HomPoly.monomial
+p = mono((0, 1, 2)) - mono((2, 0, 1)) + mono((3, 0, 0)) - mono((0, 3, 0))
+q = (mono((0, 1, 3)) - mono((2, 0, 2), 2) + mono((1, 1, 2))
+     + mono((4, 0, 0)) + mono((0, 2, 2), 5))
+x = ProjPoint(0, 0, 1)
+records, residual = bezout_table(p, q)
+mus = [intersection_multiplicity(p, q, x), resultant_multiplicity(p, q, x)]
+print(json.dumps({
+    "codes": codes, "mus": mus,
+    "records": [[str(r.point), r.multiplicity] for r in records],
+    "residual": residual,
+    "sympy": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}))
+"""
+
+
+def test_pipeline_and_curve_library_load_no_sympy(tmp_path):
+    src = str(Path(lelongplane.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_RUN], env=env,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         check=True)
+    doc = json.loads(out.stdout)
+    # example6lines has no certificate: construct exits 2 there
+    assert doc["codes"] == {
+        "construct --input example6lines.json "
+        "--cert example6lines-cert.json": 2}
+    assert doc["mus"] == [2, 2]
+    assert doc["records"] == [["ProjPoint(0:0:1)", 2]]
+    assert doc["residual"] == 10
+    assert doc["sympy"] == []
