@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, join, line_coeffs, meet,
-                        monomial_count, monomials)
+from .exactpoly import (HomPoly, ProjPoint, _cross, evaluate, join,
+                        line_coeffs, meet, monomial_count, monomials)
 from .linalg import bareiss_step, int_rank, nullspace
 
 
@@ -77,19 +77,30 @@ class IncidenceStructure:
         return sum(label in line for line in self.lines)
 
 
+def _int_coords(p: ProjPoint) -> tuple[int, int, int]:
+    """The point's coordinates times the lcm D of their denominators.
+
+    They are primitive. The last nonzero coordinate is 1 and becomes D,
+    and a prime p dividing D divides some denominator to its full power
+    in D, so that coordinate times D is prime to p.
+    """
+    scale = math.lcm(*(x.denominator for x in p.coords))
+    return tuple(int(x * scale) for x in p.coords)
+
+
 def _evaluation_rows(points, degree):
     """Integer monomial evaluation rows, one per point.
 
     Each point is scaled to integer coordinates by the lcm D of its
-    denominators, so its row is D**degree times the rational one: the
-    same row as clearing the denominators of the rational values.
+    denominators (`_int_coords`), so its row is D**degree times the
+    rational one: the same row as clearing the denominators of the
+    rational values.
     """
     mons = monomials(degree)
     rows = []
     for p in points:
-        scale = math.lcm(*(x.denominator for x in p.coords))
-        pa, pb, pc = ([int(x * scale) ** e for e in range(degree + 1)]
-                      for x in p.coords)
+        pa, pb, pc = ([x ** e for e in range(degree + 1)]
+                      for x in _int_coords(p))
         rows.append([pa[i] * pb[j] * pc[k] for i, j, k in mons])
     return rows
 
@@ -179,12 +190,15 @@ def m_sequence(s: PointSet) -> MSequence:
 
 
 def four_point_lines(s: PointSet):
-    """All maximal collinear label groups of size >= 3, largest first."""
-    n = len(s)
-    coords = [x.coords for x in s.points]
+    """All maximal collinear label groups of size >= 3, largest first.
+
+    Joins and membership tests run on primitive integer coordinates:
+    scaling a point or a line by a nonzero factor changes no zero test.
+    """
+    coords = [_int_coords(p) for p in s.points]
     groups = set()
-    for i, j in itertools.combinations(range(n), 2):
-        a, b, c = line_coeffs(join(s.points[i], s.points[j]))
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        a, b, c = _cross(coords[i], coords[j])
         members = tuple(k + 1 for k, (x, y, z) in enumerate(coords)
                         if a * x + b * y + c * z == 0)
         if len(members) >= 3:
@@ -196,44 +210,71 @@ def four_point_lines(s: PointSet):
 # Enumeration of 4-point-line families up to relabeling.
 
 
+def _place(line, cells):
+    """The least relabeled tuple of `line` and the refined cells.
+
+    `cells` is an ordered partition of the labels placed so far; the i-th
+    cell owns the next len(cell) values. The k labels a line takes from a
+    cell get that cell's k least values and the cell splits in two, taken
+    labels first; the line's fresh labels form a new last cell.
+    """
+    relabeled, refined, start = [], [], 1
+    for cell in cells:
+        taken = cell & line
+        if taken:
+            relabeled.extend(range(start, start + len(taken)))
+            refined.append(taken)
+            if len(taken) < len(cell):
+                refined.append(cell - taken)
+        else:
+            refined.append(cell)
+        start += len(cell)
+        line = line - taken
+    if line:
+        relabeled.extend(range(start, start + len(line)))
+        refined.append(line)
+    return tuple(relabeled), refined
+
+
 def canonical_form(lines):
     """Lexicographically least relabeling of a line family.
 
-    Minimizes over all line orderings, assigning fresh labels by first
-    occurrence, branching over the orderings of new labels within a line;
-    branch-and-bound against the best sequence found so far.
+    Minimizes, over all line orderings and all relabelings that number the
+    labels by first occurrence, the sequence of relabeled sorted lines.
+    The search never permutes labels. It keeps the placed labels in
+    ordered cells of labels that no placed line tells apart, each cell
+    owning a run of consecutive values (McKay and Piperno, "Practical
+    graph isomorphism, II", J. Symbolic Comput. 2014, individualisation
+    and refinement cut down to this problem): see `_place`.
+
+    This is exact. Each placed line holds every cell whole or not at all,
+    so the prefix is the same however a cell's values fall among its
+    labels; and since the cells own disjoint runs of values, the k least
+    values of each cell give the elementwise least sorted tuple, and only
+    relabelings that give them reach it. Only the remaining lines whose
+    tuple is the least can come next, and a node whose prefix is above
+    the best leaf's is cut.
     """
-    lines = [tuple(sorted(l)) for l in lines]
+    lines = [frozenset(l) for l in lines]
     if not lines:
         return ()
-    best: list[tuple[int, ...] | None] = [None]
+    best: list[tuple[tuple[int, ...], ...] | None] = [None]
 
-    def extend(remaining, mapping, next_label, acc):
+    def extend(remaining, cells, acc):
         if not remaining:
-            cand = tuple(acc)
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
+            if best[0] is None or acc < best[0]:
+                best[0] = acc
             return
-        pos = len(acc)
-        for idx in list(remaining):
-            line = lines[idx]
-            old = sorted(mapping[x] for x in line if x in mapping)
-            fresh = [x for x in line if x not in mapping]
-            # fresh labels take consecutive values; branch over their order
-            for perm in itertools.permutations(fresh):
-                relabeled = tuple(sorted(
-                    old + list(range(next_label, next_label + len(fresh)))))
-                if best[0] is not None:
-                    prefix = best[0][:pos + 1]
-                    if (tuple(acc) + (relabeled,)) > prefix:
-                        continue
-                new_map = dict(mapping)
-                for off, x in enumerate(perm):
-                    new_map[x] = next_label + off
-                extend(remaining - {idx}, new_map,
-                       next_label + len(fresh), acc + [relabeled])
+        placed = {idx: _place(lines[idx], cells) for idx in remaining}
+        least = min(tup for tup, _ in placed.values())
+        acc = acc + (least,)
+        if best[0] is not None and acc > best[0][:len(acc)]:
+            return
+        for idx, (tup, refined) in placed.items():
+            if tup == least:
+                extend(remaining - {idx}, refined, acc)
 
-    extend(frozenset(range(len(lines))), {}, 1, [])
+    extend(frozenset(range(len(lines))), [], ())
     return best[0]
 
 
@@ -279,39 +320,25 @@ def enumerate_4lines(n_points: int, per_point_cap: int) -> EnumerationReport:
         raise PreconditionError("per-point cap must be 2 or 3")
     if n_points < 4:
         return EnumerationReport(n_points, per_point_cap, 0, ((0, ((),)),), ((),))
-    start = ((1, 2, 3, 4),)
-    levels = {1: {start: canonical_form(start)}}
-    maximal = []
-    size = 1
+    # levels[k - 1] holds one canonical form per relabeling class of size k
+    levels = [{canonical_form(((1, 2, 3, 4),))}]
+    maximal = set()
     while True:
-        nxt = {}
-        for fam in levels[size]:
+        nxt = set()
+        for fam in levels[-1]:
             exts = _extensions(list(fam), n_points, per_point_cap)
             if not exts:
-                maximal.append(fam)
-                continue
+                maximal.add(fam)
             for line in exts:
-                new = tuple(sorted(fam + (line,)))
-                if new in nxt:
-                    continue
-                nxt[new] = canonical_form(new)
+                nxt.add(canonical_form(fam + (line,)))
         if not nxt:
             break
-        # isomorph rejection: keep one representative per canonical form
-        by_canon = {}
-        for fam, canon in nxt.items():
-            if canon not in by_canon:
-                by_canon[canon] = canon  # the canonical form is itself valid
-        levels[size + 1] = {f: f for f in by_canon.values()}
-        size += 1
-    maximum = max(levels)
-    fams = tuple(sorted((k, tuple(sorted(set(levels[k].values()))))
-                        for k in levels))
+        levels.append(nxt)
     return EnumerationReport(
-        n_points=n_points, per_point_cap=per_point_cap, maximum=maximum,
-        families_by_size=fams,
-        maximal_families=tuple(sorted(set(canonical_form(f)
-                                          for f in maximal))))
+        n_points=n_points, per_point_cap=per_point_cap, maximum=len(levels),
+        families_by_size=tuple((k, tuple(sorted(fams)))
+                               for k, fams in enumerate(levels, 1)),
+        maximal_families=tuple(sorted(maximal)))
 
 
 # named incidence shapes used by the instance generators: five 4-point

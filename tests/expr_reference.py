@@ -9,8 +9,12 @@ converters between `HomPoly` and `Expr`, `sympy.resultant` for
 `cubic_is_irreducible`, sympy's `factor_list` for `curves._rational_roots`,
 and `use_expr_internals`, which puts the resultant and the gcd back into
 the package so that its multiplicity algorithms run on `Expr` as they did.
+Two references need no sympy: the canonical form that branches over every
+order of a line's fresh labels, and `four_point_lines` in `Fraction`
+arithmetic.
 """
 
+import itertools
 from fractions import Fraction
 
 import sympy
@@ -18,7 +22,7 @@ import sympy
 from lelongplane import curves, exactpoly
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
-                                   partial_derivatives)
+                                   join, line_coeffs, partial_derivatives)
 
 X, Y, Z = sympy.symbols("X Y Z")
 S = sympy.Symbol("s")
@@ -168,3 +172,59 @@ def reference_bezout_table(p: HomPoly, q: HomPoly):
     if residual < 0:
         raise PreconditionError("multiplicity bookkeeping error")
     return records, residual
+
+
+def reference_canonical_form(lines):
+    """Lexicographically least relabeling of a line family.
+
+    Minimizes over all line orderings, assigning fresh labels by first
+    occurrence, branching over the orderings of new labels within a line;
+    branch-and-bound against the best sequence found so far.
+    """
+    lines = [tuple(sorted(l)) for l in lines]
+    if not lines:
+        return ()
+    best: list[tuple[int, ...] | None] = [None]
+
+    def extend(remaining, mapping, next_label, acc):
+        if not remaining:
+            cand = tuple(acc)
+            if best[0] is None or cand < best[0]:
+                best[0] = cand
+            return
+        pos = len(acc)
+        for idx in list(remaining):
+            line = lines[idx]
+            old = sorted(mapping[x] for x in line if x in mapping)
+            fresh = [x for x in line if x not in mapping]
+            # fresh labels take consecutive values; branch over their order
+            for perm in itertools.permutations(fresh):
+                relabeled = tuple(sorted(
+                    old + list(range(next_label, next_label + len(fresh)))))
+                if best[0] is not None:
+                    prefix = best[0][:pos + 1]
+                    if (tuple(acc) + (relabeled,)) > prefix:
+                        continue
+                new_map = dict(mapping)
+                for off, x in enumerate(perm):
+                    new_map[x] = next_label + off
+                extend(remaining - {idx}, new_map,
+                       next_label + len(fresh), acc + [relabeled])
+
+    extend(frozenset(range(len(lines))), {}, 1, [])
+    return best[0]
+
+
+def reference_four_point_lines(s):
+    """All maximal collinear label groups of size >= 3, largest first,
+    joining every pair and testing every point in `Fraction` arithmetic."""
+    n = len(s)
+    coords = [x.coords for x in s.points]
+    groups = set()
+    for i, j in itertools.combinations(range(n), 2):
+        a, b, c = line_coeffs(join(s.points[i], s.points[j]))
+        members = tuple(k + 1 for k, (x, y, z) in enumerate(coords)
+                        if a * x + b * y + c * z == 0)
+        if len(members) >= 3:
+            groups.add(members)
+    return sorted(groups, key=lambda g: (-len(g), g))

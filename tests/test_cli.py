@@ -104,6 +104,27 @@ def test_enumerate_and_sharpness(tmp_path, capsys):
     capsys.readouterr()
 
 
+# `enumerate --n 12 --out` files, recorded with the canonical form that
+# branches over every order of a line's fresh labels
+# (`expr_reference.reference_canonical_form`)
+ENUMERATE_SHA256 = {
+    "2": "7518bd44515cb87dbf5a8386634083d43e38c48bd9bdd489398e78cb6d14247a",
+    "3": "5472f65ad7d70ab2fe02003cd9dbd94862663f6af89f8329c8a7b09cd75935ae",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(ENUMERATE_SHA256))
+def test_enumerate_matches_golden_digests(tmp_path, capsys, cap):
+    out = tmp_path / "enum.json"
+    assert run("enumerate", "--n", "12", "--cap", cap,
+               "--out", str(out)) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        ENUMERATE_SHA256[cap]
+    maximum, maximal = {"2": (5, 1), "3": (9, 2)}[cap]
+    assert capsys.readouterr().out.strip() == (
+        f"n=12 cap={cap} maximum={maximum} maximal_families={maximal}")
+
+
 def test_unsupported_enum_bounds(capsys):
     assert run("enumerate", "--n", "13", "--cap", "2") == EXIT_PRECONDITION
     capsys.readouterr()

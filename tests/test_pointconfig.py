@@ -2,8 +2,10 @@
 
 Oracles: hand-checkable point sets (collinear triples, grids), the plain
 `combinations` x rank scan as the reference for the pruned subset search,
-closed-form counts for small enumerations, and exact certification of every
-realized structure through the m-sequence witnesses.
+the permutation-branching canonical form and the `Fraction` collinearity
+scan kept in `expr_reference`, closed-form counts for small enumerations,
+and exact certification of every realized structure through the
+m-sequence witnesses.
 """
 
 import itertools
@@ -13,8 +15,10 @@ from fractions import Fraction
 import pytest
 
 from lelongplane import config
-from lelongplane.config import (SHAPE_3CONCURRENT_PLUS2, SHAPE_5LINES_CAP2,
-                                SHAPE_DOUBLE_STAR, IncidenceStructure,
+from lelongplane.config import (SHAPE_3CONCURRENT_PLUS2,
+                                SHAPE_3CONCURRENT_PLUS2_SPLIT,
+                                SHAPE_5LINES_CAP2, SHAPE_DOUBLE_STAR,
+                                IncidenceStructure,
                                 MSequence, NonRealizationReport, PointSet,
                                 Realization, canonical_form, enumerate_4lines,
                                 four_point_lines, m_sequence,
@@ -24,6 +28,8 @@ from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import HomPoly, ProjPoint, evaluate, monomial_count
 from lelongplane.instances import INSTANCE_KINDS, generate, generic12
 from lelongplane.linalg import int_rank, nullspace
+
+from expr_reference import reference_canonical_form, reference_four_point_lines
 
 
 def pt(a, b, c=1):
@@ -217,6 +223,45 @@ def test_four_point_lines_on_grid():
     # 3 rows + 3 columns + 2 diagonals, all of size 3
     assert len(groups) == 8
     assert all(len(g) == 3 for g in groups)
+    assert groups == reference_four_point_lines(PointSet(pts))
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_four_point_lines_matches_reference_on_instances(kind):
+    for seed in range(4):
+        s = generate(kind, seed).point_set
+        assert four_point_lines(s) == reference_four_point_lines(s)
+
+
+def test_four_point_lines_matches_reference_on_crafted_sets():
+    big = 2 ** 201 + 17
+    crafted = {
+        # four points on Z = 0 and four on X = 0, meeting at (0:1:0)
+        "infinity": [pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0), pt(1, 2, 0),
+                     pt(0, 0), pt(0, 1), pt(0, 3), pt(5, 7)],
+        # zero coordinates on both axes
+        "zeros": [pt(0, 0), pt(0, 2), pt(0, -5), pt(3, 0), pt(-4, 0),
+                  pt(0, 1, 0), pt(1, 0, 0), pt(1, 1)],
+        # joins such as (-2, 2, 0), not primitive
+        "non_primitive": [pt(0, 0), pt(2, 2), pt(4, 4), pt(6, 6), pt(2, 0),
+                          pt(4, 0), pt(6, 3), pt(Fraction(1, 3), 5)],
+        # coordinates over 200 bits, with a collinear triple among them
+        "large": [pt(big, 1), pt(1, big), pt(big + 1, 1 - big),
+                  pt(Fraction(big, 3), Fraction(1, big)),
+                  pt(Fraction(2 * big, 3), Fraction(2, big)),
+                  pt(Fraction(-big, 3), Fraction(-1, big)),
+                  pt(big ** 2, 7, 3), pt(3, 5)],
+    }
+    for name, pts in crafted.items():
+        s = PointSet(tuple(pts))
+        groups = four_point_lines(s)
+        assert groups == reference_four_point_lines(s), name
+        assert groups, name
+    # a 4-point line among the large points: (big, 1) + t (1 - big, big - 1)
+    line = [pt(big + t * (1 - big), 1 + t * (big - 1)) for t in range(4)]
+    s = PointSet(tuple(line) + (pt(1, 1), pt(big, big)))
+    assert four_point_lines(s)[0] == (1, 2, 3, 4)
+    assert four_point_lines(s) == reference_four_point_lines(s)
 
 
 def test_canonical_form_is_relabeling_invariant():
@@ -229,6 +274,52 @@ def test_canonical_form_is_relabeling_invariant():
         relabeled = [tuple(perm[x - 1] for x in line) for line in lines]
         rng.shuffle(relabeled)
         assert canonical_form(relabeled) == base
+
+
+def test_canonical_form_matches_reference_on_random_families():
+    rng = random.Random(2024)
+    families = []
+    # 1-6 lines of 4 labels out of 10, not necessarily pairwise meeting
+    for _ in range(300):
+        families.append([tuple(rng.sample(range(1, 11), 4))
+                         for _ in range(rng.randint(1, 6))])
+    # 3-8 lines of 2-4 labels out of at most 9: lines share several labels
+    # and often lie wholly in cells placed before later ones
+    for _ in range(300):
+        size = rng.randint(2, 4)
+        labels = range(1, rng.randint(size + 2, 9) + 1)
+        families.append([tuple(rng.sample(labels, size))
+                         for _ in range(rng.randint(3, 8))])
+    for lines in families:
+        assert canonical_form(lines) == reference_canonical_form(lines)
+
+
+@pytest.mark.parametrize("shape", [SHAPE_5LINES_CAP2, SHAPE_3CONCURRENT_PLUS2,
+                                   SHAPE_3CONCURRENT_PLUS2_SPLIT,
+                                   SHAPE_DOUBLE_STAR],
+                         ids=["5lines_cap2", "3concurrent_plus2",
+                              "3concurrent_plus2_split", "double_star"])
+def test_canonical_form_matches_reference_on_shapes(shape):
+    rng = random.Random(5)
+    base = reference_canonical_form(shape.lines)
+    assert canonical_form(shape.lines) == base
+    for _ in range(5):
+        perm = list(range(1, 13))
+        rng.shuffle(perm)
+        relabeled = [tuple(perm[x - 1] for x in line) for line in shape.lines]
+        rng.shuffle(relabeled)
+        assert canonical_form(relabeled) == base
+        assert reference_canonical_form(relabeled) == base
+
+
+# the reference takes about 6 s at n = 12, cap 3; the golden digest of
+# `enumerate --n 12 --cap 3` in test_cli covers that case
+@pytest.mark.parametrize("n, cap", [(n, 2) for n in range(4, 13)]
+                         + [(n, 3) for n in range(4, 12)])
+def test_enumeration_matches_reference_canonical_form(monkeypatch, n, cap):
+    report = enumerate_4lines(n, cap)
+    monkeypatch.setattr(config, "canonical_form", reference_canonical_form)
+    assert enumerate_4lines(n, cap) == report
 
 
 def test_incidence_structure_invariants():
