@@ -21,8 +21,8 @@ from fractions import Fraction
 from . import serialize
 from .config import m_sequence
 from .construct import construct_certificate, verify_certificate
-from .currents import (estimate_growth, estimate_pole_weight, pole_scale,
-                       sharpness_example)
+from .currents import (_estimate_pole_weight, _local_forms, _pole_scale,
+                       estimate_growth, sharpness_example)
 from .errors import (ParseError, PreconditionError, UnsupportedInstanceError,
                      VerificationError)
 from .instances import INSTANCE_KINDS, generate
@@ -130,9 +130,11 @@ def cmd_lelong(args) -> int:
     estimates = []
     worst = 0.0
     for x, w in cert.points:
-        rho = pole_scale(cert.p, cert.q, x)
+        # one expansion per point serves both the scale and the estimate
+        local = _local_forms(cert.p, cert.q, x)
+        rho = _pole_scale(local)
         pole_radii = [rho * 2.0 ** -k for k in range(4, 13)]
-        est = estimate_pole_weight(cert, x, pole_radii, seed=args.seed)
+        est = _estimate_pole_weight(cert, x, local, pole_radii, args.seed)
         estimates.append(est)
         worst = max(worst, abs(est.extrapolated - float(w)))
         print(f"point {tuple(map(str, x.coords))} claimed={w} "

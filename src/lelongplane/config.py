@@ -164,6 +164,12 @@ def m_sequence(s: PointSet) -> MSequence:
     is still found. At the floor every subset lies on a curve, so a witness
     always exists. The search eliminates fraction-free, each step dividing
     exactly by the previous pivot, and never builds a Fraction.
+
+    The contract callers may rely on: some m_d-subset lies on a curve of
+    degree d, and unless m_d = n, every (m_d + 1)-subset has a full-rank
+    evaluation matrix. So some k-subset lies on such a curve exactly when
+    k <= m_d; `currents.sharpness_example` reads its 105 full-rank
+    verdicts on 13 of 15 points off m3 < 13.
     """
     n = len(s)
     if n > 16:

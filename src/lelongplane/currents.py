@@ -24,6 +24,12 @@ the power tables du ** i and dv ** j once, and sums (c * du ** i) * dv ** j
 over the terms of a form in sorted exponent order, starting from the int 0.
 These are the float operations of a plain term-by-term evaluation in the
 same order, so the estimates are bit-for-bit those of that evaluation.
+
+Each exact fact is computed once per command. The ``lelong`` command
+expands P and Q once per listed point (``_local_forms``) for both the
+scale and the estimate; the verifier it runs first expands them again,
+as the independent check. The sharpness example reads its 105 full-rank
+verdicts on the 13-point subsets off the m-sequence it reports (m3 < 13).
 """
 
 from __future__ import annotations
@@ -36,12 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .config import PointSet, _evaluation_rows, m_sequence
+from .config import PointSet, m_sequence
 from .construct import PotentialCertificate
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, line_coeffs, meet,
-                        monomial_count)
-from .linalg import int_rank
+from .exactpoly import HomPoly, ProjPoint, evaluate, line_coeffs, meet
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,12 @@ def _directions(seed: int, count: int = 4, phases: int = 1):
     return out
 
 
+def _local_forms(p: HomPoly, q: HomPoly, x: ProjPoint):
+    """The exact local expansions of p and q at x, in the chart of x."""
+    chart = x.chart()
+    return p.local_expansion(x, chart)[1], q.local_expansion(x, chart)[1]
+
+
 def pole_scale(p: HomPoly, q: HomPoly, x: ProjPoint) -> float:
     """Radius rho* below which the tangent cone at x dominates the local
     expansions of p and q.
@@ -143,10 +153,13 @@ def pole_scale(p: HomPoly, q: HomPoly, x: ProjPoint) -> float:
     computed in logs of the exact coefficients, so it does not overflow
     however many bits they have. 1.0 when no term has degree above m.
     """
-    chart = x.chart()
+    return _pole_scale(_local_forms(p, q, x))
+
+
+def _pole_scale(local) -> float:
+    """`pole_scale` from the pair of exact local expansions."""
     terms = [(i + j, math.log(abs(c.numerator)) - math.log(c.denominator))
-             for f in (p, q)
-             for (i, j), c in f.local_expansion(x, chart)[1].items()]
+             for f in local for (i, j), c in f.items()]
     m = min(d for d, _ in terms)
     cone = max(lc for d, lc in terms if d == m)
     return math.exp(min(((cone - lc) / (d - m) for d, lc in terms if d > m),
@@ -156,11 +169,17 @@ def pole_scale(p: HomPoly, q: HomPoly, x: ProjPoint) -> float:
 def _scaled_floats(fp, fq):
     """Both exact forms as float dicts under a shared normalization, so
     float evaluation cannot overflow; the dropped log-scale only shifts u
-    by a constant and leaves every slope unchanged."""
-    scale = max(abs(c) for c in
-                itertools.chain(fp.values(), fq.values()))
-    return ({k: float(c / scale) for k, c in fp.items()},
-            {k: float(c / scale) for k, c in fq.items()})
+    by a constant and leaves every slope unchanged.
+
+    Each float is c / scale, formed as the int quotient
+    (c.numerator * scale.denominator) / (c.denominator * scale.numerator):
+    int true division rounds correctly, as `Fraction.__float__` does, so
+    the floats are those of float(c / scale) without a Fraction division.
+    """
+    scale = max(map(abs, itertools.chain(fp.values(), fq.values())))
+    sn, sd = scale.numerator, scale.denominator
+    return tuple({k: (c.numerator * sd) / (c.denominator * sn)
+                  for k, c in f.items()} for f in (fp, fq))
 
 
 def _evaluator(f):
@@ -202,6 +221,14 @@ def estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, radii,
                          seed: int = 0) -> LelongEstimate:
     """Least-squares slope of max u on shrinking circles around x against
     log radius; for a pole of weight w the slope converges to w."""
+    return _estimate_pole_weight(cert, x, _local_forms(cert.p, cert.q, x),
+                                 radii, seed)
+
+
+def _estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, local,
+                          radii, seed: int) -> LelongEstimate:
+    """`estimate_pole_weight` from the pair of exact local expansions of
+    cert.p and cert.q at x."""
     if not cert.verified:
         raise PreconditionError("certificate must be verified")
     claimed = None
@@ -214,9 +241,7 @@ def estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, radii,
     radii = sorted((float(r) for r in radii), reverse=True)
     if len(radii) < 3:
         raise PreconditionError("need at least 3 radii")
-    chart = x.chart()
-    fp, fq = _scaled_floats(cert.p.local_expansion(x, chart)[1],
-                            cert.q.local_expansion(x, chart)[1])
+    fp, fq = _scaled_floats(*local)
     values = _max_potential(fp, fq, cert.r, radii, _directions(seed))
     slope = _fit_slope([math.log(r) for r in radii], values)
     return LelongEstimate(point=x, radii=tuple(radii), values=tuple(values),
@@ -290,8 +315,14 @@ def sharpness_example(seed: int, budget: int = 100) -> SharpnessReport:
 
     Certifies: the normalized arrangement has Lelong number exactly 1/3 at
     every intersection point, and no cubic passes through any 13 of the 15
-    points (all 105 evaluation matrices have full rank 10), so the level
-    set cannot sit inside a cubic plus two points.
+    points (all C(15, 13) = 105 evaluation matrices have full rank 10), so
+    the level set cannot sit inside a cubic plus two points.
+
+    The 105 verdicts are read off the m-sequence. m3 is the largest k for
+    which some k-subset lies on a cubic, and every subset of points on a
+    cubic lies on it too, so some 13-subset lies on a cubic exactly when
+    m3 >= 13. When m3 = 12, the failing subset search at k = 13 is the
+    proof for all 105 subsets.
     """
     rng = random.Random(seed)
     for _ in range(budget):
@@ -310,18 +341,11 @@ def sharpness_example(seed: int, budget: int = 100) -> SharpnessReport:
             continue  # a concurrence or parallel pair: resample
         t = ArrangementCurrent(tuple((l, Fraction(1, 6)) for l in lines))
         values = tuple(lelong_exact(t, p) for p in pts)
-        ncols = monomial_count(3)
-        checks = 0
-        full = True
-        rows = _evaluation_rows(pts, 3)
-        for combo in itertools.combinations(range(15), 13):
-            checks += 1
-            if int_rank([rows[i] for i in combo]) != ncols:
-                full = False
         ms = m_sequence(PointSet(tuple(pts)))
         return SharpnessReport(
             lines=tuple(lines), points=tuple(pts), lelong_values=values,
             all_values_one_third=all(v == Fraction(1, 3) for v in values),
-            rank_checks=checks, all_ranks_full=full, m_seq=ms.as_tuple())
+            rank_checks=math.comb(15, 13), all_ranks_full=ms.m3 < 13,
+            m_seq=ms.as_tuple())
     raise PreconditionError("could not generate a generic arrangement "
                             "within the budget")

@@ -9,20 +9,28 @@ converters between `HomPoly` and `Expr`, `sympy.resultant` for
 `cubic_is_irreducible`, sympy's `factor_list` for `curves._rational_roots`,
 and `use_expr_internals`, which puts the resultant and the gcd back into
 the package so that its multiplicity algorithms run on `Expr` as they did.
-Two references need no sympy: the canonical form that branches over every
-order of a line's fresh labels, and `four_point_lines` in `Fraction`
-arithmetic.
+Four references need no sympy: the canonical form that branches over
+every order of a line's fresh labels, `four_point_lines` in `Fraction`
+arithmetic, the scaling of exact forms to floats by `Fraction` division,
+and the sharpness example that runs one `int_rank` on each of its 105
+13-point subsets.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import sympy
 
 from lelongplane import curves, exactpoly
+from lelongplane.config import PointSet, _evaluation_rows, m_sequence
+from lelongplane.currents import (ArrangementCurrent, SharpnessReport,
+                                  _random_line, lelong_exact)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
-                                   join, line_coeffs, partial_derivatives)
+                                   join, line_coeffs, meet, monomial_count,
+                                   partial_derivatives)
+from lelongplane.linalg import int_rank
 
 X, Y, Z = sympy.symbols("X Y Z")
 S = sympy.Symbol("s")
@@ -228,3 +236,55 @@ def reference_four_point_lines(s):
         if len(members) >= 3:
             groups.add(members)
     return sorted(groups, key=lambda g: (-len(g), g))
+
+
+def reference_scaled_floats(fp, fq):
+    """Both exact forms as floats c / scale, divided in `Fraction`s."""
+    scale = max(abs(c) for c in
+                itertools.chain(fp.values(), fq.values()))
+    return ({k: float(c / scale) for k, c in fp.items()},
+            {k: float(c / scale) for k, c in fq.items()})
+
+
+def reference_rank_checks(points):
+    """(number of 13-subsets, whether every one has a full-rank cubic
+    evaluation matrix), one `int_rank` per subset."""
+    ncols = monomial_count(3)
+    checks = 0
+    full = True
+    rows = _evaluation_rows(points, 3)
+    for combo in itertools.combinations(range(len(points)), 13):
+        checks += 1
+        if int_rank([rows[i] for i in combo]) != ncols:
+            full = False
+    return checks, full
+
+
+def reference_sharpness_example(seed: int, budget: int = 100):
+    """`currents.sharpness_example` with its rank verdicts from
+    `reference_rank_checks`."""
+    rng = random.Random(seed)
+    for _ in range(budget):
+        lines = [_random_line(rng) for _ in range(6)]
+        if len({tuple(l.coeff_vector()) for l in lines}) != 6:
+            continue
+        pts = []
+        ok = True
+        for l1, l2 in itertools.combinations(lines, 2):
+            x = meet(l1, l2)
+            if x is None:
+                ok = False
+                break
+            pts.append(x)
+        if not ok or len({p.coords for p in pts}) != 15:
+            continue
+        t = ArrangementCurrent(tuple((l, Fraction(1, 6)) for l in lines))
+        values = tuple(lelong_exact(t, p) for p in pts)
+        checks, full = reference_rank_checks(pts)
+        ms = m_sequence(PointSet(tuple(pts)))
+        return SharpnessReport(
+            lines=tuple(lines), points=tuple(pts), lelong_values=values,
+            all_values_one_third=all(v == Fraction(1, 3) for v in values),
+            rank_checks=checks, all_ranks_full=full, m_seq=ms.as_tuple())
+    raise PreconditionError("could not generate a generic arrangement "
+                            "within the budget")

@@ -125,6 +125,78 @@ def test_enumerate_matches_golden_digests(tmp_path, capsys, cap):
         f"n=12 cap={cap} maximum={maximum} maximal_families={maximal}")
 
 
+# `sharpness --seed s --out` files for s = 0-3, recorded when the 105
+# verdicts came from one `int_rank` per 13-point subset
+SHARPNESS_SHA256 = [
+    "8e2a6ce0d07c008646b287fe6aeea65cf10981be5faf8db7f4849d8202015ab3",
+    "8776fe8be45d30b3a2d94215b11d12037d2bdd1628044ff868d30c13139d2b29",
+    "cdda06c2e4a640da34001031d8993dbca092604c0c01b935aa2bc8a0c469edd1",
+    "431a17f5efd757d5183511f7ecdedee31eaa73018906c08fd1154fad028796fc",
+]
+
+
+@pytest.mark.parametrize("seed", range(len(SHARPNESS_SHA256)))
+def test_sharpness_matches_golden_digests(tmp_path, capsys, seed):
+    out = tmp_path / "sharp.json"
+    assert run("sharpness", "--seed", str(seed), "--out", str(out)) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        SHARPNESS_SHA256[seed]
+    assert capsys.readouterr().out.strip() == (
+        "lelong_one_third=True rank_checks=105 full=True m_seq=(5, 9, 12)")
+
+
+# `lelong --out` files on the seed-0 certificates, recorded when each form
+# was expanded three times per listed point
+LELONG_SHA256 = {
+    "generic12":
+        "e7194738fc4b217b02bef4f1b32c7477637bb40d90271e287d23597e60a03e91",
+    "figure3":
+        "4465d6e614852f44f92559c21ff477c36d31617553c1ba926088652445eb8eb7",
+    "conic7":
+        "04d476f1ac2f2dc731940fc614306463f3fd958d72e237a5e4d3cf142ed95a02",
+    "case3":
+        "7c14f28eaf0250a041093eec0291d1aaac5c95713a97ecde0b7fb9351b3c5222",
+    "case4":
+        "fadfbe72ca21a5d0de2018d11a2284e52008d3408063feb449adfe90e3d5075a",
+}
+
+
+def seed0_certificate(tmp_path, kind):
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    assert run("generate", "--kind", kind, "--seed", "0",
+               "--out", str(inst)) == EXIT_OK
+    assert run("construct", "--input", str(inst),
+               "--cert", str(cert)) == EXIT_OK
+    return cert
+
+
+@pytest.mark.parametrize("kind", sorted(LELONG_SHA256))
+def test_lelong_matches_golden_digests(tmp_path, capsys, kind):
+    cert = seed0_certificate(tmp_path, kind)
+    out = tmp_path / "lelong.json"
+    assert run("lelong", "--input", str(cert), "--out", str(out)) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LELONG_SHA256[kind]
+    capsys.readouterr()
+
+
+def test_lelong_expands_each_form_twice_per_point(tmp_path, capsys,
+                                                 monkeypatch):
+    """Once in the verifier, once for the scale and the estimate together:
+    48 expansions for the 12 points of the generic12 certificate."""
+    cert = seed0_certificate(tmp_path, "generic12")
+    assert len(serialize.load_certificate(str(cert)).points) == 12
+    calls = []
+    real = HomPoly.local_expansion
+
+    def spy(self, *args, **kwargs):
+        calls.append(args[0])
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(HomPoly, "local_expansion", spy)
+    assert run("lelong", "--input", str(cert)) == EXIT_OK
+    assert len(calls) == 48
+    capsys.readouterr()
+
+
 def test_unsupported_enum_bounds(capsys):
     assert run("enumerate", "--n", "13", "--cap", "2") == EXIT_PRECONDITION
     capsys.readouterr()

@@ -6,16 +6,21 @@ cross-checked against the exact weights they must approximate (and against
 weights off by 1/r, which they must miss), the radius scale against a
 Fraction evaluation of its bound, sample maxima bit-identical to a plain
 term-by-term evaluation, and the exact mass inequality with every term
-recomputed independently.
+recomputed independently. The float scaling and the sharpness example are
+checked against the `Fraction` division and the 105-subset rank scan kept
+in `expr_reference`.
 """
 
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from lelongplane import config, construct, currents, linalg, linsys
+from lelongplane.config import PointSet, m_sequence
 from lelongplane.construct import (construct_certificate,
                                    construct_certificate_m3_9,
                                    make_certificate)
@@ -26,7 +31,12 @@ from lelongplane.currents import (ArrangementCurrent, _directions,
                                   pole_scale, sharpness_example)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import HomPoly, ProjPoint, evaluate
-from lelongplane.instances import case2_instance, conic7_instance, generic12
+from lelongplane.instances import (INSTANCE_KINDS, case2_instance,
+                                   conic7_instance, generate, generic12)
+
+from expr_reference import (reference_rank_checks,
+                            reference_scaled_floats,
+                            reference_sharpness_example)
 
 ORIGIN = ProjPoint(Fraction(0), Fraction(0), Fraction(1))
 
@@ -300,3 +310,102 @@ def test_sharpness_example():
     assert report.rank_checks == 105
     assert report.all_ranks_full
     assert report.m_seq[2] == 12
+
+
+def kind_certificates(kind):
+    """The certificates `construct` gives for the kind at seeds 0-3."""
+    certs = []
+    for seed in range(4):
+        inst = generate(kind, seed)
+        try:
+            report = construct_certificate(inst.point_set, extra=inst.extra)
+        except PreconditionError:
+            continue
+        if report.outcome == "certificate":
+            certs.append(report.certificate)
+    return certs
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_scaled_floats_match_fraction_division(kind):
+    certs = kind_certificates(kind)
+    # the 15 points of example6lines carry no certificate
+    assert certs or kind == "example6lines"
+    for cert in certs:
+        forms = [(cert.p.dehomogenize(2), cert.q.dehomogenize(2))]
+        forms += [currents._local_forms(cert.p, cert.q, x)
+                  for x, _ in cert.points]
+        for fp, fq in forms:
+            assert _scaled_floats(fp, fq) == reference_scaled_floats(fp, fq)
+
+
+def test_scaled_floats_match_fraction_division_beyond_float_range():
+    # a 2000-bit scale, quotients that round to subnormals and to zero, and
+    # negative coefficients
+    big = Fraction(3 ** 1300, 7)
+    fp = {(0, 0): big, (1, 0): Fraction(-1, 3), (0, 1): Fraction(5, 2 ** 40)}
+    fq = {(2, 0): -big / 11, (1, 1): big / (2 ** 1050 + 1),
+          (0, 2): Fraction(-1, 2 ** 100)}
+    got = _scaled_floats(fp, fq)
+    assert got == reference_scaled_floats(fp, fq)
+    assert got[0][(0, 0)] == 1.0
+    assert 0 < got[1][(1, 1)] < 2.0 ** -1022  # subnormal
+    assert got[0][(1, 0)] == 0.0 and math.copysign(1, got[0][(1, 0)]) == -1
+    for sign in (1, -1):
+        tiny = {(0, 0): Fraction(sign, 2 ** 1070 * 3)}
+        one = {(0, 0): Fraction(1)}
+        assert _scaled_floats(one, tiny) == reference_scaled_floats(one, tiny)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sharpness_example_matches_rank_scan(seed):
+    assert sharpness_example(seed) == reference_sharpness_example(seed)
+
+
+def lines_and_off_points(on_lines):
+    """15 points: `on_lines` of them on X = 0, Y = 0 and X + Y = Z in
+    turn, away from the lines' meets, and seeded points off the lines."""
+    on = (lambda t: (0, t), lambda t: (t, 0), lambda t: (t, 1 - t))
+    pts = [ProjPoint(*on[i % 3](Fraction(2 + i // 3)), 1)
+           for i in range(on_lines)]
+    rng = random.Random(on_lines)
+    while len(pts) < 15:
+        x, y = (Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                for _ in range(2))
+        if x != 0 and y != 0 and x + y != 1 and \
+                all(p.coords != (x, y, 1) for p in pts):
+            pts.append(ProjPoint(x, y, 1))
+    return pts
+
+
+def test_m3_below_13_is_the_105_subset_verdict(monkeypatch):
+    """13 or more points on a cubic (the three lines) give m3 >= 13 and a
+    rank-deficient 13-subset; 12 or fewer give neither. `sharpness_example`
+    given the m-sequence of such a set reads the same verdict off it."""
+    seen = []
+    for on_lines in range(11, 16):
+        pts = lines_and_off_points(on_lines)
+        ms = m_sequence(PointSet(tuple(pts)))
+        checks, full = reference_rank_checks(pts)
+        assert checks == 105
+        assert (ms.m3 < 13) == full
+        monkeypatch.setattr(currents, "m_sequence", lambda s: ms)
+        assert sharpness_example(0).all_ranks_full == full
+        seen.append((ms.m3, full))
+    assert seen == [(11, True), (12, True), (13, False), (14, False),
+                    (15, False)]
+
+
+def test_sharpness_example_makes_no_rank_call(monkeypatch):
+    calls = []
+    real = linalg.int_rank
+
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
+    # every module that binds int_rank, and currents in case it does again
+    for module in (linalg, config, construct, linsys, currents):
+        monkeypatch.setattr(module, "int_rank", spy, raising=False)
+    report = sharpness_example(0)
+    assert calls == []
+    assert (report.rank_checks, report.all_ranks_full) == (105, True)

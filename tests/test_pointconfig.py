@@ -72,6 +72,24 @@ def test_m_sequence_matches_reference_on_instances(kind):
     assert m_sequence(s) == reference_m_sequence(s)
 
 
+def test_m_sequence_contract_by_rank_scan():
+    """Per kind at seed 0 and degree d: every (m_d + 1)-subset has a
+    full-rank evaluation matrix (unless m_d = n), and some m_d-subset does
+    not; `sharpness_example` reads its verdicts off this."""
+    for kind in INSTANCE_KINDS:
+        s = generate(kind, 0).point_set
+        n = len(s)
+        for degree, m in zip((1, 2, 3), m_sequence(s).as_tuple()):
+            rows = config._evaluation_rows(s.points, degree)
+            ncols = monomial_count(degree)
+
+            def full(combo):
+                return int_rank([rows[i] for i in combo]) == ncols
+            if m < n:
+                assert all(map(full, itertools.combinations(range(n), m + 1)))
+            assert not all(map(full, itertools.combinations(range(n), m)))
+
+
 def test_m_sequence_matches_reference_on_small_sets():
     sets = [PointSet(tuple(pt(i, j) for i in range(a) for j in range(3)))
             for a in (3, 4)]
