@@ -170,6 +170,13 @@ def construct_sextic_pair(s: PointSet, c1: HomPoly, c2: HomPoly,
     `common`, `only1`, `only2` are label groups: c1 must contain the common
     and only1 points and none of only2; symmetrically for c2.
     """
+    return _sextic_pair(s, c1, c2, common, only1, only2, irreducible=False)
+
+
+def _sextic_pair(s: PointSet, c1: HomPoly, c2: HomPoly, common, only1,
+                 only2, irreducible: bool) -> ConstructionReport:
+    """`construct_sextic_pair`; with `irreducible` the caller has already
+    proved both cubics irreducible, and the test is not run again."""
     common_pts = [s.point(l) for l in common]
     pts1 = [s.point(l) for l in only1]
     pts2 = [s.point(l) for l in only2]
@@ -180,7 +187,7 @@ def construct_sextic_pair(s: PointSet, c1: HomPoly, c2: HomPoly,
             ("c2", c2, common_pts + pts2, pts1)):
         if cubic.degree != 3:
             raise PreconditionError(f"{name} is not a cubic")
-        if not cubic_is_irreducible(cubic):
+        if not irreducible and not cubic_is_irreducible(cubic):
             raise PreconditionError(f"{name} is not irreducible")
         for x in inside:
             if evaluate(cubic, x) != 0:
@@ -245,12 +252,16 @@ def _certify(candidates, accept):
     return None
 
 
-def _certify_sextic(s: PointSet, step: str, label_pairs, accept):
+def _certify_sextic(s: PointSet, step: str, label_pairs, accept,
+                    irreducible: bool = False):
     """The shared step for cubic pairs: construct_sextic_pair on each
-    (c1, c2, common, only1, only2) until a certificate passes `accept`."""
+    (c1, c2, common, only1, only2) until a certificate passes `accept`.
+    `irreducible` says that `label_pairs` yields only cubics it has
+    proved irreducible."""
     for c1, c2, common, only1, only2 in label_pairs:
         try:
-            report = construct_sextic_pair(s, c1, c2, common, only1, only2)
+            report = _sextic_pair(s, c1, c2, common, only1, only2,
+                                  irreducible)
         except PreconditionError:
             continue
         if report.outcome == "certificate" and accept(report.certificate):
@@ -444,7 +455,7 @@ def _routes(s: PointSet, ms: MSequence, extra: ProjPoint | None):
         yield _certify(_conic_double_point_quartics(s, ms), _frozen_shape)
     if ms.m3 == 9 or ms.m2 == 7:
         yield _certify_sextic(s, "pair_route", _hitting_drop_pairs(s),
-                              _frozen_shape)
+                              _frozen_shape, irreducible=True)
     elif ms.m2 == 6:
         yield _certify_sextic(s, "line_split_pairs", _line_split_pairs(s),
                               _ratio_three)

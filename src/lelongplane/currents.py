@@ -13,7 +13,9 @@ on the point: where the higher-order coefficients of the expansion dwarf
 those of the tangent cone, the slope is still biased at radius 2^-16.
 ``pole_scale`` computes the radius rho* below which the tangent cone
 dominates, exactly and in logs, and the ``lelong`` command samples each
-listed point at rho* 2^-4 .. 2^-12. Each circle is sampled in four seeded
+listed point at rho* 2^-4 .. 2^-12, with rho* capped at 2^16; a rho*
+below 2^-64, or samples that leave the range of floats, raise
+PreconditionError instead. Each circle is sampled in four seeded
 directions (``_directions``): along any direction where the tangent cone
 does not vanish, u(x + rho v) already grows like min(ord P, ord Q) / r
 times log rho, and a sweep over every instance kind at seeds 0-3 kept the
@@ -152,8 +154,17 @@ def pole_scale(p: HomPoly, q: HomPoly, x: ProjPoint) -> float:
     |z - x| < rho* every higher term is smaller than A rho^m. It is
     computed in logs of the exact coefficients, so it does not overflow
     however many bits they have. 1.0 when no term has degree above m.
+
+    The estimators sample at rho* 2^-4 .. 2^-12 in double precision, so
+    rho* is capped at 2^16: the cone dominates on every smaller radius as
+    well, and the powers of the samples stay finite. Below 2^-64 the cone
+    dominates only on radii too small to sample, and this raises
+    PreconditionError.
     """
     return _pole_scale(_local_forms(p, q, x))
+
+
+_LOG2 = math.log(2)
 
 
 def _pole_scale(local) -> float:
@@ -162,8 +173,13 @@ def _pole_scale(local) -> float:
              for f in local for (i, j), c in f.items()]
     m = min(d for d, _ in terms)
     cone = max(lc for d, lc in terms if d == m)
-    return math.exp(min(((cone - lc) / (d - m) for d, lc in terms if d > m),
-                        default=0.0))
+    log_rho = min(((cone - lc) / (d - m) for d, lc in terms if d > m),
+                  default=0.0)
+    if log_rho < -64 * _LOG2:
+        raise PreconditionError(
+            "the tangent cone dominates only below radius "
+            f"2^{log_rho / _LOG2:.0f}, too small to sample in floats")
+    return math.exp(min(log_rho, 16 * _LOG2))
 
 
 def _scaled_floats(fp, fq):
@@ -199,21 +215,30 @@ def _evaluator(f):
 
 def _max_potential(fp, fq, r: int, radii, dirs) -> list[float]:
     """For each radius rho, the largest log(|P|^2 + |Q|^2) / (2r) over the
-    samples (rho * v0, rho * v1) of the directions."""
+    samples (rho * v0, rho * v1) of the directions. Raises
+    PreconditionError when the samples overflow floats, or underflow to
+    zero on a whole circle."""
     value_p, value_q = _evaluator(fp), _evaluator(fq)
     top = max((max(k) for k in itertools.chain(fp, fq)), default=0)
     exps = range(top + 1)
     values = []
-    for rho in radii:
-        best = -math.inf
-        for v0, v1 in dirs:
-            du, dv = rho * v0, rho * v1
-            pu = [du ** i for i in exps]
-            pv = [dv ** j for j in exps]
-            m2 = abs(value_p(pu, pv)) ** 2 + abs(value_q(pu, pv)) ** 2
-            if m2 > 0:
-                best = max(best, math.log(m2) / (2 * r))
-        values.append(best)
+    try:
+        for rho in radii:
+            best = -math.inf
+            for v0, v1 in dirs:
+                du, dv = rho * v0, rho * v1
+                pu = [du ** i for i in exps]
+                pv = [dv ** j for j in exps]
+                m2 = abs(value_p(pu, pv)) ** 2 + abs(value_q(pu, pv)) ** 2
+                if m2 > 0:
+                    best = max(best, math.log(m2) / (2 * r))
+            values.append(best)
+    except OverflowError:
+        values.append(math.inf)
+    bad = [rho for rho, v in zip(radii, values) if not math.isfinite(v)]
+    if bad:
+        raise PreconditionError(
+            f"the samples at radius {bad[0]:g} leave the range of floats")
     return values
 
 

@@ -3,11 +3,13 @@
 Everything runs on integer-scaled rows, with no sympy. One fraction-free
 elimination step (Bareiss), `bareiss_step`, serves the rank and
 determinant queries and the m-sequence subset search, which carries the
-reduced rows down its search tree. `frac_rref` reduces the rows one at a
-time through `reduce_row`, then back-substitutes in integers and builds
-Fractions only for the result.
-Kernels are canonicalized by that reduced row echelon form and shortened
-by an exact LLL over ints and Fractions, so outputs are deterministic.
+reduced rows down its search tree. One integer reduced row echelon form,
+`int_rref`, reduces the rows one at a time through `reduce_row` and then
+back-substitutes in integers; `frac_rref` is its Fraction view for
+callers that want one. Kernels stay in integers end to end: `nullspace`
+forms integer kernel vectors from `int_rref`, canonicalizes them by
+`int_rref` again and shortens them by the integral LLL, so outputs are
+deterministic and depend only on the row space.
 """
 
 from __future__ import annotations
@@ -99,15 +101,21 @@ def reduce_row(basis, row):
 
     `basis` lists (pivot, row) pairs in the order they were added; each row
     is primitive and zero at the pivots of the rows before it. The new row
-    is reduced against them in that order. Returns the (pivot, row) pair to
-    append, with the row divided by its content, or None when the row lies
-    in the span of the basis. So rank(rows) is the number of non-None
+    is reduced against them in that order, the step against pivot p with
+    row entry f being (p / g) row - (f / g) b for g = gcd(p, f): a positive
+    multiple of p row - f b with smaller entries, so the primitive result
+    is the same as without g. Returns the (pivot, row) pair to append,
+    with the row divided by its content, or None when the row lies in the
+    span of the basis. So rank(rows) is the number of non-None
     results when the rows are reduced one after another.
     """
     for piv, b in basis:
         f = row[piv]
         if f:
             p = b[piv]
+            g = math.gcd(p, f)
+            if g > 1:
+                p, f = p // g, f // g
             row = [p * x - f * y for x, y in zip(row, b)]
     g = math.gcd(*row)
     if not g:
@@ -117,35 +125,46 @@ def reduce_row(basis, row):
     return next(c for c, x in enumerate(row) if x), row
 
 
-def frac_rref(rows):
-    """Reduced row echelon form over Fractions.
+def int_rref(rows):
+    """Reduced row echelon form of integer rows, kept in integers.
 
-    Returns (rank, pivot_columns, reduced_rows); zero rows are dropped. The
-    elimination runs fraction-free: the integer-scaled rows are reduced one
-    at a time through `reduce_row` and the primitive basis is sorted by
-    pivot. Then, from the last pivot upward, each row loses its entries at
-    the later pivots in one step over the lcm of those (already reduced)
-    rows' pivots and is divided by its content. Fractions are built only at
-    the end, as entry / pivot.
+    Returns the (pivot column, row) pairs sorted by pivot; zero rows are
+    dropped. Each row is primitive with a positive pivot and is zero at
+    the other pivots, so the result is the unique RREF with each row scaled
+    to coprime integers, whatever positive scaling the input rows had. The
+    rows are reduced one at a time through `reduce_row`; then, from the
+    last pivot upward, each row loses its entries at the later pivots in
+    one step over the lcm of those (already reduced) rows' pivots and is
+    divided by its content.
     """
     basis = []
-    for row in _int_rows(rows):
+    for row in rows:
         red = reduce_row(basis, row)
         if red is not None:
             basis.append(red)
     basis.sort()
-    for i in range(len(basis) - 2, -1, -1):
+    for i in range(len(basis) - 1, -1, -1):
         piv, row = basis[i]
         hits = [(pj, b) for pj, b in basis[i + 1:] if row[pj]]
-        if not hits:
-            continue
-        lcm = math.lcm(*(b[pj] for pj, b in hits))
-        acc = [lcm * x for x in row]
-        for pj, b in hits:
-            f = row[pj] * (lcm // b[pj])
-            acc = [a - f * y for a, y in zip(acc, b)]
-        g = math.gcd(*acc)
-        basis[i] = piv, [x // g for x in acc]
+        if hits:
+            lcm = math.lcm(*(b[pj] for pj, b in hits))
+            acc = [lcm * x for x in row]
+            for pj, b in hits:
+                f = row[pj] * (lcm // b[pj])
+                acc = [a - f * y for a, y in zip(acc, b)]
+            row = acc
+        g = math.gcd(*row)
+        if row[piv] < 0:
+            g = -g
+        basis[i] = piv, [x // g for x in row] if g != 1 else row
+    return basis
+
+
+def frac_rref(rows):
+    """Reduced row echelon form over Fractions: (rank, pivot_columns,
+    reduced_rows), zero rows dropped. `int_rref` on the integer-scaled
+    rows, with each entry divided by its row's pivot."""
+    basis = int_rref(_int_rows(rows))
     pivots = [piv for piv, _ in basis]
     red = [[Fraction(x, row[piv]) for x in row] for piv, row in basis]
     return len(basis), pivots, red
@@ -155,58 +174,60 @@ def _lll_reduce(basis):
     """Short integer vectors spanning the same lattice as the scaled basis.
 
     RREF kernel entries are ratios of large minors; reducing the lattice
-    keeps every downstream polynomial small. Exact LLL with delta = 3/4
-    (Lenstra, Lenstra and Lovasz 1982), in the reduction and swap order of
-    sympy's `_ddm_lll`, over ints and Fractions; mu is rounded to the
-    nearest integer exactly, halves upward. Deterministic."""
+    keeps every downstream polynomial small. The integral LLL with
+    delta = 3/4 (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7, after de Weger), in the reduction and swap order of sympy's
+    `_ddm_lll`. It keeps d_i, the Gram determinant of the first i vectors,
+    and lambda_ij = d_(j+1) mu_ij in integers: |mu| > 1/2 reads
+    2 |lambda| > d, mu rounds halves upward as (2 lambda + d) // (2 d), and
+    the Lovasz test fails when 4 d_(k+1) d_(k-1) < 3 d_k^2 - 4 lambda^2.
+    These are the decisions of the exact rational LLL, so the output is
+    its output. Deterministic."""
     y = _int_rows(basis)
     for i, row in enumerate(y):
         g = math.gcd(*row)
         if g > 1:
             y[i] = [x // g for x in row]
     m = len(y)
-    delta, half = Fraction(3, 4), Fraction(1, 2)
-    mu = [[Fraction(0)] * m for _ in range(m)]
-    g_star = [Fraction(0)] * m
-    y_star = []
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
     for i in range(m):
-        v = [Fraction(x) for x in y[i]]
-        for j in range(i):
-            mu[i][j] = sum(a * b for a, b in zip(y[i], y_star[j])) / g_star[j]
-            v = [a - mu[i][j] * b for a, b in zip(v, y_star[j])]
-        y_star.append(v)
-        g_star[i] = sum(x * x for x in v)
+        for j in range(i + 1):
+            u = sum(a * b for a, b in zip(y[i], y[j]))
+            for z in range(j):
+                u = (d[z + 1] * u - lam[i][z] * lam[j][z]) // d[z]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
 
     def size_reduce(k, j):
-        q = mu[k][j]
-        r = (2 * q.numerator + q.denominator) // (2 * q.denominator)
+        dj = d[j + 1]
+        if 2 * abs(lam[k][j]) <= dj:
+            return
+        r = (2 * lam[k][j] + dj) // (2 * dj)
         y[k] = [a - r * b for a, b in zip(y[k], y[j])]
         for z in range(j):
-            mu[k][z] -= r * mu[j][z]
-        mu[k][j] -= r
+            lam[k][z] -= r * lam[j][z]
+        lam[k][j] -= r * dj
 
     k = 1
     while k < m:
-        if abs(mu[k][k - 1]) > half:
-            size_reduce(k, k - 1)
-        if g_star[k] >= (delta - mu[k][k - 1] ** 2) * g_star[k - 1]:
+        size_reduce(k, k - 1)
+        nu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * nu ** 2:
             for j in range(k - 2, -1, -1):
-                if abs(mu[k][j]) > half:
-                    size_reduce(k, j)
+                size_reduce(k, j)
             k += 1
             continue
-        nu = mu[k][k - 1]
-        alpha = g_star[k] + nu ** 2 * g_star[k - 1]
-        beta = g_star[k - 1] / alpha
-        mu[k][k - 1] = nu * beta
-        g_star[k] *= beta
-        g_star[k - 1] = alpha
+        big = (d[k - 1] * d[k + 1] + nu ** 2) // d[k]
         y[k], y[k - 1] = y[k - 1], y[k]
-        mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
         for i in range(k + 1, m):
-            xi = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - nu * xi
-            mu[i][k - 1] = mu[k][k - 1] * mu[i][k] + xi
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - nu * t) // d[k]
+            lam[i][k - 1] = (big * t + nu * lam[i][k]) // d[k + 1]
+        d[k] = big
         k = max(k - 1, 1)
     return [[Fraction(x) for x in row] for row in y]
 
@@ -214,24 +235,30 @@ def _lll_reduce(basis):
 def nullspace(rows, ncols):
     """Canonical kernel basis of the matrix (rows act on length-ncols vectors).
 
-    The raw kernel basis is canonicalized by RREF, then LLL-reduced to short
-    primitive integer vectors, so the output depends only on the row space
-    of the input and all entries stay small. The rank of the matrix is
-    ncols minus the number of vectors returned.
+    From the integer RREF of the rows, the kernel vector of a free column
+    fc is taken over the lcm L of the pivots of the rows that hit fc: L at
+    fc and -row[fc] * (L / pivot) at each such row's pivot. Those vectors
+    are canonicalized by `int_rref`, then LLL-reduced to short primitive
+    integer vectors, so the output depends only on the row space of the
+    input and all entries stay small. The rank of the matrix is ncols
+    minus the number of vectors returned.
     """
-    _, pivots, red = frac_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    rref = int_rref(_int_rows(rows))
+    pivots = {piv for piv, _ in rref}
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        hits = [(piv, row) for piv, row in rref if row[fc]]
+        lcm = math.lcm(*(row[piv] for piv, row in hits))
+        vec = [0] * ncols
+        vec[fc] = lcm
+        for piv, row in hits:
+            vec[piv] = -row[fc] * (lcm // row[piv])
         basis.append(vec)
     if not basis:
         return []
-    _, _, canon = frac_rref(basis)
-    return _lll_reduce(canon)
+    return _lll_reduce([row for _, row in int_rref(basis)])
 
 
 def solve_exact(rows, rhs):

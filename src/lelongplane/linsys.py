@@ -2,15 +2,16 @@
 
 A condition of order m at a point imposes the vanishing of all partial
 derivatives of total order below m, written in the affine chart where the
-point's largest coordinate is 1 so the rows are scale-free. Ranks and kernel
-bases are exact over the rationals and canonicalized for determinism.
+point's largest coordinate is 1 so the rows are scale-free, and each row
+scaled by a positive integer to clear its denominators. Ranks and kernel
+bases are exact, computed in integers end to end (`linalg.nullspace`), and
+canonicalized for determinism.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError, UnsupportedInstanceError
 from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
@@ -51,29 +52,37 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
+def _chart_factors(degree: int, order: int, num: int, den: int):
+    """falling(e, order) num^(e - order) den^(degree - e) for each chart
+    exponent e, zero below the order."""
+    return [_falling(e, order) * num ** (e - order) * den ** (degree - e)
+            if e >= order else 0 for e in range(degree + 1)]
+
+
 def condition_rows(degree: int, cond: VanishingCondition):
-    """Constraint rows for one vanishing condition, in the chart where the
-    point's largest coordinate is 1."""
+    """Integer constraint rows for one vanishing condition, in the chart
+    where the point's largest coordinate is 1.
+
+    With the point at (un/ud, vn/vd) in that chart, the row of the
+    derivative of order (a, b) is scaled by ud^(d-a) vd^(d-b), a positive
+    integer, so its entry at the monomial with chart exponents (alpha,
+    beta) is falling(alpha, a) falling(beta, b) un^(alpha-a) ud^(d-alpha)
+    vn^(beta-b) vd^(d-beta). Positive row scaling leaves the row space,
+    and so the rank and the kernel, unchanged.
+    """
     chart = cond.point.chart()
     coords = cond.point.coords
     scale = coords[chart]
     u0, v0 = [coords[i] / scale for i in range(3) if i != chart]
-    mons = monomials(degree)
+    rest = [tuple(exps[i] for i in range(3) if i != chart)
+            for exps in monomials(degree)]
     rows = []
     for total in range(cond.order):
         for a in range(total + 1):
-            b = total - a
-            row = []
-            for exps in mons:
-                rest = [exps[i] for i in range(3) if i != chart]
-                alpha, beta = rest
-                if alpha < a or beta < b:
-                    row.append(Fraction(0))
-                    continue
-                val = Fraction(_falling(alpha, a) * _falling(beta, b))
-                val *= u0 ** (alpha - a) * v0 ** (beta - b)
-                row.append(val)
-            rows.append(row)
+            fu = _chart_factors(degree, a, u0.numerator, u0.denominator)
+            fv = _chart_factors(degree, total - a, v0.numerator,
+                                v0.denominator)
+            rows.append([fu[alpha] * fv[beta] for alpha, beta in rest])
     return rows
 
 

@@ -9,14 +9,17 @@ converters between `HomPoly` and `Expr`, `sympy.resultant` for
 `cubic_is_irreducible`, sympy's `factor_list` for `curves._rational_roots`,
 and `use_expr_internals`, which puts the resultant and the gcd back into
 the package so that its multiplicity algorithms run on `Expr` as they did.
-Four references need no sympy: the canonical form that branches over
-every order of a line's fresh labels, `four_point_lines` in `Fraction`
+The rest need no sympy: the canonical form that branches over every
+order of a line's fresh labels, `four_point_lines` in `Fraction`
 arithmetic, the scaling of exact forms to floats by `Fraction` division,
-and the sharpness example that runs one `int_rank` on each of its 105
-13-point subsets.
+the sharpness example that runs one `int_rank` on each of its 105
+13-point subsets, and the linear systems in `Fraction`s: a Gauss-Jordan
+RREF, the unscaled condition rows, the kernel built from Fraction vectors
+and the LLL that keeps its Gram-Schmidt data in `Fraction`s.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +32,7 @@ from lelongplane.currents import (ArrangementCurrent, SharpnessReport,
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
                                    join, line_coeffs, meet, monomial_count,
-                                   partial_derivatives)
+                                   monomials, partial_derivatives)
 from lelongplane.linalg import int_rank
 
 X, Y, Z = sympy.symbols("X Y Z")
@@ -288,3 +291,138 @@ def reference_sharpness_example(seed: int, budget: int = 100):
             rank_checks=checks, all_ranks_full=full, m_seq=ms.as_tuple())
     raise PreconditionError("could not generate a generic arrangement "
                             "within the budget")
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fractions: (rank, pivot_columns, reduced_rows)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return 0, [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][col]
+        m[rank] = [x / inv for x in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, pivots, m[:rank]
+
+
+def _falling(n, k):
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
+def reference_condition_rows(degree, cond):
+    """`linsys.condition_rows` in Fractions, unscaled: the derivative of
+    order (a, b) of each monomial at the point's chart coordinates."""
+    chart = cond.point.chart()
+    coords = cond.point.coords
+    scale = coords[chart]
+    u0, v0 = [coords[i] / scale for i in range(3) if i != chart]
+    rows = []
+    for total in range(cond.order):
+        for a in range(total + 1):
+            b = total - a
+            row = []
+            for exps in monomials(degree):
+                alpha, beta = [exps[i] for i in range(3) if i != chart]
+                if alpha < a or beta < b:
+                    row.append(Fraction(0))
+                    continue
+                val = Fraction(_falling(alpha, a) * _falling(beta, b))
+                val *= u0 ** (alpha - a) * v0 ** (beta - b)
+                row.append(val)
+            rows.append(row)
+    return rows
+
+
+def reference_lll_reduce(basis):
+    """`linalg._lll_reduce` with its Gram-Schmidt coefficients and squared
+    norms in Fractions: the exact LLL with delta = 3/4 in the reduction
+    and swap order of sympy's `_ddm_lll`, mu rounded halves upward."""
+    y = []
+    for row in basis:
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        row = [int(x * scale) for x in row]
+        g = math.gcd(*row)
+        y.append([x // g for x in row])
+    m = len(y)
+    delta, half = Fraction(3, 4), Fraction(1, 2)
+    mu = [[Fraction(0)] * m for _ in range(m)]
+    g_star = [Fraction(0)] * m
+    y_star = []
+    for i in range(m):
+        v = [Fraction(x) for x in y[i]]
+        for j in range(i):
+            mu[i][j] = sum(a * b for a, b in zip(y[i], y_star[j])) / g_star[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, y_star[j])]
+        y_star.append(v)
+        g_star[i] = sum(x * x for x in v)
+
+    def size_reduce(k, j):
+        q = mu[k][j]
+        r = (2 * q.numerator + q.denominator) // (2 * q.denominator)
+        y[k] = [a - r * b for a, b in zip(y[k], y[j])]
+        for z in range(j):
+            mu[k][z] -= r * mu[j][z]
+        mu[k][j] -= r
+
+    k = 1
+    while k < m:
+        if abs(mu[k][k - 1]) > half:
+            size_reduce(k, k - 1)
+        if g_star[k] >= (delta - mu[k][k - 1] ** 2) * g_star[k - 1]:
+            for j in range(k - 2, -1, -1):
+                if abs(mu[k][j]) > half:
+                    size_reduce(k, j)
+            k += 1
+            continue
+        nu = mu[k][k - 1]
+        alpha = g_star[k] + nu ** 2 * g_star[k - 1]
+        beta = g_star[k - 1] / alpha
+        mu[k][k - 1] = nu * beta
+        g_star[k] *= beta
+        g_star[k - 1] = alpha
+        y[k], y[k - 1] = y[k - 1], y[k]
+        mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+        for i in range(k + 1, m):
+            xi = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - nu * xi
+            mu[i][k - 1] = mu[k][k - 1] * mu[i][k] + xi
+        k = max(k - 1, 1)
+    return [[Fraction(x) for x in row] for row in y]
+
+
+def reference_nullspace(rows, ncols, rref=reference_rref):
+    """`linalg.nullspace` in Fractions: the kernel vector of each free
+    column read off the Fraction RREF, the vectors put in RREF again and
+    reduced by `reference_lll_reduce`. `rref` computes the Fraction RREF
+    as (rank, pivots, rows): Gauss-Jordan, or `linalg.frac_rref`, which
+    is much faster on large entries."""
+    _, pivots, red = rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    if not basis:
+        return []
+    return reference_lll_reduce(rref(basis)[2])

@@ -375,6 +375,112 @@ def test_sextic_linsys_with_six_double_points(tmp_path, capsys, kind):
         assert all(vanishing_order(member, x) >= 1 for x in points[6:])
 
 
+# `linsys --out` files on the seed-0 instances for the systems of the
+# benchmark, recorded when the condition rows, the RREF and the LLL ran in
+# Fractions: (kind, degree, doubled labels) -> (SHA-256, stdout)
+LINSYS_SHA256 = {
+    ("generic12", 3, ""): (
+        "96736fad67a567a67739e959ab5c41fe977dd7c7d59015a4a2ff06951ba181af",
+        "degree=3 rank=10 dim=0"),
+    ("generic12", 6, "1,2,3,4,5,6"): (
+        "0f656f2159932191897c723c0ace6686aa3d39dba09450eba3f8be0e8ecbd6bc",
+        "degree=6 rank=24 dim=4"),
+    ("figure3", 3, ""): (
+        "c0bff454454150758d68a6bbf15e89a3d2ae498beb4772e2eb918528d06aa785",
+        "degree=3 rank=10 dim=0"),
+    ("figure3", 6, "1,2,3,4,5,6"): (
+        "8e06dbb817bc9935ad08274871224cbc08ed5ec2237c2895e1e6138870d7cb5d",
+        "degree=6 rank=23 dim=5"),
+    ("conic7", 3, ""): (
+        "797f9a589f64854898b65332ed778342bc167161709f3d23a7aa6f163df1531e",
+        "degree=3 rank=10 dim=0"),
+    ("conic7", 4, ""): (
+        "dca72ae6657cff3efa494c5bebf95c0d3cb039dbc987d3f7be229a8210b6c127",
+        "degree=4 rank=12 dim=3"),
+    ("case3", 3, ""): (
+        "7ed56fc19444bb920ff83c4afb52df24271f311a4ac4a6074954088987845fdb",
+        "degree=3 rank=10 dim=0"),
+    ("case3", 4, ""): (
+        "66d7001a30203e2e6116e95dabff9a1a4c4d2f57d3b68f0cbfc10cf0695b86e7",
+        "degree=4 rank=12 dim=3"),
+    ("case4", 3, ""): (
+        "4684372431699b8d9144e940a5f7f667cd2f84fc85593190bdc2ea612db8b810",
+        "degree=3 rank=10 dim=0"),
+    ("case4", 4, ""): (
+        "c880be2f76c555bbcc2c7929bc072cc1f6ab0a549b328b8fb0100fac0b6def69",
+        "degree=4 rank=12 dim=3"),
+}
+
+
+@pytest.mark.parametrize("kind,degree,double", sorted(LINSYS_SHA256))
+def test_linsys_matches_golden_digests(tmp_path, capsys, kind, degree,
+                                       double):
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "linsys.json"
+    assert run("generate", "--kind", kind, "--seed", "0",
+               "--out", str(inst)) == EXIT_OK
+    capsys.readouterr()
+    assert run("linsys", "--input", str(inst), "--degree", str(degree),
+               "--double", double, "--out", str(out)) == EXIT_OK
+    digest, stdout = LINSYS_SHA256[(kind, degree, double)]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out.strip() == stdout
+
+
+def extreme_scale_certificate(tmp_path, p_coeff, q_coeff):
+    """P = a X^2 Z + X^3 and Q = b Y Z^2 listed at (0:0:1), where the
+    tangent cone Q dominates below radius about 1 / a and up to radius
+    about b: a verified certificate whose scale is beyond floats when a or
+    b has 2000 bits."""
+    p = HomPoly(3, {(2, 0, 1): p_coeff, (3, 0, 0): 1})
+    q = HomPoly(3, {(0, 1, 2): q_coeff})
+    cert = make_certificate(p, q, [ProjPoint(0, 0, 1)], "extreme_scale")
+    assert cert is not None and cert.points[0][1] == 1
+    path = tmp_path / "cert.json"
+    serialize.dump(cert, path)
+    return path
+
+
+def test_lelong_refuses_samples_that_overflow_floats(tmp_path, capsys):
+    """X^60 (Z + X / 2^100) and Y^60 (Z + Y / 2^100) at (0:0:1): rho* is
+    capped at 2^16, and the 60th powers of the samples at radius 2^12
+    overflow, so `lelong` exits 2 (it raised OverflowError before)."""
+    c = Fraction(1, 2 ** 100)
+    cert = make_certificate(HomPoly(61, {(60, 0, 1): 1, (61, 0, 0): c}),
+                            HomPoly(61, {(0, 60, 1): 1, (0, 61, 0): c}),
+                            [ProjPoint(0, 0, 1)], "extreme_scale")
+    path = tmp_path / "cert.json"
+    serialize.dump(cert, path)
+    assert run("lelong", "--input", str(path)) == EXIT_PRECONDITION
+    assert "leave the range of floats" in capsys.readouterr().err
+
+
+def test_lelong_refuses_a_scale_too_small_for_floats(tmp_path, capsys):
+    """rho* = 2^-2000: the samples would underflow, so `lelong` exits 2
+    with the scale named, not in a traceback on log 0."""
+    path = extreme_scale_certificate(tmp_path, 2 ** 2000, 1)
+    assert run("certify", "--input", str(path)) == EXIT_OK
+    capsys.readouterr()
+    assert run("lelong", "--input", str(path)) == EXIT_PRECONDITION
+    assert "below radius 2^-2000" in capsys.readouterr().err
+
+
+def test_lelong_caps_a_scale_too_large_for_floats(tmp_path, capsys):
+    """rho* = 2^2000 is capped at 2^16, where the cone still dominates: the
+    pole estimate is right. Growth at radii up to 2^16 still sees only Q,
+    so `lelong` exits 3 on the growth slope, not in an OverflowError."""
+    path = extreme_scale_certificate(tmp_path, 1, 2 ** 2000)
+    assert run("certify", "--input", str(path)) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "lelong.json"
+    assert run("lelong", "--input", str(path),
+               "--out", str(out)) == EXIT_VERIFICATION
+    assert "estimates off" in capsys.readouterr().err
+    (pole,) = json.loads(out.read_text())["poles"]
+    assert max(float(r) for r in pole["radii"]) < 2 ** 12
+    assert abs(float(pole["extrapolated"]) - 1) < 0.05
+
+
 def engineered_certificate(tmp_path):
     """X^2 and YZ meet at (0:1:0) and (0:0:1), each of weight 1 and
     multiplicity 2; returns the file and its JSON document."""

@@ -11,13 +11,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from lelongplane import curves, exactpoly
+from lelongplane import construct, curves, exactpoly
 from lelongplane.config import PointSet, m_sequence
 from lelongplane.construct import (CERT_SHAPES, PotentialCertificate,
                                    construct_certificate,
                                    construct_certificate_m3_9,
                                    construct_certificate_m3_high,
-                                   make_certificate, verify_certificate)
+                                   construct_sextic_pair, make_certificate,
+                                   verify_certificate)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, divides, evaluate,
                                    gcd_homogeneous, join, meet,
@@ -297,3 +298,30 @@ def test_route_taken_by_each_kind(kind):
     report = construct_certificate(inst.point_set, extra=inst.extra)
     assert report.outcome == "certificate"
     assert ">".join(report.branch_trace) == expected
+
+
+def test_pair_route_proves_each_cubic_irreducible_once(monkeypatch):
+    """`_hitting_drop_pairs` proves its cubics irreducible, so the pair
+    construction does not run the Hessian test on them again."""
+    seen = []
+    real = construct.cubic_is_irreducible
+
+    def spy(p):
+        seen.append(tuple(sorted(p.terms.items())))
+        return real(p)
+
+    monkeypatch.setattr(construct, "cubic_is_irreducible", spy)
+    for kind in ("generic12", "figure3"):
+        for seed in range(4):
+            seen.clear()
+            report = construct_certificate(generate(kind, seed).point_set)
+            assert "pair_route" in report.branch_trace
+            assert seen and len(seen) == len(set(seen))
+
+
+def test_construct_sextic_pair_still_rejects_reducible_cubics():
+    s = generic12(0).point_set
+    xyz = HomPoly.monomial((1, 1, 1))
+    with pytest.raises(PreconditionError, match="c1 is not irreducible"):
+        construct_sextic_pair(s, xyz, xyz, (1, 2, 3, 4, 5, 6), (7, 8, 9),
+                              (10, 11, 12))

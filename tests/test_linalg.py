@@ -5,8 +5,10 @@ reference for the incremental reduction, minors (sympy's `DomainMatrix`
 determinant) as the reference for each Bareiss step, a Fraction
 Gauss-Jordan as the reference for the fraction-free RREF, sympy's
 `DomainMatrix.lll()` as the reference for the exact LLL where it runs, the
-two LLL invariants where it does not, and the defining identities A v = 0 /
-A x = b verified exactly on seeded random systems.
+two LLL invariants where it does not, the Fraction condition rows, kernel
+and LLL kept in `expr_reference` as the references for the integer ones,
+and the defining identities A v = 0 / A x = b verified exactly on seeded
+random systems.
 """
 
 import ast
@@ -19,11 +21,14 @@ import pytest
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
+from expr_reference import (reference_condition_rows, reference_lll_reduce,
+                            reference_nullspace, reference_rref)
 from lelongplane import linalg, linsys
 from lelongplane.exactpoly import monomial_count
-from lelongplane.instances import generate, generic12
+from lelongplane.instances import INSTANCE_KINDS, generate, generic12
 from lelongplane.linalg import (_lll_reduce, bareiss_step, frac_rref, int_det,
-                                int_rank, nullspace, reduce_row, solve_exact)
+                                int_rank, int_rref, nullspace, reduce_row,
+                                solve_exact)
 from lelongplane.linsys import (VanishingCondition, build_system,
                                 condition_rows)
 
@@ -213,32 +218,6 @@ def test_reduce_row_on_sextic_system():
         assert all(row[p] == 0 for p, _ in basis[:idx])
 
 
-def reference_rref(rows):
-    """Gauss-Jordan over Fractions: (rank, pivot_columns, reduced_rows)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0, [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        m[rank] = [x / inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, pivots, m[:rank]
-
-
 def _sextic_conditions(kind, seed):
     """Double at points 1-6, simple at 7-12: the `linsys --degree 6
     --double 1,2,3,4,5,6` system of an instance."""
@@ -374,13 +353,15 @@ def test_lll_matches_sympy_where_sympy_runs(monkeypatch):
 
 def test_lll_on_the_basis_sympy_fails(monkeypatch):
     """figure3 seed 2: sympy rounds mu through float and leaves it
-    unreduced, then fails its own final check."""
+    unreduced, then fails its own final check. The integral LLL gives the
+    rational LLL's vectors."""
     conds = _sextic_conditions("figure3", 2)
     bases = _captured_lll_inputs(monkeypatch, lambda: build_system(6, conds))
     (basis,) = bases
     with pytest.raises(AssertionError):
         reference_lll(basis)
     got = _lll_reduce(basis)
+    assert got == reference_lll_reduce(basis)
     _assert_lll_reduced(got)
     assert _gram_det(got) == _gram_det(_primitive_int_rows(basis))
     rows = [r for c in conds for r in condition_rows(6, c)]
@@ -395,3 +376,106 @@ def test_linalg_imports_no_sympy():
     modules += [node.module or "" for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]
     assert not [m for m in modules if m.split(".")[0] == "sympy"]
+
+
+def _instance_systems():
+    """(degree, conditions) of every kind at seeds 0-3: cubics and
+    quartics through all the points, and sextics double at labels 1-6."""
+    for kind in INSTANCE_KINDS:
+        for seed in range(4):
+            pts = generate(kind, seed).point_set.points
+            simple = [VanishingCondition(p, 1) for p in pts]
+            yield 3, simple
+            yield 4, simple
+            if len(pts) >= 6:
+                yield 6, ([VanishingCondition(p, 2) for p in pts[:6]]
+                          + simple[6:])
+
+
+def test_integer_systems_match_fraction_reference():
+    """On every kind at seeds 0-3 (degrees 3, 4 and the doubled sextics):
+    each integer condition row is a positive multiple of the Fraction row,
+    and the kernel equals the one built in Fractions throughout. The
+    Fraction RREF here is `frac_rref` (Gauss-Jordan would take seconds on
+    these entries); the tests above check it against Gauss-Jordan."""
+    count = 0
+    for degree, conds in _instance_systems():
+        rows, ref_rows = [], []
+        for cond in conds:
+            got = condition_rows(degree, cond)
+            want = reference_condition_rows(degree, cond)
+            assert all(type(x) is int for row in got for x in row)
+            assert _primitive_int_rows(got) == _primitive_int_rows(want)
+            rows += got
+            ref_rows += want
+        ncols = monomial_count(degree)
+        kernel = nullspace(rows, ncols)
+        assert kernel == reference_nullspace(ref_rows, ncols, frac_rref)
+        assert build_system(degree, conds).kernel_basis == tuple(
+            linsys.HomPoly.from_coeff_vector(degree, v) for v in kernel)
+        count += 1
+    assert count == len(INSTANCE_KINDS) * 4 * 3
+
+
+def _random_matrices(rng):
+    """Small integer and Fraction matrices, full rank and rank deficient,
+    with zero, repeated and combined rows."""
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 9)
+        m = _mat(rng, nrows, ncols, span=rng.choice((3, 9, 2 ** 40)))
+        if rng.random() < 0.5:
+            m = [[int(x * 12) for x in row] for row in m]
+        if nrows > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(nrows), 2)
+            m[i] = [rng.randint(-3, 3) * x for x in m[j]]
+        if rng.random() < 0.3:
+            m.append(list(m[0]))
+        if rng.random() < 0.3:
+            m.insert(rng.randint(0, len(m)), [0] * ncols)
+        if len(m) > 2 and rng.random() < 0.3:
+            m.append([a - 2 * b for a, b in zip(m[0], m[1])])
+        yield m, ncols
+
+
+def test_int_rref_is_the_primitive_fraction_rref():
+    """Primitive rows with positive pivots, equal to the Gauss-Jordan RREF
+    scaled to coprime integers, whatever positive scaling the rows had."""
+    rng = random.Random(83)
+    for m, _ in _random_matrices(rng):
+        ints = [[int(x * 12) for x in row] for row in m]
+        got = int_rref(ints)
+        _, pivots, red = reference_rref(m)
+        assert [piv for piv, _ in got] == pivots
+        assert [row for _, row in got] == _primitive_int_rows(red)
+        assert all(row[piv] > 0 for piv, row in got)
+        scaled = [[c * x for x in r]
+                  for r, c in zip(ints, (rng.randint(1, 50) for _ in ints))]
+        assert int_rref(scaled) == got
+
+
+def test_nullspace_matches_fraction_reference_on_random_matrices():
+    rng = random.Random(89)
+    for m, ncols in _random_matrices(rng):
+        assert nullspace(m, ncols) == reference_nullspace(m, ncols), m
+
+
+def test_integral_lll_matches_rational_lll():
+    """Hand-made ties, then random independent bases, including entries of
+    60 bits and nearly parallel vectors that force many swaps."""
+    # ties: mu = +-1/2 is not size-reduced, and the Lovasz test holds with
+    # equality (B_1 = 6 - 8 / 4 = (3/4 - 1/4) B_0), so there is no swap
+    for basis in ([[2, 1, 1, 1, 1], [2, 0, 1, -1, 0]],
+                  [[2, 1, 1, 1, 1], [-2, 0, -1, 1, 0]]):
+        assert _lll_reduce(basis) == reference_lll_reduce(basis) == basis
+    rng = random.Random(97)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        dim = n + rng.randint(0, 4)
+        span = rng.choice((5, 1000, 2 ** 60))
+        basis = [[rng.randint(-span, span) for _ in range(dim)]
+                 for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            basis[1] = [a + rng.randint(-1, 1) for a in basis[0]]
+        if int_rank(basis) < n:
+            continue
+        assert _lll_reduce(basis) == reference_lll_reduce(basis), basis
