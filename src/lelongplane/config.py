@@ -1,17 +1,15 @@
 """Point-configuration invariants and 4-point-line incidence structures.
 
 m_j of a point set is the maximum number of its points lying on a single
-curve of degree j; a k-subset lies on such a curve iff its integer monomial
-evaluation matrix has a nonzero kernel. k walks upward from the
-interpolation floor until no k-subset is found. The subset search runs
-depth-first in lexicographic order, each node carrying the remaining rows
-fraction-free reduced by the rows it chose, and drops every prefix that
-would reach full rank: rank never drops when rows are added, so the first
-subset it returns is the first one in `combinations` order. Incidence
-structures are abstract families of 4-element label sets
-in which any two lines share exactly one label; they are enumerated up to
-relabeling and realized by seeded random placement with exact
-certification.
+curve of degree j. All three are read off exact integer invariants of the
+points' primitive integer coordinates, with no subset search: the brackets
+[ijk] = det(p_i, p_j, p_k) give the collinear groups, and six points lie on
+a conic iff [123][145][246][356] = [124][135][236][456]; a subset lies on a
+cubic iff the Gale vectors of the points outside it, a basis of the left
+kernel of the cubic evaluation matrix, are dependent. Incidence structures
+are abstract families of 4-element label sets in which any two lines share
+exactly one label; they are enumerated up to relabeling and realized by
+seeded random placement with exact certification.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _cross, evaluate, join,
                         line_coeffs, meet, monomial_count, monomials)
-from .linalg import bareiss_step, int_rank, nullspace
+from .linalg import bareiss_step, int_rank, int_rref, nullspace
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,6 @@ class IncidenceStructure:
             if len(set(a) & set(b)) > 1:
                 raise PreconditionError("two lines share more than one label")
 
-    def line_count_at(self, label: int) -> int:
-        return sum(label in line for line in self.lines)
-
 
 def _int_coords(p: ProjPoint) -> tuple[int, int, int]:
     """The point's coordinates times the lcm D of their denominators.
@@ -85,7 +80,7 @@ def _int_coords(p: ProjPoint) -> tuple[int, int, int]:
     in D, so that coordinate times D is prime to p.
     """
     scale = math.lcm(*(x.denominator for x in p.coords))
-    return tuple(int(x * scale) for x in p.coords)
+    return tuple(x.numerator * (scale // x.denominator) for x in p.coords)
 
 
 def _evaluation_rows(points, degree):
@@ -118,52 +113,151 @@ def subset_on_curve(points, degree: int):
     return HomPoly.from_coeff_vector(degree, nullspace(rows, ncols)[0])
 
 
-def _first_deficient_subset(rows, k, ncols):
-    """The lexicographically first k-subset of row indices whose rows span
-    fewer than `ncols` dimensions, or None.
+def _brackets(coords):
+    """The bracket table, D[i][j][k] = [ijk] = det(p_i, p_j, p_k) for
+    i < j, and the maximal collinear index groups: one per pair, the zeros
+    of its brackets. Scaling a point changes no zero test."""
+    n = len(coords)
+    table = [[None] * n for _ in range(n)]
+    groups = set()
+    for i, j in itertools.combinations(range(n), 2):
+        a, b, c = _cross(coords[i], coords[j])
+        row = table[i][j] = [a * x + b * y + c * z for x, y, z in coords]
+        groups.add(tuple(k for k, v in enumerate(row) if not v))
+    return table, groups
 
-    Depth-first in index order. Each node holds the rows after its last
-    chosen index, reduced by the pivot rows it chose (`bareiss_step`, one
-    column fewer per pivot), so a row depends on the chosen rows exactly
-    when it is all zeros. A nonzero row at rank ncols - 1 would reach full
-    rank, and adding rows never lowers the rank, so there only zero rows
-    can join and the first `need` of them complete the subset.
+
+def _conic_test(table, q):
+    """(L, R, [bd.], [ce.], [bc.], [de.]) for q = (a, b, c, d, e), a < b:
+    f lies on a conic with them iff L [bdf][cef] = R [bcf][def], with
+    L = [abc][ade] and R = [abd][ace]. The difference is the 6 x 6 conic
+    evaluation determinant in brackets (Sturmfels, Algorithms in Invariant
+    Theory, 1993)."""
+    a, b, c, d, e = q
+    return (table[a][b][c] * table[a][d][e], table[a][b][d] * table[a][c][e],
+            table[b][d], table[c][e], table[b][c], table[d][e])
+
+
+def _conic_witness(table, groups):
+    """The lexicographically first largest index subset on a conic.
+
+    Up to five points impose independent conditions on conics iff no four
+    are collinear. If a subset M on a conic has five independent points,
+    let S be its shortest prefix that does: M lies on the one conic through
+    those five, so M is inside S plus the later indices that pass their
+    bracket test, a set on that conic. These sets and the subsets on a
+    conic with fewer than five independent points are the candidates, and
+    the witness is the first of the largest. S is an independent 5-subset
+    or a subset with fewer than five independent points grown by one; such
+    a subset, once it has five or more points, has all but one on a line L
+    and stays on L times a line whatever point is added. A 5-subset with
+    four collinear points passes every bracket test, so one that passes
+    every later index is checked. Two collinear groups, or one and a
+    point, lie on a conic, as does every candidate, so m2 >= `bound`: only
+    subsets that can still reach it are kept.
     """
-    def search(idx, red, prev, rank, need):
-        if not need:
-            return []
-        if rank == ncols - 1:
-            zeros = [i for i, row in zip(idx, red) if not any(row)]
-            return zeros[:need] if len(zeros) >= need else None
-        for t in range(len(idx) - need + 1):
+    n = len(table)
+    lines = [sum(1 << i for i in g) for g in groups if len(g) >= 3]
+    on = [[g for g in lines if g.bit_count() >= 4 and g >> i & 1]
+          for i in range(n)]
+    bound = min(n, max([len(g) + 1 for g in groups]
+                       + [(a | b).bit_count()
+                          for a, b in itertools.combinations(lines, 2)],
+                       default=n))
+
+    def extend(chosen, test, f):
+        if test is None and all((chosen & g).bit_count() < 3 for g in on[f]):
+            chosen |= 1 << f
+            if chosen.bit_count() == 5:
+                test = _conic_test(table, [i for i in range(n)
+                                           if chosen >> i & 1])
+        return chosen, test
+
+    found = []
+    level = [(q, 0, _conic_test(table, q)) for q in
+             itertools.combinations(range(min(n, n + 5 - bound)), 5)]
+    while level:
+        grown = []
+        for subset, chosen, test in level:
+            if len(subset) + n - 1 - subset[-1] < bound:
+                continue
+            ext = range(subset[-1] + 1, n)
+            if test is not None:
+                lhs, rhs, bd, ce, bc, de = test
+                hits = [f for f in ext
+                        if lhs * bd[f] * ce[f] == rhs * bc[f] * de[f]]
+                if len(subset) == 5 and ext and len(hits) == len(ext):
+                    chosen, test = 0, None
+                    for x in subset:
+                        chosen, test = extend(chosen, test, x)
+                if test is not None:
+                    found.append(subset + tuple(hits))
+                    bound = max(bound, len(found[-1]))
+                    continue
+            found.append(subset)
+            grown += [(subset + (f,), *extend(chosen, test, f)) for f in ext]
+        level = grown
+    m2 = max(map(len, found), default=n)
+    return min((c for c in found if len(c) == m2), default=tuple(range(n)))
+
+
+def _last_dependent(vectors, size):
+    """The lexicographically last dependent `size`-subset of the integer
+    vectors, or None, given that every smaller subset is independent.
+    Depth-first from the highest indices, each node holding the later
+    vectors reduced by the chosen ones (`bareiss_step`): at depth
+    size - 1 a vector depends on them iff it is zero."""
+    def search(idx, red, prev, need):
+        if need == 1:
+            return next(([i] for i, row in zip(idx[::-1], red[::-1])
+                         if not any(row)), None)
+        for t in range(len(idx) - need, -1, -1):
             row = red[t]
-            col = next((c for c, x in enumerate(row) if x), None)
-            if col is None:
-                found = search(idx[t + 1:], red[t + 1:], prev, rank,
-                               need - 1)
-            else:
-                found = search(idx[t + 1:],
-                               bareiss_step(row, col, prev, red[t + 1:]),
-                               row[col], rank + 1, need - 1)
+            col = next(c for c, x in enumerate(row) if x)
+            found = search(idx[t + 1:], bareiss_step(row, col, prev,
+                                                     red[t + 1:]),
+                           row[col], need - 1)
             if found is not None:
                 return [idx[t]] + found
         return None
+    return search(list(range(len(vectors))), vectors, 1, size)
 
-    combo = search(list(range(len(rows))), rows, 1, 0, k)
-    return None if combo is None else tuple(combo)
+
+def _cubic_witness(rows):
+    """The lexicographically first largest index subset on a cubic.
+
+    When the n x 10 evaluation matrix M has rank 10, a subset lies on a
+    cubic iff the Gale vectors of the points outside it are dependent
+    (Eisenbud and Popescu, "The projective geometry of the Gale
+    transform", J. Algebra 230, 2000): the rows of a left kernel basis of
+    M, read off the integer RREF of M^T up to a factor per row. Lex order
+    on sets of one size reverses under complement, so the witness is the
+    complement of the last smallest dependent set; any n - 9 are one.
+    """
+    n = len(rows)
+    rref = dict(int_rref([list(col) for col in zip(*rows)]))
+    if len(rref) < 10:
+        return tuple(range(n))
+    free = [c for c in range(n) if c not in rref]
+    gale = [[rref[i][c] for c in free] if i in rref
+            else [int(c == i) for c in free] for i in range(n)]
+    for size in range(1, len(free) + 1):
+        last = _last_dependent(gale, size)
+        if last is not None:
+            return tuple(i for i in range(n) if i not in last)
+    return tuple(range(9))
 
 
 def m_sequence(s: PointSet) -> MSequence:
     """Exact invariants (m1, m2, m3) with witness subsets and curves.
 
     m_d is the largest k such that some k-subset lies on a curve of degree
-    d, and its witness is the lexicographically first such subset, found
-    by `_first_deficient_subset`. Rank never drops when rows are added, so
-    if some k-subset lies on a curve, so does some (k-1)-subset: m_d is the
-    last k of an upward walk from the interpolation floor at which a subset
-    is still found. At the floor every subset lies on a curve, so a witness
-    always exists. The search eliminates fraction-free, each step dividing
-    exactly by the previous pivot, and never builds a Fraction.
+    d; its witness is the lexicographically first such subset, and the
+    first kernel vector of its rows the curve. m1 is the largest
+    collinear group and the witness the least, or (1, 2); conics use the
+    bracket identity [123][145][246][356] = [124][135][236][456]; and
+    m3 = n - g for the size g of the smallest dependent set of Gale
+    vectors, or n when the cubic evaluation matrix has rank below 10.
 
     The contract callers may rely on: some m_d-subset lies on a curve of
     degree d, and unless m_d = n, every (m_d + 1)-subset has a full-rank
@@ -174,42 +268,25 @@ def m_sequence(s: PointSet) -> MSequence:
     n = len(s)
     if n > 16:
         raise PreconditionError("point sets capped at 16 points")
-    floors = {1: 2, 2: 5, 3: 9}
-    values = {}
+    table, groups = _brackets([_int_coords(p) for p in s.points])
+    m1 = max(map(len, groups), default=n)
+    line = min((g for g in groups if len(g) == m1), default=tuple(range(n)))
     witnesses = []
-    for degree in (1, 2, 3):
-        rows = _evaluation_rows(s.points, degree)
-        ncols = monomial_count(degree)
-        k = min(floors[degree], n)
-        combo = _first_deficient_subset(rows, k, ncols)
-        while k < n:
-            larger = _first_deficient_subset(rows, k + 1, ncols)
-            if larger is None:
-                break
-            k, combo = k + 1, larger
+    for degree, combo in ((1, line), (2, _conic_witness(table, groups)),
+                          (3, _cubic_witness(_evaluation_rows(s.points, 3)))):
+        rows = _evaluation_rows([s.points[i] for i in combo], degree)
         curve = HomPoly.from_coeff_vector(
-            degree, nullspace([rows[i] for i in combo], ncols)[0])
-        values[degree] = k
+            degree, nullspace(rows, monomial_count(degree))[0])
         witnesses.append((tuple(i + 1 for i in combo), curve))
-    return MSequence(m1=values[1], m2=values[2], m3=values[3],
-                     witnesses=tuple(witnesses))
+    m1, m2, m3 = (len(w[0]) for w in witnesses)
+    return MSequence(m1=m1, m2=m2, m3=m3, witnesses=tuple(witnesses))
 
 
 def four_point_lines(s: PointSet):
-    """All maximal collinear label groups of size >= 3, largest first.
-
-    Joins and membership tests run on primitive integer coordinates:
-    scaling a point or a line by a nonzero factor changes no zero test.
-    """
-    coords = [_int_coords(p) for p in s.points]
-    groups = set()
-    for i, j in itertools.combinations(range(len(coords)), 2):
-        a, b, c = _cross(coords[i], coords[j])
-        members = tuple(k + 1 for k, (x, y, z) in enumerate(coords)
-                        if a * x + b * y + c * z == 0)
-        if len(members) >= 3:
-            groups.add(members)
-    return sorted(groups, key=lambda g: (-len(g), g))
+    """All maximal collinear label groups of size >= 3, largest first."""
+    groups = _brackets([_int_coords(p) for p in s.points])[1]
+    return sorted((tuple(k + 1 for k in g) for g in groups if len(g) >= 3),
+                  key=lambda g: (-len(g), g))
 
 
 # ---------------------------------------------------------------------------

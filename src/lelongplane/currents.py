@@ -346,8 +346,10 @@ def sharpness_example(seed: int, budget: int = 100) -> SharpnessReport:
     The 105 verdicts are read off the m-sequence. m3 is the largest k for
     which some k-subset lies on a cubic, and every subset of points on a
     cubic lies on it too, so some 13-subset lies on a cubic exactly when
-    m3 >= 13. When m3 = 12, the failing subset search at k = 13 is the
-    proof for all 105 subsets.
+    m3 >= 13. `m_sequence` reads m3 off the duality: m3 < 13 means that
+    the 15 x 10 cubic evaluation matrix has rank 10 and that no one or two
+    of its Gale vectors in Q^5 are dependent, so the two points outside
+    any 13-subset are independent and its evaluation matrix has full rank.
     """
     rng = random.Random(seed)
     for _ in range(budget):

@@ -40,7 +40,7 @@ from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _gcd_degree_mod, coprime,
                         evaluate, exact_divide, from_ring, gcd_homogeneous,
                         partial_derivatives, sympy_rings, to_ring)
-from .linalg import frac_rref, int_det
+from .linalg import int_det, int_rank
 from .linsys import VanishingCondition, build_system
 
 
@@ -83,8 +83,7 @@ def conic_rank(p: HomPoly) -> int:
         [half * c((1, 1, 0)), c((0, 2, 0)), half * c((0, 1, 1))],
         [half * c((1, 0, 1)), half * c((0, 1, 1)), c((0, 0, 2))],
     ]
-    r, _, _ = frac_rref(m)
-    return r
+    return int_rank(m)
 
 
 def irreducible_conic_through(points) -> HomPoly | None:

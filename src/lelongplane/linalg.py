@@ -2,14 +2,14 @@
 
 Everything runs on integer-scaled rows, with no sympy. One fraction-free
 elimination step (Bareiss), `bareiss_step`, serves the rank and
-determinant queries and the m-sequence subset search, which carries the
-reduced rows down its search tree. One integer reduced row echelon form,
-`int_rref`, reduces the rows one at a time through `reduce_row` and then
-back-substitutes in integers; `frac_rref` is its Fraction view for
-callers that want one. Kernels stay in integers end to end: `nullspace`
-forms integer kernel vectors from `int_rref`, canonicalizes them by
-`int_rref` again and shortens them by the integral LLL, so outputs are
-deterministic and depend only on the row space.
+determinant queries and the m-sequence's search for dependent Gale
+vectors, which carries the reduced rows down its search tree. One integer
+reduced row echelon form, `int_rref`, reduces the rows one at a time
+through `reduce_row` and then back-substitutes in integers; `solve_exact`
+reads its solution off it. Kernels stay in integers end to end:
+`nullspace` forms integer kernel vectors from `int_rref`, canonicalizes
+them by `int_rref` again and shortens them by the integral LLL, so outputs
+are deterministic and depend only on the row space.
 """
 
 from __future__ import annotations
@@ -163,7 +163,10 @@ def int_rref(rows):
 def frac_rref(rows):
     """Reduced row echelon form over Fractions: (rank, pivot_columns,
     reduced_rows), zero rows dropped. `int_rref` on the integer-scaled
-    rows, with each entry divided by its row's pivot."""
+    rows, with each entry divided by its row's pivot. The library no
+    longer calls it; the benchmark's span list (`perfbench/tracing.py`)
+    still names it, and the tests use it as the Fraction view of
+    `int_rref`."""
     basis = int_rref(_int_rows(rows))
     pivots = [piv for piv, _ in basis]
     red = [[Fraction(x, row[piv]) for x in row] for piv, row in basis]
@@ -267,13 +270,9 @@ def solve_exact(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rnk, pivots, red = frac_rref(aug)
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
+    basis = int_rref(_int_rows([list(r) + [b] for r, b in zip(rows, rhs)]))
+    # a pivot in the augmented column is inconsistent, a missing one
+    # underdetermined
+    if [piv for piv, _ in basis] != list(range(ncols)):
         return None
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r][ncols]
-    return sol
+    return [Fraction(row[ncols], row[piv]) for piv, row in basis]

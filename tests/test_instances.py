@@ -1,9 +1,8 @@
 """Seeded instance generators and their certified m-sequence gates.
 
-Oracles: each generator's m-sequence is recomputed here through the
-independent subset search, and the geometric side conditions (points on
-the stated conic or line, extra point off the witness cubic) are checked
-exactly.
+Oracles: each generator's m-sequence is recomputed here from its points,
+and the geometric side conditions (points on the stated conic or line,
+extra point off the witness cubic) are checked exactly.
 """
 
 import pytest

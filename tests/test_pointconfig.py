@@ -1,8 +1,9 @@
 """Point-configuration invariants, incidence enumeration, realization.
 
 Oracles: hand-checkable point sets (collinear triples, grids), the plain
-`combinations` x rank scan as the reference for the pruned subset search,
-the permutation-branching canonical form and the `Fraction` collinearity
+`combinations` x rank scan as the reference for the m-sequence read off
+brackets and Gale vectors, `int_det` for the bracket identity, the
+permutation-branching canonical form and the `Fraction` collinearity
 scan kept in `expr_reference`, closed-form counts for small enumerations,
 and exact certification of every realized structure through the
 m-sequence witnesses.
@@ -25,9 +26,10 @@ from lelongplane.config import (SHAPE_3CONCURRENT_PLUS2,
                                 realize_structure, subset_on_curve)
 from lelongplane.currents import sharpness_example
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import HomPoly, ProjPoint, evaluate, monomial_count
+from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate, monomial_count,
+                                   monomials)
 from lelongplane.instances import INSTANCE_KINDS, generate, generic12
-from lelongplane.linalg import int_rank, nullspace
+from lelongplane.linalg import int_det, int_rank, nullspace
 
 from expr_reference import reference_canonical_form, reference_four_point_lines
 
@@ -126,59 +128,156 @@ def test_m_sequence_matches_reference_on_edge_sets(name):
     assert m_sequence(s) == reference_m_sequence(s)
 
 
-def test_first_deficient_subset_matches_scan():
-    """Every k from 1 to n against the `combinations` x `int_rank` scan, on
-    seeded integer matrices with zero, repeated and proportional rows and
-    rows in the span of the first ncols - 2, with small and with 200-bit
-    entries. Finding the dependent rows takes ncols - 2 exact divisions;
-    dividing by the new pivot instead of the previous one fails here."""
+def _dual_sets():
+    """Sets for the cubic side, with the m3 each should have: seeded random
+    sets of 13 and 14 points (Gale vectors in Q^3 and Q^4), 12 points on a
+    conic and a line (evaluation rank below 10), 11 of them and a point off
+    the cubic (a zero Gale vector), 10 of them and two points off (a
+    parallel pair), and the sharpness arrangement of seed 1."""
+    conic = [pt(t * t, t) for t in range(-3, 4)]
+    line = [pt(x, 5) for x in range(5)]
+    return {"n13": (random_set(13, 113), None),
+            "n14": (random_set(14, 114), None),
+            "conic_line12": (PointSet(tuple(conic + line)), 12),
+            "zero_gale": (PointSet(tuple(conic + line[:4] + [pt(2, 7)])), 11),
+            "parallel_gale": (PointSet(tuple(conic[:6] + line[:4]
+                                             + [pt(2, 7), pt(-5, 3)])), 10),
+            "sharpness1": (PointSet(sharpness_example(1).points), 12)}
+
+
+@pytest.mark.parametrize("name", sorted(_dual_sets()))
+def test_m_sequence_matches_reference_on_dual_sets(name):
+    s, m3 = _dual_sets()[name]
+    rank = int_rank(config._evaluation_rows(s.points, 3))
+    assert rank == (9 if name == "conic_line12" else 10)
+    ms = m_sequence(s)
+    assert ms == reference_m_sequence(s)
+    assert m3 is None or ms.m3 == m3
+
+
+def test_m_sequence_on_one_conic():
+    """Sixteen and fifteen points on the conic XZ = Y^2: every subset of
+    them lies on it, and the witness is all of them with that conic."""
+    conic = [pt(t * t, t) for t in range(-8, 8)]
+    xz_y2 = HomPoly.from_coeff_vector(2, [0, 0, 1, -1, 0, 0])
+    for s, labels in ((PointSet(tuple(conic)), tuple(range(1, 17))),
+                      (PointSet(tuple(conic[:15] + [pt(2, 7)])),
+                       tuple(range(1, 16)))):
+        ms = m_sequence(s)
+        assert ms.as_tuple() == (2, len(labels), 16)
+        assert ms.witnesses[1][0] == labels
+        assert ms.witnesses[1][1] in (xz_y2, -xz_y2)
+
+
+def test_last_dependent_matches_scan():
+    """The smallest dependent size g and the last dependent g-subset
+    against the `combinations` x `int_rank` scan, on seeded integer
+    vectors of dimension 1 to 6 with zero, proportional and repeated
+    vectors and vectors in the span of two or three others, with small and
+    with 200-bit entries. Below g the search finds nothing."""
     rng = random.Random(53)
     cases = []
-    for ncols in (3, 6, 10):
+    for dim in (1, 2, 3, 4, 6):
         for span in (3, 2 ** 200):
-            for _ in range(4):
-                n = rng.randint(ncols, ncols + 4)
-                m = [[rng.randint(-span, span) for _ in range(ncols)]
+            for shape in ("plain", "zero", "multiple", "span2", "span3"):
+                n = rng.randint(dim + 1, dim + 6)
+                m = [[rng.randint(-span, span) for _ in range(dim)]
                      for _ in range(n)]
-                m[rng.randrange(n)] = [0] * ncols
-                m[rng.randrange(n)] = list(m[rng.randrange(n)])
-                c = rng.choice((-3, 2, 5))
-                m[rng.randrange(n)] = [c * x for x in m[rng.randrange(n)]]
-                base = m[:ncols - 2]
-                for i in rng.sample(range(ncols - 2, n),
-                                    min(n - ncols + 2, 4)):
-                    cs = [rng.randint(-4, 4) for _ in base]
-                    m[i] = [sum(a * r[j] for a, r in zip(cs, base))
-                            for j in range(ncols)]
-                cases.append((m, ncols))
-    for m, ncols in cases:
+                i, j, k, l = (rng.sample(range(n), 4) if n >= 4
+                              else [0, 1, 0, 1])
+                if shape == "zero":
+                    m[i] = [0] * dim
+                elif shape == "multiple":
+                    m[i] = [rng.choice((-3, 1, 2)) * x for x in m[j]]
+                elif shape == "span2":
+                    m[i] = [2 * x - 3 * y for x, y in zip(m[j], m[k])]
+                elif shape == "span3" and n >= 4:
+                    m[i] = [x + y - z for x, y, z in zip(m[j], m[k], m[l])]
+                cases.append(m)
+    sizes = set()
+    for m in cases:
         n = len(m)
-        for k in range(1, n + 1):
-            want = next((c for c in itertools.combinations(range(n), k)
-                         if int_rank([m[i] for i in c]) < ncols), None)
-            assert config._first_deficient_subset(m, k, ncols) == want
+        girth = next(g for g in range(1, n + 1)
+                     if any(int_rank([m[i] for i in c]) < g
+                            for c in itertools.combinations(range(n), g)))
+        want = max(c for c in itertools.combinations(range(n), girth)
+                   if int_rank([m[i] for i in c]) < girth)
+        for size in range(1, girth):
+            assert config._last_dependent(m, size) is None
+        if girth <= len(m[0]):
+            assert tuple(config._last_dependent(m, girth)) == want
+        sizes.add(girth)
+    assert sizes >= {1, 2, 3, 4, 5}
+
+
+def test_bracket_identity_is_the_conic_determinant():
+    """[123][145][246][356] - [124][135][236][456] equals the 6 x 6 conic
+    evaluation determinant (columns in `monomials(2)` order), not merely
+    both zero or both nonzero, on seeded sets with coordinates in -3..3,
+    collinear triples and points on Z = 0 among them."""
+    rng = random.Random(67)
+    mons = monomials(2)
+    seen_zero = seen_collinear = 0
+    for _ in range(600):
+        pts = []
+        while len(pts) < 6:
+            if len(pts) >= 2 and rng.random() < 0.2:
+                u, v = rng.sample(pts, 2)
+                a, b = rng.choice((1, -1, 2)), rng.choice((1, -2, 3))
+                p = tuple(a * x + b * y for x, y in zip(u, v))
+                seen_collinear += 1
+            else:
+                p = (rng.randint(-3, 3), rng.randint(-3, 3),
+                     rng.choice((0, rng.randint(-3, 3))))
+            if any(p):
+                pts.append(p)
+        table = config._brackets(pts)[0]
+        lhs, rhs, bd, ce, bc, de = config._conic_test(table, range(5))
+        det = int_det([[x ** i * y ** j * z ** k for i, j, k in mons]
+                       for x, y, z in pts])
+        assert lhs * bd[5] * ce[5] - rhs * bc[5] * de[5] == det
+        seen_zero += det == 0
+    assert seen_zero and seen_collinear
 
 
 @pytest.mark.parametrize("kind", ["generic12", "conic7", "example6lines"])
-def test_m_sequence_walks_up_from_the_floor(kind, monkeypatch):
-    """Per degree the search runs at k = floor .. m, and once more at m + 1
-    unless m = n: m - floor + 2 calls, or m - floor + 1. The old loop ran
-    down from n."""
+def test_m_sequence_reads_invariants(kind, monkeypatch):
+    """One kernel per degree, on the witness rows; one integer RREF, of
+    the transposed cubic evaluation matrix, for the Gale vectors; no
+    elimination on evaluation rows; and no (m_d + 1)-subsets of the points
+    enumerated."""
     s = generate(kind, 0).point_set
-    calls = {}
-    real = config._first_deficient_subset
-
-    def spy(rows, k, ncols):
-        calls.setdefault(ncols, []).append(k)
-        return real(rows, k, ncols)
-    monkeypatch.setattr(config, "_first_deficient_subset", spy)
-    ms = m_sequence(s)
     n = len(s)
-    for degree, floor, m in zip((1, 2, 3), (2, 5, 9), ms.as_tuple()):
-        floor = min(floor, n)
-        ks = calls[monomial_count(degree)]
-        assert len(ks) == m - floor + (1 if m == n else 2)
-        assert ks == list(range(floor, min(m + 1, n) + 1))
+    kernels, rrefs, steps, subsets = [], [], [], []
+    real_kernel, real_rref = config.nullspace, config.int_rref
+    real_step, real_subsets = config.bareiss_step, itertools.combinations
+
+    def kernel(rows, ncols):
+        kernels.append((len(rows), ncols))
+        return real_kernel(rows, ncols)
+
+    def rref(rows):
+        rrefs.append((len(rows), len(rows[0])))
+        return real_rref(rows)
+
+    def step(pivot, col, prev, rows):
+        steps.append(len(pivot))
+        return real_step(pivot, col, prev, rows)
+
+    def combinations(pool, r):
+        pool = tuple(pool)
+        subsets.append((len(pool), r))
+        return real_subsets(pool, r)
+    monkeypatch.setattr(config, "nullspace", kernel)
+    monkeypatch.setattr(config, "int_rref", rref)
+    monkeypatch.setattr(config, "bareiss_step", step)
+    monkeypatch.setattr(itertools, "combinations", combinations)
+    ms = m_sequence(s)
+    assert kernels == [(m, c) for m, c in zip(ms.as_tuple(), (3, 6, 10))]
+    assert rrefs == [(10, n)]
+    assert all(length <= n - 10 for length in steps)
+    assert not [(size, r) for size, r in subsets
+                if size == n and r - 1 in ms.as_tuple()]
 
 
 def test_m_sequence_search_needs_no_rank_calls(monkeypatch):
