@@ -14,6 +14,7 @@ re-derives every invariant through an independent code path.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,9 +110,9 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     claimed weight equals min(ord P, ord Q)/r and whose intersection
     multiplicity is at least ord P * ord Q, P and Q have one degree and
     gamma equals it over r, and the multiplicities at the listed points
-    sum to at most deg P * deg Q (Bezout). Both forms are expanded once
-    per listed point; the orders and the tangent-cone stage of the
-    multiplicity read the same expansions.
+    sum to at most deg P * deg Q (Bezout). The orders and cones come from
+    one order_and_cone per form and point, not the full expansion; a point
+    where both forms vanish identically has no weight and is not ok.
     """
     discrete = (not cert.p.is_zero and not cert.q.is_zero
                 and coprime(cert.p, cert.q))
@@ -119,7 +120,7 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     checks = []
     for x, w in cert.points:
         op, oq, mu = _orders_and_mu(cert.p, cert.q, x, discrete)
-        ok = (r_ok and op >= 1 and oq >= 1
+        ok = (r_ok and 1 <= min(op, oq) < math.inf
               and Fraction(min(op, oq), cert.r) == w
               and (mu is None or mu >= op * oq))
         checks.append(PointCheck(point=x, claimed=w, ord_p=op, ord_q=oq,

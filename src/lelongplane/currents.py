@@ -29,9 +29,9 @@ same order, so the estimates are bit-for-bit those of that evaluation.
 
 Each exact fact is computed once per command. The ``lelong`` command
 expands P and Q once per listed point (``_local_forms``) for both the
-scale and the estimate; the verifier it runs first expands them again,
-as the independent check. The sharpness example reads its 105 full-rank
-verdicts on the 13-point subsets off the m-sequence it reports (m3 < 13).
+scale and the estimate; the verifier, the independent check run first,
+reads only orders and tangent cones. The sharpness example reads its 105
+full-rank verdicts on the 13-point subsets off its m-sequence (m3 < 13).
 """
 
 from __future__ import annotations

@@ -15,18 +15,19 @@ first use through `exactpoly.sympy_rings`: only `analyze_curve`,
 expression is built.
 
 Local intersection numbers are decided in two stages. The first reads the
-tangent cones, the lowest-degree parts of the two local expansions: when
-they share no line, mu_x = ord_x P * ord_x Q (Fulton, Algebraic Curves,
-3.3, property 5), decided by Euclid over Q on binary forms. Only where the
-cones share a line does the classical recursive reduction in affine
-coordinates run, on the two whole forms with no factorization; only a
-pair that shares a component takes a gcd first. An independent oracle
-reads mu from sheared resultants. Those resultants are computed here:
-Sylvester determinants at integer points, taken fraction-free by
-`linalg.int_det`, then interpolated. `bezout_table` reads the rational
-common zeros from the rational roots of the resultant and of the fiber
-gcds, both found in Z[s]: a primitive remainder sequence for gcds and
-square-free parts, and roots modulo a prime lifted by Newton's iteration.
+tangent cones, the lowest-degree parts of the local expansions, from
+`exactpoly.order_and_cone` without the rest: when they share no line,
+mu_x = ord_x P * ord_x Q (Fulton, Algebraic Curves, 3.3, property 5),
+decided by a gcd in Z[s] of the integer cones. Only where the cones share
+a line does the classical recursive reduction in affine coordinates run,
+on the two whole forms with no factorization; only a pair that shares a
+component takes a gcd first. An independent oracle reads mu from sheared
+resultants. Those resultants are computed here: Sylvester determinants at
+integer points, taken fraction-free by `linalg.int_det`, then
+interpolated. `bezout_table` reads the rational common zeros from the
+rational roots of the resultant and of the fiber gcds, both found in Z[s]:
+a primitive remainder sequence for gcds and square-free parts, and roots
+modulo a prime lifted by Newton's iteration.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _gcd_degree_mod, coprime,
                         evaluate, exact_divide, from_ring, gcd_homogeneous,
-                        partial_derivatives, sympy_rings, to_ring)
+                        order_and_cone, partial_derivatives, sympy_rings,
+                        to_ring)
 from .linalg import int_det, int_rank
 from .linsys import VanishingCondition, build_system
 
@@ -311,18 +313,6 @@ def _local_mu(f, g):
     return _local_mu(f, g_new)
 
 
-def _tangent_cone(local):
-    """Order m and the lowest-degree part of a nonzero local expansion, as
-    the coefficient list of the binary form in (s, t), indexed by the
-    power of s: entry i is the coefficient of s^i t^(m-i)."""
-    m = min(i + j for i, j in local)
-    cone = [Fraction(0)] * (m + 1)
-    for (i, j), c in local.items():
-        if i + j == m:
-            cone[i] = c
-    return m, cone
-
-
 def _trim(a):
     a = list(a)
     while a[-1] == 0:
@@ -331,28 +321,15 @@ def _trim(a):
 
 
 def _cones_coprime(a, b) -> bool:
-    """True iff two nonzero binary forms share no linear factor over C.
+    """True iff two nonzero integer binary forms share no line over C.
 
     The factor t divides both iff both lack the s^m term; every other
-    shared line is a common root of the forms at t = 1, so Euclid over Q
-    on the dehomogenized forms decides the rest.
+    shared line is a common root of the forms at t = 1, so their gcd in
+    Z[s] decides the rest.
     """
     if a[-1] == 0 and b[-1] == 0:
         return False
-    a, b = _trim(a), _trim(b)
-    while len(b) > 1:
-        while len(a) >= len(b):
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= q * c
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        if not a:
-            return False
-        a, b = b, a
-    return True
+    return len(_int_gcd(_trim(a), _trim(b))) == 1
 
 
 def intersection_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint):
@@ -370,19 +347,17 @@ def intersection_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint):
         if other.is_zero or evaluate(other, x) == 0:
             return math.inf
         return 0
-    if evaluate(p, x) != 0 or evaluate(q, x) != 0:
-        return 0
     return _orders_and_mu(p, q, x)[2]
 
 
 def _orders_and_mu(p: HomPoly, q: HomPoly, x: ProjPoint, with_mu=True):
-    """(ord_x p, ord_x q, mu_x(p, q)) from one local expansion of each
-    form; the order of a zero form is math.inf. With with_mu=False the
-    third entry is None; otherwise p and q must be nonzero. mu is 0 where
-    either order is 0, ord_x p * ord_x q where the tangent cones share no
-    line, and the reduction's value elsewhere."""
-    op, cone_p = _order_and_cone(p, x)
-    oq, cone_q = _order_and_cone(q, x)
+    """(ord_x p, ord_x q, mu_x(p, q)) from order_and_cone of each form;
+    the order of a zero form is math.inf. With with_mu=False the third
+    entry is None; otherwise p and q must be nonzero. mu is 0 where either
+    order is 0, ord_x p * ord_x q where the tangent cones share no line,
+    and the reduction's value elsewhere."""
+    op, cone_p = order_and_cone(p, x)
+    oq, cone_q = order_and_cone(q, x)
     if not with_mu:
         return op, oq, None
     if op == 0 or oq == 0:
@@ -390,12 +365,6 @@ def _orders_and_mu(p: HomPoly, q: HomPoly, x: ProjPoint, with_mu=True):
     if _cones_coprime(cone_p, cone_q):
         return op, oq, op * oq
     return op, oq, _reduction_mu(p, q, x)
-
-
-def _order_and_cone(p: HomPoly, x: ProjPoint):
-    if p.is_zero:
-        return math.inf, None
-    return _tangent_cone(p.local_expansion(x)[1])
 
 
 def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint):

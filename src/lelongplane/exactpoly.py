@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, zip_longest
+from operator import mul
 from types import SimpleNamespace
 from typing import Iterable, Mapping
 
@@ -248,35 +250,43 @@ class HomPoly:
         Returns (chart, bivariate terms). The minimal total degree of the
         result is the vanishing order of the polynomial at x.
 
-        The Taylor shift (a+s)^e1 (b+t)^e2 runs on integers: with x = (a, b)
-        in the chart, a = an/ad and b = bn/bd, every term is brought to the
-        common denominator L * ad^E1 * bd^E2 (L the lcm of the coefficient
-        denominators, E1 and E2 the largest exponents of s and t), and one
-        Fraction is built per output key. Keys appear in order of first
-        contribution: terms in dehomogenized order, then i, then j.
+        The Taylor shift (a+s)^e1 (b+t)^e2 runs on integers (_shift_tables),
+        and one Fraction is built per output key. Keys appear in order of
+        first contribution: terms in dehomogenized order, then i, then j.
         """
-        if chart is None:
-            chart = x.chart()
-        a, b = x.affine(chart)
-        local = self.dehomogenize(chart)
-        if not local:
-            return chart, {}
-        big_l = math.lcm(*(c.denominator for c in local.values()))
-        top1 = max(e1 for e1, _ in local)
-        top2 = max(e2 for _, e2 in local)
-        rows1 = _shift_rows(a.numerator, a.denominator, top1)
-        rows2 = _shift_rows(b.numerator, b.denominator, top2)
+        chart, nums, rows1, rows2, den = _shift_tables(self, x, chart)
         out: dict[tuple[int, int], int] = {}
-        for (e1, e2), coeff in local.items():
-            num = coeff.numerator * (big_l // coeff.denominator)
+        for e1, e2, num in nums:
             row2 = rows2[e2]
             for i, c1 in enumerate(rows1[e1]):
                 ca = num * c1
                 for j, c2 in enumerate(row2):
                     key = (i, j)
                     out[key] = out.get(key, 0) + ca * c2
-        den = big_l * a.denominator ** top1 * b.denominator ** top2
         return chart, {k: Fraction(v, den) for k, v in out.items() if v}
+
+
+def _shift_tables(p: HomPoly, x: ProjPoint, chart: int | None):
+    """(chart, nums, rows1, rows2, den) for the shift of p to x = (a, b),
+    a = an/ad and b = bn/bd in the chart (default x.chart()). Each term
+    (e1, e2, num) has its coefficient as num/L, L the lcm of the
+    denominators; the coefficient of s^i t^j in the shift is the sum of
+    num * rows1[e1][i] * rows2[e2][j] over den = L * ad^E1 * bd^E2, where
+    E1 and E2 are the largest exponents of s and t."""
+    if chart is None:
+        chart = x.chart()
+    a, b = x.affine(chart)
+    local = p.dehomogenize(chart)
+    if not local:
+        return chart, [], None, None, 1
+    big_l = math.lcm(*(c.denominator for c in local.values()))
+    top1 = max(e1 for e1, _ in local)
+    top2 = max(e2 for _, e2 in local)
+    nums = [(e1, e2, c.numerator * (big_l // c.denominator))
+            for (e1, e2), c in local.items()]
+    return (chart, nums, _shift_rows(a.numerator, a.denominator, top1),
+            _shift_rows(b.numerator, b.denominator, top2),
+            big_l * a.denominator ** top1 * b.denominator ** top2)
 
 
 def _shift_rows(n: int, d: int, top: int) -> list[list[int]]:
@@ -285,6 +295,32 @@ def _shift_rows(n: int, d: int, top: int) -> list[list[int]]:
     dpow = [d ** k for k in range(top + 1)]
     return [[math.comb(e, i) * npow[e - i] * dpow[top - e + i]
              for i in range(e + 1)] for e in range(top + 1)]
+
+
+def order_and_cone(p: HomPoly, x: ProjPoint):
+    """(ord_x p, tangent cone): the first nonzero level m of the shift in
+    _shift_tables at x.chart(), found level by level, as integers; entry
+    i is den times the coefficient of s^i t^(m-i). The shift is
+    A N B^T, N[e1][e2] the numerators, A[i][e1] = rows1[e1][i] and
+    B[j][e2] = rows2[e2][j]; column m of N B^T is formed at level m. The
+    zero form gives (math.inf, None)."""
+    if p.is_zero:
+        return math.inf, None
+    _, nums, rows1, rows2, _ = _shift_tables(p, x, None)
+    mat = [[0] * len(rows2) for _ in rows1]
+    for e1, e2, num in nums:
+        mat[e1][e2] = num
+    cols1 = list(zip_longest(*rows1, fillvalue=0))
+    cols2 = list(zip_longest(*rows2, fillvalue=0))
+    half = []
+    for m in count():
+        if m < len(cols2):
+            half.append([sum(map(mul, row, cols2[m])) for row in mat])
+        cone = [sum(map(mul, cols1[i], half[m - i]))
+                if i < len(cols1) and m - i < len(half) else 0
+                for i in range(m + 1)]
+        if any(cone):
+            return m, cone
 
 
 @lru_cache(maxsize=None)
@@ -365,16 +401,9 @@ def partial_derivatives(p: HomPoly) -> tuple[HomPoly, HomPoly, HomPoly]:
 
 
 def vanishing_order(p: HomPoly, x: ProjPoint):
-    """Least total order of a nonvanishing iterated partial at x.
-
-    Returns math.inf iff p is the zero polynomial.
-    """
-    if p.is_zero:
-        return math.inf
-    _, local = p.local_expansion(x)
-    if not local:  # cannot happen for a nonzero form
-        return math.inf
-    return min(i + j for (i, j) in local)
+    """Least total order of a nonvanishing iterated partial at x, read by
+    order_and_cone; math.inf iff p is the zero polynomial."""
+    return order_and_cone(p, x)[0]
 
 
 def exact_divide(p: HomPoly, q: HomPoly) -> HomPoly | None:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from lelongplane import construct, serialize
+from lelongplane import construct, curves, exactpoly, serialize
 from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                              EXIT_UNSUPPORTED, EXIT_VERIFICATION, main)
 from lelongplane.construct import (PotentialCertificate, make_certificate,
@@ -179,21 +179,44 @@ def test_lelong_matches_golden_digests(tmp_path, capsys, kind):
     capsys.readouterr()
 
 
-def test_lelong_expands_each_form_twice_per_point(tmp_path, capsys,
-                                                 monkeypatch):
-    """Once in the verifier, once for the scale and the estimate together:
-    48 expansions for the 12 points of the generic12 certificate."""
+def spy_expansions(monkeypatch):
+    """Counts of the full expansions and of the order-and-cone reads, from
+    every module that calls order_and_cone."""
+    calls = {"local_expansion": 0, "order_and_cone": 0}
+    real_expansion = HomPoly.local_expansion
+    real_cone = exactpoly.order_and_cone
+
+    def expansion(self, *args, **kwargs):
+        calls["local_expansion"] += 1
+        return real_expansion(self, *args, **kwargs)
+
+    def cone(*args):
+        calls["order_and_cone"] += 1
+        return real_cone(*args)
+    monkeypatch.setattr(HomPoly, "local_expansion", expansion)
+    for module in (exactpoly, curves):
+        monkeypatch.setattr(module, "order_and_cone", cone)
+    return calls
+
+
+def test_lelong_expands_once_and_reads_cones_once_per_form_and_point(
+        tmp_path, capsys, monkeypatch):
+    """The scale and the estimate share one full expansion of each form per
+    point; the verifier reads only the order and cone: 24 of each for the
+    12 points of the generic12 certificate."""
     cert = seed0_certificate(tmp_path, "generic12")
     assert len(serialize.load_certificate(str(cert)).points) == 12
-    calls = []
-    real = HomPoly.local_expansion
-
-    def spy(self, *args, **kwargs):
-        calls.append(args[0])
-        return real(self, *args, **kwargs)
-    monkeypatch.setattr(HomPoly, "local_expansion", spy)
+    calls = spy_expansions(monkeypatch)
     assert run("lelong", "--input", str(cert)) == EXIT_OK
-    assert len(calls) == 48
+    assert calls == {"local_expansion": 24, "order_and_cone": 24}
+    capsys.readouterr()
+
+
+def test_certify_makes_no_full_expansion(tmp_path, capsys, monkeypatch):
+    cert = seed0_certificate(tmp_path, "generic12")
+    calls = spy_expansions(monkeypatch)
+    assert run("certify", "--input", str(cert)) == EXIT_OK
+    assert calls == {"local_expansion": 0, "order_and_cone": 24}
     capsys.readouterr()
 
 
@@ -593,6 +616,39 @@ def test_certify_rejects_unequal_degrees(tmp_path, capsys):
     assert run("lelong", "--input", str(path)) in (EXIT_VERIFICATION,
                                                    EXIT_PARSE)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("p,q,orders", [
+    (HomPoly.zero(3), HomPoly.zero(3), ("inf", "inf", False)),
+    (HomPoly.zero(0), HomPoly.zero(0), ("inf", "inf", False)),
+    (HomPoly.zero(1), HomPoly.monomial((1, 0, 0)), ("inf", 1, True))])
+def test_zero_forms_fail_verification(tmp_path, capsys, p, q, orders):
+    """A zero form shares every component, so the pair is not discrete. Two
+    zero forms vanish to infinite order everywhere: no listed point has a
+    finite weight, and both commands exit 3 where they once crashed."""
+    cert = PotentialCertificate(
+        p=p, q=q, r=1, points=((ProjPoint(0, 0, 1), Fraction(1)),),
+        gamma_u=Fraction(p.degree), case_tag="zero", verified=True)
+    path, out = tmp_path / "cert.json", tmp_path / "report.json"
+    serialize.dump(cert, path)
+    assert run("certify", "--input", str(path),
+               "--out", str(out)) == EXIT_VERIFICATION
+    report = json.loads(out.read_text())
+    assert not report["verified"] and not report["discrete"]
+    assert [(c["ord_p"], c["ord_q"], c["ok"]) for c in report["per_point"]] \
+        == [orders]
+    capsys.readouterr()
+    assert run("lelong", "--input", str(path)) == EXIT_VERIFICATION
+    assert "failed independent verification" in capsys.readouterr().err
+
+
+def test_verifier_rejects_zero_forms_of_unequal_degrees():
+    cert = PotentialCertificate(
+        p=HomPoly.zero(2), q=HomPoly.zero(4), r=1,
+        points=((ProjPoint(1, 2, 3), Fraction(1)),), gamma_u=Fraction(2),
+        case_tag="zero", verified=True)
+    report = verify_certificate(cert)
+    assert not report.verified and not report.per_point[0].ok
 
 
 def test_certify_rejects_boolean_degree(tmp_path, capsys):

@@ -577,6 +577,63 @@ def test_cone_path_agrees_at_certificate_points(kind, seed, monkeypatch):
         assert resultant_multiplicity(cert.p, cert.q, x) == mu
 
 
+def reference_cones_coprime(a, b):
+    """The Fraction-Euclid test on binary forms (coefficient lists indexed
+    by the power of s), independent of the gcd in Z[s]."""
+    if a[-1] == 0 and b[-1] == 0:
+        return False
+
+    def trim(c):
+        c = [Fraction(x) for x in c]
+        while c[-1] == 0:
+            c.pop()
+        return c
+    a, b = trim(a), trim(b)
+    while len(b) > 1:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def test_integer_cones_coprime_matches_fraction_euclid():
+    """Random integer binary forms, alone and times a shared factor t, s or
+    (n s - c t), with constant cones among them."""
+    rng = random.Random(314)
+
+    def form(degree):
+        while True:
+            f = [rng.randint(-9, 9) for _ in range(degree + 1)]
+            if any(f):
+                return f
+
+    def times(f, lin):  # f * (lin[0] t + lin[1] s)
+        return [lin[0] * x + lin[1] * y for x, y in zip(f + [0], [0] + f)]
+    factors = [(1, 0), (0, 1)] + [(-rng.randint(-20, 20), rng.randint(1, 7))
+                                  for _ in range(6)]
+    verdicts = []
+    for _ in range(400):
+        a, b = form(rng.randint(0, 4)), form(rng.randint(0, 4))
+        if rng.random() < 0.5:
+            lin = rng.choice(factors)
+            a, b = times(a, lin), times(b, lin)
+        got = curves._cones_coprime(a, b)
+        assert got == reference_cones_coprime(a, b), (a, b)
+        verdicts.append(got)
+    assert curves._cones_coprime([5], [0, -3, 2])
+    assert not curves._cones_coprime([3, 0], [1, 2, 0])  # both divisible by t
+    assert not curves._cones_coprime([2, 2], [-3, 0, 3])  # s + t
+    assert 100 < sum(verdicts) < 300
+
+
 def test_multiplicity_shared_component_is_infinite():
     l = HomPoly.line(1, 1, -1)
     p = l * HomPoly.line(1, 0, 0)

@@ -13,12 +13,14 @@ import pytest
 import sympy
 
 from lelongplane import curves, exactpoly
+from lelongplane.construct import construct_certificate
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, divides,
                                    evaluate, exact_divide, fraction_from_str,
                                    fraction_to_str, gcd_homogeneous,
-                                   monomial_count, monomials,
+                                   monomial_count, monomials, order_and_cone,
                                    partial_derivatives, vanishing_order)
+from lelongplane.instances import INSTANCE_KINDS, generate
 
 from expr_reference import from_sympy, to_sympy
 
@@ -227,6 +229,82 @@ def test_vanishing_order_of_power():
     line = HomPoly.line(1, 0, -2)  # X - 2Z through x
     cube = line * line * line
     assert vanishing_order(cube, x) == 3
+
+
+def assert_order_and_cone_match_expansion(f, x):
+    """order_and_cone(f, x) gives the least total degree of the full
+    expansion at x and its lowest-degree part up to a positive factor."""
+    order, cone = order_and_cone(f, x)
+    local = f.local_expansion(x)[1]
+    assert order == min(i + j for i, j in local) == vanishing_order(f, x)
+    want = [local.get((i, order - i), 0) for i in range(order + 1)]
+    assert all(isinstance(c, int) for c in cone)
+    assert [c == 0 for c in cone] == [w == 0 for w in want]
+    ratios = {c / w for c, w in zip(cone, want) if w}
+    assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_order_and_cone_of_forced_order():
+    """f = (k lines through x) * g + (k + 1 lines through x) * h with
+    g(x) != 0 has order exactly k at x, for points in every chart."""
+    rng = random.Random(1729)
+    points = [ProjPoint(Fraction(9, 2), Fraction(-1, 3), Fraction(2)),
+              ProjPoint(Fraction(1, 5), Fraction(-7), Fraction(3, 4)),
+              ProjPoint(Fraction(-2, 3), Fraction(1, 2), Fraction(1)),
+              ProjPoint(Fraction(5), Fraction(-3, 7), Fraction(0)),
+              ProjPoint(Fraction(1, 4), Fraction(6), Fraction(0)),
+              ProjPoint(Fraction(0), Fraction(0), Fraction(1))]
+    assert {x.chart() for x in points} == {0, 1, 2}
+    assert any(x.coords[2] == 0 for x in points)
+
+    def line_through(x):
+        while True:
+            other = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(3)]
+            line = exactpoly._cross(x.coords, other)
+            if any(line):
+                return HomPoly.line(*line)
+    for x in points:
+        for k in range(7):
+            for _ in range(2):
+                degree = k + rng.randint(0, 2)
+                g = random_poly(rng, degree - k)
+                while evaluate(g, x) == 0:
+                    g = random_poly(rng, degree - k)
+                f = g
+                for _ in range(k):
+                    f = f * line_through(x)
+                if degree > k:
+                    h = line_through(x)
+                    for _ in range(k):
+                        h = h * line_through(x)
+                    f = f + h * random_poly(rng, degree - k - 1)
+                assert vanishing_order(f, x) == k
+                assert_order_and_cone_match_expansion(f, x)
+
+
+def test_order_and_cone_of_the_zero_form():
+    x = ProjPoint(Fraction(1), Fraction(2), Fraction(3))
+    for degree in (0, 3):
+        assert order_and_cone(HomPoly.zero(degree), x) == (math.inf, None)
+
+
+def test_order_and_cone_at_certificate_points():
+    """Both forms at every listed point of every kind's certificate (the
+    15-point sharpness kind has none) at seeds 0 and 1."""
+    certified = 0
+    for kind in INSTANCE_KINDS:
+        for seed in (0, 1):
+            inst = generate(kind, seed)
+            if len(inst.point_set) != 12:
+                continue
+            cert = construct_certificate(inst.point_set,
+                                         extra=inst.extra).certificate
+            certified += 1
+            for x, _ in cert.points:
+                assert_order_and_cone_match_expansion(cert.p, x)
+                assert_order_and_cone_match_expansion(cert.q, x)
+    assert certified == 2 * (len(INSTANCE_KINDS) - 1)
 
 
 def test_exact_divide_and_gcd():
