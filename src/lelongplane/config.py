@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _cross, evaluate, join,
                         line_coeffs, meet, monomial_count, monomials)
-from .linalg import bareiss_step, int_rank, int_rref, nullspace
+from .linalg import bareiss_step, int_rref, nullspace
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,19 @@ def _evaluation_rows(points, degree):
     return rows
 
 
-def subset_on_curve(points, degree: int):
-    """The degree-`degree` curve through all the points, or None.
-
-    Returns a witness curve exactly when the evaluation matrix has a
-    nonzero kernel.
-    """
+def curves_through(points, degree: int) -> list[HomPoly]:
+    """The canonical basis of the degree-`degree` curves through the
+    points: the `nullspace` of their evaluation rows. It depends only on
+    the row space, so order-1 vanishing conditions give the same basis."""
     rows = _evaluation_rows(points, degree)
-    ncols = monomial_count(degree)
-    if int_rank(rows) == ncols:
-        return None
-    return HomPoly.from_coeff_vector(degree, nullspace(rows, ncols)[0])
+    return [HomPoly.from_coeff_vector(degree, v)
+            for v in nullspace(rows, monomial_count(degree))]
+
+
+def subset_on_curve(points, degree: int):
+    """The degree-`degree` curve through all the points, or None when the
+    evaluation matrix has full rank."""
+    return next(iter(curves_through(points, degree)), None)
 
 
 def _brackets(coords):
@@ -274,9 +276,7 @@ def m_sequence(s: PointSet) -> MSequence:
     witnesses = []
     for degree, combo in ((1, line), (2, _conic_witness(table, groups)),
                           (3, _cubic_witness(_evaluation_rows(s.points, 3)))):
-        rows = _evaluation_rows([s.points[i] for i in combo], degree)
-        curve = HomPoly.from_coeff_vector(
-            degree, nullspace(rows, monomial_count(degree))[0])
+        curve = curves_through([s.points[i] for i in combo], degree)[0]
         witnesses.append((tuple(i + 1 for i in combo), curve))
     m1, m2, m3 = (len(w[0]) for w in witnesses)
     return MSequence(m1=m1, m2=m2, m3=m3, witnesses=tuple(witnesses))
@@ -455,6 +455,10 @@ def _random_fraction(rng):
     return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
 
 
+def _random_point(rng) -> ProjPoint:
+    return ProjPoint(_random_fraction(rng), _random_fraction(rng), 1)
+
+
 def _point_on_line(line: HomPoly, rng) -> ProjPoint:
     a, b, c = line_coeffs(line)
     while True:
@@ -503,13 +507,13 @@ def _try_realize(structure: IncidenceStructure, rng):
         if len(anchors) == 2:
             eq = join(anchors[0], anchors[1])
         elif len(anchors) == 1:
-            other = ProjPoint(_random_fraction(rng), _random_fraction(rng), 1)
+            other = _random_point(rng)
             if other.coords == anchors[0].coords:
                 return None
             eq = join(anchors[0], other)
         else:
-            p1 = ProjPoint(_random_fraction(rng), _random_fraction(rng), 1)
-            p2 = ProjPoint(_random_fraction(rng), _random_fraction(rng), 1)
+            p1 = _random_point(rng)
+            p2 = _random_point(rng)
             if p1.coords == p2.coords:
                 return None
             eq = join(p1, p2)
@@ -540,8 +544,7 @@ def _try_realize(structure: IncidenceStructure, rng):
         if on:
             pos[label] = _point_on_line(line_eqs[on[0]], rng)
         else:
-            pos[label] = ProjPoint(_random_fraction(rng),
-                                   _random_fraction(rng), 1)
+            pos[label] = _random_point(rng)
     pts = [pos[label] for label in range(1, n + 1)]
     if len({p.coords for p in pts}) != n:
         return None

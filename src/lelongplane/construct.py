@@ -6,9 +6,12 @@ u = (1/2r) log(|P|^2 + |Q|^2). One driver, construct_certificate, picks
 an ordered list of routes from the m-sequence: quartics on a product of
 two conics, degree-6 pairs on a product of two irreducible cubics (the
 direct pick of a quadruple member that neither cubic divides), and, for
-m3 = 11, quartics on a conic times two lines. Every candidate passes
-through one step that certifies it with make_certificate, whose verifier
-re-derives every invariant through an independent code path.
+m3 = 11, quartics on a conic times two lines. Each route is a generator
+of (steps, P, Q, points, case tag) candidates, and every candidate passes
+through the one certify step, `_certify`: make_certificate, whose
+verifier re-derives every invariant through an independent code path,
+then the route's acceptance check. The curves through simple points come
+from `config.curves_through`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import MSequence, PointSet, four_point_lines, m_sequence
+from .config import (MSequence, PointSet, curves_through, four_point_lines,
+                     m_sequence)
 from .curves import (_orders_and_mu, conic_rank, cubic_is_irreducible,
                      irreducible_conic_through)
 from .errors import PreconditionError
@@ -73,10 +77,6 @@ class VerificationReport:
     verified: bool
 
 
-def _min_order_weight(p: HomPoly, q: HomPoly, x: ProjPoint, r: int):
-    return Fraction(min(vanishing_order(p, x), vanishing_order(q, x)), r)
-
-
 def make_certificate(p: HomPoly, q: HomPoly, points, case_tag: str,
                      r: int = 1) -> PotentialCertificate | None:
     """Assemble a certificate from a coprime pair; weights are the exact
@@ -86,9 +86,9 @@ def make_certificate(p: HomPoly, q: HomPoly, points, case_tag: str,
         raise PreconditionError("certificate forms must share a degree")
     listed = []
     for x in points:
-        w = _min_order_weight(p, q, x, r)
-        if w > 0:
-            listed.append((x, w))
+        order = min(vanishing_order(p, x), vanishing_order(q, x))
+        if 1 <= order < math.inf:
+            listed.append((x, Fraction(order, r)))
     cert = PotentialCertificate(
         p=p, q=q, r=r, points=tuple(listed),
         gamma_u=Fraction(p.degree, r), case_tag=case_tag, verified=False)
@@ -142,23 +142,52 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
 # system with order 2 at six common points, coprime by the direct pick.
 
 
-def _interpolated_cubic(points) -> HomPoly | None:
-    sys3 = build_system(3, [VanishingCondition(x, 1) for x in points])
-    if sys3.dim < 1:
-        return None
-    return sys3.kernel_basis[0]
+def _cubic_pair_fault(s: PointSet, c1: HomPoly, c2: HomPoly, common, only1,
+                      only2) -> str | None:
+    """Why (c1, c2, common, only1, only2) is not a pair of irreducible
+    cubics with c1 through the common and only1 points and none of only2,
+    and symmetrically for c2; None when it is."""
+    if len(common) != 6 or len(only1) != 3 or len(only2) != 3:
+        return "label groups must have sizes 6, 3, 3"
+    for name, cubic, inside, outside in (("c1", c1, common + only1, only2),
+                                         ("c2", c2, common + only2, only1)):
+        if cubic.degree != 3:
+            return f"{name} is not a cubic"
+        if not cubic_is_irreducible(cubic):
+            return f"{name} is not irreducible"
+        if any(evaluate(cubic, s.point(l)) != 0 for l in inside):
+            return f"{name} misses a required point"
+        if any(evaluate(cubic, s.point(l)) == 0 for l in outside):
+            return f"{name} contains an excluded point"
+    return None
 
 
-def _extend_to_four(p1: HomPoly, system: LinearSystem):
-    """Three system members completing p1 to an independent quadruple."""
+def _extend_to_four(p1: HomPoly, system: LinearSystem) -> list[HomPoly]:
+    """Three system members completing p1 to an independent quadruple. The
+    sextic system has dimension at least 28 - 24 = 4 and holds p1."""
     chosen = [p1]
     for b in system.kernel_basis:
         cand = chosen + [b]
         if int_rank([c.coeff_vector() for c in cand]) == len(cand):
-            chosen.append(b)
-        if len(chosen) == 4:
-            return chosen[1:]
-    return None
+            chosen = cand
+            if len(chosen) == 4:
+                break
+    return chosen[1:]
+
+
+def _sextic_candidates(s: PointSet, steps: tuple[str, ...], label_pairs):
+    """For each (c1, c2, common, only1, only2) that passes
+    `_cubic_pair_fault`, the product c1*c2 with the first member of an
+    independent quadruple of the sextic system (order 2 on the common
+    labels, 1 on the rest) that neither cubic divides."""
+    for c1, c2, common, only1, only2 in label_pairs:
+        conds = ([VanishingCondition(s.point(l), 2) for l in common]
+                 + [VanishingCondition(s.point(l), 1) for l in only1 + only2])
+        p1 = c1 * c2
+        q = next((q for q in _extend_to_four(p1, build_system(6, conds))
+                  if not divides(c1, q) and not divides(c2, q)), None)
+        if q is not None:
+            yield steps + ("direct_pick",), p1, q, s.points, "sextic_pair"
 
 
 def construct_sextic_pair(s: PointSet, c1: HomPoly, c2: HomPoly,
@@ -171,46 +200,16 @@ def construct_sextic_pair(s: PointSet, c1: HomPoly, c2: HomPoly,
     `common`, `only1`, `only2` are label groups: c1 must contain the common
     and only1 points and none of only2; symmetrically for c2.
     """
-    return _sextic_pair(s, c1, c2, common, only1, only2, irreducible=False)
-
-
-def _sextic_pair(s: PointSet, c1: HomPoly, c2: HomPoly, common, only1,
-                 only2, irreducible: bool) -> ConstructionReport:
-    """`construct_sextic_pair`; with `irreducible` the caller has already
-    proved both cubics irreducible, and the test is not run again."""
-    common_pts = [s.point(l) for l in common]
-    pts1 = [s.point(l) for l in only1]
-    pts2 = [s.point(l) for l in only2]
-    if len(common) != 6 or len(only1) != 3 or len(only2) != 3:
-        raise PreconditionError("label groups must have sizes 6, 3, 3")
-    for name, cubic, inside, outside in (
-            ("c1", c1, common_pts + pts1, pts2),
-            ("c2", c2, common_pts + pts2, pts1)):
-        if cubic.degree != 3:
-            raise PreconditionError(f"{name} is not a cubic")
-        if not irreducible and not cubic_is_irreducible(cubic):
-            raise PreconditionError(f"{name} is not irreducible")
-        for x in inside:
-            if evaluate(cubic, x) != 0:
-                raise PreconditionError(f"{name} misses a required point")
-        for x in outside:
-            if evaluate(cubic, x) == 0:
-                raise PreconditionError(f"{name} contains an excluded point")
-    conds = ([VanishingCondition(x, 2) for x in common_pts]
-             + [VanishingCondition(x, 1) for x in pts1 + pts2])
-    system = build_system(6, conds)
-    if system.dim < 4:
-        raise PreconditionError("sextic system has dimension below 4")
-    p1 = c1 * c2
-    others = _extend_to_four(p1, system)
-    if others is None:
-        raise PreconditionError("could not complete an independent quadruple")
-    for p in others:
-        if not divides(c1, p) and not divides(c2, p):
-            cert = make_certificate(p1, p, s.points, "sextic_pair")
-            if cert is None:
-                raise PreconditionError("constructed pair failed verification")
-            return ConstructionReport(("direct_pick",), "certificate", cert)
+    common, only1, only2 = tuple(common), tuple(only1), tuple(only2)
+    fault = _cubic_pair_fault(s, c1, c2, common, only1, only2)
+    if fault is not None:
+        raise PreconditionError(fault)
+    for steps, p, q, points, tag in _sextic_candidates(
+            s, (), [(c1, c2, common, only1, only2)]):
+        cert = make_certificate(p, q, points, tag)
+        if cert is None:
+            raise PreconditionError("constructed pair failed verification")
+        return ConstructionReport(steps, "certificate", cert)
     return ConstructionReport(
         (), "unsupported",
         detail="every quadruple member is divisible by one of the cubics")
@@ -250,23 +249,6 @@ def _certify(candidates, accept):
         cert = make_certificate(p, q, points, tag)
         if cert is not None and accept(cert):
             return steps, cert
-    return None
-
-
-def _certify_sextic(s: PointSet, step: str, label_pairs, accept,
-                    irreducible: bool = False):
-    """The shared step for cubic pairs: construct_sextic_pair on each
-    (c1, c2, common, only1, only2) until a certificate passes `accept`.
-    `irreducible` says that `label_pairs` yields only cubics it has
-    proved irreducible."""
-    for c1, c2, common, only1, only2 in label_pairs:
-        try:
-            report = _sextic_pair(s, c1, c2, common, only1, only2,
-                                  irreducible)
-        except PreconditionError:
-            continue
-        if report.outcome == "certificate" and accept(report.certificate):
-            return (step,) + report.branch_trace, report.certificate
     return None
 
 
@@ -330,18 +312,16 @@ def _hitting_drops(s: PointSet):
 def _hitting_drop_pairs(s: PointSet):
     """Cubics through all but t1 and through all but t2, for the first 60
     disjoint pairs of hitting drops; each cubic must be irreducible and
-    miss its dropped points."""
+    miss its dropped points, so every pair passes `_cubic_pair_fault`."""
     cubic_cache: dict[tuple, HomPoly | None] = {}
 
     def cubic_for(drop):
         if drop not in cubic_cache:
-            c = _interpolated_cubic(
-                [s.point(l) for l in range(1, 13) if l not in drop])
-            if c is not None:
-                ok = (all(evaluate(c, s.point(l)) != 0 for l in drop)
-                      and cubic_is_irreducible(c))
-                c = c if ok else None
-            cubic_cache[drop] = c
+            c = curves_through(
+                [s.point(l) for l in range(1, 13) if l not in drop], 3)[0]
+            ok = (all(evaluate(c, s.point(l)) != 0 for l in drop)
+                  and cubic_is_irreducible(c))
+            cubic_cache[drop] = c if ok else None
         return cubic_cache[drop]
 
     disjoint = ((t1, t2) for t1, t2 in
@@ -360,7 +340,8 @@ def _hitting_drop_pairs(s: PointSet):
 
 def _line_split_pairs(s: PointSet):
     """m3 = 10, m2 = 6: cubics that split the unique 4-point line two labels
-    each and share six of the remaining eight points."""
+    each and share six of the remaining eight points; pairs that fail
+    `_cubic_pair_fault` are skipped."""
     lines4 = [g for g in four_point_lines(s) if len(g) == 4]
     if len(lines4) != 1:
         raise _Unsupported("expected a unique 4-point line")
@@ -369,9 +350,9 @@ def _line_split_pairs(s: PointSet):
     for drop1, drop2 in itertools.combinations(rest, 2):
         shared_six = tuple(l for l in rest if l not in (drop1, drop2))
         only1, only2 = (a, b, drop2), (c, d, drop1)
-        c1 = _interpolated_cubic([s.point(l) for l in only1 + shared_six])
-        c2 = _interpolated_cubic([s.point(l) for l in only2 + shared_six])
-        if c1 is not None and c2 is not None:
+        c1 = curves_through([s.point(l) for l in only1 + shared_six], 3)[0]
+        c2 = curves_through([s.point(l) for l in only2 + shared_six], 3)[0]
+        if _cubic_pair_fault(s, c1, c2, shared_six, only1, only2) is None:
             yield c1, c2, shared_six, only1, only2
 
 
@@ -455,11 +436,12 @@ def _routes(s: PointSet, ms: MSequence, extra: ProjPoint | None):
         yield _certify(_two_conic_quartics(s, ms), _frozen_shape)
         yield _certify(_conic_double_point_quartics(s, ms), _frozen_shape)
     if ms.m3 == 9 or ms.m2 == 7:
-        yield _certify_sextic(s, "pair_route", _hitting_drop_pairs(s),
-                              _frozen_shape, irreducible=True)
+        yield _certify(_sextic_candidates(s, ("pair_route",),
+                                          _hitting_drop_pairs(s)),
+                       _frozen_shape)
     elif ms.m2 == 6:
-        yield _certify_sextic(s, "line_split_pairs", _line_split_pairs(s),
-                              _ratio_three)
+        yield _certify(_sextic_candidates(s, ("line_split_pairs",),
+                                          _line_split_pairs(s)), _ratio_three)
 
 
 def _twelve_point_m_sequence(s: PointSet) -> MSequence:

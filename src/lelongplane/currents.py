@@ -36,7 +36,6 @@ full-rank verdicts on the 13-point subsets off its m-sequence (m3 < 13).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
@@ -122,19 +121,18 @@ def _fit_slope(xs, ys) -> float:
     return num / den
 
 
-def _directions(seed: int, count: int = 4, phases: int = 1):
-    """Deterministic unit directions in C^2, each with a ring of phases."""
+# seeded directions per sampled circle; see the module docstring
+_DIRECTIONS = 4
+
+
+def _directions(seed: int):
+    """_DIRECTIONS deterministic unit directions in C^2."""
     rng = random.Random(seed)
-    dirs = []
-    for _ in range(count):
+    out = []
+    for _ in range(_DIRECTIONS):
         v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
         norm = math.sqrt(sum(abs(c) ** 2 for c in v))
-        dirs.append((v[0] / norm, v[1] / norm))
-    out = []
-    for v0, v1 in dirs:
-        for k in range(phases):
-            ph = cmath.exp(2j * math.pi * k / phases)
-            out.append((ph * v0, ph * v1))
+        out.append((v[0] / norm, v[1] / norm))
     return out
 
 
@@ -326,6 +324,10 @@ class SharpnessReport:
     m_seq: tuple[int, int, int]
 
 
+# arrangements drawn before sharpness_example gives up
+_SHARPNESS_BUDGET = 100
+
+
 def _random_line(rng) -> HomPoly:
     while True:
         a = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
@@ -335,7 +337,7 @@ def _random_line(rng) -> HomPoly:
             return HomPoly.line(a, b, c).monic()
 
 
-def sharpness_example(seed: int, budget: int = 100) -> SharpnessReport:
+def sharpness_example(seed: int) -> SharpnessReport:
     """Six generic rational lines and their 15 pairwise intersections.
 
     Certifies: the normalized arrangement has Lelong number exactly 1/3 at
@@ -352,7 +354,7 @@ def sharpness_example(seed: int, budget: int = 100) -> SharpnessReport:
     any 13-subset are independent and its evaluation matrix has full rank.
     """
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(_SHARPNESS_BUDGET):
         lines = [_random_line(rng) for _ in range(6)]
         if len({tuple(l.coeff_vector()) for l in lines}) != 6:
             continue

@@ -37,13 +37,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import curves_through
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _gcd_degree_mod, coprime,
                         evaluate, exact_divide, from_ring, gcd_homogeneous,
                         order_and_cone, partial_derivatives, sympy_rings,
                         to_ring)
 from .linalg import int_det, int_rank
-from .linsys import VanishingCondition, build_system
 
 
 def _qq(c: Fraction):
@@ -89,10 +89,10 @@ def conic_rank(p: HomPoly) -> int:
 
 
 def irreducible_conic_through(points) -> HomPoly | None:
-    """The first irreducible member of the kernel basis of the conics
-    through the points, or None."""
-    sys2 = build_system(2, [VanishingCondition(x, 1) for x in points])
-    return next((b for b in sys2.kernel_basis if conic_rank(b) == 3), None)
+    """The first irreducible member of the basis of the conics through the
+    points (`config.curves_through`), or None."""
+    return next((b for b in curves_through(points, 2) if conic_rank(b) == 3),
+                None)
 
 
 def has_complex_line_factor(p: HomPoly) -> bool:

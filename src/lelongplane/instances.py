@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .config import (SHAPE_3CONCURRENT_PLUS2, SHAPE_3CONCURRENT_PLUS2_SPLIT,
                      SHAPE_5LINES_CAP2, SHAPE_DOUBLE_STAR, IncidenceStructure,
-                     PointSet, Realization, m_sequence, realize_structure)
+                     PointSet, Realization, _point_on_line, _random_point,
+                     m_sequence, realize_structure)
 from .curves import irreducible_conic_through
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, join, line_coeffs,
+from .exactpoly import (HomPoly, ProjPoint, evaluate, join,
                         partial_derivatives)
 
 
@@ -38,14 +38,6 @@ INSTANCE_KINDS = ("generic12", "figure1", "figure2", "figure3", "figure4",
                   "conic6", "conic7")
 
 _BUDGET = 200
-
-
-def _random_point(rng) -> ProjPoint:
-    # small heights keep interpolated curve coefficients small, which
-    # dominates the cost of every exact computation downstream
-    return ProjPoint(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
-                     Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
-                     Fraction(1))
 
 
 def _distinct_points(rng, count):
@@ -107,7 +99,6 @@ def points_on_conic(conic: HomPoly, p0: ProjPoint, rng, count: int):
 
 
 def _points_on_line(line: HomPoly, rng, count: int, avoid=()):
-    a, b, c = line_coeffs(line)
     out = []
     seen = {p.coords for p in avoid}
     tries = 0
@@ -115,13 +106,7 @@ def _points_on_line(line: HomPoly, rng, count: int, avoid=()):
         tries += 1
         if tries > _BUDGET * count:
             raise PreconditionError("line point sampling budget exhausted")
-        t = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-        if b != 0:
-            p = ProjPoint(t, (-c - a * t) / b, Fraction(1))
-        elif a != 0:
-            p = ProjPoint((-c - b * t) / a, t, Fraction(1))
-        else:
-            raise PreconditionError("degenerate line")
+        p = _point_on_line(line, rng)
         if p.coords not in seen:
             seen.add(p.coords)
             out.append(p)
@@ -148,33 +133,18 @@ def generic12(seed: int) -> Instance:
     raise PreconditionError("generic sampling budget exhausted")
 
 
-def conic6_instance(seed: int) -> Instance:
-    """Six points on an irreducible conic plus six generic points;
-    m-sequence (2, 6, 9)."""
+def conic_instance(seed: int, k: int) -> Instance:
+    """The kind conic6 or conic7: k = 6 or 7 points on an irreducible
+    conic plus 12 - k generic points; m-sequence (2, k, 9)."""
     rng = random.Random(seed)
     for _ in range(_BUDGET):
         conic, p0 = random_conic(rng)
-        on_conic = [p0] + points_on_conic(conic, p0, rng, 5)
-        free = _distinct_points(rng, 6)
-        inst = _certified("conic6", seed, on_conic + free, (2, 6, 9),
-                          lines=())
+        on_conic = [p0] + points_on_conic(conic, p0, rng, k - 1)
+        free = _distinct_points(rng, 12 - k)
+        inst = _certified(f"conic{k}", seed, on_conic + free, (2, k, 9))
         if inst is not None:
             return inst
-    raise PreconditionError("conic6 sampling budget exhausted")
-
-
-def conic7_instance(seed: int) -> Instance:
-    """Seven points on an irreducible conic plus five generic points;
-    m-sequence (2, 7, 9)."""
-    rng = random.Random(seed)
-    for _ in range(_BUDGET):
-        conic, p0 = random_conic(rng)
-        on_conic = [p0] + points_on_conic(conic, p0, rng, 6)
-        free = _distinct_points(rng, 5)
-        inst = _certified("conic7", seed, on_conic + free, (2, 7, 9))
-        if inst is not None:
-            return inst
-    raise PreconditionError("conic7 sampling budget exhausted")
+    raise PreconditionError(f"conic{k} sampling budget exhausted")
 
 
 _FIGURE_SHAPES: dict[str, tuple[IncidenceStructure, tuple[int, int, int]]] = {
@@ -322,8 +292,6 @@ def generate(kind: str, seed: int) -> Instance:
         return case4_instance(seed)
     if kind == "example6lines":
         return example6lines(seed)
-    if kind == "conic6":
-        return conic6_instance(seed)
-    if kind == "conic7":
-        return conic7_instance(seed)
+    if kind in ("conic6", "conic7"):
+        return conic_instance(seed, int(kind[-1]))
     raise PreconditionError(f"unknown instance kind: {kind}")

@@ -22,9 +22,8 @@ from lelongplane.curves import (bezout_table, intersection_multiplicity,
                                 resultant_multiplicity)
 from lelongplane.exactpoly import (HomPoly, evaluate, gcd_homogeneous,
                                    monomials)
-from lelongplane.instances import (case4_instance, conic6_instance,
-                                   conic7_instance, figure_instance, generate,
-                                   generic12)
+from lelongplane.instances import (case4_instance, conic_instance,
+                                   figure_instance, generate, generic12)
 from lelongplane.linsys import VanishingCondition, build_system
 from lelongplane.serialize import dumps, encode
 
@@ -84,8 +83,8 @@ def test_criterion_2_generic_m_sequence():
 def test_criterion_3_certificates_m3_9():
     ok = True
     cases = [("m2=5", _generic_instances()[6]),
-             ("m2=6", conic6_instance(3)),
-             ("m2=7", conic7_instance(1)),
+             ("m2=6", conic_instance(3, 6)),
+             ("m2=7", conic_instance(1, 7)),
              ("figure1", figure_instance("figure1", 2))]
     for tag, inst in cases:
         t0 = time.monotonic()
@@ -184,7 +183,7 @@ def test_criterion_8_numerical_estimators():
 
 def test_criterion_9_mass_inequality():
     certs = [_case1_certificate(),
-             construct_certificate_m3_9(conic7_instance(1).point_set)
+             construct_certificate_m3_9(conic_instance(1, 7).point_set)
              .certificate]
     rng = random.Random(99)
     t0 = time.monotonic()
@@ -218,10 +217,10 @@ def test_criterion_9_mass_inequality():
 def test_criterion_10_determinism():
     inst_a = dumps(encode(generate("case3", 4)))
     inst_b = dumps(encode(generate("case3", 4)))
-    cert_a = dumps(encode(
-        construct_certificate_m3_9(conic7_instance(1).point_set).certificate))
-    cert_b = dumps(encode(
-        construct_certificate_m3_9(conic7_instance(1).point_set).certificate))
+    cert_a = dumps(encode(construct_certificate_m3_9(
+        conic_instance(1, 7).point_set).certificate))
+    cert_b = dumps(encode(construct_certificate_m3_9(
+        conic_instance(1, 7).point_set).certificate))
     enum_a = dumps(encode(enumerate_4lines(12, 2)))
     enum_b = dumps(encode(enumerate_4lines(12, 2)))
     sharp_a = dumps(encode(sharpness_example(0)))

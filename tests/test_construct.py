@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from lelongplane import construct, curves, exactpoly
-from lelongplane.config import PointSet, m_sequence
+from lelongplane.config import PointSet, curves_through, m_sequence
 from lelongplane.construct import (CERT_SHAPES, PotentialCertificate,
                                    construct_certificate,
                                    construct_certificate_m3_9,
@@ -25,8 +25,8 @@ from lelongplane.exactpoly import (HomPoly, ProjPoint, divides, evaluate,
                                    vanishing_order)
 from lelongplane.instances import (INSTANCE_KINDS, case2_instance,
                                    case3_instance, case4_instance,
-                                   conic6_instance, conic7_instance,
-                                   figure_instance, generate, generic12)
+                                   conic_instance, figure_instance,
+                                   generate, generic12)
 
 
 def check_shape(cert, expect_ratio=Fraction(3)):
@@ -54,7 +54,7 @@ def test_generic12_sextic_pair_certificate():
 
 
 def test_conic6_certificate():
-    inst = conic6_instance(3)
+    inst = conic_instance(3, 6)
     assert inst.m_seq == (2, 6, 9)
     report = construct_certificate_m3_9(inst.point_set)
     assert report.outcome == "certificate"
@@ -62,7 +62,7 @@ def test_conic6_certificate():
 
 
 def test_conic7_quartic_certificate():
-    inst = conic7_instance(1)
+    inst = conic_instance(1, 7)
     assert inst.m_seq == (2, 7, 9)
     report = construct_certificate_m3_9(inst.point_set)
     assert report.outcome == "certificate"
@@ -124,7 +124,7 @@ def test_m3_high_input_validation():
 
 
 def test_tampered_certificate_rejected():
-    inst = conic7_instance(1)
+    inst = conic_instance(1, 7)
     cert = construct_certificate_m3_9(inst.point_set).certificate
     # inflate one claimed weight
     pts = list(cert.points)
@@ -167,6 +167,16 @@ def test_make_certificate_engineered_pair():
     assert cert is not None and cert.verified
     assert cert.total_weight == 2
     assert all(w == 1 for _, w in cert.points)
+
+
+def test_make_certificate_lists_no_point_of_a_zero_pair():
+    # both orders are infinite at every point: nothing is listed, and the
+    # verifier rejects the pair as not coprime
+    x = ProjPoint(0, 0, 1)
+    assert make_certificate(HomPoly.zero(3), HomPoly.zero(3), [x], "z") is None
+    assert make_certificate(HomPoly.zero(0), HomPoly.zero(0), [x], "z") is None
+    assert make_certificate(HomPoly.zero(2), HomPoly.monomial((2, 0, 0)),
+                            [x], "z") is None
 
 
 def test_sextic_pair_weights_match_orders():
@@ -317,6 +327,52 @@ def test_pair_route_proves_each_cubic_irreducible_once(monkeypatch):
             report = construct_certificate(generate(kind, seed).point_set)
             assert "pair_route" in report.branch_trace
             assert seen and len(seen) == len(set(seen))
+
+
+def _sextic_pair_args():
+    """generic12(0) split as labels 1-6, 7-9, 10-12, with the cubics
+    through 1-9 and through 1-6 and 10-12."""
+    s = generic12(0).point_set
+    common, only1, only2 = (1, 2, 3, 4, 5, 6), (7, 8, 9), (10, 11, 12)
+    c1 = curves_through([s.point(l) for l in common + only1], 3)[0]
+    c2 = curves_through([s.point(l) for l in common + only2], 3)[0]
+    return s, c1, c2, common, only1, only2
+
+
+def test_construct_sextic_pair_on_valid_cubics():
+    report = construct_sextic_pair(*_sextic_pair_args())
+    assert report.outcome == "certificate"
+    assert report.branch_trace == ("direct_pick",)
+    check_shape(report.certificate)
+
+
+SEXTIC_PAIR_FAULTS = {
+    "label groups must have sizes 6, 3, 3":
+        lambda s, c1, c2, a, b, c: (s, c1, c2, a[:5], b, c),
+    "c1 is not a cubic": lambda s, c1, c2, a, b, c:
+        (s, HomPoly.monomial((1, 1, 0)), c2, a, b, c),
+    "c2 is not a cubic": lambda s, c1, c2, a, b, c:
+        (s, c1, HomPoly.monomial((1, 1, 0)), a, b, c),
+    "c2 is not irreducible": lambda s, c1, c2, a, b, c:
+        (s, c1, HomPoly.monomial((1, 1, 1)), a, b, c),
+    # the cubic through 1-6 and 10-12 misses 7-9, and vice versa
+    "c1 misses a required point":
+        lambda s, c1, c2, a, b, c: (s, c2, c2, a, b, c),
+    "c2 misses a required point":
+        lambda s, c1, c2, a, b, c: (s, c1, c1, a, b, c),
+    # a common label listed as excluded for the other cubic
+    "c1 contains an excluded point":
+        lambda s, c1, c2, a, b, c: (s, c1, c2, a, b, (1, 10, 11)),
+    "c2 contains an excluded point":
+        lambda s, c1, c2, a, b, c: (s, c1, c2, a, (1, 7, 8), c),
+}
+
+
+@pytest.mark.parametrize("message", SEXTIC_PAIR_FAULTS)
+def test_construct_sextic_pair_validation_messages(message):
+    args = SEXTIC_PAIR_FAULTS[message](*_sextic_pair_args())
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        construct_sextic_pair(*args)
 
 
 def test_construct_sextic_pair_still_rejects_reducible_cubics():

@@ -32,7 +32,7 @@ from lelongplane.currents import (ArrangementCurrent, _directions,
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import HomPoly, ProjPoint, evaluate
 from lelongplane.instances import (INSTANCE_KINDS, case2_instance,
-                                   conic7_instance, generate, generic12)
+                                   conic_instance, generate, generic12)
 
 from expr_reference import (reference_rank_checks,
                             reference_scaled_floats,
@@ -97,7 +97,7 @@ def test_ball_mass_rejects_line_at_infinity():
 
 
 def test_pole_weight_estimate_matches_exact():
-    inst = conic7_instance(1)
+    inst = conic_instance(1, 7)
     cert = construct_certificate_m3_9(inst.point_set).certificate
     radii = [2.0 ** -k for k in range(8, 17)]
     for x, w in cert.points[:3]:
@@ -206,7 +206,7 @@ def engineered_certificate():
 
 def sample_certificate(build):
     if build == "conic7":
-        return construct_certificate_m3_9(conic7_instance(1).point_set)\
+        return construct_certificate_m3_9(conic_instance(1, 7).point_set)\
             .certificate
     return engineered_certificate()
 
@@ -256,7 +256,7 @@ def test_form_values_match_term_by_term_sum(build):
 
 
 def test_pole_weight_input_validation():
-    inst = conic7_instance(1)
+    inst = conic_instance(1, 7)
     cert = construct_certificate_m3_9(inst.point_set).certificate
     stranger = ProjPoint(Fraction(1000003), Fraction(17), Fraction(1))
     with pytest.raises(PreconditionError):
@@ -267,7 +267,7 @@ def test_pole_weight_input_validation():
 
 
 def test_growth_estimate():
-    inst = conic7_instance(1)
+    inst = conic_instance(1, 7)
     cert = construct_certificate_m3_9(inst.point_set).certificate
     radii = [2.0 ** k for k in range(6, 13)]
     est = estimate_growth(cert, radii)

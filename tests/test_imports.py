@@ -11,9 +11,13 @@ in reach. Every sympy import sits in a function body, since loading sympy
 takes longer than a whole pipeline run; a fresh interpreter runs every
 command of the pipeline, and the curve library on a tangent pair, with
 `sympy` absent from `sys.modules`.
+
+The benchmark's tracer (`perfbench/tracing.py`) looks each of its layers
+up by name; every name it lists must still resolve.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -187,3 +191,25 @@ def test_pipeline_and_curve_library_load_no_sympy(tmp_path):
     assert doc["records"] == [["ProjPoint(0:0:1)", 2]]
     assert doc["residual"] == 10
     assert doc["sympy"] == []
+
+
+def _perfbench_tracing():
+    """`perfbench/tracing.py`, loaded from its file without touching it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves():
+    """`traced()` reads each layer as `owner.__dict__[attr]`, with no
+    fallback: a layer whose function was removed or renamed would break
+    every traced benchmark run."""
+    tracing = _perfbench_tracing()
+    missing = []
+    for mod_name, qualname in tracing.LAYERS:
+        owner, attr = tracing._owner(mod_name, qualname)
+        if not callable(owner.__dict__.get(attr)):
+            missing.append(f"{mod_name}.{qualname}")
+    assert missing == []
