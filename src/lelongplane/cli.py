@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from fractions import Fraction
 
 from . import serialize
-from .config import m_sequence
+from .config import enumerate_4lines, m_sequence
 from .construct import construct_certificate, verify_certificate
 from .currents import (_estimate_pole_weight, _local_forms, _pole_scale,
                        estimate_growth, sharpness_example)
@@ -28,8 +27,6 @@ from .errors import (ParseError, PreconditionError, UnsupportedInstanceError,
 from .instances import INSTANCE_KINDS, generate
 from .linsys import VanishingCondition, build_system
 
-ENV_PREFIX = "LELONGPLANE_"
-
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
@@ -37,18 +34,8 @@ EXIT_UNSUPPORTED = 4
 EXIT_PARSE = 5
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ParseError(f"bad value for {ENV_PREFIX}{name.upper()}: {raw!r}")
-
-
 def _write_report(args, obj) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         serialize.dump(obj, args.out)
 
 
@@ -165,7 +152,6 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .config import enumerate_4lines
     rep = enumerate_4lines(args.n, args.cap)
     _write_report(args, rep)
     print(f"n={rep.n_points} cap={rep.per_point_cap} maximum={rep.maximum} "
@@ -173,12 +159,10 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, seed=True, out=True):
+def _add_common(sp, seed=True):
     if seed:
-        sp.add_argument("--seed", type=int,
-                        default=_env_default("seed", int, 0))
-    if out:
-        sp.add_argument("--out", default=os.environ.get(ENV_PREFIX + "OUT"))
+        sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lelong", help="numerical pole and growth estimates")
     sp.add_argument("--input", required=True, help="certificate file")
-    sp.add_argument("--tolerance", type=float,
-                    default=_env_default("tolerance", float, 0.05))
+    sp.add_argument("--tolerance", type=float, default=0.05)
     _add_common(sp)
     sp.set_defaults(func=cmd_lelong)
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .config import (MSequence, PointSet, curves_through, four_point_lines,
@@ -77,10 +76,10 @@ class VerificationReport:
     verified: bool
 
 
-def make_certificate(p: HomPoly, q: HomPoly, points, case_tag: str,
-                     r: int = 1) -> PotentialCertificate | None:
-    """Assemble a certificate from a coprime pair; weights are the exact
-    minimum vanishing orders divided by r. Returns None when the verifier
+def make_certificate(p: HomPoly, q: HomPoly, points,
+                     case_tag: str) -> PotentialCertificate | None:
+    """Assemble a certificate from a coprime pair, at scale r = 1; weights
+    are the exact minimum vanishing orders. Returns None when the verifier
     rejects the result, as it does when the pair shares a component."""
     if p.degree != q.degree:
         raise PreconditionError("certificate forms must share a degree")
@@ -88,16 +87,14 @@ def make_certificate(p: HomPoly, q: HomPoly, points, case_tag: str,
     for x in points:
         order = min(vanishing_order(p, x), vanishing_order(q, x))
         if 1 <= order < math.inf:
-            listed.append((x, Fraction(order, r)))
+            listed.append((x, Fraction(order)))
     cert = PotentialCertificate(
-        p=p, q=q, r=r, points=tuple(listed),
-        gamma_u=Fraction(p.degree, r), case_tag=case_tag, verified=False)
+        p=p, q=q, r=1, points=tuple(listed),
+        gamma_u=Fraction(p.degree), case_tag=case_tag, verified=False)
     report = verify_certificate(cert)
     if not report.verified:
         return None
-    return PotentialCertificate(
-        p=p, q=q, r=r, points=cert.points, gamma_u=cert.gamma_u,
-        case_tag=case_tag, verified=True)
+    return replace(cert, verified=True)
 
 
 def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
@@ -282,10 +279,10 @@ def _conic_double_point_quartics(s: PointSet, ms: MSequence):
     through those four and one conic point i, with quartics doubled at i."""
     labels7, conic7 = ms.witnesses[1]
     others = [l for l in range(1, 13) if l not in labels7]
+    groups = four_point_lines(s)
     for drop in reversed(others):
         four = [l for l in others if l != drop]
-        if any(int_rank([list(s.point(l).coords) for l in triple]) < 3
-               for triple in itertools.combinations(four, 3)):
+        if any(len(set(g).intersection(four)) >= 3 for g in groups):
             continue
         kept = [s.point(l) for l in range(1, 13) if l != drop]
         for i in labels7:
@@ -367,12 +364,10 @@ def _line_product(s: PointSet, ms: MSequence, extra: ProjPoint | None):
                            ("irreducible_cubic_overload",))
     # gamma holds 11 points of S, and the conic left by any of its lines
     # holds at most 8 (m2 <= 7, m1 <= 4): each rational line of gamma holds
-    # at least 3 of them, so it is the join of at least 3 pairs
-    on_gamma = [x for x in s.points if evaluate(gamma, x) == 0]
-    joins = Counter(join(a, b).monic()
-                    for a, b in itertools.combinations(on_gamma, 2))
-    lines = sorted((l for l, pairs in joins.items()
-                    if pairs >= 3 and divides(l, gamma)),
+    # at least 3 of them, so it is the line of a collinear group of S
+    group_lines = (join(s.point(g[0]), s.point(g[1])).monic()
+                   for g in four_point_lines(s))
+    lines = sorted((l for l in group_lines if divides(l, gamma)),
                    key=lambda l: tuple(l.coeff_vector()))
     if not lines:
         raise _Unsupported("reducible cubic with no rational line factor")

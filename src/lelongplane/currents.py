@@ -71,16 +71,13 @@ def lelong_exact(t: ArrangementCurrent, x: ProjPoint) -> Fraction:
                Fraction(0))
 
 
-def lelong_ball_mass(t: ArrangementCurrent, x, r):
+def lelong_ball_mass(t: ArrangementCurrent, x: ProjPoint, r):
     """Normalized mass of the arrangement in the Euclidean ball B(x, r) of
     the chart Z = 1: sum of w * max(0, r^2 - d^2) / r^2 with d the distance
-    from x to each affine line trace. Exact when x and r are rational."""
-    if isinstance(x, ProjPoint):
-        if x.coords[2] == 0:
-            raise PreconditionError("center must be affine in the chart Z=1")
-        x0, y0 = x.affine(2)
-    else:
-        x0, y0 = x
+    from x to each affine line trace. Exact when r is rational."""
+    if x.coords[2] == 0:
+        raise PreconditionError("center must be affine in the chart Z=1")
+    x0, y0 = x.affine(2)
     r2 = r * r
     total = 0
     for line, w in t.lines:

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import PreconditionError, UnsupportedInstanceError
-from .exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
+from .exactpoly import (HomPoly, ProjPoint, coprime, divides, evaluate,
                         monomial_count, monomials, vanishing_order)
 from .linalg import int_rank, nullspace, solve_exact
 
@@ -147,7 +147,6 @@ def independent_pair(system: LinearSystem, forbidden_factors):
     """
     if system.dim < 2:
         raise PreconditionError("system dimension below 2")
-    from .exactpoly import divides
 
     def blockers(p: HomPoly):
         return tuple(i for i, f in enumerate(forbidden_factors)

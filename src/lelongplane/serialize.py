@@ -9,14 +9,11 @@ so identical objects always produce identical files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .config import (EnumerationReport, IncidenceStructure, MSequence,
-                     PointSet, Realization)
+from .config import EnumerationReport, MSequence, PointSet
 from .construct import (ConstructionReport, PointCheck, PotentialCertificate,
                         VerificationReport)
-from .currents import (ArrangementCurrent, GrowthEstimate, InequalityReport,
-                       LelongEstimate, SharpnessReport)
+from .currents import GrowthEstimate, LelongEstimate, SharpnessReport
 from .errors import ParseError
 from .exactpoly import (HomPoly, ProjPoint, fraction_from_str,
                         fraction_to_str, monomials)
@@ -40,28 +37,14 @@ def encode_point(x: ProjPoint) -> list:
 
 
 def encode(obj):
-    """Recursive JSON-ready encoding of any toolkit object."""
+    """JSON-ready encoding of each object the CLI writes."""
     if isinstance(obj, HomPoly):
         return encode_poly(obj)
-    if isinstance(obj, ProjPoint):
-        return encode_point(obj)
-    if isinstance(obj, Fraction):
-        return fraction_to_str(obj)
-    if isinstance(obj, PointSet):
-        return {"type": "point_set",
-                "points": [encode_point(p) for p in obj.points]}
     if isinstance(obj, MSequence):
         return {"m1": obj.m1, "m2": obj.m2, "m3": obj.m3,
                 "witnesses": [{"labels": list(labels),
-                               "curve": encode(curve)
-                               if curve is not None else None}
+                               "curve": encode_poly(curve)}
                               for labels, curve in obj.witnesses]}
-    if isinstance(obj, IncidenceStructure):
-        return {"type": "incidence_structure", "n_points": obj.n_points,
-                "lines": [list(l) for l in obj.lines]}
-    if isinstance(obj, Realization):
-        return {"point_set": encode(obj.point_set),
-                "lines": [encode_poly(l) for l in obj.lines]}
     if isinstance(obj, EnumerationReport):
         return {"type": "enumeration_report", "n_points": obj.n_points,
                 "per_point_cap": obj.per_point_cap, "maximum": obj.maximum,
@@ -105,11 +88,6 @@ def encode(obj):
                 "per_point": [encode(c) for c in obj.per_point],
                 "total_weight_ok": obj.total_weight_ok,
                 "verified": obj.verified}
-    if isinstance(obj, ArrangementCurrent):
-        return {"type": "arrangement",
-                "lines": [{"line": encode_poly(l),
-                           "weight": fraction_to_str(w)}
-                          for l, w in obj.lines]}
     if isinstance(obj, LelongEstimate):
         return {"type": "lelong_estimate", "point": encode_point(obj.point),
                 "radii": [repr(r) for r in obj.radii],
@@ -123,14 +101,6 @@ def encode(obj):
                 "max_values": [repr(v) for v in obj.max_values],
                 "slope": repr(obj.slope),
                 "claimed": fraction_to_str(obj.claimed)}
-    if isinstance(obj, InequalityReport):
-        return {"type": "inequality_report",
-                "lhs": fraction_to_str(obj.lhs),
-                "rhs": fraction_to_str(obj.rhs), "holds": obj.holds,
-                "terms": [{"point": encode_point(x),
-                           "weight": fraction_to_str(w),
-                           "lelong": fraction_to_str(nu)}
-                          for x, w, nu in obj.terms]}
     if isinstance(obj, SharpnessReport):
         return {"type": "sharpness_report",
                 "lines": [encode_poly(l) for l in obj.lines],

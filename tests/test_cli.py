@@ -673,3 +673,108 @@ def test_certify_rejects_duplicate_exponents(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run("certify", "--input", str(path)) == EXIT_PARSE
     capsys.readouterr()
+
+
+# --------------------------------------------------------------------------
+# refusals an instance file can reach
+
+
+def write_instance(path, points, extra=None):
+    serialize.dump({"type": "instance", "kind": "custom", "seed": 0,
+                    "points": [serialize.encode_point(x) for x in points],
+                    "m_seq": [],
+                    "extra": serialize.encode_point(extra)
+                    if extra is not None else None}, path)
+
+
+def nodal(t):
+    """The point (t^2 - 1 : t(t^2 - 1) : 1) of the nodal cubic
+    Y^2 Z = X^3 + X^2 Z; three such points are collinear iff
+    t1 t2 + t1 t3 + t2 t3 = -1."""
+    t = Fraction(t)
+    return ProjPoint(t * t - 1, t * (t * t - 1), 1)
+
+
+def construct_run(tmp_path, points, extra=None):
+    inst, out = tmp_path / "inst.json", tmp_path / "report.json"
+    write_instance(inst, points, extra)
+    code = run("construct", "--input", str(inst), "--out", str(out))
+    return code, out
+
+
+def test_construct_refuses_five_collinear_points(tmp_path, capsys):
+    points = [ProjPoint(i, 0, 1) for i in range(5)]
+    points += [nodal(t) for t in range(2, 9)]
+    code, out = construct_run(tmp_path, points)
+    assert code == EXIT_PRECONDITION
+    assert not out.exists()
+    assert capsys.readouterr().err == ("precondition failure: m1 <= 4 and "
+                                       "m2 <= 7 are required\n")
+
+
+def test_construct_refuses_twelve_points_on_a_cubic(tmp_path, capsys):
+    code, _ = construct_run(tmp_path, [nodal(t) for t in range(2, 14)])
+    assert code == EXIT_PRECONDITION
+    assert capsys.readouterr().err == ("precondition failure: m3 must be 10 "
+                                       "or 11, got 12\n")
+
+
+def test_construct_reports_an_irreducible_cubic_through_eleven(tmp_path,
+                                                               capsys):
+    points = [nodal(t) for t in range(2, 13)] + [ProjPoint(1, 1, 1)]
+    code, out = construct_run(tmp_path, points, extra=ProjPoint(2, 3, 1))
+    assert code == EXIT_UNSUPPORTED
+    doc = json.loads(out.read_text())
+    assert doc["outcome"] == "unsupported"
+    assert doc["branch_trace"] == ["m3_11", "m2_5",
+                                   "irreducible_cubic_overload"]
+    assert doc["certificate"] is None
+    assert capsys.readouterr().out == (
+        "unsupported: an irreducible cubic through more than 9 points is "
+        "outside this toolkit's certified range\n")
+
+
+def test_construct_reports_m2_6_without_a_four_point_line(tmp_path, capsys):
+    """Ten nodal-cubic points, the first six on one conic, and two more:
+    -11/10 is the residual parameter of the conic through t = 2, ..., 6
+    (Vieta on the sextic in t), and t = 2, 3, -7/5 are collinear."""
+    ts = [2, 3, 4, 5, 6, Fraction(-11, 10), Fraction(-7, 5), 8, 9, 10]
+    points = [nodal(t) for t in ts] + [ProjPoint(1, 1, 1),
+                                       ProjPoint(3, -2, 1)]
+    inst = tmp_path / "inst.json"
+    write_instance(inst, points)
+    assert run("msequence", "--input", str(inst)) == EXIT_OK
+    assert capsys.readouterr().out.startswith("m_sequence (3, 6, 10) ")
+    code, out = construct_run(tmp_path, points)
+    assert code == EXIT_UNSUPPORTED
+    doc = json.loads(out.read_text())
+    assert (doc["outcome"], doc["branch_trace"]) == ("unsupported",
+                                                     ["m3_10", "m2_6"])
+    assert capsys.readouterr().out == ("unsupported: expected a unique "
+                                       "4-point line\n")
+
+
+def test_linsys_rejects_a_bad_label_list(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run("generate", "--kind", "generic12", "--out", str(inst))
+    assert run("linsys", "--input", str(inst), "--degree", "6",
+               "--double", "1,x") == EXIT_PARSE
+    assert capsys.readouterr().err == ("parse error: bad label list: "
+                                       "'1,x'\n")
+
+
+def test_msequence_refuses_more_than_sixteen_points(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    write_instance(inst, [nodal(t) for t in range(2, 19)])
+    assert run("msequence", "--input", str(inst)) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == ("precondition failure: point sets "
+                                       "capped at 16 points\n")
+
+
+def test_enumerate_below_four_points_finds_no_line(tmp_path, capsys):
+    out = tmp_path / "enum.json"
+    assert run("enumerate", "--n", "3", "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().out == ("n=3 cap=2 maximum=0 "
+                                       "maximal_families=1\n")
+    doc = json.loads(out.read_text())
+    assert (doc["maximum"], doc["maximal_families"]) == (0, [[]])

@@ -440,6 +440,19 @@ def test_multiplicity_classical_models():
     assert intersection_multiplicity(x_axis, parabola, off) == 0
 
 
+def test_multiplicity_with_a_zero_form():
+    """The zero form contains every curve: mu is infinite where the other
+    form vanishes, 0 where it does not, in either argument order."""
+    zero = HomPoly.zero(2)
+    parabola = mono((0, 1, 1)) - mono((2, 0, 0))
+    off = ProjPoint(Fraction(5), Fraction(5), Fraction(1))
+    assert intersection_multiplicity(zero, parabola, ORIGIN) == math.inf
+    assert intersection_multiplicity(parabola, zero, ORIGIN) == math.inf
+    assert intersection_multiplicity(zero, parabola, off) == 0
+    assert intersection_multiplicity(parabola, zero, off) == 0
+    assert intersection_multiplicity(zero, zero, off) == math.inf
+
+
 def test_transversal_points_skip_gcd_and_factoring(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the tangent cones decide this point")
