@@ -22,17 +22,20 @@ decided by a gcd in Z[s] of the integer cones. Only where the cones share
 a line does the classical recursive reduction in affine coordinates run,
 on the two whole forms with no factorization; only a pair that shares a
 component takes a gcd first. An independent oracle reads mu from sheared
-resultants. Those resultants are computed here: Sylvester determinants at
-integer points, taken fraction-free by `linalg.int_det`, then
-interpolated. `bezout_table` reads the rational common zeros from the
-rational roots of the resultant and of the fiber gcds, both found in Z[s]:
-a primitive remainder sequence for gcds and square-free parts, and roots
+resultants, computed here in Z[x]: Sylvester determinants at integer
+points, taken fraction-free by `linalg.int_det`, then interpolated; it
+counts a root's multiplicity by exact division. It and `bezout_table` read
+a shared component off the zero resultant, with no separate coprimality
+proof. `bezout_table` reads the rational common zeros from the rational
+roots of the resultant and of the fiber gcds, both found in Z[s]: a
+primitive remainder sequence for gcds and square-free parts, and roots
 modulo a prime lifted by Newton's iteration.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -447,9 +450,10 @@ def _shear(p: HomPoly, t: int) -> HomPoly:
     return HomPoly(p.degree, terms)
 
 
-def _resultant_xz(p: HomPoly, q: HomPoly):
-    """Res_Y(p, q) as a binary form dict {(i, k): Fraction} of degree mn in
-    X and Z; {} when p and q share a component.
+def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
+    """Res_Y(p, q)(x, 1) as a primitive integer polynomial in x; [] when p
+    and q share a component. Res_Y(p, q) is a binary form of degree mn in
+    X and Z, so Z divides it mn - (len - 1) times.
 
     The Y-leading coefficients p(0, 1, 0) and q(0, 1, 0) must be nonzero:
     then the Y-degrees m and n survive every specialization, so the
@@ -457,12 +461,12 @@ def _resultant_xz(p: HomPoly, q: HomPoly):
     q(x, Y, 1) (Cox, Little and O'Shea, ch. 3, sec. 6). The integer-scaled
     forms are evaluated at mn + 1 consecutive integers x, each Sylvester
     determinant is taken fraction-free, and Newton's forward differences
-    interpolate the values; the scales are divided out at the end.
+    interpolate the values.
     """
     m, n = p.degree, q.degree
     if (0, m, 0) not in p.terms or (0, n, 0) not in q.terms:
         raise PreconditionError("the center [0:1:0] lies on a curve")
-    (lp, ip), (lq, iq) = _int_scaled(p), _int_scaled(q)
+    ip, iq = _int_scaled(p), _int_scaled(q)
     size, start = m * n + 1, -(m * n // 2)
     values = []
     for x in range(start, start + size):
@@ -486,15 +490,14 @@ def _resultant_xz(p: HomPoly, q: HomPoly):
                 falling[i - 1] - root * falling[i]
                 for i in range(1, len(falling))] + [falling[-1]]
             weight //= k + 1
-    den = math.factorial(top) * lp ** n * lq ** m
-    return {(i, top - i): Fraction(c, den) for i, c in enumerate(acc) if c}
+    return _int_poly(acc)
 
 
 def _int_scaled(p: HomPoly):
-    """(L, integer terms of L * p), L the lcm of the denominators."""
+    """The integer terms of L * p, L the lcm of the denominators."""
     den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return den, {e: c.numerator * (den // c.denominator)
-                 for e, c in p.terms.items()}
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in p.terms.items()}
 
 
 def _y_coeffs(terms, degree: int, x, z=1) -> list:
@@ -506,42 +509,39 @@ def _y_coeffs(terms, degree: int, x, z=1) -> list:
     return out
 
 
-def _binary_root_multiplicity(binform, u: Fraction, v: Fraction) -> int:
-    """Multiplicity of the linear factor v*X - u*Z in a binary form."""
-    if not binform:
-        raise PreconditionError("zero binary form")
+def _root_multiplicity(res: list[int], top: int, u, v) -> int:
+    """Multiplicity of the linear factor v*X - u*Z in the binary form of
+    degree top whose value at (x, 1) is the nonzero polynomial res in
+    Z[x]: the power of Z where v = 0, else the number of exact divisions
+    of res by the primitive factor of v*x - u."""
     if v == 0:
-        return min(k for (_, k) in binform)
-    x0 = u / v
-    deg = max(i + k for (i, k) in binform)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for (i, _), c in binform.items():
-        coeffs[i] += c
+        return top - (len(res) - 1)
+    root = Fraction(u, v)
+    factor = [-root.numerator, root.denominator]
     mult = 0
-    while coeffs:
-        val = Fraction(0)
-        for c in reversed(coeffs):
-            val = val * x0 + c
-        if val != 0:
-            return mult
-        # synthetic division by (X - x0)
-        new = [Fraction(0)] * (len(coeffs) - 1)
-        b = Fraction(0)
-        for i in range(len(coeffs) - 1, 0, -1):
-            b = coeffs[i] + b * x0
-            new[i - 1] = b
-        coeffs = new
+    while not _pseudo_remainder(res, factor):
+        res = _exact_quotient(res, factor)
         mult += 1
     return mult
 
 
+def _shears(p: HomPoly, q: HomPoly):
+    """The shear parameters t = 0, 1, ... whose projection center [t:1:0]
+    lies on neither curve. After _choose_frame neither curve contains the
+    line Z = 0, so at most deg p + deg q values of t are skipped."""
+    for t in itertools.count():
+        center = ProjPoint(t, 1, 0)
+        if evaluate(p, center) != 0 and evaluate(q, center) != 0:
+            yield t
+
+
 def _sheared_pair(p: HomPoly, q: HomPoly):
     """(frame, t, p_t, q_t): the forms after the frame change of
-    _choose_frame and the first valid shear t, so that [0:1:0] lies on
-    neither and _resultant_xz applies."""
+    _choose_frame and the first shear t of _shears, so that [0:1:0] lies
+    on neither and _resultant_xz applies."""
     frame = _choose_frame(p, q)
     pf, qf = _frame_sub(p, frame), _frame_sub(q, frame)
-    t = _valid_shears(pf, qf, 1)[0]
+    t = next(_shears(pf, qf))
     return frame, t, _shear(pf, t), _shear(qf, t)
 
 
@@ -563,23 +563,6 @@ def _shares_component(p: HomPoly, q: HomPoly) -> bool:
                for x in range(pt.degree * qt.degree + 1))
 
 
-def _valid_shears(p: HomPoly, q: HomPoly, count: int):
-    """First `count` shear parameters whose projection center lies on
-    neither curve."""
-    out = []
-    t = 0
-    while len(out) < count:
-        pt = ProjPoint(t, 1, 0)
-        if evaluate(p, pt) != 0 and evaluate(q, pt) != 0:
-            out.append(t)
-        t += 1
-        if t > count + p.degree + q.degree + 4:
-            break
-    if len(out) < count:
-        raise PreconditionError("could not find enough valid shears")
-    return out
-
-
 def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
                            strict: bool = False) -> int:
     """Independent oracle for mu_x(p, q) via sheared resultants.
@@ -588,39 +571,32 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
     Res_Y(p_t, q_t) is an upper bound for mu_x, exact for all but finitely
     many t. With strict=True the full guaranteed number of shears
     (deg p * deg q) is taken and the minimum is exact; otherwise the scan
-    stops once two distinct shears agree on the running minimum.
+    stops once two distinct shears agree on the running minimum. The
+    resultant is zero iff the forms share a component, which is refused.
     """
     if evaluate(p, x) != 0 or evaluate(q, x) != 0:
         return 0
-    if not coprime(p, q):
-        raise PreconditionError("common component: oracle needs coprime forms")
+    shared = "common component: oracle needs coprime forms"
+    if p.is_zero or q.is_zero:  # the zero form contains every curve
+        raise PreconditionError(shared)
     # every projection center lies on the line Z = 0, so all common zeros
     # on that line share each projection: x must lie off it
     frame = _choose_frame(p, q, x)
     p, q = _frame_sub(p, frame), _frame_sub(q, frame)
-    x = _frame_point_fwd(x, frame)
-    m, n = p.degree, q.degree
-    total = max(1, m * n)
-    best = None
-    hits = 0
-    x0, y0, z0 = x.coords
-    checked = 0
-    t = 0
-    while True:
-        center = ProjPoint(t, 1, 0)
-        if evaluate(p, center) != 0 and evaluate(q, center) != 0:
-            r = _resultant_xz(_shear(p, t), _shear(q, t))
-            mult = _binary_root_multiplicity(r, x0 - t * y0, z0)
-            if best is None or mult < best:
-                best, hits = mult, 1
-            elif mult == best:
-                hits += 1
-            checked += 1
-            if not strict and hits >= 2:
-                return best
-            if checked >= total:
-                return best
-        t += 1
+    x0, y0, z0 = _frame_point_fwd(x, frame).coords
+    top = p.degree * q.degree
+    best, hits = None, 0
+    for checked, t in enumerate(_shears(p, q), 1):
+        res = _resultant_xz(_shear(p, t), _shear(q, t))
+        if not res:
+            raise PreconditionError(shared)
+        mult = _root_multiplicity(res, top, x0 - t * y0, z0)
+        if best is None or mult < best:
+            best, hits = mult, 1
+        elif mult == best:
+            hits += 1
+        if (not strict and hits >= 2) or checked >= top:
+            return best
 
 
 # Univariate polynomials over Z: coefficient lists indexed by the power,
@@ -758,22 +734,16 @@ def bezout_table(p: HomPoly, q: HomPoly):
     deg(p)*deg(q) - sum(multiplicities) accounting for non-rational zeros."""
     if p.is_zero or q.is_zero:
         raise PreconditionError("needs nonzero forms")
-    if not coprime(p, q):
-        raise PreconditionError("infinite intersection")
     m, n = p.degree, q.degree
     if m == 0 or n == 0:
         return [], 0
     frame, t, pt, qt = _sheared_pair(p, q)
     res = _resultant_xz(pt, qt)
-    if not res:
-        raise PreconditionError("vanishing resultant for coprime forms")
+    if not res:  # zero iff p and q share a component
+        raise PreconditionError("infinite intersection")
     # projection roots: finite X/Z values plus possibly the line Z = 0
     points: set[ProjPoint] = set()
-    z_exp = min(k for (_, k) in res)
-    coeffs = [Fraction(0)] * (m * n + 1)
-    for (i, _), c in res.items():
-        coeffs[i] = c
-    finite_roots = _rational_roots(_int_poly(coeffs))
+    finite_roots = _rational_roots(res)
 
     def fiber_points(x, z):
         """Common rational zeros of p_t, q_t on the line (x, s, z)."""
@@ -787,7 +757,7 @@ def bezout_table(p: HomPoly, q: HomPoly):
             # the sheared point (u, s, 1) maps back through X -> X + tY,
             # then through the frame change
             points.add(_frame_point_back(ProjPoint(u + t * s, s, 1), frame))
-    if z_exp >= 1:
+    if len(res) - 1 < m * n:  # Z divides the resultant
         for s in fiber_points(Fraction(1), Fraction(0)):
             points.add(_frame_point_back(ProjPoint(1 + t * s, s, 0), frame))
     records = []

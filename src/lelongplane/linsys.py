@@ -2,10 +2,10 @@
 
 A condition of order m at a point imposes the vanishing of all partial
 derivatives of total order below m, written in the affine chart where the
-point's largest coordinate is 1 so the rows are scale-free, and each row
-scaled by a positive integer to clear its denominators. Ranks and kernel
-bases are exact, computed in integers end to end (`linalg.nullspace`), and
-canonicalized for determinism.
+point's largest coordinate is 1 so the rows are scale-free; each row is a
+positive multiple with integer entries, read off the Taylor shift. Ranks
+and kernel bases are exact, computed in integers end to end
+(`linalg.nullspace`), and canonicalized for determinism.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import PreconditionError, UnsupportedInstanceError
-from .exactpoly import (HomPoly, ProjPoint, coprime, divides, evaluate,
-                        monomial_count, monomials, vanishing_order)
+from .curves import bezout_table
+from .exactpoly import (HomPoly, ProjPoint, _shift_rows, coprime, divides,
+                        evaluate, monomial_count, monomials, vanishing_order)
 from .linalg import int_rank, nullspace, solve_exact
 
 
@@ -45,45 +46,28 @@ class LinearSystem:
         return monomial_count(self.degree) - self.matrix_rank
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
-def _chart_factors(degree: int, order: int, num: int, den: int):
-    """falling(e, order) num^(e - order) den^(degree - e) for each chart
-    exponent e, zero below the order."""
-    return [_falling(e, order) * num ** (e - order) * den ** (degree - e)
-            if e >= order else 0 for e in range(degree + 1)]
-
-
 def condition_rows(degree: int, cond: VanishingCondition):
     """Integer constraint rows for one vanishing condition, in the chart
     where the point's largest coordinate is 1.
 
-    With the point at (un/ud, vn/vd) in that chart, the row of the
-    derivative of order (a, b) is scaled by ud^(d-a) vd^(d-b), a positive
-    integer, so its entry at the monomial with chart exponents (alpha,
-    beta) is falling(alpha, a) falling(beta, b) un^(alpha-a) ud^(d-alpha)
-    vn^(beta-b) vd^(d-beta). Positive row scaling leaves the row space,
-    and so the rank and the kernel, unchanged.
+    With the point at (u0, v0) = (un/ud, vn/vd) in that chart, the row of
+    order (a, b) holds, at the monomial with chart exponents (alpha, beta),
+    the coefficient of s^a t^b in (u0 + s)^alpha (v0 + t)^beta times
+    ud^d vd^d, read from the Taylor-shift tables of
+    `exactpoly._shift_rows`. That is the derivative of order (a, b) at the
+    point times ud^d vd^d / (a! b!), a positive scale; positive row scaling
+    leaves the row space, and so the rank and the kernel, unchanged.
     """
     chart = cond.point.chart()
-    coords = cond.point.coords
-    scale = coords[chart]
-    u0, v0 = [coords[i] / scale for i in range(3) if i != chart]
+    u0, v0 = cond.point.affine(chart)
+    rows1 = _shift_rows(u0.numerator, u0.denominator, degree)
+    rows2 = _shift_rows(v0.numerator, v0.denominator, degree)
     rest = [tuple(exps[i] for i in range(3) if i != chart)
             for exps in monomials(degree)]
-    rows = []
-    for total in range(cond.order):
-        for a in range(total + 1):
-            fu = _chart_factors(degree, a, u0.numerator, u0.denominator)
-            fv = _chart_factors(degree, total - a, v0.numerator,
-                                v0.denominator)
-            rows.append([fu[alpha] * fv[beta] for alpha, beta in rest])
-    return rows
+    return [[rows1[alpha][a] * rows2[beta][total - a]
+             if a <= alpha and total - a <= beta else 0
+             for alpha, beta in rest]
+            for total in range(cond.order) for a in range(total + 1)]
 
 
 def _merge_conditions(conditions):
@@ -206,7 +190,6 @@ def cayley_bacharach_check(c1: HomPoly, c2: HomPoly) -> CayleyBacharachReport:
         raise PreconditionError("both inputs must be cubics")
     if not coprime(c1, c2):
         raise PreconditionError("cubics share a component")
-    from .curves import bezout_table
     records, residual = bezout_table(c1, c2)
     if residual != 0 or len(records) != 9 or any(
             r.multiplicity != 1 for r in records):

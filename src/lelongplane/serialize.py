@@ -1,7 +1,8 @@
 """Versioned JSON schemas for every report and instance file.
 
 All rationals are serialized as "num/den" strings, polynomials as grlex
-term lists, and every document carries a schema_version and a type tag.
+term lists. Every document carries a schema_version, and all but the
+m-sequence report (keys m1, m2, m3, schema_version, witnesses) a type tag.
 Serialization is byte-stable: keys are sorted and term order is canonical,
 so identical objects always produce identical files.
 """

@@ -9,9 +9,10 @@ converters between `HomPoly` and `Expr`, `sympy.resultant` for
 `cubic_is_irreducible`, sympy's `factor_list` for `curves._rational_roots`,
 and `use_expr_internals`, which puts the resultant and the gcd back into
 the package so that its multiplicity algorithms run on `Expr` as they did.
-The rest need no sympy: the canonical form that branches over every
-order of a line's fresh labels, `four_point_lines` in `Fraction`
-arithmetic, the scaling of exact forms to floats by `Fraction` division,
+The rest need no sympy: root multiplicities in a binary form by Horner
+and synthetic division in `Fraction`s, for `curves._root_multiplicity`,
+the canonical form that branches over every order of a line's fresh
+labels, `four_point_lines` in `Fraction` arithmetic, the scaling of exact forms to floats by `Fraction` division,
 the sharpness example that runs one `int_rank` on each of its 105
 13-point subsets, and the linear systems in `Fraction`s: a Gauss-Jordan
 RREF, the unscaled condition rows, the kernel built from Fraction vectors
@@ -59,12 +60,48 @@ def from_sympy(expr, degree: int | None = None) -> HomPoly:
 
 
 def reference_resultant_xz(p: HomPoly, q: HomPoly):
-    """Res_Y(p, q) by `sympy.resultant`, as a binary form dict."""
-    res = sympy.expand(sympy.resultant(to_sympy(p), to_sympy(q), Y))
+    """Res_Y(p, q)(x, 1) by `sympy.resultant`, as the primitive integer
+    polynomial in x with a positive leading coefficient; [] for zero."""
+    res = sympy.expand(sympy.resultant(to_sympy(p), to_sympy(q), Y).subs(Z, 1))
     if res == 0:
-        return {}
-    poly = sympy.Poly(res, X, Z, domain="QQ")
-    return {(int(i), int(k)): Fraction(c.p, c.q) for (i, k), c in poly.terms()}
+        return []
+    coeffs = [Fraction(c.p, c.q) for c in
+              reversed(sympy.Poly(res, X, domain="QQ").all_coeffs())]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    content = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // content for c in ints]
+
+
+def reference_binary_root_multiplicity(binform, u: Fraction,
+                                       v: Fraction) -> int:
+    """Multiplicity of the linear factor v*X - u*Z in a binary form dict
+    {(i, k): Fraction}, by Horner and synthetic division in Fractions."""
+    if not binform:
+        raise PreconditionError("zero binary form")
+    if v == 0:
+        return min(k for (_, k) in binform)
+    x0 = u / v
+    deg = max(i + k for (i, k) in binform)
+    coeffs = [Fraction(0)] * (deg + 1)
+    for (i, _), c in binform.items():
+        coeffs[i] += c
+    mult = 0
+    while coeffs:
+        val = Fraction(0)
+        for c in reversed(coeffs):
+            val = val * x0 + c
+        if val != 0:
+            return mult
+        # synthetic division by (X - x0)
+        new = [Fraction(0)] * (len(coeffs) - 1)
+        b = Fraction(0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            b = coeffs[i] + b * x0
+            new[i - 1] = b
+        coeffs = new
+        mult += 1
+    return mult
 
 
 def reference_gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
@@ -139,18 +176,12 @@ def reference_bezout_table(p: HomPoly, q: HomPoly):
     m, n = p.degree, q.degree
     if m == 0 or n == 0:
         return [], 0
-    frame = curves._choose_frame(p, q)
-    pf, qf = curves._frame_sub(p, frame), curves._frame_sub(q, frame)
-    t = curves._valid_shears(pf, qf, 1)[0]
-    pt, qt = curves._shear(pf, t), curves._shear(qf, t)
+    frame, t, pt, qt = curves._sheared_pair(p, q)
     res = reference_resultant_xz(pt, qt)
     if not res:
         raise PreconditionError("vanishing resultant for coprime forms")
     points: set[ProjPoint] = set()
-    z_exp = min(k for (_, k) in res)
-    uni = sympy.Integer(0)
-    for (i, k), c in res.items():
-        uni += sympy.Rational(c.numerator, c.denominator) * S ** i
+    uni = sum(c * S ** i for i, c in enumerate(res))
     finite_roots = _univariate_rational_roots(uni, S)
 
     def fiber_points(restrict):
@@ -168,7 +199,7 @@ def reference_bezout_table(p: HomPoly, q: HomPoly):
         for s in fiber_points({X: ur, Z: 1}):
             points.add(curves._frame_point_back(
                 ProjPoint(u + t * s, s, 1), frame))
-    if z_exp >= 1:
+    if len(res) - 1 < m * n:  # Z divides the resultant
         for s in fiber_points({X: 1, Z: 0}):
             points.add(curves._frame_point_back(
                 ProjPoint(1 + t * s, s, 0), frame))

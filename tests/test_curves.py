@@ -37,6 +37,7 @@ from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime,
 from lelongplane.instances import generate
 
 from expr_reference import (from_sympy, reference_bezout_table,
+                            reference_binary_root_multiplicity,
                             reference_cubic_is_irreducible,
                             reference_is_smooth, reference_rational_roots,
                             reference_resultant_xz, to_sympy,
@@ -746,31 +747,29 @@ def test_bezout_points_at_infinity():
 
 
 def test_bezout_rejects_shared_component():
+    """Both read the shared component l off their zero resultant; the
+    oracle answers 0 off the common zeros before any resultant."""
     l = HomPoly.line(1, 2, 3)
-    with pytest.raises(PreconditionError):
-        bezout_table(l * HomPoly.line(1, 0, 0), l * HomPoly.line(0, 1, 0))
+    p, q = l * HomPoly.line(1, 0, 0), l * HomPoly.line(0, 1, 0)
+    with pytest.raises(PreconditionError, match="^infinite intersection$"):
+        bezout_table(p, q)
+    oracle = "^common component: oracle needs coprime forms$"
+    x = ProjPoint(1, 1, -1)  # on l
+    with pytest.raises(PreconditionError, match=oracle):
+        resultant_multiplicity(p, q, x)
+    with pytest.raises(PreconditionError, match=oracle):
+        resultant_multiplicity(HomPoly.zero(2), q, x)
+    assert resultant_multiplicity(p, q, ProjPoint(1, 1, 1)) == 0
 
 
 def _projected(p, q):
     """p and q in the frame and shear from which `bezout_table` projects."""
-    frame = curves._choose_frame(p, q)
-    p, q = curves._frame_sub(p, frame), curves._frame_sub(q, frame)
-    t = curves._valid_shears(p, q, 1)[0]
-    return curves._shear(p, t), curves._shear(q, t)
-
-
-def _proportional(a, b):
-    """True iff two binary form dicts differ by a nonzero rational."""
-    if not a or not b:
-        return a == b
-    if a.keys() != b.keys():
-        return False
-    k = next(iter(a))
-    scale = b[k] / a[k]
-    return all(b[e] == scale * c for e, c in a.items())
+    return curves._sheared_pair(p, q)[2:]
 
 
 def test_resultant_matches_sympy_up_to_a_scalar():
+    """The primitive polynomials in Z[x] agree, which is proportionality
+    of the resultants."""
     rng = random.Random(43)
     pairs = [(random_poly(rng, rng.randint(1, 4)),
               random_poly(rng, rng.randint(1, 4))) for _ in range(20)]
@@ -783,13 +782,15 @@ def test_resultant_matches_sympy_up_to_a_scalar():
         pt, qt = _projected(p, q)
         got = curves._resultant_xz(pt, qt)
         assert got, (p, q)
-        assert all(i + k == p.degree * q.degree for i, k in got)
-        assert _proportional(got, reference_resultant_xz(pt, qt)), (p, q)
-    assert min(k for _, k in curves._resultant_xz(*_projected(*on_z))) >= 1
+        assert len(got) - 1 <= p.degree * q.degree
+        assert got == reference_resultant_xz(pt, qt), (p, q)
+    # Z divides the resultant: its degree in x drops below mn
+    m, n = on_z[0].degree, on_z[1].degree
+    assert len(curves._resultant_xz(*_projected(*on_z))) <= m * n
     # a common component: the resultant vanishes identically
     line = HomPoly.line(1, 2, -3)
     p, q = _projected(line * random_poly(rng, 2), line * random_poly(rng, 1))
-    assert curves._resultant_xz(p, q) == {} == reference_resultant_xz(p, q)
+    assert curves._resultant_xz(p, q) == [] == reference_resultant_xz(p, q)
 
 
 def test_resultant_needs_the_center_off_both_curves():
@@ -798,6 +799,68 @@ def test_resultant_needs_the_center_off_both_curves():
         curves._resultant_xz(mono((1, 1, 0)), HomPoly.line(1, 1, 1))
     with pytest.raises(PreconditionError):
         curves._resultant_xz(HomPoly.line(1, 1, 1), mono((1, 0, 2)))
+
+
+def _binary_product(*forms):
+    """Product of binary forms, each a coefficient list indexed by the
+    power of X (the entry at i is the coefficient of X^i Z^(deg - i))."""
+    out = [1]
+    for f in forms:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_root_multiplicity_matches_fraction_reference():
+    """Exact division in Z[x] counts the same multiplicities as Horner and
+    synthetic division in Fractions, on seeded forms with a root of
+    multiplicity 0 to 4, finite or at Z = 0."""
+    rng = random.Random(71)
+    seen = set()
+    for case in range(100):
+        num, den = rng.randint(-9, 9), rng.randint(1, 5)
+        scale = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        u, v = (scale, Fraction(0)) if case % 4 == 0 else (num * scale,
+                                                           den * scale)
+        k = case % 5
+        cofactor = [[rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+                    for _ in range(rng.randint(1, 2))]
+        root = Fraction(u, v) if v else None
+        factor = [-root.numerator, root.denominator] if v else [1, 0]
+        form = _binary_product(*cofactor, *[factor] * k)
+        if not any(form):
+            continue
+        top = len(form) - 1
+        binform = {(i, top - i): Fraction(c) for i, c in enumerate(form)
+                   if c}
+        res = curves._primitive(curves._trim(form))
+        got = curves._root_multiplicity(res, top, u, v)
+        assert got == reference_binary_root_multiplicity(binform, u, v)
+        assert got >= k
+        seen.add((k, v == 0))
+    assert seen == {(k, at_z) for k in range(5) for at_z in (False, True)}
+
+
+def test_bezout_table_and_oracle_take_no_coprimality_proof(monkeypatch):
+    """Each reads a shared component off the resultant it computes, so
+    neither calls `coprime` itself on the benchmark's tangent pairs; the
+    reduction that bezout_table's multiplicities run still may."""
+    callers = []
+    real = curves.coprime
+
+    def spy(p, q):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(p, q)
+
+    monkeypatch.setattr(curves, "coprime", spy)
+    for p, q in _bench_tangent_pairs(0):
+        for r in bezout_table(p, q)[0]:
+            resultant_multiplicity(p, q, r.point)
+    assert "_reduction_mu" in callers
+    assert not {"bezout_table", "resultant_multiplicity"} & set(callers)
 
 
 def _line_through(rng, x):

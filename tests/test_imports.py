@@ -12,6 +12,10 @@ takes longer than a whole pipeline run; a fresh interpreter runs every
 command of the pipeline, and the curve library on a tangent pair, with
 `sympy` absent from `sys.modules`.
 
+Imports of the package's own modules sit at the top of each module, but
+for the few listed in `FUNCTION_BODY_IMPORTS`, each with its reason; a new
+one, or a listed one that is gone, fails the check.
+
 The benchmark's tracer (`perfbench/tracing.py`) looks each of its layers
 up by name; every name it lists must still resolve.
 """
@@ -29,6 +33,18 @@ import pytest
 import lelongplane
 
 MODULES = sorted(Path(lelongplane.__file__).parent.glob("*.py"))
+
+# (importing module, imported module): why the import sits in a function
+FUNCTION_BODY_IMPORTS = {
+    ("exactpoly", "curves"): "coprime's exact fallback, "
+    "curves._shares_component: curves imports exactpoly, so a module-level "
+    "import would be a cycle",
+    ("instances", "currents"): "only the example6lines generator reads "
+    "currents.sharpness_example; no other generator uses the estimators",
+    ("serialize", "instances"): "only the instance encoder and "
+    "load_instance need the Instance type; no other document depends on "
+    "the generators",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -82,6 +98,36 @@ def sympy_imports_at_module_level(source: str) -> list[str]:
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
         return out
     return walk(ast.parse(source), False)
+
+
+def package_imports_in_functions(source: str) -> list[str]:
+    """The package's modules that a function body imports, by relative
+    import."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.update(node.module or "." for node in ast.walk(fn)
+                       if isinstance(node, ast.ImportFrom) and node.level)
+    return sorted(out)
+
+
+def test_the_check_sees_package_imports_in_functions():
+    src = ("from .errors import ParseError\n"
+           "def f():\n"
+           "    from .curves import bezout_table\n"
+           "    from sympy.polys.rings import ring\n"
+           "    def g():\n"
+           "        from .config import PointSet\n"
+           "class C:\n"
+           "    def method(self):\n"
+           "        from . import linsys\n")
+    assert package_imports_in_functions(src) == [".", "config", "curves"]
+
+
+def test_package_imports_in_functions_are_the_listed_ones():
+    found = {(path.stem, module) for path in MODULES
+             for module in package_imports_in_functions(path.read_text())}
+    assert found == set(FUNCTION_BODY_IMPORTS)
 
 
 def test_the_check_sees_unused_names():

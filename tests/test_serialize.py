@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from lelongplane.config import m_sequence
 from lelongplane.construct import construct_certificate_m3_9
 from lelongplane.errors import ParseError
 from lelongplane.exactpoly import HomPoly, ProjPoint
@@ -40,6 +41,14 @@ def test_dumps_is_byte_stable():
     doc = json.loads(a)
     assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["type"] == "instance"
+
+
+def test_msequence_report_has_no_type_tag():
+    """The `msequence --out` report's keys are pinned, so that giving it a
+    type tag is a deliberate schema change."""
+    ms = m_sequence(generate("generic12", 0).point_set)
+    doc = json.loads(dumps(encode(ms)))
+    assert sorted(doc) == ["m1", "m2", "m3", "schema_version", "witnesses"]
 
 
 def test_instance_disk_round_trip(tmp_path):
