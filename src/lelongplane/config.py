@@ -15,7 +15,6 @@ seeded random placement with exact certification.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _cross, evaluate, join,
                         line_coeffs, meet, monomial_count, monomials)
-from .linalg import bareiss_step, int_rref, nullspace
+from .linalg import bareiss_step, clear_denominators, int_rref, nullspace
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,14 @@ class IncidenceStructure:
 
 
 def _int_coords(p: ProjPoint) -> tuple[int, int, int]:
-    """The point's coordinates times the lcm D of their denominators.
+    """The point's coordinates times the lcm D of their denominators
+    (`linalg.clear_denominators`).
 
     They are primitive. The last nonzero coordinate is 1 and becomes D,
     and a prime p dividing D divides some denominator to its full power
     in D, so that coordinate times D is prime to p.
     """
-    scale = math.lcm(*(x.denominator for x in p.coords))
-    return tuple(x.numerator * (scale // x.denominator) for x in p.coords)
+    return tuple(clear_denominators(p.coords)[1])
 
 
 def _evaluation_rows(points, degree):

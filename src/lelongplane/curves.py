@@ -19,17 +19,18 @@ tangent cones, the lowest-degree parts of the local expansions, from
 `exactpoly.order_and_cone` without the rest: when they share no line,
 mu_x = ord_x P * ord_x Q (Fulton, Algebraic Curves, 3.3, property 5),
 decided by a gcd in Z[s] of the integer cones. Only where the cones share
-a line does the classical recursive reduction in affine coordinates run,
-on the two whole forms with no factorization; only a pair that shares a
-component takes a gcd first. An independent oracle reads mu from sheared
-resultants, computed here in Z[x]: Sylvester determinants at integer
-points, taken fraction-free by `linalg.int_det`, then interpolated; it
-counts a root's multiplicity by exact division. It and `bezout_table` read
-a shared component off the zero resultant, with no separate coprimality
-proof. `bezout_table` reads the rational common zeros from the rational
-roots of the resultant and of the fiber gcds, both found in Z[s]: a
-primitive remainder sequence for gcds and square-free parts, and roots
-modulo a prime lifted by Newton's iteration.
+a line does the classical recursive reduction run, on the integer
+expansions (`exactpoly.int_expansion`) of the two whole forms, with no
+factorization; only a pair that shares a component takes a gcd first. An
+independent oracle reads mu from sheared resultants of the forms' integer
+views, in Z[x]: Sylvester determinants at integer points, taken
+fraction-free by `linalg.int_det`, then interpolated; it counts a root's
+multiplicity by exact division. It and `bezout_table` read a shared
+component off the zero resultant, with no separate coprimality proof.
+`bezout_table` reads the rational common zeros from the rational roots of
+the resultant and of the fiber gcds, both found in Z[s]: a primitive
+remainder sequence for gcds and square-free parts, and roots modulo a
+prime lifted by Newton's iteration.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from .config import curves_through
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _gcd_degree_mod, coprime,
                         evaluate, exact_divide, from_ring, gcd_homogeneous,
-                        order_and_cone, partial_derivatives, sympy_rings,
-                        to_ring)
-from .linalg import int_det, int_rank
+                        int_expansion, order_and_cone, partial_derivatives,
+                        sympy_rings, to_ring)
+from .linalg import clear_denominators, int_det, int_rank
 
 
 def _qq(c: Fraction):
@@ -261,7 +262,7 @@ def analyze_curve(p: HomPoly) -> CurveAnalysis:
 
 # ---------------------------------------------------------------------------
 # Local intersection numbers: recursive reduction in affine coordinates.
-# Bivariate polynomials are dicts {(i, j): Fraction} in local coordinates.
+# Bivariate polynomials are dicts {(i, j): int} in local coordinates.
 
 
 def _xpart(f):
@@ -270,16 +271,6 @@ def _xpart(f):
 
 def _ydiv(f):
     return {(i, j - 1): c for (i, j), c in f.items()}
-
-
-def _to_int_local(f):
-    """Scale a local Fraction dict to coprime integer coefficients."""
-    if not f:
-        return {}
-    lcm = math.lcm(*(c.denominator for c in f.values()))
-    vals = {k: int(c * lcm) for k, c in f.items()}
-    content = math.gcd(*vals.values())
-    return {k: v // content for k, v in vals.items()}
 
 
 def _local_mu(f, g):
@@ -380,9 +371,12 @@ def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint):
             return math.inf
         p = exact_divide(p, g)
         q = exact_divide(q, g)
-    _, fp = p.local_expansion(x)
-    _, fq = q.local_expansion(x)
-    return _local_mu(_to_int_local(fp), _to_int_local(fq))
+    local = []
+    for f in (p, q):
+        terms = int_expansion(f, x)[2]
+        content = math.gcd(*terms.values())
+        local.append({k: v // content for k, v in terms.items()})
+    return _local_mu(*local)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +452,15 @@ def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
     The Y-leading coefficients p(0, 1, 0) and q(0, 1, 0) must be nonzero:
     then the Y-degrees m and n survive every specialization, so the
     resultant at (x, 1) is that of the univariate forms p(x, Y, 1) and
-    q(x, Y, 1) (Cox, Little and O'Shea, ch. 3, sec. 6). The integer-scaled
-    forms are evaluated at mn + 1 consecutive integers x, each Sylvester
-    determinant is taken fraction-free, and Newton's forward differences
-    interpolate the values.
+    q(x, Y, 1) (Cox, Little and O'Shea, ch. 3, sec. 6). The integer views
+    of the forms are evaluated at mn + 1 consecutive integers x, each
+    Sylvester determinant is taken fraction-free, and Newton's forward
+    differences interpolate the values.
     """
     m, n = p.degree, q.degree
     if (0, m, 0) not in p.terms or (0, n, 0) not in q.terms:
         raise PreconditionError("the center [0:1:0] lies on a curve")
-    ip, iq = _int_scaled(p), _int_scaled(q)
+    ip, iq = p.integer_view()[1], q.integer_view()[1]
     size, start = m * n + 1, -(m * n // 2)
     values = []
     for x in range(start, start + size):
@@ -491,13 +485,6 @@ def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
                 for i in range(1, len(falling))] + [falling[-1]]
             weight //= k + 1
     return _int_poly(acc)
-
-
-def _int_scaled(p: HomPoly):
-    """The integer terms of L * p, L the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (den // c.denominator)
-            for e, c in p.terms.items()}
 
 
 def _y_coeffs(terms, degree: int, x, z=1) -> list:
@@ -604,15 +591,14 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
 
 
 def _int_poly(coeffs) -> list[int]:
-    """Rational coefficients, indexed by the power, as the primitive
-    integer polynomial with a positive leading coefficient."""
-    coeffs = [Fraction(c) for c in coeffs]
+    """Rational coefficients (ints or Fractions), indexed by the power, as
+    the primitive integer polynomial with a positive leading coefficient."""
+    coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         return []
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    return _primitive(clear_denominators(coeffs)[1])
 
 
 def _primitive(a: list[int]) -> list[int]:

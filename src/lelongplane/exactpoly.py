@@ -7,6 +7,10 @@ X > Y > Z. Evaluation, local expansion, division and the coprimality
 test run without sympy. Only `gcd_homogeneous` (for two nonzero forms)
 and the ring converters use sympy's polynomial rings, which
 `sympy_rings` imports on first use.
+
+Each form keeps one integer view (`HomPoly.integer_view`): L, the lcm of
+its denominators, and the integer terms of L * p. Evaluation, the Taylor
+shift (`int_expansion`), `coprime` and the resultants of `curves` read it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 from .errors import ParseError, PreconditionError
+from .linalg import clear_denominators
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -101,7 +106,7 @@ class HomPoly:
     fixed graded piece. No zero coefficients are stored.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "_ints")
 
     def __init__(self, degree: int, terms: Mapping[tuple[int, int, int], Fraction]):
         if degree < 0:
@@ -118,6 +123,7 @@ class HomPoly:
             clean[(i, j, k)] = coeff
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("HomPoly is immutable")
@@ -146,6 +152,16 @@ class HomPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def integer_view(self) -> tuple[int, dict[tuple[int, int, int], int]]:
+        """(L, terms of L * p as ints), L the lcm of the coefficient
+        denominators (1 for the zero form), in the order of `terms`. Made
+        on first use, kept in a slot that == and hash() do not read."""
+        if self._ints is None:
+            big_l, ints = clear_denominators(self.terms.values())
+            object.__setattr__(self, "_ints",
+                               (big_l, dict(zip(self.terms, ints))))
+        return self._ints
 
     def coeff_vector(self) -> list[Fraction]:
         return [self.terms.get(m, Fraction(0)) for m in monomials(self.degree)]
@@ -206,34 +222,19 @@ class HomPoly:
 
     def evaluate_coords(self, a, b, c) -> Fraction:
         """Value at arbitrary (not necessarily normalized) rational
-        coordinates.
-
-        Runs on integers, as local_expansion does: with a = an/ad and so
-        on, a term c X^i Y^j Z^k of the degree-d form is brought to the
-        common denominator L * ad^d * bd^d * cd^d (L the lcm of the
-        coefficient denominators) through the power tables an^i ad^(d-i),
-        and one Fraction is built for the sum.
-        """
+        coordinates, on integers: with the coordinates cleared over their
+        common denominator D and the integer view (L, terms), the integer
+        sum of the terms at them over L * D^d, as one Fraction."""
         if not self.terms:
             return Fraction(0)
         d = self.degree
-        big_l = math.lcm(*(q.denominator for q in self.terms.values()))
-        den = big_l
-        tables = []
-        for x in (a, b, c):
-            x = Fraction(x)
-            npow, dpow = [1], [1]
-            for _ in range(d):
-                npow.append(npow[-1] * x.numerator)
-                dpow.append(dpow[-1] * x.denominator)
-            tables.append([npow[e] * dpow[d - e] for e in range(d + 1)])
-            den *= dpow[d]
-        ta, tb, tc = tables
+        big_l, ints = self.integer_view()
+        scale, coords = clear_denominators((a, b, c))
+        ta, tb, tc = ([x ** e for e in range(d + 1)] for x in coords)
         total = 0
-        for (i, j, k), coeff in self.terms.items():
-            total += (coeff.numerator * (big_l // coeff.denominator)
-                      * ta[i] * tb[j] * tc[k])
-        return Fraction(total, den)
+        for (i, j, k), coeff in ints.items():
+            total += coeff * ta[i] * tb[j] * tc[k]
+        return Fraction(total, big_l * scale ** d)
 
     def dehomogenize(self, chart: int) -> dict[tuple[int, int], Fraction]:
         """Set the chart variable to 1; keys are exponents of the remaining
@@ -248,42 +249,48 @@ class HomPoly:
         """Dehomogenize at the chart of x and translate x to the origin.
 
         Returns (chart, bivariate terms). The minimal total degree of the
-        result is the vanishing order of the polynomial at x.
-
-        The Taylor shift (a+s)^e1 (b+t)^e2 runs on integers (_shift_tables),
-        and one Fraction is built per output key. Keys appear in order of
-        first contribution: terms in dehomogenized order, then i, then j.
+        result is the vanishing order of the polynomial at x. The Fraction
+        view of `int_expansion`, with the same keys in the same order.
         """
-        chart, nums, rows1, rows2, den = _shift_tables(self, x, chart)
-        out: dict[tuple[int, int], int] = {}
-        for e1, e2, num in nums:
-            row2 = rows2[e2]
-            for i, c1 in enumerate(rows1[e1]):
-                ca = num * c1
-                for j, c2 in enumerate(row2):
-                    key = (i, j)
-                    out[key] = out.get(key, 0) + ca * c2
-        return chart, {k: Fraction(v, den) for k, v in out.items() if v}
+        chart, den, out = int_expansion(self, x, chart)
+        return chart, {k: Fraction(v, den) for k, v in out.items()}
+
+
+def int_expansion(p: HomPoly, x: ProjPoint, chart: int | None = None
+                  ) -> tuple[int, int, dict[tuple[int, int], int]]:
+    """(chart, den, terms): the local expansion of p at x in the chart
+    (default x.chart()) is the nonzero integer terms over den, from the
+    integer Taylor shift of _shift_tables. Keys appear in order of first
+    contribution: terms in dehomogenized order, then i, then j."""
+    chart, nums, rows1, rows2, den = _shift_tables(p, x, chart)
+    out: dict[tuple[int, int], int] = {}
+    for e1, e2, num in nums:
+        row2 = rows2[e2]
+        for i, c1 in enumerate(rows1[e1]):
+            ca = num * c1
+            for j, c2 in enumerate(row2):
+                key = (i, j)
+                out[key] = out.get(key, 0) + ca * c2
+    return chart, den, {k: v for k, v in out.items() if v}
 
 
 def _shift_tables(p: HomPoly, x: ProjPoint, chart: int | None):
     """(chart, nums, rows1, rows2, den) for the shift of p to x = (a, b),
     a = an/ad and b = bn/bd in the chart (default x.chart()). Each term
-    (e1, e2, num) has its coefficient as num/L, L the lcm of the
-    denominators; the coefficient of s^i t^j in the shift is the sum of
-    num * rows1[e1][i] * rows2[e2][j] over den = L * ad^E1 * bd^E2, where
-    E1 and E2 are the largest exponents of s and t."""
+    (e1, e2, num) of the integer view (L, terms), dehomogenized, has its
+    coefficient as num/L; the coefficient of s^i t^j in the shift is the
+    sum of num * rows1[e1][i] * rows2[e2][j] over den = L * ad^E1 * bd^E2,
+    where E1 and E2 are the largest exponents of s and t."""
     if chart is None:
         chart = x.chart()
     a, b = x.affine(chart)
-    local = p.dehomogenize(chart)
-    if not local:
+    big_l, ints = p.integer_view()
+    if not ints:
         return chart, [], None, None, 1
-    big_l = math.lcm(*(c.denominator for c in local.values()))
-    top1 = max(e1 for e1, _ in local)
-    top2 = max(e2 for _, e2 in local)
-    nums = [(e1, e2, c.numerator * (big_l // c.denominator))
-            for (e1, e2), c in local.items()]
+    o1, o2 = [i for i in range(3) if i != chart]
+    nums = [(e[o1], e[o2], c) for e, c in ints.items()]
+    top1 = max(e1 for e1, _, _ in nums)
+    top2 = max(e2 for _, e2, _ in nums)
     return (chart, nums, _shift_rows(a.numerator, a.denominator, top1),
             _shift_rows(b.numerator, b.denominator, top2),
             big_l * a.denominator ** top1 * b.denominator ** top2)
@@ -501,9 +508,7 @@ def coprime(p: HomPoly, q: HomPoly) -> bool:
 
 def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
     """Coefficients mod prime of L * p(u + t*v) in t, indexed by the power
-    of t (L the lcm of the coefficient denominators); the last entry is
-    L * p(v)."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    of t, from the integer view (L, terms); the last entry is L * p(v)."""
     powers = []
     for a, b in zip(u, v):
         rows = [[1]]
@@ -515,8 +520,8 @@ def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
             rows.append([x % prime for x in row])
         powers.append(rows)
     out = [0] * (p.degree + 1)
-    for (i, j, k), c in p.terms.items():
-        scaled = c.numerator * (den // c.denominator) % prime
+    for (i, j, k), c in p.integer_view()[1].items():
+        scaled = c % prime
         pi, pj, pk = powers[0][i], powers[1][j], powers[2][k]
         for e1, x1 in enumerate(pi):
             for e2, x2 in enumerate(pj):

@@ -16,6 +16,7 @@ from .config import (SHAPE_3CONCURRENT_PLUS2, SHAPE_3CONCURRENT_PLUS2_SPLIT,
                      SHAPE_5LINES_CAP2, SHAPE_DOUBLE_STAR, IncidenceStructure,
                      PointSet, Realization, _point_on_line, _random_point,
                      m_sequence, realize_structure)
+from .currents import sharpness_example
 from .curves import irreducible_conic_through
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, evaluate, join,
@@ -271,7 +272,6 @@ def case4_instance(seed: int) -> Instance:
 
 def example6lines(seed: int) -> Instance:
     """The 15 pairwise intersections of six generic lines."""
-    from .currents import sharpness_example
     rep = sharpness_example(seed)
     s = PointSet(rep.points)
     return Instance(kind="example6lines", seed=seed, point_set=s,

@@ -18,16 +18,19 @@ import math
 from fractions import Fraction
 
 
+def clear_denominators(values):
+    """(L, [L * v for v in values]) for a sequence of ints and Fractions,
+    L the lcm of their denominators (1 for ints or no values). The one
+    place where a rational row, point or form becomes integers."""
+    big_l = math.lcm(*(x.denominator for x in values))
+    if big_l == 1:
+        return 1, [x.numerator for x in values]
+    return big_l, [x.numerator * (big_l // x.denominator) for x in values]
+
+
 def _int_rows(rows):
     """Scale each row to integers (row scaling preserves rank)."""
-    out = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
-    return out
+    return [clear_denominators(row)[1] for row in rows]
 
 
 def bareiss_step(pivot, col, prev, rows):

@@ -148,10 +148,12 @@ def dump(obj, path) -> None:
 
 
 def _expect(doc, key, kinds=None):
+    """doc[key], of type `kinds`; a bool does not pass as an int."""
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"missing field {key!r}")
     val = doc[key]
-    if kinds is not None and not isinstance(val, kinds):
+    if kinds is not None and (not isinstance(val, kinds) or (
+            kinds is int and isinstance(val, bool))):
         raise ParseError(f"field {key!r} has the wrong type")
     return val
 
@@ -212,12 +214,13 @@ def load_instance(path):
     if _expect(doc, "type", str) != "instance":
         raise ParseError("not an instance file")
     points = tuple(decode_point(p) for p in _expect(doc, "points", list))
+    lines = _expect(doc, "lines", list) if "lines" in doc else []
     extra = doc.get("extra")
     return Instance(
         kind=_expect(doc, "kind", str), seed=_expect(doc, "seed", int),
         point_set=PointSet(points),
         m_seq=tuple(_expect(doc, "m_seq", list)),
-        lines=tuple(decode_poly(l) for l in doc.get("lines", [])),
+        lines=tuple(decode_poly(l) for l in lines),
         extra=decode_point(extra) if extra is not None else None)
 
 

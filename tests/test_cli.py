@@ -687,6 +687,25 @@ def write_instance(path, points, extra=None):
                     if extra is not None else None}, path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("lines", 5, "field 'lines' has the wrong type"),
+    ("seed", True, "field 'seed' has the wrong type")], ids=["lines", "seed"])
+def test_instance_fields_are_checked(tmp_path, capsys, field, value,
+                                     message):
+    """`"lines": 5` made `msequence` and `construct` end in an uncaught
+    TypeError (exit 1), and `"seed": true` loaded as seed 1."""
+    inst = tmp_path / "inst.json"
+    assert run("generate", "--kind", "case3", "--out", str(inst)) == EXIT_OK
+    doc = json.loads(inst.read_text())
+    assert field in doc
+    doc[field] = value
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("msequence", "construct"):
+        assert run(command, "--input", str(inst)) == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def nodal(t):
     """The point (t^2 - 1 : t(t^2 - 1) : 1) of the nodal cubic
     Y^2 Z = X^3 + X^2 Z; three such points are collinear iff

@@ -572,6 +572,52 @@ def test_reduction_runs_on_whole_forms(monkeypatch):
     assert factored == []
 
 
+def _fraction_primitive(local):
+    """A Fraction expansion scaled to coprime integers, keys in order: the
+    reduction's input before it read the integer expansion."""
+    lcm = math.lcm(*(c.denominator for c in local.values()))
+    ints = {k: int(c * lcm) for k, c in local.items()}
+    content = math.gcd(*ints.values())
+    return {k: v // content for k, v in ints.items()}
+
+
+def test_reduction_reads_the_primitive_integer_expansions(monkeypatch):
+    """On the shared-tangent pairs of the test above and the benchmark's
+    tangent pairs (seed 0), the reduction starts from the integer
+    expansions divided by their content, which are the Fraction expansions
+    scaled to coprime integers with the same key order, and its mu is the
+    strict resultant oracle's."""
+    first = []
+    local_mu = curves._local_mu
+
+    def spy(f, g):
+        if not first:
+            first.append((f, g))
+        return local_mu(f, g)
+    monkeypatch.setattr(curves, "_local_mu", spy)
+    x = ProjPoint(Fraction(1, 2), Fraction(-2, 3), Fraction(1))
+    l, m = _through(x, 2, -3), _through(x, 1, 4)
+    rng = random.Random(73)
+    cases = [(*_shared_tangent_pair(rng, l, m, degrees, singular), x)
+             for degrees, singular in [((3, 4), (False, False)),
+                                       ((3, 3), (True, True))]]
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for pair in bench.tangent_pairs(0):
+        p, q = (HomPoly(d, {(i, j, k): Fraction(c) for i, j, k, c in terms})
+                for d, terms in (pair["p"], pair["q"]))
+        cases.append((p, q, ProjPoint(*map(Fraction, pair["x"]))))
+    for p, q, y in cases:
+        first.clear()
+        mu = curves._reduction_mu(p, q, y)
+        want = [_fraction_primitive(f.local_expansion(y)[1]) for f in (p, q)]
+        assert [list(f.items()) for f in first[0]] == \
+            [list(f.items()) for f in want]
+        assert mu == resultant_multiplicity(p, q, y, strict=True)
+
+
 # the certificates that tests/test_construct.py builds
 SUITE_CERTIFICATES = [("generic12", 7), ("generic12", 19), ("conic6", 3),
                       ("conic7", 1), ("figure1", 2), ("case2", 5),

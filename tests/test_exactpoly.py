@@ -340,6 +340,36 @@ def random_big_poly(rng, degree, bits):
     return p if not p.is_zero else HomPoly.monomial((0, 0, degree), 3)
 
 
+def test_integer_view_is_l_times_the_terms():
+    """(L, ints) with L the lcm of the denominators and ints the terms of
+    L * p in the order of p.terms, on random forms with big denominators
+    and on zero forms; computed once."""
+    rng = random.Random(31)
+    forms = [HomPoly.zero(0), HomPoly.zero(4)]
+    forms += [random_big_poly(rng, rng.randint(0, 8), rng.choice((1, 40, 200)))
+              for _ in range(60)]
+    for f in forms:
+        big_l, ints = f.integer_view()
+        assert big_l == math.lcm(*(c.denominator for c in f.terms.values()))
+        assert list(ints) == list(f.terms)
+        assert all(type(v) is int and v == big_l * f.terms[e]
+                   for e, v in ints.items())
+        assert f.integer_view() is f.integer_view()
+    assert HomPoly.zero(2).integer_view() == (1, {})
+
+
+def test_integer_view_leaves_equality_and_hash_alone():
+    rng = random.Random(32)
+    for _ in range(20):
+        f = random_big_poly(rng, rng.randint(0, 6), 60)
+        g = HomPoly(f.degree, dict(reversed(list(f.terms.items()))))
+        f.integer_view()
+        assert f == g and g == f and hash(f) == hash(g)
+        assert len({f, g}) == 1
+        g.integer_view()
+        assert f == g and hash(f) == hash(g)
+
+
 def line_through(a, b):
     """The line through two points given as integer triples."""
     return HomPoly.line(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],

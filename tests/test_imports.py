@@ -39,8 +39,6 @@ FUNCTION_BODY_IMPORTS = {
     ("exactpoly", "curves"): "coprime's exact fallback, "
     "curves._shares_component: curves imports exactpoly, so a module-level "
     "import would be a cycle",
-    ("instances", "currents"): "only the example6lines generator reads "
-    "currents.sharpness_example; no other generator uses the estimators",
     ("serialize", "instances"): "only the instance encoder and "
     "load_instance need the Instance type; no other document depends on "
     "the generators",

@@ -26,9 +26,9 @@ from expr_reference import (reference_condition_rows, reference_lll_reduce,
 from lelongplane import linalg, linsys
 from lelongplane.exactpoly import monomial_count
 from lelongplane.instances import INSTANCE_KINDS, generate, generic12
-from lelongplane.linalg import (_lll_reduce, bareiss_step, frac_rref, int_det,
-                                int_rank, int_rref, nullspace, reduce_row,
-                                solve_exact)
+from lelongplane.linalg import (_lll_reduce, bareiss_step, clear_denominators,
+                                frac_rref, int_det, int_rank, int_rref,
+                                nullspace, reduce_row, solve_exact)
 from lelongplane.linsys import (VanishingCondition, build_system,
                                 condition_rows)
 
@@ -36,6 +36,28 @@ from lelongplane.linsys import (VanishingCondition, build_system,
 def _mat(rng, nrows, ncols, span=9):
     return [[Fraction(rng.randint(-span, span), rng.randint(1, 4))
              for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_clear_denominators_on_int_fraction_and_mixed_rows():
+    """L is the lcm of the denominators and the entries are L times the
+    values, as ints, for int, Fraction and mixed rows; the empty row and
+    Fractions with denominator 1 give L = 1."""
+    assert clear_denominators([]) == (1, [])
+    assert clear_denominators([3, -4, 0]) == (1, [3, -4, 0])
+    assert clear_denominators([Fraction(6, 3), Fraction(-5)]) == (1, [2, -5])
+    assert clear_denominators([Fraction(1, 4), Fraction(-5, 6), 0]) == \
+        (12, [3, -10, 0])
+    assert clear_denominators((7, Fraction(2, 9), -1)) == (9, [63, 2, -9])
+    rng = random.Random(23)
+    for _ in range(100):
+        row = [rng.choice((rng.randint(-10 ** 20, 10 ** 20),
+                           Fraction(rng.randint(-10 ** 20, 10 ** 20),
+                                    rng.randint(1, 10 ** rng.randint(0, 9)))))
+               for _ in range(rng.randint(1, 12))]
+        big_l, ints = clear_denominators(row)
+        assert big_l == math.lcm(*(Fraction(x).denominator for x in row))
+        assert all(type(v) is int for v in ints)
+        assert ints == [x * big_l for x in row]
 
 
 def test_rank_oracles():
