@@ -225,8 +225,6 @@ class HomPoly:
         coordinates, on integers: with the coordinates cleared over their
         common denominator D and the integer view (L, terms), the integer
         sum of the terms at them over L * D^d, as one Fraction."""
-        if not self.terms:
-            return Fraction(0)
         d = self.degree
         big_l, ints = self.integer_view()
         scale, coords = clear_denominators((a, b, c))

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals used by every module.
 
-Everything runs on integer-scaled rows, with no sympy. One fraction-free
-elimination step (Bareiss), `bareiss_step`, serves the rank and
-determinant queries and the m-sequence's search for dependent Gale
+Everything runs on integer-scaled rows, with no sympy;
+`clear_denominators` is the one place where rational rows, points and
+forms become integers, over the lcm of their denominators. One
+fraction-free elimination step (Bareiss), `bareiss_step`, serves the rank
+and determinant queries and the m-sequence's search for dependent Gale
 vectors, which carries the reduced rows down its search tree. One integer
 reduced row echelon form, `int_rref`, reduces the rows one at a time
 through `reduce_row` and then back-substitutes in integers; `solve_exact`

@@ -90,6 +90,14 @@ def sweep(workdir) -> dict:
     return manifest
 
 
+def write(manifest: dict) -> None:
+    """One line per command, sorted, so a changed entry is one changed
+    line."""
+    lines = [f"{json.dumps(name)}: {json.dumps(entry, sort_keys=True)}"
+             for name, entry in sorted(manifest.items())]
+    MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
 def load() -> dict:
     return json.loads(MANIFEST.read_text())
 
@@ -108,7 +116,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         got = sweep(workdir)
     if args.write:
-        MANIFEST.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        write(got)
         print(f"wrote {len(got)} entries to {MANIFEST.name}")
         return 0
     changed = differences(got, load())
