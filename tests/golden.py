@@ -3,11 +3,14 @@ SHA-256 in `golden_manifest.json`.
 
 The sweep runs `generate`, `msequence`, `linsys --degree 6 --double
 1,...,6`, `construct`, `certify` and `lelong` over each instance kind at
-seeds 0-3, then `sharpness` at seeds 0-3 and `enumerate --cap 2`, all
-in-process through `cli.main`. For each command the manifest holds its
-argv, exit code, the SHA-256 of its stdout and stderr, and that of each
-file it wrote. Files are named relative to the working directory, so the
-bytes do not depend on where the sweep runs.
+seeds 0-3, then `sharpness` at seeds 0-3 and `enumerate --cap 2`, then
+`--help` of the program and of each command and one usage error
+(`generate` with no `--kind`), all in-process through `cli.main`. For
+each command the manifest holds its argv, exit code (argparse's
+`SystemExit` code for help and usage), the SHA-256 of its stdout and
+stderr, and that of each file it wrote. Files are named relative to the
+working directory, and the sweep runs with COLUMNS=80, so the bytes do
+not depend on where it runs or on the terminal.
 
     python tests/golden.py            compare with the manifest
     python tests/golden.py --write    re-record the manifest
@@ -30,6 +33,8 @@ from pathlib import Path
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 SEEDS = range(4)
+COMMANDS = ("generate", "msequence", "linsys", "construct", "certify",
+            "lelong", "sharpness", "enumerate")
 
 
 def _digest(data: bytes) -> str:
@@ -64,6 +69,10 @@ def _commands():
                ["sharpness", "--seed", str(seed), "--out", out], [out])
     yield ("enumerate-2", ["enumerate", "--cap", "2", "--out", "enum.json"],
            ["enum.json"])
+    yield "help", ["--help"], []
+    for command in COMMANDS:
+        yield f"help/{command}", [command, "--help"], []
+    yield "usage-error/generate", ["generate"], []
 
 
 def sweep(workdir) -> dict:
@@ -71,14 +80,18 @@ def sweep(workdir) -> dict:
     manifest it gives."""
     from lelongplane.cli import main
     manifest = {}
-    here = os.getcwd()
+    here, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(workdir)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
     try:
         for name, argv, files in _commands():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                code = main(argv)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: help and usage
+                    code = exc.code
             manifest[name] = {
                 "argv": argv, "exit": code,
                 "stdout": _digest(out.getvalue().encode()),
@@ -87,6 +100,10 @@ def sweep(workdir) -> dict:
                           for f in files if Path(f).exists()}}
     finally:
         os.chdir(here)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return manifest
 
 
