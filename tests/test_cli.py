@@ -475,7 +475,9 @@ def test_lelong_refuses_samples_that_overflow_floats(tmp_path, capsys):
     path = tmp_path / "cert.json"
     serialize.dump(cert, path)
     assert run("lelong", "--input", str(path)) == EXIT_PRECONDITION
-    assert "leave the range of floats" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "leave the range of floats" in captured.err
+    assert captured.out == ""
 
 
 def test_lelong_refuses_a_scale_too_small_for_floats(tmp_path, capsys):
@@ -485,7 +487,9 @@ def test_lelong_refuses_a_scale_too_small_for_floats(tmp_path, capsys):
     assert run("certify", "--input", str(path)) == EXIT_OK
     capsys.readouterr()
     assert run("lelong", "--input", str(path)) == EXIT_PRECONDITION
-    assert "below radius 2^-2000" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "below radius 2^-2000" in captured.err
+    assert captured.out == ""
 
 
 def test_lelong_caps_a_scale_too_large_for_floats(tmp_path, capsys):
@@ -498,10 +502,44 @@ def test_lelong_caps_a_scale_too_large_for_floats(tmp_path, capsys):
     out = tmp_path / "lelong.json"
     assert run("lelong", "--input", str(path),
                "--out", str(out)) == EXIT_VERIFICATION
-    assert "estimates off" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "estimates off" in captured.err
+    assert captured.out == ("point ('0', '0', '1') claimed=1 slope=1.0000\n"
+                            "growth slope=1.0000 claimed=3\n")
     (pole,) = json.loads(out.read_text())["poles"]
     assert max(float(r) for r in pole["radii"]) < 2 ** 12
     assert abs(float(pole["extrapolated"]) - 1) < 0.05
+
+
+def test_lelong_prints_the_points_before_a_failing_point(tmp_path, capsys):
+    """X (2^2000 Z^2 + Y^2) and YZ (Y + Z): at (0:0:1) the cone 2^2000 x
+    dominates and the pole line is printed; at (0:1:0) the cone x dominates
+    only below radius 2^-1000, and `lelong` exits 2 after that line."""
+    cert = make_certificate(HomPoly(3, {(1, 0, 2): 2 ** 2000, (1, 2, 0): 1}),
+                            HomPoly(3, {(0, 2, 1): 1, (0, 1, 2): 1}),
+                            [ProjPoint(0, 0, 1), ProjPoint(0, 1, 0)],
+                            "extreme_scale")
+    path = tmp_path / "cert.json"
+    serialize.dump(cert, path)
+    assert run("lelong", "--input", str(path)) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "point ('0', '0', '1') claimed=1 slope=1.0000\n"
+    assert "below radius 2^-1000" in captured.err
+
+
+def test_lelong_prints_the_points_before_a_failing_growth(tmp_path, capsys):
+    """XZ^69 + Y^70 and YZ^69 + X^70: the pole at (0:0:1) is estimated and
+    printed, then |P|^2 overflows floats at growth radius 2^8, and `lelong`
+    exits 2 after the pole line."""
+    cert = make_certificate(HomPoly(70, {(1, 0, 69): 1, (0, 70, 0): 1}),
+                            HomPoly(70, {(0, 1, 69): 1, (70, 0, 0): 1}),
+                            [ProjPoint(0, 0, 1)], "extreme_scale")
+    path = tmp_path / "cert.json"
+    serialize.dump(cert, path)
+    assert run("lelong", "--input", str(path)) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "point ('0', '0', '1') claimed=1 slope=1.0000\n"
+    assert "samples at radius 256 leave the range" in captured.err
 
 
 def engineered_certificate(tmp_path):
