@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .config import enumerate_4lines, m_sequence
 from .construct import construct_certificate, verify_certificate
-from .currents import (_estimate_pole_weight, _local_forms, _pole_scale,
-                       estimate_growth, sharpness_example)
+from .currents import (GROWTH_RADII, estimate_growth, pole_estimates,
+                       sharpness_example)
 from .errors import (ParseError, PreconditionError, UnsupportedInstanceError,
                      VerificationError)
 from .instances import INSTANCE_KINDS, generate
@@ -113,20 +112,14 @@ def cmd_lelong(args) -> int:
     if not verify_certificate(cert).verified:
         raise VerificationError("certificate failed independent verification")
     cert = dataclasses.replace(cert, verified=True)
-    growth_radii = [Fraction(2 ** k) for k in range(8, 17)]
     estimates = []
     worst = 0.0
-    for x, w in cert.points:
-        # one expansion per point serves both the scale and the estimate
-        local = _local_forms(cert.p, cert.q, x)
-        rho = _pole_scale(local)
-        pole_radii = [rho * 2.0 ** -k for k in range(4, 13)]
-        est = _estimate_pole_weight(cert, x, local, pole_radii, args.seed)
+    for est in pole_estimates(cert, args.seed):
         estimates.append(est)
-        worst = max(worst, abs(est.extrapolated - float(w)))
-        print(f"point {tuple(map(str, x.coords))} claimed={w} "
-              f"slope={est.extrapolated:.4f}")
-    growth = estimate_growth(cert, growth_radii, seed=args.seed)
+        worst = max(worst, abs(est.extrapolated - float(est.exact)))
+        print(f"point {tuple(map(str, est.point.coords))} "
+              f"claimed={est.exact} slope={est.extrapolated:.4f}")
+    growth = estimate_growth(cert, GROWTH_RADII, seed=args.seed)
     print(f"growth slope={growth.slope:.4f} claimed={growth.claimed}")
     _write_report(args, {"schema_version": serialize.SCHEMA_VERSION,
                          "type": "lelong_report",

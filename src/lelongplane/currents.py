@@ -4,17 +4,18 @@ Lelong numbers of arrangement currents are exact sums of incident weights;
 Euclidean ball masses have the closed form sum w * max(0, r^2 - d^2) / r^2
 over the lines at distance d. Pole weights and growth rates of certified
 potentials u = (1/2r) log(|P|^2 + |Q|^2) are estimated numerically from
-exact local expansions, so the samples stay cancellation-free down to very
-small radii. The expansions come from an integer Taylor shift
-(``HomPoly.local_expansion``), scaled once and converted to floats.
+exact jets, so the samples stay cancellation-free down to very small
+radii. A jet is (den, integer terms), from the integer Taylor shift
+(``exactpoly.int_expansion``), scaled once and converted to floats.
 
 The estimators take absolute radii. Which radii are small enough depends
 on the point: where the higher-order coefficients of the expansion dwarf
 those of the tangent cone, the slope is still biased at radius 2^-16.
 ``pole_scale`` computes the radius rho* below which the tangent cone
-dominates, exactly and in logs, and the ``lelong`` command samples each
-listed point at rho* 2^-4 .. 2^-12, with rho* capped at 2^16; a rho*
-below 2^-64, or samples that leave the range of floats, raise
+dominates, exactly and in logs. For ``lelong``, ``pole_estimates``
+samples each listed point at rho* 2^-4 .. 2^-12, rho* capped at 2^16,
+and the growth is sampled at GROWTH_RADII = 2^8 .. 2^16; a rho* below
+2^-64, or samples that leave the range of floats, raise
 PreconditionError instead. Each circle is sampled in four seeded
 directions (``_directions``): along any direction where the tangent cone
 does not vanish, u(x + rho v) already grows like min(ord P, ord Q) / r
@@ -27,11 +28,12 @@ over the terms of a form in sorted exponent order, starting from the int 0.
 These are the float operations of a plain term-by-term evaluation in the
 same order, so the estimates are bit-for-bit those of that evaluation.
 
-Each exact fact is computed once per command. The ``lelong`` command
-expands P and Q once per listed point (``_local_forms``) for both the
-scale and the estimate; the verifier, the independent check run first,
-reads only orders and tangent cones. The sharpness example reads its 105
-full-rank verdicts on the 13-point subsets off its m-sequence (m3 < 13).
+Each exact fact is computed once per command. ``pole_estimates`` expands
+P and Q once per listed point (``_local_forms``) for both the scale and
+the estimate; ``estimate_growth`` reads each integer view at Z = 1. The
+verifier, the independent check run first, reads only orders and tangent
+cones. The sharpness example reads its 105 full-rank verdicts on the
+13-point subsets off its m-sequence (m3 < 13).
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from operator import mul
 from .config import PointSet, m_sequence
 from .construct import PotentialCertificate
 from .errors import PreconditionError
-from .exactpoly import HomPoly, ProjPoint, evaluate, line_coeffs, meet
+from .exactpoly import (HomPoly, ProjPoint, evaluate, int_expansion,
+                        line_coeffs, meet)
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class LelongEstimate:
     radii: tuple[float, ...]
     values: tuple[float, ...]
     extrapolated: float
-    exact: Fraction | None
+    exact: Fraction
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,9 @@ def _directions(seed: int):
 
 
 def _local_forms(p: HomPoly, q: HomPoly, x: ProjPoint):
-    """The exact local expansions of p and q at x, in the chart of x."""
-    chart = x.chart()
-    return p.local_expansion(x, chart)[1], q.local_expansion(x, chart)[1]
+    """The jets of p and q at x: each (den, integer terms) from
+    `int_expansion`, the local expansion in the chart of x."""
+    return int_expansion(p, x)[1:], int_expansion(q, x)[1:]
 
 
 def pole_scale(p: HomPoly, q: HomPoly, x: ProjPoint) -> float:
@@ -162,10 +165,12 @@ def pole_scale(p: HomPoly, q: HomPoly, x: ProjPoint) -> float:
 _LOG2 = math.log(2)
 
 
-def _pole_scale(local) -> float:
-    """`pole_scale` from the pair of exact local expansions."""
-    terms = [(i + j, math.log(abs(c.numerator)) - math.log(c.denominator))
-             for f in local for (i, j), c in f.items()]
+def _pole_scale(jets) -> float:
+    """`pole_scale` from the pair of jets. Each log |n / den| is taken on
+    the reduced pair, the numerator and denominator of Fraction(n, den)."""
+    terms = [(i + j, math.log(abs(n) // g) - math.log(den // g))
+             for den, f in jets for (i, j), n in f.items()
+             for g in (math.gcd(n, den),)]
     m = min(d for d, _ in terms)
     cone = max(lc for d, lc in terms if d == m)
     log_rho = min(((cone - lc) / (d - m) for d, lc in terms if d > m),
@@ -177,20 +182,22 @@ def _pole_scale(local) -> float:
     return math.exp(min(log_rho, 16 * _LOG2))
 
 
-def _scaled_floats(fp, fq):
-    """Both exact forms as float dicts under a shared normalization, so
-    float evaluation cannot overflow; the dropped log-scale only shifts u
-    by a constant and leaves every slope unchanged.
+def _scaled_floats(jp, jq):
+    """Both jets (den, integer terms) as float dicts under a shared
+    normalization, so float evaluation cannot overflow; the dropped
+    log-scale only shifts u by a constant and leaves every slope
+    unchanged.
 
-    Each float is c / scale, formed as the int quotient
-    (c.numerator * scale.denominator) / (c.denominator * scale.numerator):
-    int true division rounds correctly, as `Fraction.__float__` does, so
-    the floats are those of float(c / scale) without a Fraction division.
+    The scale sn/sd is the largest |n| / den over the two jets, and each
+    float is the int quotient (n * sd) / (den * sn): int true division
+    rounds the exact quotient correctly, as `Fraction.__float__` does, so
+    the floats are those of float(Fraction(n, den) / scale).
     """
-    scale = max(map(abs, itertools.chain(fp.values(), fq.values())))
-    sn, sd = scale.numerator, scale.denominator
-    return tuple({k: (c.numerator * sd) / (c.denominator * sn)
-                  for k, c in f.items()} for f in (fp, fq))
+    (a, da), (b, db) = ((max(map(abs, f.values()), default=0), den)
+                        for den, f in (jp, jq))
+    sn, sd = (a, da) if a * db >= b * da else (b, db)
+    return tuple({k: (n * sd) / (den * sn) for k, n in f.items()}
+                 for den, f in (jp, jq))
 
 
 def _evaluator(f):
@@ -237,6 +244,17 @@ def _max_potential(fp, fq, r: int, radii, dirs) -> list[float]:
     return values
 
 
+def _sampled_slope(cert: PotentialCertificate, jets, radii, seed: int):
+    """(sample maxima, slope): `_max_potential` of the two jets at the
+    radii in the order given, which fixes the bits of the float sums, and
+    the least-squares slope of the maxima against log radius."""
+    if len(radii) < 3:
+        raise PreconditionError("need at least 3 radii")
+    fp, fq = _scaled_floats(*jets)
+    values = _max_potential(fp, fq, cert.r, radii, _directions(seed))
+    return values, _fit_slope([math.log(r) for r in radii], values)
+
+
 def estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, radii,
                          seed: int = 0) -> LelongEstimate:
     """Least-squares slope of max u on shrinking circles around x against
@@ -245,41 +263,48 @@ def estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, radii,
                                  radii, seed)
 
 
-def _estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, local,
+def _estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, jets,
                           radii, seed: int) -> LelongEstimate:
-    """`estimate_pole_weight` from the pair of exact local expansions of
-    cert.p and cert.q at x."""
+    """`estimate_pole_weight` from the jets of cert.p and cert.q at x."""
     if not cert.verified:
         raise PreconditionError("certificate must be verified")
-    claimed = None
-    for pt, w in cert.points:
-        if pt.coords == x.coords:
-            claimed = w
-            break
+    claimed = next((w for pt, w in cert.points if pt.coords == x.coords),
+                   None)
     if claimed is None:
         raise PreconditionError("point is not listed in the certificate")
     radii = sorted((float(r) for r in radii), reverse=True)
-    if len(radii) < 3:
-        raise PreconditionError("need at least 3 radii")
-    fp, fq = _scaled_floats(*local)
-    values = _max_potential(fp, fq, cert.r, radii, _directions(seed))
-    slope = _fit_slope([math.log(r) for r in radii], values)
+    values, slope = _sampled_slope(cert, jets, radii, seed)
     return LelongEstimate(point=x, radii=tuple(radii), values=tuple(values),
                           extrapolated=slope, exact=claimed)
+
+
+def pole_estimates(cert: PotentialCertificate, seed: int):
+    """The pole estimate at each listed point of cert, in order, sampled
+    as the ``lelong`` command samples them: one pair of jets per point
+    gives both rho* (`pole_scale`) and the estimate at the radii
+    rho* 2^-4 .. 2^-12."""
+    for x, _ in cert.points:
+        jets = _local_forms(cert.p, cert.q, x)
+        rho = _pole_scale(jets)
+        yield _estimate_pole_weight(
+            cert, x, jets, [rho * 2.0 ** -k for k in range(4, 13)], seed)
+
+
+GROWTH_RADII = tuple(2.0 ** k for k in range(8, 17))
 
 
 def estimate_growth(cert: PotentialCertificate, radii,
                     seed: int = 0) -> GrowthEstimate:
     """Slope of max u on spheres ||z|| = R against log R; converges to
-    gamma = degree / r."""
+    gamma = degree / r. The forms are read at Z = 1 off their integer
+    views, keyed by the exponents of X and Y."""
     if not cert.verified:
         raise PreconditionError("certificate must be verified")
     radii = sorted(float(r) for r in radii)
-    if len(radii) < 3:
-        raise PreconditionError("need at least 3 radii")
-    fp, fq = _scaled_floats(cert.p.dehomogenize(2), cert.q.dehomogenize(2))
-    values = _max_potential(fp, fq, cert.r, radii, _directions(seed))
-    slope = _fit_slope([math.log(r) for r in radii], values)
+    jets = [(big_l, {(i, j): n for (i, j, _), n in ints.items()})
+            for big_l, ints in (cert.p.integer_view(),
+                                cert.q.integer_view())]
+    values, slope = _sampled_slope(cert, jets, radii, seed)
     return GrowthEstimate(radii=tuple(radii), max_values=tuple(values),
                           slope=slope, claimed=cert.gamma_u)
 

@@ -10,7 +10,9 @@ and the ring converters use sympy's polynomial rings, which
 
 Each form keeps one integer view (`HomPoly.integer_view`): L, the lcm of
 its denominators, and the integer terms of L * p. Evaluation, the Taylor
-shift (`int_expansion`), `coprime` and the resultants of `curves` read it.
+shift (`int_expansion`, in the chart of the point, read by the μ
+reduction and the estimators of `currents`; `local_expansion` is its
+Fraction view), `coprime` and the resultants of `curves` read it.
 """
 
 from __future__ import annotations
@@ -234,15 +236,7 @@ class HomPoly:
             total += coeff * ta[i] * tb[j] * tc[k]
         return Fraction(total, big_l * scale ** d)
 
-    def dehomogenize(self, chart: int) -> dict[tuple[int, int], Fraction]:
-        """Set the chart variable to 1; keys are exponents of the remaining
-        two variables in (X, Y, Z) order."""
-        # the degree fixes the chart exponent, so no two terms share a key
-        o1, o2 = [i for i in range(3) if i != chart]
-        return {(exps[o1], exps[o2]): coeff
-                for exps, coeff in self.terms.items()}
-
-    def local_expansion(self, x: ProjPoint, chart: int | None = None
+    def local_expansion(self, x: ProjPoint
                         ) -> tuple[int, dict[tuple[int, int], Fraction]]:
         """Dehomogenize at the chart of x and translate x to the origin.
 
@@ -250,17 +244,17 @@ class HomPoly:
         result is the vanishing order of the polynomial at x. The Fraction
         view of `int_expansion`, with the same keys in the same order.
         """
-        chart, den, out = int_expansion(self, x, chart)
+        chart, den, out = int_expansion(self, x)
         return chart, {k: Fraction(v, den) for k, v in out.items()}
 
 
-def int_expansion(p: HomPoly, x: ProjPoint, chart: int | None = None
+def int_expansion(p: HomPoly, x: ProjPoint
                   ) -> tuple[int, int, dict[tuple[int, int], int]]:
     """(chart, den, terms): the local expansion of p at x in the chart
-    (default x.chart()) is the nonzero integer terms over den, from the
-    integer Taylor shift of _shift_tables. Keys appear in order of first
+    x.chart() is the nonzero integer terms over den, from the integer
+    Taylor shift of _shift_tables. Keys appear in order of first
     contribution: terms in dehomogenized order, then i, then j."""
-    chart, nums, rows1, rows2, den = _shift_tables(p, x, chart)
+    chart, nums, rows1, rows2, den = _shift_tables(p, x)
     out: dict[tuple[int, int], int] = {}
     for e1, e2, num in nums:
         row2 = rows2[e2]
@@ -272,15 +266,14 @@ def int_expansion(p: HomPoly, x: ProjPoint, chart: int | None = None
     return chart, den, {k: v for k, v in out.items() if v}
 
 
-def _shift_tables(p: HomPoly, x: ProjPoint, chart: int | None):
+def _shift_tables(p: HomPoly, x: ProjPoint):
     """(chart, nums, rows1, rows2, den) for the shift of p to x = (a, b),
-    a = an/ad and b = bn/bd in the chart (default x.chart()). Each term
-    (e1, e2, num) of the integer view (L, terms), dehomogenized, has its
+    a = an/ad and b = bn/bd in the chart x.chart(). Each term (e1, e2,
+    num) of the integer view (L, terms), dehomogenized, has its
     coefficient as num/L; the coefficient of s^i t^j in the shift is the
     sum of num * rows1[e1][i] * rows2[e2][j] over den = L * ad^E1 * bd^E2,
     where E1 and E2 are the largest exponents of s and t."""
-    if chart is None:
-        chart = x.chart()
+    chart = x.chart()
     a, b = x.affine(chart)
     big_l, ints = p.integer_view()
     if not ints:
@@ -311,7 +304,7 @@ def order_and_cone(p: HomPoly, x: ProjPoint):
     zero form gives (math.inf, None)."""
     if p.is_zero:
         return math.inf, None
-    _, nums, rows1, rows2, _ = _shift_tables(p, x, None)
+    _, nums, rows1, rows2, _ = _shift_tables(p, x)
     mat = [[0] * len(rows2) for _ in rows1]
     for e1, e2, num in nums:
         mat[e1][e2] = num

@@ -41,15 +41,24 @@ INSTANCE_KINDS = ("generic12", "figure1", "figure2", "figure3", "figure4",
 _BUDGET = 200
 
 
-def _distinct_points(rng, count):
-    pts = []
-    seen = set()
-    while len(pts) < count:
-        p = _random_point(rng)
-        if p.coords not in seen:
+def _distinct(draw, count, avoid, what):
+    """count distinct points from draw(), which gives a point or None,
+    none of them in avoid, within _BUDGET draws per point."""
+    out, seen = [], {p.coords for p in avoid}
+    for _ in range(_BUDGET * count):
+        if len(out) == count:
+            break
+        p = draw()
+        if p is not None and p.coords not in seen:
             seen.add(p.coords)
-            pts.append(p)
-    return pts
+            out.append(p)
+    if len(out) < count:
+        raise PreconditionError(f"{what} sampling budget exhausted")
+    return out
+
+
+def _distinct_points(rng, count):
+    return _distinct(lambda: _random_point(rng), count, (), "point")
 
 
 def random_conic(rng) -> tuple[HomPoly, ProjPoint]:
@@ -85,33 +94,9 @@ def second_intersection(conic: HomPoly, p0: ProjPoint, d: ProjPoint):
 
 def points_on_conic(conic: HomPoly, p0: ProjPoint, rng, count: int):
     """count distinct rational points on the conic, not including p0."""
-    out = []
-    seen = {p0.coords}
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > _BUDGET * count:
-            raise PreconditionError("conic point sampling budget exhausted")
-        p = second_intersection(conic, p0, _random_point(rng))
-        if p is not None and p.coords not in seen:
-            seen.add(p.coords)
-            out.append(p)
-    return out
-
-
-def _points_on_line(line: HomPoly, rng, count: int, avoid=()):
-    out = []
-    seen = {p.coords for p in avoid}
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > _BUDGET * count:
-            raise PreconditionError("line point sampling budget exhausted")
-        p = _point_on_line(line, rng)
-        if p.coords not in seen:
-            seen.add(p.coords)
-            out.append(p)
-    return out
+    return _distinct(lambda: second_intersection(conic, p0,
+                                                 _random_point(rng)),
+                     count, (p0,), "conic point")
 
 
 def _certified(kind, seed, points, expect, lines=(), extra=None):
@@ -190,7 +175,8 @@ def case2_instance(seed: int) -> Instance:
         line = join(a, b)
         if evaluate(line, p0) == 0:
             continue
-        on_line = [a, b] + _points_on_line(line, rng, 2, avoid=(a, b))
+        on_line = [a, b] + _distinct(lambda: _point_on_line(line, rng), 2,
+                                     (a, b), "line point")
         on_conic = [p0] + points_on_conic(conic, p0, rng, 5)
         if any(evaluate(line, p) == 0 for p in on_conic):
             continue
@@ -215,7 +201,8 @@ def case3_instance(seed: int) -> Instance:
         line = join(x8, x9)
         if any(evaluate(line, p) == 0 for p in on_conic):
             continue
-        (x12,) = _points_on_line(line, rng, 1, avoid=(x8, x9))
+        (x12,) = _distinct(lambda: _point_on_line(line, rng), 1, (x8, x9),
+                           "line point")
         x10, x11 = _distinct_points(rng, 2)
         pts = on_conic + [x8, x9, x10, x11, x12]
         if len({p.coords for p in pts}) != 12:
@@ -238,7 +225,8 @@ def case4_instance(seed: int) -> Instance:
         line = join(a, b)
         if evaluate(line, p0) == 0:
             continue
-        on_line = [a, b] + _points_on_line(line, rng, 2, avoid=(a, b))
+        on_line = [a, b] + _distinct(lambda: _point_on_line(line, rng), 2,
+                                     (a, b), "line point")
         if any(evaluate(line, p) == 0 for p in on_conic):
             continue
         (x12,) = _distinct_points(rng, 1)

@@ -94,8 +94,7 @@ def encode(obj):
                 "radii": [repr(r) for r in obj.radii],
                 "values": [repr(v) for v in obj.values],
                 "extrapolated": repr(obj.extrapolated),
-                "exact": fraction_to_str(obj.exact)
-                if obj.exact is not None else None}
+                "exact": fraction_to_str(obj.exact)}
     if isinstance(obj, GrowthEstimate):
         return {"type": "growth_estimate",
                 "radii": [repr(r) for r in obj.radii],

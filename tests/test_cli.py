@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from lelongplane import construct, curves, exactpoly, serialize
+from lelongplane import construct, currents, curves, exactpoly, serialize
 from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                              EXIT_UNSUPPORTED, EXIT_VERIFICATION, main)
 from lelongplane.construct import (PotentialCertificate, make_certificate,
@@ -180,11 +180,16 @@ def test_lelong_matches_golden_digests(tmp_path, capsys, kind):
 
 
 def spy_expansions(monkeypatch):
-    """Counts of the full expansions and of the order-and-cone reads, from
-    every module that calls order_and_cone."""
-    calls = {"local_expansion": 0, "order_and_cone": 0}
+    """Counts of the full expansions, integer and Fraction, and of the
+    order-and-cone reads, from every module that calls them."""
+    calls = {"int_expansion": 0, "local_expansion": 0, "order_and_cone": 0}
+    real_int = exactpoly.int_expansion
     real_expansion = HomPoly.local_expansion
     real_cone = exactpoly.order_and_cone
+
+    def int_expansion(*args):
+        calls["int_expansion"] += 1
+        return real_int(*args)
 
     def expansion(self, *args, **kwargs):
         calls["local_expansion"] += 1
@@ -194,6 +199,8 @@ def spy_expansions(monkeypatch):
         calls["order_and_cone"] += 1
         return real_cone(*args)
     monkeypatch.setattr(HomPoly, "local_expansion", expansion)
+    for module in (exactpoly, curves, currents):
+        monkeypatch.setattr(module, "int_expansion", int_expansion)
     for module in (exactpoly, curves):
         monkeypatch.setattr(module, "order_and_cone", cone)
     return calls
@@ -201,14 +208,16 @@ def spy_expansions(monkeypatch):
 
 def test_lelong_expands_once_and_reads_cones_once_per_form_and_point(
         tmp_path, capsys, monkeypatch):
-    """The scale and the estimate share one full expansion of each form per
-    point; the verifier reads only the order and cone: 24 of each for the
-    12 points of the generic12 certificate."""
+    """The scale and the estimate share one integer expansion of each form
+    per point, and no Fraction expansion is made; the verifier reads only
+    the order and cone: 24 of each for the 12 points of the generic12
+    certificate."""
     cert = seed0_certificate(tmp_path, "generic12")
     assert len(serialize.load_certificate(str(cert)).points) == 12
     calls = spy_expansions(monkeypatch)
     assert run("lelong", "--input", str(cert)) == EXIT_OK
-    assert calls == {"local_expansion": 24, "order_and_cone": 24}
+    assert calls == {"int_expansion": 24, "local_expansion": 0,
+                     "order_and_cone": 24}
     capsys.readouterr()
 
 
@@ -216,7 +225,8 @@ def test_certify_makes_no_full_expansion(tmp_path, capsys, monkeypatch):
     cert = seed0_certificate(tmp_path, "generic12")
     calls = spy_expansions(monkeypatch)
     assert run("certify", "--input", str(cert)) == EXIT_OK
-    assert calls == {"local_expansion": 0, "order_and_cone": 24}
+    assert calls == {"int_expansion": 0, "local_expansion": 0,
+                     "order_and_cone": 24}
     capsys.readouterr()
 
 

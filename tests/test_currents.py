@@ -25,7 +25,8 @@ from lelongplane.construct import (construct_certificate,
                                    construct_certificate_m3_9,
                                    make_certificate)
 from lelongplane.currents import (ArrangementCurrent, _directions,
-                                  _evaluator, _scaled_floats, estimate_growth,
+                                  _evaluator, _pole_scale, _scaled_floats,
+                                  estimate_growth,
                                   estimate_pole_weight, lelong_ball_mass,
                                   lelong_exact, mass_inequality_check,
                                   pole_scale, sharpness_example)
@@ -115,9 +116,8 @@ def scaled_radii(cert, x):
 def reference_pole_scale(p, q, x):
     """rho* in Fraction arithmetic: min over the terms c of degree d > m of
     (A / |c|) ** (1 / (d - m)), A the largest |coefficient| of degree m."""
-    chart = x.chart()
     terms = [(i + j, abs(c)) for f in (p, q)
-             for (i, j), c in f.local_expansion(x, chart)[1].items()]
+             for (i, j), c in f.local_expansion(x)[1].items()]
     m = min(d for d, _ in terms)
     cone = max(c for d, c in terms if d == m)
     return min((float(cone / c) ** (1 / (d - m)) for d, c in terms if d > m),
@@ -150,12 +150,47 @@ def test_pole_scale_takes_logs_of_coefficients_beyond_float_range():
     cert = construct_certificate(inst.point_set, extra=inst.extra)\
         .certificate
     x = cert.points[0][0]
-    local = cert.q.local_expansion(x, x.chart())[1]
+    local = cert.q.local_expansion(x)[1]
     with pytest.raises(OverflowError):
         [float(c) for c in local.values()]
     for x, _ in cert.points:
         rho = pole_scale(cert.p, cert.q, x)
         assert 0 < rho < math.inf
+
+
+def fraction_pole_scale(fp, fq):
+    """rho* from Fraction coefficients, in logs of the numerator and
+    denominator of each, capped at 2^16."""
+    terms = [(i + j, math.log(abs(c.numerator)) - math.log(c.denominator))
+             for f in (fp, fq) for (i, j), c in f.items()]
+    m = min(d for d, _ in terms)
+    cone = max(lc for d, lc in terms if d == m)
+    log_rho = min(((cone - lc) / (d - m) for d, lc in terms if d > m),
+                  default=0.0)
+    return math.exp(min(log_rho, 16 * math.log(2)))
+
+
+def fractions_of(jet):
+    den, f = jet
+    return {k: Fraction(n, den) for k, n in f.items()}
+
+
+def test_pole_scale_takes_logs_of_the_reduced_pairs():
+    """Jets whose terms share factors with den give the float of the
+    Fraction path bit for bit; logs of the unreduced integers would move
+    the last bits here."""
+    cone, high = Fraction(326580, 133927), Fraction(777821, 375952)
+    den = cone.denominator * high.denominator * 833822
+    jets = ((den, {(1, 0): int(cone * den), (2, 1): int(high * den)}),
+            (den * 7, {(0, 1): int(-cone * den), (0, 3): int(high * den)}))
+    assert _pole_scale(jets) == fraction_pole_scale(*map(fractions_of, jets))
+    for kind in ("generic12", "case2", "conic7"):
+        for cert in kind_certificates(kind):
+            for x, _ in cert.points:
+                jets = currents._local_forms(cert.p, cert.q, x)
+                assert _pole_scale(jets) == fraction_pole_scale(
+                    cert.p.local_expansion(x)[1],
+                    cert.q.local_expansion(x)[1])
 
 
 def test_pole_estimate_misses_a_weight_off_by_one_over_r():
@@ -196,6 +231,11 @@ def reference_maxima(cert, fp, fq, radii, seed):
     return tuple(values)
 
 
+def at_z_one(f):
+    """The form at Z = 1 as Fractions, keyed by the exponents of X and Y."""
+    return {(i, j): c for (i, j, _), c in f.terms.items()}
+
+
 def engineered_certificate():
     """X^2 and YZ: each local form at the two listed points has one term."""
     return make_certificate(HomPoly.monomial((2, 0, 0)),
@@ -216,22 +256,20 @@ def test_estimators_match_reference_evaluation(build):
     cert = sample_certificate(build)
     pole_radii = [2.0 ** -k for k in range(16, 7, -1)]
     for x, _ in cert.points:
-        chart = x.chart()
         if build == "engineered":
-            assert len(cert.p.local_expansion(x, chart)[1]) == 1
-            assert len(cert.q.local_expansion(x, chart)[1]) == 1
+            assert len(cert.p.local_expansion(x)[1]) == 1
+            assert len(cert.q.local_expansion(x)[1]) == 1
         for seed in (0, 3):
             for radii in (pole_radii, scaled_radii(cert, x)):
                 est = estimate_pole_weight(cert, x, radii, seed=seed)
                 assert est.values == reference_maxima(
-                    cert, cert.p.local_expansion(x, chart)[1],
-                    cert.q.local_expansion(x, chart)[1], est.radii, seed)
+                    cert, cert.p.local_expansion(x)[1],
+                    cert.q.local_expansion(x)[1], est.radii, seed)
     growth_radii = [2.0 ** k for k in range(8, 17)]
     for seed in (0, 3):
         est = estimate_growth(cert, growth_radii, seed=seed)
         assert est.max_values == reference_maxima(
-            cert, cert.p.dehomogenize(2), cert.q.dehomogenize(2),
-            est.radii, seed)
+            cert, at_z_one(cert.p), at_z_one(cert.q), est.radii, seed)
 
 
 @pytest.mark.parametrize("build", ["conic7", "engineered"])
@@ -240,9 +278,7 @@ def test_form_values_match_term_by_term_sum(build):
     # of a sum; compare the sums themselves
     cert = sample_certificate(build)
     for x, _ in cert.points:
-        chart = x.chart()
-        forms = _scaled_floats(cert.p.local_expansion(x, chart)[1],
-                               cert.q.local_expansion(x, chart)[1])
+        forms = _scaled_floats(*currents._local_forms(cert.p, cert.q, x))
         for f in forms:
             value = _evaluator(f)
             for r in (2.0 ** -8, 2.0 ** -13):
@@ -332,11 +368,19 @@ def test_scaled_floats_match_fraction_division(kind):
     # the 15 points of example6lines carry no certificate
     assert certs or kind == "example6lines"
     for cert in certs:
-        forms = [(cert.p.dehomogenize(2), cert.q.dehomogenize(2))]
-        forms += [currents._local_forms(cert.p, cert.q, x)
-                  for x, _ in cert.points]
-        for fp, fq in forms:
-            assert _scaled_floats(fp, fq) == reference_scaled_floats(fp, fq)
+        jets = [(as_jet(at_z_one(cert.p)), as_jet(at_z_one(cert.q)))]
+        jets += [currents._local_forms(cert.p, cert.q, x)
+                 for x, _ in cert.points]
+        for jp, jq in jets:
+            assert _scaled_floats(jp, jq) == reference_scaled_floats(
+                fractions_of(jp), fractions_of(jq))
+
+
+def as_jet(f, extra=1):
+    """The Fraction dict f as a jet (den, integer terms), den the lcm of
+    its denominators times extra."""
+    den = math.lcm(*(c.denominator for c in f.values())) * extra
+    return den, {k: int(c * den) for k, c in f.items()}
 
 
 def test_scaled_floats_match_fraction_division_beyond_float_range():
@@ -346,15 +390,19 @@ def test_scaled_floats_match_fraction_division_beyond_float_range():
     fp = {(0, 0): big, (1, 0): Fraction(-1, 3), (0, 1): Fraction(5, 2 ** 40)}
     fq = {(2, 0): -big / 11, (1, 1): big / (2 ** 1050 + 1),
           (0, 2): Fraction(-1, 2 ** 100)}
-    got = _scaled_floats(fp, fq)
-    assert got == reference_scaled_floats(fp, fq)
-    assert got[0][(0, 0)] == 1.0
-    assert 0 < got[1][(1, 1)] < 2.0 ** -1022  # subnormal
-    assert got[0][(1, 0)] == 0.0 and math.copysign(1, got[0][(1, 0)]) == -1
+    want = reference_scaled_floats(fp, fq)
+    for extra_p, extra_q in ((1, 1), (6, 35)):
+        got = _scaled_floats(as_jet(fp, extra_p), as_jet(fq, extra_q))
+        assert got == want
+        assert got[0][(0, 0)] == 1.0
+        assert 0 < got[1][(1, 1)] < 2.0 ** -1022  # subnormal
+        assert got[0][(1, 0)] == 0.0
+        assert math.copysign(1, got[0][(1, 0)]) == -1
     for sign in (1, -1):
         tiny = {(0, 0): Fraction(sign, 2 ** 1070 * 3)}
         one = {(0, 0): Fraction(1)}
-        assert _scaled_floats(one, tiny) == reference_scaled_floats(one, tiny)
+        assert _scaled_floats(as_jet(one), as_jet(tiny)) == \
+            reference_scaled_floats(one, tiny)
 
 
 @pytest.mark.parametrize("seed", range(8))
