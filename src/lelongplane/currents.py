@@ -244,14 +244,14 @@ def _max_potential(fp, fq, r: int, radii, dirs) -> list[float]:
     return values
 
 
-def _sampled_slope(cert: PotentialCertificate, jets, radii, seed: int):
+def _sampled_slope(r: int, jets, radii, seed: int):
     """(sample maxima, slope): `_max_potential` of the two jets at the
     radii in the order given, which fixes the bits of the float sums, and
     the least-squares slope of the maxima against log radius."""
     if len(radii) < 3:
         raise PreconditionError("need at least 3 radii")
     fp, fq = _scaled_floats(*jets)
-    values = _max_potential(fp, fq, cert.r, radii, _directions(seed))
+    values = _max_potential(fp, fq, r, radii, _directions(seed))
     return values, _fit_slope([math.log(r) for r in radii], values)
 
 
@@ -273,7 +273,7 @@ def _estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, jets,
     if claimed is None:
         raise PreconditionError("point is not listed in the certificate")
     radii = sorted((float(r) for r in radii), reverse=True)
-    values, slope = _sampled_slope(cert, jets, radii, seed)
+    values, slope = _sampled_slope(cert.r, jets, radii, seed)
     return LelongEstimate(point=x, radii=tuple(radii), values=tuple(values),
                           extrapolated=slope, exact=claimed)
 
@@ -304,7 +304,7 @@ def estimate_growth(cert: PotentialCertificate, radii,
     jets = [(big_l, {(i, j): n for (i, j, _), n in ints.items()})
             for big_l, ints in (cert.p.integer_view(),
                                 cert.q.integer_view())]
-    values, slope = _sampled_slope(cert, jets, radii, seed)
+    values, slope = _sampled_slope(cert.r, jets, radii, seed)
     return GrowthEstimate(radii=tuple(radii), max_values=tuple(values),
                           slope=slope, claimed=cert.gamma_u)
 

@@ -7,9 +7,10 @@ extra point off the witness cubic) are checked exactly.
 
 import pytest
 
+from lelongplane import instances
 from lelongplane.config import m_sequence
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import evaluate
+from lelongplane.exactpoly import ProjPoint, evaluate
 from lelongplane.instances import (INSTANCE_KINDS, case4_instance, generate,
                                    points_on_conic, random_conic,
                                    second_intersection)
@@ -68,6 +69,29 @@ def test_conic_sampling_helpers():
     q = second_intersection(conic, p0, d)
     if q is not None:
         assert evaluate(conic, q) == 0
+
+
+def test_distinct_draws_within_its_budget():
+    """The sampler keeps the first `count` new points, skipping failed
+    draws (None), repeats and the points to avoid, and refuses after
+    _BUDGET draws per point; a last point on the final draw still counts."""
+    pts = [ProjPoint(i, 1, 1) for i in range(3)]
+    draws = iter([None, pts[0], pts[1], pts[1], pts[2]])
+    assert instances._distinct(lambda: next(draws), 2, (pts[0],),
+                               "test") == [pts[1], pts[2]]
+    budget = instances._BUDGET
+    draws = iter([None] * (budget - 1) + [pts[2]])
+    assert instances._distinct(lambda: next(draws), 1, (), "test") == \
+        [pts[2]]
+    calls = []
+
+    def stuck():
+        calls.append(None)
+        return pts[0]
+    with pytest.raises(PreconditionError,
+                       match="^line point sampling budget exhausted$"):
+        instances._distinct(stuck, 2, (pts[0],), "line point")
+    assert len(calls) == 2 * budget
 
 
 def test_example6lines_instance():
