@@ -4,11 +4,13 @@ SHA-256 in `golden_manifest.json`.
 The sweep runs `generate`, `msequence`, `linsys --degree 6 --double
 1,...,6`, `construct`, `certify` and `lelong` over each instance kind at
 seeds 0-3, then `sharpness` at seeds 0-3 and `enumerate --cap 2`, then
-`--help` of the program and of each command and one usage error
-(`generate` with no `--kind`), all in-process through `cli.main`. For
-each command the manifest holds its argv, exit code (argparse's
-`SystemExit` code for help and usage), the SHA-256 of its stdout and
-stderr, and that of each file it wrote. Files are named relative to the
+`certify` on a crafted sparse certificate of degree 60 (see
+`write_sparse_certificate`), then `--help` of the program and of each
+command and one usage error (`generate` with no `--kind`), all
+in-process through `cli.main`. For each command the manifest holds its
+argv, exit code (argparse's `SystemExit` code for help and usage), the
+SHA-256 of its stdout and stderr, and that of each file it wrote (and of
+the crafted certificate it reads). Files are named relative to the
 working directory, and the sweep runs with COLUMNS=80, so the bytes do
 not depend on where it runs or on the terminal.
 
@@ -35,15 +37,33 @@ MANIFEST = Path(__file__).with_name("golden_manifest.json")
 SEEDS = range(4)
 COMMANDS = ("generate", "msequence", "linsys", "construct", "certify",
             "lelong", "sharpness", "enumerate")
+SPARSE_DEGREE = 60
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def write_sparse_certificate(cert, out, degree: int) -> None:
+    """Write to `out` the certificate file `cert` with P = X^d + Z^d,
+    Q = Y^d - Z^d and gamma = d, for d = `degree`, keeping its points and
+    claimed weights. Neither form vanishes at a listed point, so every
+    point fails; the cost of saying so is what the file exercises."""
+    doc = json.loads(Path(cert).read_text())
+    doc["p"] = {"degree": degree,
+                "terms": [[degree, 0, 0, "1"], [0, 0, degree, "1"]]}
+    doc["q"] = {"degree": degree,
+                "terms": [[0, degree, 0, "1"], [0, 0, degree, "-1"]]}
+    doc["gamma_u"] = str(degree)
+    Path(out).write_text(json.dumps(doc))
+
+
 def _commands():
-    """(name, argv, written files) for each command of the sweep, in run
-    order; later commands read the files of earlier ones."""
+    """(name, argv, files) for each command of the sweep, in run order;
+    later commands read the files of earlier ones. The generator runs in
+    the sweep's working directory and is drawn one command at a time, so
+    it writes the crafted sparse certificate from generic12-0's once that
+    one exists."""
     from lelongplane.instances import INSTANCE_KINDS
     for kind in INSTANCE_KINDS:
         for seed in SEEDS:
@@ -69,6 +89,13 @@ def _commands():
                ["sharpness", "--seed", str(seed), "--out", out], [out])
     yield ("enumerate-2", ["enumerate", "--cap", "2", "--out", "enum.json"],
            ["enum.json"])
+    sparse = f"sparse{SPARSE_DEGREE}"
+    write_sparse_certificate("generic12-0.cert.json", f"{sparse}.cert.json",
+                             SPARSE_DEGREE)
+    yield (f"{sparse}/certify",
+           ["certify", "--input", f"{sparse}.cert.json",
+            "--out", f"{sparse}.certify.json"],
+           [f"{sparse}.cert.json", f"{sparse}.certify.json"])
     yield "help", ["--help"], []
     for command in COMMANDS:
         yield f"help/{command}", [command, "--help"], []
