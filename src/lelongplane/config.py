@@ -481,7 +481,6 @@ def realize_structure(structure: IncidenceStructure, seed: int,
     yields a report, not a proof of non-realizability.
     """
     rng = random.Random(seed)
-    n = structure.n_points
     for _ in range(attempts):
         result = _try_realize(structure, rng)
         if result is not None:

@@ -9,10 +9,11 @@ and the ring converters use sympy's polynomial rings, which
 `sympy_rings` imports on first use.
 
 Each form keeps one integer view (`HomPoly.integer_view`): L, the lcm of
-its denominators, and the integer terms of L * p. Evaluation, the Taylor
-shift (`int_expansion`, in the chart of the point, read by the μ
-reduction and the estimators of `currents`; `local_expansion` is its
-Fraction view), `coprime` and the resultants of `curves` read it.
+its denominators, and the integer terms of L * p. Evaluation, `coprime`,
+the resultants of `curves` and the Taylor shift read it. The shift to a
+point is one sparse table per form (`_shift_tables`): `int_expansion`
+sums it whole (for the μ reduction, the estimators of `currents` and
+`local_expansion`, its Fraction view), `order_and_cone` level by level.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, zip_longest
-from operator import mul
+from itertools import count
 from types import SimpleNamespace
 from typing import Iterable, Mapping
 
@@ -272,7 +272,8 @@ def _shift_tables(p: HomPoly, x: ProjPoint):
     num) of the integer view (L, terms), dehomogenized, has its
     coefficient as num/L; the coefficient of s^i t^j in the shift is the
     sum of num * rows1[e1][i] * rows2[e2][j] over den = L * ad^E1 * bd^E2,
-    where E1 and E2 are the largest exponents of s and t."""
+    where E1 and E2 are the largest exponents of s and t. rows1 and rows2
+    hold rows only for the exponents of s and t that the terms have."""
     chart = x.chart()
     a, b = x.affine(chart)
     big_l, ints = p.integer_view()
@@ -280,42 +281,37 @@ def _shift_tables(p: HomPoly, x: ProjPoint):
         return chart, [], None, None, 1
     o1, o2 = [i for i in range(3) if i != chart]
     nums = [(e[o1], e[o2], c) for e, c in ints.items()]
-    top1 = max(e1 for e1, _, _ in nums)
-    top2 = max(e2 for _, e2, _ in nums)
-    return (chart, nums, _shift_rows(a.numerator, a.denominator, top1),
-            _shift_rows(b.numerator, b.denominator, top2),
+    exps1 = {e1 for e1, _, _ in nums}
+    exps2 = {e2 for _, e2, _ in nums}
+    top1, top2 = max(exps1), max(exps2)
+    return (chart, nums, _shift_rows(a.numerator, a.denominator, top1, exps1),
+            _shift_rows(b.numerator, b.denominator, top2, exps2),
             big_l * a.denominator ** top1 * b.denominator ** top2)
 
 
-def _shift_rows(n: int, d: int, top: int) -> list[list[int]]:
-    """Integer coefficients of (n/d + s)^e in s, times d^top, for e <= top."""
+def _shift_rows(n: int, d: int, top: int, exps: Iterable[int]
+                ) -> dict[int, list[int]]:
+    """Integer coefficients of (n/d + s)^e in s, times d^top, for each e in
+    exps (all at most top), keyed by e."""
     npow = [n ** k for k in range(top + 1)]
     dpow = [d ** k for k in range(top + 1)]
-    return [[math.comb(e, i) * npow[e - i] * dpow[top - e + i]
-             for i in range(e + 1)] for e in range(top + 1)]
+    return {e: [math.comb(e, i) * npow[e - i] * dpow[top - e + i]
+                for i in range(e + 1)] for e in exps}
 
 
 def order_and_cone(p: HomPoly, x: ProjPoint):
     """(ord_x p, tangent cone): the first nonzero level m of the shift in
-    _shift_tables at x.chart(), found level by level, as integers; entry
-    i is den times the coefficient of s^i t^(m-i). The shift is
-    A N B^T, N[e1][e2] the numerators, A[i][e1] = rows1[e1][i] and
-    B[j][e2] = rows2[e2][j]; column m of N B^T is formed at level m. The
-    zero form gives (math.inf, None)."""
+    _shift_tables at x.chart(), as integers; entry i is den times the
+    coefficient of s^i t^(m-i), the sum of num * rows1[e1][i] *
+    rows2[e2][m - i] over the terms (e1, e2, num) with i <= e1 and
+    m - i <= e2. Level m costs m + 1 sums over the terms, so a point off
+    the curve costs one. The zero form gives (math.inf, None)."""
     if p.is_zero:
         return math.inf, None
     _, nums, rows1, rows2, _ = _shift_tables(p, x)
-    mat = [[0] * len(rows2) for _ in rows1]
-    for e1, e2, num in nums:
-        mat[e1][e2] = num
-    cols1 = list(zip_longest(*rows1, fillvalue=0))
-    cols2 = list(zip_longest(*rows2, fillvalue=0))
-    half = []
     for m in count():
-        if m < len(cols2):
-            half.append([sum(map(mul, row, cols2[m])) for row in mat])
-        cone = [sum(map(mul, cols1[i], half[m - i]))
-                if i < len(cols1) and m - i < len(half) else 0
+        cone = [sum(num * rows1[e1][i] * rows2[e2][m - i]
+                    for e1, e2, num in nums if i <= e1 and m - i <= e2)
                 for i in range(m + 1)]
         if any(cone):
             return m, cone

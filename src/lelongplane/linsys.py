@@ -60,8 +60,9 @@ def condition_rows(degree: int, cond: VanishingCondition):
     """
     chart = cond.point.chart()
     u0, v0 = cond.point.affine(chart)
-    rows1 = _shift_rows(u0.numerator, u0.denominator, degree)
-    rows2 = _shift_rows(v0.numerator, v0.denominator, degree)
+    every = range(degree + 1)
+    rows1 = _shift_rows(u0.numerator, u0.denominator, degree, every)
+    rows2 = _shift_rows(v0.numerator, v0.denominator, degree, every)
     rest = [tuple(exps[i] for i in range(3) if i != chart)
             for exps in monomials(degree)]
     return [[rows1[alpha][a] * rows2[beta][total - a]

@@ -7,10 +7,12 @@ full generate -> construct -> certify round trip through the filesystem.
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+import golden
 from lelongplane import construct, currents, curves, exactpoly, serialize
 from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                              EXIT_UNSUPPORTED, EXIT_VERIFICATION, main)
@@ -104,11 +106,19 @@ def test_enumerate_and_sharpness(tmp_path, capsys):
     capsys.readouterr()
 
 
+GOLDEN = golden.load()
+
+
+def golden_digest(entry, file):
+    """The SHA-256 that the golden manifest pins for one file of an entry."""
+    return GOLDEN[entry]["files"][file]
+
+
 # `enumerate --n 12 --out` files, recorded with the canonical form that
 # branches over every order of a line's fresh labels
-# (`expr_reference.reference_canonical_form`)
+# (`expr_reference.reference_canonical_form`); cap 2 is in the golden sweep
 ENUMERATE_SHA256 = {
-    "2": "7518bd44515cb87dbf5a8386634083d43e38c48bd9bdd489398e78cb6d14247a",
+    "2": golden_digest("enumerate-2", "enum.json"),
     "3": "5472f65ad7d70ab2fe02003cd9dbd94862663f6af89f8329c8a7b09cd75935ae",
 }
 
@@ -125,14 +135,12 @@ def test_enumerate_matches_golden_digests(tmp_path, capsys, cap):
         f"n=12 cap={cap} maximum={maximum} maximal_families={maximal}")
 
 
-# `sharpness --seed s --out` files for s = 0-3, recorded when the 105
-# verdicts came from one `int_rank` per 13-point subset
+# `sharpness --seed s --out` files for s = 0-3, first recorded when the
+# 105 verdicts came from one `int_rank` per 13-point subset; read from the
+# golden manifest
 SHARPNESS_SHA256 = [
-    "8e2a6ce0d07c008646b287fe6aeea65cf10981be5faf8db7f4849d8202015ab3",
-    "8776fe8be45d30b3a2d94215b11d12037d2bdd1628044ff868d30c13139d2b29",
-    "cdda06c2e4a640da34001031d8993dbca092604c0c01b935aa2bc8a0c469edd1",
-    "431a17f5efd757d5183511f7ecdedee31eaa73018906c08fd1154fad028796fc",
-]
+    golden_digest(f"sharpness-{seed}", f"sharpness-{seed}.json")
+    for seed in golden.SEEDS]
 
 
 @pytest.mark.parametrize("seed", range(len(SHARPNESS_SHA256)))
@@ -145,20 +153,12 @@ def test_sharpness_matches_golden_digests(tmp_path, capsys, seed):
         "lelong_one_third=True rank_checks=105 full=True m_seq=(5, 9, 12)")
 
 
-# `lelong --out` files on the seed-0 certificates, recorded when each form
-# was expanded three times per listed point
+# `lelong --out` files on the seed-0 certificates, first recorded when
+# each form was expanded three times per listed point; read from the
+# golden manifest
 LELONG_SHA256 = {
-    "generic12":
-        "e7194738fc4b217b02bef4f1b32c7477637bb40d90271e287d23597e60a03e91",
-    "figure3":
-        "4465d6e614852f44f92559c21ff477c36d31617553c1ba926088652445eb8eb7",
-    "conic7":
-        "04d476f1ac2f2dc731940fc614306463f3fd958d72e237a5e4d3cf142ed95a02",
-    "case3":
-        "7c14f28eaf0250a041093eec0291d1aaac5c95713a97ecde0b7fb9351b3c5222",
-    "case4":
-        "fadfbe72ca21a5d0de2018d11a2284e52008d3408063feb449adfe90e3d5075a",
-}
+    kind: golden_digest(f"{kind}-0/lelong", f"{kind}-0.lelong.json")
+    for kind in ("generic12", "figure3", "conic7", "case3", "case4")}
 
 
 def seed0_certificate(tmp_path, kind):
@@ -297,58 +297,15 @@ def test_sweep_ends_in_a_documented_outcome(tmp_path, capsys, kind):
 
 
 # SHA-256 of the `generate --out`, `msequence --out` and `construct --cert`
-# files at seed 0, recorded before the m-sequence search was rewritten;
-# example6lines has no certificate, since `construct` exits 2 on it
+# files at seed 0, first recorded before the m-sequence search was
+# rewritten; read from the golden manifest. example6lines has no
+# certificate, since `construct` exits 2 on it
 GOLDEN_SHA256 = {
-    "generic12": (
-        "40c08c7ead51b7a7cbf314520a556a54ea76865b59a832964e46c499b8e63ca3",
-        "55209ecab043e7a9c7e70f81a58f64468f27d4820dbd5c7353c2b12f81b26ca7",
-        "5238e4d24d39e982d983c38f3a61a3656da20abcf2fecb8045613cc59b747133"),
-    "figure1": (
-        "be60da76aa06888b83f98a4641c681cbd0942f3c182f9f64b0117f73be181487",
-        "f79d83c258ee72de0d21e7d25ce3982d7fdf16d81c64dbd9befa0bd323c09d3d",
-        "041aac3ebf325fb7ec77d5ec87da3383e4d46820ffba434596bdd94df622d2cb"),
-    "figure2": (
-        "701f581501a783ff6410232d7f32e9f10ce5fe584a4b36cf21abf27da7b148c6",
-        "f79d83c258ee72de0d21e7d25ce3982d7fdf16d81c64dbd9befa0bd323c09d3d",
-        "041aac3ebf325fb7ec77d5ec87da3383e4d46820ffba434596bdd94df622d2cb"),
-    "figure3": (
-        "32164d718db65d09d1439cd42083aae5f71b36af023ed7770e7e003cc5957197",
-        "265c84ba7a4531d5b2cb0dcbe8ee19eb3ce698f676f5f3891a0e915419d09b7c",
-        "34815377595ae134ba10f153116af4aa9fbf7ec51e6c4ddc0fd60fb6dcf63d19"),
-    "figure4": (
-        "c85ce1254873426c91af0506b32013f7416d81711d4edef7dd6ba78563963b97",
-        "265c84ba7a4531d5b2cb0dcbe8ee19eb3ce698f676f5f3891a0e915419d09b7c",
-        "f68f85fc28b9aaed24c51f09e68a4508a68c65d6d0acf474836746a2dea0b017"),
-    "figure5": (
-        "34519774061d989681cdd78b2a94d96162250e4146b2d0bc7a7f002f27b200eb",
-        "265c84ba7a4531d5b2cb0dcbe8ee19eb3ce698f676f5f3891a0e915419d09b7c",
-        "2921c65f522b4349a163998a50efd5485f94a43b817e0b14a84dbe3827e0e0de"),
-    "case2": (
-        "a3d5731cee0b088ee868a66a0f8e2dc306955ee9351aeaf9cd49481028f34e3c",
-        "118280940e3f7e66ce4059690ac97993e3a143fb52d90edf4901a044502b780a",
-        "6a4d428ae4a74e0d96453d4823075ab6451dbc0eac70fc4cc16e24e8cd7de7cd"),
-    "case3": (
-        "f7e4b3dca0b586593825afeed4c660ed5d0b2c0f086b3f690efc1501d2bea568",
-        "34b0a064be09fa195c282c232d90e0edd039c9087f5d6a8957d13b135eaf65c2",
-        "6dee6c54f52392a3691f03142beb0d3db9ca10fc83149f33a4959bbb6f3935aa"),
-    "case4": (
-        "a75698e03462c2c0fa350aa88da3027a07df85f55bb8ca236b6d1dba76debe9d",
-        "7e66a93d25c88900ce56fa352a54d59a6cc24412e370bad49479e5981aa914bf",
-        "2d33dd527d69c752e74b24ff951e959dc1e76dd80256fa7fc88ae816aed9290f"),
-    "example6lines": (
-        "c1701d49fa9b143988ebd2cf7f9992e581969f449c2af24a9cf5b4208a31f3f7",
-        "d6099a5606d1842137615da3ef4938c6c4024b687aaefe2038190985eb77c4c3",
-        None),
-    "conic6": (
-        "619224d806a39144922d198d67a33f8c9820a9fda178702fb0d993b7f575f4d6",
-        "abba85feb6542890a48f2d16cca51dec72a0801b48217092b7394facec4d9fc0",
-        "7dfa33109c0b0d47b16f7d1d274653440c0a7339e9140f7b5f7270571b4d3343"),
-    "conic7": (
-        "5579deca72f69e53816415b05243b7a19e9d3c0b491dec2ed2fc8b241dc8effe",
-        "4ee092b8d94329f39df4fa53a475f364518b3946c38d778352f8811101f70974",
-        "73fd3ccdee700697904fdf594869e32fc6a51fcdd25d6a419aa1f21ce66608c9"),
-}
+    kind: (golden_digest(f"{kind}-0/generate", f"{kind}-0.inst.json"),
+           golden_digest(f"{kind}-0/msequence", f"{kind}-0.msequence.json"),
+           None if kind == "example6lines" else
+           golden_digest(f"{kind}-0/construct", f"{kind}-0.cert.json"))
+    for kind in INSTANCE_KINDS}
 
 
 @pytest.mark.parametrize("kind", INSTANCE_KINDS)
@@ -410,19 +367,20 @@ def test_sextic_linsys_with_six_double_points(tmp_path, capsys, kind):
 
 # `linsys --out` files on the seed-0 instances for the systems of the
 # benchmark, recorded when the condition rows, the RREF and the LLL ran in
-# Fractions: (kind, degree, doubled labels) -> (SHA-256, stdout)
+# Fractions: (kind, degree, doubled labels) -> (SHA-256, stdout). The
+# degree-6 systems are in the golden sweep, and read from its manifest
 LINSYS_SHA256 = {
     ("generic12", 3, ""): (
         "96736fad67a567a67739e959ab5c41fe977dd7c7d59015a4a2ff06951ba181af",
         "degree=3 rank=10 dim=0"),
     ("generic12", 6, "1,2,3,4,5,6"): (
-        "0f656f2159932191897c723c0ace6686aa3d39dba09450eba3f8be0e8ecbd6bc",
+        golden_digest("generic12-0/linsys", "generic12-0.linsys.json"),
         "degree=6 rank=24 dim=4"),
     ("figure3", 3, ""): (
         "c0bff454454150758d68a6bbf15e89a3d2ae498beb4772e2eb918528d06aa785",
         "degree=3 rank=10 dim=0"),
     ("figure3", 6, "1,2,3,4,5,6"): (
-        "8e06dbb817bc9935ad08274871224cbc08ed5ec2237c2895e1e6138870d7cb5d",
+        golden_digest("figure3-0/linsys", "figure3-0.linsys.json"),
         "degree=6 rank=23 dim=5"),
     ("conic7", 3, ""): (
         "797f9a589f64854898b65332ed778342bc167161709f3d23a7aa6f163df1531e",
@@ -697,6 +655,25 @@ def test_verifier_rejects_zero_forms_of_unequal_degrees():
         case_tag="zero", verified=True)
     report = verify_certificate(cert)
     assert not report.verified and not report.per_point[0].ok
+
+
+def test_certify_rejects_a_sparse_degree_400_certificate_in_seconds(
+        tmp_path, capsys):
+    """P = X^400 + Z^400 and Q = Y^400 - Z^400 with generic12's seed-0
+    points, weights and gamma = 400. Neither form vanishes at a listed
+    point, so every point fails at level 0 of the shift. Shift rows for
+    every exponent up to 400, at each form and point, take about ten
+    seconds; rows for the exponents present take well under one, so the
+    bound tells the two apart."""
+    cert = seed0_certificate(tmp_path, "generic12")
+    sparse = tmp_path / "sparse.json"
+    golden.write_sparse_certificate(cert, sparse, 400)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run("certify", "--input", str(sparse)) == EXIT_VERIFICATION
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.strip() == (
+        "discrete=True points_ok=0/12 verified=False")
 
 
 def test_certify_rejects_boolean_degree(tmp_path, capsys):

@@ -18,7 +18,7 @@ from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, divides,
                                    evaluate, exact_divide, fraction_from_str,
                                    fraction_to_str, gcd_homogeneous,
-                                   monomial_count, monomials, order_and_cone,
+                                   int_expansion, monomial_count, monomials, order_and_cone,
                                    partial_derivatives, vanishing_order)
 from lelongplane.instances import INSTANCE_KINDS, generate
 
@@ -229,20 +229,19 @@ def test_vanishing_order_of_power():
 
 def assert_order_and_cone_match_expansion(f, x):
     """order_and_cone(f, x) gives the least total degree of the full
-    expansion at x and its lowest-degree part up to a positive factor."""
+    expansion at x, and its lowest-degree part as den times the
+    coefficients: exactly the integer jet of int_expansion there."""
     order, cone = order_and_cone(f, x)
-    local = f.local_expansion(x)[1]
-    assert order == min(i + j for i, j in local) == vanishing_order(f, x)
-    want = [local.get((i, order - i), 0) for i in range(order + 1)]
+    jet = int_expansion(f, x)[2]
+    assert order == min(i + j for i, j in jet) == vanishing_order(f, x)
     assert all(isinstance(c, int) for c in cone)
-    assert [c == 0 for c in cone] == [w == 0 for w in want]
-    ratios = {c / w for c, w in zip(cone, want) if w}
-    assert len(ratios) == 1 and ratios.pop() > 0
+    assert cone == [jet.get((i, order - i), 0) for i in range(order + 1)]
 
 
 def test_order_and_cone_of_forced_order():
     """f = (k lines through x) * g + (k + 1 lines through x) * h with
-    g(x) != 0 has order exactly k at x, for points in every chart."""
+    g(x) != 0 has order exactly k at x, for points in every chart; so has
+    the sparse f = (k lines through x) * g for a 2-term g of degree 40."""
     rng = random.Random(1729)
     points = [ProjPoint(Fraction(9, 2), Fraction(-1, 3), Fraction(2)),
               ProjPoint(Fraction(1, 5), Fraction(-7), Fraction(3, 4)),
@@ -277,6 +276,18 @@ def test_order_and_cone_of_forced_order():
                     f = f + h * random_poly(rng, degree - k - 1)
                 assert vanishing_order(f, x) == k
                 assert_order_and_cone_match_expansion(f, x)
+    for x in points:
+        for k in (0, 1, 3):  # sparse: k lines times a 2-term form
+            g = HomPoly.zero(40)
+            while evaluate(g, x) == 0:
+                g = HomPoly(40, {m: Fraction(rng.randint(1, 9),
+                                             rng.randint(1, 4))
+                                 for m in rng.sample(monomials(40), 2)})
+            f = g
+            for _ in range(k):
+                f = f * line_through(x)
+            assert vanishing_order(f, x) == k
+            assert_order_and_cone_match_expansion(f, x)
 
 
 def test_order_and_cone_of_the_zero_form():
