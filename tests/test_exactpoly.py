@@ -18,8 +18,9 @@ from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, divides,
                                    evaluate, exact_divide, fraction_from_str,
                                    fraction_to_str, gcd_homogeneous,
-                                   int_expansion, monomial_count, monomials, order_and_cone,
-                                   partial_derivatives, vanishing_order)
+                                   int_expansion, monomial_count, monomials,
+                                   order_and_cone, partial_derivatives,
+                                   vanishing_order)
 from lelongplane.instances import INSTANCE_KINDS, generate
 
 from expr_reference import from_sympy, to_sympy
