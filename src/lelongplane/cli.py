@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 precondition failure, 3 verification failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import serialize
@@ -111,7 +110,7 @@ def cmd_lelong(args) -> int:
     # the file's verified flag is not evidence: check the certificate again
     if not verify_certificate(cert).verified:
         raise VerificationError("certificate failed independent verification")
-    cert = dataclasses.replace(cert, verified=True)
+    cert = cert.replace(verified=True)
     estimates = []
     worst = 0.0
     for est in pole_estimates(cert, args.seed):

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _cross, evaluate, join,
                         line_coeffs, meet, monomial_count, monomials)
 from .linalg import bareiss_step, clear_denominators, int_rref, nullspace
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """Ordered distinct projective points; label i means points[i-1]."""
     points: tuple[ProjPoint, ...]
 
@@ -44,8 +43,7 @@ class PointSet:
         return self.points[label - 1]
 
 
-@dataclass(frozen=True)
-class MSequence:
+class MSequence(Record):
     m1: int
     m2: int
     m3: int
@@ -55,8 +53,7 @@ class MSequence:
         return (self.m1, self.m2, self.m3)
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(Record):
     n_points: int
     lines: tuple[tuple[int, ...], ...]
 
@@ -380,8 +377,7 @@ def _extensions(lines, n_points, cap):
     return out
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(Record):
     n_points: int
     per_point_cap: int
     maximum: int
@@ -437,14 +433,12 @@ SHAPE_DOUBLE_STAR = IncidenceStructure(12, (
     (11, 2, 5, 8), (11, 3, 6, 9), (11, 4, 7, 10)))
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Record):
     point_set: PointSet
     lines: tuple[HomPoly, ...]
 
 
-@dataclass(frozen=True)
-class NonRealizationReport:
+class NonRealizationReport(Record):
     attempts: int
     message: str
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .config import (MSequence, PointSet, curves_through, four_point_lines,
@@ -31,12 +30,12 @@ from .exactpoly import (HomPoly, ProjPoint, coprime, divides, evaluate,
 from .linalg import int_rank
 from .linsys import (LinearSystem, VanishingCondition, build_system,
                      linearly_independent)
+from .record import Record
 
 CERT_SHAPES = {(6, 18), (4, 12)}
 
 
-@dataclass(frozen=True)
-class PotentialCertificate:
+class PotentialCertificate(Record):
     p: HomPoly
     q: HomPoly
     r: int
@@ -50,16 +49,14 @@ class PotentialCertificate:
         return sum((w for _, w in self.points), Fraction(0))
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(Record):
     branch_trace: tuple[str, ...]
     outcome: str  # "certificate" | "unsupported"
     certificate: PotentialCertificate | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class PointCheck:
+class PointCheck(Record):
     point: ProjPoint
     claimed: Fraction
     ord_p: object
@@ -68,8 +65,7 @@ class PointCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     discrete: bool
     per_point: tuple[PointCheck, ...]
     total_weight_ok: bool
@@ -94,7 +90,7 @@ def make_certificate(p: HomPoly, q: HomPoly, points,
     report = verify_certificate(cert)
     if not report.verified:
         return None
-    return replace(cert, verified=True)
+    return cert.replace(verified=True)
 
 
 def verify_certificate(cert: PotentialCertificate) -> VerificationReport:

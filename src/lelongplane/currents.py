@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -50,10 +49,10 @@ from .construct import PotentialCertificate
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, evaluate, int_expansion,
                         line_coeffs, meet)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ArrangementCurrent:
+class ArrangementCurrent(Record):
     lines: tuple[tuple[HomPoly, Fraction], ...]
 
     def __post_init__(self):
@@ -95,8 +94,7 @@ def lelong_ball_mass(t: ArrangementCurrent, x: ProjPoint, r):
     return total
 
 
-@dataclass(frozen=True)
-class LelongEstimate:
+class LelongEstimate(Record):
     point: ProjPoint
     radii: tuple[float, ...]
     values: tuple[float, ...]
@@ -104,8 +102,7 @@ class LelongEstimate:
     exact: Fraction
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Record):
     radii: tuple[float, ...]
     max_values: tuple[float, ...]
     slope: float
@@ -309,8 +306,7 @@ def estimate_growth(cert: PotentialCertificate, radii,
                           slope=slope, claimed=cert.gamma_u)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
     lhs: Fraction
     rhs: Fraction
     holds: bool
@@ -335,8 +331,7 @@ def mass_inequality_check(t: ArrangementCurrent,
                             holds=lhs <= cert.gamma_u, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(Record):
     lines: tuple[HomPoly, ...]
     points: tuple[ProjPoint, ...]
     lelong_values: tuple[Fraction, ...]

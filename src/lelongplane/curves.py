@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import curves_through
@@ -48,20 +47,19 @@ from .exactpoly import (HomPoly, ProjPoint, _gcd_degree_mod, coprime,
                         int_expansion, order_and_cone, partial_derivatives,
                         sympy_rings, to_ring)
 from .linalg import clear_denominators, int_det, int_rank
+from .record import Record
 
 
 def _qq(c: Fraction):
     return sympy_rings().QQ(c.numerator, c.denominator)
 
 
-@dataclass(frozen=True)
-class IntersectionRecord:
+class IntersectionRecord(Record):
     point: ProjPoint
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class CurveAnalysis:
+class CurveAnalysis(Record):
     poly: HomPoly
     is_geometrically_irreducible: bool | None
     line_components: tuple[HomPoly, ...]

@@ -10,7 +10,6 @@ resampled within a bounded budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .config import (SHAPE_3CONCURRENT_PLUS2, SHAPE_3CONCURRENT_PLUS2_SPLIT,
                      SHAPE_5LINES_CAP2, SHAPE_DOUBLE_STAR, IncidenceStructure,
@@ -21,10 +20,10 @@ from .curves import irreducible_conic_through
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, evaluate, join,
                         partial_derivatives)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A generated configuration with its certified invariants."""
     kind: str
     seed: int

@@ -11,17 +11,16 @@ and kernel bases are exact, computed in integers end to end
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .errors import PreconditionError, UnsupportedInstanceError
 from .curves import bezout_table
 from .exactpoly import (HomPoly, ProjPoint, _shift_rows, coprime, divides,
                         evaluate, monomial_count, monomials, vanishing_order)
 from .linalg import int_rank, nullspace, solve_exact
+from .record import Record
 
 
-@dataclass(frozen=True)
-class VanishingCondition:
+class VanishingCondition(Record):
     point: ProjPoint
     order: int
 
@@ -34,8 +33,7 @@ class VanishingCondition:
         return self.order * (self.order + 1) // 2
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     degree: int
     conditions: tuple[VanishingCondition, ...]
     matrix_rank: int
@@ -116,8 +114,7 @@ def linearly_independent(f: HomPoly, g: HomPoly) -> bool:
     return int_rank([f.coeff_vector(), g.coeff_vector()]) == 2
 
 
-@dataclass(frozen=True)
-class PairFailure:
+class PairFailure(Record):
     """Names the divisibility pattern that blocked every selection move."""
     basis_pattern: tuple[tuple[int, ...], ...]  # per basis element: indices
     sum_pattern: tuple[tuple[int, int, tuple[int, ...]], ...]
@@ -177,8 +174,7 @@ def pencil_member(f: HomPoly, g: HomPoly, h: HomPoly):
     return sol[0], sol[1]
 
 
-@dataclass(frozen=True)
-class CayleyBacharachReport:
+class CayleyBacharachReport(Record):
     points: tuple[ProjPoint, ...]
     per_point: tuple[bool, ...]  # omitting point i: dim 2 and basis hits i
     passed: bool

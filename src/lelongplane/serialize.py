@@ -18,6 +18,7 @@ from .currents import GrowthEstimate, LelongEstimate, SharpnessReport
 from .errors import ParseError
 from .exactpoly import (HomPoly, ProjPoint, fraction_from_str,
                         fraction_to_str, monomials)
+from .instances import Instance
 from .linsys import LinearSystem
 
 SCHEMA_VERSION = 1
@@ -111,7 +112,6 @@ def encode(obj):
                 "rank_checks": obj.rank_checks,
                 "all_ranks_full": obj.all_ranks_full,
                 "m_seq": list(obj.m_seq)}
-    from .instances import Instance
     if isinstance(obj, Instance):
         return {"type": "instance", "kind": obj.kind, "seed": obj.seed,
                 "points": [encode_point(p) for p in obj.point_set.points],
@@ -207,7 +207,6 @@ def loads(text: str) -> dict:
 
 
 def load_instance(path):
-    from .instances import Instance
     with open(path) as fh:
         doc = loads(fh.read())
     if _expect(doc, "type", str) != "instance":

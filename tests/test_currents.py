@@ -11,7 +11,6 @@ checked against the `Fraction` division and the 105-subset rank scan kept
 in `expr_reference`.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -202,8 +201,7 @@ def test_pole_estimate_misses_a_weight_off_by_one_over_r():
         for shift in (Fraction(1, cert.r), -Fraction(1, cert.r)):
             points = list(cert.points)
             points[n] = (x, w + shift)
-            edited = dataclasses.replace(cert, points=tuple(points),
-                                         verified=True)
+            edited = cert.replace(points=tuple(points), verified=True)
             est = estimate_pole_weight(edited, x, radii)
             assert est.exact == w + shift
             assert abs(est.extrapolated - float(est.exact)) > 0.05

@@ -10,10 +10,12 @@ listed in its `__all__`. sympy may be imported only as
 in reach. Every sympy import sits in a function body, since loading sympy
 takes longer than a whole pipeline run; a fresh interpreter runs every
 command of the pipeline, and the curve library on a tangent pair, with
-`sympy` absent from `sys.modules`.
+`sympy` absent from `sys.modules`. Importing the CLI and building its
+parser, the start every CLI call pays, loads neither `dataclasses` nor
+`inspect`.
 
 Imports of the package's own modules sit at the top of each module, but
-for the few listed in `FUNCTION_BODY_IMPORTS`, each with its reason; a new
+for those listed in `FUNCTION_BODY_IMPORTS`, each with its reason; a new
 one, or a listed one that is gone, fails the check.
 
 The benchmark's tracer (`perfbench/tracing.py`) looks each of its layers
@@ -39,9 +41,6 @@ FUNCTION_BODY_IMPORTS = {
     ("exactpoly", "curves"): "coprime's exact fallback, "
     "curves._shares_component: curves imports exactpoly, so a module-level "
     "import would be a cycle",
-    ("serialize", "instances"): "only the instance encoder and "
-    "load_instance need the Instance type; no other document depends on "
-    "the generators",
 }
 
 
@@ -235,6 +234,26 @@ def test_pipeline_and_curve_library_load_no_sympy(tmp_path):
     assert doc["records"] == [["ProjPoint(0:0:1)", 2]]
     assert doc["residual"] == 10
     assert doc["sympy"] == []
+
+
+_STARTUP = """
+import sys
+import lelongplane.cli
+lelongplane.cli.build_parser()
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
+
+def test_cli_start_up_loads_no_dataclasses_or_inspect(tmp_path):
+    """What every CLI call pays before its command: importing the CLI and
+    building its parser. The records are `record.Record` subclasses, so
+    neither `dataclasses` nor the `inspect` it pulls in is loaded."""
+    src = str(Path(lelongplane.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _perfbench_tracing():
