@@ -495,19 +495,20 @@ def coprime(p: HomPoly, q: HomPoly) -> bool:
 
 def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
     """Coefficients mod prime of L * p(u + t*v) in t, indexed by the power
-    of t, from the integer view (L, terms); the last entry is L * p(v)."""
+    of t, from the integer view (L, terms); the last entry is L * p(v).
+    Each coordinate a + b*t gets the row of (a + b*t)^e, entry s being
+    C(e, s) a^(e-s) b^s mod prime, only for the exponents e it has in p."""
+    terms = p.integer_view()[1]
     powers = []
-    for a, b in zip(u, v):
-        rows = [[1]]
-        for _ in range(p.degree):
-            prev = rows[-1]
-            row = [a * x for x in prev] + [0]
-            for i, x in enumerate(prev):
-                row[i + 1] += b * x
-            rows.append([x % prime for x in row])
-        powers.append(rows)
+    for axis, (a, b) in enumerate(zip(u, v)):
+        exps = {m[axis] for m in terms}
+        top = max(exps, default=0)
+        apow = [pow(a, k, prime) for k in range(top + 1)]
+        bpow = [pow(b, k, prime) for k in range(top + 1)]
+        powers.append({e: [math.comb(e, s) * apow[e - s] * bpow[s] % prime
+                           for s in range(e + 1)] for e in exps})
     out = [0] * (p.degree + 1)
-    for (i, j, k), c in p.integer_view()[1].items():
+    for (i, j, k), c in terms.items():
         scaled = c % prime
         pi, pj, pk = powers[0][i], powers[1][j], powers[2][k]
         for e1, x1 in enumerate(pi):

@@ -515,6 +515,45 @@ def test_coprime_with_zero_forms():
         coprime(HomPoly.zero(1), HomPoly.zero(2))
 
 
+def exact_restriction(p, u, v):
+    """p(u + t*v) in Fraction coefficients indexed by the power of t, each
+    term multiplied out one linear factor at a time."""
+    out = [Fraction(0)] * (p.degree + 1)
+    for mono, c in p.terms.items():
+        poly = [c]
+        for e, a, b in zip(mono, u, v):
+            for _ in range(e):
+                poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
+        for k, x in enumerate(poly):
+            out[k] += x
+    return out
+
+
+def test_restrict_mod_matches_the_exact_restriction():
+    """`_restrict_mod` is L * p(u + t*v) mod the prime, L the lcm of the
+    denominators, on random dense forms of degree at most 8 and on sparse
+    forms of degree 60, along every proof line."""
+    rng = random.Random(60)
+    forms = [random_big_poly(rng, rng.randint(0, 8), rng.choice((1, 40)))
+             for _ in range(30)]
+    for _ in range(10):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(0, 60)
+            j = rng.randint(0, 60 - i)
+            terms[(i, j, 60 - i - j)] = Fraction(
+                rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+        forms.append(HomPoly(60, terms))
+    forms.append(HomPoly.monomial((60, 0, 0)) + HomPoly.monomial((0, 0, 60)))
+    for p in forms:
+        big_l = math.lcm(*(c.denominator for c in p.terms.values()))
+        for u, v, prime in exactpoly._COPRIME_PROOFS:
+            scaled = [big_l * x for x in exact_restriction(p, u, v)]
+            assert all(x.denominator == 1 for x in scaled)
+            assert exactpoly._restrict_mod(p, u, v, prime) == [
+                x.numerator % prime for x in scaled]
+
+
 def sympy_exact_divide(p, q):
     """Reference: sympy's multivariate division, quotient read back through
     from_sympy."""
