@@ -5,32 +5,31 @@ component with it; `exactpoly.coprime` decides that, with no sympy. Line
 components of other degrees and smoothness are decided by an elimination
 procedure (substitute a parametrized line, then Groebner bases and
 univariate gcds on the coefficient system), so the answers are certified
-over the complex numbers even though all data is rational. Those systems,
-the rational factorization in `find_line_components` and
-`exactpoly.gcd_homogeneous` run in sympy's polynomial rings
-(`sympy.polys.rings`) over Q[a, b], Q[X, Y] and Q[X, Y, Z], imported on
-first use through `exactpoly.sympy_rings`: only `analyze_curve`,
-`is_smooth`, `find_line_components`, `has_complex_line_factor` and
-`gcd_homogeneous` load sympy, and no CLI command calls them. No sympy
-expression is built.
+over the complex numbers even though all data is rational. Those systems
+and the rational factorization in `find_line_components` run in sympy's
+polynomial rings (`sympy.polys.rings`) over Q[a, b], Q[X, Y] and
+Q[X, Y, Z], imported on first use through `exactpoly.sympy_rings`: only
+`analyze_curve`, `is_smooth`, `find_line_components` and
+`has_complex_line_factor` load sympy, and no CLI command calls them. No
+sympy expression is built.
 
 Local intersection numbers are decided in two stages. The first reads the
 tangent cones, the lowest-degree parts of the local expansions, from
 `exactpoly.order_and_cone` without the rest: when they share no line,
 mu_x = ord_x P * ord_x Q (Fulton, Algebraic Curves, 3.3, property 5),
 decided by a gcd in Z[s] of the integer cones. Only where the cones share
-a line does the classical recursive reduction run, on the integer
-expansions (`exactpoly.int_expansion`) of the two whole forms, with no
-factorization; only a pair that shares a component takes a gcd first. An
-independent oracle reads mu from sheared resultants of the forms' integer
-views, in Z[x]: Sylvester determinants at integer points, taken
-fraction-free by `linalg.int_det`, then interpolated; it counts a root's
-multiplicity by exact division. It and `bezout_table` read a shared
-component off the zero resultant, with no separate coprimality proof.
-`bezout_table` reads the rational common zeros from the rational roots of
-the resultant and of the fiber gcds, both found in Z[s]: a primitive
-remainder sequence for gcds and square-free parts, and roots modulo a
-prime lifted by Newton's iteration.
+a line does Fulton's reduction run, on the integer expansions
+(`exactpoly.int_expansion`) of the two whole forms, capped at their Bezout
+bound, which only a shared component through the point passes; it takes no
+factorization and no gcd. An independent oracle reads mu from sheared
+resultants of the forms' integer views, in Z[x]: Sylvester determinants at
+integer points, taken fraction-free by `linalg.int_det`, then
+interpolated; it counts a root's multiplicity by exact division. It and
+`bezout_table` read a shared component off the zero resultant, with no
+separate coprimality proof. `bezout_table` reads the rational common zeros
+from the rational roots of the resultant and of the fiber gcds, both found
+in Z[s]: a primitive remainder sequence for gcds and square-free parts,
+and roots modulo a prime lifted by Newton's iteration.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ from fractions import Fraction
 from .config import curves_through
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _gcd_degree_mod, coprime,
-                        evaluate, exact_divide, from_ring, gcd_homogeneous,
-                        int_expansion, order_and_cone, partial_derivatives,
-                        sympy_rings, to_ring)
+                        evaluate, exact_divide, from_ring, int_expansion,
+                        order_and_cone, partial_derivatives, sympy_rings,
+                        to_ring)
 from .linalg import clear_denominators, int_det, int_rank
 from .record import Record
 
@@ -259,7 +258,7 @@ def analyze_curve(p: HomPoly) -> CurveAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Local intersection numbers: recursive reduction in affine coordinates.
+# Local intersection numbers: Fulton's reduction in affine coordinates.
 # Bivariate polynomials are dicts {(i, j): int} in local coordinates.
 
 
@@ -273,36 +272,40 @@ def _ydiv(f):
 
 def _local_mu(f, g):
     """Intersection number of two local bivariate integer polynomials at
-    the origin. Cross-multiplied reductions with content division keep the
-    arithmetic in small integers; terminates because the homogeneous inputs
-    were coprime.
+    the origin by Fulton's reduction; cross-multiplied steps with content
+    division keep the integers small. A finite mu is at most B, the
+    product of the total degrees (Bezout; a shared component that misses
+    the origin is a unit there), and each division by the second variable
+    adds at least 1 to the count, so a count above B means math.inf.
     """
     if not f or not g:
         return math.inf
-    if f.get((0, 0), 0) != 0 or g.get((0, 0), 0) != 0:
-        return 0
-    f0, g0 = _xpart(f), _xpart(g)
-    if not f0 and not g0:
-        return math.inf  # both divisible by the second variable
-    if not f0:
-        return min(g0) + _local_mu(_ydiv(f), g)
-    if not g0:
-        return min(f0) + _local_mu(f, _ydiv(g))
-    r, s = max(f0), max(g0)
-    if r > s:
-        return _local_mu(g, f)
-    shift = s - r
-    a, b = f0[r], g0[s]
-    g_new = {k: a * v for k, v in g.items()}
-    for (i, j), c in f.items():
-        key = (i + shift, j)
-        g_new[key] = g_new.get(key, 0) - b * c
-    g_new = {k: v for k, v in g_new.items() if v != 0}
-    if g_new:
-        content = math.gcd(*g_new.values())
-        if content > 1:
-            g_new = {k: v // content for k, v in g_new.items()}
-    return _local_mu(f, g_new)
+    bound = max(i + j for i, j in f) * max(i + j for i, j in g)
+    mu = 0
+    while g and mu <= bound:
+        if f.get((0, 0), 0) != 0 or g.get((0, 0), 0) != 0:
+            return mu
+        f0, g0 = _xpart(f), _xpart(g)
+        if not f0 and not g0:
+            return math.inf  # both divisible by the second variable
+        if not f0:
+            mu, f = mu + min(g0), _ydiv(f)
+        elif not g0:
+            mu, g = mu + min(f0), _ydiv(g)
+        else:
+            r, s = max(f0), max(g0)
+            if r > s:
+                f, g, f0, g0, r, s = g, f, g0, f0, s, r
+            a, b = f0[r], g0[s]
+            g_new = {k: a * v for k, v in g.items()}
+            for (i, j), c in f.items():
+                key = (i + s - r, j)
+                g_new[key] = g_new.get(key, 0) - b * c
+            g = {k: v for k, v in g_new.items() if v != 0}
+            content = math.gcd(*g.values())
+            if content > 1:
+                g = {k: v // content for k, v in g.items()}
+    return math.inf
 
 
 def _trim(a):
@@ -360,15 +363,9 @@ def _orders_and_mu(p: HomPoly, q: HomPoly, x: ProjPoint, with_mu=True):
 
 
 def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint):
-    """mu_x(p, q) by the recursive reduction on the two whole forms, for
-    nonzero p and q that vanish at x. A common component through x gives
-    math.inf; one that misses x is divided out first."""
-    if not coprime(p, q):
-        g = gcd_homogeneous(p, q)
-        if evaluate(g, x) == 0:
-            return math.inf
-        p = exact_divide(p, g)
-        q = exact_divide(q, g)
+    """mu_x(p, q) by the reduction on the primitive integer expansions of
+    the two whole forms, for nonzero p and q that vanish at x; a common
+    component through x gives math.inf."""
     local = []
     for f in (p, q):
         terms = int_expansion(f, x)[2]

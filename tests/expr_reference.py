@@ -113,9 +113,8 @@ def reference_gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
 def use_expr_internals(monkeypatch):
     """Run the package's resultants and gcds on `Expr`."""
     monkeypatch.setattr(curves, "_resultant_xz", reference_resultant_xz)
-    for module in (curves, exactpoly):
-        monkeypatch.setattr(module, "gcd_homogeneous",
-                            reference_gcd_homogeneous)
+    monkeypatch.setattr(exactpoly, "gcd_homogeneous",
+                        reference_gcd_homogeneous)
 
 
 def reference_cubic_is_irreducible(p: HomPoly) -> bool:

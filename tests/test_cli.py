@@ -5,21 +5,32 @@ failure class, byte-identical report files on repeated seeded runs, and a
 full generate -> construct -> certify round trip through the filesystem.
 """
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import golden
 from lelongplane import construct, currents, curves, exactpoly, serialize
 from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                              EXIT_UNSUPPORTED, EXIT_VERIFICATION, main)
-from lelongplane.construct import (PotentialCertificate, make_certificate,
+from lelongplane.construct import (PotentialCertificate,
+                                   construct_certificate, make_certificate,
                                    verify_certificate)
 from lelongplane.exactpoly import HomPoly, ProjPoint, vanishing_order
-from lelongplane.instances import INSTANCE_KINDS
+from lelongplane.instances import INSTANCE_KINDS, generate
+
+DOCUMENTED_CODES = {EXIT_OK, EXIT_PRECONDITION, EXIT_VERIFICATION,
+                    EXIT_UNSUPPORTED, EXIT_PARSE}
 
 
 def run(*argv):
@@ -699,6 +710,157 @@ def test_certify_rejects_duplicate_exponents(tmp_path, capsys):
     assert run("certify", "--input", str(path)) == EXIT_PARSE
     capsys.readouterr()
 
+
+def tangent_chain_certificate(k):
+    """P = Z (Y^k Z - X^(k+1)) and Q = P - X^(k+2) at (0:0:1), of weight k
+    and gamma k + 2. Both tangent cones are Y^k, so the reduction decides
+    mu = I(P, X^(k+2)) = k (k + 2), at most (k + 2)^2."""
+    p = HomPoly(k + 2, {(0, k, 2): 1, (k + 1, 0, 1): -1})
+    q = HomPoly(k + 2, {(0, k, 2): 1, (k + 1, 0, 1): -1, (k + 2, 0, 0): -1})
+    return PotentialCertificate(
+        p=p, q=q, r=1, points=((ProjPoint(0, 0, 1), Fraction(k)),),
+        gamma_u=Fraction(k + 2), case_tag="tangent_chain", verified=True)
+
+
+def test_a_long_tangent_chain_is_certified(tmp_path, capsys):
+    """The reduction divides by Y 2k times here; as a recursion it passed
+    Python's limit at k = 500, and both commands ended in a
+    RecursionError."""
+    for k in (100, 500):
+        cert = tangent_chain_certificate(k)
+        assert curves.intersection_multiplicity(
+            cert.p, cert.q, ProjPoint(0, 0, 1)) == k * (k + 2)
+    path = tmp_path / "cert.json"
+    serialize.dump(cert, path)
+    assert run("certify", "--input", str(path)) == EXIT_OK
+    assert "points_ok=1/1" in capsys.readouterr().out
+    assert run("lelong", "--input", str(path)) == EXIT_PRECONDITION
+    assert "leave the range of floats" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# crafted certificate files: mutations of the generic12 seed-0 certificate
+
+
+@functools.cache
+def generic12_document():
+    inst = generate("generic12", 0)
+    cert = construct_certificate(inst.point_set, extra=inst.extra).certificate
+    return serialize.dumps(cert)
+
+
+def _node(doc, path):
+    """The list or dict that holds path[-1] in doc, or None where an
+    earlier mutation took the path away."""
+    node = doc
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    last = path[-1]
+    if isinstance(node, dict) and last in node or (
+            isinstance(node, list) and isinstance(last, int)
+            and last < len(node)):
+        return node
+    return None
+
+
+def _mutate(doc, mutation):
+    op, path, value = mutation
+    if op == "rescale":  # r = value, with weights and gamma over value
+        doc["r"] = value
+        doc["gamma_u"] = str(Fraction(doc["gamma_u"]) / value)
+        for entry in doc["points"]:
+            entry["weight"] = str(Fraction(entry["weight"]) / value)
+        return
+    node = _node(doc, path)
+    if node is None:
+        return
+    old = node[path[-1]]
+    if op == "set":
+        node[path[-1]] = value
+    elif op == "drop":
+        del node[path[-1]]
+    elif op == "repeat" and isinstance(node, list):
+        node.append(old)
+    elif op == "wrap":  # a scalar, or anything, becomes a list
+        node[path[-1]] = [old]
+    elif op == "unwrap" and isinstance(old, list):
+        node[path[-1]] = old[0] if old else 0
+    elif op == "exponent" and isinstance(old, list) and len(old) == 4:
+        # move X^value into the Z exponent: one term of another monomial
+        node[path[-1]] = [old[0] + value, old[1], old[2] - value, old[3]]
+
+
+def mutated(mutations):
+    doc = json.loads(generic12_document())
+    # rescaling reads r, gamma and the weights, so it runs before the rest
+    for mutation in sorted(mutations, key=lambda m: m[0] != "rescale"):
+        _mutate(doc, mutation)
+    return doc
+
+
+_PATHS = ([("r",), ("gamma_u",), ("type",), ("verified",), ("points",),
+           ("p",), ("q",), ("schema_version",)]
+          + [("points", i) for i in (0, 5, 11)]
+          + [("points", i, "weight") for i in (0, 7)]
+          + [("points", i, "point") for i in (1, 11)]
+          + [("points", 2, "point", c) for c in range(3)]
+          + [(f, key) for f in "pq" for key in ("degree", "terms")]
+          + [(f, "terms", i) for f in "pq" for i in (0, 9)]
+          + [(f, "terms", 3, c) for f in "pq" for c in (0, 3)])
+_NUMBERS = ["0", "1", "2", "1/2", "-1", "3", "6", "12"]
+MUTATIONS = st.one_of(
+    # types, and lists <-> scalars
+    st.tuples(st.just("set"), st.sampled_from(_PATHS), st.sampled_from(
+        [None, True, 0, 1, 5, "x", "1/0", [], {}, [1], ["1", "2", "3"]])),
+    st.tuples(st.sampled_from(["wrap", "unwrap"]), st.sampled_from(_PATHS),
+              st.none()),
+    # weights, gamma and r
+    st.tuples(st.just("set"), st.sampled_from(
+        [("gamma_u",)] + [("points", i, "weight") for i in (0, 3, 11)]),
+        st.sampled_from(_NUMBERS)),
+    st.tuples(st.just("set"), st.just(("r",)), st.integers(1, 3)),
+    st.tuples(st.just("rescale"), st.none(), st.integers(2, 4)),
+    # dropped or repeated points and terms
+    st.tuples(st.sampled_from(["drop", "repeat"]), st.sampled_from(
+        [("points", i) for i in (0, 6, 11)]
+        + [(f, "terms", i) for f in "pq" for i in (0, 12)]), st.none()),
+    # degrees: another monomial in one term, or another degree
+    st.tuples(st.just("exponent"), st.sampled_from(
+        [(f, "terms", i) for f in "pq" for i in (0, 4, 17)]),
+        st.integers(-2, 2)),
+    st.tuples(st.just("set"), st.sampled_from([("p", "degree"),
+                                               ("q", "degree")]),
+              st.integers(0, 8)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=st.lists(MUTATIONS, min_size=1, max_size=2).map(mutated))
+@example(doc=json.loads(serialize.dumps(tangent_chain_certificate(500))))
+def test_crafted_certificates_end_in_a_documented_code(doc):
+    """certify and lelong on a mutated certificate file exit 0, 2, 3, 4 or
+    5, never in a traceback; where certify accepts the file, every weight
+    is min(ord P, ord Q) / r and gamma is deg P / r. The first draw builds
+    the generic12 certificate, which the health check would count as slow
+    data generation."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            certified = run("certify", "--input", str(path))
+            assert run("lelong", "--input", str(path)) in DOCUMENTED_CODES
+        assert certified in DOCUMENTED_CODES
+        if certified == EXIT_OK:
+            cert = serialize.load_certificate(path)
+            for x, weight in cert.points:
+                assert weight == Fraction(min(vanishing_order(cert.p, x),
+                                              vanishing_order(cert.q, x)),
+                                          cert.r)
+            assert cert.gamma_u == Fraction(cert.p.degree, cert.r)
 
 # --------------------------------------------------------------------------
 # refusals an instance file can reach

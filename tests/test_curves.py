@@ -21,7 +21,7 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
-from lelongplane import curves
+from lelongplane import curves, exactpoly
 from lelongplane.config import m_sequence
 from lelongplane.construct import construct_certificate
 from lelongplane.curves import (analyze_curve, bezout_table, conic_rank,
@@ -31,7 +31,7 @@ from lelongplane.curves import (analyze_curve, bezout_table, conic_rank,
                                 rational_singular_points,
                                 resultant_multiplicity)
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime,
+from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
                                    exact_divide, gcd_homogeneous, join,
                                    monomials, vanishing_order)
 from lelongplane.instances import generate
@@ -458,7 +458,7 @@ def test_transversal_points_skip_gcd_and_factoring(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the tangent cones decide this point")
 
-    monkeypatch.setattr(curves, "gcd_homogeneous", forbidden)
+    assert not hasattr(curves, "gcd_homogeneous")
     monkeypatch.setattr(curves, "_reduction_mu", forbidden)
     x_axis = HomPoly.line(0, 1, 0)
     y_axis = HomPoly.line(1, 0, 0)
@@ -533,42 +533,63 @@ def _shared_tangent_pair(rng, tangent, other, degrees, singular):
 
 def test_reduction_runs_on_whole_forms(monkeypatch):
     """The reduction agrees with the strict resultant oracle on products
-    with repeated factors, on shared-tangent cubics and quartics, and with
-    a shared component that misses x, and factors nothing."""
-    factored = []
-    real_factor_list = PolyElement.factor_list
-    monkeypatch.setattr(PolyElement, "factor_list",
-                        lambda f: factored.append(f) or real_factor_list(f))
+    with repeated factors, on shared-tangent cubics and quartics, where mu
+    equals the Bezout bound, and with a shared line or conic that misses
+    x; a shared line or conic through x gives math.inf. It factors
+    nothing and takes no coprimality proof, gcd or division: the count
+    passing the Bezout bound decides a shared component."""
     x = ProjPoint(Fraction(1, 2), Fraction(-2, 3), Fraction(1))
     l, m = _through(x, 2, -3), _through(x, 1, 4)
     # smooth conics through x: c has tangent m, c2 has tangent l
     c = m * HomPoly.line(0, 0, 1) + l * l
     c2 = l * HomPoly.line(0, 0, 1) - m * m
+    x_axis = HomPoly.line(0, 1, 0)
     y_axis = HomPoly.line(1, 0, 0)
     parabola = mono((0, 1, 1)) - mono((2, 0, 0))
+    conic3 = mono((0, 1, 1)) - mono((2, 0, 0)) - mono((0, 2, 0))
     cusp = mono((0, 2, 1)) - mono((3, 0, 0))
     # mu = sum over factor pairs: l^2 c . m c2 = 2 + 4 + 2 + 1,
     # l^2 c . m^2 c2 = 4 + 4 + 4 + 1, X cusp . parabola = 1 + 3
     split = [(l * l * c, m * c2, x, 9), (l * l * c, m * m * c2, x, 13),
              (y_axis * cusp, parabola, ORIGIN, 4)]
+    # mu equals the Bezout bound: Y meets YZ^(d-1) - X^d only at the
+    # origin, d times
+    at_bound = [(parabola, conic3, ORIGIN, 4)] + [
+        (x_axis, mono((0, 1, d - 1)) - mono((d, 0, 0)), ORIGIN, d)
+        for d in (2, 3, 7)]
     rng = random.Random(73)
     tangent = [(*_shared_tangent_pair(rng, l, m, degrees, singular), x,
                 None)
                for degrees, singular in [((3, 4), (False, False)),
                                          ((4, 4), (False, True)),
                                          ((3, 3), (True, True))]]
-    for p, q, y, expected in split + tangent:
-        mu = curves._reduction_mu(p, q, y)
-        assert mu == resultant_multiplicity(p, q, y, strict=True)
-        assert mu > vanishing_order(p, y) * vanishing_order(q, y)
-        assert expected in (None, mu)
-    # a shared component that misses x is divided out
-    far = HomPoly.line(1, 1, 1)
     p, q, _, _ = tangent[0]
-    assert curves._reduction_mu(far * p, far * q, x) == \
-        resultant_multiplicity(p, q, x, strict=True)
+    far_line = HomPoly.line(1, 1, 1)
+    far_conic = mono((2, 0, 0)) + mono((0, 2, 0)) + mono((0, 0, 2))
+    assert evaluate(far_conic, x) != 0
+    off_x = resultant_multiplicity(p, q, x, strict=True)
+
+    def forbidden(*args):
+        raise AssertionError("the reduction decides sharing by itself")
+
+    factored = []
+    real_factor_list = PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        lambda f: factored.append(f) or real_factor_list(f))
+    for module, name in ((curves, "coprime"), (curves, "exact_divide"),
+                         (exactpoly, "gcd_homogeneous")):
+        monkeypatch.setattr(module, name, forbidden)
+    for p1, q1, y, expected in split + at_bound + tangent:
+        mu = curves._reduction_mu(p1, q1, y)
+        assert mu == resultant_multiplicity(p1, q1, y, strict=True)
+        assert mu > vanishing_order(p1, y) * vanishing_order(q1, y)
+        assert expected in (None, mu)
+    # a shared component that misses x is a unit there
+    for far in (far_line, far_conic):
+        assert curves._reduction_mu(far * p, far * q, x) == off_x
     # one through x gives math.inf
-    assert curves._reduction_mu(l * p, l * q, x) == math.inf
+    for shared in (l, c):
+        assert curves._reduction_mu(shared * p, shared * q, x) == math.inf
     assert factored == []
 
 
@@ -891,9 +912,10 @@ def test_root_multiplicity_matches_fraction_reference():
 
 
 def test_bezout_table_and_oracle_take_no_coprimality_proof(monkeypatch):
-    """Each reads a shared component off the resultant it computes, so
-    neither calls `coprime` itself on the benchmark's tangent pairs; the
-    reduction that bezout_table's multiplicities run still may."""
+    """Each reads a shared component off the resultant it computes, and
+    the reduction that bezout_table's multiplicities run decides one by
+    its Bezout cap, so nothing calls `coprime` on the benchmark's tangent
+    pairs. A cubic irreducibility test shows that the spy sees calls."""
     callers = []
     real = curves.coprime
 
@@ -905,8 +927,9 @@ def test_bezout_table_and_oracle_take_no_coprimality_proof(monkeypatch):
     for p, q in _bench_tangent_pairs(0):
         for r in bezout_table(p, q)[0]:
             resultant_multiplicity(p, q, r.point)
-    assert "_reduction_mu" in callers
-    assert not {"bezout_table", "resultant_multiplicity"} & set(callers)
+    assert callers == []
+    assert cubic_is_irreducible(mono((0, 2, 1)) - mono((3, 0, 0)))
+    assert callers == ["cubic_is_irreducible"]
 
 
 def _line_through(rng, x):
