@@ -22,11 +22,11 @@ from fractions import Fraction
 
 from .config import (MSequence, PointSet, curves_through, four_point_lines,
                      m_sequence)
-from .curves import (_orders_and_mu, conic_rank, cubic_is_irreducible,
-                     irreducible_conic_through)
+from .curves import (_orders_and_mu, conic_rank, coprime,
+                     cubic_is_irreducible, irreducible_conic_through)
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, coprime, divides, evaluate,
-                        exact_divide, join, vanishing_order)
+from .exactpoly import (HomPoly, ProjPoint, divides, evaluate, exact_divide,
+                        join, vanishing_order)
 from .linalg import int_rank
 from .linsys import (LinearSystem, VanishingCondition, build_system,
                      linearly_independent)
@@ -97,7 +97,7 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     """Re-derive every certificate invariant from scratch.
 
     Checks: the pair is coprime (discrete common zeros, decided by
-    exactpoly.coprime: a modular resultant on a line, or the sheared
+    curves.coprime: a modular resultant on a line, or the sheared
     resultant when that proof fails), r >= 1, the listed
     points are pairwise distinct, every one is a common zero whose
     claimed weight equals min(ord P, ord Q)/r and whose intersection

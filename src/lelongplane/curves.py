@@ -1,17 +1,17 @@
 """Geometric properties of plane curves over Q.
 
 A cubic is irreducible over C iff its Hessian is not zero and shares no
-component with it; `exactpoly.coprime` decides that, with no sympy. Line
-components of other degrees and smoothness are decided by an elimination
-procedure (substitute a parametrized line, then Groebner bases and
-univariate gcds on the coefficient system), so the answers are certified
-over the complex numbers even though all data is rational. Those systems
-and the rational factorization in `find_line_components` run in sympy's
-polynomial rings (`sympy.polys.rings`) over Q[a, b], Q[X, Y] and
-Q[X, Y, Z], imported on first use through `exactpoly.sympy_rings`: only
-`analyze_curve`, `is_smooth`, `find_line_components` and
-`has_complex_line_factor` load sympy, and no CLI command calls them. No
-sympy expression is built.
+component with it; `coprime` decides that, with no sympy: a modular
+resultant on a line, else `_shares_component`. Line components of other
+degrees and smoothness are decided by an elimination procedure
+(substitute a parametrized line, then Groebner bases and univariate gcds
+on the coefficient system), so the answers are certified over the complex
+numbers even though all data is rational. Those systems and the rational
+factorization in `find_line_components` run in sympy's polynomial rings
+(`sympy.polys.rings`) over Q[a, b], Q[X, Y] and Q[X, Y, Z], imported on
+first use through `exactpoly.sympy_rings`: only `analyze_curve`,
+`is_smooth`, `find_line_components` and `has_complex_line_factor` load
+sympy, and no CLI command calls them. No sympy expression is built.
 
 Local intersection numbers are decided in two stages. The first reads the
 tangent cones, the lowest-degree parts of the local expansions, from
@@ -28,8 +28,9 @@ interpolated; it counts a root's multiplicity by exact division. It and
 `bezout_table` read a shared component off the zero resultant, with no
 separate coprimality proof. `bezout_table` reads the rational common zeros
 from the rational roots of the resultant and of the fiber gcds, both found
-in Z[s]: a primitive remainder sequence for gcds and square-free parts,
-and roots modulo a prime lifted by Newton's iteration.
+in Z[s] by the kernels of `upoly`: a primitive remainder sequence for
+gcds and square-free parts, and roots modulo a prime lifted by Newton's
+iteration.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from fractions import Fraction
 
 from .config import curves_through
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, _gcd_degree_mod, coprime,
-                        evaluate, exact_divide, from_ring, int_expansion,
-                        order_and_cone, partial_derivatives, sympy_rings,
-                        to_ring)
-from .linalg import clear_denominators, int_det, int_rank
+from .exactpoly import (HomPoly, ProjPoint, evaluate, exact_divide,
+                        from_ring, int_expansion, order_and_cone,
+                        partial_derivatives, sympy_rings, to_ring)
+from .linalg import int_det, int_rank
 from .record import Record
+from .upoly import (divide, gcd_degree_mod, int_gcd, int_poly,
+                    rational_roots, trim)
 
 
 def _qq(c: Fraction):
@@ -202,10 +204,10 @@ def is_smooth(p: HomPoly) -> bool:
         for (i, _, k), c in q.terms.items():
             if k == 0:
                 coeffs[i] = c
-        f = _int_poly(coeffs)
+        f = int_poly(coeffs)
         if f:
             nonzero.append(f)
-    if not nonzero or len(functools.reduce(_int_gcd, nonzero)) > 1:
+    if not nonzero or len(functools.reduce(int_gcd, nonzero)) > 1:
         return False
     # the point (1:0:0)
     one = ProjPoint(1, 0, 0)
@@ -308,13 +310,6 @@ def _local_mu(f, g):
     return math.inf
 
 
-def _trim(a):
-    a = list(a)
-    while a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _cones_coprime(a, b) -> bool:
     """True iff two nonzero integer binary forms share no line over C.
 
@@ -324,7 +319,7 @@ def _cones_coprime(a, b) -> bool:
     """
     if a[-1] == 0 and b[-1] == 0:
         return False
-    return len(_int_gcd(_trim(a), _trim(b))) == 1
+    return len(int_gcd(trim(a), trim(b))) == 1
 
 
 def intersection_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint):
@@ -479,7 +474,7 @@ def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
                 falling[i - 1] - root * falling[i]
                 for i in range(1, len(falling))] + [falling[-1]]
             weight //= k + 1
-    return _int_poly(acc)
+    return int_poly(acc)
 
 
 def _y_coeffs(terms, degree: int, x, z=1) -> list:
@@ -501,8 +496,7 @@ def _root_multiplicity(res: list[int], top: int, u, v) -> int:
     root = Fraction(u, v)
     factor = [-root.numerator, root.denominator]
     mult = 0
-    while not _pseudo_remainder(res, factor):
-        res = _exact_quotient(res, factor)
+    while (res := divide(res, factor)) is not None:
         mult += 1
     return mult
 
@@ -541,8 +535,70 @@ def _shares_component(p: HomPoly, q: HomPoly) -> bool:
     coefficients.
     """
     _, _, pt, qt = _sheared_pair(p, q)
-    return all(len(_int_gcd(_fiber(pt, x, 1), _fiber(qt, x, 1))) > 1
+    return all(len(int_gcd(_fiber(pt, x, 1), _fiber(qt, x, 1))) > 1
                for x in range(pt.degree * qt.degree + 1))
+
+
+# (u, v, prime): the line t -> u + t*v and a prime below 2^31
+_COPRIME_PROOFS = (
+    ((1, -2, 3), (5, 7, -4), 2147483647),
+    ((-3, 4, 2), (2, -5, 9), 2147483629),
+    ((6, 1, -5), (-7, 3, 8), 2147483587),
+)
+
+
+def coprime(p: HomPoly, q: HomPoly) -> bool:
+    """True iff p and q share no component; equals
+    exactpoly.gcd_homogeneous(p, q).degree == 0, and loads no sympy.
+
+    The proof is a resultant modulo a prime (Cox, Little, O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 3, sec. 6). Scaled to integer forms, p
+    and q are restricted to a line t -> u + t*v and reduced modulo the
+    prime; when both leading coefficients p(v) and q(v) are nonzero there,
+    both degrees survive, and a constant gcd from Euclid over F_p means
+    the resultant is nonzero mod p, so nonzero over Z. The restrictions
+    then share no root in P^1. A shared component would meet the line in
+    a common root, or contain it, making p(v) = 0; so none exists. Only
+    when no entry of the fixed list _COPRIME_PROOFS gives a proof does
+    the exact test _shares_component decide, and every pair that shares
+    a component is answered by it. The zero form contains every curve.
+    """
+    if p.is_zero and q.is_zero:
+        raise PreconditionError("gcd of two zero polynomials")
+    if p.is_zero or q.is_zero:  # the gcd is the other form
+        return (q if p.is_zero else p).degree == 0
+    for u, v, prime in _COPRIME_PROOFS:
+        a = _restrict_mod(p, u, v, prime)
+        b = _restrict_mod(q, u, v, prime)
+        if a[-1] and b[-1] and gcd_degree_mod(a, b, prime) == 0:
+            return True
+    return not _shares_component(p, q)
+
+
+def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
+    """Coefficients mod prime of L * p(u + t*v) in t, indexed by the power
+    of t, from the integer view (L, terms); the last entry is L * p(v).
+    Each coordinate a + b*t gets the row of (a + b*t)^e, entry s being
+    C(e, s) a^(e-s) b^s mod prime, only for the exponents e it has in p."""
+    terms = p.integer_view()[1]
+    powers = []
+    for axis, (a, b) in enumerate(zip(u, v)):
+        exps = {m[axis] for m in terms}
+        top = max(exps, default=0)
+        apow = [pow(a, k, prime) for k in range(top + 1)]
+        bpow = [pow(b, k, prime) for k in range(top + 1)]
+        powers.append({e: [math.comb(e, s) * apow[e - s] * bpow[s] % prime
+                           for s in range(e + 1)] for e in exps})
+    out = [0] * (p.degree + 1)
+    for (i, j, k), c in terms.items():
+        scaled = c % prime
+        pi, pj, pk = powers[0][i], powers[1][j], powers[2][k]
+        for e1, x1 in enumerate(pi):
+            for e2, x2 in enumerate(pj):
+                x12 = scaled * x1 * x2
+                for e3, x3 in enumerate(pk):
+                    out[e1 + e2 + e3] += x12 * x3
+    return [x % prime for x in out]
 
 
 def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
@@ -581,133 +637,11 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
             return best
 
 
-# Univariate polynomials over Z: coefficient lists indexed by the power,
-# with a nonzero last entry; [] is the zero polynomial.
-
-
-def _int_poly(coeffs) -> list[int]:
-    """Rational coefficients (ints or Fractions), indexed by the power, as
-    the primitive integer polynomial with a positive leading coefficient."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return []
-    return _primitive(clear_denominators(coeffs)[1])
-
-
-def _primitive(a: list[int]) -> list[int]:
-    g = math.gcd(*a)
-    return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of a mod b."""
-    a = list(a)
-    while len(a) >= len(b):
-        c, shift = a[-1], len(a) - len(b)
-        a = [b[-1] * x for x in a]
-        for i, x in enumerate(b):
-            a[shift + i] -= c * x
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd, with positive leading coefficient, of two nonzero
-    integer polynomials, by the primitive remainder sequence (Knuth, TAOCP
-    vol. 2, 4.6.1): Euclid over Q, kept in Z by pseudo-division and
-    content removal."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _pseudo_remainder(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive divisor b of a; by Gauss's lemma every
-    quotient coefficient is an integer."""
-    a = list(a)
-    quo = [0] * (len(a) - len(b) + 1)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = a[k + len(b) - 1] // b[-1]
-        for i, x in enumerate(b):
-            a[k + i] -= c * x
-    return quo
-
-
-def _eval_mod(f: list[int], x: int, mod: int) -> int:
-    val = 0
-    for c in reversed(f):
-        val = (val * x + c) % mod
-    return val
-
-
-def _primes():
-    p = 2
-    while True:
-        if all(p % d for d in range(2, math.isqrt(p) + 1)):
-            yield p
-        p += 1
-
-
-def _rational_roots(f: list[int]) -> list[Fraction]:
-    """The distinct rational roots of a nonzero integer polynomial.
-
-    The square-free part g = f / gcd(f, f') keeps every root once. Take the
-    first prime p that does not divide the leading coefficient l of g and
-    keeps g square-free mod p; every root of g mod p is then simple, and
-    Newton's iteration lifts it to a root mod p^k. A rational root a/b of
-    g has b | l (Gauss), and y = l * a/b is an integer with
-    |y| <= l + max |g_i| (Cauchy's bound), so once p^k exceeds twice that
-    the symmetric residue of l times the lifted root is y. Each candidate
-    y/l is accepted only when l^n g(y/l) is exactly 0.
-    """
-    if len(f) < 2:
-        return []
-    common = _int_gcd(f, [i * c for i, c in enumerate(f)][1:])
-    g = _exact_quotient(f, common) if len(common) > 1 else f
-    lead = g[-1]
-    dg = [i * c for i, c in enumerate(g)][1:]
-    for p in _primes():
-        if lead % p == 0:
-            continue
-        dmod = [c % p for c in dg]
-        while dmod and dmod[-1] == 0:
-            dmod.pop()
-        if dmod and _gcd_degree_mod([c % p for c in g], dmod, p) == 0:
-            break
-    bound = 2 * (abs(lead) + max(abs(c) for c in g))
-    roots = []
-    for start in range(p):
-        if _eval_mod(g, start, p):
-            continue
-        r, mod = start, p
-        while mod <= bound:
-            mod *= mod
-            r = (r - _eval_mod(g, r, mod)
-                 * pow(_eval_mod(dg, r, mod), -1, mod)) % mod
-        y = lead * r % mod
-        if y > mod // 2:
-            y -= mod
-        val, power = 0, 1
-        for c in reversed(g):  # l^n g(y/l) by Horner
-            val = val * y + c * power
-            power *= lead
-        if val == 0:
-            roots.append(Fraction(y, lead))
-    return roots
-
-
 def _fiber(p: HomPoly, x: Fraction, z: Fraction) -> list[int]:
-    """p(x, s, z) as a primitive integer polynomial in s."""
-    return _int_poly(reversed(_y_coeffs(p.terms, p.degree, x, z)))
+    """p(x, s, z) as a primitive integer polynomial in s, read from the
+    integer view of p: the primitive part drops its scale L > 0."""
+    ints = p.integer_view()[1]
+    return int_poly(reversed(_y_coeffs(ints, p.degree, x, z)))
 
 
 def bezout_table(p: HomPoly, q: HomPoly):
@@ -724,14 +658,14 @@ def bezout_table(p: HomPoly, q: HomPoly):
         raise PreconditionError("infinite intersection")
     # projection roots: finite X/Z values plus possibly the line Z = 0
     points: set[ProjPoint] = set()
-    finite_roots = _rational_roots(res)
+    finite_roots = rational_roots(res)
 
     def fiber_points(x, z):
         """Common rational zeros of p_t, q_t on the line (x, s, z)."""
         pu, qu = _fiber(pt, x, z), _fiber(qt, x, z)
         if not pu or not qu:
             return []
-        return _rational_roots(_int_gcd(pu, qu))
+        return rational_roots(int_gcd(pu, qu))
 
     for u in finite_roots:
         for s in fiber_points(u, Fraction(1)):

@@ -3,14 +3,13 @@
 All values are immutable after construction and all operations are pure.
 The ground field is the rationals (stdlib ``Fraction``); the fixed monomial
 order used everywhere for canonical forms is graded lexicographic with
-X > Y > Z. Evaluation, local expansion, division and the coprimality
-test run without sympy. Only `gcd_homogeneous` (for two nonzero forms)
-and the ring converters use sympy's polynomial rings, which
-`sympy_rings` imports on first use.
+X > Y > Z. Evaluation, local expansion and division run without sympy.
+Only `gcd_homogeneous` (for two nonzero forms) and the ring converters
+use sympy's polynomial rings, which `sympy_rings` imports on first use.
 
 Each form keeps one integer view (`HomPoly.integer_view`): L, the lcm of
-its denominators, and the integer terms of L * p. Evaluation, `coprime`,
-the resultants of `curves` and the Taylor shift read it. The shift to a
+its denominators, and the integer terms of L * p. Evaluation, the Taylor
+shift, and `curves.coprime` and the resultants of `curves` read it. The shift to a
 point is one sparse table per form (`_shift_tables`): `int_expansion`
 sums it whole (for the μ reduction, the estimators of `currents` and
 `local_expansion`, its Fraction view), `order_and_cone` level by level.
@@ -453,85 +452,3 @@ def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
     if q.is_zero:
         return p.monic()
     return from_ring(to_ring(p).gcd(to_ring(q))).monic()
-
-
-# (u, v, prime): the line t -> u + t*v and a prime below 2^31
-_COPRIME_PROOFS = (
-    ((1, -2, 3), (5, 7, -4), 2147483647),
-    ((-3, 4, 2), (2, -5, 9), 2147483629),
-    ((6, 1, -5), (-7, 3, 8), 2147483587),
-)
-
-
-def coprime(p: HomPoly, q: HomPoly) -> bool:
-    """True iff p and q share no component; equals
-    gcd_homogeneous(p, q).degree == 0, and loads no sympy.
-
-    The proof is a resultant modulo a prime (Cox, Little, O'Shea, Ideals,
-    Varieties, and Algorithms, ch. 3, sec. 6). Scaled to integer forms, p
-    and q are restricted to a line t -> u + t*v and reduced modulo the
-    prime; when both leading coefficients p(v) and q(v) are nonzero there,
-    both degrees survive, and a constant gcd from Euclid over F_p means
-    the resultant is nonzero mod p, so nonzero over Z. The restrictions
-    then share no root in P^1. A shared component would meet the line in
-    a common root, or contain it, making p(v) = 0; so none exists. Only
-    when no entry of the fixed list _COPRIME_PROOFS gives a proof does
-    the exact test decide: after a frame change and a shear that put
-    [0:1:0] on neither curve, every component has positive degree in Y,
-    so the pair shares one iff its resultant in Y is the zero form
-    (curves._shares_component). Every pair that shares a component is
-    answered by that test.
-    """
-    if p.is_zero or q.is_zero:  # the gcd is the other form, made monic
-        return gcd_homogeneous(p, q).degree == 0
-    for u, v, prime in _COPRIME_PROOFS:
-        a = _restrict_mod(p, u, v, prime)
-        b = _restrict_mod(q, u, v, prime)
-        if a[-1] and b[-1] and _gcd_degree_mod(a, b, prime) == 0:
-            return True
-    from .curves import _shares_component  # curves builds on this module
-    return not _shares_component(p, q)
-
-
-def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
-    """Coefficients mod prime of L * p(u + t*v) in t, indexed by the power
-    of t, from the integer view (L, terms); the last entry is L * p(v).
-    Each coordinate a + b*t gets the row of (a + b*t)^e, entry s being
-    C(e, s) a^(e-s) b^s mod prime, only for the exponents e it has in p."""
-    terms = p.integer_view()[1]
-    powers = []
-    for axis, (a, b) in enumerate(zip(u, v)):
-        exps = {m[axis] for m in terms}
-        top = max(exps, default=0)
-        apow = [pow(a, k, prime) for k in range(top + 1)]
-        bpow = [pow(b, k, prime) for k in range(top + 1)]
-        powers.append({e: [math.comb(e, s) * apow[e - s] * bpow[s] % prime
-                           for s in range(e + 1)] for e in exps})
-    out = [0] * (p.degree + 1)
-    for (i, j, k), c in terms.items():
-        scaled = c % prime
-        pi, pj, pk = powers[0][i], powers[1][j], powers[2][k]
-        for e1, x1 in enumerate(pi):
-            for e2, x2 in enumerate(pj):
-                x12 = scaled * x1 * x2
-                for e3, x3 in enumerate(pk):
-                    out[e1 + e2 + e3] += x12 * x3
-    return [x % prime for x in out]
-
-
-def _gcd_degree_mod(a: list[int], b: list[int], prime: int) -> int:
-    """Degree of gcd(a, b) over F_p for polynomials given by coefficient
-    lists indexed by power, both with nonzero last entry."""
-    while b:
-        inv = pow(b[-1], -1, prime)
-        a = list(a)
-        while len(a) >= len(b):
-            c = a[-1] * inv % prime
-            shift = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * x) % prime
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1

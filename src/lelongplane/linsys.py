@@ -13,9 +13,9 @@ from __future__ import annotations
 import warnings
 
 from .errors import PreconditionError, UnsupportedInstanceError
-from .curves import bezout_table
-from .exactpoly import (HomPoly, ProjPoint, _shift_rows, coprime, divides,
-                        evaluate, monomial_count, monomials, vanishing_order)
+from .curves import bezout_table, coprime
+from .exactpoly import (HomPoly, ProjPoint, _shift_rows, divides, evaluate,
+                        monomial_count, monomials, vanishing_order)
 from .linalg import int_rank, nullspace, solve_exact
 from .record import Record
 

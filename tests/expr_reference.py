@@ -6,7 +6,7 @@ sympy-based versions it replaced, kept as independent references: the
 converters between `HomPoly` and `Expr`, `sympy.resultant` for
 `curves._resultant_xz`, the `Expr` versions of `gcd_homogeneous`,
 `is_smooth` and `bezout_table`, the Groebner line test for
-`cubic_is_irreducible`, sympy's `factor_list` for `curves._rational_roots`,
+`cubic_is_irreducible`, sympy's `factor_list` for `upoly.rational_roots`,
 and `use_expr_internals`, which puts the resultant and the gcd back into
 the package so that its multiplicity algorithms run on `Expr` as they did.
 The rest need no sympy: root multiplicities in a binary form by Horner
@@ -30,9 +30,10 @@ from lelongplane import curves, exactpoly
 from lelongplane.config import PointSet, _evaluation_rows, m_sequence
 from lelongplane.currents import (ArrangementCurrent, SharpnessReport,
                                   _random_line, lelong_exact)
+from lelongplane.curves import coprime
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
-                                   join, line_coeffs, meet, monomial_count,
+from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate, join,
+                                   line_coeffs, meet, monomial_count,
                                    monomials, partial_derivatives)
 from lelongplane.linalg import int_rank
 

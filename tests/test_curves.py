@@ -21,17 +21,18 @@ import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
-from lelongplane import curves, exactpoly
+from lelongplane import curves, exactpoly, upoly
 from lelongplane.config import m_sequence
 from lelongplane.construct import construct_certificate
 from lelongplane.curves import (analyze_curve, bezout_table, conic_rank,
-                                cubic_is_irreducible, find_line_components,
+                                coprime, cubic_is_irreducible,
+                                find_line_components,
                                 has_complex_line_factor,
                                 intersection_multiplicity, is_smooth,
                                 rational_singular_points,
                                 resultant_multiplicity)
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, evaluate,
+from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate,
                                    exact_divide, gcd_homogeneous, join,
                                    monomials, vanishing_order)
 from lelongplane.instances import generate
@@ -207,11 +208,11 @@ def test_rational_roots_match_factor_list():
         if any(f):
             cases.append(f)
     for f in cases:
-        got = sorted(curves._rational_roots(curves._int_poly(f)))
+        got = sorted(upoly.rational_roots(upoly.int_poly(f)))
         assert got == reference_rational_roots(f), f
-    assert sorted(curves._rational_roots(curves._int_poly(cases[0]))) == [
+    assert sorted(upoly.rational_roots(upoly.int_poly(cases[0]))) == [
         Fraction(-3, 2), Fraction(1)]
-    assert sorted(curves._rational_roots(curves._int_poly(cases[1]))) == [
+    assert sorted(upoly.rational_roots(upoly.int_poly(cases[1]))) == [
         Fraction(0), Fraction(5)]
 
 
@@ -903,7 +904,7 @@ def test_root_multiplicity_matches_fraction_reference():
         top = len(form) - 1
         binform = {(i, top - i): Fraction(c) for i, c in enumerate(form)
                    if c}
-        res = curves._primitive(curves._trim(form))
+        res = upoly.primitive(upoly.trim(form))
         got = curves._root_multiplicity(res, top, u, v)
         assert got == reference_binary_root_multiplicity(binform, u, v)
         assert got >= k

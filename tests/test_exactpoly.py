@@ -14,9 +14,10 @@ import sympy
 
 from lelongplane import curves, exactpoly
 from lelongplane.construct import construct_certificate
+from lelongplane.curves import coprime
 from lelongplane.errors import PreconditionError
-from lelongplane.exactpoly import (HomPoly, ProjPoint, coprime, divides,
-                                   evaluate, exact_divide, fraction_from_str,
+from lelongplane.exactpoly import (HomPoly, ProjPoint, divides, evaluate,
+                                   exact_divide, fraction_from_str,
                                    fraction_to_str, gcd_homogeneous,
                                    int_expansion, monomial_count, monomials,
                                    order_and_cone, partial_derivatives,
@@ -409,7 +410,7 @@ def test_coprime_rejects_shared_components():
     shared_conic = (conic * l2, conic * l3 * l3)
     repeated = (l2 * l2 * l3, l2 * l1)
     pairs = [shared_line, shared_conic, repeated, (l1, l1), (conic, conic)]
-    for u, v, _ in exactpoly._COPRIME_PROOFS:
+    for u, v, _ in curves._COPRIME_PROOFS:
         through = line_through(u, v)
         assert evaluate(through, ProjPoint(*u)) == 0
         assert evaluate(through, ProjPoint(*v)) == 0
@@ -421,7 +422,7 @@ def test_coprime_rejects_shared_components():
 
 
 def test_coprime_falls_back_when_every_direction_vanishes(monkeypatch):
-    v1, v2, v3 = (v for _, v, _ in exactpoly._COPRIME_PROOFS)
+    v1, v2, v3 = (v for _, v, _ in curves._COPRIME_PROOFS)
     p = line_through(v1, v2) * line_through(v3, (1, 1, 1))
     q = line_through(v2, v3) * line_through(v1, (1, 0, 0))
     for v in (v1, v2, v3):
@@ -448,7 +449,7 @@ def test_coprime_fallback_matches_gcd():
     modular proof applies: coprime pairs, pairs sharing a line and pairs
     sharing a conic, some sharing one through a direction. The exact
     fallback must agree with the gcd."""
-    dirs = [v for _, v, _ in exactpoly._COPRIME_PROOFS]
+    dirs = [v for _, v, _ in curves._COPRIME_PROOFS]
     rng = random.Random(12)
 
     def through_dirs(degree):
@@ -547,10 +548,10 @@ def test_restrict_mod_matches_the_exact_restriction():
     forms.append(HomPoly.monomial((60, 0, 0)) + HomPoly.monomial((0, 0, 60)))
     for p in forms:
         big_l = math.lcm(*(c.denominator for c in p.terms.values()))
-        for u, v, prime in exactpoly._COPRIME_PROOFS:
+        for u, v, prime in curves._COPRIME_PROOFS:
             scaled = [big_l * x for x in exact_restriction(p, u, v)]
             assert all(x.denominator == 1 for x in scaled)
-            assert exactpoly._restrict_mod(p, u, v, prime) == [
+            assert curves._restrict_mod(p, u, v, prime) == [
                 x.numerator % prime for x in scaled]
 
 

@@ -14,9 +14,11 @@ command of the pipeline, and the curve library on a tangent pair, with
 parser, the start every CLI call pays, loads neither `dataclasses` nor
 `inspect`.
 
-Imports of the package's own modules sit at the top of each module, but
-for those listed in `FUNCTION_BODY_IMPORTS`, each with its reason; a new
-one, or a listed one that is gone, fails the check.
+Imports of the package's own modules sit at the top of each module. An
+import in a function body would hide a cycle between two modules: it
+must be listed in `FUNCTION_BODY_IMPORTS` with its reason, and none is.
+No two modules define the same top-level function or class name, so
+each kernel has one home.
 
 The benchmark's tracer (`perfbench/tracing.py`) looks each of its layers
 up by name; every name it lists must still resolve.
@@ -37,11 +39,7 @@ import lelongplane
 MODULES = sorted(Path(lelongplane.__file__).parent.glob("*.py"))
 
 # (importing module, imported module): why the import sits in a function
-FUNCTION_BODY_IMPORTS = {
-    ("exactpoly", "curves"): "coprime's exact fallback, "
-    "curves._shares_component: curves imports exactpoly, so a module-level "
-    "import would be a cycle",
-}
+FUNCTION_BODY_IMPORTS = {}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -125,6 +123,40 @@ def test_package_imports_in_functions_are_the_listed_ones():
     found = {(path.stem, module) for path in MODULES
              for module in package_imports_in_functions(path.read_text())}
     assert found == set(FUNCTION_BODY_IMPORTS)
+
+
+def top_level_definitions(source: str) -> set[str]:
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def test_the_check_sees_top_level_definitions():
+    src = ("import math\n"
+           "def f():\n"
+           "    def g():\n"
+           "        pass\n"
+           "class C:\n"
+           "    def method(self):\n"
+           "        pass\n"
+           "x = 1\n")
+    assert top_level_definitions(src) == {"f", "C"}
+
+
+def test_no_two_modules_define_one_name():
+    homes = {}
+    for path in MODULES:
+        for name in top_level_definitions(path.read_text()):
+            homes.setdefault(name, []).append(path.stem)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
+
+def test_upoly_reads_only_clear_denominators_from_the_package():
+    source = (Path(lelongplane.__file__).parent / "upoly.py").read_text()
+    assert [(node.module, [alias.name for alias in node.names])
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level] == [
+        ("linalg", ["clear_denominators"])]
 
 
 def test_the_check_sees_unused_names():
