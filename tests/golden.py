@@ -6,8 +6,9 @@ The sweep runs `generate`, `msequence`, `linsys --degree 6 --double
 seeds 0-3, then `sharpness` at seeds 0-3 and `enumerate --cap 2`, then
 `certify` on a crafted sparse certificate of degree 60 (see
 `write_sparse_certificate`), then `--help` of the program and of each
-command and one usage error (`generate` with no `--kind`), all
-in-process through `cli.main`. For each command the manifest holds its
+command and the usage errors of the top-level parser and of a command
+(no command, an unknown command, `-h` before a command, a missing or
+extra value, an unknown option), all in-process through `cli.main`. For each command the manifest holds its
 argv, exit code (argparse's `SystemExit` code for help and usage), the
 SHA-256 of its stdout and stderr, and that of each file it wrote (and of
 the crafted certificate it reads). Files are named relative to the
@@ -100,6 +101,15 @@ def _commands():
     for command in COMMANDS:
         yield f"help/{command}", [command, "--help"], []
     yield "usage-error/generate", ["generate"], []
+    for name, argv in (("usage-error/no-command", []),
+                       ("usage-error/bogus", ["bogus"]),
+                       ("help/-h-certify", ["-h", "certify"]),
+                       ("usage-error/certify-input", ["certify", "--input"]),
+                       ("usage-error/certify-extra",
+                        ["certify", "--input", "x", "extra"]),
+                       ("usage-error/enumerate-jobs",
+                        ["enumerate", "--cap", "2", "--jobs", "2"])):
+        yield name, argv, []
 
 
 def sweep(workdir) -> dict:
