@@ -151,71 +151,60 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, seed=True):
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
+_INPUT = ("--input", {"required": True})
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# name -> (help, handler, arguments as (flag, add_argument keywords));
+# every command takes --out after its arguments
+COMMANDS = {
+    "generate": ("emit a named instance", cmd_generate,
+                 [("--kind", {"required": True, "choices": INSTANCE_KINDS}),
+                  _SEED]),
+    "msequence": ("exact m-sequence of an instance", cmd_msequence,
+                  [_INPUT]),
+    "linsys": ("linear system through the instance points", cmd_linsys,
+               [_INPUT, ("--degree", {"type": int, "required": True}),
+                ("--double", {"default": "", "help": "comma-separated labels "
+                              "with order-2 conditions"})]),
+    "construct": ("build a potential certificate", cmd_construct,
+                  [_INPUT, ("--cert", {"help": "write the certificate here"})]),
+    "certify": ("independently verify a certificate", cmd_certify, [_INPUT]),
+    "lelong": ("numerical pole and growth estimates", cmd_lelong,
+               [("--input", {"required": True, "help": "certificate file"}),
+                ("--tolerance", {"type": float, "default": 0.05}), _SEED]),
+    "sharpness": ("six-line sharpness example", cmd_sharpness, [_SEED]),
+    "enumerate": ("enumerate 4-point-line families", cmd_enumerate,
+                  [("--n", {"type": int, "default": 12}),
+                   ("--cap", {"type": int, "default": 2})]),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone: that one parses
+    an argv starting with `command` just as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="lelongplane",
         description="exact certificates for Lelong-number level sets of "
                     "plane point configurations")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("generate", help="emit a named instance")
-    sp.add_argument("--kind", required=True,
-                    choices=INSTANCE_KINDS)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_generate)
-
-    sp = sub.add_parser("msequence", help="exact m-sequence of an instance")
-    sp.add_argument("--input", required=True)
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_msequence)
-
-    sp = sub.add_parser("linsys", help="linear system through the instance "
-                                       "points")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--double", default="",
-                    help="comma-separated labels with order-2 conditions")
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_linsys)
-
-    sp = sub.add_parser("construct", help="build a potential certificate")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--cert", help="write the certificate here")
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_construct)
-
-    sp = sub.add_parser("certify", help="independently verify a certificate")
-    sp.add_argument("--input", required=True)
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_certify)
-
-    sp = sub.add_parser("lelong", help="numerical pole and growth estimates")
-    sp.add_argument("--input", required=True, help="certificate file")
-    sp.add_argument("--tolerance", type=float, default=0.05)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_lelong)
-
-    sp = sub.add_parser("sharpness", help="six-line sharpness example")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sharpness)
-
-    sp = sub.add_parser("enumerate", help="enumerate 4-point-line families")
-    sp.add_argument("--n", type=int, default=12)
-    sp.add_argument("--cap", type=int, default=2)
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_enumerate)
+    # with one subparser, the usage line would list only that command
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in [command] if command else COMMANDS:
+        help_, func, arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_)
+        for flag, keywords in arguments + [("--out", {})]:
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its command builds only that command's parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

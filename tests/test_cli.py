@@ -5,11 +5,13 @@ failure class, byte-identical report files on repeated seeded runs, and a
 full generate -> construct -> certify round trip through the filesystem.
 """
 
+import argparse
 import contextlib
 import functools
 import hashlib
 import io
 import json
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -618,6 +620,40 @@ def test_jobs_flag_is_gone(capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys,
+                                             monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run("certify", "--input", str(tmp_path / "none.json")) == EXIT_PARSE
+    assert built == ["lelongplane", "lelongplane certify"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        run("--help")
+    assert exc.value.code == 0
+    assert len(built) == 9  # the program and its eight commands
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "3"], ["bogus"],
+                                  ["certify", "--input", "none.json", "x"]])
+def test_console_script_reads_sys_argv(capsys, monkeypatch, argv):
+    def outcome(*args):
+        try:
+            code = main(*args)
+        except SystemExit as exc:  # argparse: help and usage
+            code = exc.code
+        return code, capsys.readouterr()
+
+    monkeypatch.setattr(sys, "argv", ["lelongplane"] + argv)
+    assert outcome() == outcome(argv)
+
+
 def test_certify_rejects_unequal_degrees(tmp_path, capsys):
     # Y^2 and X^3 meet only at (0:0:1), with weight min(2, 3) = 2 there and
     # mu = 6 <= 2 * 3; gamma = deg P = 2, but u grows like 3 log|z|
@@ -984,3 +1020,4 @@ def test_enumerate_below_four_points_finds_no_line(tmp_path, capsys):
                                        "maximal_families=1\n")
     doc = json.loads(out.read_text())
     assert (doc["maximum"], doc["maximal_families"]) == (0, [[]])
+
