@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 precondition failure, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import serialize
@@ -106,6 +107,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_lelong(args) -> int:
+    # NaN would pass both comparisons below, and a negative bound fail them
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise PreconditionError(
+            f"tolerance must be finite and >= 0, got {args.tolerance}")
     cert = serialize.load_certificate(args.input)
     # the file's verified flag is not evidence: check the certificate again
     if not verify_certificate(cert).verified:

@@ -394,6 +394,8 @@ def enumerate_4lines(n_points: int, per_point_cap: int) -> EnumerationReport:
     """
     if n_points > 12:
         raise PreconditionError("enumeration capped at 12 points")
+    if n_points < 0:
+        raise PreconditionError("point count must be >= 0")
     if per_point_cap not in (2, 3):
         raise PreconditionError("per-point cap must be 2 or 3")
     if n_points < 4:

@@ -596,6 +596,19 @@ def test_lelong_verifies_instead_of_reading_the_flag(tmp_path, capsys):
     assert "growth slope=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_lelong_refuses_a_tolerance_no_estimate_can_meet(tmp_path, capsys,
+                                                         tolerance):
+    # nan passed every estimate and -1 failed a valid certificate
+    path, _ = engineered_certificate(tmp_path)
+    assert run("lelong", "--input", str(path),
+               "--tolerance", tolerance) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("precondition failure: tolerance must be finite and "
+                   f">= 0, got {float(tolerance)}\n")
+
+
 def test_certify_rejects_multiplicity_below_order_product(tmp_path, capsys,
                                                           monkeypatch):
     path, _ = engineered_certificate(tmp_path)
@@ -1021,3 +1034,8 @@ def test_enumerate_below_four_points_finds_no_line(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert (doc["maximum"], doc["maximal_families"]) == (0, [[]])
 
+
+def test_enumerate_refuses_a_negative_point_count(capsys):
+    assert run("enumerate", "--n", "-3") == EXIT_PRECONDITION
+    assert capsys.readouterr() == ("", "precondition failure: point count "
+                                       "must be >= 0\n")
