@@ -8,12 +8,13 @@ seeds 0-3, then `sharpness` at seeds 0-3 and `enumerate --cap 2`, then
 `write_sparse_certificate`), then `--help` of the program and of each
 command and the usage errors of the top-level parser and of a command
 (no command, an unknown command, `-h` before a command, a missing or
-extra value, an unknown option), all in-process through `cli.main`. For each command the manifest holds its
-argv, exit code (argparse's `SystemExit` code for help and usage), the
-SHA-256 of its stdout and stderr, and that of each file it wrote (and of
-the crafted certificate it reads). Files are named relative to the
-working directory, and the sweep runs with COLUMNS=80, so the bytes do
-not depend on where it runs or on the terminal.
+extra value, an unknown option), all in-process through `cli.main`.
+For each command the manifest holds its argv, exit code (argparse's
+`SystemExit` code for help and usage), the SHA-256 of its stdout and
+stderr, and that of each file it wrote (and of the crafted certificate
+it reads). Files are named relative to the working directory, and the
+sweep runs with COLUMNS=80, so the bytes do not depend on where it runs
+or on the terminal.
 
     python tests/golden.py            compare with the manifest
     python tests/golden.py --write    re-record the manifest
