@@ -79,36 +79,44 @@ def _int_coords(p: ProjPoint) -> tuple[int, int, int]:
     return tuple(clear_denominators(p.coords)[1])
 
 
-def _evaluation_rows(points, degree):
-    """Integer monomial evaluation rows, one per point.
+def condition_rows(degree: int, point: ProjPoint, order: int):
+    """Integer rows of the condition mult >= order at the point on forms
+    of degree `degree`: with m = min(order, degree + 1), the partial
+    derivatives of order m - 1 at the point's integer coordinates
+    (x, y, z) = `_int_coords(point)`.
 
-    Each point is scaled to integer coordinates by the lcm D of its
-    denominators (`_int_coords`), so its row is D**degree times the
-    rational one: the same row as clearing the denominators of the
-    rational values.
+    The row of (r, s, t) in `monomials(m - 1)` holds, at X^i Y^j Z^k,
+    perm(i, r) perm(j, s) perm(k, t) x^(i-r) y^(j-s) z^(k-t), or 0 where
+    an exponent falls short; order 1 gives the evaluation row. By Euler's
+    identity, each partial of order below m - 1 <= degree at the point is
+    a combination of those of order m - 1, so the rows span exactly the
+    conditions mult >= m (Fulton, Algebraic Curves, ch. 3). Above
+    degree + 1 the cap keeps full rank, since a nonzero form has
+    multiplicity at most its degree.
     """
+    m, span = min(order, degree + 1), range(degree + 1)
+    tables = []
+    for x in _int_coords(point):
+        # row r holds perm(i, r) x^(i-r), the derivative of row r - 1
+        table = [[x ** i for i in span]]
+        for _ in range(1, m):
+            table.append([i * v for i, v in zip(span, [0] + table[-1])])
+        tables.append(table)
+    ta, tb, tc = tables
     mons = monomials(degree)
-    rows = []
-    for p in points:
-        pa, pb, pc = ([x ** e for e in range(degree + 1)]
-                      for x in _int_coords(p))
-        rows.append([pa[i] * pb[j] * pc[k] for i, j, k in mons])
-    return rows
+    return [[a[i] * b[j] * c[k] for i, j, k in mons]
+            for a, b, c in ((ta[r], tb[s], tc[t])
+                            for r, s, t in monomials(m - 1))]
 
 
 def curves_through(points, degree: int) -> list[HomPoly]:
     """The canonical basis of the degree-`degree` curves through the
-    points: the `nullspace` of their evaluation rows. It depends only on
-    the row space, so order-1 vanishing conditions give the same basis."""
-    rows = _evaluation_rows(points, degree)
+    points: the `nullspace` of their order-1 `condition_rows`. It depends
+    only on the row space, so it is the kernel basis that
+    `linsys.build_system` gives for order-1 conditions at the points."""
+    rows = [row for p in points for row in condition_rows(degree, p, 1)]
     return [HomPoly.from_coeff_vector(degree, v)
             for v in nullspace(rows, monomial_count(degree))]
-
-
-def subset_on_curve(points, degree: int):
-    """The degree-`degree` curve through all the points, or None when the
-    evaluation matrix has full rank."""
-    return next(iter(curves_through(points, degree)), None)
 
 
 def _brackets(coords):
@@ -271,7 +279,8 @@ def m_sequence(s: PointSet) -> MSequence:
     line = min((g for g in groups if len(g) == m1), default=tuple(range(n)))
     witnesses = []
     for degree, combo in ((1, line), (2, _conic_witness(table, groups)),
-                          (3, _cubic_witness(_evaluation_rows(s.points, 3)))):
+                          (3, _cubic_witness([condition_rows(3, p, 1)[0]
+                                              for p in s.points]))):
         curve = curves_through([s.points[i] for i in combo], degree)[0]
         witnesses.append((tuple(i + 1 for i in combo), curve))
     m1, m2, m3 = (len(w[0]) for w in witnesses)

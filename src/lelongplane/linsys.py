@@ -1,9 +1,9 @@
 """Linear systems of plane curves with base-point multiplicity conditions.
 
 A condition of order m at a point imposes the vanishing of all partial
-derivatives of total order below m, written in the affine chart where the
-point's largest coordinate is 1 so the rows are scale-free; each row is a
-positive multiple with integer entries, read off the Taylor shift. Ranks
+derivatives of total order below m. Its rows (`config.condition_rows`)
+are the partials of order m - 1 at the point's primitive integer
+coordinates, which by Euler's identity span the same conditions. Ranks
 and kernel bases are exact, computed in integers end to end
 (`linalg.nullspace`), and canonicalized for determinism.
 """
@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import warnings
 
+from .config import condition_rows
 from .errors import PreconditionError, UnsupportedInstanceError
 from .curves import bezout_table, coprime
-from .exactpoly import (HomPoly, ProjPoint, _shift_rows, divides, evaluate,
-                        monomial_count, monomials, vanishing_order)
+from .exactpoly import (HomPoly, ProjPoint, divides, evaluate, monomial_count,
+                        vanishing_order)
 from .linalg import int_rank, nullspace, solve_exact
 from .record import Record
 
@@ -28,10 +29,6 @@ class VanishingCondition(Record):
         if self.order < 1:
             raise PreconditionError("condition order must be at least 1")
 
-    @property
-    def row_count(self) -> int:
-        return self.order * (self.order + 1) // 2
-
 
 class LinearSystem(Record):
     degree: int
@@ -42,31 +39,6 @@ class LinearSystem(Record):
     @property
     def dim(self) -> int:
         return monomial_count(self.degree) - self.matrix_rank
-
-
-def condition_rows(degree: int, cond: VanishingCondition):
-    """Integer constraint rows for one vanishing condition, in the chart
-    where the point's largest coordinate is 1.
-
-    With the point at (u0, v0) = (un/ud, vn/vd) in that chart, the row of
-    order (a, b) holds, at the monomial with chart exponents (alpha, beta),
-    the coefficient of s^a t^b in (u0 + s)^alpha (v0 + t)^beta times
-    ud^d vd^d, read from the Taylor-shift tables of
-    `exactpoly._shift_rows`. That is the derivative of order (a, b) at the
-    point times ud^d vd^d / (a! b!), a positive scale; positive row scaling
-    leaves the row space, and so the rank and the kernel, unchanged.
-    """
-    chart = cond.point.chart()
-    u0, v0 = cond.point.affine(chart)
-    every = range(degree + 1)
-    rows1 = _shift_rows(u0.numerator, u0.denominator, degree, every)
-    rows2 = _shift_rows(v0.numerator, v0.denominator, degree, every)
-    rest = [tuple(exps[i] for i in range(3) if i != chart)
-            for exps in monomials(degree)]
-    return [[rows1[alpha][a] * rows2[beta][total - a]
-             if a <= alpha and total - a <= beta else 0
-             for alpha, beta in rest]
-            for total in range(cond.order) for a in range(total + 1)]
 
 
 def _merge_conditions(conditions):
@@ -95,7 +67,7 @@ def build_system(degree: int, conditions) -> LinearSystem:
     conds = _merge_conditions(conditions)
     rows = []
     for cond in conds:
-        rows.extend(condition_rows(degree, cond))
+        rows.extend(condition_rows(degree, cond.point, cond.order))
     ncols = monomial_count(degree)
     kernel = nullspace(rows, ncols)
     basis = tuple(HomPoly.from_coeff_vector(degree, v) for v in kernel)

@@ -14,8 +14,9 @@ and synthetic division in `Fraction`s, for `curves._root_multiplicity`,
 the canonical form that branches over every order of a line's fresh
 labels, `four_point_lines` in `Fraction` arithmetic, the scaling of exact forms to floats by `Fraction` division,
 the sharpness example that runs one `int_rank` on each of its 105
-13-point subsets, and the linear systems in `Fraction`s: a Gauss-Jordan
-RREF, the unscaled condition rows, the kernel built from Fraction vectors
+13-point subsets, and the linear systems in `Fraction`s: the evaluation
+rows at the canonical coordinates, a Gauss-Jordan RREF, the condition
+rows taken in the point's chart, the kernel built from Fraction vectors
 and the LLL that keeps its Gram-Schmidt data in `Fraction`s.
 """
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 import sympy
 
 from lelongplane import curves, exactpoly
-from lelongplane.config import PointSet, _evaluation_rows, m_sequence
+from lelongplane.config import PointSet, m_sequence
 from lelongplane.currents import (ArrangementCurrent, SharpnessReport,
                                   _random_line, lelong_exact)
 from lelongplane.curves import coprime
@@ -280,13 +281,20 @@ def reference_scaled_floats(fp, fq):
             {k: float(c / scale) for k, c in fq.items()})
 
 
+def evaluation_rows(points, degree):
+    """The monomials of the given degree at each point's canonical
+    coordinates, in `Fraction`s: one row per point."""
+    return [[a ** i * b ** j * c ** k for i, j, k in monomials(degree)]
+            for a, b, c in (p.coords for p in points)]
+
+
 def reference_rank_checks(points):
     """(number of 13-subsets, whether every one has a full-rank cubic
     evaluation matrix), one `int_rank` per subset."""
     ncols = monomial_count(3)
     checks = 0
     full = True
-    rows = _evaluation_rows(points, 3)
+    rows = evaluation_rows(points, 3)
     for combo in itertools.combinations(range(len(points)), 13):
         checks += 1
         if int_rank([rows[i] for i in combo]) != ncols:
@@ -358,8 +366,9 @@ def _falling(n, k):
 
 
 def reference_condition_rows(degree, cond):
-    """`linsys.condition_rows` in Fractions, unscaled: the derivative of
-    order (a, b) of each monomial at the point's chart coordinates."""
+    """The rows of a vanishing condition in Fractions, taken in the
+    point's chart: the derivative of order (a, b) of each monomial at the
+    point's chart coordinates, for every a + b below the order."""
     chart = cond.point.chart()
     coords = cond.point.coords
     scale = coords[chart]

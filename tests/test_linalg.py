@@ -12,6 +12,7 @@ random systems.
 """
 
 import ast
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -24,13 +25,13 @@ from sympy.polys.matrices import DomainMatrix
 from expr_reference import (reference_condition_rows, reference_lll_reduce,
                             reference_nullspace, reference_rref)
 from lelongplane import linalg, linsys
-from lelongplane.exactpoly import monomial_count
+from lelongplane.config import condition_rows
+from lelongplane.exactpoly import ProjPoint, monomial_count
 from lelongplane.instances import INSTANCE_KINDS, generate, generic12
 from lelongplane.linalg import (_lll_reduce, bareiss_step, clear_denominators,
                                 frac_rref, int_det, int_rank, int_rref,
                                 nullspace, reduce_row, solve_exact)
-from lelongplane.linsys import (VanishingCondition, build_system,
-                                condition_rows)
+from lelongplane.linsys import VanishingCondition, build_system
 
 
 def _mat(rng, nrows, ncols, span=9):
@@ -230,7 +231,7 @@ def test_reduce_row_on_sextic_system():
     pts = generic12(0).point_set.points
     conds = [VanishingCondition(p, 2) for p in pts[:6]] \
         + [VanishingCondition(p, 1) for p in pts[6:]]
-    rows = [r for c in conds for r in condition_rows(6, c)]
+    rows = [r for c in conds for r in condition_rows(6, c.point, c.order)]
     assert len(rows) == 24 and len(rows[0]) == monomial_count(6)
     basis = _reduced_basis(rows)
     assert len(basis) == int_rank(rows) == build_system(6, conds).matrix_rank
@@ -273,7 +274,7 @@ def test_frac_rref_matches_gauss_jordan():
 def test_frac_rref_on_sextic_systems():
     for kind in ("generic12", "figure3"):
         rows = [r for c in _sextic_conditions(kind, 0)
-                for r in condition_rows(6, c)]
+                for r in condition_rows(6, c.point, c.order)]
         assert len(rows) == 24 and len(rows[0]) == 28
         got = frac_rref(rows)
         assert got == reference_rref(rows)
@@ -386,7 +387,7 @@ def test_lll_on_the_basis_sympy_fails(monkeypatch):
     assert got == reference_lll_reduce(basis)
     _assert_lll_reduced(got)
     assert _gram_det(got) == _gram_det(_primitive_int_rows(basis))
-    rows = [r for c in conds for r in condition_rows(6, c)]
+    rows = [r for c in conds for r in condition_rows(6, c.point, c.order)]
     assert all(sum(a * b for a, b in zip(row, v)) == 0
                for v in got for row in rows)
 
@@ -414,29 +415,55 @@ def _instance_systems():
                           + simple[6:])
 
 
+def _random_systems(count):
+    """Seeded (degree, conditions) with degree 1-4, one to four distinct
+    points whose coordinates are often 0 (Z = 0 included) and orders from
+    1 to degree + 2, past the cap of `condition_rows`."""
+    rng = random.Random(47)
+    values = (0, 0, 1, -2, 3, Fraction(-5, 3), Fraction(7, 4))
+    for _ in range(count):
+        degree, n = rng.randint(1, 4), rng.randint(1, 4)
+        pts = {}
+        while len(pts) < n:
+            coords = [rng.choice(values) for _ in range(3)]
+            if any(coords):
+                x = ProjPoint(*coords)
+                pts.setdefault(x.coords, x)
+        yield degree, [VanishingCondition(x, rng.randint(1, degree + 2))
+                       for x in pts.values()]
+
+
 def test_integer_systems_match_fraction_reference():
-    """On every kind at seeds 0-3 (degrees 3, 4 and the doubled sextics):
-    each integer condition row is a positive multiple of the Fraction row,
-    and the kernel equals the one built in Fractions throughout. The
-    Fraction RREF here is `frac_rref` (Gauss-Jordan would take seconds on
-    these entries); the tests above check it against Gauss-Jordan."""
-    count = 0
-    for degree, conds in _instance_systems():
+    """On every kind at seeds 0-3 (degrees 3, 4 and the doubled sextics)
+    and on seeded random systems: the integer condition rows span the
+    Fraction rows, which take the derivatives in the point's chart, and
+    the kernel equals the one built in Fractions throughout; an order
+    above degree + 1 leaves no curve. The Fraction RREF here is
+    `frac_rref` (Gauss-Jordan would take seconds on these entries); the
+    tests above check it against Gauss-Jordan."""
+    count = capped = 0
+    for degree, conds in itertools.chain(_instance_systems(),
+                                         _random_systems(80)):
         rows, ref_rows = [], []
         for cond in conds:
-            got = condition_rows(degree, cond)
+            got = condition_rows(degree, cond.point, cond.order)
             want = reference_condition_rows(degree, cond)
             assert all(type(x) is int for row in got for x in row)
-            assert _primitive_int_rows(got) == _primitive_int_rows(want)
+            assert int_rank(got) == int_rank(want) == int_rank(got + want)
             rows += got
             ref_rows += want
         ncols = monomial_count(degree)
         kernel = nullspace(rows, ncols)
         assert kernel == reference_nullspace(ref_rows, ncols, frac_rref)
-        assert build_system(degree, conds).kernel_basis == tuple(
+        system = build_system(degree, conds)
+        assert system.kernel_basis == tuple(
             linsys.HomPoly.from_coeff_vector(degree, v) for v in kernel)
+        if max(c.order for c in conds) > degree + 1:
+            assert system.dim == 0
+            capped += 1
         count += 1
-    assert count == len(INSTANCE_KINDS) * 4 * 3
+    assert count == len(INSTANCE_KINDS) * 4 * 3 + 80
+    assert capped
 
 
 def _random_matrices(rng):

@@ -12,13 +12,14 @@ from fractions import Fraction
 
 import pytest
 
+from lelongplane.config import condition_rows, curves_through
 from lelongplane.errors import PreconditionError, UnsupportedInstanceError
 from lelongplane.exactpoly import HomPoly, ProjPoint, evaluate, monomial_count
-from lelongplane.instances import generic12
+from lelongplane.instances import INSTANCE_KINDS, generate, generic12
 from lelongplane.linsys import (PairFailure, VanishingCondition, build_system,
-                                cayley_bacharach_check, condition_rows,
-                                independent_pair, linearly_independent,
-                                pencil_member, satisfies)
+                                cayley_bacharach_check, independent_pair,
+                                linearly_independent, pencil_member,
+                                satisfies)
 
 
 def rand_point(rng):
@@ -51,8 +52,7 @@ def test_interpolation_dimensions():
 def test_double_point_row_count():
     x = ProjPoint(Fraction(1), Fraction(2), Fraction(1))
     cond = VanishingCondition(x, 2)
-    assert cond.row_count == 3
-    assert len(condition_rows(4, cond)) == 3
+    assert len(condition_rows(4, x, 2)) == 3
     sys2 = build_system(2, [cond])
     assert sys2.dim == 3  # conics singular at a point
 
@@ -78,8 +78,19 @@ def test_condition_rows_scale_free():
     # the rows only depend on the projective point, not the representative
     x = ProjPoint(Fraction(4), Fraction(6), Fraction(2))
     y = ProjPoint(Fraction(2), Fraction(3), Fraction(1))
-    assert condition_rows(3, VanishingCondition(x, 2)) == \
-        condition_rows(3, VanishingCondition(y, 2))
+    assert condition_rows(3, x, 2) == condition_rows(3, y, 2)
+
+
+def test_curves_through_is_the_order_one_system():
+    """The kernel of the evaluation rows is the basis `build_system`
+    gives for order-1 conditions at the points, on every kind at seed 0
+    and degrees 1-4."""
+    for kind in INSTANCE_KINDS:
+        points = generate(kind, 0).point_set.points
+        conds = [VanishingCondition(x, 1) for x in points]
+        for d in range(1, 5):
+            assert curves_through(points, d) == list(
+                build_system(d, conds).kernel_basis)
 
 
 def test_duplicate_conditions_merge_with_warning():

@@ -22,8 +22,8 @@ from lelongplane.config import (SHAPE_3CONCURRENT_PLUS2,
                                 IncidenceStructure,
                                 MSequence, NonRealizationReport, PointSet,
                                 Realization, canonical_form, enumerate_4lines,
-                                four_point_lines, m_sequence,
-                                realize_structure, subset_on_curve)
+                                curves_through, four_point_lines, m_sequence,
+                                realize_structure)
 from lelongplane.currents import sharpness_example
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate, monomial_count,
@@ -31,7 +31,8 @@ from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate, monomial_count,
 from lelongplane.instances import INSTANCE_KINDS, generate, generic12
 from lelongplane.linalg import int_det, int_rank, nullspace
 
-from expr_reference import reference_canonical_form, reference_four_point_lines
+from expr_reference import (evaluation_rows, reference_canonical_form,
+                            reference_four_point_lines)
 
 
 def pt(a, b, c=1):
@@ -43,7 +44,7 @@ def reference_m_sequence(s):
     n = len(s)
     values, witnesses = [], []
     for degree, floor in ((1, 2), (2, 5), (3, 9)):
-        rows = config._evaluation_rows(s.points, degree)
+        rows = evaluation_rows(s.points, degree)
         ncols = monomial_count(degree)
         for k in range(n, min(floor, n) - 1, -1):
             combo = next((c for c in itertools.combinations(range(n), k)
@@ -82,7 +83,7 @@ def test_m_sequence_contract_by_rank_scan():
         s = generate(kind, 0).point_set
         n = len(s)
         for degree, m in zip((1, 2, 3), m_sequence(s).as_tuple()):
-            rows = config._evaluation_rows(s.points, degree)
+            rows = evaluation_rows(s.points, degree)
             ncols = monomial_count(degree)
 
             def full(combo):
@@ -148,7 +149,7 @@ def _dual_sets():
 @pytest.mark.parametrize("name", sorted(_dual_sets()))
 def test_m_sequence_matches_reference_on_dual_sets(name):
     s, m3 = _dual_sets()[name]
-    rank = int_rank(config._evaluation_rows(s.points, 3))
+    rank = int_rank(evaluation_rows(s.points, 3))
     assert rank == (9 if name == "conic_line12" else 10)
     ms = m_sequence(s)
     assert ms == reference_m_sequence(s)
@@ -328,10 +329,9 @@ def test_m_sequence_grid():
 
 def test_subset_on_curve():
     collinear = [pt(0, 0), pt(1, 1), pt(2, 2)]
-    line = subset_on_curve(collinear, 1)
-    assert line is not None
+    (line,) = curves_through(collinear, 1)
     assert all(evaluate(line, p) == 0 for p in collinear)
-    assert subset_on_curve(collinear + [pt(1, 0)], 1) is None
+    assert curves_through(collinear + [pt(1, 0)], 1) == []
 
 
 def test_four_point_lines_on_grid():
