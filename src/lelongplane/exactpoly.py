@@ -44,7 +44,8 @@ def fraction_from_str(s: str) -> Fraction:
 
 @lru_cache(maxsize=None)
 def monomials(degree: int) -> tuple[tuple[int, int, int], ...]:
-    """Exponent triples of the given total degree in grlex order (X > Y > Z)."""
+    """Exponent triples of the given total degree in grlex order (X > Y > Z),
+    which within one degree is the descending order of the triples."""
     out = []
     for i in range(degree, -1, -1):
         for j in range(degree - i, -1, -1):
@@ -168,10 +169,10 @@ class HomPoly:
         return [self.terms.get(m, Fraction(0)) for m in monomials(self.degree)]
 
     def leading_coeff(self) -> Fraction:
-        for m in monomials(self.degree):
-            if m in self.terms:
-                return self.terms[m]
-        raise PreconditionError("zero polynomial has no leading coefficient")
+        if self.is_zero:
+            raise PreconditionError(
+                "zero polynomial has no leading coefficient")
+        return self.terms[max(self.terms)]
 
     def monic(self) -> "HomPoly":
         lc = self.leading_coeff()
@@ -215,10 +216,9 @@ class HomPoly:
         if self.is_zero:
             return f"HomPoly(0; deg {self.degree})"
         parts = []
-        for m in monomials(self.degree):
-            if m in self.terms:
-                mono = "".join(v * e for v, e in zip("XYZ", m))
-                parts.append(f"{fraction_to_str(self.terms[m])}*{mono or '1'}")
+        for m in sorted(self.terms, reverse=True):
+            mono = "".join(v * e for v, e in zip("XYZ", m))
+            parts.append(f"{fraction_to_str(self.terms[m])}*{mono or '1'}")
         return "HomPoly(" + " + ".join(parts) + ")"
 
     def evaluate_coords(self, a, b, c) -> Fraction:
@@ -291,7 +291,8 @@ def _shift_tables(p: HomPoly, x: ProjPoint):
 def _shift_rows(n: int, d: int, top: int, exps: Iterable[int]
                 ) -> dict[int, list[int]]:
     """Integer coefficients of (n/d + s)^e in s, times d^top, for each e in
-    exps (all at most top), keyed by e."""
+    exps (all at most top), keyed by e. `_shift_tables` is the only
+    caller."""
     npow = [n ** k for k in range(top + 1)]
     dpow = [d ** k for k in range(top + 1)]
     return {e: [math.comb(e, i) * npow[e - i] * dpow[top - e + i]

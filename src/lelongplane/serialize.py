@@ -16,8 +16,7 @@ from .construct import (ConstructionReport, PointCheck, PotentialCertificate,
                         VerificationReport)
 from .currents import GrowthEstimate, LelongEstimate, SharpnessReport
 from .errors import ParseError
-from .exactpoly import (HomPoly, ProjPoint, fraction_from_str,
-                        fraction_to_str, monomials)
+from .exactpoly import HomPoly, ProjPoint, fraction_from_str, fraction_to_str
 from .instances import Instance
 from .linsys import LinearSystem
 
@@ -30,7 +29,7 @@ SCHEMA_VERSION = 1
 
 def encode_poly(p: HomPoly) -> dict:
     terms = [[i, j, k, fraction_to_str(p.terms[(i, j, k)])]
-             for (i, j, k) in monomials(p.degree) if (i, j, k) in p.terms]
+             for (i, j, k) in sorted(p.terms, reverse=True)]
     return {"degree": p.degree, "terms": terms}
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from lelongplane import exactpoly, serialize
 from lelongplane.config import m_sequence
 from lelongplane.construct import construct_certificate_m3_9
 from lelongplane.errors import ParseError
@@ -25,6 +26,31 @@ def test_poly_round_trip():
     p = (HomPoly.line(1, -2, 3) * HomPoly.line(0, 1, 1)
          + HomPoly.monomial((0, 0, 2), Fraction(5, 7)))
     assert decode_poly(encode_poly(p)) == p
+
+
+def test_sparse_high_degree_form_needs_no_monomial_walk(monkeypatch):
+    """Encoding, `repr` and `leading_coeff` order the terms a form has:
+    with `monomials` refusing degrees above 100 (in `serialize` too, if
+    it binds the name), a 3-term form of degree 4000 still encodes in
+    grlex order, round-trips and prints."""
+    real = exactpoly.monomials
+
+    def guard(degree):
+        if degree > 100:
+            raise AssertionError(f"monomials({degree}) walked")
+        return real(degree)
+    for module in (exactpoly, serialize):
+        monkeypatch.setattr(module, "monomials", guard, raising=False)
+    p = HomPoly(4000, {(0, 0, 4000): 1, (4000, 0, 0): 1,
+                       (1, 2000, 1999): 3})
+    doc = encode_poly(p)
+    assert doc["terms"] == [[4000, 0, 0, "1"], [1, 2000, 1999, "3"],
+                            [0, 0, 4000, "1"]]
+    assert decode_poly(doc) == p
+    assert repr(p) == ("HomPoly(1*" + "X" * 4000 + " + 3*X" + "Y" * 2000
+                       + "Z" * 1999 + " + 1*" + "Z" * 4000 + ")")
+    assert p.leading_coeff() == 1
+    assert (3 * p - HomPoly.monomial((4000, 0, 0), 3)).leading_coeff() == 9
 
 
 def test_point_round_trip():
