@@ -209,6 +209,7 @@ def test_sympy_imported_only_inside_functions(path):
 
 _NO_SYMPY_RUN = """
 import contextlib, io, json, os, sys
+sys.modules["sympy"] = None  # any import of sympy now fails
 from lelongplane.cli import main
 from lelongplane.curves import (bezout_table, intersection_multiplicity,
                                 resultant_multiplicity)
@@ -247,7 +248,8 @@ print(json.dumps({
     "codes": codes, "mus": mus,
     "records": [[str(r.point), r.multiplicity] for r in records],
     "residual": residual,
-    "sympy": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}))
+    "sympy": sorted(m for m, mod in sys.modules.items()
+                    if m.split(".")[0] == "sympy" and mod is not None)}))
 """
 
 
