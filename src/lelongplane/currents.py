@@ -30,7 +30,7 @@ same order, so the estimates are bit-for-bit those of that evaluation.
 
 Each exact fact is computed once per command. ``pole_estimates`` expands
 P and Q once per listed point (``_local_forms``) for both the scale and
-the estimate; ``estimate_growth`` reads each integer view at Z = 1. The
+the estimate; ``estimate_growth`` reads each form's integers at Z = 1. The
 verifier, the independent check run first, reads only orders and tangent
 cones. The sharpness example reads its 105 full-rank verdicts on the
 13-point subsets off its m-sequence (m3 < 13).
@@ -293,14 +293,13 @@ GROWTH_RADII = tuple(2.0 ** k for k in range(8, 17))
 def estimate_growth(cert: PotentialCertificate, radii,
                     seed: int = 0) -> GrowthEstimate:
     """Slope of max u on spheres ||z|| = R against log R; converges to
-    gamma = degree / r. The forms are read at Z = 1 off their integer
-    views, keyed by the exponents of X and Y."""
+    gamma = degree / r. The forms are read at Z = 1 off their stored
+    integer terms, keyed by the exponents of X and Y."""
     if not cert.verified:
         raise PreconditionError("certificate must be verified")
     radii = sorted(float(r) for r in radii)
-    jets = [(big_l, {(i, j): n for (i, j, _), n in ints.items()})
-            for big_l, ints in (cert.p.integer_view(),
-                                cert.q.integer_view())]
+    jets = [(f.den, {(i, j): n for (i, j, _), n in f.ints.items()})
+            for f in (cert.p, cert.q)]
     values, slope = _sampled_slope(cert.r, jets, radii, seed)
     return GrowthEstimate(radii=tuple(radii), max_values=tuple(values),
                           slope=slope, claimed=cert.gamma_u)

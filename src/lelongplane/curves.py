@@ -22,7 +22,7 @@ a line does Fulton's reduction run, on the integer expansions
 (`exactpoly.int_expansion`) of the two whole forms, capped at their Bezout
 bound, which only a shared component through the point passes; it takes no
 factorization and no gcd. An independent oracle reads mu from sheared
-resultants of the forms' integer views, in Z[x]: Sylvester determinants at
+resultants of the forms' integer terms, in Z[x]: Sylvester determinants at
 integer points, taken fraction-free by `linalg.int_det`, then
 interpolated; it counts a root's multiplicity by exact division. It and
 `bezout_table` read a shared component off the zero resultant, with no
@@ -43,16 +43,12 @@ from fractions import Fraction
 from .config import curves_through
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, evaluate, exact_divide,
-                        from_ring, int_expansion, order_and_cone,
+                        from_ring, int_expansion, monomials, order_and_cone,
                         partial_derivatives, sympy_rings, to_ring)
 from .linalg import int_det, int_rank
 from .record import Record
 from .upoly import (divide, gcd_degree_mod, int_gcd, int_poly,
                     rational_roots, trim)
-
-
-def _qq(c: Fraction):
-    return sympy_rings().QQ(c.numerator, c.denominator)
 
 
 class IntersectionRecord(Record):
@@ -77,18 +73,10 @@ def conic_rank(p: HomPoly) -> int:
         raise PreconditionError("conic_rank requires a degree-2 form")
     if p.is_zero:
         raise PreconditionError("conic_rank requires a nonzero form")
-    t = p.terms
-    half = Fraction(1, 2)
-
-    def c(e):
-        return t.get(e, Fraction(0))
-
-    m = [
-        [c((2, 0, 0)), half * c((1, 1, 0)), half * c((1, 0, 1))],
-        [half * c((1, 1, 0)), c((0, 2, 0)), half * c((0, 1, 1))],
-        [half * c((1, 0, 1)), half * c((0, 1, 1)), c((0, 0, 2))],
-    ]
-    return int_rank(m)
+    # twice the matrix, scaled by den: the rank does not change
+    c = [p.ints.get(e, 0) for e in monomials(2)]  # XX XY XZ YY YZ ZZ
+    return int_rank([[2 * c[0], c[1], c[2]], [c[1], 2 * c[3], c[4]],
+                     [c[2], c[4], 2 * c[5]]])
 
 
 def irreducible_conic_through(points) -> HomPoly | None:
@@ -113,8 +101,8 @@ def has_complex_line_factor(p: HomPoly) -> bool:
     qab, ra, rb = rings.ab, rings.a, rings.b
     # lines aX + bY + Z: coefficient of X^m Y^(d-m) in p(X, Y, -aX - bY)
     coeffs = [qab.zero] * (d + 1)
-    for (i, j, k), c in p.terms.items():
-        cc = _qq(c) * (-1) ** k
+    for (i, j, k), c in p.ints.items():
+        cc = c * (-1) ** k
         for l in range(k + 1):
             coeffs[i + l] += cc * math.comb(k, l) * ra ** l * rb ** (k - l)
     eqs = [e for e in coeffs if e]
@@ -122,8 +110,8 @@ def has_complex_line_factor(p: HomPoly) -> bool:
         return True
     # lines aX + Y: coefficient of X^m Z^(d-m) in p(X, -aX, Z)
     coeffs = [qab.zero] * (d + 1)
-    for (i, j, k), c in p.terms.items():
-        coeffs[i + j] += _qq(c) * (-ra) ** j
+    for (i, j, k), c in p.ints.items():
+        coeffs[i + j] += c * (-ra) ** j
     nonzero = [e for e in coeffs if e]
     if not nonzero:
         return True
@@ -133,7 +121,7 @@ def has_complex_line_factor(p: HomPoly) -> bool:
     if g.degree(ra) >= 1:
         return True
     # the single remaining line X = 0
-    return all(e[0] >= 1 for e in p.terms)
+    return all(e[0] >= 1 for e in p.ints)
 
 
 def find_line_components(p: HomPoly) -> tuple[list[HomPoly], bool]:
@@ -192,7 +180,7 @@ def is_smooth(p: HomPoly) -> bool:
     # chart Z = 1: the unit ideal iff the reduced basis is [1]
     rings = sympy_rings()
     qxy = rings.xy
-    eqs = [qxy({(i, j): _qq(c) for (i, j, _), c in q.terms.items()})
+    eqs = [qxy({(i, j): c for (i, j, _), c in q.ints.items()})
            for q in parts]
     eqs = [e for e in eqs if e]
     if not eqs or rings.groebner(eqs, qxy) != [qxy.one]:
@@ -200,11 +188,8 @@ def is_smooth(p: HomPoly) -> bool:
     # chart Y = 1, Z = 0
     nonzero = []
     for q in parts:
-        coeffs = [Fraction(0)] * p.degree
-        for (i, _, k), c in q.terms.items():
-            if k == 0:
-                coeffs[i] = c
-        f = int_poly(coeffs)
+        f = int_poly([q.ints.get((i, p.degree - 1 - i, 0), 0)
+                      for i in range(p.degree)])
         if f:
             nonzero.append(f)
     if not nonzero or len(functools.reduce(int_gcd, nonzero)) > 1:
@@ -378,16 +363,16 @@ def _frame_sub(p: HomPoly, s: int) -> HomPoly:
     """Substitute Z -> s*X + s^2*Y + Z (a determinant-1 change of frame)."""
     if s == 0:
         return p
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), coef in p.terms.items():
+    ints: dict[tuple[int, int, int], int] = {}
+    for (i, j, k), coef in p.ints.items():
         for a in range(k + 1):
             for b in range(k - a + 1):
                 c = k - a - b
                 w = math.comb(k, a) * math.comb(k - a, b)
                 key = (i + a, j + b, c)
                 val = coef * w * s ** (a + 2 * b)
-                terms[key] = terms.get(key, Fraction(0)) + val
-    return HomPoly(p.degree, terms)
+                ints[key] = ints.get(key, 0) + val
+    return HomPoly._from_ints(p.degree, p.den, ints)
 
 
 def _frame_point_back(x: ProjPoint, s: int) -> ProjPoint:
@@ -425,13 +410,13 @@ def _shear(p: HomPoly, t: int) -> HomPoly:
     """Substitute X -> X + t*Y."""
     if t == 0:
         return p
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), c in p.terms.items():
+    ints: dict[tuple[int, int, int], int] = {}
+    for (i, j, k), c in p.ints.items():
         for l in range(i + 1):
             key = (i - l, j + l, k)
             val = c * math.comb(i, l) * t ** l
-            terms[key] = terms.get(key, Fraction(0)) + val
-    return HomPoly(p.degree, terms)
+            ints[key] = ints.get(key, 0) + val
+    return HomPoly._from_ints(p.degree, p.den, ints)
 
 
 def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
@@ -442,19 +427,18 @@ def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
     The Y-leading coefficients p(0, 1, 0) and q(0, 1, 0) must be nonzero:
     then the Y-degrees m and n survive every specialization, so the
     resultant at (x, 1) is that of the univariate forms p(x, Y, 1) and
-    q(x, Y, 1) (Cox, Little and O'Shea, ch. 3, sec. 6). The integer views
+    q(x, Y, 1) (Cox, Little and O'Shea, ch. 3, sec. 6). The integer terms
     of the forms are evaluated at mn + 1 consecutive integers x, each
     Sylvester determinant is taken fraction-free, and Newton's forward
     differences interpolate the values.
     """
     m, n = p.degree, q.degree
-    if (0, m, 0) not in p.terms or (0, n, 0) not in q.terms:
+    if (0, m, 0) not in p.ints or (0, n, 0) not in q.ints:
         raise PreconditionError("the center [0:1:0] lies on a curve")
-    ip, iq = p.integer_view()[1], q.integer_view()[1]
     size, start = m * n + 1, -(m * n // 2)
     values = []
     for x in range(start, start + size):
-        a, b = _y_coeffs(ip, m, x), _y_coeffs(iq, n, x)
+        a, b = _y_coeffs(p.ints, m, x), _y_coeffs(q.ints, n, x)
         rows = [[0] * r + a + [0] * (n - 1 - r) for r in range(n)]
         rows += [[0] * r + b + [0] * (m - 1 - r) for r in range(m)]
         values.append(int_det(rows))
@@ -577,20 +561,25 @@ def coprime(p: HomPoly, q: HomPoly) -> bool:
 
 def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
     """Coefficients mod prime of L * p(u + t*v) in t, indexed by the power
-    of t, from the integer view (L, terms); the last entry is L * p(v).
-    Each coordinate a + b*t gets the row of (a + b*t)^e, entry s being
-    C(e, s) a^(e-s) b^s mod prime, only for the exponents e it has in p."""
-    terms = p.integer_view()[1]
+    of t, from the stored form (L, ints); the last entry is L * p(v). Each
+    coordinate a + b*t gets the row of (a + b*t)^e, entry s being
+    C(e, s) a^(e-s) b^s mod prime, only for the exponents e it has in p,
+    with C(e, s) from factorials mod prime (the prime exceeds e)."""
+    big = max(map(max, p.ints), default=0)
+    fact = list(itertools.accumulate(range(1, big + 1),
+                                     lambda f, k: f * k % prime, initial=1))
+    inv = [pow(f, -1, prime) for f in fact]
     powers = []
     for axis, (a, b) in enumerate(zip(u, v)):
-        exps = {m[axis] for m in terms}
+        exps = {m[axis] for m in p.ints}
         top = max(exps, default=0)
         apow = [pow(a, k, prime) for k in range(top + 1)]
         bpow = [pow(b, k, prime) for k in range(top + 1)]
-        powers.append({e: [math.comb(e, s) * apow[e - s] * bpow[s] % prime
-                           for s in range(e + 1)] for e in exps})
+        powers.append({e: [fact[e] * inv[s] * inv[e - s] * apow[e - s]
+                           * bpow[s] % prime for s in range(e + 1)]
+                       for e in exps})
     out = [0] * (p.degree + 1)
-    for (i, j, k), c in terms.items():
+    for (i, j, k), c in p.ints.items():
         scaled = c % prime
         pi, pj, pk = powers[0][i], powers[1][j], powers[2][k]
         for e1, x1 in enumerate(pi):
@@ -639,9 +628,8 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
 
 def _fiber(p: HomPoly, x: Fraction, z: Fraction) -> list[int]:
     """p(x, s, z) as a primitive integer polynomial in s, read from the
-    integer view of p: the primitive part drops its scale L > 0."""
-    ints = p.integer_view()[1]
-    return int_poly(reversed(_y_coeffs(ints, p.degree, x, z)))
+    integer terms of p: the primitive part drops its denominator."""
+    return int_poly(reversed(_y_coeffs(p.ints, p.degree, x, z)))
 
 
 def bezout_table(p: HomPoly, q: HomPoly):

@@ -7,11 +7,11 @@ X > Y > Z. Evaluation, local expansion and division run without sympy.
 Only `gcd_homogeneous` (for two nonzero forms) and the ring converters
 use sympy's polynomial rings, which `sympy_rings` imports on first use.
 
-Each form keeps one integer view (`HomPoly.integer_view`): L, the lcm of
-its denominators, and the integer terms of L * p. Evaluation, the Taylor
-shift, and `curves.coprime` and the resultants of `curves` read it. The shift to a
-point is one sparse table per form (`_shift_tables`): `int_expansion`
-sums it whole (for the μ reduction, the estimators of `currents` and
+A form is stored as integer terms over one denominator (`HomPoly`); its
+arithmetic, division, evaluation and Taylor shift, and `curves`, run on
+them, and `Fraction`s are made only at the edges. The shift to a point
+is one sparse table per form (`_shift_tables`): `int_expansion` sums it
+whole (for the μ reduction, the estimators of `currents` and
 `local_expansion`, its Fraction view), `order_and_cone` level by level.
 """
 
@@ -36,9 +36,10 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
+    """A JSON string or number as a rational; not JSON true or 1e400 (inf)."""
     try:
-        return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return Fraction(None if isinstance(s, bool) else s)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"not a rational number: {s!r}") from exc
 
 
@@ -102,20 +103,20 @@ class ProjPoint:
 
 
 class HomPoly:
-    """Homogeneous polynomial in X, Y, Z with exact rational coefficients.
-
-    The zero polynomial carries an explicit degree tag so it stays inside a
-    fixed graded piece. No zero coefficients are stored.
+    """Homogeneous polynomial in X, Y, Z with exact rational coefficients,
+    stored as nonzero integer terms `ints` over `den` > 0 in lowest terms.
+    `terms` is the Fraction view. The zero polynomial carries an explicit
+    degree tag so it stays inside a fixed graded piece.
     """
 
-    __slots__ = ("degree", "terms", "_ints")
+    __slots__ = ("degree", "den", "ints")
 
-    def __init__(self, degree: int, terms: Mapping[tuple[int, int, int], Fraction]):
+    def __new__(cls, degree: int, terms: Mapping[tuple[int, int, int], Fraction]):
         if degree < 0:
             raise PreconditionError("degree must be non-negative")
         clean = {}
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = coeff if isinstance(coeff, int) else Fraction(coeff)
             if coeff == 0:
                 continue
             i, j, k = exps
@@ -123,9 +124,20 @@ class HomPoly:
                 raise PreconditionError(
                     f"exponent triple {exps} does not match degree {degree}")
             clean[(i, j, k)] = coeff
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_ints", None)
+        den, nums = clear_denominators(clean.values())
+        return cls._from_ints(degree, den, dict(zip(clean, nums)))
+
+    @classmethod
+    def _from_ints(cls, degree: int, den: int, ints) -> "HomPoly":
+        """ints / den in lowest terms, for den != 0; exponents unchecked."""
+        ints = {e: c for e, c in ints.items() if c}
+        g = math.gcd(den, *ints.values()) * (1 if den > 0 else -1)
+        if g != 1:
+            den, ints = den // g, {e: c // g for e, c in ints.items()}
+        p = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (degree, den, ints)):
+            object.__setattr__(p, name, value)
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("HomPoly is immutable")
@@ -136,12 +148,11 @@ class HomPoly:
 
     @classmethod
     def monomial(cls, exps: tuple[int, int, int], coeff=1) -> "HomPoly":
-        return cls(sum(exps), {exps: Fraction(coeff)})
+        return cls(sum(exps), {exps: coeff})
 
     @classmethod
     def line(cls, a, b, c) -> "HomPoly":
-        return cls(1, {(1, 0, 0): Fraction(a), (0, 1, 0): Fraction(b),
-                       (0, 0, 1): Fraction(c)})
+        return cls(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
     @classmethod
     def from_coeff_vector(cls, degree: int, vec: Iterable[Fraction]) -> "HomPoly":
@@ -153,34 +164,36 @@ class HomPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
+
+    @property
+    def terms(self) -> dict[tuple[int, int, int], Fraction]:
+        """The Fraction view, keyed as `ints`; a new dict on each read."""
+        return {e: Fraction(c, self.den) for e, c in self.ints.items()}
 
     def integer_view(self) -> tuple[int, dict[tuple[int, int, int], int]]:
-        """(L, terms of L * p as ints), L the lcm of the coefficient
-        denominators (1 for the zero form), in the order of `terms`. Made
-        on first use, kept in a slot that == and hash() do not read."""
-        if self._ints is None:
-            big_l, ints = clear_denominators(self.terms.values())
-            object.__setattr__(self, "_ints",
-                               (big_l, dict(zip(self.terms, ints))))
-        return self._ints
+        """(L, terms of L * p): the stored (den, ints)."""
+        return self.den, self.ints
 
     def coeff_vector(self) -> list[Fraction]:
-        return [self.terms.get(m, Fraction(0)) for m in monomials(self.degree)]
+        terms, zero = self.terms, Fraction(0)
+        return [terms.get(m, zero) for m in monomials(self.degree)]
 
-    def leading_coeff(self) -> Fraction:
+    def _lead(self) -> int:
         if self.is_zero:
             raise PreconditionError(
                 "zero polynomial has no leading coefficient")
-        return self.terms[max(self.terms)]
+        return self.ints[max(self.ints)]
+
+    def leading_coeff(self) -> Fraction:
+        return Fraction(self._lead(), self.den)
 
     def monic(self) -> "HomPoly":
-        lc = self.leading_coeff()
-        return HomPoly(self.degree, {m: c / lc for m, c in self.terms.items()})
+        return HomPoly._from_ints(self.degree, self._lead(), self.ints)
 
     def __eq__(self, other):
         return (isinstance(other, HomPoly) and self.degree == other.degree
-                and self.terms == other.terms)
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
         return hash((self.degree, frozenset(self.terms.items())))
@@ -188,27 +201,30 @@ class HomPoly:
     def __add__(self, other: "HomPoly") -> "HomPoly":
         if self.degree != other.degree:
             raise PreconditionError("cannot add forms of different degrees")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return HomPoly(self.degree, terms)
+        den = math.lcm(self.den, other.den)
+        ints = {m: den // self.den * c for m, c in self.ints.items()}
+        for m, c in other.ints.items():
+            ints[m] = ints.get(m, 0) + den // other.den * c
+        return HomPoly._from_ints(self.degree, den, ints)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
         return self + (-other)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly(self.degree, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, HomPoly):
-            terms: dict[tuple[int, int, int], Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
+            ints: dict[tuple[int, int, int], int] = {}
+            for m1, c1 in self.ints.items():
+                for m2, c2 in other.ints.items():
                     m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                    terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-            return HomPoly(self.degree + other.degree, terms)
-        return HomPoly(self.degree,
-                       {m: c * Fraction(other) for m, c in self.terms.items()})
+                    ints[m] = ints.get(m, 0) + c1 * c2
+            return HomPoly._from_ints(self.degree + other.degree,
+                                      self.den * other.den, ints)
+        q = other if isinstance(other, (int, Fraction)) else Fraction(other)
+        return HomPoly._from_ints(self.degree, self.den * q.denominator, {
+            m: c * q.numerator for m, c in self.ints.items()})
 
     __rmul__ = __mul__
 
@@ -216,24 +232,23 @@ class HomPoly:
         if self.is_zero:
             return f"HomPoly(0; deg {self.degree})"
         parts = []
-        for m in sorted(self.terms, reverse=True):
+        for m, c in sorted(self.terms.items(), reverse=True):
             mono = "".join(v * e for v, e in zip("XYZ", m))
-            parts.append(f"{fraction_to_str(self.terms[m])}*{mono or '1'}")
+            parts.append(f"{fraction_to_str(c)}*{mono or '1'}")
         return "HomPoly(" + " + ".join(parts) + ")"
 
     def evaluate_coords(self, a, b, c) -> Fraction:
         """Value at arbitrary (not necessarily normalized) rational
         coordinates, on integers: with the coordinates cleared over their
-        common denominator D and the integer view (L, terms), the integer
-        sum of the terms at them over L * D^d, as one Fraction."""
+        common denominator D, the integer sum of the terms at them over
+        den * D^d, as one Fraction."""
         d = self.degree
-        big_l, ints = self.integer_view()
         scale, coords = clear_denominators((a, b, c))
         ta, tb, tc = ([x ** e for e in range(d + 1)] for x in coords)
         total = 0
-        for (i, j, k), coeff in ints.items():
+        for (i, j, k), coeff in self.ints.items():
             total += coeff * ta[i] * tb[j] * tc[k]
-        return Fraction(total, big_l * scale ** d)
+        return Fraction(total, self.den * scale ** d)
 
     def local_expansion(self, x: ProjPoint
                         ) -> tuple[int, dict[tuple[int, int], Fraction]]:
@@ -268,24 +283,23 @@ def int_expansion(p: HomPoly, x: ProjPoint
 def _shift_tables(p: HomPoly, x: ProjPoint):
     """(chart, nums, rows1, rows2, den) for the shift of p to x = (a, b),
     a = an/ad and b = bn/bd in the chart x.chart(). Each term (e1, e2,
-    num) of the integer view (L, terms), dehomogenized, has its
+    num) of the stored form (L, ints), dehomogenized, has its
     coefficient as num/L; the coefficient of s^i t^j in the shift is the
     sum of num * rows1[e1][i] * rows2[e2][j] over den = L * ad^E1 * bd^E2,
     where E1 and E2 are the largest exponents of s and t. rows1 and rows2
     hold rows only for the exponents of s and t that the terms have."""
     chart = x.chart()
     a, b = x.affine(chart)
-    big_l, ints = p.integer_view()
-    if not ints:
+    if p.is_zero:
         return chart, [], None, None, 1
     o1, o2 = [i for i in range(3) if i != chart]
-    nums = [(e[o1], e[o2], c) for e, c in ints.items()]
+    nums = [(e[o1], e[o2], c) for e, c in p.ints.items()]
     exps1 = {e1 for e1, _, _ in nums}
     exps2 = {e2 for _, e2, _ in nums}
     top1, top2 = max(exps1), max(exps2)
     return (chart, nums, _shift_rows(a.numerator, a.denominator, top1, exps1),
             _shift_rows(b.numerator, b.denominator, top2, exps2),
-            big_l * a.denominator ** top1 * b.denominator ** top2)
+            p.den * a.denominator ** top1 * b.denominator ** top2)
 
 
 def _shift_rows(n: int, d: int, top: int, exps: Iterable[int]
@@ -338,8 +352,7 @@ def sympy_rings() -> SimpleNamespace:
 def to_ring(p: HomPoly):
     """p as an element of sympy's polynomial ring Q[X, Y, Z] (lex)."""
     rings = sympy_rings()
-    return rings.xyz({e: rings.QQ(c.numerator, c.denominator)
-                      for e, c in p.terms.items()})
+    return rings.xyz({e: rings.QQ(c, p.den) for e, c in p.ints.items()})
 
 
 def from_ring(f) -> HomPoly:
@@ -356,7 +369,7 @@ def evaluate(p: HomPoly, x: ProjPoint) -> Fraction:
 
 def line_coeffs(line: HomPoly) -> tuple[Fraction, Fraction, Fraction]:
     """(a, b, c) of the line aX + bY + cZ."""
-    return tuple(line.terms.get(e, Fraction(0)) for e in monomials(1))
+    return tuple(line.coeff_vector())
 
 
 def _cross(u, v):
@@ -383,14 +396,14 @@ def partial_derivatives(p: HomPoly) -> tuple[HomPoly, HomPoly, HomPoly]:
         raise PreconditionError("constant polynomial")
     outs = []
     for var in range(3):
-        terms = {}
-        for exps, coeff in p.terms.items():
+        ints = {}
+        for exps, coeff in p.ints.items():
             if exps[var] == 0:
                 continue
             new = list(exps)
             new[var] -= 1
-            terms[tuple(new)] = coeff * exps[var]
-        outs.append(HomPoly(p.degree - 1, terms))
+            ints[tuple(new)] = coeff * exps[var]
+        outs.append(HomPoly._from_ints(p.degree - 1, p.den, ints))
     return tuple(outs)
 
 
@@ -403,38 +416,37 @@ def vanishing_order(p: HomPoly, x: ProjPoint):
 def exact_divide(p: HomPoly, q: HomPoly) -> HomPoly | None:
     """p / q when the division is exact, else None.
 
-    Long division by the single divisor q in descending lex order on the
-    exponent triples, in Fraction arithmetic: each step cancels the
-    remainder's leading term with a multiple of q's leading term. {q} is a
-    Groebner basis of the ideal (q), so q divides p iff every leading term
-    met on the way is divisible by q's; the first one that is not ends the
-    division with None. Quotient terms come out in descending lex order.
+    Long division of p's integer terms by q's primitive part in descending
+    lex order on the exponent triples, in integers: {q} is a Groebner basis
+    of (q), so q divides p iff every leading term met on the way is
+    divisible by q's, and by Gauss's lemma the quotient is then integral; a
+    step that fails either ends the division with None. Quotient terms come
+    out in descending lex order.
     """
     if q.is_zero:
         raise PreconditionError("division by the zero polynomial")
     if p.is_zero:
         return HomPoly.zero(max(p.degree - q.degree, 0))
-    if p.degree < q.degree:
-        return None
-    lead = max(q.terms)
-    lc = q.terms[lead]
-    rem = dict(p.terms)
+    content = math.gcd(*q.ints.values())
+    lead = max(q.ints)
+    rem = dict(p.ints)
     quo = {}
     while rem:
         top = max(rem)
         e = (top[0] - lead[0], top[1] - lead[1], top[2] - lead[2])
-        if min(e) < 0:
+        c, r = divmod(rem[top] * content, q.ints[lead])
+        if min(e) < 0 or r:
             return None
-        c = rem[top] / lc
         quo[e] = c
-        for (i, j, k), cq in q.terms.items():
+        for (i, j, k), cq in q.ints.items():
             key = (e[0] + i, e[1] + j, e[2] + k)
-            val = rem.get(key, 0) - c * cq
+            val = rem.get(key, 0) - c * cq // content
             if val:
                 rem[key] = val
             else:
                 del rem[key]
-    return HomPoly(p.degree - q.degree, quo)
+    return HomPoly._from_ints(p.degree - q.degree, p.den * content,
+                              {e: c * q.den for e, c in quo.items()})
 
 
 def divides(q: HomPoly, p: HomPoly) -> bool:

@@ -237,7 +237,7 @@ def _lll_reduce(basis):
             lam[i][k - 1] = (big * t + nu * lam[i][k]) // d[k + 1]
         d[k] = big
         k = max(k - 1, 1)
-    return [[Fraction(x) for x in row] for row in y]
+    return y
 
 
 def nullspace(rows, ncols):

@@ -28,8 +28,8 @@ SCHEMA_VERSION = 1
 
 
 def encode_poly(p: HomPoly) -> dict:
-    terms = [[i, j, k, fraction_to_str(p.terms[(i, j, k)])]
-             for (i, j, k) in sorted(p.terms, reverse=True)]
+    terms = [[i, j, k, fraction_to_str(c)]
+             for (i, j, k), c in sorted(p.terms.items(), reverse=True)]
     return {"degree": p.degree, "terms": terms}
 
 

@@ -942,6 +942,107 @@ def test_instance_fields_are_checked(tmp_path, capsys, field, value,
         assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
+def with_raw_value(doc, path, raw):
+    """The JSON text of doc with the value at path written as the raw JSON
+    text `raw`, such as 1e400, which json.dumps cannot write."""
+    node = _node(doc, path)
+    node[path[-1]] = "@raw@"
+    return json.dumps(doc).replace('"@raw@"', raw)
+
+
+@pytest.mark.parametrize("raw", ["1e400", "-Infinity", "true"])
+def test_msequence_refuses_a_coordinate_that_is_not_rational(tmp_path,
+                                                            capsys, raw):
+    """JSON reads 1e400 and Infinity as float infinities, whose Fraction
+    raised OverflowError (exit 1, with a traceback), and `true` loaded as
+    the coordinate 1."""
+    inst = tmp_path / "inst.json"
+    doc = json.loads(serialize.dumps(generate("generic12", 0)))
+    inst.write_text(with_raw_value(doc, ("points", 3, 0), raw))
+    capsys.readouterr()
+    assert run("msequence", "--input", str(inst)) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"parse error: not a rational number: {json.loads(raw)!r}\n")
+
+
+@pytest.mark.parametrize("path", [("points", 2, "point", 0),
+                                  ("p", "terms", 3, 3)],
+                         ids=["coordinate", "coefficient"])
+def test_certify_refuses_a_number_past_the_float_range(tmp_path, capsys,
+                                                       path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(with_raw_value(json.loads(generic12_document()), path,
+                                   "1e400"))
+    capsys.readouterr()
+    assert run("certify", "--input", str(cert)) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "parse error: not a rational number: inf\n")
+
+
+# --------------------------------------------------------------------------
+# crafted instance files: mutations of the generic12 seed-0 instance
+
+
+@functools.cache
+def generic12_instance():
+    return serialize.dumps(generate("generic12", 0))
+
+
+def mutated_instance(mutations):
+    doc = json.loads(generic12_instance())
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    return doc
+
+
+_INSTANCE_PATHS = ([("points",), ("seed",), ("kind",), ("type",), ("lines",),
+                    ("m_seq",), ("extra",), ("schema_version",)]
+                   + [("points", i) for i in (0, 5, 11)]
+                   + [("points", 2, c) for c in range(3)])
+_LINE = {"degree": 1, "terms": [[1, 0, 0, "1"], [0, 0, 1, "-2"]]}
+INSTANCE_MUTATIONS = st.one_of(
+    # types, lists <-> scalars, and forms of other degrees in `lines`
+    st.tuples(st.just("set"), st.sampled_from(_INSTANCE_PATHS),
+              st.sampled_from([None, True, 0, 1, 5, 1e400, "x", "1/0", [],
+                               {}, [1], ["1", "2", "3"], ["0", "0", "0"],
+                               [_LINE], [dict(_LINE, degree=2)]])),
+    st.tuples(st.sampled_from(["wrap", "unwrap"]),
+              st.sampled_from(_INSTANCE_PATHS), st.none()),
+    # other coordinates, which may repeat a point or put five on a line
+    st.tuples(st.just("set"), st.sampled_from(
+        [("points", i, c) for i in (1, 2, 11) for c in range(3)]),
+        st.sampled_from(_NUMBERS + ["24/7", "18/7", "-1/2"])),
+    st.tuples(st.just("set"), st.sampled_from([("extra",), ("points", 4)]),
+              st.sampled_from([["1", "0", "0"], ["-1", "0", "1"],
+                               ["24/7", "18/7", "1"]])),
+    # dropped or repeated points
+    st.tuples(st.sampled_from(["drop", "repeat"]), st.sampled_from(
+        [("points", i) for i in (0, 6, 11)]), st.none()))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=st.lists(INSTANCE_MUTATIONS, min_size=1, max_size=2).map(
+    mutated_instance))
+@example(doc=mutated_instance([("set", ("lines",), 5)]))
+@example(doc=mutated_instance([("set", ("seed",), True)]))
+@example(doc=mutated_instance([("set", ("points", 2, 0), 1e400)]))
+@example(doc=mutated_instance([("set", ("points", 2, 1), True)]))
+def test_crafted_instances_end_in_a_documented_code(doc):
+    """msequence, construct and linsys on a mutated instance file exit 0,
+    2, 3, 4 or 5, never in a traceback. json.dumps writes the float
+    1e400 as Infinity, which JSON reads back as the same float."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in (["msequence"], ["construct"],
+                         ["linsys", "--degree", "3"],
+                         ["linsys", "--degree", "6", "--double", "1,2,3"]):
+                assert run(*argv, "--input", str(path)) in DOCUMENTED_CODES
+
+
 def nodal(t):
     """The point (t^2 - 1 : t(t^2 - 1) : 1) of the nodal cubic
     Y^2 Z = X^3 + X^2 Z; three such points are collinear iff

@@ -23,6 +23,7 @@ from lelongplane.exactpoly import (HomPoly, ProjPoint, divides, evaluate,
                                    order_and_cone, partial_derivatives,
                                    vanishing_order)
 from lelongplane.instances import INSTANCE_KINDS, generate
+from lelongplane.linalg import nullspace
 
 from expr_reference import from_sympy, to_sympy
 
@@ -352,7 +353,7 @@ def random_big_poly(rng, degree, bits):
 def test_integer_view_is_l_times_the_terms():
     """(L, ints) with L the lcm of the denominators and ints the terms of
     L * p in the order of p.terms, on random forms with big denominators
-    and on zero forms; computed once."""
+    and on zero forms; it is the stored pair (den, ints)."""
     rng = random.Random(31)
     forms = [HomPoly.zero(0), HomPoly.zero(4)]
     forms += [random_big_poly(rng, rng.randint(0, 8), rng.choice((1, 40, 200)))
@@ -363,7 +364,7 @@ def test_integer_view_is_l_times_the_terms():
         assert list(ints) == list(f.terms)
         assert all(type(v) is int and v == big_l * f.terms[e]
                    for e, v in ints.items())
-        assert f.integer_view() is f.integer_view()
+        assert f.integer_view() == (f.den, f.ints)
     assert HomPoly.zero(2).integer_view() == (1, {})
 
 
@@ -592,3 +593,145 @@ def test_exact_divide_matches_sympy_div():
             assert list(got.terms) == list(want.terms)
             assert p.is_zero or got * q == p
     assert 0 < exact < len(cases)
+
+
+# --------------------------------------------------------------------------
+# one stored form: the integer operations against a Fraction reference
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_partials(a):
+    outs = []
+    for var in range(3):
+        out = {}
+        for exps, c in a.items():
+            if exps[var]:
+                new = list(exps)
+                new[var] -= 1
+                out[tuple(new)] = c * exps[var]
+        outs.append(out)
+    return outs
+
+
+def ref_shear(a, t):
+    if t == 0:
+        return a
+    out = {}
+    for (i, j, k), c in a.items():
+        for l in range(i + 1):
+            key = (i - l, j + l, k)
+            out[key] = out.get(key, Fraction(0)) + c * math.comb(i, l) * t ** l
+    return ref_clean(out)
+
+
+def ref_hessian(a):
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = [
+        ref_partials(q) for q in ref_partials(a)]
+    neg = {(0, 0, 0): Fraction(-1)}
+
+    def minus(x, y):
+        return ref_add(x, ref_mul(neg, y))
+
+    return ref_add(ref_add(
+        ref_mul(h00, minus(ref_mul(h11, h22), ref_mul(h12, h12))),
+        ref_mul(neg, ref_mul(h01, minus(ref_mul(h01, h22),
+                                        ref_mul(h02, h12))))),
+        ref_mul(h02, minus(ref_mul(h01, h12), ref_mul(h02, h11))))
+
+
+def assert_form_is(p, degree, ref):
+    """p is the form with the Fraction terms ref: equal, with the same key
+    order, the integer view made from ref, and the Fraction hash."""
+    ref = ref_clean(ref)
+    big_l = math.lcm(*(c.denominator for c in ref.values()))
+    assert p == HomPoly(degree, ref) and p.degree == degree
+    assert p.terms == ref and list(p.terms) == list(ref)
+    assert p.integer_view() == (big_l, {m: int(big_l * c)
+                                        for m, c in ref.items()})
+    assert list(p.ints) == list(ref)
+    assert hash(p) == hash((p.degree, frozenset(p.terms.items())))
+    assert hash(p) == hash((degree, frozenset(ref.items())))
+
+
+def test_integer_operations_match_the_fraction_reference():
+    """Kernel vectors, sums, products, scalar multiples, partials, shears
+    and Hessians, built on the stored integers, equal the same forms built
+    in Fraction arithmetic, term order included."""
+    rng = random.Random(2929)
+    forms = []
+    for degree in (1, 2, 3, 4):
+        points = [ProjPoint(rng.randint(-9, 9), rng.randint(-9, 9), 1)
+                  for _ in range(monomial_count(degree) - 2)]
+        rows = [[evaluate(HomPoly.monomial(m), x) for m in monomials(degree)]
+                for x in points]
+        for vec in nullspace(rows, monomial_count(degree)):
+            assert all(type(v) is int for v in vec)
+            p = HomPoly.from_coeff_vector(degree, vec)
+            assert_form_is(p, degree, dict(zip(monomials(degree),
+                                               map(Fraction, vec))))
+            forms.append(p)
+    forms += [random_big_poly(rng, rng.randint(1, 4), rng.choice((1, 30)))
+              for _ in range(20)]
+    for _ in range(40):
+        p, q = rng.choice(forms), rng.choice(forms)
+        pt, qt = p.terms, q.terms
+        assert_form_is(p * q, p.degree + q.degree, ref_mul(pt, qt))
+        if p.degree == q.degree:
+            assert_form_is(p + q, p.degree, ref_add(pt, qt))
+            assert_form_is(p - p, p.degree, {})
+        for s in (0, -3, Fraction(-5, 6), Fraction(7, 4)):
+            assert_form_is(p * s, p.degree, ref_clean(
+                {m: c * s for m, c in pt.items()}))
+        assert_form_is(-p, p.degree, {m: -c for m, c in pt.items()})
+        for got, want in zip(partial_derivatives(p), ref_partials(pt)):
+            assert_form_is(got, p.degree - 1, want)
+        t = rng.randint(-4, 4)
+        assert_form_is(curves._shear(p, t), p.degree, ref_shear(pt, t))
+        lc = pt[max(pt)]
+        assert_form_is(p.monic(), p.degree, {m: c / lc for m, c in pt.items()})
+    for p in [f for f in forms if f.degree == 3][:6]:
+        assert_form_is(curves._hessian(p), 3, ref_hessian(p.terms))
+
+
+def test_the_integer_path_makes_no_fraction(monkeypatch):
+    """From an integer vector, forms, their sums, products, integer
+    multiples and partials are built with no Fraction."""
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(exactpoly, "Fraction", CountingFraction)
+    p = HomPoly.from_coeff_vector(2, [3, 0, -6, 9, 12, 0])
+    q = HomPoly.from_coeff_vector(2, [0, 1, 0, -2, 0, 5])
+    forms = [p, q, p + q, p - q, p * q, 4 * p, -q]
+    forms += [d for f in forms for d in partial_derivatives(f)]
+    assert made == []
+    assert p == HomPoly(2, {(2, 0, 0): 3, (1, 0, 1): -6, (0, 2, 0): 9,
+                            (0, 1, 1): 12})
+    assert (p.den, p.ints) == (1, {(2, 0, 0): 3, (1, 0, 1): -6,
+                                   (0, 2, 0): 9, (0, 1, 1): 12})
+    assert made == []
+    p.terms  # the Fraction view: the counter sees exactpoly's Fractions
+    assert len(made) == len(p.ints)
