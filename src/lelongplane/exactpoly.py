@@ -116,8 +116,9 @@ class HomPoly:
             raise PreconditionError("degree must be non-negative")
         clean = {}
         for exps, coeff in terms.items():
-            coeff = coeff if isinstance(coeff, int) else Fraction(coeff)
-            if coeff == 0:
+            if not isinstance(coeff, (int, Fraction)):
+                coeff = Fraction(coeff)
+            if not coeff:
                 continue
             i, j, k = exps
             if i < 0 or j < 0 or k < 0 or i + j + k != degree:
