@@ -714,7 +714,8 @@ def test_integer_operations_match_the_fraction_reference():
 
 def test_the_integer_path_makes_no_fraction(monkeypatch):
     """From an integer vector, forms, their sums, products, integer
-    multiples and partials are built with no Fraction."""
+    multiples, partials, monic forms, exact quotients, shears and
+    Hessians are built with no Fraction."""
     made = []
 
     class CountingFraction(Fraction):
@@ -727,7 +728,9 @@ def test_the_integer_path_makes_no_fraction(monkeypatch):
     q = HomPoly.from_coeff_vector(2, [0, 1, 0, -2, 0, 5])
     forms = [p, q, p + q, p - q, p * q, 4 * p, -q]
     forms += [d for f in forms for d in partial_derivatives(f)]
-    assert made == []
+    forms += [p.monic(), exact_divide(p * q, q), curves._shear(q, 3),
+              curves._hessian(p * HomPoly.line(1, -2, 5))]
+    assert made == [] and all(f is not None for f in forms)
     assert p == HomPoly(2, {(2, 0, 0): 3, (1, 0, 1): -6, (0, 2, 0): 9,
                             (0, 1, 1): 12})
     assert (p.den, p.ints) == (1, {(2, 0, 0): 3, (1, 0, 1): -6,
