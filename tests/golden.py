@@ -8,7 +8,9 @@ seeds 0-3, then `sharpness` at seeds 0-3 and `enumerate --cap 2`, then
 `write_sparse_certificate`), then `--help` of the program and of each
 command and the usage errors of the top-level parser and of a command
 (no command, an unknown command, `-h` before a command, a missing or
-extra value, an unknown option), all in-process through `cli.main`.
+extra value, an unknown option), then argvs that only argparse parses
+(`--seed=1`, the abbreviation `--inp`, a negative seed, a repeated
+`--seed`, a flag as a value), all in-process through `cli.main`.
 For each command the manifest holds its argv, exit code (argparse's
 `SystemExit` code for help and usage), the SHA-256 of its stdout and
 stderr, and that of each file it wrote (and of the crafted certificate
@@ -111,6 +113,19 @@ def _commands():
                        ("usage-error/enumerate-jobs",
                         ["enumerate", "--cap", "2", "--jobs", "2"])):
         yield name, argv, []
+    # argvs outside the form `command (--flag value)*`, which only
+    # argparse parses
+    for name, argv in (
+            ("seed-equals", ["generate", "--kind", "generic12", "--seed=1"]),
+            ("certify-inp", ["certify", "--inp", "generic12-0.cert.json"]),
+            ("negative-seed", ["generate", "--kind", "generic12",
+                               "--seed", "-1"]),
+            ("repeated-seed", ["generate", "--kind", "generic12",
+                               "--seed", "1", "--seed", "2"])):
+        out = f"fallback-{name}.json"
+        yield f"fallback/{name}", argv + ["--out", out], [out]
+    yield ("fallback/certify-input-flag",
+           ["certify", "--input", "--out", "x"], [])
 
 
 def sweep(workdir) -> dict:
