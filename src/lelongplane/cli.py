@@ -158,9 +158,10 @@ def cmd_enumerate(args) -> int:
 
 _INPUT = ("--input", {"required": True})
 _SEED = ("--seed", {"type": int, "default": 0})
+_OUT = ("--out", {})
 
 # name -> (help, handler, arguments as (flag, add_argument keywords));
-# every command takes --out after its arguments
+# every command takes _OUT after its arguments
 COMMANDS = {
     "generate": ("emit a named instance", cmd_generate,
                  [("--kind", {"required": True, "choices": INSTANCE_KINDS}),
@@ -184,32 +185,61 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone: that one parses
-    an argv starting with `command` just as the full parser does."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; `main` runs it on each argv that
+    `parse_table` does not take."""
     parser = argparse.ArgumentParser(
         prog="lelongplane",
         description="exact certificates for Lelong-number level sets of "
                     "plane point configurations")
-    # with one subparser, the usage line would list only that command
-    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
-    for name in [command] if command else COMMANDS:
-        help_, func, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, func, arguments) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        for flag, keywords in arguments + [("--out", {})]:
+        for flag, keywords in arguments + [_OUT]:
             sp.add_argument(flag, **keywords)
         sp.set_defaults(func=func)
     return parser
 
 
+def parse_table(argv):
+    """The namespace that `build_parser()` gives for an argv of the form
+    `command (--flag value)*`, read from COMMANDS alone; None for any other
+    argv, and for one that names a flag twice, gives a value starting with
+    "-", a value its type or choices refuse, or lacks a required flag.
+    Argparse parses those, so it alone writes help, usage and errors."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    options = dict(arguments + [_OUT])
+    if len(argv) % 2 == 0:  # a flag without its value
+        return None
+    given = {}
+    for flag, raw in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(flag)
+        if keywords is None or flag in given or raw.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(raw)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        setattr(args, flag.lstrip("-").replace("-", "_"),
+                given.get(flag, keywords.get("default")))
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a call that names its command builds only that command's parser
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = parse_table(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -225,6 +255,12 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except FileNotFoundError as exc:
         print(f"parse error: missing file {exc.filename}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"parse error: cannot open {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -36,7 +36,11 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    """A JSON string or number as a rational; not JSON true or 1e400 (inf)."""
+    """A JSON string or number as a rational; not JSON true or 1e400 (inf),
+    and not a string in exponent notation, whose cost grows with the value
+    of its exponent ("1e10000000" takes seconds)."""
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise ParseError(f"exponent notation is not accepted: {s!r}")
     try:
         return Fraction(None if isinstance(s, bool) else s)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

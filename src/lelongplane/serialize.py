@@ -205,9 +205,17 @@ def loads(text: str) -> dict:
     return doc
 
 
+def load(path) -> dict:
+    """The document in the file at `path`, which must be UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return loads(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {path}") from exc
+
+
 def load_instance(path):
-    with open(path) as fh:
-        doc = loads(fh.read())
+    doc = load(path)
     if _expect(doc, "type", str) != "instance":
         raise ParseError("not an instance file")
     points = tuple(decode_point(p) for p in _expect(doc, "points", list))
@@ -222,8 +230,7 @@ def load_instance(path):
 
 
 def load_certificate(path) -> PotentialCertificate:
-    with open(path) as fh:
-        doc = loads(fh.read())
+    doc = load(path)
     if _expect(doc, "type", str) != "certificate":
         raise ParseError("not a certificate file")
     r = _expect(doc, "r", int)

@@ -7,10 +7,12 @@ full generate -> construct -> certify round trip through the filesystem.
 
 import argparse
 import contextlib
+import errno
 import functools
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import time
@@ -23,8 +25,10 @@ from hypothesis import strategies as st
 
 import golden
 from lelongplane import construct, currents, curves, exactpoly, serialize
-from lelongplane.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
-                             EXIT_UNSUPPORTED, EXIT_VERIFICATION, main)
+from lelongplane.cli import (COMMANDS, EXIT_OK, EXIT_PARSE,
+                             EXIT_PRECONDITION, EXIT_UNSUPPORTED,
+                             EXIT_VERIFICATION, build_parser, main,
+                             parse_table)
 from lelongplane.construct import (PotentialCertificate,
                                    construct_certificate, make_certificate,
                                    verify_certificate)
@@ -633,8 +637,9 @@ def test_jobs_flag_is_gone(capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
-def test_a_command_builds_only_its_own_parser(tmp_path, capsys,
-                                             monkeypatch):
+def test_a_well_formed_call_builds_no_parser(tmp_path, capsys, monkeypatch):
+    """`command (--flag value)*` is parsed from the COMMANDS table; a usage
+    error and help build the whole parser, which writes their text."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -644,13 +649,89 @@ def test_a_command_builds_only_its_own_parser(tmp_path, capsys,
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run("certify", "--input", str(tmp_path / "none.json")) == EXIT_PARSE
-    assert built == ["lelongplane", "lelongplane certify"]
-    built.clear()
-    with pytest.raises(SystemExit) as exc:
-        run("--help")
-    assert exc.value.code == 0
-    assert len(built) == 9  # the program and its eight commands
+    assert built == []
+    for argv, code in ((["certify", "--input"], 2), (["--help"], 0)):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == code
+        assert len(built) == 9  # the program and its eight commands
     capsys.readouterr()
+
+
+@functools.cache
+def full_parser():
+    return build_parser()
+
+
+def argparse_namespace(argv):
+    """What the whole parser makes of argv: a namespace, or None where it
+    exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return full_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+_ALL_FLAGS = sorted({flag for _, _, arguments in COMMANDS.values()
+                     for flag, _ in arguments} | {"--out"})
+_VALUES = ["", "-1", "nan", "1e400", "\u0663", " 5 ", "5", "0", "x", "1,2",
+           "--", "-h", "-"]
+_TOKENS = _ALL_FLAGS + ["-h", "--help", "--", "--inp", "--out=x"] + _VALUES
+
+
+def _pair(flag, keywords):
+    """`flag` with a value that its type and choices take, or with a value
+    that may break them."""
+    typical = keywords.get("choices") or [{int: "3", float: "0.5"}.get(
+        keywords.get("type"), "f.json")]
+    return st.tuples(st.just(flag), st.one_of(st.sampled_from(typical),
+                                              st.sampled_from(_VALUES)))
+
+
+def _argvs(command):
+    """`command` with its required flags (or all but the first), some of
+    its other flags and maybe one flag again, each with a value, in any
+    order, and maybe one token of any kind put anywhere."""
+    arguments = COMMANDS[command][2] + [("--out", {})]
+    required = [a for a in arguments if a[1].get("required")]
+    optional = [a for a in arguments if not a[1].get("required")]
+    pairs = st.tuples(
+        st.sampled_from([required, required[1:]]),
+        st.lists(st.sampled_from(optional), unique_by=lambda a: a[0]),
+        st.lists(st.sampled_from(arguments), max_size=1)).flatmap(
+        lambda drawn: st.tuples(*[_pair(*a) for part in drawn for a in part]))
+    noise = st.lists(st.tuples(st.integers(0, 8), st.sampled_from(_TOKENS)),
+                     max_size=1)
+    return st.tuples(pairs.flatmap(st.permutations), noise).map(
+        lambda drawn: _argv(command, *drawn))
+
+
+def _argv(command, pairs, noise):
+    argv = [command] + [token for pair in pairs for token in pair]
+    for at, token in noise:
+        argv.insert(at, token)
+    return argv
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(argv=st.one_of(st.sampled_from(sorted(COMMANDS)).flatmap(_argvs),
+                      st.lists(st.sampled_from(sorted(COMMANDS) + _TOKENS
+                                               + ["bogus"]), max_size=3),
+                      st.sampled_from(sorted(COMMANDS)).flatmap(_argvs)))
+def test_the_table_parse_agrees_with_argparse(argv):
+    """parse_table never takes an argv that argparse refuses, and where it
+    takes one, both give the same command, handler and values (compared
+    by repr, since NaN != NaN)."""
+    got = parse_table(argv)
+    if got is None:
+        return
+    want = argparse_namespace(argv)
+    assert want is not None
+    assert ({k: repr(v) for k, v in vars(got).items()}
+            == {k: repr(v) for k, v in vars(want).items()})
 
 
 @pytest.mark.parametrize("argv", [["enumerate", "--n", "3"], ["bogus"],
@@ -885,6 +966,10 @@ MUTATIONS = st.one_of(
               st.integers(0, 8)))
 
 
+# many accepted mutations leave P and Q as they are
+oracle_multiplicity = functools.cache(curves.resultant_multiplicity)
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=st.lists(MUTATIONS, min_size=1, max_size=2).map(mutated))
@@ -892,9 +977,11 @@ MUTATIONS = st.one_of(
 def test_crafted_certificates_end_in_a_documented_code(doc):
     """certify and lelong on a mutated certificate file exit 0, 2, 3, 4 or
     5, never in a traceback; where certify accepts the file, every weight
-    is min(ord P, ord Q) / r and gamma is deg P / r. The first draw builds
-    the generic12 certificate, which the health check would count as slow
-    data generation."""
+    is min(ord P, ord Q) / r and gamma is deg P / r, and up to degree 8
+    the verifier's multiplicity at each point is the resultant oracle's,
+    whose sum obeys Bezout (the order-500 tangent chain is past the
+    oracle's reach). The first draw builds the generic12 certificate,
+    which the health check would count as slow data generation."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cert.json"
         path.write_text(json.dumps(doc))
@@ -910,6 +997,12 @@ def test_crafted_certificates_end_in_a_documented_code(doc):
                                               vanishing_order(cert.q, x)),
                                           cert.r)
             assert cert.gamma_u == Fraction(cert.p.degree, cert.r)
+            if cert.p.degree <= 8:
+                oracle = [oracle_multiplicity(cert.p, cert.q, x)
+                          for x, _ in cert.points]
+                assert [c.multiplicity for c in verify_certificate(
+                    cert).per_point] == oracle
+                assert sum(oracle) <= cert.p.degree * cert.q.degree
 
 # --------------------------------------------------------------------------
 # refusals an instance file can reach
@@ -977,6 +1070,40 @@ def test_certify_refuses_a_number_past_the_float_range(tmp_path, capsys,
     assert run("certify", "--input", str(cert)) == EXIT_PARSE
     assert capsys.readouterr().err == (
         "parse error: not a rational number: inf\n")
+
+
+def test_certify_refuses_exponent_notation_at_once(tmp_path, capsys):
+    """Reading the coefficient "1e10000000" took about 9 s, and a longer
+    exponent held the loader for minutes."""
+    doc = json.loads(generic12_document())
+    doc["p"]["terms"][3][3] = "1e10000000"
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run("certify", "--input", str(cert)) == EXIT_PARSE
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "parse error: exponent notation is not accepted: '1e10000000'\n")
+
+
+def test_a_path_that_cannot_be_read_or_written_exits_5(tmp_path, capsys):
+    """A directory as --input or --out, and an --input file that is not
+    UTF-8, ended in a traceback (exit 1)."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"type": "caf\u00e9"}'.encode("latin-1"))
+    directory = f"cannot open {tmp_path}: {os.strerror(errno.EISDIR)}"
+    for argv, message in (
+            (["certify", "--input", str(tmp_path)], directory),
+            (["msequence", "--input", str(tmp_path)], directory),
+            (["certify", "--input", str(latin1)], f"not UTF-8 text: {latin1}"),
+            (["generate", "--kind", "generic12", "--out", str(tmp_path)],
+             directory)):
+        assert run(*argv) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
+    assert run("certify", "--input", str(tmp_path / "none.json")) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"parse error: missing file {tmp_path / 'none.json'}\n")
 
 
 # --------------------------------------------------------------------------

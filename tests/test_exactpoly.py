@@ -15,7 +15,7 @@ import sympy
 from lelongplane import curves, exactpoly
 from lelongplane.construct import construct_certificate
 from lelongplane.curves import coprime
-from lelongplane.errors import PreconditionError
+from lelongplane.errors import ParseError, PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, divides, evaluate,
                                    exact_divide, fraction_from_str,
                                    fraction_to_str, gcd_homogeneous,
@@ -40,6 +40,17 @@ def test_fraction_round_trip():
     for q in (Fraction(0), Fraction(3), Fraction(-7, 12), Fraction(22, 11)):
         assert fraction_from_str(fraction_to_str(q)) == q
     assert fraction_to_str(Fraction(5, 1)) == "5"
+
+
+def test_fraction_from_str_refuses_exponent_notation():
+    """"1e10000000" took seconds to read; "num/den", decimals and JSON
+    numbers read as before."""
+    for s in ("1e3", "2E-1", "1.5e0", "1e10000000"):
+        with pytest.raises(ParseError, match="exponent notation"):
+            fraction_from_str(s)
+    assert fraction_from_str("-3/4") == Fraction(-3, 4)
+    assert fraction_from_str("1.25") == Fraction(5, 4)
+    assert fraction_from_str(1e3) == 1000
 
 
 def test_monomials_grlex_order():
