@@ -207,12 +207,10 @@ def parse_table(argv):
     argv, and for one that names a flag twice, gives a value starting with
     "-", a value its type or choices refuse, or lacks a required flag.
     Argparse parses those, so it alone writes help, usage and errors."""
-    if not argv or argv[0] not in COMMANDS:
-        return None
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None  # no command, or not flag-value pairs after it
     _, func, arguments = COMMANDS[argv[0]]
     options = dict(arguments + [_OUT])
-    if len(argv) % 2 == 0:  # a flag without its value
-        return None
     given = {}
     for flag, raw in zip(argv[1::2], argv[2::2]):
         keywords = options.get(flag)

@@ -209,9 +209,10 @@ def load(path) -> dict:
     """The document in the file at `path`, which must be UTF-8 JSON."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return loads(fh.read())
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {path}") from exc
+    return loads(text)
 
 
 def load_instance(path):

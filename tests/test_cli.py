@@ -716,6 +716,7 @@ def _argv(command, pairs, noise):
     return argv
 
 
+# argvs of one command come up twice as often as loose tokens
 @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
 @given(argv=st.one_of(st.sampled_from(sorted(COMMANDS)).flatmap(_argvs),
                       st.lists(st.sampled_from(sorted(COMMANDS) + _TOKENS
