@@ -11,14 +11,12 @@ from .construct import (ConstructionReport, PotentialCertificate,
 from .currents import (ArrangementCurrent, estimate_growth,
                        estimate_pole_weight, lelong_ball_mass, lelong_exact,
                        mass_inequality_check, sharpness_example)
-from .curves import (analyze_curve, bezout_table, conic_rank,
-                     cubic_is_irreducible, intersection_multiplicity,
-                     resultant_multiplicity)
+from .curves import (bezout_table, conic_rank, cubic_is_irreducible,
+                     intersection_multiplicity, resultant_multiplicity)
 from .errors import (ParseError, PreconditionError, UnsupportedInstanceError,
                      VerificationError)
 from .exactpoly import HomPoly, ProjPoint
-from .linsys import (LinearSystem, VanishingCondition, build_system,
-                     cayley_bacharach_check, independent_pair, pencil_member)
+from .linsys import LinearSystem, VanishingCondition, build_system
 
 __version__ = "0.1.0"
 
@@ -27,13 +25,11 @@ __all__ = [
     "IncidenceStructure", "LinearSystem", "MSequence", "ParseError",
     "PointSet", "PotentialCertificate", "PreconditionError", "ProjPoint",
     "UnsupportedInstanceError", "VanishingCondition", "VerificationError",
-    "analyze_curve", "bezout_table", "build_system",
-    "cayley_bacharach_check", "conic_rank", "construct_certificate",
+    "bezout_table", "build_system", "conic_rank", "construct_certificate",
     "construct_certificate_m3_9", "construct_certificate_m3_high",
-    "construct_sextic_pair",
-    "cubic_is_irreducible", "enumerate_4lines", "estimate_growth",
-    "estimate_pole_weight", "independent_pair", "intersection_multiplicity",
+    "construct_sextic_pair", "cubic_is_irreducible", "enumerate_4lines",
+    "estimate_growth", "estimate_pole_weight", "intersection_multiplicity",
     "lelong_ball_mass", "lelong_exact", "m_sequence", "make_certificate",
-    "mass_inequality_check", "pencil_member", "realize_structure",
+    "mass_inequality_check", "realize_structure",
     "resultant_multiplicity", "sharpness_example", "verify_certificate",
 ]

@@ -81,11 +81,12 @@ def cmd_linsys(args) -> int:
 def cmd_construct(args) -> int:
     inst = serialize.load_instance(args.input)
     report = construct_certificate(inst.point_set, extra=inst.extra)
+    # the certificate first: a report naming it must not outlive a failed write
+    if report.outcome == "certificate" and args.cert:
+        serialize.dump(report.certificate, args.cert)
     _write_report(args, report)
     if report.outcome == "certificate":
         cert = report.certificate
-        if args.cert:
-            serialize.dump(cert, args.cert)
         print(f"certificate gamma={cert.gamma_u} "
               f"total_weight={cert.total_weight} "
               f"trace={'>'.join(report.branch_trace)}")

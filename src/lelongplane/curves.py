@@ -1,17 +1,8 @@
 """Geometric properties of plane curves over Q.
 
 A cubic is irreducible over C iff its Hessian is not zero and shares no
-component with it; `coprime` decides that, with no sympy: a modular
-resultant on a line, else `_shares_component`. Line components of other
-degrees and smoothness are decided by an elimination procedure
-(substitute a parametrized line, then Groebner bases and univariate gcds
-on the coefficient system), so the answers are certified over the complex
-numbers even though all data is rational. Those systems and the rational
-factorization in `find_line_components` run in sympy's polynomial rings
-(`sympy.polys.rings`) over Q[a, b], Q[X, Y] and Q[X, Y, Z], imported on
-first use through `exactpoly.sympy_rings`: only `analyze_curve`,
-`is_smooth`, `find_line_components` and `has_complex_line_factor` load
-sympy, and no CLI command calls them. No sympy expression is built.
+component with it; `coprime` decides that: a modular resultant on a
+line, else `_shares_component`. Nothing in this module uses sympy.
 
 Local intersection numbers are decided in two stages. The first reads the
 tangent cones, the lowest-degree parts of the local expansions, from
@@ -35,16 +26,14 @@ iteration.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 
 from .config import curves_through
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, exact_divide,
-                        from_ring, int_expansion, monomials, order_and_cone,
-                        partial_derivatives, sympy_rings, to_ring)
+from .exactpoly import (HomPoly, ProjPoint, evaluate, int_expansion,
+                        monomials, order_and_cone, partial_derivatives)
 from .linalg import int_det, int_rank
 from .record import Record
 from .upoly import (divide, gcd_degree_mod, int_gcd, int_poly,
@@ -54,14 +43,6 @@ from .upoly import (divide, gcd_degree_mod, int_gcd, int_poly,
 class IntersectionRecord(Record):
     point: ProjPoint
     multiplicity: int
-
-
-class CurveAnalysis(Record):
-    poly: HomPoly
-    is_geometrically_irreducible: bool | None
-    line_components: tuple[HomPoly, ...]
-    singular_points_over_q: tuple[ProjPoint, ...]
-    smooth: bool
 
 
 def conic_rank(p: HomPoly) -> int:
@@ -86,68 +67,6 @@ def irreducible_conic_through(points) -> HomPoly | None:
                 None)
 
 
-def has_complex_line_factor(p: HomPoly) -> bool:
-    """True iff some line over C divides p (p nonzero, degree >= 1).
-
-    Each chart of lines gives a coefficient system in Q[a, b]: the line
-    divides p iff every coefficient of p restricted to it vanishes. Lines
-    aX + bY + Z exist iff the reduced Groebner basis is not [1], lines
-    aX + Y iff the gcd in a has positive degree; X = 0 is read off.
-    """
-    if p.is_zero or p.degree < 1:
-        raise PreconditionError("needs a nonzero form of positive degree")
-    d = p.degree
-    rings = sympy_rings()
-    qab, ra, rb = rings.ab, rings.a, rings.b
-    # lines aX + bY + Z: coefficient of X^m Y^(d-m) in p(X, Y, -aX - bY)
-    coeffs = [qab.zero] * (d + 1)
-    for (i, j, k), c in p.ints.items():
-        cc = c * (-1) ** k
-        for l in range(k + 1):
-            coeffs[i + l] += cc * math.comb(k, l) * ra ** l * rb ** (k - l)
-    eqs = [e for e in coeffs if e]
-    if not eqs or rings.groebner(eqs, qab) != [qab.one]:
-        return True
-    # lines aX + Y: coefficient of X^m Z^(d-m) in p(X, -aX, Z)
-    coeffs = [qab.zero] * (d + 1)
-    for (i, j, k), c in p.ints.items():
-        coeffs[i + j] += c * (-ra) ** j
-    nonzero = [e for e in coeffs if e]
-    if not nonzero:
-        return True
-    g = nonzero[0]
-    for e in nonzero[1:]:
-        g = g.gcd(e)
-    if g.degree(ra) >= 1:
-        return True
-    # the single remaining line X = 0
-    return all(e[0] >= 1 for e in p.ints)
-
-
-def find_line_components(p: HomPoly) -> tuple[list[HomPoly], bool]:
-    """All rational line factors (with multiplicity) and a completeness flag.
-
-    The flag is True when the elimination test certifies that no further
-    line factor exists over C after the rational ones are divided out.
-    """
-    if not 1 <= p.degree <= 6:
-        raise PreconditionError("degree must be between 1 and 6")
-    if p.is_zero:
-        raise PreconditionError("zero polynomial")
-    lines: list[HomPoly] = []
-    residual = p
-    for fac, mult in to_ring(p).factor_list()[1]:
-        if sum(fac.LM) == 1:  # factors of a form are forms
-            hp = from_ring(fac).monic()
-            for _ in range(mult):
-                lines.append(hp)
-                residual = exact_divide(residual, hp)
-    lines.sort(key=lambda l: tuple(l.coeff_vector()))
-    if residual.degree == 0:
-        return lines, True
-    return lines, not has_complex_line_factor(residual)
-
-
 def cubic_is_irreducible(p: HomPoly) -> bool:
     """True iff the cubic is irreducible over C: its Hessian H is not zero
     and shares no component with it.
@@ -170,78 +89,6 @@ def _hessian(p: HomPoly) -> HomPoly:
     (a, b, c), (_, d, e), (_, _, f) = [partial_derivatives(q)
                                        for q in partial_derivatives(p)]
     return a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
-
-
-def is_smooth(p: HomPoly) -> bool:
-    """True iff the partials have no common projective zero over C."""
-    if p.degree < 1:
-        raise PreconditionError("needs positive degree")
-    parts = partial_derivatives(p)
-    # chart Z = 1: the unit ideal iff the reduced basis is [1]
-    rings = sympy_rings()
-    qxy = rings.xy
-    eqs = [qxy({(i, j): c for (i, j, _), c in q.ints.items()})
-           for q in parts]
-    eqs = [e for e in eqs if e]
-    if not eqs or rings.groebner(eqs, qxy) != [qxy.one]:
-        return False
-    # chart Y = 1, Z = 0
-    nonzero = []
-    for q in parts:
-        f = int_poly([q.ints.get((i, p.degree - 1 - i, 0), 0)
-                      for i in range(p.degree)])
-        if f:
-            nonzero.append(f)
-    if not nonzero or len(functools.reduce(int_gcd, nonzero)) > 1:
-        return False
-    # the point (1:0:0)
-    one = ProjPoint(1, 0, 0)
-    return not all(evaluate(q, one) == 0 for q in parts)
-
-
-def rational_singular_points(p: HomPoly) -> list[ProjPoint]:
-    """Rational common zeros of the partial derivatives.
-
-    When every pair of partials shares a component (the singular locus
-    contains a curve) the finite search does not apply and [] is returned;
-    callers must not read that as smoothness.
-    """
-    px, py, pz = partial_derivatives(p)
-    pairs = [(px, py, pz), (px, pz, py), (py, pz, px)]
-    for f, g, h in pairs:
-        if f.is_zero or g.is_zero:
-            continue
-        if coprime(f, g):
-            records, _ = bezout_table(f, g)
-            return sorted((r.point for r in records
-                           if evaluate(h, r.point) == 0),
-                          key=lambda q: q.coords)
-    return []
-
-
-def analyze_curve(p: HomPoly) -> CurveAnalysis:
-    if p.is_zero or p.degree < 1:
-        raise PreconditionError("needs a nonzero form of positive degree")
-    lines, complete = find_line_components(p)
-    smooth = is_smooth(p)
-    if smooth:
-        irr: bool | None = True
-    elif p.degree == 1:
-        irr = True
-    elif p.degree == 2:
-        irr = conic_rank(p) == 3
-    elif p.degree == 3:
-        irr = cubic_is_irreducible(p)
-    elif lines:
-        irr = False
-    elif complete:
-        irr = None  # no line factor, but higher-degree splits are undecided
-    else:
-        irr = False
-    sing = [] if smooth else rational_singular_points(p)
-    return CurveAnalysis(poly=p, is_geometrically_irreducible=irr,
-                         line_components=tuple(lines),
-                         singular_points_over_q=tuple(sing), smooth=smooth)
 
 
 # ---------------------------------------------------------------------------

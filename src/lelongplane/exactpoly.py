@@ -4,8 +4,8 @@ All values are immutable after construction and all operations are pure.
 The ground field is the rationals (stdlib ``Fraction``); the fixed monomial
 order used everywhere for canonical forms is graded lexicographic with
 X > Y > Z. Evaluation, local expansion and division run without sympy.
-Only `gcd_homogeneous` (for two nonzero forms) and the ring converters
-use sympy's polynomial rings, which `sympy_rings` imports on first use.
+Only `gcd_homogeneous` (for two nonzero forms) uses sympy: its ring
+converters work in Q[X, Y, Z], which `sympy_rings` imports on first use.
 
 A form is stored as integer terms over one denominator (`HomPoly`); its
 arithmetic, division, evaluation and Taylor shift, and `curves`, run on
@@ -338,20 +338,15 @@ def order_and_cone(p: HomPoly, x: ProjPoint):
 
 @lru_cache(maxsize=None)
 def sympy_rings() -> SimpleNamespace:
-    """sympy's field QQ, its Groebner bases and the lex rings Q[X, Y, Z],
-    Q[a, b] (with its generators a, b) and Q[X, Y].
+    """sympy's field QQ and its lex ring Q[X, Y, Z], for `gcd_homogeneous`.
 
     Imported on first use: loading sympy takes longer than a whole
     pipeline run, and no CLI command needs it.
     """
     from sympy.polys.domains import QQ
-    from sympy.polys.groebnertools import groebner
     from sympy.polys.orderings import lex
     from sympy.polys.rings import ring
-    ab, a, b = ring("a,b", QQ, lex)
-    return SimpleNamespace(QQ=QQ, groebner=groebner,
-                           xyz=ring("X,Y,Z", QQ, lex)[0], ab=ab, a=a, b=b,
-                           xy=ring("X,Y", QQ, lex)[0])
+    return SimpleNamespace(QQ=QQ, xyz=ring("X,Y,Z", QQ, lex)[0])
 
 
 def to_ring(p: HomPoly):

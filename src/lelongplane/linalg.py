@@ -7,11 +7,11 @@ fraction-free elimination step (Bareiss), `bareiss_step`, serves the rank
 and determinant queries and the m-sequence's search for dependent Gale
 vectors, which carries the reduced rows down its search tree. One integer
 reduced row echelon form, `int_rref`, reduces the rows one at a time
-through `reduce_row` and then back-substitutes in integers; `solve_exact`
-reads its solution off it. Kernels stay in integers end to end:
-`nullspace` forms integer kernel vectors from `int_rref`, canonicalizes
-them by `int_rref` again and shortens them by the integral LLL, so outputs
-are deterministic and depend only on the row space.
+through `reduce_row` and then back-substitutes in integers. Kernels stay
+in integers end to end: `nullspace` forms integer kernel vectors from
+`int_rref`, canonicalizes them by `int_rref` again and shortens them by
+the integral LLL, so outputs are deterministic and depend only on the row
+space.
 """
 
 from __future__ import annotations
@@ -267,17 +267,3 @@ def nullspace(rows, ncols):
     if not basis:
         return []
     return _lll_reduce([row for _, row in int_rref(basis)])
-
-
-def solve_exact(rows, rhs):
-    """Solve A x = b exactly; returns the solution vector or None if
-    inconsistent; requires unique solution (full column rank)."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    basis = int_rref(_int_rows([list(r) + [b] for r, b in zip(rows, rhs)]))
-    # a pivot in the augmented column is inconsistent, a missing one
-    # underdetermined
-    if [piv for piv, _ in basis] != list(range(ncols)):
-        return None
-    return [Fraction(row[ncols], row[piv]) for piv, row in basis]

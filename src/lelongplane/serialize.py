@@ -137,8 +137,14 @@ def dumps(obj) -> str:
 
 
 def dump(obj, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
+    """Write `dumps(obj)` to `path`; a path that cannot be written, such
+    as a directory or a file in a missing directory, is a ParseError."""
+    text = dumps(obj)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Reference implementations on sympy, for tests only.
 
 The package computes resultants, rational roots and cubic irreducibility
-in its own code and the rest in sympy's polynomial rings; these are the
-sympy-based versions it replaced, kept as independent references: the
+in its own code, and only the gcd of two forms in sympy's polynomial
+rings; these are the sympy-based versions it replaced, kept as
+independent references: the
 converters between `HomPoly` and `Expr`, `sympy.resultant` for
-`curves._resultant_xz`, the `Expr` versions of `gcd_homogeneous`,
-`is_smooth` and `bezout_table`, the Groebner line test for
-`cubic_is_irreducible`, sympy's `factor_list` for `upoly.rational_roots`,
+`curves._resultant_xz`, the `Expr` versions of `gcd_homogeneous` and
+`bezout_table`, the Groebner line test for `cubic_is_irreducible`
+(`reference_has_complex_line_factor`, an elimination over the lines of
+the plane), sympy's `factor_list` for `upoly.rational_roots`,
 and `use_expr_internals`, which puts the resultant and the gcd back into
 the package so that its multiplicity algorithms run on `Expr` as they did.
 The rest need no sympy: root multiplicities in a binary form by Horner
@@ -35,7 +37,7 @@ from lelongplane.curves import coprime
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate, join,
                                    line_coeffs, meet, monomial_count,
-                                   monomials, partial_derivatives)
+                                   monomials)
 from lelongplane.linalg import int_rank
 
 X, Y, Z = sympy.symbols("X Y Z")
@@ -119,10 +121,47 @@ def use_expr_internals(monkeypatch):
                         reference_gcd_homogeneous)
 
 
+_A, _B = sympy.symbols("a b")
+
+
+def reference_has_complex_line_factor(p: HomPoly) -> bool:
+    """True iff some line over C divides p, by elimination in `Expr`.
+
+    Lines aX + bY + Z exist iff the Groebner basis of the coefficients of
+    p(X, Y, -aX - bY) in Q[a, b] is not [1], lines aX + Y iff the
+    coefficients of p(X, -aX, Z) share a root a; X = 0 is read off.
+    """
+    d = p.degree
+    coeffs = [sympy.Integer(0)] * (d + 1)  # index m: coeff of X^m Y^(d-m)
+    for (i, j, k), c in p.terms.items():
+        cc = sympy.Rational(c.numerator, c.denominator) * (-1) ** k
+        for l in range(k + 1):
+            coeffs[i + l] += cc * math.comb(k, l) * _A ** l * _B ** (k - l)
+    eqs = [e for e in (sympy.expand(e) for e in coeffs) if e != 0]
+    if not eqs:
+        return True
+    gb = sympy.groebner(eqs, _A, _B, order="lex")
+    if 1 not in gb.exprs and -1 not in gb.exprs:
+        return True
+    coeffs = [sympy.Integer(0)] * (d + 1)  # index m: coeff of X^m Z^(d-m)
+    for (i, j, k), c in p.terms.items():
+        cc = sympy.Rational(c.numerator, c.denominator) * (-1) ** j
+        coeffs[i + j] += cc * _A ** j
+    nonzero = [e for e in (sympy.expand(e) for e in coeffs) if e != 0]
+    if not nonzero:
+        return True
+    g = nonzero[0]
+    for e in nonzero[1:]:
+        g = sympy.gcd(g, e)
+    if sympy.degree(g, _A) >= 1:
+        return True
+    return all(e[0] >= 1 for e in p.terms)
+
+
 def reference_cubic_is_irreducible(p: HomPoly) -> bool:
     """A cubic is irreducible over C iff it has no line component over C,
     decided by the Groebner line test."""
-    return not curves.has_complex_line_factor(p)
+    return not reference_has_complex_line_factor(p)
 
 
 def reference_rational_roots(coeffs) -> list[Fraction]:
@@ -137,27 +176,6 @@ def reference_rational_roots(coeffs) -> list[Fraction]:
             r = -b / a
             roots.add(Fraction(int(r.p), int(r.q)))
     return sorted(roots)
-
-
-def reference_is_smooth(p: HomPoly) -> bool:
-    parts = [to_sympy(q) for q in partial_derivatives(p)]
-    eqs = [e for e in (sympy.expand(q.subs(Z, 1)) for q in parts) if e != 0]
-    if not eqs:
-        return False
-    gb = sympy.groebner(eqs, X, Y, order="lex")
-    if 1 not in gb.exprs and -1 not in gb.exprs:
-        return False
-    eqs = [sympy.expand(q.subs({Z: 0, Y: 1})) for q in parts]
-    nonzero = [e for e in eqs if e != 0]
-    if not nonzero:
-        return False
-    g = nonzero[0]
-    for e in nonzero[1:]:
-        g = sympy.gcd(g, e)
-    if sympy.degree(g, X) >= 1:
-        return False
-    one = ProjPoint(1, 0, 0)
-    return not all(evaluate(q, one) == 0 for q in partial_derivatives(p))
 
 
 def _univariate_rational_roots(expr, var) -> list[Fraction]:

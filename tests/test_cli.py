@@ -1090,21 +1090,42 @@ def test_certify_refuses_exponent_notation_at_once(tmp_path, capsys):
 
 def test_a_path_that_cannot_be_read_or_written_exits_5(tmp_path, capsys):
     """A directory as --input or --out, and an --input file that is not
-    UTF-8, ended in a traceback (exit 1)."""
+    UTF-8, ended in a traceback (exit 1); an --out in a directory that
+    does not exist was reported as a missing file."""
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"type": "caf\u00e9"}'.encode("latin-1"))
-    directory = f"cannot open {tmp_path}: {os.strerror(errno.EISDIR)}"
+    eisdir = os.strerror(errno.EISDIR)
+    directory = f"cannot open {tmp_path}: {eisdir}"
+    nodir = tmp_path / "nodir" / "x.json"
     for argv, message in (
             (["certify", "--input", str(tmp_path)], directory),
             (["msequence", "--input", str(tmp_path)], directory),
             (["certify", "--input", str(latin1)], f"not UTF-8 text: {latin1}"),
             (["generate", "--kind", "generic12", "--out", str(tmp_path)],
-             directory)):
+             f"cannot write {tmp_path}: {eisdir}"),
+            (["generate", "--kind", "generic12", "--out", str(nodir)],
+             f"cannot write {nodir}: {os.strerror(errno.ENOENT)}")):
         assert run(*argv) == EXIT_PARSE
         assert capsys.readouterr() == ("", f"parse error: {message}\n")
     assert run("certify", "--input", str(tmp_path / "none.json")) == EXIT_PARSE
     assert capsys.readouterr().err == (
         f"parse error: missing file {tmp_path / 'none.json'}\n")
+
+
+def test_a_certificate_that_cannot_be_written_leaves_no_report(tmp_path,
+                                                               capsys):
+    """construct writes the certificate before the report: a --cert that
+    is a directory exits 5, and no report claims the certificate."""
+    inst = tmp_path / "conic7.json"
+    assert run("generate", "--kind", "conic7", "--seed", "1",
+               "--out", str(inst)) == EXIT_OK
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert run("construct", "--input", str(inst), "--cert", str(tmp_path),
+               "--out", str(report)) == EXIT_PARSE
+    assert not report.exists()
+    assert capsys.readouterr() == ("", f"parse error: cannot write "
+                                   f"{tmp_path}: {os.strerror(errno.EISDIR)}\n")
 
 
 # --------------------------------------------------------------------------

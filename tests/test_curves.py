@@ -18,30 +18,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-import sympy
 from sympy.polys.rings import PolyElement
 
 from lelongplane import curves, exactpoly, upoly
-from lelongplane.config import m_sequence
 from lelongplane.construct import construct_certificate
-from lelongplane.curves import (analyze_curve, bezout_table, conic_rank,
-                                coprime, cubic_is_irreducible,
-                                find_line_components,
-                                has_complex_line_factor,
-                                intersection_multiplicity, is_smooth,
-                                rational_singular_points,
+from lelongplane.curves import (bezout_table, conic_rank, coprime,
+                                cubic_is_irreducible,
+                                intersection_multiplicity,
                                 resultant_multiplicity)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate,
-                                   exact_divide, gcd_homogeneous, join,
-                                   monomials, vanishing_order)
+                                   gcd_homogeneous, join, monomials,
+                                   vanishing_order)
 from lelongplane.instances import generate
 
-from expr_reference import (from_sympy, reference_bezout_table,
+from expr_reference import (reference_bezout_table,
                             reference_binary_root_multiplicity,
                             reference_cubic_is_irreducible,
-                            reference_is_smooth, reference_rational_roots,
-                            reference_resultant_xz, to_sympy,
+                            reference_rational_roots, reference_resultant_xz,
                             use_expr_internals)
 
 ORIGIN = ProjPoint(Fraction(0), Fraction(0), Fraction(1))
@@ -67,17 +61,6 @@ def test_conic_rank_oracles():
     assert conic_rank(mono((2, 0, 0)) + mono((0, 2, 0))) == 2  # X^2 + Y^2
     with pytest.raises(PreconditionError):
         conic_rank(HomPoly.line(1, 0, 0))
-
-
-def test_complex_line_factor_detection():
-    # X^2 + Y^2 = (X+iY)(X-iY): no rational line, two complex ones
-    p = mono((2, 0, 0)) + mono((0, 2, 0))
-    assert has_complex_line_factor(p)
-    lines, complete = find_line_components(p)
-    assert lines == [] and complete is False
-    # the irreducible conic has no line factor at all
-    q = mono((1, 0, 1)) - mono((0, 2, 0))
-    assert not has_complex_line_factor(q)
 
 
 def test_cubic_irreducibility():
@@ -249,173 +232,6 @@ def test_bezout_table_matches_reference_on_bench_tangent_pairs():
             assert bezout_table(p, q) == reference_bezout_table(p, q), seed
 
 
-_A, _B = sympy.symbols("a b")
-
-
-def reference_has_complex_line_factor(p):
-    """The line test in sympy `Expr` arithmetic: the same elimination as
-    `has_complex_line_factor`, kept as its reference."""
-    d = p.degree
-    coeffs = [sympy.Integer(0)] * (d + 1)  # index m: coeff of X^m Y^(d-m)
-    for (i, j, k), c in p.terms.items():
-        cc = sympy.Rational(c.numerator, c.denominator) * (-1) ** k
-        for l in range(k + 1):
-            coeffs[i + l] += cc * math.comb(k, l) * _A ** l * _B ** (k - l)
-    eqs = [e for e in (sympy.expand(e) for e in coeffs) if e != 0]
-    if not eqs:
-        return True
-    gb = sympy.groebner(eqs, _A, _B, order="lex")
-    if 1 not in gb.exprs and -1 not in gb.exprs:
-        return True
-    coeffs = [sympy.Integer(0)] * (d + 1)  # index m: coeff of X^m Z^(d-m)
-    for (i, j, k), c in p.terms.items():
-        cc = sympy.Rational(c.numerator, c.denominator) * (-1) ** j
-        coeffs[i + j] += cc * _A ** j
-    nonzero = [e for e in (sympy.expand(e) for e in coeffs) if e != 0]
-    if not nonzero:
-        return True
-    g = nonzero[0]
-    for e in nonzero[1:]:
-        g = sympy.gcd(g, e)
-    if sympy.degree(g, _A) >= 1:
-        return True
-    return all(e[0] >= 1 for e in p.terms)
-
-
-def _line_test_cases():
-    rng = random.Random(29)
-    conic = mono((1, 0, 1)) - mono((0, 2, 0)) + mono((0, 0, 2))
-    cases = {
-        "line_times_conic": HomPoly.line(2, -3, 1) * conic,
-        "conjugate_pair_times_line":
-            (mono((2, 0, 0)) + mono((0, 2, 0))) * mono((0, 0, 1)),
-        "concurrent_lines": HomPoly.line(1, 0, -1) * HomPoly.line(0, 1, -1)
-            * HomPoly.line(1, 1, -2),
-        # no line aX + bY + Z; the only line is X/2 + Y, then only X = 0
-        "only_aX_plus_Y": HomPoly.line(1, 2, 0) * conic,
-        "only_X": HomPoly.line(1, 0, 0) * conic,
-        "irreducible_conic": conic,
-        "nodal_cubic": mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1)),
-    }
-    for n in range(12):
-        cases[f"random_cubic_{n}"] = random_poly(rng, 3)
-    for n in range(4):
-        cases[f"random_reducible_{n}"] = (random_poly(rng, 1)
-                                          * random_poly(rng, 2))
-    return cases
-
-
-def test_line_test_matches_expr_reference():
-    answers = {}
-    for name, p in _line_test_cases().items():
-        answers[name] = has_complex_line_factor(p)
-        assert answers[name] == reference_has_complex_line_factor(p), name
-    for name in ("line_times_conic", "conjugate_pair_times_line",
-                 "concurrent_lines", "only_aX_plus_Y", "only_X"):
-        assert answers[name] is True, name
-    assert not answers["irreducible_conic"]
-    assert not answers["nodal_cubic"]
-
-
-def test_line_test_reaches_every_chart(monkeypatch):
-    """The aX + Y and X = 0 forms pass the Groebner chart and are decided
-    by the later ones."""
-    cases = _line_test_cases()
-    gcds = []
-    real_gcd = PolyElement.gcd
-    monkeypatch.setattr(PolyElement, "gcd",
-                        lambda f, g: gcds.append(1) or real_gcd(f, g))
-    assert has_complex_line_factor(cases["only_aX_plus_Y"])
-    assert gcds
-    gcds.clear()
-    assert has_complex_line_factor(cases["only_X"])
-    assert gcds  # the univariate gcd ran and found nothing
-
-
-def reference_find_line_components(p):
-    """`find_line_components` over sympy `Expr` factoring, as reference."""
-    _, factors = sympy.factor_list(to_sympy(p), *sympy.symbols("X Y Z"))
-    lines, residual = [], p
-    for fac, mult in factors:
-        hp = from_sympy(fac)
-        if hp.degree == 1:
-            hp = hp.monic()
-            for _ in range(mult):
-                lines.append(hp)
-                residual = exact_divide(residual, hp)
-    lines.sort(key=lambda l: tuple(l.coeff_vector()))
-    if residual.degree == 0:
-        return lines, True
-    return lines, not reference_has_complex_line_factor(residual)
-
-
-def test_find_line_components_matches_expr_reference():
-    rng = random.Random(31)
-    cases = list(_line_test_cases().values())
-    l1, l2 = HomPoly.line(1, -2, 1), HomPoly.line(Fraction(1, 3), 0, 2)
-    conic = mono((1, 0, 1)) - mono((0, 2, 0))
-    cases += [l1 * l1 * conic, l1 * l2 * l1 * conic * l2,
-              l1 * (mono((2, 0, 0)) + mono((0, 2, 0))) * conic]
-    for _ in range(6):
-        cases.append(random_poly(rng, 1) * random_poly(rng, 1)
-                     * random_poly(rng, 2) * random_poly(rng, 1))
-    for p in cases:
-        lines, complete = find_line_components(p)
-        ref_lines, ref_complete = reference_find_line_components(p)
-        assert complete == ref_complete
-        assert lines == ref_lines
-        assert [list(l.terms) for l in lines] == [list(l.terms)
-                                                  for l in ref_lines]
-
-
-def test_line_test_on_case4_residuals(monkeypatch):
-    """The line test on case4's m3 = 11 witness cubics and on what
-    find_line_components leaves of them."""
-    residuals = []
-    real = curves.has_complex_line_factor
-
-    def spy(p):
-        residuals.append(p)
-        return real(p)
-
-    monkeypatch.setattr(curves, "has_complex_line_factor", spy)
-    for seed in range(4):
-        gamma = m_sequence(generate("case4", seed).point_set).witnesses[2][1]
-        residuals.append(gamma)
-        find_line_components(gamma)
-    assert len(residuals) == 8
-    for p in residuals:
-        assert real(p) == reference_has_complex_line_factor(p)
-
-
-def test_find_line_components_multiplicity():
-    l = HomPoly.line(1, -2, 1)
-    conic = mono((1, 0, 1)) - mono((0, 2, 0))
-    lines, complete = find_line_components(l * l * conic)
-    assert complete
-    assert sorted(x.monic().coeff_vector() for x in lines) == [
-        l.monic().coeff_vector()] * 2
-
-
-def test_smoothness_and_singular_points():
-    fermat = mono((3, 0, 0)) + mono((0, 3, 0)) + mono((0, 0, 3))
-    assert is_smooth(fermat)
-    nodal = mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1))
-    assert not is_smooth(nodal)
-    assert rational_singular_points(nodal) == [ORIGIN]
-    cusp = mono((0, 2, 1)) - mono((3, 0, 0))
-    assert rational_singular_points(cusp) == [ORIGIN]
-
-
-def test_analyze_curve_bundle():
-    nodal = mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1))
-    report = analyze_curve(nodal)
-    assert report.is_geometrically_irreducible
-    assert report.line_components == ()
-    assert report.singular_points_over_q == (ORIGIN,)
-    assert not report.smooth
-
-
 def test_multiplicity_classical_models():
     x_axis = HomPoly.line(0, 1, 0)          # Y = 0
     y_axis = HomPoly.line(1, 0, 0)          # X = 0
@@ -577,7 +393,7 @@ def test_reduction_runs_on_whole_forms(monkeypatch):
     real_factor_list = PolyElement.factor_list
     monkeypatch.setattr(PolyElement, "factor_list",
                         lambda f: factored.append(f) or real_factor_list(f))
-    for module, name in ((curves, "coprime"), (curves, "exact_divide"),
+    for module, name in ((curves, "coprime"),
                          (exactpoly, "gcd_homogeneous")):
         monkeypatch.setattr(module, name, forbidden)
     for p1, q1, y, expected in split + at_bound + tangent:
@@ -1011,35 +827,15 @@ def test_bezout_table_matches_expr_reference(monkeypatch):
                        for (a, b), r in zip(mus, records))
 
 
-def test_is_smooth_matches_expr_reference():
-    rng = random.Random(71)
-    nodal = mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1))
-    cases = [
-        mono((3, 0, 0)) + mono((0, 3, 0)) + mono((0, 0, 3)),  # Fermat
-        nodal,
-        # the node moved to (1:0:0) and to (0:1:0): the last two checks
-        mono((1, 2, 0)) - mono((0, 0, 3)) - mono((1, 0, 2)),
-        mono((0, 1, 2)) - mono((3, 0, 0)) - mono((2, 1, 0)),
-        mono((2, 0, 0)),  # a double line
-        HomPoly.line(1, 2, 3),
-        HomPoly.line(1, 0, 0) * HomPoly.line(0, 1, 0),
-    ]
-    cases += [random_poly(rng, rng.randint(1, 4)) for _ in range(12)]
-    answers = [is_smooth(p) for p in cases]
-    assert answers == [reference_is_smooth(p) for p in cases]
-    assert answers[:7] == [True, False, False, False, False, True, False]
-
-
 def test_library_builds_no_sympy_expressions():
     """In a fresh interpreter, the curve layer runs without loading the
     modules that sympy imports lazily on the first `Expr` arithmetic."""
     code = """
 import sys
 from fractions import Fraction
-from lelongplane.curves import (analyze_curve, bezout_table,
-                                intersection_multiplicity,
+from lelongplane.curves import (bezout_table, intersection_multiplicity,
                                 resultant_multiplicity)
-from lelongplane.exactpoly import HomPoly, ProjPoint
+from lelongplane.exactpoly import HomPoly, ProjPoint, gcd_homogeneous
 mono = HomPoly.monomial
 # two conics tangent to Y = 0 at the origin, contact of order 4
 p = mono((0, 1, 1)) - mono((2, 0, 0))
@@ -1049,9 +845,8 @@ assert intersection_multiplicity(p, q, x) == 4
 assert resultant_multiplicity(p, q, x) == 4
 records, residual = bezout_table(p, q)
 assert [(r.point, r.multiplicity) for r in records] == [(x, 4)]
-nodal = mono((0, 2, 1)) - mono((3, 0, 0)) - mono((2, 0, 1))
-assert analyze_curve(nodal).singular_points_over_q == (x,)
-assert not analyze_curve(p * HomPoly.line(1, 1, 1)).smooth
+line = HomPoly.line(1, 1, 1)
+assert gcd_homogeneous(p * line, q * line) == line.monic()
 print(sorted(m for m in sys.modules
              if m == "sympy.tensor.tensor" or m.startswith("sympy.combinatorics")))
 """

@@ -18,7 +18,8 @@ Imports of the package's own modules sit at the top of each module. An
 import in a function body would hide a cycle between two modules: it
 must be listed in `FUNCTION_BODY_IMPORTS` with its reason, and none is.
 No two modules define the same top-level function or class name, so
-each kernel has one home.
+each kernel has one home. `curves` names no sympy and none of
+`exactpoly`'s sympy bridge, and `linsys` imports nothing from `curves`.
 
 The benchmark's tracer (`perfbench/tracing.py`) looks each of its layers
 up by name; every name it lists must still resolve.
@@ -157,6 +158,54 @@ def test_upoly_reads_only_clear_denominators_from_the_package():
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ImportFrom) and node.level] == [
         ("linalg", ["clear_denominators"])]
+
+
+def package_modules_imported(source: str) -> set[str]:
+    """The package's modules that a source imports, by relative import."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module] if node.module
+                       else [alias.name for alias in node.names])
+    return out
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name a source binds, reads or imports, and every attribute
+    and module it names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+def test_the_checks_see_package_imports_and_identifiers():
+    src = ("from .curves import coprime\nfrom . import linsys\n"
+           "import sympy.polys\nx = exactpoly.to_ring(p)\n")
+    assert package_modules_imported(src) == {"curves", "linsys"}
+    assert {"coprime", "linsys", "sympy.polys", "to_ring", "exactpoly",
+            "x", "p"} <= identifiers(src)
+
+
+def test_curves_reads_no_sympy():
+    """`curves` imports no sympy and names none of `exactpoly`'s sympy
+    bridge, which only `gcd_homogeneous` uses."""
+    source = (Path(lelongplane.__file__).parent / "curves.py").read_text()
+    names = identifiers(source)
+    assert sorted(n for n in names if n.split(".")[0] == "sympy") == []
+    assert names & {"sympy_rings", "to_ring", "from_ring"} == set()
+
+
+def test_linsys_imports_nothing_from_curves():
+    source = (Path(lelongplane.__file__).parent / "linsys.py").read_text()
+    assert "curves" not in package_modules_imported(source)
 
 
 def test_the_check_sees_unused_names():

@@ -1,4 +1,4 @@
-"""Exact linear algebra: fraction-free ranks, canonical kernels, solving.
+"""Exact linear algebra: fraction-free ranks and canonical kernels.
 
 Oracles: hand-sized matrices with known ranks, the Bareiss rank as the
 reference for the incremental reduction, minors (sympy's `DomainMatrix`
@@ -7,8 +7,8 @@ Gauss-Jordan as the reference for the fraction-free RREF, sympy's
 `DomainMatrix.lll()` as the reference for the exact LLL where it runs, the
 two LLL invariants where it does not, the Fraction condition rows, kernel
 and LLL kept in `expr_reference` as the references for the integer ones,
-and the defining identities A v = 0 / A x = b verified exactly on seeded
-random systems.
+and the defining identity A v = 0 verified exactly on seeded random
+systems.
 """
 
 import ast
@@ -30,7 +30,7 @@ from lelongplane.exactpoly import ProjPoint, monomial_count
 from lelongplane.instances import INSTANCE_KINDS, generate, generic12
 from lelongplane.linalg import (_lll_reduce, bareiss_step, clear_denominators,
                                 frac_rref, int_det, int_rank, int_rref,
-                                nullspace, reduce_row, solve_exact)
+                                nullspace, reduce_row)
 from lelongplane.linsys import VanishingCondition, build_system
 
 
@@ -183,21 +183,6 @@ def test_nullspace_depends_only_on_row_space():
     shuffled = [m[2], m[0], m[1]]
     combined = m + [[a + b for a, b in zip(m[0], m[1])]]
     assert nullspace(m, 5) == nullspace(shuffled, 5) == nullspace(combined, 5)
-
-
-def test_solve_exact():
-    rng = random.Random(8)
-    for _ in range(15):
-        n = rng.randint(1, 5)
-        sol = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-               for _ in range(n)]
-        m = _mat(rng, n + 1, n)
-        if int_rank(m) < n:
-            continue
-        rhs = [sum(a * x for a, x in zip(row, sol)) for row in m]
-        assert solve_exact(m, rhs) == sol
-    # inconsistent system
-    assert solve_exact([[1, 0], [1, 0]], [Fraction(1), Fraction(2)]) is None
 
 
 def _reduced_basis(rows):
