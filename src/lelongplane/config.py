@@ -6,10 +6,15 @@ points' primitive integer coordinates, with no subset search: the brackets
 [ijk] = det(p_i, p_j, p_k) give the collinear groups, and six points lie on
 a conic iff [123][145][246][356] = [124][135][236][456]; a subset lies on a
 cubic iff the Gale vectors of the points outside it, a basis of the left
-kernel of the cubic evaluation matrix, are dependent. Incidence structures
-are abstract families of 4-element label sets in which any two lines share
-exactly one label; they are enumerated up to relabeling and realized by
-seeded random placement with exact certification.
+kernel of the cubic evaluation matrix, are dependent.
+
+That search, `_witness_labels`, builds no curve; `m_sequence` adds one
+witness curve per degree, and callers that read fewer build fewer.
+
+Incidence structures are abstract families of 4-element label sets in
+which any two lines share exactly one label; they are enumerated up to
+relabeling and realized by seeded random placement with exact
+certification.
 """
 
 from __future__ import annotations
@@ -254,6 +259,26 @@ def _cubic_witness(rows):
     return tuple(range(9))
 
 
+def _witness_labels(s: PointSet):
+    """The witness label tuples of degrees 1, 2 and 3, with no curve: m_d
+    is the length of tuple d. See `m_sequence`, which adds the curves."""
+    n = len(s)
+    if n > 16:
+        raise PreconditionError("point sets capped at 16 points")
+    table, groups = _brackets([_int_coords(p) for p in s.points])
+    m1 = max(map(len, groups), default=n)
+    line = min((g for g in groups if len(g) == m1), default=tuple(range(n)))
+    combos = (line, _conic_witness(table, groups),
+              _cubic_witness([condition_rows(3, p, 1)[0] for p in s.points]))
+    return tuple(tuple(i + 1 for i in combo) for combo in combos)
+
+
+def _witness_curve(s: PointSet, labels, degree: int) -> HomPoly:
+    """The witness curve of `m_sequence`: the first `curves_through` basis
+    member of degree `degree` through the labelled points."""
+    return curves_through([s.point(l) for l in labels], degree)[0]
+
+
 def m_sequence(s: PointSet) -> MSequence:
     """Exact invariants (m1, m2, m3) with witness subsets and curves.
 
@@ -265,26 +290,19 @@ def m_sequence(s: PointSet) -> MSequence:
     m3 = n - g for the size g of the smallest dependent set of Gale
     vectors, or n when the cubic evaluation matrix has rank below 10.
 
+    The subsets are `_witness_labels` and the curves `_witness_curve`;
+    a caller that reads fewer curves calls those two itself.
+
     The contract callers may rely on: some m_d-subset lies on a curve of
     degree d, and unless m_d = n, every (m_d + 1)-subset has a full-rank
     evaluation matrix. So some k-subset lies on such a curve exactly when
     k <= m_d; `currents.sharpness_example` reads its 105 full-rank
     verdicts on 13 of 15 points off m3 < 13.
     """
-    n = len(s)
-    if n > 16:
-        raise PreconditionError("point sets capped at 16 points")
-    table, groups = _brackets([_int_coords(p) for p in s.points])
-    m1 = max(map(len, groups), default=n)
-    line = min((g for g in groups if len(g) == m1), default=tuple(range(n)))
-    witnesses = []
-    for degree, combo in ((1, line), (2, _conic_witness(table, groups)),
-                          (3, _cubic_witness([condition_rows(3, p, 1)[0]
-                                              for p in s.points]))):
-        curve = curves_through([s.points[i] for i in combo], degree)[0]
-        witnesses.append((tuple(i + 1 for i in combo), curve))
-    m1, m2, m3 = (len(w[0]) for w in witnesses)
-    return MSequence(m1=m1, m2=m2, m3=m3, witnesses=tuple(witnesses))
+    labels = _witness_labels(s)
+    m1, m2, m3 = map(len, labels)
+    return MSequence(m1=m1, m2=m2, m3=m3, witnesses=tuple(
+        (l, _witness_curve(s, l, d)) for d, l in enumerate(labels, 1)))
 
 
 def four_point_lines(s: PointSet):

@@ -3,15 +3,19 @@
 A certificate is a pair of coprime forms (P, Q) of equal degree d together
 with the list of points where both vanish and the claimed pole weights of
 u = (1/2r) log(|P|^2 + |Q|^2). One driver, construct_certificate, picks
-an ordered list of routes from the m-sequence: quartics on a product of
-two conics, degree-6 pairs on a product of two irreducible cubics (the
-direct pick of a quadruple member that neither cubic divides), and, for
-m3 = 11, quartics on a conic times two lines. Each route is a generator
-of (steps, P, Q, points, case tag) candidates, and every candidate passes
-through the one certify step, `_certify`: make_certificate, whose
-verifier re-derives every invariant through an independent code path,
-then the route's acceptance check. The curves through simple points come
-from `config.curves_through`.
+an ordered list of routes from the m-sequence's witness labels
+(`config._witness_labels`): quartics on a product of two conics, degree-6
+pairs on a product of two irreducible cubics (the direct pick of a
+quadruple member that neither cubic divides), and, for m3 = 11, quartics
+on a conic times two lines. A witness curve is built only where a route
+reads it: the conic once at m2 = 7, for both conic routes, and the cubic
+by the m3 = 11 route. Each route is a generator of (steps, P, Q, points,
+case tag) candidates, and every candidate passes through the one certify
+step, `_certify`: make_certificate, which takes the weights and the
+verifier's checks from one pass over the points, then the route's
+acceptance check. verify_certificate, run by `certify`, `lelong` and
+library callers, re-derives every invariant from the forms. The curves
+through simple points come from `config.curves_through`.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ import itertools
 import math
 from fractions import Fraction
 
-from .config import (MSequence, PointSet, curves_through, four_point_lines,
-                     m_sequence)
+from .config import (PointSet, _witness_curve, _witness_labels,
+                     curves_through, four_point_lines)
 from .curves import (_orders_and_mu, conic_rank, coprime,
                      cubic_is_irreducible, irreducible_conic_through)
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, divides, evaluate, exact_divide,
-                        join, vanishing_order)
+                        join, monomials)
 from .linalg import int_rank
 from .linsys import (LinearSystem, VanishingCondition, build_system,
                      linearly_independent)
@@ -76,25 +80,30 @@ def make_certificate(p: HomPoly, q: HomPoly, points,
                      case_tag: str) -> PotentialCertificate | None:
     """Assemble a certificate from a coprime pair, at scale r = 1; weights
     are the exact minimum vanishing orders. Returns None when the verifier
-    rejects the result, as it does when the pair shares a component."""
+    rejects the result, as it does when the pair shares a component.
+    One pass over the points gives both the weights and the verifier's
+    checks (`_report`), so no order is computed twice.
+    """
     if p.degree != q.degree:
         raise PreconditionError("certificate forms must share a degree")
-    listed = []
+    discrete = not p.is_zero and not q.is_zero and coprime(p, q)
+    listed, per_point = [], []
     for x in points:
-        order = min(vanishing_order(p, x), vanishing_order(q, x))
+        op, oq, mu = _orders_and_mu(p, q, x, discrete)
+        order = min(op, oq)
         if 1 <= order < math.inf:
             listed.append((x, Fraction(order)))
+            per_point.append((op, oq, mu))
     cert = PotentialCertificate(
         p=p, q=q, r=1, points=tuple(listed),
         gamma_u=Fraction(p.degree), case_tag=case_tag, verified=False)
-    report = verify_certificate(cert)
-    if not report.verified:
+    if not _report(cert, discrete, per_point).verified:
         return None
     return cert.replace(verified=True)
 
 
 def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
-    """Re-derive every certificate invariant from scratch.
+    """Re-derive every certificate invariant from scratch (`_report`).
 
     Checks: the pair is coprime (discrete common zeros, decided by
     curves.coprime: a modular resultant on a line, or the sheared
@@ -109,10 +118,18 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     """
     discrete = (not cert.p.is_zero and not cert.q.is_zero
                 and coprime(cert.p, cert.q))
+    return _report(cert, discrete, [
+        _orders_and_mu(cert.p, cert.q, x, discrete) for x, _ in cert.points])
+
+
+def _report(cert: PotentialCertificate, discrete: bool,
+            per_point) -> VerificationReport:
+    """The verification report of `cert`, given whether its forms are
+    coprime and (ord P, ord Q, mu) at each listed point, in order, with mu
+    None where the forms are not coprime."""
     r_ok = cert.r >= 1
     checks = []
-    for x, w in cert.points:
-        op, oq, mu = _orders_and_mu(cert.p, cert.q, x, discrete)
+    for (x, w), (op, oq, mu) in zip(cert.points, per_point):
         ok = (r_ok and 1 <= min(op, oq) < math.inf
               and Fraction(min(op, oq), cert.r) == w
               and (mu is None or mu >= op * oq))
@@ -158,10 +175,13 @@ def _cubic_pair_fault(s: PointSet, c1: HomPoly, c2: HomPoly, common, only1,
 def _extend_to_four(p1: HomPoly, system: LinearSystem) -> list[HomPoly]:
     """Three system members completing p1 to an independent quadruple. The
     sextic system has dimension at least 28 - 24 = 4 and holds p1."""
+    mons = monomials(p1.degree)
     chosen = [p1]
     for b in system.kernel_basis:
         cand = chosen + [b]
-        if int_rank([c.coeff_vector() for c in cand]) == len(cand):
+        # den * coeff_vector(): scaling a row keeps the rank
+        if int_rank([[c.ints.get(m, 0) for m in mons]
+                     for c in cand]) == len(cand):
             chosen = cand
             if len(chosen) == 4:
                 break
@@ -255,10 +275,9 @@ def _independent_members(p1: HomPoly, degree: int, conditions):
             yield p2
 
 
-def _two_conic_quartics(s: PointSet, ms: MSequence):
+def _two_conic_quartics(s: PointSet, labels7, conic7: HomPoly):
     """The product of the 7-point conic and the conic through the other five
     points, with quartics through all 12 points."""
-    labels7, conic7 = ms.witnesses[1]
     conic5 = irreducible_conic_through(
         [s.point(l) for l in range(1, 13) if l not in labels7])
     if conic5 is None:
@@ -269,11 +288,10 @@ def _two_conic_quartics(s: PointSet, ms: MSequence):
         yield ("quartic_two_conics",), p1, p2, s.points, "quartic_two_conics"
 
 
-def _conic_double_point_quartics(s: PointSet, ms: MSequence):
+def _conic_double_point_quartics(s: PointSet, labels7, conic7: HomPoly):
     """Drop one of the five labels off the 7-point conic so that no three of
     the kept four are collinear; pair the 7-point conic with the conic
     through those four and one conic point i, with quartics doubled at i."""
-    labels7, conic7 = ms.witnesses[1]
     others = [l for l in range(1, 13) if l not in labels7]
     groups = four_point_lines(s)
     for drop in reversed(others):
@@ -349,11 +367,12 @@ def _line_split_pairs(s: PointSet):
             yield c1, c2, shared_six, only1, only2
 
 
-def _line_product(s: PointSet, ms: MSequence, extra: ProjPoint | None):
-    """m3 = 11: the witness cubic splits as an irreducible conic and a line,
-    with one point x12 of S off both. P1 is conic * line * the join of x12
-    and the extra point; the branch follows where that join meets S."""
-    gamma = ms.witnesses[2][1]
+def _line_product(s: PointSet, labels11, extra: ProjPoint | None):
+    """m3 = 11: the witness cubic through the labels `labels11` splits as
+    an irreducible conic and a line, with one point x12 of S off both. P1
+    is conic * line * the join of x12 and the extra point; the branch
+    follows where that join meets S."""
+    gamma = _witness_curve(s, labels11, 3)
     if cubic_is_irreducible(gamma):
         raise _Unsupported("an irreducible cubic through more than 9 points "
                            "is outside this toolkit's certified range",
@@ -416,42 +435,49 @@ def _line_product(s: PointSet, ms: MSequence, extra: ProjPoint | None):
                      for p2 in _independent_members(p1, 4, conds)), accept)
 
 
-def _routes(s: PointSet, ms: MSequence, extra: ProjPoint | None):
+def _routes(s: PointSet, labels, extra: ProjPoint | None):
     """Each route's result, (steps, certificate) or None, in the order the
-    routes are tried for (m3, m2); a route runs only when the walk reaches
-    it."""
-    if ms.m3 == 11:
-        yield _line_product(s, ms, extra)
+    routes are tried for (m3, m2), read off the witness labels; a route
+    runs only when the walk reaches it."""
+    m2, m3 = len(labels[1]), len(labels[2])
+    if m3 == 11:
+        yield _line_product(s, labels[2], extra)
         return
-    if ms.m2 == 7 and conic_rank(ms.witnesses[1][1]) == 3:
-        yield _certify(_two_conic_quartics(s, ms), _frozen_shape)
-        yield _certify(_conic_double_point_quartics(s, ms), _frozen_shape)
-    if ms.m3 == 9 or ms.m2 == 7:
+    if m2 == 7:
+        conic7 = _witness_curve(s, labels[1], 2)
+        if conic_rank(conic7) == 3:
+            yield _certify(_two_conic_quartics(s, labels[1], conic7),
+                           _frozen_shape)
+            yield _certify(_conic_double_point_quartics(s, labels[1], conic7),
+                           _frozen_shape)
+    if m3 == 9 or m2 == 7:
         yield _certify(_sextic_candidates(s, ("pair_route",),
                                           _hitting_drop_pairs(s)),
                        _frozen_shape)
-    elif ms.m2 == 6:
+    elif m2 == 6:
         yield _certify(_sextic_candidates(s, ("line_split_pairs",),
                                           _line_split_pairs(s)), _ratio_three)
 
 
-def _twelve_point_m_sequence(s: PointSet) -> MSequence:
+def _twelve_point_labels(s: PointSet):
+    """The m-sequence's witness labels (`config._witness_labels`) of a
+    12-point set; the curves are built by the routes that read them."""
     if len(s) != 12:
         raise PreconditionError("needs exactly 12 points")
-    return m_sequence(s)
+    return _witness_labels(s)
 
 
-def _construct(s: PointSet, ms: MSequence,
+def _construct(s: PointSet, labels,
                extra: ProjPoint | None) -> ConstructionReport:
+    m1, m2, m3 = map(len, labels)
     # m3 = 9 forces m1 <= 4 and m2 <= 7, and m3 >= 9 holds for 12 points
-    if ms.m1 > 4 or ms.m2 > 7:
+    if m1 > 4 or m2 > 7:
         raise PreconditionError("m1 <= 4 and m2 <= 7 are required")
-    if ms.m3 > 11:
-        raise PreconditionError(f"m3 must be 10 or 11, got {ms.m3}")
-    trace = ((f"m2_{ms.m2}",) if ms.m3 == 9
-             else (f"m3_{ms.m3}", f"m2_{ms.m2}"))
+    if m3 > 11:
+        raise PreconditionError(f"m3 must be 10 or 11, got {m3}")
+    trace = (f"m2_{m2}",) if m3 == 9 else (f"m3_{m3}", f"m2_{m2}")
     try:
-        for found in _routes(s, ms, extra):
+        for found in _routes(s, labels, extra):
             if found is not None:
                 steps, cert = found
                 return ConstructionReport(trace + steps, "certificate", cert)
@@ -467,7 +493,8 @@ def construct_certificate(s: PointSet,
                           extra: ProjPoint | None = None
                           ) -> ConstructionReport:
     """Verified certificate for a 12-point set with m1 <= 4, m2 <= 7 and
-    m3 in {9, 10, 11}, routed on its m-sequence, which is computed once.
+    m3 in {9, 10, 11}, routed on its m-sequence, which is computed once;
+    a witness curve is built only by a route that reads it.
 
     With m3 in {9, 10} the certificate has ratio weight/gamma 3: quartics
     on a product of two conics when m2 = 7 and a 7-point conic is
@@ -477,15 +504,15 @@ def construct_certificate(s: PointSet,
     `extra` with the off-cubic point meets S on both the line and the
     conic).
     """
-    return _construct(s, _twelve_point_m_sequence(s), extra)
+    return _construct(s, _twelve_point_labels(s), extra)
 
 
 def construct_certificate_m3_9(s: PointSet) -> ConstructionReport:
     """construct_certificate for a 12-point set that must have m3 = 9."""
-    ms = _twelve_point_m_sequence(s)
-    if ms.m3 != 9:
-        raise PreconditionError(f"m3 must be 9, got {ms.m3}")
-    return _construct(s, ms, None)
+    labels = _twelve_point_labels(s)
+    if len(labels[2]) != 9:
+        raise PreconditionError(f"m3 must be 9, got {len(labels[2])}")
+    return _construct(s, labels, None)
 
 
 def construct_certificate_m3_high(s: PointSet,
@@ -493,7 +520,7 @@ def construct_certificate_m3_high(s: PointSet,
                                   ) -> ConstructionReport:
     """construct_certificate for a 12-point set that must have m3 in
     {10, 11}; m3 = 11 needs `extra`."""
-    ms = _twelve_point_m_sequence(s)
-    if ms.m3 == 9:
+    labels = _twelve_point_labels(s)
+    if len(labels[2]) == 9:
         raise PreconditionError("m3 must be 10 or 11, got 9")
-    return _construct(s, ms, extra)
+    return _construct(s, labels, extra)

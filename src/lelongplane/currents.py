@@ -33,7 +33,8 @@ P and Q once per listed point (``_local_forms``) for both the scale and
 the estimate; ``estimate_growth`` reads each form's integers at Z = 1. The
 verifier, the independent check run first, reads only orders and tangent
 cones. The sharpness example reads its 105 full-rank verdicts on the
-13-point subsets off its m-sequence (m3 < 13).
+13-point subsets off its m-sequence (m3 < 13), and builds no witness
+curve.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from .config import PointSet, m_sequence
+from .config import PointSet, _witness_labels
 from .construct import PotentialCertificate
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, evaluate, int_expansion,
@@ -364,7 +365,8 @@ def sharpness_example(seed: int) -> SharpnessReport:
     The 105 verdicts are read off the m-sequence. m3 is the largest k for
     which some k-subset lies on a cubic, and every subset of points on a
     cubic lies on it too, so some 13-subset lies on a cubic exactly when
-    m3 >= 13. `m_sequence` reads m3 off the duality: m3 < 13 means that
+    m3 >= 13. `config._witness_labels`, the search of `m_sequence` without
+    its witness curves, reads m3 off the duality: m3 < 13 means that
     the 15 x 10 cubic evaluation matrix has rank 10 and that no one or two
     of its Gale vectors in Q^5 are dependent, so the two points outside
     any 13-subset are independent and its evaluation matrix has full rank.
@@ -386,11 +388,11 @@ def sharpness_example(seed: int) -> SharpnessReport:
             continue  # a concurrence or parallel pair: resample
         t = ArrangementCurrent(tuple((l, Fraction(1, 6)) for l in lines))
         values = tuple(lelong_exact(t, p) for p in pts)
-        ms = m_sequence(PointSet(tuple(pts)))
+        m_seq = tuple(map(len, _witness_labels(PointSet(tuple(pts)))))
         return SharpnessReport(
             lines=tuple(lines), points=tuple(pts), lelong_values=values,
             all_values_one_third=all(v == Fraction(1, 3) for v in values),
-            rank_checks=math.comb(15, 13), all_ranks_full=ms.m3 < 13,
-            m_seq=ms.as_tuple())
+            rank_checks=math.comb(15, 13), all_ranks_full=m_seq[2] < 13,
+            m_seq=m_seq)
     raise PreconditionError("could not generate a generic arrangement "
                             "within the budget")

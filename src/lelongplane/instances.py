@@ -1,10 +1,12 @@
 """Seeded generators for the named 12-point configurations.
 
-Every generator certifies its output exactly: the m-sequence is recomputed
-from scratch and any advertised incidence (points on a conic, a 4-point
-line, the realized line structures) is checked before the instance is
-returned. Generation is deterministic in the seed; degenerate draws are
-resampled within a bounded budget.
+Every generator certifies its output exactly: the values m1, m2 and m3
+of the m-sequence are recomputed from scratch (`config._witness_labels`,
+with no witness curve, since an instance stores none) and any advertised
+incidence (points on a conic, a 4-point line, the realized line
+structures) is checked before the instance is returned. Generation is
+deterministic in the seed; degenerate draws are resampled within a
+bounded budget.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from .config import (SHAPE_3CONCURRENT_PLUS2, SHAPE_3CONCURRENT_PLUS2_SPLIT,
                      SHAPE_5LINES_CAP2, SHAPE_DOUBLE_STAR, IncidenceStructure,
                      PointSet, Realization, _point_on_line, _random_point,
-                     m_sequence, realize_structure)
+                     _witness_labels, realize_structure)
 from .currents import sharpness_example
 from .curves import irreducible_conic_through
 from .errors import PreconditionError
@@ -100,11 +102,11 @@ def points_on_conic(conic: HomPoly, p0: ProjPoint, rng, count: int):
 
 def _certified(kind, seed, points, expect, lines=(), extra=None):
     s = PointSet(tuple(points))
-    ms = m_sequence(s)
-    if ms.as_tuple() != expect:
+    m_seq = tuple(map(len, _witness_labels(s)))
+    if m_seq != expect:
         return None
     return Instance(kind=kind, seed=seed, point_set=s,
-                    m_seq=ms.as_tuple(), lines=tuple(lines), extra=extra)
+                    m_seq=m_seq, lines=tuple(lines), extra=extra)
 
 
 def generic12(seed: int) -> Instance:

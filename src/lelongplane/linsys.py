@@ -14,7 +14,7 @@ import warnings
 
 from .config import condition_rows
 from .errors import PreconditionError
-from .exactpoly import HomPoly, ProjPoint, monomial_count
+from .exactpoly import HomPoly, ProjPoint, monomial_count, monomials
 from .linalg import int_rank, nullspace
 from .record import Record
 
@@ -76,4 +76,6 @@ def build_system(degree: int, conditions) -> LinearSystem:
 def linearly_independent(f: HomPoly, g: HomPoly) -> bool:
     if f.degree != g.degree:
         raise PreconditionError("degree mismatch")
-    return int_rank([f.coeff_vector(), g.coeff_vector()]) == 2
+    # den * coeff_vector(): scaling a row keeps the rank
+    mons = monomials(f.degree)
+    return int_rank([[h.ints.get(m, 0) for m in mons] for h in (f, g)]) == 2

@@ -24,7 +24,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import golden
-from lelongplane import construct, currents, curves, exactpoly, serialize
+from lelongplane import (config, construct, currents, curves, exactpoly,
+                         serialize)
 from lelongplane.cli import (COMMANDS, EXIT_OK, EXIT_PARSE,
                              EXIT_PRECONDITION, EXIT_UNSUPPORTED,
                              EXIT_VERIFICATION, build_parser, main,
@@ -244,6 +245,66 @@ def test_certify_makes_no_full_expansion(tmp_path, capsys, monkeypatch):
     assert run("certify", "--input", str(cert)) == EXIT_OK
     assert calls == {"int_expansion": 0, "local_expansion": 0,
                      "order_and_cone": 24}
+    capsys.readouterr()
+
+
+def test_construct_reads_each_order_once(tmp_path, capsys, monkeypatch):
+    """make_certificate reads both orders at each point in one pass and
+    builds its report from that pass: 24 order-and-cone reads for the 12
+    points of the generic12 certificate, where a second pass by the
+    verifier would make 48."""
+    inst = tmp_path / "inst.json"
+    assert run("generate", "--kind", "generic12", "--seed", "0",
+               "--out", str(inst)) == EXIT_OK
+    calls = spy_expansions(monkeypatch)
+    assert run("construct", "--input", str(inst)) == EXIT_OK
+    assert calls == {"int_expansion": 0, "local_expansion": 0,
+                     "order_and_cone": 24}
+    capsys.readouterr()
+
+
+def spy_witness_curves(monkeypatch):
+    """The degrees of the curves built through `config.curves_through`,
+    the binding the m-sequence's witness curves are built by."""
+    degrees = []
+    real = config.curves_through
+
+    def spy(points, degree):
+        degrees.append(degree)
+        return real(points, degree)
+    monkeypatch.setattr(config, "curves_through", spy)
+    return degrees
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("generate", "--kind", "generic12", "--seed", "0"), []),
+    (("sharpness", "--seed", "0"), []),
+    (("construct", "--input", "{inst}"), []),
+    (("msequence", "--input", "{inst}"), [1, 2, 3]),
+])
+def test_witness_curves_only_where_read(tmp_path, capsys, monkeypatch,
+                                        argv, expected):
+    """generate and sharpness read only m1, m2 and m3, and construct on
+    generic12 (m2 = 5, m3 = 9) reads no witness curve, so none is built;
+    msequence reports all three."""
+    inst = tmp_path / "inst.json"
+    assert run("generate", "--kind", "generic12", "--seed", "0",
+               "--out", str(inst)) == EXIT_OK
+    degrees = spy_witness_curves(monkeypatch)
+    assert run(*(a.format(inst=inst) for a in argv)) == EXIT_OK
+    assert degrees == expected
+    capsys.readouterr()
+
+
+def test_construct_builds_the_witness_conic_once(tmp_path, capsys,
+                                                 monkeypatch):
+    """At m2 = 7 both conic routes share the one witness conic."""
+    inst = tmp_path / "inst.json"
+    assert run("generate", "--kind", "conic7", "--seed", "0",
+               "--out", str(inst)) == EXIT_OK
+    degrees = spy_witness_curves(monkeypatch)
+    assert run("construct", "--input", str(inst)) == EXIT_OK
+    assert degrees == [2]
     capsys.readouterr()
 
 

@@ -310,6 +310,30 @@ def test_route_taken_by_each_kind(kind):
     assert ">".join(report.branch_trace) == expected
 
 
+@pytest.mark.parametrize("kind", [k for k in INSTANCE_KINDS
+                                  if SEED0_TRACES[k] is not None])
+def test_make_certificate_report_is_the_verifiers(kind, monkeypatch):
+    """make_certificate checks its candidate from the orders it read for
+    the weights; for the accepted candidate that report is the one
+    verify_certificate derives from scratch."""
+    built = []
+    real = construct._report
+
+    def spy(cert, discrete, per_point):
+        report = real(cert, discrete, per_point)
+        built.append((cert, report))
+        return report
+
+    monkeypatch.setattr(construct, "_report", spy)
+    inst = generate(kind, 0)
+    cert = construct_certificate(inst.point_set,
+                                 extra=inst.extra).certificate
+    made, report = built[-1]
+    assert made == cert.replace(verified=False)
+    assert report.verified
+    assert report == verify_certificate(cert)
+
+
 def test_pair_route_proves_each_cubic_irreducible_once(monkeypatch):
     """`_hitting_drop_pairs` proves its cubics irreducible, so the pair
     construction does not run the Hessian test on them again."""

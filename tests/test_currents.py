@@ -427,7 +427,8 @@ def lines_and_off_points(on_lines):
 def test_m3_below_13_is_the_105_subset_verdict(monkeypatch):
     """13 or more points on a cubic (the three lines) give m3 >= 13 and a
     rank-deficient 13-subset; 12 or fewer give neither. `sharpness_example`
-    given the m-sequence of such a set reads the same verdict off it."""
+    given the witness labels of such a set reads the same verdict off
+    them."""
     seen = []
     for on_lines in range(11, 16):
         pts = lines_and_off_points(on_lines)
@@ -435,7 +436,8 @@ def test_m3_below_13_is_the_105_subset_verdict(monkeypatch):
         checks, full = reference_rank_checks(pts)
         assert checks == 105
         assert (ms.m3 < 13) == full
-        monkeypatch.setattr(currents, "m_sequence", lambda s: ms)
+        labels = tuple(w[0] for w in ms.witnesses)
+        monkeypatch.setattr(currents, "_witness_labels", lambda s: labels)
         assert sharpness_example(0).all_ranks_full == full
         seen.append((ms.m3, full))
     assert seen == [(11, True), (12, True), (13, False), (14, False),
