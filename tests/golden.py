@@ -4,13 +4,13 @@ SHA-256 in `golden_manifest.json`.
 The sweep runs `generate`, `msequence`, `linsys --degree 6 --double
 1,...,6`, `construct`, `certify` and `lelong` over each instance kind at
 seeds 0-3, then `sharpness` at seeds 0-3 and `enumerate --cap 2`, then
-`certify` on a crafted sparse certificate of degree 60 (see
-`write_sparse_certificate`), then `--help` of the program and of each
-command and the usage errors of the top-level parser and of a command
-(no command, an unknown command, `-h` before a command, a missing or
-extra value, an unknown option), then argvs that only argparse parses
-(`--seed=1`, the abbreviation `--inp`, a negative seed, a repeated
-`--seed`, a flag as a value), all in-process through `cli.main`.
+`certify` and `lelong` on a crafted sparse certificate of degree 60 (see
+`write_sparse_certificate`), which both reject, then `--help` of the
+program and of each command and the usage errors of the top-level parser
+and of a command (no command, an unknown command, `-h` before a command,
+a missing or extra value, an unknown option), then argvs that only
+argparse parses (`--seed=1`, the abbreviation `--inp`, a negative seed, a
+repeated `--seed`, a flag as a value), all in-process through `cli.main`.
 For each command the manifest holds its argv, exit code (argparse's
 `SystemExit` code for help and usage), the SHA-256 of its stdout and
 stderr, and that of each file it wrote (and of the crafted certificate
@@ -100,6 +100,9 @@ def _commands():
            ["certify", "--input", f"{sparse}.cert.json",
             "--out", f"{sparse}.certify.json"],
            [f"{sparse}.cert.json", f"{sparse}.certify.json"])
+    yield (f"{sparse}/lelong",
+           ["lelong", "--input", f"{sparse}.cert.json",
+            "--out", f"{sparse}.lelong.json"], [f"{sparse}.lelong.json"])
     yield "help", ["--help"], []
     for command in COMMANDS:
         yield f"help/{command}", [command, "--help"], []
