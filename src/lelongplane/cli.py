@@ -19,8 +19,8 @@ import sys
 from . import serialize
 from .config import enumerate_4lines, m_sequence
 from .construct import construct_certificate, verify_certificate
-from .currents import (GROWTH_RADII, estimate_growth, pole_estimates,
-                       sharpness_example)
+from .currents import (GROWTH_RADII, _directions, estimate_growth,
+                       jet_verification, pole_estimates, sharpness_example)
 from .errors import (ParseError, PreconditionError, UnsupportedInstanceError,
                      VerificationError)
 from .instances import INSTANCE_KINDS, generate
@@ -113,18 +113,20 @@ def cmd_lelong(args) -> int:
         raise PreconditionError(
             f"tolerance must be finite and >= 0, got {args.tolerance}")
     cert = serialize.load_certificate(args.input)
-    # the file's verified flag is not evidence: check the certificate again
-    if not verify_certificate(cert).verified:
+    # the file's verified flag is not evidence: verify again, on the jets
+    jets, report = jet_verification(cert)
+    if not report.verified:
         raise VerificationError("certificate failed independent verification")
     cert = cert.replace(verified=True)
+    dirs = _directions(args.seed)
     estimates = []
     worst = 0.0
-    for est in pole_estimates(cert, args.seed):
+    for est in pole_estimates(cert, jets, dirs):
         estimates.append(est)
         worst = max(worst, abs(est.extrapolated - float(est.exact)))
         print(f"point {tuple(map(str, est.point.coords))} "
               f"claimed={est.exact} slope={est.extrapolated:.4f}")
-    growth = estimate_growth(cert, GROWTH_RADII, seed=args.seed)
+    growth = estimate_growth(cert, GROWTH_RADII, dirs=dirs)
     print(f"growth slope={growth.slope:.4f} claimed={growth.claimed}")
     _write_report(args, {"schema_version": serialize.SCHEMA_VERSION,
                          "type": "lelong_report",

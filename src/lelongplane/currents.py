@@ -11,30 +11,28 @@ radii. A jet is (den, integer terms), from the integer Taylor shift
 The estimators take absolute radii. Which radii are small enough depends
 on the point: where the higher-order coefficients of the expansion dwarf
 those of the tangent cone, the slope is still biased at radius 2^-16.
-``pole_scale`` computes the radius rho* below which the tangent cone
-dominates, exactly and in logs. For ``lelong``, ``pole_estimates``
-samples each listed point at rho* 2^-4 .. 2^-12, rho* capped at 2^16,
-and the growth is sampled at GROWTH_RADII = 2^8 .. 2^16; a rho* below
-2^-64, or samples that leave the range of floats, raise
-PreconditionError instead. Each circle is sampled in four seeded
-directions (``_directions``): along any direction where the tangent cone
-does not vanish, u(x + rho v) already grows like min(ord P, ord Q) / r
-times log rho, and a sweep over every instance kind at seeds 0-3 kept the
-worst pole error near 0.01 from 4 up to 256 samples per circle.
+``_pole_scale`` computes, exactly and in logs, the radius rho* below
+which the cone dominates. ``lelong`` samples each listed point at
+rho* 2^-4 .. 2^-12, rho* capped at 2^16, and the growth at GROWTH_RADII =
+2^8 .. 2^16; a rho* below 2^-64, or samples that leave the range of
+floats, raise PreconditionError. Every circle is sampled in the same four
+seeded directions (``_directions``), drawn once per command: along any
+direction where the tangent cone does not vanish, u(x + rho v) already
+grows like min(ord P, ord Q) / r times log rho, and a sweep over every
+instance kind at seeds 0-3 kept the worst pole error near 0.01 from 4 up
+to 256 samples per circle.
 
-Both estimators share one sampling loop. At each sample (du, dv) it builds
-the power tables du ** i and dv ** j once, and sums (c * du ** i) * dv ** j
-over the terms of a form in sorted exponent order, starting from the int 0.
-These are the float operations of a plain term-by-term evaluation in the
-same order, so the estimates are bit-for-bit those of that evaluation.
+Both estimators share one sampling loop (``_sampled_slope``): at each
+sample (du, dv) it builds the power tables du ** i and dv ** j once, and
+sums (c * du ** i) * dv ** j over a form's terms in sorted exponent order
+from the int 0, the float operations of a plain term-by-term evaluation,
+so the estimates are bit-for-bit those of that evaluation.
 
-Each exact fact is computed once per command. ``pole_estimates`` expands
-P and Q once per listed point (``_local_forms``) for both the scale and
-the estimate; ``estimate_growth`` reads each form's integers at Z = 1. The
-verifier, the independent check run first, reads only orders and tangent
-cones. The sharpness example reads its 105 full-rank verdicts on the
-13-point subsets off its m-sequence (m3 < 13), and builds no witness
-curve.
+``lelong`` expands P and Q once per listed point (``_local_forms``); the
+verifier's orders, cones and reductions, rho* and the samples all read
+those jets (``jet_verification``, ``pole_estimates``), and the growth
+reads each form's integers at Z = 1. The sharpness example reads its 105
+full-rank verdicts on the 13-point subsets off its m-sequence (m3 < 13).
 """
 
 from __future__ import annotations
@@ -43,10 +41,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from functools import partial
+from operator import itemgetter, mul
 
 from .config import PointSet, _witness_labels
-from .construct import PotentialCertificate
+from .construct import PotentialCertificate, _report
+from .curves import _point_mu, _reduction_mu, coprime
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, evaluate, int_expansion,
                         line_coeffs, meet)
@@ -135,37 +135,49 @@ def _directions(seed: int):
 
 
 def _local_forms(p: HomPoly, q: HomPoly, x: ProjPoint):
-    """The jets of p and q at x: each (den, integer terms) from
-    `int_expansion`, the local expansion in the chart of x."""
+    """The jets (den, integer terms) of p and q at x, by `int_expansion`."""
     return int_expansion(p, x)[1:], int_expansion(q, x)[1:]
 
 
-def pole_scale(p: HomPoly, q: HomPoly, x: ProjPoint) -> float:
-    """Radius rho* below which the tangent cone at x dominates the local
-    expansions of p and q.
+def _jet_cone(jet):
+    """The (order, cone) of order_and_cone, over the same den, read off the
+    lowest level of a jet; (math.inf, None) for the zero form's empty jet."""
+    m = min((i + j for i, j in jet[1]), default=math.inf)
+    return m, (None if m == math.inf else
+               [jet[1].get((i, m - i), 0) for i in range(m + 1)])
 
-    With m = min(ord p, ord q) and A the largest |coefficient| of degree m
-    in either expansion, rho* = min over the terms c of degree d > m of
-    (A / |c|) ** (1 / (d - m)), a Fujiwara-type root bound (1916); on
-    |z - x| < rho* every higher term is smaller than A rho^m. It is
-    computed in logs of the exact coefficients, so it does not overflow
-    however many bits they have. 1.0 when no term has degree above m.
 
-    The estimators sample at rho* 2^-4 .. 2^-12 in double precision, so
-    rho* is capped at 2^16: the cone dominates on every smaller radius as
-    well, and the powers of the samples stay finite. Below 2^-64 the cone
-    dominates only on radii too small to sample, and this raises
-    PreconditionError.
-    """
-    return _pole_scale(_local_forms(p, q, x))
+def jet_verification(cert: PotentialCertificate):
+    """(jets, report): the jets at each listed point (`_local_forms`), and
+    `verify_certificate(cert)` read off them by `curves._point_mu`."""
+    jets = [_local_forms(cert.p, cert.q, x) for x, _ in cert.points]
+    discrete = (not cert.p.is_zero and not cert.q.is_zero
+                and coprime(cert.p, cert.q))
+    return jets, _report(cert, discrete, [
+        _point_mu(_jet_cone(jp), _jet_cone(jq), discrete,
+                  partial(_reduction_mu, cert.p, cert.q, x, (jp[1], jq[1])))
+        for (x, _), (jp, jq) in zip(cert.points, jets)])
 
 
 _LOG2 = math.log(2)
 
 
 def _pole_scale(jets) -> float:
-    """`pole_scale` from the pair of jets. Each log |n / den| is taken on
-    the reduced pair, the numerator and denominator of Fraction(n, den)."""
+    """Radius rho* below which the tangent cone at a point dominates the
+    local expansions of p and q, from their pair of jets there.
+
+    With m = min(ord p, ord q) and A the largest |coefficient| of degree m
+    in either expansion, rho* = min over the terms c of degree d > m of
+    (A / |c|) ** (1 / (d - m)), a Fujiwara-type root bound (1916); on
+    |z - x| < rho* every higher term is smaller than A rho^m. It is taken
+    in logs of the reduced pairs of the exact coefficients, so it does not
+    overflow however many bits they have; 1.0 if no term has degree > m.
+
+    The estimators sample at rho* 2^-4 .. 2^-12 in double precision, so
+    rho* is capped at 2^16: the cone dominates on every smaller radius as
+    well, and the powers of the samples stay finite. Below 2^-64 it
+    dominates only on radii too small to sample: PreconditionError.
+    """
     terms = [(i + j, math.log(abs(n) // g) - math.log(den // g))
              for den, f in jets for (i, j), n in f.items()
              for g in (math.gcd(n, den),)]
@@ -201,26 +213,29 @@ def _scaled_floats(jp, jq):
 def _evaluator(f):
     """Evaluation of the float form f from power tables pu, pv of the two
     local variables: the terms are sorted once, and each call sums
-    (c * pu[i]) * pv[j] in that order through C-level maps."""
+    (c * pu[i]) * pv[j] in that order through C-level maps. complex(c)
+    multiplies as c (CPython makes a float operand (c, 0.0)); two pad
+    entries keep each itemgetter's result a tuple."""
     terms = sorted(f.items())
-    coeffs = [c for _, c in terms]
-    exps_u = [i for (i, _), _ in terms]
-    exps_v = [j for (_, j), _ in terms]
+    coeffs = [complex(c) for _, c in terms]
+    exps_u = itemgetter(*(i for (i, _), _ in terms), 0, 0)
+    exps_v = itemgetter(*(j for (_, j), _ in terms), 0, 0)
 
     def value(pu, pv) -> complex:
-        return sum(map(mul, map(mul, coeffs, map(pu.__getitem__, exps_u)),
-                       map(pv.__getitem__, exps_v)))
+        return sum(map(mul, map(mul, coeffs, exps_u(pu)), exps_v(pv)))
     return value
 
 
-def _max_potential(fp, fq, r: int, radii, dirs) -> list[float]:
-    """For each radius rho, the largest log(|P|^2 + |Q|^2) / (2r) over the
-    samples (rho * v0, rho * v1) of the directions. Raises
-    PreconditionError when the samples overflow floats, or underflow to
-    zero on a whole circle."""
+def _sampled_slope(r: int, jets, radii, dirs):
+    """(maxima, slope): at each radius rho, in the order given (it fixes the
+    float sums' bits), the largest log(|P|^2 + |Q|^2) / (2r) over the
+    samples rho * (v0, v1) of dirs, and the maxima's least-squares slope
+    against log rho. PreconditionError when the samples leave floats."""
+    if len(radii) < 3:
+        raise PreconditionError("need at least 3 radii")
+    fp, fq = _scaled_floats(*jets)
     value_p, value_q = _evaluator(fp), _evaluator(fq)
-    top = max((max(k) for k in itertools.chain(fp, fq)), default=0)
-    exps = range(top + 1)
+    exps = range(max((max(k) for k in itertools.chain(fp, fq)), default=0) + 1)
     values = []
     try:
         for rho in radii:
@@ -239,17 +254,6 @@ def _max_potential(fp, fq, r: int, radii, dirs) -> list[float]:
     if bad:
         raise PreconditionError(
             f"the samples at radius {bad[0]:g} leave the range of floats")
-    return values
-
-
-def _sampled_slope(r: int, jets, radii, seed: int):
-    """(sample maxima, slope): `_max_potential` of the two jets at the
-    radii in the order given, which fixes the bits of the float sums, and
-    the least-squares slope of the maxima against log radius."""
-    if len(radii) < 3:
-        raise PreconditionError("need at least 3 radii")
-    fp, fq = _scaled_floats(*jets)
-    values = _max_potential(fp, fq, r, radii, _directions(seed))
     return values, _fit_slope([math.log(r) for r in radii], values)
 
 
@@ -258,12 +262,12 @@ def estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, radii,
     """Least-squares slope of max u on shrinking circles around x against
     log radius; for a pole of weight w the slope converges to w."""
     return _estimate_pole_weight(cert, x, _local_forms(cert.p, cert.q, x),
-                                 radii, seed)
+                                 radii, _directions(seed))
 
 
 def _estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, jets,
-                          radii, seed: int) -> LelongEstimate:
-    """`estimate_pole_weight` from the jets of cert.p and cert.q at x."""
+                          radii, dirs) -> LelongEstimate:
+    """`estimate_pole_weight` from the jets of cert.p, cert.q at x, on dirs."""
     if not cert.verified:
         raise PreconditionError("certificate must be verified")
     claimed = next((w for pt, w in cert.points if pt.coords == x.coords),
@@ -271,37 +275,36 @@ def _estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, jets,
     if claimed is None:
         raise PreconditionError("point is not listed in the certificate")
     radii = sorted((float(r) for r in radii), reverse=True)
-    values, slope = _sampled_slope(cert.r, jets, radii, seed)
+    values, slope = _sampled_slope(cert.r, jets, radii, dirs)
     return LelongEstimate(point=x, radii=tuple(radii), values=tuple(values),
                           extrapolated=slope, exact=claimed)
 
 
-def pole_estimates(cert: PotentialCertificate, seed: int):
-    """The pole estimate at each listed point of cert, in order, sampled
-    as the ``lelong`` command samples them: one pair of jets per point
-    gives both rho* (`pole_scale`) and the estimate at the radii
-    rho* 2^-4 .. 2^-12."""
-    for x, _ in cert.points:
-        jets = _local_forms(cert.p, cert.q, x)
-        rho = _pole_scale(jets)
+def pole_estimates(cert: PotentialCertificate, jets, dirs):
+    """The pole estimate at each listed point of cert, in order, as
+    ``lelong`` samples it: its jets (`jet_verification`) give both rho*
+    (`_pole_scale`) and the estimate at rho* 2^-4 .. 2^-12, along dirs."""
+    for (x, _), pair in zip(cert.points, jets):
+        rho = _pole_scale(pair)
         yield _estimate_pole_weight(
-            cert, x, jets, [rho * 2.0 ** -k for k in range(4, 13)], seed)
+            cert, x, pair, [rho * 2.0 ** -k for k in range(4, 13)], dirs)
 
 
 GROWTH_RADII = tuple(2.0 ** k for k in range(8, 17))
 
 
-def estimate_growth(cert: PotentialCertificate, radii,
-                    seed: int = 0) -> GrowthEstimate:
-    """Slope of max u on spheres ||z|| = R against log R; converges to
-    gamma = degree / r. The forms are read at Z = 1 off their stored
-    integer terms, keyed by the exponents of X and Y."""
+def estimate_growth(cert: PotentialCertificate, radii, seed: int = 0,
+                    dirs=None) -> GrowthEstimate:
+    """Slope of max u on spheres ||z|| = R against log R, sampled along
+    dirs (default `_directions(seed)`); converges to gamma = degree / r.
+    It reads the forms' integer terms at Z = 1, keyed by X and Y exponents."""
     if not cert.verified:
         raise PreconditionError("certificate must be verified")
     radii = sorted(float(r) for r in radii)
     jets = [(f.den, {(i, j): n for (i, j, _), n in f.ints.items()})
             for f in (cert.p, cert.q)]
-    values, slope = _sampled_slope(cert.r, jets, radii, seed)
+    values, slope = _sampled_slope(cert.r, jets, radii,
+                                   dirs or _directions(seed))
     return GrowthEstimate(radii=tuple(radii), max_values=tuple(values),
                           slope=slope, claimed=cert.gamma_u)
 

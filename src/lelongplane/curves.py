@@ -173,32 +173,33 @@ def intersection_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint):
 
 
 def _orders_and_mu(p: HomPoly, q: HomPoly, x: ProjPoint, with_mu=True):
-    """(ord_x p, ord_x q, mu_x(p, q)) from order_and_cone of each form;
-    the order of a zero form is math.inf. With with_mu=False the third
-    entry is None; otherwise p and q must be nonzero. mu is 0 where either
-    order is 0, ord_x p * ord_x q where the tangent cones share no line,
-    and the reduction's value elsewhere."""
-    op, cone_p = order_and_cone(p, x)
-    oq, cone_q = order_and_cone(q, x)
+    """`_point_mu` from order_and_cone of each form and `_reduction_mu`."""
+    return _point_mu(order_and_cone(p, x), order_and_cone(q, x), with_mu,
+                     lambda: _reduction_mu(p, q, x))
+
+
+def _point_mu(cone_p, cone_q, with_mu, reduction):
+    """(ord P, ord Q, mu) from each form's (order, tangent cone) at a point,
+    order math.inf for a zero form. mu is None without with_mu (else both
+    forms are nonzero), 0 where an order is 0, ord P * ord Q where the
+    cones share no line, and reduction() elsewhere."""
+    (op, cp), (oq, cq) = cone_p, cone_q
     if not with_mu:
         return op, oq, None
     if op == 0 or oq == 0:
         return op, oq, 0
-    if _cones_coprime(cone_p, cone_q):
+    if _cones_coprime(cp, cq):
         return op, oq, op * oq
-    return op, oq, _reduction_mu(p, q, x)
+    return op, oq, reduction()
 
 
-def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint):
-    """mu_x(p, q) by the reduction on the primitive integer expansions of
-    the two whole forms, for nonzero p and q that vanish at x; a common
-    component through x gives math.inf."""
-    local = []
-    for f in (p, q):
-        terms = int_expansion(f, x)[2]
-        content = math.gcd(*terms.values())
-        local.append({k: v // content for k, v in terms.items()})
-    return _local_mu(*local)
+def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint, expansions=None):
+    """mu_x(p, q) by the reduction on the primitive parts of the two whole
+    forms' integer expansions at x (`expansions` if given), for nonzero p
+    and q vanishing at x; a common component through x gives math.inf."""
+    pair = expansions or (int_expansion(p, x)[2], int_expansion(q, x)[2])
+    return _local_mu(*({k: v // g for k, v in f.items()}
+                       for f in pair for g in (math.gcd(*f.values()),)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ A form is stored as integer terms over one denominator (`HomPoly`); its
 arithmetic, division, evaluation and Taylor shift, and `curves`, run on
 them, and `Fraction`s are made only at the edges. The shift to a point
 is one sparse table per form (`_shift_tables`): `int_expansion` sums it
-whole (for the μ reduction, the estimators of `currents` and
+whole (for the μ reduction, `lelong`'s verifier and estimators, and
 `local_expansion`, its Fraction view), `order_and_cone` level by level.
 """
 
@@ -270,18 +270,27 @@ class HomPoly:
 def int_expansion(p: HomPoly, x: ProjPoint
                   ) -> tuple[int, int, dict[tuple[int, int], int]]:
     """(chart, den, terms): the local expansion of p at x in the chart
-    x.chart() is the nonzero integer terms over den, from the integer
-    Taylor shift of _shift_tables. Keys appear in order of first
-    contribution: terms in dehomogenized order, then i, then j."""
+    x.chart(), nonzero integer terms over den, from the Taylor shift of
+    _shift_tables: num * rows1[e1] summed over each exponent e2 of t first,
+    then times rows2[e2]. Keys in order of first reach (terms in order,
+    then i, then j); cover[i] is the largest j reached at i."""
     chart, nums, rows1, rows2, den = _shift_tables(p, x)
+    width = max((e1 for e1, _, _ in nums), default=-1) + 1
+    in_s: dict[int, list[int]] = {}
     out: dict[tuple[int, int], int] = {}
+    cover = [-1] * width
     for e1, e2, num in nums:
-        row2 = rows2[e2]
+        col = in_s.setdefault(e2, [0] * width)
         for i, c1 in enumerate(rows1[e1]):
-            ca = num * c1
-            for j, c2 in enumerate(row2):
-                key = (i, j)
-                out[key] = out.get(key, 0) + ca * c2
+            col[i] += num * c1
+            if e2 > cover[i]:
+                out.update(((i, j), 0) for j in range(cover[i] + 1, e2 + 1))
+                cover[i] = e2
+    for e2, col in in_s.items():
+        for i, ci in enumerate(col):
+            if ci:
+                for j, c2 in enumerate(rows2[e2]):
+                    out[i, j] += ci * c2
     return chart, den, {k: v for k, v in out.items() if v}
 
 

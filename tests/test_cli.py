@@ -12,6 +12,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,8 +25,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import golden
-from lelongplane import (config, construct, currents, curves, exactpoly,
-                         serialize)
+from lelongplane import (cli, config, construct, currents, curves,
+                         exactpoly, serialize)
 from lelongplane.cli import (COMMANDS, EXIT_OK, EXIT_PARSE,
                              EXIT_PRECONDITION, EXIT_UNSUPPORTED,
                              EXIT_VERIFICATION, build_parser, main,
@@ -224,18 +225,38 @@ def spy_expansions(monkeypatch):
     return calls
 
 
-def test_lelong_expands_once_and_reads_cones_once_per_form_and_point(
+def spy_calls(monkeypatch, modules, name):
+    """The argument tuples of every call of the function `name`, bound in
+    each of `modules` (the first defines it)."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_lelong_expands_once_per_form_and_point_and_draws_directions_once(
         tmp_path, capsys, monkeypatch):
-    """The scale and the estimate share one integer expansion of each form
-    per point, and no Fraction expansion is made; the verifier reads only
-    the order and cone: 24 of each for the 12 points of the generic12
-    certificate."""
+    """One integer expansion of each form per point feeds the verifier,
+    the scale and the estimate: for the 12 points of the generic12
+    certificate, 24 expansions on 24 shift tables, no order-and-cone read
+    and no Fraction expansion; a verifier reading the orders and cones off
+    tables of its own would make 48. The sampling directions are drawn
+    once, for every point and the growth."""
     cert = seed0_certificate(tmp_path, "generic12")
     assert len(serialize.load_certificate(str(cert)).points) == 12
     calls = spy_expansions(monkeypatch)
+    tables = spy_calls(monkeypatch, [exactpoly], "_shift_tables")
+    draws = spy_calls(monkeypatch, [currents, cli], "_directions")
     assert run("lelong", "--input", str(cert)) == EXIT_OK
     assert calls == {"int_expansion": 24, "local_expansion": 0,
-                     "order_and_cone": 24}
+                     "order_and_cone": 0}
+    assert len(tables) == 24
+    assert draws == [(0,)]
     capsys.readouterr()
 
 
@@ -912,6 +933,47 @@ def tangent_chain_certificate(k):
     return PotentialCertificate(
         p=p, q=q, r=1, points=((ProjPoint(0, 0, 1), Fraction(k)),),
         gamma_u=Fraction(k + 2), case_tag="tangent_chain", verified=True)
+
+
+def jet_report_certificates():
+    """(name, certificate) for the verifier cases of `lelong`: the seed-0
+    certificate of every constructible kind; the order-100 tangent chain,
+    whose cones share a line, so the reduction decides mu; and generic12's
+    with its first weight set to 2, and with P the zero form."""
+    certs = {}
+    # the 15 points of example6lines carry no certificate
+    for kind in (k for k in INSTANCE_KINDS if k != "example6lines"):
+        inst = generate(kind, 0)
+        certs[kind] = construct_certificate(
+            inst.point_set, extra=inst.extra).certificate
+        yield kind, certs[kind]
+    generic = certs["generic12"]
+    yield "tangent_chain", tangent_chain_certificate(100)
+    (x, _), *rest = generic.points
+    yield "weight_2", generic.replace(points=((x, Fraction(2)), *rest))
+    yield "zero_p", generic.replace(p=HomPoly.zero(generic.p.degree))
+
+
+def test_lelong_verifies_from_its_jets_as_certify_does():
+    """The report `lelong` reads off its jets is `verify_certificate`'s, to
+    the byte, on every case of `jet_report_certificates`."""
+    names = []
+    for name, cert in jet_report_certificates():
+        names.append(name)
+        want = verify_certificate(cert)
+        jets, got = currents.jet_verification(cert)
+        assert got == want and serialize.dumps(got) == serialize.dumps(want)
+        assert len(jets) == len(cert.points)
+        if name == "tangent_chain":
+            assert got.verified
+            assert got.per_point[0].multiplicity == 100 * 102
+        if name == "weight_2":
+            assert got.discrete and not got.verified
+            assert [c.ok for c in got.per_point].count(False) == 1
+        if name == "zero_p":
+            assert not got.discrete
+            assert {c.ord_p for c in got.per_point} == {math.inf}
+    assert len(names) == 14
 
 
 def test_a_long_tangent_chain_is_certified(tmp_path, capsys):

@@ -24,11 +24,11 @@ from lelongplane.construct import (construct_certificate,
                                    construct_certificate_m3_9,
                                    make_certificate)
 from lelongplane.currents import (ArrangementCurrent, _directions,
-                                  _evaluator, _pole_scale, _scaled_floats,
-                                  estimate_growth,
+                                  _evaluator, _local_forms, _pole_scale,
+                                  _scaled_floats, estimate_growth,
                                   estimate_pole_weight, lelong_ball_mass,
                                   lelong_exact, mass_inequality_check,
-                                  pole_scale, sharpness_example)
+                                  sharpness_example)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import HomPoly, ProjPoint, evaluate
 from lelongplane.instances import (INSTANCE_KINDS, case2_instance,
@@ -108,7 +108,7 @@ def test_pole_weight_estimate_matches_exact():
 
 def scaled_radii(cert, x):
     """The radii `lelong` samples around x."""
-    rho = pole_scale(cert.p, cert.q, x)
+    rho = _pole_scale(_local_forms(cert.p, cert.q, x))
     return [rho * 2.0 ** -k for k in range(4, 13)]
 
 
@@ -129,9 +129,11 @@ def test_pole_scale_matches_fraction_reference():
     # cubic terms give 1/4 and 9
     p = HomPoly(3, {(2, 0, 1): Fraction(1), (3, 0, 0): Fraction(4)})
     q = HomPoly(3, {(0, 2, 1): Fraction(1), (0, 3, 0): Fraction(1, 9)})
-    assert math.isclose(pole_scale(p, q, z), 0.25, rel_tol=1e-12)
+    assert math.isclose(_pole_scale(_local_forms(p, q, z)), 0.25,
+                        rel_tol=1e-12)
     # only cone terms: no higher term bounds the scale
-    assert pole_scale(HomPoly.line(1, 0, 0), HomPoly.line(0, 1, 0), z) == 1.0
+    assert _pole_scale(_local_forms(HomPoly.line(1, 0, 0),
+                                    HomPoly.line(0, 1, 0), z)) == 1.0
     # a cubic and a conic with mixed-degree terms, at points in all three
     # charts and with fractional coordinates
     p = HomPoly(3, {(3, 0, 0): Fraction(5), (1, 2, 0): Fraction(-11, 3),
@@ -140,7 +142,7 @@ def test_pole_scale_matches_fraction_reference():
                     (0, 0, 2): Fraction(3, 5)})
     for x in (z, ProjPoint(3, -2, 7), ProjPoint(9, 1, -2),
               ProjPoint(Fraction(1, 3), 5, Fraction(-2, 9))):
-        assert math.isclose(pole_scale(p, q, x),
+        assert math.isclose(_pole_scale(_local_forms(p, q, x)),
                             reference_pole_scale(p, q, x), rel_tol=1e-12)
 
 
@@ -153,7 +155,7 @@ def test_pole_scale_takes_logs_of_coefficients_beyond_float_range():
     with pytest.raises(OverflowError):
         [float(c) for c in local.values()]
     for x, _ in cert.points:
-        rho = pole_scale(cert.p, cert.q, x)
+        rho = _pole_scale(_local_forms(cert.p, cert.q, x))
         assert 0 < rho < math.inf
 
 
@@ -186,7 +188,7 @@ def test_pole_scale_takes_logs_of_the_reduced_pairs():
     for kind in ("generic12", "case2", "conic7"):
         for cert in kind_certificates(kind):
             for x, _ in cert.points:
-                jets = currents._local_forms(cert.p, cert.q, x)
+                jets = _local_forms(cert.p, cert.q, x)
                 assert _pole_scale(jets) == fraction_pole_scale(
                     cert.p.local_expansion(x)[1],
                     cert.q.local_expansion(x)[1])
@@ -276,7 +278,7 @@ def test_form_values_match_term_by_term_sum(build):
     # of a sum; compare the sums themselves
     cert = sample_certificate(build)
     for x, _ in cert.points:
-        forms = _scaled_floats(*currents._local_forms(cert.p, cert.q, x))
+        forms = _scaled_floats(*_local_forms(cert.p, cert.q, x))
         for f in forms:
             value = _evaluator(f)
             for r in (2.0 ** -8, 2.0 ** -13):
@@ -367,7 +369,7 @@ def test_scaled_floats_match_fraction_division(kind):
     assert certs or kind == "example6lines"
     for cert in certs:
         jets = [(as_jet(at_z_one(cert.p)), as_jet(at_z_one(cert.q)))]
-        jets += [currents._local_forms(cert.p, cert.q, x)
+        jets += [_local_forms(cert.p, cert.q, x)
                  for x, _ in cert.points]
         for jp, jq in jets:
             assert _scaled_floats(jp, jq) == reference_scaled_floats(
