@@ -13,9 +13,9 @@ by the m3 = 11 route. Each route is a generator of (steps, P, Q, points,
 case tag) candidates, and every candidate passes through the one certify
 step, `_certify`: make_certificate, which takes the weights and the
 verifier's checks from one pass over the points, then the route's
-acceptance check. verify_certificate, run by `certify`, `lelong` and
-library callers, re-derives every invariant from the forms. The curves
-through simple points come from `config.curves_through`.
+acceptance check. verify_certificate, run by `certify`, re-derives every
+invariant from the forms, and `lelong` runs its checks on its jets. The
+curves through simple points come from `config.curves_through`.
 """
 
 from __future__ import annotations

@@ -188,7 +188,7 @@ def test_pole_scale_takes_logs_of_the_reduced_pairs():
     for kind in ("generic12", "case2", "conic7"):
         for cert in kind_certificates(kind):
             for x, _ in cert.points:
-                jets = _local_forms(cert.p, cert.q, x)
+                jets = currents._local_forms(cert.p, cert.q, x)
                 assert _pole_scale(jets) == fraction_pole_scale(
                     cert.p.local_expansion(x)[1],
                     cert.q.local_expansion(x)[1])
@@ -278,7 +278,7 @@ def test_form_values_match_term_by_term_sum(build):
     # of a sum; compare the sums themselves
     cert = sample_certificate(build)
     for x, _ in cert.points:
-        forms = _scaled_floats(*_local_forms(cert.p, cert.q, x))
+        forms = _scaled_floats(*currents._local_forms(cert.p, cert.q, x))
         for f in forms:
             value = _evaluator(f)
             for r in (2.0 ** -8, 2.0 ** -13):
@@ -369,7 +369,7 @@ def test_scaled_floats_match_fraction_division(kind):
     assert certs or kind == "example6lines"
     for cert in certs:
         jets = [(as_jet(at_z_one(cert.p)), as_jet(at_z_one(cert.q)))]
-        jets += [_local_forms(cert.p, cert.q, x)
+        jets += [currents._local_forms(cert.p, cert.q, x)
                  for x, _ in cert.points]
         for jp, jq in jets:
             assert _scaled_floats(jp, jq) == reference_scaled_floats(
