@@ -1,14 +1,15 @@
 """Point-configuration invariants and 4-point-line incidence structures.
 
 m_j of a point set is the maximum number of its points lying on a single
-curve of degree j. All three are read off exact integer invariants of the
-points' primitive integer coordinates, with no subset search: the brackets
-[ijk] = det(p_i, p_j, p_k) give the collinear groups, and six points lie on
-a conic iff [123][145][246][356] = [124][135][236][456]; a subset lies on a
-cubic iff the Gale vectors of the points outside it, a basis of the left
-kernel of the cubic evaluation matrix, are dependent.
+curve of degree j, read off exact integer invariants of the points'
+primitive integer coordinates. The brackets [ijk] = det(p_i, p_j, p_k)
+give the collinear groups, hence the conics with a group line as a
+component; other conics are searched only where an incidence bound on
+the groups lets them win, by [123][145][246][356] = [124][135][236][456].
+A subset lies on a cubic iff the Gale vectors of the points outside it,
+a basis of the left kernel of the cubic evaluation matrix, are dependent.
 
-That search, `_witness_labels`, builds no curve; `m_sequence` adds one
+The search, `_witness_labels`, builds no curve; `m_sequence` adds one
 witness curve per degree, and callers that read fewer build fewer.
 
 Incidence structures are abstract families of 4-element label sets in
@@ -152,64 +153,45 @@ def _conic_test(table, q):
 def _conic_witness(table, groups):
     """The lexicographically first largest index subset on a conic.
 
-    Up to five points impose independent conditions on conics iff no four
-    are collinear. If a subset M on a conic has five independent points,
-    let S be its shortest prefix that does: M lies on the one conic through
-    those five, so M is inside S plus the later indices that pass their
-    bracket test, a set on that conic. These sets and the subsets on a
-    conic with fewer than five independent points are the candidates, and
-    the witness is the first of the largest. S is an independent 5-subset
-    or a subset with fewer than five independent points grown by one; such
-    a subset, once it has five or more points, has all but one on a line L
-    and stays on L times a line whatever point is added. A 5-subset with
-    four collinear points passes every bracket test, so one that passes
-    every later index is checked. Two collinear groups, or one and a
-    point, lie on a conic, as does every candidate, so m2 >= `bound`: only
-    subsets that can still reach it are kept.
+    Three facts carry it. A conic through three points of a collinear
+    group contains their line L (Bezout), so it holds the points on L and
+    on one more line: L plus a maximal group, a pair or a line's; these
+    unions are the reducible candidates. Any other conic meets each group
+    line in at most two points (Bezout again). And no three points of an
+    irreducible conic are collinear. So, loading each point with the
+    number of the k groups of three or more through it, the most points
+    whose loads sum to at most 2k, irr, bound any other conic. With five
+    or more points it is irreducible, the one conic through its first
+    five, no three collinear: they and the later indices that pass their
+    bracket test, searched only when irr reaches the best reducible
+    candidate and while they can still reach the best so far.
     """
     n = len(table)
-    lines = [sum(1 << i for i in g) for g in groups if len(g) >= 3]
-    on = [[g for g in lines if g.bit_count() >= 4 and g >> i & 1]
-          for i in range(n)]
-    bound = min(n, max([len(g) + 1 for g in groups]
-                       + [(a | b).bit_count()
-                          for a, b in itertools.combinations(lines, 2)],
-                       default=n))
-
-    def extend(chosen, test, f):
-        if test is None and all((chosen & g).bit_count() < 3 for g in on[f]):
-            chosen |= 1 << f
-            if chosen.bit_count() == 5:
-                test = _conic_test(table, [i for i in range(n)
-                                           if chosen >> i & 1])
-        return chosen, test
-
-    found = []
-    level = [(q, 0, _conic_test(table, q)) for q in
-             itertools.combinations(range(min(n, n + 5 - bound)), 5)]
-    while level:
-        grown = []
-        for subset, chosen, test in level:
-            if len(subset) + n - 1 - subset[-1] < bound:
-                continue
-            ext = range(subset[-1] + 1, n)
-            if test is not None:
-                lhs, rhs, bd, ce, bc, de = test
-                hits = [f for f in ext
-                        if lhs * bd[f] * ce[f] == rhs * bc[f] * de[f]]
-                if len(subset) == 5 and ext and len(hits) == len(ext):
-                    chosen, test = 0, None
-                    for x in subset:
-                        chosen, test = extend(chosen, test, x)
-                if test is not None:
-                    found.append(subset + tuple(hits))
-                    bound = max(bound, len(found[-1]))
-                    continue
+    masks = [sum(1 << i for i in g) for g in groups]
+    lines = [g for g in masks if g.bit_count() >= 3]
+    unions = {a | b for a in lines for b in masks}
+    bound = max((u.bit_count() for u in unions), default=0)
+    found = [tuple(i for i in range(n) if u >> i & 1)
+             for u in unions if u.bit_count() == bound]
+    loads = sorted(sum(g >> i & 1 for g in lines) for i in range(n))
+    irr = sum(t <= 2 * len(lines) for t in itertools.accumulate(loads))
+    if irr < bound:
+        return min(found)
+    for q in itertools.combinations(range(min(n, n + 5 - bound)), 5):
+        if 4 + n - q[4] < bound:
+            continue
+        lhs, rhs, bd, ce, bc, de = _conic_test(table, q)
+        a, b, c, d, e = q
+        # no three of q are collinear iff none of its ten brackets is 0
+        if not (lhs and rhs and bd[c] and bd[e] and ce[d] and bc[e]
+                and table[a][b][e] and table[a][c][d]):
+            continue
+        subset = q + tuple([f for f in range(e + 1, n)
+                            if lhs * bd[f] * ce[f] == rhs * bc[f] * de[f]])
+        if len(subset) >= bound:
             found.append(subset)
-            grown += [(subset + (f,), *extend(chosen, test, f)) for f in ext]
-        level = grown
-    m2 = max(map(len, found), default=n)
-    return min((c for c in found if len(c) == m2), default=tuple(range(n)))
+            bound = len(subset)
+    return min((c for c in found if len(c) == bound), default=tuple(range(n)))
 
 
 def _last_dependent(vectors, size):

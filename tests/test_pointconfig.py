@@ -59,11 +59,11 @@ def reference_m_sequence(s):
     return MSequence(*values, witnesses=tuple(witnesses))
 
 
-def random_set(n, seed):
+def random_set(n, seed, span=3):
     rng = random.Random(seed)
     pts = {}
     while len(pts) < n:
-        p = pt(rng.randint(-3, 3), rng.randint(-3, 3))
+        p = pt(rng.randint(-span, span), rng.randint(-span, span))
         pts.setdefault(p.coords, p)
     return PointSet(tuple(pts.values()))
 
@@ -94,18 +94,22 @@ def test_m_sequence_contract_by_rank_scan():
 
 
 def test_m_sequence_matches_reference_on_small_sets():
+    """Grids, a line, seeded sets, and 40 line-heavy sets of 6-11 points
+    in [-2, 2]^2, where many triples are collinear."""
     sets = [PointSet(tuple(pt(i, j) for i in range(a) for j in range(3)))
             for a in (3, 4)]
     sets.append(PointSet(tuple(pt(i, 2 * i + 1) for i in range(7))))
     sets += [random_set(n, 100 + n) for n in range(12)]
+    sets += [random_set(6 + k % 6, 300 + k, span=2) for k in range(40)]
     for s in sets:
         assert m_sequence(s) == reference_m_sequence(s)
 
 
 def _named_sets():
     """Edge shapes for the reference check: n below each interpolation
-    floor, all points on one line, 16 points, points on Z = 0 and 40-bit
-    denominators."""
+    floor, all points on one line, 16 points, points on Z = 0, 40-bit
+    denominators, and the sharpness arrangement of seed 2 (seed 0 is
+    example6lines, seed 1 a dual set), whose conic side is all lines."""
     rng = random.Random(41)
     sets = {"n1": random_set(1, 7), "n4": random_set(4, 8),
             "n8": random_set(8, 9)}
@@ -120,6 +124,7 @@ def _named_sets():
         pt(Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40)),
            Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40)))
         for _ in range(10)))
+    sets["sharpness2"] = PointSet(sharpness_example(2).points)
     return sets
 
 
@@ -290,6 +295,28 @@ def test_m_sequence_search_needs_no_rank_calls(monkeypatch):
     monkeypatch.setattr(config, "int_rank", forbidden, raising=False)
     assert m_sequence(s) == expected
     assert expected.as_tuple() == (5, 9, 12)
+
+
+def test_conic_search_runs_only_where_an_irreducible_conic_can_win(
+        monkeypatch):
+    """Bracket tests of the conic search: none on the sharpness arrangement,
+    whose six 5-point lines hold 9 points on two of them while an
+    irreducible conic meets each line twice, 6 points at most; at most one
+    per 5-subset on generic12. The level-by-level search made 943 on the
+    first."""
+    calls = []
+    real = config._conic_test
+
+    def spy(table, q):
+        calls.append(q)
+        return real(table, q)
+    monkeypatch.setattr(config, "_conic_test", spy)
+    for s, most in ((PointSet(sharpness_example(0).points), 0),
+                    (generate("generic12", 0).point_set, 792)):
+        calls.clear()
+        config._witness_labels(s)
+        assert len(calls) <= most
+        assert len(set(calls)) == len(calls)
 
 
 def test_point_set_rejects_duplicates():
