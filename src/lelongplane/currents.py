@@ -28,11 +28,11 @@ sums (c * du ** i) * dv ** j over a form's terms in sorted exponent order
 from the int 0, the float operations of a plain term-by-term evaluation,
 so the estimates are bit-for-bit those of that evaluation.
 
-``lelong`` expands P and Q once per listed point (``_local_forms``); the
-verifier's orders, cones and reductions, rho* and the samples all read
-those jets (``jet_verification``, ``pole_estimates``), and the growth
-reads each form's integers at Z = 1. The sharpness example reads its 105
-full-rank verdicts on the 13-point subsets off its m-sequence (m3 < 13).
+``lelong`` shifts P and Q once per listed point, expands them only where
+both vanish (``_point_jets``), and the verifier's orders, cones and
+reductions, rho* and the samples read those jets; the growth reads each
+form's integers at Z = 1. The sharpness example reads its 105 full-rank
+verdicts on the 13-point subsets off its m-sequence (m3 < 13).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .config import PointSet, _witness_labels
 from .construct import PotentialCertificate, _report
 from .curves import _point_mu, _reduction_mu, coprime
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, int_expansion,
-                        line_coeffs, meet)
+from .exactpoly import (HomPoly, ProjPoint, _level, _shift_tables, evaluate,
+                        int_expansion, line_coeffs, meet, order_and_cone)
 from .record import Record
 
 
@@ -147,16 +147,27 @@ def _jet_cone(jet):
                [jet[1].get((i, m - i), 0) for i in range(m + 1)])
 
 
+def _point_jets(p: HomPoly, q: HomPoly, x: ProjPoint):
+    """(jets, cones) at x from one `_shift_tables` per form: the jets of
+    `_local_forms` and their cones where both forms vanish (each `_level`
+    0 is 0); else mu is 0 and the point fails: None and `order_and_cone`."""
+    tables = [(f, _shift_tables(f, x)) for f in (p, q)]
+    if any(any(_level(t, 0)) for _, t in tables):
+        return None, [order_and_cone(f, x, t) for f, t in tables]
+    jets = [int_expansion(f, x, t)[1:] for f, t in tables]
+    return jets, [_jet_cone(j) for j in jets]
+
+
 def jet_verification(cert: PotentialCertificate):
-    """(jets, report): the jets at each listed point (`_local_forms`), and
+    """(jets, report): `_point_jets` at each listed point, and
     `verify_certificate(cert)` read off them by `curves._point_mu`."""
-    jets = [_local_forms(cert.p, cert.q, x) for x, _ in cert.points]
+    points = [_point_jets(cert.p, cert.q, x) for x, _ in cert.points]
     discrete = (not cert.p.is_zero and not cert.q.is_zero
                 and coprime(cert.p, cert.q))
-    return jets, _report(cert, discrete, [
-        _point_mu(_jet_cone(jp), _jet_cone(jq), discrete,
-                  partial(_reduction_mu, cert.p, cert.q, x, (jp[1], jq[1])))
-        for (x, _), (jp, jq) in zip(cert.points, jets)])
+    return [jets for jets, _ in points], _report(cert, discrete, [
+        _point_mu(*cones, discrete, partial(_reduction_mu, cert.p, cert.q, x,
+                                            jets and [t for _, t in jets]))
+        for (x, _), (jets, cones) in zip(cert.points, points)])
 
 
 _LOG2 = math.log(2)

@@ -267,14 +267,14 @@ class HomPoly:
         return chart, {k: Fraction(v, den) for k, v in out.items()}
 
 
-def int_expansion(p: HomPoly, x: ProjPoint
+def int_expansion(p: HomPoly, x: ProjPoint, tables=None
                   ) -> tuple[int, int, dict[tuple[int, int], int]]:
     """(chart, den, terms): the local expansion of p at x in the chart
     x.chart(), nonzero integer terms over den, from the Taylor shift of
-    _shift_tables: num * rows1[e1] summed over each exponent e2 of t first,
-    then times rows2[e2]. Keys in order of first reach (terms in order,
-    then i, then j); cover[i] is the largest j reached at i."""
-    chart, nums, rows1, rows2, den = _shift_tables(p, x)
+    _shift_tables (or `tables`, p's at x): num * rows1[e1] summed over each
+    e2 first, then times rows2[e2]. Keys in order of first reach (terms in
+    order, then i, then j); cover[i] is the largest j reached at i."""
+    chart, nums, rows1, rows2, den = tables or _shift_tables(p, x)
     width = max((e1 for e1, _, _ in nums), default=-1) + 1
     in_s: dict[int, list[int]] = {}
     out: dict[tuple[int, int], int] = {}
@@ -327,22 +327,27 @@ def _shift_rows(n: int, d: int, top: int, exps: Iterable[int]
                 for i in range(e + 1)] for e in exps}
 
 
-def order_and_cone(p: HomPoly, x: ProjPoint):
-    """(ord_x p, tangent cone): the first nonzero level m of the shift in
-    _shift_tables at x.chart(), as integers; entry i is den times the
-    coefficient of s^i t^(m-i), the sum of num * rows1[e1][i] *
-    rows2[e2][m - i] over the terms (e1, e2, num) with i <= e1 and
-    m - i <= e2. Level m costs m + 1 sums over the terms, so a point off
-    the curve costs one. The zero form gives (math.inf, None)."""
+def order_and_cone(p: HomPoly, x: ProjPoint, tables=None):
+    """(ord_x p, tangent cone): the first nonzero `_level` of the shift in
+    _shift_tables at x.chart() (or `tables`, p's at x); a point off the
+    curve costs one sum. The zero form gives (math.inf, None)."""
     if p.is_zero:
         return math.inf, None
-    _, nums, rows1, rows2, _ = _shift_tables(p, x)
+    tables = tables or _shift_tables(p, x)
     for m in count():
-        cone = [sum(num * rows1[e1][i] * rows2[e2][m - i]
-                    for e1, e2, num in nums if i <= e1 and m - i <= e2)
-                for i in range(m + 1)]
+        cone = _level(tables, m)
         if any(cone):
             return m, cone
+
+
+def _level(tables, m: int) -> list[int]:
+    """Level m of the shift in `_shift_tables`: entry i, den times the
+    coefficient of s^i t^(m-i), sums num * rows1[e1][i] * rows2[e2][m - i]
+    over the terms (e1, e2, num) with i <= e1 and m - i <= e2."""
+    _, nums, rows1, rows2, _ = tables
+    return [sum(num * rows1[e1][i] * rows2[e2][m - i]
+                for e1, e2, num in nums if i <= e1 and m - i <= e2)
+            for i in range(m + 1)]
 
 
 @lru_cache(maxsize=None)
