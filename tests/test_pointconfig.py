@@ -302,8 +302,7 @@ def test_conic_search_runs_only_where_an_irreducible_conic_can_win(
     """Bracket tests of the conic search: none on the sharpness arrangement,
     whose six 5-point lines hold 9 points on two of them while an
     irreducible conic meets each line twice, 6 points at most; at most one
-    per 5-subset on generic12. The level-by-level search made 943 on the
-    first."""
+    per 5-subset on generic12."""
     calls = []
     real = config._conic_test
 
