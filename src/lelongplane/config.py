@@ -2,12 +2,11 @@
 
 m_j of a point set is the maximum number of its points lying on a single
 curve of degree j, read off exact integer invariants of the points'
-primitive integer coordinates. The brackets [ijk] = det(p_i, p_j, p_k)
-give the collinear groups, hence the conics with a group line as a
-component; other conics are searched only where an incidence bound on
-the groups lets them win, by [123][145][246][356] = [124][135][236][456].
-A subset lies on a cubic iff the Gale vectors of the points outside it,
-a basis of the left kernel of the cubic evaluation matrix, are dependent.
+primitive integer coordinates: the brackets [ijk] = det(p_i, p_j, p_k)
+give the collinear groups and, where an incidence bound on them lets an
+irreducible conic win, its test [123][145][246][356] = [124][135][236][456];
+a subset lies on a cubic iff the Gale vectors of the points outside it, a
+basis of the left kernel of the cubic evaluation matrix, are dependent.
 
 The search, `_witness_labels`, builds no curve; `m_sequence` adds one
 witness curve per degree, and callers that read fewer build fewer.
@@ -153,18 +152,16 @@ def _conic_test(table, q):
 def _conic_witness(table, groups):
     """The lexicographically first largest index subset on a conic.
 
-    Three facts carry it. A conic through three points of a collinear
-    group contains their line L (Bezout), so it holds the points on L and
-    on one more line: L plus a maximal group, a pair or a line's; these
-    unions are the reducible candidates. Any other conic meets each group
-    line in at most two points (Bezout again). And no three points of an
-    irreducible conic are collinear. So, loading each point with the
-    number of the k groups of three or more through it, the most points
-    whose loads sum to at most 2k, irr, bound any other conic. With five
-    or more points it is irreducible, the one conic through its first
-    five, no three collinear: they and the later indices that pass their
-    bracket test, searched only when irr reaches the best reducible
-    candidate and while they can still reach the best so far.
+    Three facts carry it. Three points of a group on a conic make its
+    line L a component, so the conic holds the points on L and on one
+    more maximal group, a pair or a line's: the reducible candidates.
+    Otherwise, by Bezout, the conic meets each group line in at most two
+    points; loading each point with the number of the k groups of three
+    or more through it, the most points whose loads sum to at most 2k,
+    irr, bound it, and with five or more points it is irreducible. No
+    three points of an irreducible conic are collinear: when irr reaches
+    the best candidate, each 5-subset with no zero bracket is searched
+    with its later points on its conic, while it can still win.
     """
     n = len(table)
     masks = [sum(1 << i for i in g) for g in groups]

@@ -28,11 +28,11 @@ sums (c * du ** i) * dv ** j over a form's terms in sorted exponent order
 from the int 0, the float operations of a plain term-by-term evaluation,
 so the estimates are bit-for-bit those of that evaluation.
 
-``lelong`` shifts P and Q once per listed point, expands them only where
-both vanish (``_point_jets``), and the verifier's orders, cones and
-reductions, rho* and the samples read those jets; the growth reads each
-form's integers at Z = 1. The sharpness example reads its 105 full-rank
-verdicts on the 13-point subsets off its m-sequence (m3 < 13).
+``lelong`` shifts P and Q once per listed point, multiplies a form's jet
+out only where it vanishes (``_point_jet``), and the verifier's orders,
+cones and reductions, rho* and the samples read those jets; the growth
+reads each form's integers at Z = 1. The sharpness example reads its 105
+full-rank verdicts on the 13-point subsets off its m-sequence (m3 < 13).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .config import PointSet, _witness_labels
 from .construct import PotentialCertificate, _report
 from .curves import _point_mu, _reduction_mu, coprime
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, _level, _shift_tables, evaluate,
-                        int_expansion, line_coeffs, meet, order_and_cone)
+from .exactpoly import (HomPoly, ProjPoint, _multiply_out, _s_sums, evaluate,
+                        int_expansion, line_coeffs, meet)
 from .record import Record
 
 
@@ -147,27 +147,24 @@ def _jet_cone(jet):
                [jet[1].get((i, m - i), 0) for i in range(m + 1)])
 
 
-def _point_jets(p: HomPoly, q: HomPoly, x: ProjPoint):
-    """(jets, cones) at x from one `_shift_tables` per form: the jets of
-    `_local_forms` and their cones where both forms vanish (each `_level`
-    0 is 0); else mu is 0 and the point fails: None and `order_and_cone`."""
-    tables = [(f, _shift_tables(f, x)) for f in (p, q)]
-    if any(any(_level(t, 0)) for _, t in tables):
-        return None, [order_and_cone(f, x, t) for f, t in tables]
-    jets = [int_expansion(f, x, t)[1:] for f, t in tables]
-    return jets, [_jet_cone(j) for j in jets]
+def _point_jet(f: HomPoly, x: ProjPoint):
+    """f's jet at x as `_local_forms` has it, or its 0-jet, the value of
+    `_s_sums`, where f(x) != 0, so that mu is 0 and the point fails."""
+    tables, _, _, value = sums = _s_sums(f, x)
+    return (tables[4], {(0, 0): value}) if value else _multiply_out(sums)[1:]
 
 
 def jet_verification(cert: PotentialCertificate):
-    """(jets, report): `_point_jets` at each listed point, and
+    """(jets, report): the jets at each listed point (`_point_jet`), and
     `verify_certificate(cert)` read off them by `curves._point_mu`."""
-    points = [_point_jets(cert.p, cert.q, x) for x, _ in cert.points]
+    jets = [(_point_jet(cert.p, x), _point_jet(cert.q, x))
+            for x, _ in cert.points]
     discrete = (not cert.p.is_zero and not cert.q.is_zero
                 and coprime(cert.p, cert.q))
-    return [jets for jets, _ in points], _report(cert, discrete, [
-        _point_mu(*cones, discrete, partial(_reduction_mu, cert.p, cert.q, x,
-                                            jets and [t for _, t in jets]))
-        for (x, _), (jets, cones) in zip(cert.points, points)])
+    return jets, _report(cert, discrete, [
+        _point_mu(_jet_cone(jp), _jet_cone(jq), discrete,
+                  partial(_reduction_mu, cert.p, cert.q, x, (jp[1], jq[1])))
+        for (x, _), (jp, jq) in zip(cert.points, jets)])
 
 
 _LOG2 = math.log(2)

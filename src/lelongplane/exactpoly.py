@@ -267,14 +267,20 @@ class HomPoly:
         return chart, {k: Fraction(v, den) for k, v in out.items()}
 
 
-def int_expansion(p: HomPoly, x: ProjPoint, tables=None
+def int_expansion(p: HomPoly, x: ProjPoint
                   ) -> tuple[int, int, dict[tuple[int, int], int]]:
     """(chart, den, terms): the local expansion of p at x in the chart
-    x.chart(), nonzero integer terms over den, from the Taylor shift of
-    _shift_tables (or `tables`, p's at x): num * rows1[e1] summed over each
-    e2 first, then times rows2[e2]. Keys in order of first reach (terms in
-    order, then i, then j); cover[i] is the largest j reached at i."""
-    chart, nums, rows1, rows2, den = tables or _shift_tables(p, x)
+    x.chart(), nonzero integer terms over den: `_multiply_out`."""
+    return _multiply_out(_s_sums(p, x))
+
+
+def _s_sums(p: HomPoly, x: ProjPoint):
+    """(tables, in_s, out, value) for p's `_shift_tables` at x: in_s[e2]
+    sums num * rows1[e1] over the terms with exponent e2 of t; out has each
+    key the t rows reach, at 0, in order of first reach (terms in order,
+    then i, then j; cover[i] is the largest j reached at i); value is level
+    0, den times p(x), read before the t rows multiply out."""
+    _, nums, rows1, rows2, _ = tables = _shift_tables(p, x)
     width = max((e1 for e1, _, _ in nums), default=-1) + 1
     in_s: dict[int, list[int]] = {}
     out: dict[tuple[int, int], int] = {}
@@ -286,6 +292,13 @@ def int_expansion(p: HomPoly, x: ProjPoint, tables=None
             if e2 > cover[i]:
                 out.update(((i, j), 0) for j in range(cover[i] + 1, e2 + 1))
                 cover[i] = e2
+    return tables, in_s, out, sum(col[0] * rows2[e2][0]
+                                  for e2, col in in_s.items())
+
+
+def _multiply_out(sums) -> tuple[int, int, dict[tuple[int, int], int]]:
+    """`int_expansion` from `_s_sums`: each in_s[e2] times rows2[e2]."""
+    (chart, _, _, rows2, den), in_s, out, _ = sums
     for e2, col in in_s.items():
         for i, ci in enumerate(col):
             if ci:
@@ -327,27 +340,22 @@ def _shift_rows(n: int, d: int, top: int, exps: Iterable[int]
                 for i in range(e + 1)] for e in exps}
 
 
-def order_and_cone(p: HomPoly, x: ProjPoint, tables=None):
-    """(ord_x p, tangent cone): the first nonzero `_level` of the shift in
-    _shift_tables at x.chart() (or `tables`, p's at x); a point off the
-    curve costs one sum. The zero form gives (math.inf, None)."""
+def order_and_cone(p: HomPoly, x: ProjPoint):
+    """(ord_x p, tangent cone): the first nonzero level m of the shift in
+    _shift_tables at x.chart(), as integers; entry i is den times the
+    coefficient of s^i t^(m-i), the sum of num * rows1[e1][i] *
+    rows2[e2][m - i] over the terms (e1, e2, num) with i <= e1 and
+    m - i <= e2. Level m costs m + 1 sums over the terms, so a point off
+    the curve costs one. The zero form gives (math.inf, None)."""
     if p.is_zero:
         return math.inf, None
-    tables = tables or _shift_tables(p, x)
+    _, nums, rows1, rows2, _ = _shift_tables(p, x)
     for m in count():
-        cone = _level(tables, m)
+        cone = [sum(num * rows1[e1][i] * rows2[e2][m - i]
+                    for e1, e2, num in nums if i <= e1 and m - i <= e2)
+                for i in range(m + 1)]
         if any(cone):
             return m, cone
-
-
-def _level(tables, m: int) -> list[int]:
-    """Level m of the shift in `_shift_tables`: entry i, den times the
-    coefficient of s^i t^(m-i), sums num * rows1[e1][i] * rows2[e2][m - i]
-    over the terms (e1, e2, num) with i <= e1 and m - i <= e2."""
-    _, nums, rows1, rows2, _ = tables
-    return [sum(num * rows1[e1][i] * rows2[e2][m - i]
-                for e1, e2, num in nums if i <= e1 and m - i <= e2)
-            for i in range(m + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -220,7 +220,7 @@ def spy_expansions(monkeypatch):
     monkeypatch.setattr(HomPoly, "local_expansion", expansion)
     for module in (exactpoly, curves, currents):
         monkeypatch.setattr(module, "int_expansion", int_expansion)
-    for module in (exactpoly, curves, currents):
+    for module in (exactpoly, curves):
         monkeypatch.setattr(module, "order_and_cone", cone)
     return calls
 
@@ -243,30 +243,29 @@ def test_lelong_expands_once_per_form_and_point_and_draws_directions_once(
         tmp_path, capsys, monkeypatch):
     """One integer expansion of each form per point feeds the verifier,
     the scale and the estimate: for the 12 points of the generic12
-    certificate, 24 expansions on 24 shift tables, no order-and-cone read
-    and no Fraction expansion; a verifier reading the orders and cones off
-    tables of its own would make 48. The sampling directions are drawn
-    once, for every point and the growth. On the degree-60 sparse file no
-    form vanishes at a listed point, so the same 24 tables give the 24
-    orders and cones and no jet is expanded."""
+    certificate, 24 jets multiplied out on 24 shift tables, and no
+    int_expansion, order-and-cone read or Fraction expansion of its own;
+    a verifier reading the orders and cones off tables of its own would
+    make 48. The sampling directions are drawn once, for every point and
+    the growth. On the degree-60 sparse file no form vanishes at a listed
+    point, so the same 24 tables give the 24 orders and cones, read before
+    the t rows, and no jet is multiplied out."""
     cert = seed0_certificate(tmp_path, "generic12")
     sparse = tmp_path / "sparse.json"
     golden.write_sparse_certificate(cert, sparse, golden.SPARSE_DEGREE)
     assert len(serialize.load_certificate(str(cert)).points) == 12
     calls = spy_expansions(monkeypatch)
-    tables = spy_calls(monkeypatch, [exactpoly, currents], "_shift_tables")
+    tables = spy_calls(monkeypatch, [exactpoly], "_shift_tables")
+    jets = spy_calls(monkeypatch, [exactpoly, currents], "_multiply_out")
     draws = spy_calls(monkeypatch, [currents, cli], "_directions")
+    none = {"int_expansion": 0, "local_expansion": 0, "order_and_cone": 0}
     assert run("lelong", "--input", str(cert)) == EXIT_OK
-    assert calls == {"int_expansion": 24, "local_expansion": 0,
-                     "order_and_cone": 0}
-    assert len(tables) == 24
+    assert (calls, len(tables), len(jets)) == (none, 24, 24)
     assert draws == [(0,)]
-    calls.update(dict.fromkeys(calls, 0))
     tables.clear()
+    jets.clear()
     assert run("lelong", "--input", str(sparse)) == EXIT_VERIFICATION
-    assert calls == {"int_expansion": 0, "local_expansion": 0,
-                     "order_and_cone": 24}
-    assert len(tables) == 24
+    assert (calls, len(tables), len(jets)) == (none, 24, 0)
     capsys.readouterr()
 
 
