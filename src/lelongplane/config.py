@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .exactpoly import (HomPoly, ProjPoint, _cross, evaluate, join,
                         line_coeffs, meet, monomial_count, monomials)
-from .linalg import bareiss_step, clear_denominators, int_rref, nullspace
+from .linalg import bareiss_step, int_rref, nullspace
 from .record import Record
 
 
@@ -35,11 +35,8 @@ class PointSet(Record):
     points: tuple[ProjPoint, ...]
 
     def __post_init__(self):
-        seen = set()
-        for p in self.points:
-            if p.coords in seen:
-                raise PreconditionError("points must be pairwise distinct")
-            seen.add(p.coords)
+        if len(set(self.points)) != len(self.points):
+            raise PreconditionError("points must be pairwise distinct")
 
     def __len__(self):
         return len(self.points)
@@ -73,22 +70,11 @@ class IncidenceStructure(Record):
                 raise PreconditionError("two lines share more than one label")
 
 
-def _int_coords(p: ProjPoint) -> tuple[int, int, int]:
-    """The point's coordinates times the lcm D of their denominators
-    (`linalg.clear_denominators`).
-
-    They are primitive. The last nonzero coordinate is 1 and becomes D,
-    and a prime p dividing D divides some denominator to its full power
-    in D, so that coordinate times D is prime to p.
-    """
-    return tuple(clear_denominators(p.coords)[1])
-
-
 def condition_rows(degree: int, point: ProjPoint, order: int):
     """Integer rows of the condition mult >= order at the point on forms
     of degree `degree`: with m = min(order, degree + 1), the partial
     derivatives of order m - 1 at the point's integer coordinates
-    (x, y, z) = `_int_coords(point)`.
+    (x, y, z) = `point.ints`.
 
     The row of (r, s, t) in `monomials(m - 1)` holds, at X^i Y^j Z^k,
     perm(i, r) perm(j, s) perm(k, t) x^(i-r) y^(j-s) z^(k-t), or 0 where
@@ -101,7 +87,7 @@ def condition_rows(degree: int, point: ProjPoint, order: int):
     """
     m, span = min(order, degree + 1), range(degree + 1)
     tables = []
-    for x in _int_coords(point):
+    for x in point.ints:
         # row r holds perm(i, r) x^(i-r), the derivative of row r - 1
         table = [[x ** i for i in span]]
         for _ in range(1, m):
@@ -244,7 +230,7 @@ def _witness_labels(s: PointSet):
     n = len(s)
     if n > 16:
         raise PreconditionError("point sets capped at 16 points")
-    table, groups = _brackets([_int_coords(p) for p in s.points])
+    table, groups = _brackets([p.ints for p in s.points])
     m1 = max(map(len, groups), default=n)
     line = min((g for g in groups if len(g) == m1), default=tuple(range(n)))
     combos = (line, _conic_witness(table, groups),
@@ -286,7 +272,7 @@ def m_sequence(s: PointSet) -> MSequence:
 
 def four_point_lines(s: PointSet):
     """All maximal collinear label groups of size >= 3, largest first."""
-    groups = _brackets([_int_coords(p) for p in s.points])[1]
+    groups = _brackets([p.ints for p in s.points])[1]
     return sorted((tuple(k + 1 for k in g) for g in groups if len(g) >= 3),
                   key=lambda g: (-len(g), g))
 
@@ -508,13 +494,13 @@ def _try_realize(structure: IncidenceStructure, rng):
             eq = join(anchors[0], anchors[1])
         elif len(anchors) == 1:
             other = _random_point(rng)
-            if other.coords == anchors[0].coords:
+            if other == anchors[0]:
                 return None
             eq = join(anchors[0], other)
         else:
             p1 = _random_point(rng)
             p2 = _random_point(rng)
-            if p1.coords == p2.coords:
+            if p1 == p2:
                 return None
             eq = join(p1, p2)
         if eq.is_zero:
@@ -546,7 +532,7 @@ def _try_realize(structure: IncidenceStructure, rng):
         else:
             pos[label] = _random_point(rng)
     pts = [pos[label] for label in range(1, n + 1)]
-    if len({p.coords for p in pts}) != n:
+    if len(set(pts)) != n:
         return None
     ps = PointSet(tuple(pts))
     # certification: the collinear groups of size >= 3 are exactly the lines

@@ -400,8 +400,7 @@ def _line_product(s: PointSet, labels11, extra: ProjPoint | None):
     if extra is None:
         raise PreconditionError("m3=11 requires an extra point off the "
                                 "witness cubic")
-    if (evaluate(gamma, extra) == 0 or extra.coords == x12.coords
-            or any(extra.coords == x.coords for x in s.points)):
+    if evaluate(gamma, extra) == 0 or extra in s.points:
         raise PreconditionError("extra point must avoid the witness cubic "
                                 "and the point set")
     through = join(extra, x12)

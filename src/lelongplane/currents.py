@@ -78,7 +78,7 @@ def lelong_ball_mass(t: ArrangementCurrent, x: ProjPoint, r):
     """Normalized mass of the arrangement in the Euclidean ball B(x, r) of
     the chart Z = 1: sum of w * max(0, r^2 - d^2) / r^2 with d the distance
     from x to each affine line trace. Exact when r is rational."""
-    if x.coords[2] == 0:
+    if x.ints[2] == 0:
         raise PreconditionError("center must be affine in the chart Z=1")
     x0, y0 = x.affine(2)
     r2 = r * r
@@ -278,8 +278,7 @@ def _estimate_pole_weight(cert: PotentialCertificate, x: ProjPoint, jets,
     """`estimate_pole_weight` from the jets of cert.p, cert.q at x, on dirs."""
     if not cert.verified:
         raise PreconditionError("certificate must be verified")
-    claimed = next((w for pt, w in cert.points if pt.coords == x.coords),
-                   None)
+    claimed = next((w for pt, w in cert.points if pt == x), None)
     if claimed is None:
         raise PreconditionError("point is not listed in the certificate")
     radii = sorted((float(r) for r in radii), reverse=True)
@@ -395,7 +394,7 @@ def sharpness_example(seed: int) -> SharpnessReport:
                 ok = False
                 break
             pts.append(x)
-        if not ok or len({p.coords for p in pts}) != 15:
+        if not ok or len(set(pts)) != 15:
             continue  # a concurrence or parallel pair: resample
         t = ArrangementCurrent(tuple((l, Fraction(1, 6)) for l in lines))
         values = tuple(lelong_exact(t, p) for p in pts)

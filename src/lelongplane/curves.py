@@ -225,12 +225,12 @@ def _frame_sub(p: HomPoly, s: int) -> HomPoly:
 
 def _frame_point_back(x: ProjPoint, s: int) -> ProjPoint:
     """Map a zero of the transformed curves back to original coordinates."""
-    a, b, c = x.coords
+    a, b, c = x.ints
     return ProjPoint(a, b, s * a + s * s * b + c)
 
 
 def _frame_point_fwd(x: ProjPoint, s: int) -> ProjPoint:
-    a, b, c = x.coords
+    a, b, c = x.ints
     return ProjPoint(a, b, c - s * a - s * s * b)
 
 
@@ -241,7 +241,7 @@ def _choose_frame(p: HomPoly, q: HomPoly, x: ProjPoint | None = None) -> int:
     so the scan is short."""
     d = p.degree + q.degree
     for s in range(2 * d + 3):
-        ok = x is None or _frame_point_fwd(x, s).coords[2] != 0
+        ok = x is None or _frame_point_fwd(x, s).ints[2] != 0
         for f in (p, q):
             vals = [evaluate(f, ProjPoint(t, 1, s * t + s * s))
                     for t in range(f.degree + 1)]
@@ -458,7 +458,7 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
     # on that line share each projection: x must lie off it
     frame = _choose_frame(p, q, x)
     p, q = _frame_sub(p, frame), _frame_sub(q, frame)
-    x0, y0, z0 = _frame_point_fwd(x, frame).coords
+    x0, y0, z0 = _frame_point_fwd(x, frame).ints
     top = p.degree * q.degree
     best, hits = None, 0
     for checked, t in enumerate(_shears(p, q), 1):

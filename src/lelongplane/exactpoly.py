@@ -7,12 +7,13 @@ X > Y > Z. Evaluation, local expansion and division run without sympy.
 Only `gcd_homogeneous` (for two nonzero forms) uses sympy: its ring
 converters work in Q[X, Y, Z], which `sympy_rings` imports on first use.
 
-A form is stored as integer terms over one denominator (`HomPoly`); its
-arithmetic, division, evaluation and Taylor shift, and `curves`, run on
-them, and `Fraction`s are made only at the edges. The shift to a point
-is one sparse table per form (`_shift_tables`): `int_expansion` sums it
-whole (for the μ reduction, `lelong`'s verifier and estimators, and
-`local_expansion`, its Fraction view), `order_and_cone` level by level.
+A form is stored as integer terms over one denominator (`HomPoly`), a
+point as its primitive integer triple (`ProjPoint`); arithmetic, division,
+evaluation and the Taylor shift, and `curves`, run on them, and `Fraction`s
+are made only at the edges. The shift to a point is one sparse table per
+form (`_shift_tables`): `int_expansion` sums it whole (for the μ reduction,
+`lelong`'s verifier and estimators, and `local_expansion`, its Fraction
+view), `order_and_cone` level by level.
 """
 
 from __future__ import annotations
@@ -62,48 +63,54 @@ def monomial_count(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
+def _last_nonzero(v):
+    return v[2] or v[1] or v[0]
+
+
 class ProjPoint:
-    """A point of the projective plane with exact rational coordinates.
+    """A point of the projective plane, stored as its primitive integer
+    triple `ints` with the last nonzero entry positive, which equality and
+    hashing read. `coords` is the Fraction view, last nonzero entry 1."""
 
-    The stored representative is canonical: the last nonzero coordinate is 1,
-    so equality and hashing are component-wise.
-    """
-
-    __slots__ = ("coords",)
+    __slots__ = ("ints",)
 
     def __init__(self, a, b, c):
-        coords = (Fraction(a), Fraction(b), Fraction(c))
-        if all(x == 0 for x in coords):
+        ints = clear_denominators([v if isinstance(v, (int, Fraction))
+                                   else Fraction(v) for v in (a, b, c)])[1]
+        g = math.gcd(*ints) * (1 if _last_nonzero(ints) > 0 else -1)
+        if not g:
             raise PreconditionError("projective point cannot be (0,0,0)")
-        pivot = coords[2] if coords[2] != 0 else (coords[1] if coords[1] != 0 else coords[0])
-        object.__setattr__(self, "coords", tuple(x / pivot for x in coords))
+        object.__setattr__(self, "ints", tuple(x // g for x in ints))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("ProjPoint is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords == other.coords
+        return isinstance(other, ProjPoint) and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self.ints)
 
     def __repr__(self):
         return "ProjPoint(%s)" % ":".join(fraction_to_str(c) for c in self.coords)
 
+    @property
+    def coords(self) -> tuple[Fraction, Fraction, Fraction]:
+        """`ints` over its last nonzero entry; a new tuple on each read."""
+        pivot = _last_nonzero(self.ints)
+        return tuple(Fraction(x, pivot) for x in self.ints)
+
     def chart(self) -> int:
         """Index of the largest coordinate in absolute value (ties: latest)."""
-        best, best_abs = 0, abs(self.coords[0])
-        for i in (1, 2):
-            if abs(self.coords[i]) >= best_abs:
-                best, best_abs = i, abs(self.coords[i])
-        return best
+        a, b, c = map(abs, self.ints)
+        return 2 if c >= max(a, b) else int(b >= a)
 
     def affine(self, chart: int) -> tuple[Fraction, Fraction]:
         """Coordinates of the point in the affine chart where ``chart`` is 1."""
-        if self.coords[chart] == 0:
+        if self.ints[chart] == 0:
             raise PreconditionError("point at infinity of the requested chart")
-        others = [i for i in range(3) if i != chart]
-        return tuple(self.coords[i] / self.coords[chart] for i in others)
+        return tuple(Fraction(self.ints[i], self.ints[chart])
+                     for i in range(3) if i != chart)
 
 
 class HomPoly:
@@ -244,11 +251,13 @@ class HomPoly:
 
     def evaluate_coords(self, a, b, c) -> Fraction:
         """Value at arbitrary (not necessarily normalized) rational
-        coordinates, on integers: with the coordinates cleared over their
-        common denominator D, the integer sum of the terms at them over
-        den * D^d, as one Fraction."""
+        coordinates: `_value` at them cleared over their lcm denominator."""
+        return self._value(*clear_denominators((a, b, c)))
+
+    def _value(self, scale: int, coords) -> Fraction:
+        """Value at the integer coordinates over scale: the integer sum of
+        the terms at them over den * scale^d, as one Fraction."""
         d = self.degree
-        scale, coords = clear_denominators((a, b, c))
         ta, tb, tc = ([x ** e for e in range(d + 1)] for x in coords)
         total = 0
         for (i, j, k), coeff in self.ints.items():
@@ -309,24 +318,30 @@ def _multiply_out(sums) -> tuple[int, int, dict[tuple[int, int], int]]:
 
 def _shift_tables(p: HomPoly, x: ProjPoint):
     """(chart, nums, rows1, rows2, den) for the shift of p to x = (a, b),
-    a = an/ad and b = bn/bd in the chart x.chart(). Each term (e1, e2,
-    num) of the stored form (L, ints), dehomogenized, has its
-    coefficient as num/L; the coefficient of s^i t^j in the shift is the
-    sum of num * rows1[e1][i] * rows2[e2][j] over den = L * ad^E1 * bd^E2,
-    where E1 and E2 are the largest exponents of s and t. rows1 and rows2
-    hold rows only for the exponents of s and t that the terms have."""
+    a = an/ad and b = bn/bd in lowest terms (`_lowest` of x.ints) in the
+    chart x.chart(). Each term (e1, e2, num) of the stored form (L, ints),
+    dehomogenized, has its coefficient as num/L; the coefficient of s^i
+    t^j in the shift is the sum of num * rows1[e1][i] * rows2[e2][j] over
+    den = L * ad^E1 * bd^E2, where E1 and E2 are the largest exponents of s
+    and t. rows1 and rows2 hold rows only for the exponents of s and t that
+    the terms have."""
     chart = x.chart()
-    a, b = x.affine(chart)
     if p.is_zero:
         return chart, [], None, None, 1
     o1, o2 = [i for i in range(3) if i != chart]
+    (an, ad), (bn, bd) = (_lowest(x.ints[o], x.ints[chart]) for o in (o1, o2))
     nums = [(e[o1], e[o2], c) for e, c in p.ints.items()]
     exps1 = {e1 for e1, _, _ in nums}
     exps2 = {e2 for _, e2, _ in nums}
     top1, top2 = max(exps1), max(exps2)
-    return (chart, nums, _shift_rows(a.numerator, a.denominator, top1, exps1),
-            _shift_rows(b.numerator, b.denominator, top2, exps2),
-            p.den * a.denominator ** top1 * b.denominator ** top2)
+    return (chart, nums, _shift_rows(an, ad, top1, exps1),
+            _shift_rows(bn, bd, top2, exps2), p.den * ad ** top1 * bd ** top2)
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with a positive denominator, for d != 0."""
+    g = math.gcd(n, d) * (1 if d > 0 else -1)
+    return n // g, d // g
 
 
 def _shift_rows(n: int, d: int, top: int, exps: Iterable[int]
@@ -385,8 +400,9 @@ def from_ring(f) -> HomPoly:
 
 
 def evaluate(p: HomPoly, x: ProjPoint) -> Fraction:
-    """Value of p at the canonical representative of x."""
-    return p.evaluate_coords(*x.coords)
+    """Value of p at the canonical representative of x: at the integer
+    triple over its last nonzero entry."""
+    return p._value(_last_nonzero(x.ints), x.ints)
 
 
 def line_coeffs(line: HomPoly) -> tuple[Fraction, Fraction, Fraction]:
@@ -400,13 +416,16 @@ def _cross(u, v):
 
 
 def join(a: ProjPoint, b: ProjPoint) -> HomPoly:
-    """The line through two points; the zero form when they coincide."""
-    return HomPoly.line(*_cross(a.coords, b.coords))
+    """The line through two points, the cross product of their canonical
+    representatives; the zero form when they coincide."""
+    scale = _last_nonzero(a.ints) * _last_nonzero(b.ints)
+    return HomPoly._from_ints(1, scale, dict(zip(
+        monomials(1), _cross(a.ints, b.ints))))
 
 
 def meet(l1: HomPoly, l2: HomPoly) -> ProjPoint | None:
     """The common point of two lines, or None when they coincide."""
-    x = _cross(line_coeffs(l1), line_coeffs(l2))
+    x = _cross(*([l.ints.get(m, 0) for m in monomials(1)] for l in (l1, l2)))
     if all(c == 0 for c in x):
         return None
     return ProjPoint(*x)

@@ -45,13 +45,13 @@ _BUDGET = 200
 def _distinct(draw, count, avoid, what):
     """count distinct points from draw(), which gives a point or None,
     none of them in avoid, within _BUDGET draws per point."""
-    out, seen = [], {p.coords for p in avoid}
+    out, seen = [], set(avoid)
     for _ in range(_BUDGET * count):
         if len(out) == count:
             break
         p = draw()
-        if p is not None and p.coords not in seen:
-            seen.add(p.coords)
+        if p is not None and p not in seen:
+            seen.add(p)
             out.append(p)
     if len(out) < count:
         raise PreconditionError(f"{what} sampling budget exhausted")
@@ -79,7 +79,7 @@ def second_intersection(conic: HomPoly, p0: ProjPoint, d: ProjPoint):
     again at s = -grad q(p0).d / q(d); returns None for tangent or
     degenerate directions.
     """
-    qd = conic.evaluate_coords(*d.coords)
+    qd = evaluate(conic, d)
     if qd == 0:
         return None
     grads = partial_derivatives(conic)
@@ -183,7 +183,7 @@ def case2_instance(seed: int) -> Instance:
             continue
         free = _distinct_points(rng, 2)
         pts = on_line + on_conic + free
-        if len({p.coords for p in pts}) != 12:
+        if len(set(pts)) != 12:
             continue
         inst = _certified("case2", seed, pts, (4, 6, 10), lines=(line,))
         if inst is not None:
@@ -206,7 +206,7 @@ def case3_instance(seed: int) -> Instance:
                            "line point")
         x10, x11 = _distinct_points(rng, 2)
         pts = on_conic + [x8, x9, x10, x11, x12]
-        if len({p.coords for p in pts}) != 12:
+        if len(set(pts)) != 12:
             continue
         inst = _certified("case3", seed, pts, (3, 7, 10), lines=(line,))
         if inst is not None:
@@ -232,18 +232,18 @@ def case4_instance(seed: int) -> Instance:
             continue
         (x12,) = _distinct_points(rng, 1)
         if evaluate(line, x12) == 0 or \
-                conic.evaluate_coords(*x12.coords) == 0:
+                evaluate(conic, x12) == 0:
             continue
         pts = on_conic + on_line + [x12]
-        if len({p.coords for p in pts}) != 12:
+        if len(set(pts)) != 12:
             continue
         extra = None
         for _ in range(_BUDGET):
             cand = _random_point(rng)
-            if cand.coords in {p.coords for p in pts}:
+            if cand in pts:
                 continue
             if evaluate(line, cand) == 0 or \
-                    conic.evaluate_coords(*cand.coords) == 0:
+                    evaluate(conic, cand) == 0:
                 continue
             through = join(cand, x12)
             if any(evaluate(through, p) == 0 for p in pts[:-1]):

@@ -40,22 +40,18 @@ class LinearSystem(Record):
 
 
 def _merge_conditions(conditions):
-    merged: dict[tuple, VanishingCondition] = {}
-    order = []
+    """One condition per point, in order of first listing, of the largest
+    order given for it."""
+    merged: dict[ProjPoint, VanishingCondition] = {}
     for cond in conditions:
-        key = cond.point.coords
-        if key in merged:
-            prev = merged[key]
-            if prev.order != cond.order:
-                warnings.warn(
-                    "duplicate point with conflicting orders; using the max",
-                    stacklevel=3)
-            if cond.order > prev.order:
-                merged[key] = cond
-        else:
-            merged[key] = cond
-            order.append(key)
-    return [merged[k] for k in order]
+        prev = merged.get(cond.point)
+        if prev is not None and prev.order != cond.order:
+            warnings.warn(
+                "duplicate point with conflicting orders; using the max",
+                stacklevel=3)
+        if prev is None or cond.order > prev.order:
+            merged[cond.point] = cond
+    return list(merged.values())
 
 
 def build_system(degree: int, conditions) -> LinearSystem:

@@ -19,7 +19,10 @@ the sharpness example that runs one `int_rank` on each of its 105
 13-point subsets, and the linear systems in `Fraction`s: the evaluation
 rows at the canonical coordinates, a Gauss-Jordan RREF, the condition
 rows taken in the point's chart, the kernel built from Fraction vectors
-and the LLL that keeps its Gram-Schmidt data in `Fraction`s.
+and the LLL that keeps its Gram-Schmidt data in `Fraction`s. The
+`Fraction` store that `ProjPoint` replaced keeps its canonical
+coordinates, chart, affine coordinates and evaluation here, with the
+integer coordinates that `config` cleared from them.
 """
 
 import itertools
@@ -38,7 +41,7 @@ from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate, join,
                                    line_coeffs, meet, monomial_count,
                                    monomials)
-from lelongplane.linalg import int_rank
+from lelongplane.linalg import clear_denominators, int_rank
 
 X, Y, Z = sympy.symbols("X Y Z")
 S = sympy.Symbol("s")
@@ -484,3 +487,41 @@ def reference_nullspace(rows, ncols, rref=reference_rref):
     if not basis:
         return []
     return reference_lll_reduce(rref(basis)[2])
+
+
+def reference_point_coords(a, b, c):
+    """The canonical coordinates of the former `Fraction` store of
+    `ProjPoint`: the triple over its last nonzero coordinate."""
+    coords = (Fraction(a), Fraction(b), Fraction(c))
+    if all(x == 0 for x in coords):
+        raise PreconditionError("projective point cannot be (0,0,0)")
+    pivot = coords[2] if coords[2] != 0 else (
+        coords[1] if coords[1] != 0 else coords[0])
+    return tuple(x / pivot for x in coords)
+
+
+def reference_chart(coords):
+    """Index of the largest canonical coordinate in absolute value (ties:
+    latest)."""
+    best, best_abs = 0, abs(coords[0])
+    for i in (1, 2):
+        if abs(coords[i]) >= best_abs:
+            best, best_abs = i, abs(coords[i])
+    return best
+
+
+def reference_affine(coords, chart):
+    """The affine coordinates in the chart, by `Fraction` division."""
+    return tuple(coords[i] / coords[chart] for i in range(3) if i != chart)
+
+
+def reference_int_coords(coords):
+    """The canonical coordinates times the lcm of their denominators, as
+    the deleted `config._int_coords` read them."""
+    return tuple(clear_denominators(coords)[1])
+
+
+def reference_evaluate(p: HomPoly, coords):
+    """p at the canonical coordinates, term by term in `Fraction` powers."""
+    return sum((c * coords[0] ** i * coords[1] ** j * coords[2] ** k
+                for (i, j, k), c in p.terms.items()), Fraction(0))

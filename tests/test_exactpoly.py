@@ -5,6 +5,7 @@ Oracles: hand-computed values on tiny polynomials, algebraic identities
 an independent cross-check for division, gcd and coprimality.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,20 +13,23 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from lelongplane import curves, exactpoly
+from lelongplane import config, curves, exactpoly
 from lelongplane.construct import construct_certificate
 from lelongplane.curves import coprime
 from lelongplane.errors import ParseError, PreconditionError
+from lelongplane.config import PointSet
 from lelongplane.exactpoly import (HomPoly, ProjPoint, divides, evaluate,
                                    exact_divide, fraction_from_str,
                                    fraction_to_str, gcd_homogeneous,
-                                   int_expansion, monomial_count, monomials,
-                                   order_and_cone, partial_derivatives,
-                                   vanishing_order)
+                                   int_expansion, join, monomial_count,
+                                   monomials, order_and_cone,
+                                   partial_derivatives, vanishing_order)
 from lelongplane.instances import INSTANCE_KINDS, generate
 from lelongplane.linalg import nullspace
 
-from expr_reference import from_sympy, to_sympy
+from expr_reference import (from_sympy, reference_affine, reference_chart,
+                            reference_evaluate, reference_int_coords,
+                            reference_point_coords, to_sympy)
 
 
 def random_poly(rng, degree, span=9):
@@ -80,6 +84,104 @@ def test_projpoint_chart_is_largest_coordinate():
 def test_zero_point_rejected():
     with pytest.raises(PreconditionError):
         ProjPoint(Fraction(0), Fraction(0), Fraction(0))
+
+
+def reference_triples():
+    """Seeded triples that mix ints and Fractions: zero coordinates,
+    points on Z = 0, negative entries, 100-bit denominators, and scaled
+    duplicates of earlier triples, by positive and negative factors."""
+    rng = random.Random(35)
+    big = 2 ** 100
+
+    def entry():
+        return rng.choice([
+            0, rng.randint(-9, 9),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            Fraction(rng.randint(-big, big), rng.randint(big // 2, big)),
+            Fraction(rng.randint(-9, 9), big + rng.randint(0, 9))])
+
+    triples = [(1, 2, 3), (2, 4, 6), (-1, -2, -3), (Fraction(1, 2), 1,
+                                                    Fraction(3, 2)),
+               (1, 0, 0), (-3, 0, 0), (0, -5, 0), (2, -7, 0), (0, 0, -4),
+               (Fraction(-1, 3), Fraction(2, 3), 0)]
+    while len(triples) < 240:
+        t = tuple(entry() for _ in range(3))
+        if not any(t):
+            continue
+        triples.append(t)
+        if rng.random() < 0.3:
+            k = Fraction(rng.choice([-1, 1]) * rng.randint(1, big),
+                         rng.randint(1, 99))
+            triples.append(tuple(x * k for x in t))
+    return triples
+
+
+def test_the_integer_store_matches_the_fraction_store():
+    """The primitive triple against the former Fraction store (oracle in
+    `expr_reference`): the same canonical coordinates, chart, affine
+    coordinates, values and shift denominators, the integers `config`
+    cleared from them, and `==` and `hash` exactly as equality of the
+    canonical coordinates."""
+    triples = reference_triples()
+    points = [ProjPoint(*t) for t in triples]
+    refs = [reference_point_coords(*t) for t in triples]
+    forms = [HomPoly.from_coeff_vector(2, [3, 0, -6, 9, 12, 0]),
+             HomPoly(3, {(3, 0, 0): Fraction(1, 7), (0, 1, 2): -2,
+                         (1, 1, 1): Fraction(5, 3), (0, 0, 3): 4})]
+    for x, ref in zip(points, refs):
+        assert x.coords == ref
+        assert x.ints == reference_int_coords(ref)
+        assert x.chart() == reference_chart(ref)
+        for chart in (i for i in range(3) if ref[i]):
+            assert x.affine(chart) == reference_affine(ref, chart)
+        a, b = reference_affine(ref, x.chart())
+        for f in forms:
+            assert evaluate(f, x) == reference_evaluate(f, ref)
+            top1, top2 = (max(e[i] for e in f.ints)
+                          for i in range(3) if i != x.chart())
+            assert exactpoly._shift_tables(f, x)[4] == \
+                f.den * a.denominator ** top1 * b.denominator ** top2
+    same = 0
+    for (x, rx), (y, ry) in itertools.product(zip(points, refs), repeat=2):
+        assert (x == y) == (rx == ry)
+        if rx == ry:
+            same += 1
+            assert hash(x) == hash(y)
+    assert same > len(points) + 100  # the scaled duplicates are there
+    for (x, rx), (y, ry) in zip(zip(points, refs), zip(points[1:], refs[1:])):
+        assert join(x, y) == HomPoly.line(*exactpoly._cross(rx, ry))
+    for (x, rx), (y, ry) in itertools.combinations(zip(points, refs), 2):
+        if rx == ry:
+            with pytest.raises(PreconditionError, match="distinct"):
+                PointSet((ProjPoint(5, 5, 1), x, y))
+    with pytest.raises(PreconditionError, match="distinct"):
+        PointSet(tuple(ProjPoint(*t) for t in [(1, 2, 3), (2, 4, 6)]))
+
+
+def test_points_from_integers_make_no_fraction(monkeypatch):
+    """From int coordinates, a point, its equality, hash and chart, its
+    condition rows, the bracket table and the tangent cones of forms at it
+    build no Fraction in `exactpoly` or `config`."""
+    made = count_fractions(monkeypatch, exactpoly, config)
+    a, b, c, d = (ProjPoint(*t) for t in [(1, 2, 3), (2, 4, 6),
+                                          (-2, -4, -6), (4, 1, 9)])
+    assert a == b == c != d and len({a, b, c, d}) == 2
+    pts = [ProjPoint(*t) for t in [(1, 2, 3), (-4, 0, 0), (0, 5, -2),
+                                   (7, -3, 0), (1, 1, 1), (1, 3, 5)]]
+    charts = [x.chart() for x in pts]
+    rows = [config.condition_rows(3, x, m) for x in pts for m in (1, 2, 5)]
+    groups = config._brackets([x.ints for x in pts])[1]
+    cubic = HomPoly.from_coeff_vector(3, [0, 1, 0, -2, 0, 5, 0, 1, 0, -1])
+    forms = [cubic, cubic * HomPoly.line(1, -1, 0)]
+    cones = [order_and_cone(f, x) for f in forms for x in pts]
+    assert made == []
+    assert charts == [2, 0, 1, 0, 2, 2]
+    assert [x.ints for x in pts[1:4]] == [(1, 0, 0), (0, -5, 2), (-7, 3, 0)]
+    assert [len(r) for r in rows[:3]] == [1, 3, 10]
+    assert (0, 4, 5) in groups
+    assert [m == 0 for m, _ in cones] == [evaluate(f, x) != 0
+                                          for f in forms for x in pts]
+    assert cones[len(pts) + 4][0] >= 1  # (1:1:1) lies on X = Y
 
 
 def test_degree_mismatch_rejected():
@@ -723,10 +825,9 @@ def test_integer_operations_match_the_fraction_reference():
         assert_form_is(curves._hessian(p), 3, ref_hessian(p.terms))
 
 
-def test_the_integer_path_makes_no_fraction(monkeypatch):
-    """From an integer vector, forms, their sums, products, integer
-    multiples, partials, monic forms, exact quotients, shears and
-    Hessians are built with no Fraction."""
+def count_fractions(monkeypatch, *modules):
+    """The list of the arguments of every Fraction the modules build from
+    now on."""
     made = []
 
     class CountingFraction(Fraction):
@@ -734,7 +835,16 @@ def test_the_integer_path_makes_no_fraction(monkeypatch):
             made.append(args)
             return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(exactpoly, "Fraction", CountingFraction)
+    for module in modules:
+        monkeypatch.setattr(module, "Fraction", CountingFraction)
+    return made
+
+
+def test_the_integer_path_makes_no_fraction(monkeypatch):
+    """From an integer vector, forms, their sums, products, integer
+    multiples, partials, monic forms, exact quotients, shears and
+    Hessians are built with no Fraction."""
+    made = count_fractions(monkeypatch, exactpoly)
     p = HomPoly.from_coeff_vector(2, [3, 0, -6, 9, 12, 0])
     q = HomPoly.from_coeff_vector(2, [0, 1, 0, -2, 0, 5])
     forms = [p, q, p + q, p - q, p * q, 4 * p, -q]

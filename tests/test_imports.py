@@ -20,6 +20,9 @@ must be listed in `FUNCTION_BODY_IMPORTS` with its reason, and none is.
 No two modules define the same top-level function or class name, so
 each kernel has one home. `curves` names no sympy and none of
 `exactpoly`'s sympy bridge, and `linsys` imports nothing from `curves`.
+A point's identity is its own (`ProjPoint.__eq__` and `__hash__`): no
+module but `exactpoly` compares, collects or keys points by their
+`Fraction` view `coords`.
 
 The benchmark's tracer (`perfbench/tracing.py`) looks each of its layers
 up by name; every name it lists must still resolve.
@@ -337,6 +340,72 @@ def test_cli_start_up_loads_no_dataclasses_or_inspect(tmp_path):
                          cwd=tmp_path, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def coords_identity_reads(source: str) -> list[int]:
+    """Lines that read `.coords` as a point's identity: as an operand of
+    a comparison (an `in` test included), the element of a set or set
+    comprehension, an argument of `.add(...)` or a dict key or index,
+    directly or through a name bound to `.coords` (flagged where bound)."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                isinstance(node.targets[0], ast.Name) and \
+                isinstance(node.value, ast.Attribute) and \
+                node.value.attr == "coords":
+            bound.setdefault(node.targets[0].id, []).append(node.lineno)
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            used += [node.left, *node.comparators]
+        elif isinstance(node, ast.SetComp):
+            used.append(node.elt)
+        elif isinstance(node, ast.Set):
+            used += node.elts
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "add":
+            used += node.args
+        elif isinstance(node, ast.Dict):
+            used += [k for k in node.keys if k is not None]
+        elif isinstance(node, ast.DictComp):
+            used.append(node.key)
+        elif isinstance(node, ast.Subscript):
+            used.append(node.slice)
+    lines = set()
+    for node in used:
+        if isinstance(node, ast.Attribute) and node.attr == "coords":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Name):
+            lines.update(bound.get(node.id, ()))
+    return sorted(lines)
+
+
+def test_the_check_sees_identity_reads_of_coords():
+    src = ("a = p.coords == q.coords\n"
+           "b = x.coords in seen\n"
+           "c = {p.coords for p in pts}\n"
+           "seen.add(p.coords)\n"
+           "d = {p.coords: p}\n"
+           "e = {p.coords: p for p in pts}\n"
+           "key = cond.point.coords\n"
+           "f = merged[key]\n"
+           "g = {x.coords, y.coords}\n"
+           "x0, y0, z0 = x.coords\n"
+           "h = x.coords[2] == 0\n"
+           "k = sorted(pts, key=lambda p: p.coords)\n"
+           "m = [str(c) for c in p.coords]\n")
+    assert coords_identity_reads(src) == [1, 2, 3, 4, 5, 6, 7, 9]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.stem != "exactpoly"],
+                         ids=lambda p: p.name)
+def test_no_point_identity_through_coords(path):
+    """`ProjPoint` compares and hashes its integer triple; outside
+    `exactpoly`, points are compared, collected and keyed as points."""
+    assert coords_identity_reads(path.read_text()) == []
 
 
 def _perfbench_tracing():
