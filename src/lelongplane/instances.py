@@ -231,8 +231,7 @@ def case4_instance(seed: int) -> Instance:
         if any(evaluate(line, p) == 0 for p in on_conic):
             continue
         (x12,) = _distinct_points(rng, 1)
-        if evaluate(line, x12) == 0 or \
-                evaluate(conic, x12) == 0:
+        if evaluate(line, x12) == 0 or evaluate(conic, x12) == 0:
             continue
         pts = on_conic + on_line + [x12]
         if len(set(pts)) != 12:
@@ -242,8 +241,7 @@ def case4_instance(seed: int) -> Instance:
             cand = _random_point(rng)
             if cand in pts:
                 continue
-            if evaluate(line, cand) == 0 or \
-                    evaluate(conic, cand) == 0:
+            if evaluate(line, cand) == 0 or evaluate(conic, cand) == 0:
                 continue
             through = join(cand, x12)
             if any(evaluate(through, p) == 0 for p in pts[:-1]):
