@@ -2,7 +2,8 @@
 
 A cubic is irreducible over C iff its Hessian is not zero and shares no
 component with it; `coprime` decides that: a modular resultant on a
-line, else `_shares_component`. Nothing in this module uses sympy.
+line, else the exact `exactpoly.gcd_homogeneous`, which reads the same
+sheared fibers (`_shear`, `_fiber`) as the resultants here.
 
 Local intersection numbers are decided in two stages. The first reads the
 tangent cones, the lowest-degree parts of the local expansions, from
@@ -32,7 +33,8 @@ from fractions import Fraction
 
 from .config import curves_through
 from .errors import PreconditionError
-from .exactpoly import (HomPoly, ProjPoint, evaluate, int_expansion,
+from .exactpoly import (HomPoly, ProjPoint, _fiber, _shear, _shears,
+                        _y_coeffs, evaluate, gcd_homogeneous, int_expansion,
                         monomials, order_and_cone, partial_derivatives)
 from .linalg import int_det, int_rank
 from .record import Record
@@ -254,19 +256,6 @@ def _choose_frame(p: HomPoly, q: HomPoly, x: ProjPoint | None = None) -> int:
     raise PreconditionError("could not find a valid frame")
 
 
-def _shear(p: HomPoly, t: int) -> HomPoly:
-    """Substitute X -> X + t*Y."""
-    if t == 0:
-        return p
-    ints: dict[tuple[int, int, int], int] = {}
-    for (i, j, k), c in p.ints.items():
-        for l in range(i + 1):
-            key = (i - l, j + l, k)
-            val = c * math.comb(i, l) * t ** l
-            ints[key] = ints.get(key, 0) + val
-    return HomPoly._from_ints(p.degree, p.den, ints)
-
-
 def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
     """Res_Y(p, q)(x, 1) as a primitive integer polynomial in x; [] when p
     and q share a component. Res_Y(p, q) is a binary form of degree mn in
@@ -309,15 +298,6 @@ def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
     return int_poly(acc)
 
 
-def _y_coeffs(terms, degree: int, x, z=1) -> list:
-    """Coefficients of a form, given by its terms, at (x, Y, z), from
-    Y^degree down."""
-    out = [0] * (degree + 1)
-    for (i, j, k), c in terms.items():
-        out[degree - j] += c * x ** i * z ** k
-    return out
-
-
 def _root_multiplicity(res: list[int], top: int, u, v) -> int:
     """Multiplicity of the linear factor v*X - u*Z in the binary form of
     degree top whose value at (x, 1) is the nonzero polynomial res in
@@ -333,16 +313,6 @@ def _root_multiplicity(res: list[int], top: int, u, v) -> int:
     return mult
 
 
-def _shears(p: HomPoly, q: HomPoly):
-    """The shear parameters t = 0, 1, ... whose projection center [t:1:0]
-    lies on neither curve. After _choose_frame neither curve contains the
-    line Z = 0, so at most deg p + deg q values of t are skipped."""
-    for t in itertools.count():
-        center = ProjPoint(t, 1, 0)
-        if evaluate(p, center) != 0 and evaluate(q, center) != 0:
-            yield t
-
-
 def _sheared_pair(p: HomPoly, q: HomPoly):
     """(frame, t, p_t, q_t): the forms after the frame change of
     _choose_frame and the first shear t of _shears, so that [0:1:0] lies
@@ -351,24 +321,6 @@ def _sheared_pair(p: HomPoly, q: HomPoly):
     pf, qf = _frame_sub(p, frame), _frame_sub(q, frame)
     t = next(_shears(pf, qf))
     return frame, t, _shear(pf, t), _shear(qf, t)
-
-
-def _shares_component(p: HomPoly, q: HomPoly) -> bool:
-    """True iff two nonzero forms share a component.
-
-    After _sheared_pair the point [0:1:0] lies on neither curve, so every
-    component has positive degree in Y, and both Y-degrees m and n
-    survive each specialization X = x, Z = 1. The pair shares a component
-    iff its resultant in Y, a form of degree mn in X and Z, is zero: iff
-    it vanishes at mn + 1 integers x. It vanishes at x iff the fibers
-    p(x, Y, 1) and q(x, Y, 1) have a common root, that is, a nonconstant
-    gcd over Z; a constant one ends the test. The gcd decides each sample
-    several times faster than a Sylvester determinant on large
-    coefficients.
-    """
-    _, _, pt, qt = _sheared_pair(p, q)
-    return all(len(int_gcd(_fiber(pt, x, 1), _fiber(qt, x, 1))) > 1
-               for x in range(pt.degree * qt.degree + 1))
 
 
 # (u, v, prime): the line t -> u + t*v and a prime below 2^31
@@ -380,8 +332,7 @@ _COPRIME_PROOFS = (
 
 
 def coprime(p: HomPoly, q: HomPoly) -> bool:
-    """True iff p and q share no component; equals
-    exactpoly.gcd_homogeneous(p, q).degree == 0, and loads no sympy.
+    """True iff p and q share no component: gcd_homogeneous has degree 0.
 
     The proof is a resultant modulo a prime (Cox, Little, O'Shea, Ideals,
     Varieties, and Algorithms, ch. 3, sec. 6). Scaled to integer forms, p
@@ -390,21 +341,19 @@ def coprime(p: HomPoly, q: HomPoly) -> bool:
     both degrees survive, and a constant gcd from Euclid over F_p means
     the resultant is nonzero mod p, so nonzero over Z. The restrictions
     then share no root in P^1. A shared component would meet the line in
-    a common root, or contain it, making p(v) = 0; so none exists. Only
-    when no entry of the fixed list _COPRIME_PROOFS gives a proof does
-    the exact test _shares_component decide, and every pair that shares
-    a component is answered by it. The zero form contains every curve.
+    a common root, or contain it, making p(v) = 0; so none exists. Where
+    no entry of the fixed list _COPRIME_PROOFS gives a proof, as for every
+    shared pair, the exact gcd decides. The zero form contains every curve,
+    so the gcd is the other form.
     """
-    if p.is_zero and q.is_zero:
-        raise PreconditionError("gcd of two zero polynomials")
-    if p.is_zero or q.is_zero:  # the gcd is the other form
-        return (q if p.is_zero else p).degree == 0
+    if p.is_zero or q.is_zero:
+        return gcd_homogeneous(p, q).degree == 0
     for u, v, prime in _COPRIME_PROOFS:
         a = _restrict_mod(p, u, v, prime)
         b = _restrict_mod(q, u, v, prime)
         if a[-1] and b[-1] and gcd_degree_mod(a, b, prime) == 0:
             return True
-    return not _shares_component(p, q)
+    return gcd_homogeneous(p, q).degree == 0
 
 
 def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
@@ -472,12 +421,6 @@ def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
             hits += 1
         if (not strict and hits >= 2) or checked >= top:
             return best
-
-
-def _fiber(p: HomPoly, x: Fraction, z: Fraction) -> list[int]:
-    """p(x, s, z) as a primitive integer polynomial in s, read from the
-    integer terms of p: the primitive part drops its denominator."""
-    return int_poly(reversed(_y_coeffs(p.ints, p.degree, x, z)))
 
 
 def bezout_table(p: HomPoly, q: HomPoly):

@@ -3,9 +3,7 @@
 All values are immutable after construction and all operations are pure.
 The ground field is the rationals (stdlib ``Fraction``); the fixed monomial
 order used everywhere for canonical forms is graded lexicographic with
-X > Y > Z. Evaluation, local expansion and division run without sympy.
-Only `gcd_homogeneous` (for two nonzero forms) uses sympy: its ring
-converters work in Q[X, Y, Z], which `sympy_rings` imports on first use.
+X > Y > Z. Every operation, the gcd of forms included, uses only the stdlib.
 
 A form is stored as integer terms over one denominator (`HomPoly`), a
 point as its primitive integer triple (`ProjPoint`); arithmetic, division,
@@ -22,11 +20,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 from .errors import ParseError, PreconditionError
-from .linalg import clear_denominators
+from .linalg import clear_denominators, int_rref
+from .upoly import int_gcd, int_poly
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -91,6 +89,9 @@ class ProjPoint:
     def __hash__(self):
         return hash(self.ints)
 
+    def __reduce__(self):
+        return ProjPoint, self.ints
+
     def __repr__(self):
         return "ProjPoint(%s)" % ":".join(fraction_to_str(c) for c in self.coords)
 
@@ -153,6 +154,9 @@ class HomPoly:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("HomPoly is immutable")
+
+    def __reduce__(self):
+        return HomPoly._from_ints, (self.degree, self.den, self.ints)
 
     @classmethod
     def zero(cls, degree: int) -> "HomPoly":
@@ -373,32 +377,6 @@ def order_and_cone(p: HomPoly, x: ProjPoint):
             return m, cone
 
 
-@lru_cache(maxsize=None)
-def sympy_rings() -> SimpleNamespace:
-    """sympy's field QQ and its lex ring Q[X, Y, Z], for `gcd_homogeneous`.
-
-    Imported on first use: loading sympy takes longer than a whole
-    pipeline run, and no CLI command needs it.
-    """
-    from sympy.polys.domains import QQ
-    from sympy.polys.orderings import lex
-    from sympy.polys.rings import ring
-    return SimpleNamespace(QQ=QQ, xyz=ring("X,Y,Z", QQ, lex)[0])
-
-
-def to_ring(p: HomPoly):
-    """p as an element of sympy's polynomial ring Q[X, Y, Z] (lex)."""
-    rings = sympy_rings()
-    return rings.xyz({e: rings.QQ(c, p.den) for e, c in p.ints.items()})
-
-
-def from_ring(f) -> HomPoly:
-    """A nonzero homogeneous element of Q[X, Y, Z] as a HomPoly."""
-    return HomPoly(sum(f.LM), {e: Fraction(int(c.numerator),
-                                           int(c.denominator))
-                               for e, c in f.terms()})
-
-
 def evaluate(p: HomPoly, x: ProjPoint) -> Fraction:
     """Value of p at the canonical representative of x: at the integer
     triple over its last nonzero entry."""
@@ -495,14 +473,91 @@ def divides(q: HomPoly, p: HomPoly) -> bool:
 
 
 def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
-    """A gcd, normalized to leading coefficient 1 in grlex order.
-
-    Constant 1 iff p and q share no common component.
-    """
+    """A gcd, normalized to leading coefficient 1 in grlex order; constant
+    1 iff p and q share no component. Fiber gcds interpolated in x (Brown,
+    JACM 18, 1971), proved by trial division (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 6). With each power of Z divided out (the
+    lesser returns at the end), the shear t puts [0:1:0] on neither curve,
+    so the gcd's fiber at X = x, Z = 1 divides the fiber gcd there, with
+    the same degree for all but finitely many x. A constant fiber gcd
+    gives 1; a candidate interpolated from deg + 1 fibers of the least
+    degree seen that divides both sheared forms is the gcd, since no
+    common divisor has a higher degree; else the oldest fiber goes."""
     if p.is_zero and q.is_zero:
         raise PreconditionError("gcd of two zero polynomials")
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
-    return from_ring(to_ring(p).gcd(to_ring(q))).monic()
+    if p.is_zero or q.is_zero:
+        return (q if p.is_zero else p).monic()
+    zp, zq = (min(e[2] for e in f.ints) for f in (p, q))
+    p, q = _times_z(p, -zp), _times_z(q, -zq)
+    t = next(_shears(p, q))
+    pt, qt = _shear(p, t), _shear(q, t)
+    fibers, least = {}, math.inf  # x: fiber gcd, each of length least
+    for x in count():
+        g = int_gcd(_fiber(pt, x, 1), _fiber(qt, x, 1))
+        if len(g) == 1:
+            return HomPoly.monomial((0, 0, min(zp, zq)))
+        if len(g) < least:
+            fibers, least = {}, len(g)
+        if len(g) == least:
+            fibers[x] = g
+        if len(fibers) == least:
+            gcd = _interpolated_form(fibers)
+            if gcd is not None and divides(gcd, pt) and divides(gcd, qt):
+                return _times_z(_shear(gcd, -t), min(zp, zq)).monic()
+            del fibers[min(fibers)]
+
+
+def _times_z(p: HomPoly, k: int) -> HomPoly:
+    """p * Z^k; for k < 0, p / Z^-k, which must be exact."""
+    return HomPoly._from_ints(p.degree + k, p.den, {
+        (i, j, z + k): c for (i, j, z), c in p.ints.items()})
+
+
+def _interpolated_form(fibers) -> HomPoly | None:
+    """The form of degree d = len(fibers) - 1 with fiber g up to a scalar
+    at X = x, Z = 1 for each {x: g} (g in Z[Y] by the power), interpolated
+    by `int_rref` on Vandermonde rows; None if a term exceeds degree d."""
+    d = len(fibers) - 1
+    rows = int_rref([[g[-1] * x ** i for i in range(d + 1)] + g
+                     for x, g in fibers.items()])
+    terms = {(i, j, d - i - j): Fraction(c, row[i]) for i, row in rows
+             for j, c in enumerate(row[d + 1:]) if c}
+    return HomPoly(d, terms) if min(e[2] for e in terms) >= 0 else None
+
+
+def _shear(p: HomPoly, t: int) -> HomPoly:
+    """Substitute X -> X + t*Y."""
+    if t == 0:
+        return p
+    ints: dict[tuple[int, int, int], int] = {}
+    for (i, j, k), c in p.ints.items():
+        for l in range(i + 1):
+            key = (i - l, j + l, k)
+            val = c * math.comb(i, l) * t ** l
+            ints[key] = ints.get(key, 0) + val
+    return HomPoly._from_ints(p.degree, p.den, ints)
+
+
+def _shears(p: HomPoly, q: HomPoly):
+    """The shear parameters t = 0, 1, ... whose projection center [t:1:0]
+    lies on neither curve. When neither contains the line Z = 0, at most
+    deg p + deg q values of t are skipped."""
+    for t in count():
+        center = ProjPoint(t, 1, 0)
+        if evaluate(p, center) != 0 and evaluate(q, center) != 0:
+            yield t
+
+
+def _y_coeffs(terms, degree: int, x, z=1) -> list:
+    """Coefficients of a form, given by its terms, at (x, Y, z), from
+    Y^degree down."""
+    out = [0] * (degree + 1)
+    for (i, j, k), c in terms.items():
+        out[degree - j] += c * x ** i * z ** k
+    return out
+
+
+def _fiber(p: HomPoly, x: Fraction, z: Fraction) -> list[int]:
+    """p(x, s, z) as a primitive integer polynomial in s, read from the
+    integer terms of p: the primitive part drops its denominator."""
+    return int_poly(reversed(_y_coeffs(p.ints, p.degree, x, z)))

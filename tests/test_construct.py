@@ -208,8 +208,8 @@ def test_verifier_runs_without_sympy_gcd_or_div(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("sympy gcd or division on the verifier path")
 
-    assert not hasattr(curves, "gcd_homogeneous")
-    monkeypatch.setattr(exactpoly, "gcd_homogeneous", forbidden)
+    for module in (curves, exactpoly):
+        monkeypatch.setattr(module, "gcd_homogeneous", forbidden)
     monkeypatch.setattr(sympy, "gcd", forbidden)
     monkeypatch.setattr(sympy, "div", forbidden)
     for cert in certs:

@@ -28,7 +28,7 @@ from lelongplane.curves import (bezout_table, conic_rank, coprime,
                                 resultant_multiplicity)
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import (HomPoly, ProjPoint, evaluate,
-                                   gcd_homogeneous, join, monomials,
+                                   gcd_homogeneous, monomials,
                                    vanishing_order)
 from lelongplane.instances import generate
 
@@ -199,20 +199,6 @@ def test_rational_roots_match_factor_list():
         Fraction(0), Fraction(5)]
 
 
-def test_shares_component_reads_every_sample():
-    """Two line pairs through four points, one on each of the first four
-    lines X = xZ where the exact test samples the fibers: only the fifth
-    sample shows that the pair shares no component."""
-    pts = [ProjPoint(0, 1, 1), ProjPoint(1, 3, 1), ProjPoint(2, -1, 1),
-           ProjPoint(3, 2, 1)]
-    p = join(pts[0], pts[1]) * join(pts[2], pts[3])
-    q = join(pts[0], pts[2]) * join(pts[1], pts[3])
-    assert curves._sheared_pair(p, q)[:2] == (0, 0)  # no frame, no shear
-    assert not curves._shares_component(p, q)
-    line = HomPoly.line(1, 1, 1)
-    assert curves._shares_component(p * line, q * line)
-
-
 def _bench_tangent_pairs(seed):
     """The benchmark's tangent pairs, from perfbench/workloads.py."""
     path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
@@ -275,8 +261,10 @@ def test_transversal_points_skip_gcd_and_factoring(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the tangent cones decide this point")
 
-    assert not hasattr(curves, "gcd_homogeneous")
-    monkeypatch.setattr(curves, "_reduction_mu", forbidden)
+    for module, name in ((curves, "_reduction_mu"),
+                         (curves, "gcd_homogeneous"),
+                         (exactpoly, "gcd_homogeneous")):
+        monkeypatch.setattr(module, name, forbidden)
     x_axis = HomPoly.line(0, 1, 0)
     y_axis = HomPoly.line(1, 0, 0)
     parabola = mono((0, 1, 1)) - mono((2, 0, 0))
@@ -393,7 +381,7 @@ def test_reduction_runs_on_whole_forms(monkeypatch):
     real_factor_list = PolyElement.factor_list
     monkeypatch.setattr(PolyElement, "factor_list",
                         lambda f: factored.append(f) or real_factor_list(f))
-    for module, name in ((curves, "coprime"),
+    for module, name in ((curves, "coprime"), (curves, "gcd_homogeneous"),
                          (exactpoly, "gcd_homogeneous")):
         monkeypatch.setattr(module, name, forbidden)
     for p1, q1, y, expected in split + at_bound + tangent:
@@ -828,12 +816,13 @@ def test_bezout_table_matches_expr_reference(monkeypatch):
 
 
 def test_library_builds_no_sympy_expressions():
-    """In a fresh interpreter, the curve layer runs without loading the
-    modules that sympy imports lazily on the first `Expr` arithmetic."""
+    """In a fresh interpreter, the curve layer, the gcd and `coprime` on a
+    shared pair run without loading any sympy module."""
     code = """
 import sys
 from fractions import Fraction
-from lelongplane.curves import (bezout_table, intersection_multiplicity,
+from lelongplane.curves import (bezout_table, coprime,
+                                intersection_multiplicity,
                                 resultant_multiplicity)
 from lelongplane.exactpoly import HomPoly, ProjPoint, gcd_homogeneous
 mono = HomPoly.monomial
@@ -847,8 +836,8 @@ records, residual = bezout_table(p, q)
 assert [(r.point, r.multiplicity) for r in records] == [(x, 4)]
 line = HomPoly.line(1, 1, 1)
 assert gcd_homogeneous(p * line, q * line) == line.monic()
-print(sorted(m for m in sys.modules
-             if m == "sympy.tensor.tensor" or m.startswith("sympy.combinatorics")))
+assert not coprime(p * line, q * line) and coprime(p, q)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
 """
     src = str(Path(curves.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)

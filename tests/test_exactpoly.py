@@ -28,8 +28,9 @@ from lelongplane.instances import INSTANCE_KINDS, generate
 from lelongplane.linalg import nullspace
 
 from expr_reference import (from_sympy, reference_affine, reference_chart,
-                            reference_evaluate, reference_int_coords,
-                            reference_point_coords, to_sympy)
+                            reference_evaluate, reference_gcd_homogeneous,
+                            reference_int_coords, reference_point_coords,
+                            to_sympy)
 
 
 def random_poly(rng, degree, span=9):
@@ -453,6 +454,137 @@ def test_gcd_of_engineered_product():
     assert gcd_homogeneous(l1, l3).degree == 0
 
 
+def assert_gcd_is_reference(p, q):
+    """gcd_homogeneous equals the sympy reference in both orders, and
+    coprime agrees with it."""
+    want = reference_gcd_homogeneous(p, q)
+    assert gcd_homogeneous(p, q) == gcd_homogeneous(q, p) == want, (p, q)
+    assert coprime(p, q) == coprime(q, p) == (want.degree == 0), (p, q)
+
+
+def test_gcd_matches_reference_with_z_factors_of_unequal_powers():
+    z = [HomPoly.monomial((0, 0, k)) for k in range(6)]
+    l1, l2 = HomPoly.line(1, 2, 3), HomPoly.line(2, -1, 1)
+    conic = (HomPoly.monomial((0, 1, 1)) - HomPoly.monomial((2, 0, 0))
+             + HomPoly.monomial((0, 0, 2), Fraction(-7, 3)))
+    pairs = [(z[1], z[2]), (z[3] * l1, z[1] * l2),
+             (z[1] * l1 * conic, z[4] * conic), (z[2] * conic, l1 * conic),
+             (z[5], l1 * l2), (z[2] * l1 * l1, z[3] * l1)]
+    for p, q in pairs:
+        assert_gcd_is_reference(p, q)
+    assert gcd_homogeneous(z[3] * l1, z[1] * l2) == z[1]
+    assert gcd_homogeneous(z[1] * l1 * conic, z[4] * conic) == \
+        (z[1] * conic).monic()
+
+
+def test_gcd_matches_reference_on_forms_through_the_shear_center():
+    """Forms through (0:1:0), the center of the unsheared projection, so
+    that the gcd shears first; some share a component through it."""
+    center = ProjPoint(0, 1, 0)
+    x_line, vertical = HomPoly.line(1, 0, 0), HomPoly.line(1, 0, -2)
+    conic = HomPoly.monomial((1, 1, 0)) - HomPoly.monomial((0, 0, 2), 5)
+    l1, l2 = HomPoly.line(1, 2, 3), HomPoly.line(2, -1, 1)
+    pairs = [(x_line * l1, vertical * l2), (x_line * l1, x_line * l2),
+             (conic * l1, conic * vertical), (conic, x_line * vertical),
+             (x_line * vertical * l1, vertical * conic),
+             (conic * conic, conic)]
+    for p, q in pairs:
+        assert evaluate(p, center) == 0 and evaluate(q, center) == 0
+        assert_gcd_is_reference(p, q)
+    assert gcd_homogeneous(conic * l1, conic * vertical) == conic.monic()
+
+
+def test_gcd_matches_reference_on_degree_zero_forms():
+    one, five, half = (HomPoly(0, {(0, 0, 0): c})
+                       for c in (1, 5, Fraction(1, 2)))
+    for p, q in [(five, half), (five, HomPoly.line(1, 2, 3)),
+                 (HomPoly.monomial((0, 0, 2), 3), half),
+                 (HomPoly.monomial((1, 1, 1), -2), five)]:
+        assert_gcd_is_reference(p, q)
+        assert gcd_homogeneous(p, q) == one
+    assert gcd_homogeneous(five, HomPoly.zero(2)) == one
+    assert gcd_homogeneous(HomPoly.zero(0), HomPoly.line(2, 0, 4)) == \
+        HomPoly.line(1, 0, 2)
+
+
+def test_gcd_matches_reference_on_random_pairs():
+    """Seeded pairs of degree 0-6 with up to 100-bit rationals, some with
+    a shared factor, a power of Z or a factor through (0:1:0)."""
+    rng = random.Random(36)
+    for _ in range(60):
+        bits = rng.choice((1, 4, 12, 40, 100))
+        s = rng.randint(0, 3)
+        shared = random_big_poly(rng, s, 3)
+        p = random_big_poly(rng, rng.randint(0, 6 - s), bits) * shared
+        q = random_big_poly(rng, rng.randint(0, 6 - s), bits) * shared
+        if rng.random() < 0.3:
+            p = p * HomPoly.monomial((0, 0, rng.randint(1, 3)))
+        if rng.random() < 0.3:
+            q = q * HomPoly.monomial((0, 0, rng.randint(0, 2)))
+        if rng.random() < 0.2:
+            p = p * HomPoly.line(1, 0, rng.randint(-2, 2))
+        assert_gcd_is_reference(p, q)
+
+
+def spy_fibers(monkeypatch):
+    """The x of each `exactpoly._fiber` call, two per fiber the gcd reads."""
+    xs, real = [], exactpoly._fiber
+    monkeypatch.setattr(exactpoly, "_fiber",
+                        lambda f, x, z: xs.append(x) or real(f, x, z))
+    return xs
+
+
+def shared_line_pair(bits):
+    """L*A and L*B for a line L and quintics A, B whose coefficients are
+    random rationals with bits-bit numerators and denominators."""
+    rng = random.Random(5)
+
+    def form(degree):
+        return HomPoly(degree, {m: Fraction(
+            rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 1), 2 ** bits),
+            rng.randrange(2 ** (bits - 1), 2 ** bits))
+            for m in monomials(degree)})
+
+    line = form(1)
+    return line, line * form(5), line * form(5)
+
+
+def test_gcd_reads_two_fibers_on_the_shared_line_pair(monkeypatch):
+    """The 128-bit shared-line pair: the first two fibers share the line's
+    degree, and their interpolation divides both forms."""
+    line, p, q = shared_line_pair(128)
+    xs = spy_fibers(monkeypatch)
+    assert gcd_homogeneous(p, q) == line.monic()
+    assert xs[::2] == [0, 1]
+    monkeypatch.undo()
+    assert_gcd_is_reference(p, q)
+
+
+def test_gcd_reads_fibers_until_the_pair_is_decided(monkeypatch):
+    """Two line pairs through four points, one on each of the first four
+    fibers X = xZ: each fiber gcd has degree 1, and each pair of
+    neighbouring fibers interpolates the line through two of the points,
+    which divides at most one form, so only the fifth fiber, with a
+    constant gcd, decides the pair. With a shared
+    line the first four fibers have degree 2 and interpolate no conic that
+    divides both; the fifth and sixth give the line."""
+    pts = [ProjPoint(0, 1, 1), ProjPoint(1, 3, 1), ProjPoint(2, -1, 1),
+           ProjPoint(3, 2, 1)]
+    p = join(pts[0], pts[1]) * join(pts[2], pts[3])
+    q = join(pts[0], pts[2]) * join(pts[1], pts[3])
+    assert next(exactpoly._shears(p, q)) == 0  # no shear
+    line = HomPoly.line(1, 1, 1)
+    xs = spy_fibers(monkeypatch)
+    assert gcd_homogeneous(p, q).degree == 0
+    assert xs[::2] == [0, 1, 2, 3, 4]
+    xs.clear()
+    assert gcd_homogeneous(p * line, q * line) == line.monic()
+    assert xs[::2] == [0, 1, 2, 3, 4, 5]
+    monkeypatch.undo()
+    assert_gcd_is_reference(p, q)
+    assert_gcd_is_reference(p * line, q * line)
+
+
 def random_big_poly(rng, degree, bits):
     """A nonzero form with random support and rationals of up to `bits`
     bits in numerator and denominator."""
@@ -509,9 +641,8 @@ def test_coprime_matches_gcd_on_random_pairs():
         if rng.random() < 0.4 and max(dp, dq) < 6:
             shared = random_big_poly(rng, rng.randint(1, 6 - max(dp, dq)), 8)
             p, q = p * shared, q * shared
-        want = gcd_homogeneous(p, q).degree == 0
-        assert coprime(p, q) == want
-        seen.add(want)
+        assert_gcd_is_reference(p, q)
+        seen.add(coprime(p, q))
     assert seen == {True, False}
 
 
@@ -530,9 +661,8 @@ def test_coprime_rejects_shared_components():
         assert evaluate(through, ProjPoint(*v)) == 0
         pairs.append((through * l1, through * l2 * l3))
     for p, q in pairs:
-        assert gcd_homogeneous(p, q).degree >= 1
-        assert not coprime(p, q)
-        assert not coprime(q, p)
+        assert reference_gcd_homogeneous(p, q).degree >= 1
+        assert_gcd_is_reference(p, q)
 
 
 def test_coprime_falls_back_when_every_direction_vanishes(monkeypatch):
@@ -543,26 +673,23 @@ def test_coprime_falls_back_when_every_direction_vanishes(monkeypatch):
         assert evaluate(p, ProjPoint(*v)) == 0
         assert evaluate(q, ProjPoint(*v)) == 0
     calls = []
-    real = curves._shares_component
+    real = curves.gcd_homogeneous
 
     def spy(f, g):
         calls.append((f, g))
         return real(f, g)
 
-    def forbidden(*args):
-        raise AssertionError("the sheared resultant decides, not the gcd")
-
-    monkeypatch.setattr(curves, "_shares_component", spy)
-    monkeypatch.setattr(exactpoly, "gcd_homogeneous", forbidden)
+    monkeypatch.setattr(curves, "gcd_homogeneous", spy)
     assert coprime(p, q)
     assert calls == [(p, q)]
+    assert reference_gcd_homogeneous(p, q).degree == 0
 
 
 def test_coprime_fallback_matches_gcd():
     """Pairs whose forms both vanish at the three proof directions, so no
     modular proof applies: coprime pairs, pairs sharing a line and pairs
     sharing a conic, some sharing one through a direction. The exact
-    fallback must agree with the gcd."""
+    fallback must agree with the sympy reference gcd."""
     dirs = [v for _, v, _ in curves._COPRIME_PROOFS]
     rng = random.Random(12)
 
@@ -594,8 +721,8 @@ def test_coprime_fallback_matches_gcd():
                 line_through(dirs[0], dirs[2]))
     pairs.append((l12 * through_dirs(2), l12 * l13 * random_poly(rng, 1)))
     # coprime, with one more common zero on a line X = xZ, x = 0 or 1,
-    # where the exact test samples the fibers: that sample alone would
-    # read as a shared component
+    # where the gcd reads its first fibers: that fiber alone would read
+    # as a shared component
     for extra in ((0, 0, 1), (0, 3, 1), (1, 5, 1), (1, -2, 1)):
         pairs.append((l12 * line_through(dirs[2], extra),
                       line_through(dirs[1], dirs[2])
@@ -604,9 +731,8 @@ def test_coprime_fallback_matches_gcd():
         for v in dirs:
             assert evaluate(p, ProjPoint(*v)) == 0
             assert evaluate(q, ProjPoint(*v)) == 0
-        want = gcd_homogeneous(p, q).degree == 0
-        assert coprime(p, q) == coprime(q, p) == want
-        verdicts.append(want)
+        assert_gcd_is_reference(p, q)
+        verdicts.append(coprime(p, q))
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
@@ -614,7 +740,8 @@ def test_coprime_proof_needs_no_gcd(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the modular proof decides this pair")
 
-    monkeypatch.setattr(exactpoly, "gcd_homogeneous", forbidden)
+    for module in (curves, exactpoly):
+        monkeypatch.setattr(module, "gcd_homogeneous", forbidden)
     rng = random.Random(17)
     for d in range(7):
         assert coprime(random_big_poly(rng, d, 64),

@@ -1,25 +1,22 @@
 """Every name a module of the package imports is used or re-exported,
-and sympy is imported only from its polynomial modules, only inside
-functions, and by no CLI command.
+and no module imports or names sympy.
 
 Parses each `src/lelongplane/*.py` with `ast`: a name bound by `import` or
 `from ... import` anywhere in a module must be read somewhere in it, or be
-listed in its `__all__`. sympy may be imported only as
-`from sympy.polys.<module> import ...`: a bare `import sympy` (or
-`import sympy.<module>`, which binds `sympy`) would put the expression API
-in reach. Every sympy import sits in a function body, since loading sympy
-takes longer than a whole pipeline run; a fresh interpreter runs every
-command of the pipeline, and the curve library on a tangent pair, with
-`sympy` absent from `sys.modules`. Importing the CLI and building its
-parser, the start every CLI call pays, loads neither `dataclasses` nor
-`inspect`.
+listed in its `__all__`. No identifier of a module, whether an import, a
+name or an attribute, names sympy (the tests use it as a reference only).
+The two older import-shape checks (sympy only from `sympy.polys`, only
+inside functions) still run, and hold trivially. A fresh interpreter with
+sympy blocked runs every command of the pipeline, the curve library on a
+tangent pair, and `gcd_homogeneous` and `coprime` on a shared pair.
+Importing the CLI and building its parser, the start every CLI call pays,
+loads neither `dataclasses` nor `inspect`.
 
 Imports of the package's own modules sit at the top of each module. An
 import in a function body would hide a cycle between two modules: it
 must be listed in `FUNCTION_BODY_IMPORTS` with its reason, and none is.
 No two modules define the same top-level function or class name, so
-each kernel has one home. `curves` names no sympy and none of
-`exactpoly`'s sympy bridge, and `linsys` imports nothing from `curves`.
+each kernel has one home, and `linsys` imports nothing from `curves`.
 A point's identity is its own (`ProjPoint.__eq__` and `__hash__`): no
 module but `exactpoly` compares, collects or keys points by their
 `Fraction` view `coords`.
@@ -197,13 +194,22 @@ def test_the_checks_see_package_imports_and_identifiers():
             "x", "p"} <= identifiers(src)
 
 
-def test_curves_reads_no_sympy():
-    """`curves` imports no sympy and names none of `exactpoly`'s sympy
-    bridge, which only `gcd_homogeneous` uses."""
-    source = (Path(lelongplane.__file__).parent / "curves.py").read_text()
-    names = identifiers(source)
-    assert sorted(n for n in names if n.split(".")[0] == "sympy") == []
-    assert names & {"sympy_rings", "to_ring", "from_ring"} == set()
+def sympy_names(source: str) -> list[str]:
+    """The identifiers of a source that name sympy: imports of it or of
+    its modules, and names and attributes that contain it."""
+    return sorted(n for n in identifiers(source) if "sympy" in n)
+
+
+def test_the_check_sees_sympy_names():
+    src = ("import math\nimport sympy.polys\nfrom sympy import QQ\n"
+           "from .exactpoly import sympy_rings\nx = m.to_sympy(QQ)\n")
+    assert sympy_names(src) == ["sympy", "sympy.polys", "sympy_rings",
+                                "to_sympy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_or_names_sympy(path):
+    assert sympy_names(path.read_text()) == []
 
 
 def test_linsys_imports_nothing_from_curves():
@@ -263,9 +269,10 @@ _NO_SYMPY_RUN = """
 import contextlib, io, json, os, sys
 sys.modules["sympy"] = None  # any import of sympy now fails
 from lelongplane.cli import main
-from lelongplane.curves import (bezout_table, intersection_multiplicity,
+from lelongplane.curves import (bezout_table, coprime,
+                                intersection_multiplicity,
                                 resultant_multiplicity)
-from lelongplane.exactpoly import HomPoly, ProjPoint
+from lelongplane.exactpoly import HomPoly, ProjPoint, gcd_homogeneous
 from lelongplane.instances import INSTANCE_KINDS
 
 codes = {}
@@ -296,8 +303,11 @@ q = (mono((0, 1, 3)) - mono((2, 0, 2), 2) + mono((1, 1, 2))
 x = ProjPoint(0, 0, 1)
 records, residual = bezout_table(p, q)
 mus = [intersection_multiplicity(p, q, x), resultant_multiplicity(p, q, x)]
+line = HomPoly.line(1, 1, 1)
+shared = [repr(gcd_homogeneous(p * line, q * line)),
+          coprime(p * line, q * line), coprime(p, q)]
 print(json.dumps({
-    "codes": codes, "mus": mus,
+    "codes": codes, "mus": mus, "shared": shared,
     "records": [[str(r.point), r.multiplicity] for r in records],
     "residual": residual,
     "sympy": sorted(m for m, mod in sys.modules.items()
@@ -319,6 +329,7 @@ def test_pipeline_and_curve_library_load_no_sympy(tmp_path):
     assert doc["mus"] == [2, 2]
     assert doc["records"] == [["ProjPoint(0:0:1)", 2]]
     assert doc["residual"] == 10
+    assert doc["shared"] == ["HomPoly(1*X + 1*Y + 1*Z)", False, True]
     assert doc["sympy"] == []
 
 

@@ -8,11 +8,14 @@ the field tuple (so sets and dicts of records iterate as before), the repr
 is `QualName(field=value!r, ...)`, attributes cannot be set or deleted,
 and `replace` changes only the named fields. Construction checks its
 arguments, fills in the declared defaults and runs each class's
-`__post_init__` validation, also through `replace`.
+`__post_init__` validation, also through `replace`. A record copies,
+deep-copies and pickles to an equal record, points and forms included.
 """
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 from fractions import Fraction
 
@@ -20,11 +23,11 @@ import pytest
 
 import lelongplane
 from lelongplane.config import IncidenceStructure, PointSet
-from lelongplane.construct import ConstructionReport
+from lelongplane.construct import ConstructionReport, construct_certificate
 from lelongplane.currents import ArrangementCurrent
 from lelongplane.errors import PreconditionError
 from lelongplane.exactpoly import HomPoly, ProjPoint
-from lelongplane.instances import Instance
+from lelongplane.instances import Instance, generate
 from lelongplane.linsys import VanishingCondition
 from lelongplane.record import Record
 
@@ -99,9 +102,9 @@ def test_record_contract(cls):
             delattr(r, name)
     assert tuple(getattr(r, f) for f in fields) == values
 
-    copy = r.replace(**change)
-    assert type(copy) is cls
-    assert all(getattr(copy, f) == change.get(f, getattr(r, f))
+    changed = r.replace(**change)
+    assert type(changed) is cls
+    assert all(getattr(changed, f) == change.get(f, getattr(r, f))
                for f in fields)
     assert r.replace() == r and r.replace() is not r
     with pytest.raises(TypeError):
@@ -115,6 +118,23 @@ def test_record_contract(cls):
         cls(*values, **{fields[0]: values[0]})
     with pytest.raises(TypeError):
         cls(*values, values[0])
+
+    for twin in (copy.copy(r), copy.deepcopy(r),
+                 pickle.loads(pickle.dumps(r))):
+        assert type(twin) is cls and twin == r and hash(twin) == hash(r)
+
+
+def test_points_forms_and_pipeline_records_copy_and_pickle():
+    inst = generate("generic12", 0)
+    cert = construct_certificate(inst.point_set, extra=inst.extra).certificate
+    for value in (ProjPoint(1, 2, 3), ProjPoint(Fraction(1, 2), -3, 0),
+                  HomPoly.line(1, 2, 3), HomPoly.zero(2),
+                  HomPoly.monomial((1, 1, 0), Fraction(-5, 7)),
+                  inst, inst.point_set, cert):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+            assert hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
 def test_defaults():
