@@ -7,13 +7,15 @@ flags; reports are versioned JSON written with --out, with a short human
 summary on stdout.
 
 Exit codes: 0 success, 2 precondition failure, 3 verification failure,
-4 unsupported instance, 5 parse error.
+4 unsupported instance, 5 parse error or a file or stdout that cannot be
+written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import serialize
@@ -241,7 +243,9 @@ def main(argv=None) -> int:
         args = parse_table(argv)
         if args is None:
             args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -259,7 +263,11 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except OSError as exc:
         if exc.filename is None:
-            raise
+            # stdout, as every file a command opens is named; devnull
+            # takes it so nothing more fails at exit (Python docs, SIGPIPE)
+            print(f"cannot write stdout: {exc.strerror}", file=sys.stderr)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_PARSE
         print(f"parse error: cannot open {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_PARSE

@@ -106,14 +106,14 @@ def verify_certificate(cert: PotentialCertificate) -> VerificationReport:
     """Re-derive every certificate invariant from scratch (`_report`).
 
     Checks: the pair is coprime (discrete common zeros, decided by
-    curves.coprime: a modular resultant on a line, or the sheared
-    resultant when that proof fails), r >= 1, the listed
-    points are pairwise distinct, every one is a common zero whose
-    claimed weight equals min(ord P, ord Q)/r and whose intersection
-    multiplicity is at least ord P * ord Q, P and Q have one degree and
-    gamma equals it over r, and the multiplicities at the listed points
-    sum to at most deg P * deg Q (Bezout). The orders and cones come from
-    one order_and_cone per form and point, not the full expansion; a point
+    curves.coprime, the exact gcd of sheared fibers, each fiber first
+    modulo a prime), r >= 1, the listed points are pairwise distinct,
+    every one is a common zero whose claimed weight equals
+    min(ord P, ord Q)/r and whose intersection multiplicity is at least
+    ord P * ord Q, P and Q have one degree and gamma equals it over r,
+    and the multiplicities at the listed points sum to at most
+    deg P * deg Q (Bezout). The orders and cones come from one
+    order_and_cone per form and point, not the full expansion; a point
     where both forms vanish identically has no weight and is not ok.
     """
     discrete = (not cert.p.is_zero and not cert.q.is_zero

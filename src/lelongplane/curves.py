@@ -1,9 +1,9 @@
 """Geometric properties of plane curves over Q.
 
 A cubic is irreducible over C iff its Hessian is not zero and shares no
-component with it; `coprime` decides that: a modular resultant on a
-line, else the exact `exactpoly.gcd_homogeneous`, which reads the same
-sheared fibers (`_shear`, `_fiber`) as the resultants here.
+component with it; `coprime` decides that by `exactpoly.gcd_homogeneous`,
+which reads the same sheared fibers (`_shear`, `_fiber`) as the
+resultants here, each first modulo a prime.
 
 Local intersection numbers are decided in two stages. The first reads the
 tangent cones, the lowest-degree parts of the local expansions, from
@@ -27,7 +27,6 @@ iteration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -38,8 +37,7 @@ from .exactpoly import (HomPoly, ProjPoint, _fiber, _shear, _shears,
                         monomials, order_and_cone, partial_derivatives)
 from .linalg import int_det, int_rank
 from .record import Record
-from .upoly import (divide, gcd_degree_mod, int_gcd, int_poly,
-                    rational_roots, trim)
+from .upoly import divide, int_gcd, int_poly, rational_roots, trim
 
 
 class IntersectionRecord(Record):
@@ -323,68 +321,10 @@ def _sheared_pair(p: HomPoly, q: HomPoly):
     return frame, t, _shear(pf, t), _shear(qf, t)
 
 
-# (u, v, prime): the line t -> u + t*v and a prime below 2^31
-_COPRIME_PROOFS = (
-    ((1, -2, 3), (5, 7, -4), 2147483647),
-    ((-3, 4, 2), (2, -5, 9), 2147483629),
-    ((6, 1, -5), (-7, 3, 8), 2147483587),
-)
-
-
 def coprime(p: HomPoly, q: HomPoly) -> bool:
     """True iff p and q share no component: gcd_homogeneous has degree 0.
-
-    The proof is a resultant modulo a prime (Cox, Little, O'Shea, Ideals,
-    Varieties, and Algorithms, ch. 3, sec. 6). Scaled to integer forms, p
-    and q are restricted to a line t -> u + t*v and reduced modulo the
-    prime; when both leading coefficients p(v) and q(v) are nonzero there,
-    both degrees survive, and a constant gcd from Euclid over F_p means
-    the resultant is nonzero mod p, so nonzero over Z. The restrictions
-    then share no root in P^1. A shared component would meet the line in
-    a common root, or contain it, making p(v) = 0; so none exists. Where
-    no entry of the fixed list _COPRIME_PROOFS gives a proof, as for every
-    shared pair, the exact gcd decides. The zero form contains every curve,
-    so the gcd is the other form.
-    """
-    if p.is_zero or q.is_zero:
-        return gcd_homogeneous(p, q).degree == 0
-    for u, v, prime in _COPRIME_PROOFS:
-        a = _restrict_mod(p, u, v, prime)
-        b = _restrict_mod(q, u, v, prime)
-        if a[-1] and b[-1] and gcd_degree_mod(a, b, prime) == 0:
-            return True
+    The zero form contains every curve, so the gcd is the other form."""
     return gcd_homogeneous(p, q).degree == 0
-
-
-def _restrict_mod(p: HomPoly, u, v, prime: int) -> list[int]:
-    """Coefficients mod prime of L * p(u + t*v) in t, indexed by the power
-    of t, from the stored form (L, ints); the last entry is L * p(v). Each
-    coordinate a + b*t gets the row of (a + b*t)^e, entry s being
-    C(e, s) a^(e-s) b^s mod prime, only for the exponents e it has in p,
-    with C(e, s) from factorials mod prime (the prime exceeds e)."""
-    big = max(map(max, p.ints), default=0)
-    fact = list(itertools.accumulate(range(1, big + 1),
-                                     lambda f, k: f * k % prime, initial=1))
-    inv = [pow(f, -1, prime) for f in fact]
-    powers = []
-    for axis, (a, b) in enumerate(zip(u, v)):
-        exps = {m[axis] for m in p.ints}
-        top = max(exps, default=0)
-        apow = [pow(a, k, prime) for k in range(top + 1)]
-        bpow = [pow(b, k, prime) for k in range(top + 1)]
-        powers.append({e: [fact[e] * inv[s] * inv[e - s] * apow[e - s]
-                           * bpow[s] % prime for s in range(e + 1)]
-                       for e in exps})
-    out = [0] * (p.degree + 1)
-    for (i, j, k), c in p.ints.items():
-        scaled = c % prime
-        pi, pj, pk = powers[0][i], powers[1][j], powers[2][k]
-        for e1, x1 in enumerate(pi):
-            for e2, x2 in enumerate(pj):
-                x12 = scaled * x1 * x2
-                for e3, x3 in enumerate(pk):
-                    out[e1 + e2 + e3] += x12 * x3
-    return [x % prime for x in out]
 
 
 def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .errors import ParseError, PreconditionError
 from .linalg import clear_denominators, int_rref
-from .upoly import int_gcd, int_poly
+from .upoly import gcd_degree_mod, int_gcd, int_poly
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -186,10 +186,6 @@ class HomPoly:
     def terms(self) -> dict[tuple[int, int, int], Fraction]:
         """The Fraction view, keyed as `ints`; a new dict on each read."""
         return {e: Fraction(c, self.den) for e, c in self.ints.items()}
-
-    def integer_view(self) -> tuple[int, dict[tuple[int, int, int], int]]:
-        """(L, terms of L * p): the stored (den, ints)."""
-        return self.den, self.ints
 
     def coeff_vector(self) -> list[Fraction]:
         terms, zero = self.terms, Fraction(0)
@@ -472,6 +468,9 @@ def divides(q: HomPoly, p: HomPoly) -> bool:
     return exact_divide(p, q) is not None
 
 
+_FIBER_PRIME = 2147483647  # 2^31 - 1
+
+
 def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
     """A gcd, normalized to leading coefficient 1 in grlex order; constant
     1 iff p and q share no component. Fiber gcds interpolated in x (Brown,
@@ -482,7 +481,10 @@ def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
     the same degree for all but finitely many x. A constant fiber gcd
     gives 1; a candidate interpolated from deg + 1 fibers of the least
     degree seen that divides both sheared forms is the gcd, since no
-    common divisor has a higher degree; else the oldest fiber goes."""
+    common divisor has a higher degree; else the oldest fiber goes. First,
+    where both leading coefficients survive mod _FIBER_PRIME, a constant
+    gcd of the fibers over F_p proves a constant fiber gcd: by Gauss's
+    lemma a common factor over Q keeps its degree mod the prime."""
     if p.is_zero and q.is_zero:
         raise PreconditionError("gcd of two zero polynomials")
     if p.is_zero or q.is_zero:
@@ -493,7 +495,12 @@ def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
     pt, qt = _shear(p, t), _shear(q, t)
     fibers, least = {}, math.inf  # x: fiber gcd, each of length least
     for x in count():
-        g = int_gcd(_fiber(pt, x, 1), _fiber(qt, x, 1))
+        a, b = _fiber(pt, x, 1), _fiber(qt, x, 1)
+        amod, bmod = ([c % _FIBER_PRIME for c in f] for f in (a, b))
+        if amod[-1] and bmod[-1] and not gcd_degree_mod(amod, bmod,
+                                                        _FIBER_PRIME):
+            return HomPoly.monomial((0, 0, min(zp, zq)))
+        g = int_gcd(a, b)
         if len(g) == 1:
             return HomPoly.monomial((0, 0, min(zp, zq)))
         if len(g) < least:

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -336,6 +337,48 @@ def test_construct_builds_the_witness_conic_once(tmp_path, capsys,
     assert run("construct", "--input", str(inst)) == EXIT_OK
     assert degrees == [2]
     capsys.readouterr()
+
+
+# where stdout goes: a pipe whose reading end is closed, and a full device
+STDOUT_SINKS = ["closed pipe"] + ["/dev/full"] * os.path.exists("/dev/full")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("sink", STDOUT_SINKS)
+def test_a_stdout_that_cannot_be_written_ends_in_a_documented_code(
+        tmp_path, capsys, sink, buffered):
+    """Each command, run as a process with its stdout at the sink, block
+    buffered or not, exits with a documented code and prints no
+    traceback."""
+    inst = tmp_path / "inst.json"
+    assert run("generate", "--kind", "generic12", "--seed", "0",
+               "--out", str(inst)) == EXIT_OK
+    cert = seed0_certificate(tmp_path, "generic12")
+    capsys.readouterr()
+    argvs = [["generate", "--kind", "case4"], ["msequence", "--input", inst],
+             ["linsys", "--input", inst, "--degree", "3"],
+             ["construct", "--input", inst], ["certify", "--input", cert],
+             ["lelong", "--input", cert], ["sharpness"],
+             ["enumerate", "--n", "8"]]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in argvs:
+        if sink == "closed pipe":
+            read_end, out = os.pipe()
+            os.close(read_end)
+        else:
+            out = os.open(sink, os.O_WRONLY)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "lelongplane.cli", *map(str, argv)],
+                env=env, stdout=out, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(out)
+        assert done.returncode in DOCUMENTED_CODES, (argv, done.stderr)
+        assert "Traceback" not in done.stderr, argv
+        assert done.stderr.startswith("cannot write stdout: "), argv
 
 
 def test_unsupported_enum_bounds(capsys):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from lelongplane import construct, curves, exactpoly
+from lelongplane import construct, exactpoly
 from lelongplane.config import PointSet, curves_through, m_sequence
 from lelongplane.construct import (CERT_SHAPES, PotentialCertificate,
                                    construct_certificate,
@@ -206,10 +206,11 @@ def test_verifier_runs_without_sympy_gcd_or_div(monkeypatch):
         certs.append(report.certificate)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("sympy gcd or division on the verifier path")
+        raise AssertionError("sympy or an exact fiber gcd on the verifier "
+                             "path")
 
-    for module in (curves, exactpoly):
-        monkeypatch.setattr(module, "gcd_homogeneous", forbidden)
+    for name in ("int_gcd", "_interpolated_form"):
+        monkeypatch.setattr(exactpoly, name, forbidden)
     monkeypatch.setattr(sympy, "gcd", forbidden)
     monkeypatch.setattr(sympy, "div", forbidden)
     for cert in certs:

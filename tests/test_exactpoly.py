@@ -8,6 +8,7 @@ an independent cross-check for division, gcd and coprimality.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -596,21 +597,20 @@ def random_big_poly(rng, degree, bits):
 
 
 def test_integer_view_is_l_times_the_terms():
-    """(L, ints) with L the lcm of the denominators and ints the terms of
-    L * p in the order of p.terms, on random forms with big denominators
-    and on zero forms; it is the stored pair (den, ints)."""
+    """The stored integer view (den, ints): den is the lcm L of the
+    denominators and ints the terms of L * p in the order of p.terms, on
+    random forms with big denominators and on zero forms."""
     rng = random.Random(31)
     forms = [HomPoly.zero(0), HomPoly.zero(4)]
     forms += [random_big_poly(rng, rng.randint(0, 8), rng.choice((1, 40, 200)))
               for _ in range(60)]
     for f in forms:
-        big_l, ints = f.integer_view()
+        big_l, ints = f.den, f.ints
         assert big_l == math.lcm(*(c.denominator for c in f.terms.values()))
         assert list(ints) == list(f.terms)
         assert all(type(v) is int and v == big_l * f.terms[e]
                    for e, v in ints.items())
-        assert f.integer_view() == (f.den, f.ints)
-    assert HomPoly.zero(2).integer_view() == (1, {})
+    assert (HomPoly.zero(2).den, HomPoly.zero(2).ints) == (1, {})
 
 
 def test_integer_view_leaves_equality_and_hash_alone():
@@ -618,11 +618,9 @@ def test_integer_view_leaves_equality_and_hash_alone():
     for _ in range(20):
         f = random_big_poly(rng, rng.randint(0, 6), 60)
         g = HomPoly(f.degree, dict(reversed(list(f.terms.items()))))
-        f.integer_view()
+        assert (f.den, f.ints) == (g.den, g.ints)
         assert f == g and g == f and hash(f) == hash(g)
         assert len({f, g}) == 1
-        g.integer_view()
-        assert f == g and hash(f) == hash(g)
 
 
 def line_through(a, b):
@@ -646,6 +644,12 @@ def test_coprime_matches_gcd_on_random_pairs():
     assert seen == {True, False}
 
 
+# three lines t -> u + t*v, each as the pair (u, v) of points on it; the
+# tests build forms through these points
+THREE_LINES = (((1, -2, 3), (5, 7, -4)), ((-3, 4, 2), (2, -5, 9)),
+               ((6, 1, -5), (-7, 3, 8)))
+
+
 def test_coprime_rejects_shared_components():
     l1, l2, l3 = (HomPoly.line(1, 2, 3), HomPoly.line(2, -1, 1),
                   HomPoly.line(0, 1, -1))
@@ -655,7 +659,7 @@ def test_coprime_rejects_shared_components():
     shared_conic = (conic * l2, conic * l3 * l3)
     repeated = (l2 * l2 * l3, l2 * l1)
     pairs = [shared_line, shared_conic, repeated, (l1, l1), (conic, conic)]
-    for u, v, _ in curves._COPRIME_PROOFS:
+    for u, v in THREE_LINES:
         through = line_through(u, v)
         assert evaluate(through, ProjPoint(*u)) == 0
         assert evaluate(through, ProjPoint(*v)) == 0
@@ -665,32 +669,12 @@ def test_coprime_rejects_shared_components():
         assert_gcd_is_reference(p, q)
 
 
-def test_coprime_falls_back_when_every_direction_vanishes(monkeypatch):
-    v1, v2, v3 = (v for _, v, _ in curves._COPRIME_PROOFS)
-    p = line_through(v1, v2) * line_through(v3, (1, 1, 1))
-    q = line_through(v2, v3) * line_through(v1, (1, 0, 0))
-    for v in (v1, v2, v3):
-        assert evaluate(p, ProjPoint(*v)) == 0
-        assert evaluate(q, ProjPoint(*v)) == 0
-    calls = []
-    real = curves.gcd_homogeneous
-
-    def spy(f, g):
-        calls.append((f, g))
-        return real(f, g)
-
-    monkeypatch.setattr(curves, "gcd_homogeneous", spy)
-    assert coprime(p, q)
-    assert calls == [(p, q)]
-    assert reference_gcd_homogeneous(p, q).degree == 0
-
-
-def test_coprime_fallback_matches_gcd():
-    """Pairs whose forms both vanish at the three proof directions, so no
-    modular proof applies: coprime pairs, pairs sharing a line and pairs
-    sharing a conic, some sharing one through a direction. The exact
-    fallback must agree with the sympy reference gcd."""
-    dirs = [v for _, v, _ in curves._COPRIME_PROOFS]
+def test_coprime_on_pairs_through_three_directions():
+    """Pairs whose forms both vanish at the three directions v of
+    THREE_LINES: coprime pairs, pairs sharing a line and pairs sharing a
+    conic, some sharing one through a direction. The gcd and coprime must
+    agree with the sympy reference gcd."""
+    dirs = [v for _, v in THREE_LINES]
     rng = random.Random(12)
 
     def through_dirs(degree):
@@ -703,7 +687,9 @@ def test_coprime_fallback_matches_gcd():
         return sum((b * random_poly(rng, degree - 2, 4) for b in basis[1:]),
                    basis[0] * random_poly(rng, degree - 2, 4))
 
-    pairs, verdicts = [], []
+    v1, v2, v3 = dirs
+    pairs, verdicts = [(line_through(v1, v2) * line_through(v3, (1, 1, 1)),
+                        line_through(v2, v3) * line_through(v1, (1, 0, 0)))], []
     for _ in range(6):
         pairs.append((through_dirs(2), through_dirs(3)))
         pairs.append((through_dirs(3), through_dirs(3)))
@@ -717,36 +703,77 @@ def test_coprime_fallback_matches_gcd():
     pairs.append((through_dirs(2) * HomPoly.line(1, 0, 0), through_dirs(2)))
     shared = through_dirs(2)
     pairs.append((shared * HomPoly.line(1, 2, 3), shared * shared))
-    l12, l13 = (line_through(dirs[0], dirs[1]),
-                line_through(dirs[0], dirs[2]))
+    l12, l13 = line_through(v1, v2), line_through(v1, v3)
     pairs.append((l12 * through_dirs(2), l12 * l13 * random_poly(rng, 1)))
     # coprime, with one more common zero on a line X = xZ, x = 0 or 1,
     # where the gcd reads its first fibers: that fiber alone would read
     # as a shared component
     for extra in ((0, 0, 1), (0, 3, 1), (1, 5, 1), (1, -2, 1)):
-        pairs.append((l12 * line_through(dirs[2], extra),
-                      line_through(dirs[1], dirs[2])
-                      * line_through(dirs[0], extra)))
+        pairs.append((l12 * line_through(v3, extra),
+                      line_through(v2, v3) * line_through(v1, extra)))
     for p, q in pairs:
         for v in dirs:
             assert evaluate(p, ProjPoint(*v)) == 0
             assert evaluate(q, ProjPoint(*v)) == 0
         assert_gcd_is_reference(p, q)
         verdicts.append(coprime(p, q))
+    assert verdicts[0]
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
-def test_coprime_proof_needs_no_gcd(monkeypatch):
+def forbid_the_exact_fiber_gcd(monkeypatch):
+    """Make the gcd's exact path, a fiber gcd over Z or an interpolation,
+    raise: only the modular proof of a fiber may decide."""
     def forbidden(*args):
         raise AssertionError("the modular proof decides this pair")
 
-    for module in (curves, exactpoly):
-        monkeypatch.setattr(module, "gcd_homogeneous", forbidden)
+    for name in ("int_gcd", "_interpolated_form"):
+        monkeypatch.setattr(exactpoly, name, forbidden)
+
+
+def test_coprime_proof_needs_no_gcd(monkeypatch):
+    """Random coprime pairs of 64-bit coefficients, of degrees d and 6 - d:
+    the first fiber's modular proof decides each."""
+    forbid_the_exact_fiber_gcd(monkeypatch)
     rng = random.Random(17)
     for d in range(7):
         assert coprime(random_big_poly(rng, d, 64),
                        random_big_poly(rng, 6 - d, 64))
-    assert coprime(HomPoly.monomial((2, 0, 0)), HomPoly.monomial((0, 1, 1)))
+
+
+def test_coprime_reads_one_more_fiber_past_a_common_point_on_x_0(
+        monkeypatch):
+    """X^2 and YZ meet at [0:0:1] after Z goes, and X^2 + Y^2 - Z^2 and
+    Y^2 + 3XZ - Z^2 at [0:1:1] and [0:-1:1]: each pair's fibers at X = 0
+    share a root, so the exact fiber gcd runs there, and the fiber X = Z,
+    proved coprime modulo the prime, decides the pair."""
+    def form(terms):
+        return HomPoly(2, {e: Fraction(c) for e, c in terms.items()})
+
+    pairs = [(HomPoly.monomial((2, 0, 0)), HomPoly.monomial((0, 1, 1))),
+             (form({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1}),
+              form({(0, 2, 0): 1, (1, 0, 1): 3, (0, 0, 2): -1}))]
+    for p, q in pairs:
+        xs = spy_fibers(monkeypatch)
+        assert coprime(p, q)
+        assert xs[::2] == [0, 1]
+        monkeypatch.undo()
+        assert_gcd_is_reference(p, q)
+
+
+def test_coprime_decides_crafted_high_degree_pairs_fast():
+    """A sparse degree-1200 pair with mixed monomials and a dense
+    degree-80 pair of 30-bit integers: each is decided, with its shear,
+    by one fiber modulo the prime, in well under a second."""
+    mixed = (HomPoly(1200, {(400, 400, 400): 1, (0, 1200, 0): 1}),
+             HomPoly(1200, {(1200, 0, 0): 1, (0, 0, 1200): -1}))
+    rng = random.Random(80)
+    dense = tuple(HomPoly(80, {m: rng.randint(-2 ** 30, 2 ** 30)
+                               for m in monomials(80)}) for _ in range(2))
+    for p, q in (mixed, dense):
+        start = time.perf_counter()
+        assert coprime(p, q)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_coprime_with_zero_forms():
@@ -755,45 +782,6 @@ def test_coprime_with_zero_forms():
     assert coprime(HomPoly(0, {(0, 0, 0): 5}), HomPoly.zero(3))
     with pytest.raises(PreconditionError):
         coprime(HomPoly.zero(1), HomPoly.zero(2))
-
-
-def exact_restriction(p, u, v):
-    """p(u + t*v) in Fraction coefficients indexed by the power of t, each
-    term multiplied out one linear factor at a time."""
-    out = [Fraction(0)] * (p.degree + 1)
-    for mono, c in p.terms.items():
-        poly = [c]
-        for e, a, b in zip(mono, u, v):
-            for _ in range(e):
-                poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
-        for k, x in enumerate(poly):
-            out[k] += x
-    return out
-
-
-def test_restrict_mod_matches_the_exact_restriction():
-    """`_restrict_mod` is L * p(u + t*v) mod the prime, L the lcm of the
-    denominators, on random dense forms of degree at most 8 and on sparse
-    forms of degree 60, along every proof line."""
-    rng = random.Random(60)
-    forms = [random_big_poly(rng, rng.randint(0, 8), rng.choice((1, 40)))
-             for _ in range(30)]
-    for _ in range(10):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            i = rng.randint(0, 60)
-            j = rng.randint(0, 60 - i)
-            terms[(i, j, 60 - i - j)] = Fraction(
-                rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
-        forms.append(HomPoly(60, terms))
-    forms.append(HomPoly.monomial((60, 0, 0)) + HomPoly.monomial((0, 0, 60)))
-    for p in forms:
-        big_l = math.lcm(*(c.denominator for c in p.terms.values()))
-        for u, v, prime in curves._COPRIME_PROOFS:
-            scaled = [big_l * x for x in exact_restriction(p, u, v)]
-            assert all(x.denominator == 1 for x in scaled)
-            assert curves._restrict_mod(p, u, v, prime) == [
-                x.numerator % prime for x in scaled]
 
 
 def sympy_exact_divide(p, q):
@@ -905,8 +893,8 @@ def assert_form_is(p, degree, ref):
     big_l = math.lcm(*(c.denominator for c in ref.values()))
     assert p == HomPoly(degree, ref) and p.degree == degree
     assert p.terms == ref and list(p.terms) == list(ref)
-    assert p.integer_view() == (big_l, {m: int(big_l * c)
-                                        for m, c in ref.items()})
+    assert (p.den, p.ints) == (big_l, {m: int(big_l * c)
+                                       for m, c in ref.items()})
     assert list(p.ints) == list(ref)
     assert hash(p) == hash((p.degree, frozenset(p.terms.items())))
     assert hash(p) == hash((degree, frozenset(ref.items())))
