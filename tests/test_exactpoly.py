@@ -669,7 +669,29 @@ def test_coprime_rejects_shared_components():
         assert_gcd_is_reference(p, q)
 
 
-def test_coprime_on_pairs_through_three_directions():
+def test_coprime_falls_back_when_every_direction_vanishes(monkeypatch):
+    """Both forms vanish at the three directions v of THREE_LINES, yet
+    coprime decides the pair by one gcd_homogeneous call, of degree 0."""
+    v1, v2, v3 = (v for _, v in THREE_LINES)
+    p = line_through(v1, v2) * line_through(v3, (1, 1, 1))
+    q = line_through(v2, v3) * line_through(v1, (1, 0, 0))
+    for v in (v1, v2, v3):
+        assert evaluate(p, ProjPoint(*v)) == 0
+        assert evaluate(q, ProjPoint(*v)) == 0
+    calls = []
+    real = curves.gcd_homogeneous
+
+    def spy(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(curves, "gcd_homogeneous", spy)
+    assert coprime(p, q)
+    assert calls == [(p, q)]
+    assert reference_gcd_homogeneous(p, q).degree == 0
+
+
+def test_coprime_fallback_matches_gcd():
     """Pairs whose forms both vanish at the three directions v of
     THREE_LINES: coprime pairs, pairs sharing a line and pairs sharing a
     conic, some sharing one through a direction. The gcd and coprime must
