@@ -5,7 +5,9 @@ The sweep runs `generate`, `msequence`, `linsys --degree 6 --double
 1,...,6`, `construct`, `certify` and `lelong` over each instance kind at
 seeds 0-3, then `sharpness` at seeds 0-3 and `enumerate --cap 2`, then
 `certify` and `lelong` on a crafted sparse certificate of degree 60 (see
-`write_sparse_certificate`), which both reject, then `--help` of the
+`write_sparse_certificate`) and on a crafted cubic certificate whose
+forms pass through (0:1:0) and (1:1:0) but not (0:1:1) (`CUBIC_P` and
+`CUBIC_Q`), which both reject, then `--help` of the
 program and of each command and the usage errors of the top-level parser
 and of a command (no command, an unknown command, `-h` before a command,
 a missing or extra value, an unknown option), then argvs that only
@@ -48,18 +50,33 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# X(X - Y)A + ZB: both cubics pass through (0:1:0) and (1:1:0), the
+# first two projection centers, and miss (0:1:1)
+CUBIC_P = [[3, 0, 0, "1"], [2, 1, 0, "1"], [2, 0, 1, "3"], [1, 2, 0, "-2"],
+           [1, 1, 1, "-3"], [0, 2, 1, "1"], [1, 0, 2, "-4"], [0, 0, 3, "7"]]
+CUBIC_Q = [[3, 0, 0, "2"], [2, 1, 0, "-3"], [2, 0, 1, "1"], [1, 2, 0, "1"],
+           [0, 2, 1, "3"], [0, 0, 3, "-1"]]
+
+
+def write_crafted_certificate(cert, out, degree: int, p, q) -> None:
+    """Write to `out` the certificate file `cert` with the forms P and Q
+    of degree `degree`, each a list of [i, j, k, coefficient] terms, and
+    gamma = degree, keeping its points and claimed weights."""
+    doc = json.loads(Path(cert).read_text())
+    doc["p"] = {"degree": degree, "terms": p}
+    doc["q"] = {"degree": degree, "terms": q}
+    doc["gamma_u"] = str(degree)
+    Path(out).write_text(json.dumps(doc))
+
+
 def write_sparse_certificate(cert, out, degree: int) -> None:
     """Write to `out` the certificate file `cert` with P = X^d + Z^d,
     Q = Y^d - Z^d and gamma = d, for d = `degree`, keeping its points and
     claimed weights. Neither form vanishes at a listed point, so every
     point fails; the cost of saying so is what the file exercises."""
-    doc = json.loads(Path(cert).read_text())
-    doc["p"] = {"degree": degree,
-                "terms": [[degree, 0, 0, "1"], [0, 0, degree, "1"]]}
-    doc["q"] = {"degree": degree,
-                "terms": [[0, degree, 0, "1"], [0, 0, degree, "-1"]]}
-    doc["gamma_u"] = str(degree)
-    Path(out).write_text(json.dumps(doc))
+    write_crafted_certificate(
+        cert, out, degree, [[degree, 0, 0, "1"], [0, 0, degree, "1"]],
+        [[0, degree, 0, "1"], [0, 0, degree, "-1"]])
 
 
 def _commands():
@@ -96,13 +113,17 @@ def _commands():
     sparse = f"sparse{SPARSE_DEGREE}"
     write_sparse_certificate("generic12-0.cert.json", f"{sparse}.cert.json",
                              SPARSE_DEGREE)
-    yield (f"{sparse}/certify",
-           ["certify", "--input", f"{sparse}.cert.json",
-            "--out", f"{sparse}.certify.json"],
-           [f"{sparse}.cert.json", f"{sparse}.certify.json"])
-    yield (f"{sparse}/lelong",
-           ["lelong", "--input", f"{sparse}.cert.json",
-            "--out", f"{sparse}.lelong.json"], [f"{sparse}.lelong.json"])
+    write_crafted_certificate("generic12-0.cert.json", "cubic.cert.json", 3,
+                              CUBIC_P, CUBIC_Q)
+    for crafted in (sparse, "cubic"):
+        yield (f"{crafted}/certify",
+               ["certify", "--input", f"{crafted}.cert.json",
+                "--out", f"{crafted}.certify.json"],
+               [f"{crafted}.cert.json", f"{crafted}.certify.json"])
+        yield (f"{crafted}/lelong",
+               ["lelong", "--input", f"{crafted}.cert.json",
+                "--out", f"{crafted}.lelong.json"],
+               [f"{crafted}.lelong.json"])
     yield "help", ["--help"], []
     for command in COMMANDS:
         yield f"help/{command}", [command, "--help"], []
