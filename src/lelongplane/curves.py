@@ -14,11 +14,14 @@ a line does Fulton's reduction run, on the integer expansions
 (`exactpoly.int_expansion`) of the two whole forms, capped at their Bezout
 bound, which only a shared component through the point passes; it takes no
 factorization and no gcd. An independent oracle reads mu from sheared
-resultants of the forms' integer terms, in Z[x]: Sylvester determinants at
-integer points, taken fraction-free by `linalg.int_det`, then
-interpolated; it counts a root's multiplicity by exact division. It and
-`bezout_table` read a shared component off the zero resultant, with no
-separate coprimality proof. `bezout_table` reads the rational common zeros
+resultants of the forms' integer terms, in Z[x]: Sylvester determinants
+at integer points, taken fraction-free by `linalg.int_det`, then
+interpolated; it counts a root's multiplicity by exact division, at the
+first center whose line through the point holds no other common zero,
+where that count is mu. It and `bezout_table` project from centers
+[t:1:u] off both curves (`_shears`), each moved to [0:1:0] by `_shear`,
+and read a shared component off the zero resultant, with no separate
+coprimality proof. `bezout_table` reads the rational common zeros
 from the rational roots of the resultant and of the fiber gcds, both found
 in Z[s] by the kernels of `upoly`: a primitive remainder sequence for
 gcds and square-free parts, and roots modulo a prime lifted by Newton's
@@ -207,53 +210,6 @@ def _reduction_mu(p: HomPoly, q: HomPoly, x: ProjPoint, expansions=None):
 # independent multiplicity oracle.
 
 
-def _frame_sub(p: HomPoly, s: int) -> HomPoly:
-    """Substitute Z -> s*X + s^2*Y + Z (a determinant-1 change of frame)."""
-    if s == 0:
-        return p
-    ints: dict[tuple[int, int, int], int] = {}
-    for (i, j, k), coef in p.ints.items():
-        for a in range(k + 1):
-            for b in range(k - a + 1):
-                c = k - a - b
-                w = math.comb(k, a) * math.comb(k - a, b)
-                key = (i + a, j + b, c)
-                val = coef * w * s ** (a + 2 * b)
-                ints[key] = ints.get(key, 0) + val
-    return HomPoly._from_ints(p.degree, p.den, ints)
-
-
-def _frame_point_back(x: ProjPoint, s: int) -> ProjPoint:
-    """Map a zero of the transformed curves back to original coordinates."""
-    a, b, c = x.ints
-    return ProjPoint(a, b, s * a + s * s * b + c)
-
-
-def _frame_point_fwd(x: ProjPoint, s: int) -> ProjPoint:
-    a, b, c = x.ints
-    return ProjPoint(a, b, c - s * a - s * s * b)
-
-
-def _choose_frame(p: HomPoly, q: HomPoly, x: ProjPoint | None = None) -> int:
-    """Smallest s >= 0 such that after the frame change neither curve
-    contains the reference line Z = 0 and, when given, x lies off it. Each
-    line of either curve and the point x rule out at most two values of s,
-    so the scan is short."""
-    d = p.degree + q.degree
-    for s in range(2 * d + 3):
-        ok = x is None or _frame_point_fwd(x, s).ints[2] != 0
-        for f in (p, q):
-            vals = [evaluate(f, ProjPoint(t, 1, s * t + s * s))
-                    for t in range(f.degree + 1)]
-            vals.append(evaluate(f, ProjPoint(1, 0, s)))
-            if all(v == 0 for v in vals):
-                ok = False
-                break
-        if ok:
-            return s
-    raise PreconditionError("could not find a valid frame")
-
-
 def _resultant_xz(p: HomPoly, q: HomPoly) -> list[int]:
     """Res_Y(p, q)(x, 1) as a primitive integer polynomial in x; [] when p
     and q share a component. Res_Y(p, q) is a binary form of degree mn in
@@ -311,56 +267,41 @@ def _root_multiplicity(res: list[int], top: int, u, v) -> int:
     return mult
 
 
-def _sheared_pair(p: HomPoly, q: HomPoly):
-    """(frame, t, p_t, q_t): the forms after the frame change of
-    _choose_frame and the first shear t of _shears, so that [0:1:0] lies
-    on neither and _resultant_xz applies."""
-    frame = _choose_frame(p, q)
-    pf, qf = _frame_sub(p, frame), _frame_sub(q, frame)
-    t = next(_shears(pf, qf))
-    return frame, t, _shear(pf, t), _shear(qf, t)
-
-
 def coprime(p: HomPoly, q: HomPoly) -> bool:
     """True iff p and q share no component: gcd_homogeneous has degree 0.
     The zero form contains every curve, so the gcd is the other form."""
     return gcd_homogeneous(p, q).degree == 0
 
 
-def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint,
-                           strict: bool = False) -> int:
+def resultant_multiplicity(p: HomPoly, q: HomPoly, x: ProjPoint) -> int:
     """Independent oracle for mu_x(p, q) via sheared resultants.
 
-    For each shear t the multiplicity of the projection line of x in
-    Res_Y(p_t, q_t) is an upper bound for mu_x, exact for all but finitely
-    many t. With strict=True the full guaranteed number of shears
-    (deg p * deg q) is taken and the minimum is exact; otherwise the scan
-    stops once two distinct shears agree on the running minimum. The
-    resultant is zero iff the forms share a component, which is refused.
+    After the shear of a center of `_shears`, the order of the projection
+    of x as a root of Res_Y(p, q) is the sum of mu over the common zeros
+    on the line through x and the center (Cox, Little and O'Shea, ch. 8,
+    sec. 7). So the oracle reads it at the first center whose line holds
+    no common zero but x: where the gcd of the two fibers on that line is
+    a power of the factor that vanishes at x, and the projection of x is
+    a root of the same order. Each other common zero y rules out the
+    centers on the line xy, at most one on each line X + Z = nY but xy
+    itself, so the walk ends. The resultant is zero iff the forms share
+    a component, which is refused at the first center.
     """
     if evaluate(p, x) != 0 or evaluate(q, x) != 0:
         return 0
     shared = "common component: oracle needs coprime forms"
     if p.is_zero or q.is_zero:  # the zero form contains every curve
         raise PreconditionError(shared)
-    # every projection center lies on the line Z = 0, so all common zeros
-    # on that line share each projection: x must lie off it
-    frame = _choose_frame(p, q, x)
-    p, q = _frame_sub(p, frame), _frame_sub(q, frame)
-    x0, y0, z0 = _frame_point_fwd(x, frame).ints
-    top = p.degree * q.degree
-    best, hits = None, 0
-    for checked, t in enumerate(_shears(p, q), 1):
-        res = _resultant_xz(_shear(p, t), _shear(q, t))
+    a, b, c = x.ints
+    for t, u in _shears(p, q):
+        pt, qt = _shear(p, (t, u)), _shear(q, (t, u))
+        res = _resultant_xz(pt, qt)
         if not res:
             raise PreconditionError(shared)
-        mult = _root_multiplicity(res, top, x0 - t * y0, z0)
-        if best is None or mult < best:
-            best, hits = mult, 1
-        elif mult == best:
-            hits += 1
-        if (not strict and hits >= 2) or checked >= top:
-            return best
+        xs, zs = a - t * b, c - u * b
+        g = int_gcd(_fiber(pt, xs, zs), _fiber(qt, xs, zs))
+        if _root_multiplicity(g, 0, b, 1) == len(g) - 1:
+            return _root_multiplicity(res, p.degree * q.degree, xs, zs)
 
 
 def bezout_table(p: HomPoly, q: HomPoly):
@@ -371,7 +312,8 @@ def bezout_table(p: HomPoly, q: HomPoly):
     m, n = p.degree, q.degree
     if m == 0 or n == 0:
         return [], 0
-    frame, t, pt, qt = _sheared_pair(p, q)
+    t, u = next(_shears(p, q))
+    pt, qt = _shear(p, (t, u)), _shear(q, (t, u))
     res = _resultant_xz(pt, qt)
     if not res:  # zero iff p and q share a component
         raise PreconditionError("infinite intersection")
@@ -380,20 +322,17 @@ def bezout_table(p: HomPoly, q: HomPoly):
     finite_roots = rational_roots(res)
 
     def fiber_points(x, z):
-        """Common rational zeros of p_t, q_t on the line (x, s, z)."""
-        pu, qu = _fiber(pt, x, z), _fiber(qt, x, z)
-        if not pu or not qu:
-            return []
-        return rational_roots(int_gcd(pu, qu))
+        """The common rational zeros (x, s, z) of the sheared forms, mapped
+        back to (x + ts, s, z + us). The center [0:1:0] lies on neither,
+        so neither fiber is zero."""
+        g = int_gcd(_fiber(pt, x, z), _fiber(qt, x, z))
+        return [ProjPoint(x + t * s, s, z + u * s)
+                for s in rational_roots(g)]
 
-    for u in finite_roots:
-        for s in fiber_points(u, Fraction(1)):
-            # the sheared point (u, s, 1) maps back through X -> X + tY,
-            # then through the frame change
-            points.add(_frame_point_back(ProjPoint(u + t * s, s, 1), frame))
+    for r in finite_roots:
+        points.update(fiber_points(r, 1))
     if len(res) - 1 < m * n:  # Z divides the resultant
-        for s in fiber_points(Fraction(1), Fraction(0)):
-            points.add(_frame_point_back(ProjPoint(1 + t * s, s, 0), frame))
+        points.update(fiber_points(1, 0))
     records = []
     for x in sorted(points, key=lambda pp: pp.coords):
         if evaluate(p, x) != 0 or evaluate(q, x) != 0:

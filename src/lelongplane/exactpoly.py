@@ -208,7 +208,7 @@ class HomPoly:
                 and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        return hash((self.degree, self.den, frozenset(self.ints.items())))
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         if self.degree != other.degree:
@@ -476,12 +476,13 @@ def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
     1 iff p and q share no component. Fiber gcds interpolated in x (Brown,
     JACM 18, 1971), proved by trial division (von zur Gathen and Gerhard,
     Modern Computer Algebra, ch. 6). With each power of Z divided out (the
-    lesser returns at the end), the shear t puts [0:1:0] on neither curve,
-    so the gcd's fiber at X = x, Z = 1 divides the fiber gcd there, with
-    the same degree for all but finitely many x. A constant fiber gcd
-    gives 1; a candidate interpolated from deg + 1 fibers of the least
-    degree seen that divides both sheared forms is the gcd, since no
-    common divisor has a higher degree; else the oldest fiber goes. First,
+    lesser returns at the end), the shear of the first center of `_shears`
+    puts [0:1:0] on neither curve, so the gcd's fiber at X = x, Z = 1
+    divides the fiber gcd there, with the same degree for all but finitely
+    many x. A constant fiber gcd gives 1; a candidate interpolated from
+    deg + 1 fibers of the least degree seen that divides both sheared forms
+    is the gcd, since no common divisor has a higher degree; else the
+    oldest fiber goes. First,
     where both leading coefficients survive mod _FIBER_PRIME, a constant
     gcd of the fibers over F_p proves a constant fiber gcd: by Gauss's
     lemma a common factor over Q keeps its degree mod the prime."""
@@ -491,8 +492,8 @@ def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
         return (q if p.is_zero else p).monic()
     zp, zq = (min(e[2] for e in f.ints) for f in (p, q))
     p, q = _times_z(p, -zp), _times_z(q, -zq)
-    t = next(_shears(p, q))
-    pt, qt = _shear(p, t), _shear(q, t)
+    t, u = next(_shears(p, q))
+    pt, qt = _shear(p, (t, u)), _shear(q, (t, u))
     fibers, least = {}, math.inf  # x: fiber gcd, each of length least
     for x in count():
         a, b = _fiber(pt, x, 1), _fiber(qt, x, 1)
@@ -510,7 +511,8 @@ def gcd_homogeneous(p: HomPoly, q: HomPoly) -> HomPoly:
         if len(fibers) == least:
             gcd = _interpolated_form(fibers)
             if gcd is not None and divides(gcd, pt) and divides(gcd, qt):
-                return _times_z(_shear(gcd, -t), min(zp, zq)).monic()
+                return _times_z(_shear(gcd, (-t, -u)),
+                                min(zp, zq)).monic()
             del fibers[min(fibers)]
 
 
@@ -532,27 +534,37 @@ def _interpolated_form(fibers) -> HomPoly | None:
     return HomPoly(d, terms) if min(e[2] for e in terms) >= 0 else None
 
 
-def _shear(p: HomPoly, t: int) -> HomPoly:
-    """Substitute X -> X + t*Y."""
-    if t == 0:
+def _shear(p: HomPoly, center: tuple[int, int]) -> HomPoly:
+    """Substitute X -> X + t*Y and Z -> Z + u*Y for center = (t, u): a
+    determinant-1 change of coordinates that moves [t:1:u] to [0:1:0] and
+    maps each point (a, b, c) to (a - t*b, b, c - u*b); (-t, -u) undoes
+    it."""
+    t, u = center
+    if t == u == 0:
         return p
     ints: dict[tuple[int, int, int], int] = {}
     for (i, j, k), c in p.ints.items():
-        for l in range(i + 1):
-            key = (i - l, j + l, k)
-            val = c * math.comb(i, l) * t ** l
-            ints[key] = ints.get(key, 0) + val
+        for l in range(i + 1 if t else 1):
+            for m in range(k + 1 if u else 1):
+                key = (i - l, j + l + m, k - m)
+                val = (c * math.comb(i, l) * math.comb(k, m)
+                       * t ** l * u ** m)
+                ints[key] = ints.get(key, 0) + val
     return HomPoly._from_ints(p.degree, p.den, ints)
 
 
 def _shears(p: HomPoly, q: HomPoly):
-    """The shear parameters t = 0, 1, ... whose projection center [t:1:0]
-    lies on neither curve. When neither contains the line Z = 0, at most
-    deg p + deg q values of t are skipped."""
-    for t in count():
-        center = ProjPoint(t, 1, 0)
-        if evaluate(p, center) != 0 and evaluate(q, center) != 0:
-            yield t
+    """The projection centers (t, u), t and u >= 0, for which [t:1:u]
+    lies on neither curve, by t + u = 0, 1, ... and then by u. The n + 1
+    centers with t + u = n lie on the line X + Z = nY, which a nonzero
+    curve either contains or meets in at most its degree of points; so
+    from n = deg p + deg q on, only the at most deg p + deg q such lines
+    that a curve contains yield no center."""
+    for n in count():
+        for u in range(n + 1):
+            center = ProjPoint(n - u, 1, u)
+            if evaluate(p, center) != 0 and evaluate(q, center) != 0:
+                yield n - u, u
 
 
 def _y_coeffs(terms, degree: int, x, z=1) -> list:

@@ -198,7 +198,8 @@ def reference_bezout_table(p: HomPoly, q: HomPoly):
     m, n = p.degree, q.degree
     if m == 0 or n == 0:
         return [], 0
-    frame, t, pt, qt = curves._sheared_pair(p, q)
+    t, u = next(curves._shears(p, q))
+    pt, qt = curves._shear(p, (t, u)), curves._shear(q, (t, u))
     res = reference_resultant_xz(pt, qt)
     if not res:
         raise PreconditionError("vanishing resultant for coprime forms")
@@ -216,15 +217,13 @@ def reference_bezout_table(p: HomPoly, q: HomPoly):
             return []
         return _univariate_rational_roots(g, Y)
 
-    for u in finite_roots:
-        ur = sympy.Rational(u.numerator, u.denominator)
-        for s in fiber_points({X: ur, Z: 1}):
-            points.add(curves._frame_point_back(
-                ProjPoint(u + t * s, s, 1), frame))
+    for r in finite_roots:
+        rr = sympy.Rational(r.numerator, r.denominator)
+        for s in fiber_points({X: rr, Z: 1}):
+            points.add(ProjPoint(r + t * s, s, 1 + u * s))
     if len(res) - 1 < m * n:  # Z divides the resultant
         for s in fiber_points({X: 1, Z: 0}):
-            points.add(curves._frame_point_back(
-                ProjPoint(1 + t * s, s, 0), frame))
+            points.add(ProjPoint(1 + t * s, s, u * s))
     records = []
     for x in sorted(points, key=lambda pp: pp.coords):
         if evaluate(p, x) != 0 or evaluate(q, x) != 0:

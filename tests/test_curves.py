@@ -21,6 +21,7 @@ import pytest
 from sympy.polys.rings import PolyElement
 
 from lelongplane import curves, exactpoly, upoly
+from lelongplane.config import curves_through
 from lelongplane.construct import construct_certificate
 from lelongplane.curves import (bezout_table, conic_rank, coprime,
                                 cubic_is_irreducible,
@@ -337,7 +338,7 @@ def _shared_tangent_pair(rng, tangent, other, degrees, singular):
 
 
 def test_reduction_runs_on_whole_forms(monkeypatch):
-    """The reduction agrees with the strict resultant oracle on products
+    """The reduction agrees with the resultant oracle on products
     with repeated factors, on shared-tangent cubics and quartics, where mu
     equals the Bezout bound, and with a shared line or conic that misses
     x; a shared line or conic through x gives math.inf. It factors
@@ -372,7 +373,7 @@ def test_reduction_runs_on_whole_forms(monkeypatch):
     far_line = HomPoly.line(1, 1, 1)
     far_conic = mono((2, 0, 0)) + mono((0, 2, 0)) + mono((0, 0, 2))
     assert evaluate(far_conic, x) != 0
-    off_x = resultant_multiplicity(p, q, x, strict=True)
+    off_x = resultant_multiplicity(p, q, x)
 
     def forbidden(*args):
         raise AssertionError("the reduction decides sharing by itself")
@@ -386,7 +387,7 @@ def test_reduction_runs_on_whole_forms(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     for p1, q1, y, expected in split + at_bound + tangent:
         mu = curves._reduction_mu(p1, q1, y)
-        assert mu == resultant_multiplicity(p1, q1, y, strict=True)
+        assert mu == resultant_multiplicity(p1, q1, y)
         assert mu > vanishing_order(p1, y) * vanishing_order(q1, y)
         assert expected in (None, mu)
     # a shared component that misses x is a unit there
@@ -412,7 +413,7 @@ def test_reduction_reads_the_primitive_integer_expansions(monkeypatch):
     tangent pairs (seed 0), the reduction starts from the integer
     expansions divided by their content, which are the Fraction expansions
     scaled to coprime integers with the same key order, and its mu is the
-    strict resultant oracle's."""
+    resultant oracle's."""
     first = []
     local_mu = curves._local_mu
 
@@ -441,7 +442,7 @@ def test_reduction_reads_the_primitive_integer_expansions(monkeypatch):
         want = [_fraction_primitive(f.local_expansion(y)[1]) for f in (p, q)]
         assert [list(f.items()) for f in first[0]] == \
             [list(f.items()) for f in want]
-        assert mu == resultant_multiplicity(p, q, y, strict=True)
+        assert mu == resultant_multiplicity(p, q, y)
 
 
 # the certificates that tests/test_construct.py builds
@@ -545,16 +546,33 @@ def test_lower_bound_by_vanishing_orders():
             checked += 1
 
 
+def _pairs_centered_off_z(rng, count):
+    """Coprime pairs Z*A and X(X - Y)*B: the first takes every center
+    [t:1:0], the second (0:1:1), (1:1:1) and (0:1:2), so the first center
+    off both curves is (2:1:1) unless A or B vanishes there."""
+    x_diag = HomPoly.line(1, 0, 0) * HomPoly.line(1, -1, 0)
+    out = []
+    while len(out) < count:
+        p = mono((0, 0, 1)) * random_poly(rng, rng.randint(0, 2))
+        q = x_diag * random_poly(rng, rng.randint(0, 2))
+        if gcd_homogeneous(p, q).degree == 0:
+            out.append((p, q))
+    return out
+
+
 def test_oracle_equivalence_random():
-    # the recursive local algorithm and the sheared-resultant oracle agree
+    # the recursive local algorithm and the sheared-resultant oracle agree,
+    # also on pairs whose first center lies off the line Z = 0
     rng = random.Random(1234)
-    pairs = 0
-    while pairs < 30:
+    pairs = []
+    while len(pairs) < 30:
         p = random_poly(rng, rng.randint(1, 4))
         q = random_poly(rng, rng.randint(1, 4))
-        if gcd_homogeneous(p, q).degree != 0:
-            continue
-        pairs += 1
+        if gcd_homogeneous(p, q).degree == 0:
+            pairs.append((p, q))
+    pairs += _pairs_centered_off_z(rng, 10)
+    assert any(next(curves._shears(p, q))[1] for p, q in pairs)
+    for p, q in pairs:
         records, residual = bezout_table(p, q)
         assert residual >= 0
         total = sum(r.multiplicity for r in records)
@@ -569,21 +587,33 @@ def test_oracle_equivalence_random():
 def test_strict_resultant_mode_agrees():
     x_axis = HomPoly.line(0, 1, 0)
     cusp = mono((0, 2, 1)) - mono((3, 0, 0))
-    assert resultant_multiplicity(x_axis, cusp, ORIGIN, strict=True) == 3
+    assert resultant_multiplicity(x_axis, cusp, ORIGIN) == 3
 
 
 def test_oracle_separates_common_zeros_on_the_line_z0():
-    """Every projection center lies on the frame's line Z = 0, so common
-    zeros on it always share a projection. Here (0:1:0) and (1:1:0), each
-    of multiplicity 1, lie on Z = 0, which frame 0 keeps; the oracle must
-    pick a frame that moves the point off that line, or it reads 2."""
+    """A center on the line through two common zeros projects both to one
+    root, which reads the sum of their mu. Here (0:1:0) and (1:1:0), each
+    of multiplicity 1, lie on Z = 0, as does the first center (2:1:0) off
+    both curves; the oracle must move to a center off that line, or it
+    reads 2. Two conics through (0:0:1), (0:1:1) and (1:1:1), transversal
+    there, share the line X = 0 with the center (0:1:0) and X = Y with
+    (1:1:0); two centers agreeing on 2 is no proof, and mu is 1."""
     p = HomPoly.line(1, 0, 1) * HomPoly.line(1, -1, 1)
     q = HomPoly.line(1, 0, 0) * HomPoly.line(1, -1, 2)
-    assert curves._choose_frame(p, q) == 0
     for x in (ProjPoint(0, 1, 0), ProjPoint(1, 1, 0)):
         assert intersection_multiplicity(p, q, x) == 1
         assert resultant_multiplicity(p, q, x) == 1
-        assert resultant_multiplicity(p, q, x, strict=True) == 1
+    x = ProjPoint(0, 0, 1)
+    common = [x, ProjPoint(0, 1, 1), ProjPoint(1, 1, 1)]
+    p, q = (curves_through(common + [ProjPoint(*a, 1), ProjPoint(*b, 1)],
+                           2)[0]
+            for a, b in (((3, -2), (5, 7)), ((-4, 9), (2, -7))))
+    records, residual = bezout_table(p, q)
+    assert residual == 0 and len(records) == 4
+    assert set(common) < {r.point for r in records}
+    for r in records:
+        assert r.multiplicity == 1
+        assert resultant_multiplicity(p, q, r.point) == 1
 
 
 def test_bezout_engineered_grid():
@@ -635,8 +665,9 @@ def test_bezout_rejects_shared_component():
 
 
 def _projected(p, q):
-    """p and q in the frame and shear from which `bezout_table` projects."""
-    return curves._sheared_pair(p, q)[2:]
+    """p and q after the shear from which `bezout_table` projects."""
+    center = next(curves._shears(p, q))
+    return curves._shear(p, center), curves._shear(q, center)
 
 
 def test_resultant_matches_sympy_up_to_a_scalar():
@@ -645,7 +676,7 @@ def test_resultant_matches_sympy_up_to_a_scalar():
     rng = random.Random(43)
     pairs = [(random_poly(rng, rng.randint(1, 4)),
               random_poly(rng, rng.randint(1, 4))) for _ in range(20)]
-    # a common zero (1:1:0) on the line Z = 0, which the frame keeps
+    # a common zero (1:1:0) on the line Z = 0
     diag, z = HomPoly.line(1, -1, 0), mono((0, 0, 1))
     on_z = (diag * random_poly(rng, 1) + z * random_poly(rng, 1),
             diag * random_poly(rng, 2) + z * random_poly(rng, 2))
@@ -737,6 +768,24 @@ def test_bezout_table_and_oracle_take_no_coprimality_proof(monkeypatch):
     assert callers == ["cubic_is_irreducible"]
 
 
+def test_oracle_reads_one_resultant_per_point_on_bench_tangent_pairs(
+        monkeypatch):
+    """On the benchmark's tangent pairs (seed 0) the line from the first
+    center through each listed point holds no other common zero, so the
+    oracle reads one resultant per point, and agrees with mu."""
+    calls, real = [], curves._resultant_xz
+    monkeypatch.setattr(curves, "_resultant_xz",
+                        lambda p, q: calls.append(p) or real(p, q))
+    points = 0
+    for p, q in _bench_tangent_pairs(0):
+        for r in bezout_table(p, q)[0]:
+            calls.clear()
+            assert resultant_multiplicity(p, q, r.point) == r.multiplicity
+            assert len(calls) == 1
+            points += 1
+    assert points >= 4
+
+
 def _line_through(rng, x):
     a, b = rng.randint(-3, 3), rng.randint(-3, 3)
     if a == b == 0:
@@ -794,12 +843,14 @@ def test_bezout_table_matches_expr_reference(monkeypatch):
     """Records, residuals, and both multiplicity algorithms at every
     record agree with the package as it ran on `Expr`."""
     rng = random.Random(67)
-    pairs = _tangent_pairs(rng) + _line_products(rng)
+    pairs = (_tangent_pairs(rng) + _line_products(rng)
+             + _pairs_centered_off_z(rng, 10))
+    assert any(next(curves._shears(p, q))[1] for p, q in pairs)
     new = []
     for p, q in pairs:
         records, residual = bezout_table(p, q)
         mus = [(intersection_multiplicity(p, q, r.point),
-                resultant_multiplicity(p, q, r.point, strict=True))
+                resultant_multiplicity(p, q, r.point))
                for r in records]
         new.append((records, residual, mus))
     assert sum(len(records) for records, _, _ in new) >= 80
@@ -809,7 +860,7 @@ def test_bezout_table_matches_expr_reference(monkeypatch):
             assert reference_bezout_table(p, q) == (records, residual)
             assert mus == [
                 (intersection_multiplicity(p, q, r.point),
-                 resultant_multiplicity(p, q, r.point, strict=True))
+                 resultant_multiplicity(p, q, r.point))
                 for r in records]
             assert all(a == b == r.multiplicity
                        for (a, b), r in zip(mus, records))

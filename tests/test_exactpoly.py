@@ -508,9 +508,12 @@ def test_gcd_matches_reference_on_degree_zero_forms():
         HomPoly.line(1, 0, 2)
 
 
-def test_gcd_matches_reference_on_random_pairs():
+def test_gcd_matches_reference_on_random_pairs(monkeypatch):
     """Seeded pairs of degree 0-6 with up to 100-bit rationals, some with
-    a shared factor, a power of Z or a factor through (0:1:0)."""
+    a shared factor, a power of Z or a factor through (0:1:0); then pairs
+    against conics X(X - Y) + ZL with L(0, 1, 1) != 0, through the centers
+    (0:1:0) and (1:1:0) but not (0:1:1), some sharing the conic, so that
+    the gcd shears Z as well."""
     rng = random.Random(36)
     for _ in range(60):
         bits = rng.choice((1, 4, 12, 40, 100))
@@ -525,6 +528,19 @@ def test_gcd_matches_reference_on_random_pairs():
         if rng.random() < 0.2:
             p = p * HomPoly.line(1, 0, rng.randint(-2, 2))
         assert_gcd_is_reference(p, q)
+    centers, real = [], exactpoly._shear
+    monkeypatch.setattr(exactpoly, "_shear",
+                        lambda f, c: centers.append(c) or real(f, c))
+    x_diag = HomPoly.line(1, 0, 0) * HomPoly.line(1, -1, 0)
+    for _ in range(30):
+        b, c = rng.randint(-4, 4), rng.randint(-4, 4)
+        conic = x_diag + HomPoly.monomial((0, 0, 1)) * HomPoly.line(
+            rng.randint(-4, 4), b, c if b + c else c + 1)
+        p = random_big_poly(rng, rng.randint(1, 4), rng.choice((1, 12, 40)))
+        if rng.random() < 0.3:
+            p = p * conic
+        assert_gcd_is_reference(p, conic)
+    assert any(u for _, u in centers)
 
 
 def spy_fibers(monkeypatch):
@@ -573,7 +589,7 @@ def test_gcd_reads_fibers_until_the_pair_is_decided(monkeypatch):
            ProjPoint(3, 2, 1)]
     p = join(pts[0], pts[1]) * join(pts[2], pts[3])
     q = join(pts[0], pts[2]) * join(pts[1], pts[3])
-    assert next(exactpoly._shears(p, q)) == 0  # no shear
+    assert next(exactpoly._shears(p, q)) == (0, 0)  # no shear
     line = HomPoly.line(1, 1, 1)
     xs = spy_fibers(monkeypatch)
     assert gcd_homogeneous(p, q).degree == 0
@@ -882,14 +898,17 @@ def ref_partials(a):
     return outs
 
 
-def ref_shear(a, t):
-    if t == 0:
+def ref_shear(a, t, u):
+    """a after X -> X + tY and Z -> Z + uY."""
+    if t == u == 0:
         return a
     out = {}
     for (i, j, k), c in a.items():
-        for l in range(i + 1):
-            key = (i - l, j + l, k)
-            out[key] = out.get(key, Fraction(0)) + c * math.comb(i, l) * t ** l
+        for l in range(i + 1 if t else 1):
+            for m in range(k + 1 if u else 1):
+                key = (i - l, j + l + m, k - m)
+                out[key] = out.get(key, Fraction(0)) + (
+                    c * math.comb(i, l) * math.comb(k, m) * t ** l * u ** m)
     return ref_clean(out)
 
 
@@ -910,16 +929,16 @@ def ref_hessian(a):
 
 def assert_form_is(p, degree, ref):
     """p is the form with the Fraction terms ref: equal, with the same key
-    order, the integer view made from ref, and the Fraction hash."""
+    order, the integer view made from ref, and the hash of that view."""
     ref = ref_clean(ref)
     big_l = math.lcm(*(c.denominator for c in ref.values()))
+    ints = {m: int(big_l * c) for m, c in ref.items()}
     assert p == HomPoly(degree, ref) and p.degree == degree
     assert p.terms == ref and list(p.terms) == list(ref)
-    assert (p.den, p.ints) == (big_l, {m: int(big_l * c)
-                                       for m, c in ref.items()})
+    assert (p.den, p.ints) == (big_l, ints)
     assert list(p.ints) == list(ref)
-    assert hash(p) == hash((p.degree, frozenset(p.terms.items())))
-    assert hash(p) == hash((degree, frozenset(ref.items())))
+    assert hash(p) == hash(HomPoly(degree, ref))
+    assert hash(p) == hash((degree, big_l, frozenset(ints.items())))
 
 
 def test_integer_operations_match_the_fraction_reference():
@@ -954,8 +973,10 @@ def test_integer_operations_match_the_fraction_reference():
         assert_form_is(-p, p.degree, {m: -c for m, c in pt.items()})
         for got, want in zip(partial_derivatives(p), ref_partials(pt)):
             assert_form_is(got, p.degree - 1, want)
-        t = rng.randint(-4, 4)
-        assert_form_is(curves._shear(p, t), p.degree, ref_shear(pt, t))
+        t, u = rng.randint(-4, 4), rng.randint(-4, 4)
+        assert_form_is(curves._shear(p, (t, u)), p.degree,
+                       ref_shear(pt, t, u))
+        assert curves._shear(curves._shear(p, (t, u)), (-t, -u)) == p
         lc = pt[max(pt)]
         assert_form_is(p.monic(), p.degree, {m: c / lc for m, c in pt.items()})
     for p in [f for f in forms if f.degree == 3][:6]:
@@ -986,7 +1007,7 @@ def test_the_integer_path_makes_no_fraction(monkeypatch):
     q = HomPoly.from_coeff_vector(2, [0, 1, 0, -2, 0, 5])
     forms = [p, q, p + q, p - q, p * q, 4 * p, -q]
     forms += [d for f in forms for d in partial_derivatives(f)]
-    forms += [p.monic(), exact_divide(p * q, q), curves._shear(q, 3),
+    forms += [p.monic(), exact_divide(p * q, q), curves._shear(q, (3, 0)),
               curves._hessian(p * HomPoly.line(1, -2, 5))]
     assert made == [] and all(f is not None for f in forms)
     assert p == HomPoly(2, {(2, 0, 0): 3, (1, 0, 1): -6, (0, 2, 0): 9,
